@@ -30,9 +30,9 @@ from .budget import BYTES_PER_FP16, FULL_PRECISION_BITS, BudgetPlan
 from .errors import ContractViolation, IntegrityError
 from .prune import PolicyConfig, PolicyKind, PruneDecision, ScoreContext, decide
 from .quant import (
+    SUPPORTED_BITS,
     Layout,
     QuantConfig,
-    QuantGroup,
     QuantizedTensor,
     dequantize_matrix,
     quantize_matrix,
@@ -164,35 +164,21 @@ class CompressedKVCache:
             v = concat_rows(v, e.residual_v)
         return k, v
 
+    def _entry_bytes(self, e: LayerHeadCache, block_bytes) -> int:
+        """One entry's bytes: fp16 K/V rows, plus ``block_bytes`` of each quantized block."""
+        fp16_rows = e.full_k.shape[0] if e.bits == FULL_PRECISION_BITS else e.residual_k.shape[0]
+        blocks = sum(block_bytes(q) for q in e.quant_k + e.quant_v)
+        return blocks + 2 * fp16_rows * self.head_dim * BYTES_PER_FP16
+
     def measured_bytes_per_layer(self) -> list[int]:
-        out = []
-        for row in self.entries:
-            total = 0
-            for e in row:
-                if e.bits == FULL_PRECISION_BITS:
-                    total += 2 * e.full_k.shape[0] * self.head_dim * BYTES_PER_FP16
-                else:
-                    total += sum(quantized_bytes(q) for q in e.quant_k)
-                    total += sum(quantized_bytes(q) for q in e.quant_v)
-                    total += 2 * e.residual_k.shape[0] * self.head_dim * BYTES_PER_FP16
-            out.append(total)
-        return out
+        return [sum(self._entry_bytes(e, quantized_bytes) for e in row) for row in self.entries]
 
     def measured_bytes(self) -> int:
         return sum(self.measured_bytes_per_layer())
 
     def payload_bytes(self) -> int:
         """Bytes with group metadata and outlier positions waived (codes + values only)."""
-        total = 0
-        for row in self.entries:
-            for e in row:
-                if e.bits == FULL_PRECISION_BITS:
-                    total += 2 * e.full_k.shape[0] * self.head_dim * BYTES_PER_FP16
-                else:
-                    total += sum(tensor_payload_bytes(q) for q in e.quant_k)
-                    total += sum(tensor_payload_bytes(q) for q in e.quant_v)
-                    total += 2 * e.residual_k.shape[0] * self.head_dim * BYTES_PER_FP16
-        return total
+        return sum(self._entry_bytes(e, tensor_payload_bytes) for row in self.entries for e in row)
 
     def token_count(self, layer: int, head: int) -> int:
         return self.entries[layer][head].token_count
@@ -283,12 +269,15 @@ def prefill_compress(
 #   then per (layer, head):
 #     u8 bits, u32 plan tokens, positions, K/V sections, residual K/V.
 # Quantized sections are block lists: per block shape, group table
-# (u32 length, f64 zero, f64 scale), packed code bytes, outlier triples.
+# (u32 length, f64 zero, f64 scale), packed code bytes, outlier triples
+# (u32 row, u32 col, f32 value).
 SNAPSHOT_MAGIC = b"KVSN"
 SNAPSHOT_VERSION = 1
 
-_LAYOUT_CODE = {Layout.PER_TOKEN: 0, Layout.PER_CHANNEL: 1}
-_POLICY_CODE = {k: i for i, k in enumerate(PolicyKind)}
+_LAYOUTS = list(Layout)
+_POLICIES = list(PolicyKind)
+_GROUP_TABLE = np.dtype([("length", "<u4"), ("zero", "<f8"), ("scale", "<f8")])
+_OUTLIER_TABLE = np.dtype([("row", "<u4"), ("col", "<u4"), ("value", "<f4")])
 
 
 def _dump_matrix(out: list[bytes], m: Matrix) -> None:
@@ -304,16 +293,15 @@ def _dump_blocks(out: list[bytes], blocks: list[QuantizedTensor]) -> None:
                 "<IIIII",
                 q.shape[0],
                 q.shape[1],
-                len(q.groups),
+                len(q.lengths),
                 len(q.outliers),
                 len(q.packed_codes),
             )
         )
-        for g in q.groups:
-            out.append(struct.pack("<Idd", g.length, g.zero_point, g.scale))
+        table = np.rec.fromarrays([q.lengths, q.zero_points, q.scales], dtype=_GROUP_TABLE)
+        out.append(table.tobytes())
         out.append(q.packed_codes)
-        for r, c, v in q.outliers:
-            out.append(struct.pack("<IIf", r, c, v))
+        out.append(np.array(list(q.outliers), dtype=_OUTLIER_TABLE).tobytes())
 
 
 def dump_snapshot(cache: CompressedKVCache) -> bytes:
@@ -326,8 +314,8 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
             cache.heads,
             cache.head_dim,
             cache.plan.group_size,
-            _LAYOUT_CODE[cache.plan.layout],
-            _POLICY_CODE[cache.policy.kind],
+            _LAYOUTS.index(cache.plan.layout),
+            _POLICIES.index(cache.policy.kind),
             cache.policy.window,
             cache.policy.pool_width,
             float("nan") if cache.outlier_threshold is None else cache.outlier_threshold,
@@ -377,38 +365,25 @@ def _load_matrix(r: _Reader) -> Matrix:
 
 
 def _load_blocks(r: _Reader, bits: int, group_size: int, layout: Layout) -> list[QuantizedTensor]:
+    """Read a block list; QuantizedTensor rejects tables that disagree with the codes."""
     (count,) = r.unpack("<I")
     blocks = []
     for _ in range(count):
         rows, cols, n_groups, n_out, packed_len = r.unpack("<IIIII")
-        groups = []
-        for _ in range(n_groups):
-            length, zero, scale = r.unpack("<Idd")
-            groups.append((length, zero, scale))
+        table = np.frombuffer(r.take(_GROUP_TABLE.itemsize * n_groups), dtype=_GROUP_TABLE)
         packed = r.take(packed_len)
-        outliers = []
-        for _ in range(n_out):
-            row, col, val = r.unpack("<IIf")
-            outliers.append((row, col, float(val)))
-        # rebuild group code arrays from the packed stream
-        from .quant import group_byte_length, unpack_codes
-
-        qgroups = []
-        offset = 0
-        for length, zero, scale in groups:
-            nbytes = group_byte_length(length, bits)
-            codes = unpack_codes(packed[offset : offset + nbytes], bits, length)
-            offset += nbytes
-            qgroups.append(QuantGroup(codes, zero, scale, length))
+        out = np.frombuffer(r.take(_OUTLIER_TABLE.itemsize * n_out), dtype=_OUTLIER_TABLE)
         blocks.append(
             QuantizedTensor(
                 shape=(rows, cols),
                 bits=bits,
                 group_size=group_size,
                 layout=layout,
-                groups=tuple(qgroups),
+                lengths=table["length"],
+                zero_points=table["zero"],
+                scales=table["scale"],
                 packed_codes=packed,
-                outliers=tuple(outliers),
+                outliers=tuple(zip(out["row"].tolist(), out["col"].tolist(), out["value"].tolist())),
             )
         )
     return blocks
@@ -434,8 +409,10 @@ def load_snapshot(data: bytes) -> CompressedKVCache:
     ) = r.unpack("<HHHIIBBIIdI")
     if version != SNAPSHOT_VERSION:
         raise IntegrityError(f"unsupported snapshot version {version}")
-    layout = [Layout.PER_TOKEN, Layout.PER_CHANNEL][layout_code]
-    policy = PolicyConfig(list(PolicyKind)[policy_code], recent, pool)
+    if layout_code >= len(_LAYOUTS) or policy_code >= len(_POLICIES):
+        raise IntegrityError(f"unknown layout code {layout_code} or policy code {policy_code}")
+    layout = _LAYOUTS[layout_code]
+    policy = PolicyConfig(_POLICIES[policy_code], recent, pool)
     outlier = None if np.isnan(threshold) else float(threshold)
 
     per_layer = []
@@ -445,6 +422,8 @@ def load_snapshot(data: bytes) -> CompressedKVCache:
         layer_tokens_bits = None
         for _ in range(heads):
             bits, tokens = r.unpack("<BI")
+            if bits not in SUPPORTED_BITS + (FULL_PRECISION_BITS,):
+                raise IntegrityError(f"unsupported bit width {bits}")
             layer_tokens_bits = (tokens, bits)
             (n_pos,) = r.unpack("<I")
             stored = np.frombuffer(r.take(4 * n_pos), dtype="<u4").tolist()
@@ -484,6 +463,8 @@ def load_snapshot(data: bytes) -> CompressedKVCache:
             )
         per_layer.append(layer_tokens_bits)
         entries.append(row)
+    if r.pos != len(data):
+        raise IntegrityError(f"{len(data) - r.pos} trailing bytes after the snapshot")
 
     plan = BudgetPlan(
         per_layer=tuple(per_layer),

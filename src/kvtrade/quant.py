@@ -12,6 +12,13 @@ little-endian at the configured bit width, each group starting on a byte
 boundary. Constant groups take ``s = 0`` and all-zero codes, and dequantize
 back to ``z`` exactly.
 
+A quantized block (:class:`QuantizedTensor`) holds each code once, in its
+packed byte stream, beside three per-group arrays: length, zero point and
+scale. Every block operation works on the whole block at once. The
+per-group functions (``quantize_group``, ``dequantize_group``,
+``pack_codes``, ``unpack_codes``) are the reference the tests compare the
+block operations against.
+
 Byte accounting convention (used for every budget-parity figure in the
 package): packed code bytes, plus 2 bytes of scale/zero metadata per group,
 plus 6 bytes per outlier (4-byte packed position, 2-byte value charge).
@@ -66,54 +73,83 @@ class QuantGroup:
     length: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantizedTensor:
-    """A quantized matrix: ordered groups, packed codes, outlier sidecar.
+    """A quantized matrix: packed codes, per-group arrays, outlier sidecar.
 
-    ``groups`` hold the per-group metadata and codes in layout order;
-    ``packed_codes`` is the canonical bit-packed byte stream (one byte-aligned
-    run per group) that ``dequantize_matrix`` decodes. ``outliers`` is sorted
-    by (row, col) and stores exact float32 values.
+    Groups are in layout order: run by run, and inside a run in element
+    order with outliers skipped. ``lengths``, ``zero_points`` and ``scales``
+    hold one entry per group and are read-only, so blocks can be shared.
+    ``packed_codes`` holds every code exactly once, one byte-aligned run per
+    group. ``outliers`` is sorted by (row, col) and stores exact float32
+    values. Construction raises IntegrityError when these parts disagree.
     """
 
     shape: tuple[int, int]
     bits: int
     group_size: int
     layout: Layout
-    groups: tuple[QuantGroup, ...]
+    lengths: np.ndarray
+    zero_points: np.ndarray
+    scales: np.ndarray
     packed_codes: bytes
     outliers: tuple[tuple[int, int, float], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        total = sum(g.length for g in self.groups) + len(self.outliers)
-        if total != self.shape[0] * self.shape[1]:
-            raise ContractViolation(
-                f"group lengths + outliers = {total}, expected {self.shape[0] * self.shape[1]}"
-            )
+        for name, dtype in (("lengths", np.int64), ("zero_points", np.float64), ("scales", np.float64)):
+            arr = np.array(getattr(self, name), dtype=dtype).reshape(-1)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        if self.bits not in SUPPORTED_BITS:
+            raise IntegrityError(f"bits must be one of {SUPPORTED_BITS}, got {self.bits}")
+        if not len(self.lengths) == len(self.zero_points) == len(self.scales):
+            raise IntegrityError("per-group arrays differ in length")
+        if (self.lengths < 1).any():
+            raise IntegrityError("every group must hold at least one code")
+        rows, cols = self.shape
+        total = int(self.lengths.sum()) + len(self.outliers)
+        if total != rows * cols:
+            raise IntegrityError(f"group lengths + outliers = {total}, expected {rows * cols}")
+        if self.outliers:
+            pos = np.array([(r, c) for r, c, _ in self.outliers])
+            if (pos < 0).any() or (pos >= (rows, cols)).any() or len(np.unique(pos, axis=0)) < len(pos):
+                raise IntegrityError("outlier positions must be distinct and inside the shape")
+        expected = int(group_byte_length(self.lengths, self.bits).sum())
+        if len(self.packed_codes) != expected:
+            raise IntegrityError(f"packed stream is {len(self.packed_codes)} bytes, expected {expected}")
 
 
-def _pack_rows(codes: np.ndarray, bits: int) -> np.ndarray:
-    """Pack a (n_groups, length) uint8 code block into (n_groups, n_bytes) bytes.
+def _within(counts: np.ndarray) -> np.ndarray:
+    """For segments of the given sizes laid end to end: each element's index in its segment."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
-    Little-endian within each byte: the first code lands in the least
-    significant bits. Each group row is padded with zero codes to a byte
-    boundary.
+
+def _code_slots(lengths: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
+    """Map group lengths to code positions in the unpacked byte stream.
+
+    Slot ``i`` is the code at bits ``bits * (i % per_byte)`` of byte
+    ``i // per_byte``. Each group starts on a byte boundary, so its first
+    slot is ``per_byte`` times the bytes of the groups before it. Returns
+    the slot of every code in group order and the stream's length in bytes.
     """
     per_byte = 8 // bits
-    n, length = codes.shape
-    pad = (-length) % per_byte
-    if pad:
-        codes = np.concatenate(
-            [codes, np.zeros((n, pad), dtype=np.uint8)], axis=1
-        )
-    shifts = (np.arange(per_byte, dtype=np.uint16) * bits)[None, None, :]
-    chunks = codes.reshape(n, -1, per_byte).astype(np.uint16)
-    return (chunks << shifts).sum(axis=2).astype(np.uint8)
+    nbytes = group_byte_length(lengths, bits)
+    first = per_byte * (np.cumsum(nbytes) - nbytes)
+    return np.repeat(first, lengths) + _within(lengths), int(nbytes.sum())
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> bytes:
-    """Bit-pack one group's codes (see module docstring for the format)."""
-    return _pack_rows(np.asarray(codes, dtype=np.uint8).reshape(1, -1), bits).tobytes()
+    """Bit-pack one group's codes (see module docstring for the format).
+
+    Little-endian within each byte: the first code lands in the least
+    significant bits. The group is padded with zero codes to a byte boundary.
+    """
+    per_byte = 8 // bits
+    codes = np.asarray(codes, dtype=np.uint8).reshape(-1)
+    codes = np.concatenate([codes, np.zeros((-codes.size) % per_byte, dtype=np.uint8)])
+    shifts = np.arange(per_byte, dtype=np.uint16) * bits
+    chunks = codes.reshape(-1, per_byte).astype(np.uint16)
+    return (chunks << shifts).sum(axis=1).astype(np.uint8).tobytes()
 
 
 def unpack_codes(buf: bytes, bits: int, count: int) -> np.ndarray:
@@ -168,69 +204,8 @@ def _runs(m: np.ndarray, layout: Layout) -> np.ndarray:
     return m if layout == Layout.PER_TOKEN else m.T
 
 
-def _quantize_runs_dense(runs: np.ndarray, cfg: QuantConfig):
-    """Vectorized group stats for runs with no outliers removed.
-
-    Returns (groups in run order, packed byte chunks in the same order).
-    Full-size chunks across all runs are quantized in one shot; a trailing
-    partial chunk per run becomes its own shorter group.
-    """
-    n_runs, run_len = runs.shape
-    g = cfg.group_size
-    levels = (1 << cfg.bits) - 1
-    n_full = run_len // g
-    rem = run_len % g
-
-    full_codes = full_z = full_s = None
-    if n_full:
-        block = runs[:, : n_full * g].reshape(n_runs, n_full, g)
-        z = block.min(axis=2)
-        mx = block.max(axis=2)
-        s = (mx - z) / levels
-        codes = np.zeros(block.shape, dtype=np.uint8)
-        nz = s > 0
-        if nz.any():
-            scaled = (block - z[:, :, None]) / np.where(nz, s, 1.0)[:, :, None]
-            codes = np.where(
-                nz[:, :, None],
-                np.clip(np.rint(scaled), 0, levels),
-                0,
-            ).astype(np.uint8)
-        full_codes, full_z, full_s = codes, z, s
-
-    tail_groups = []
-    if rem:
-        tail = runs[:, n_full * g :]
-        for r in range(n_runs):
-            tail_groups.append(quantize_group(tail[r], cfg.bits))
-
-    groups: list[QuantGroup] = []
-    chunks: list[bytes] = []
-    if n_full:
-        packed_full = _pack_rows(full_codes.reshape(n_runs * n_full, g), cfg.bits)
-    if rem:
-        packed_tail = _pack_rows(
-            np.stack([tg.codes for tg in tail_groups]), cfg.bits
-        )
-    for r in range(n_runs):
-        for f in range(n_full):
-            groups.append(
-                QuantGroup(
-                    full_codes[r, f].copy(),
-                    float(full_z[r, f]),
-                    float(full_s[r, f]),
-                    g,
-                )
-            )
-            chunks.append(packed_full[r * n_full + f].tobytes())
-        if rem:
-            groups.append(tail_groups[r])
-            chunks.append(packed_tail[r].tobytes())
-    return groups, chunks
-
-
 def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
-    """Quantize a full matrix under ``cfg``.
+    """Quantize a full matrix of finite values under ``cfg``.
 
     Elements with ``|v| > outlier_threshold`` (when set) move to the sidecar
     first and are excluded from grouping; the survivors in each run compact
@@ -240,39 +215,44 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
     m = np.asarray(m, dtype=np.float32)
     if m.ndim != 2 or m.size == 0:
         raise ContractViolation("quantize_matrix requires a nonempty 2-D matrix")
-    rows, cols = m.shape
-    work = m.astype(np.float64)
-
-    outliers: list[tuple[int, int, float]] = []
-    if cfg.outlier_threshold is not None:
-        mask = np.abs(m) > cfg.outlier_threshold
-        for r, c in zip(*np.nonzero(mask)):
-            outliers.append((int(r), int(c), float(m[r, c])))
+    if not np.isfinite(m).all():
+        raise ContractViolation("quantize_matrix requires finite values")
+    if cfg.outlier_threshold is None:
+        keep = np.ones(m.shape, dtype=bool)
     else:
-        mask = None
+        keep = np.abs(m) <= cfg.outlier_threshold
+    out_rows, out_cols = np.nonzero(~keep)
+    outliers = tuple(zip(out_rows.tolist(), out_cols.tolist(), m[~keep].tolist()))
 
-    if not outliers:
-        groups, chunks = _quantize_runs_dense(_runs(work, cfg.layout), cfg)
-    else:
-        keep = _runs(~mask, cfg.layout)
-        runs = _runs(work, cfg.layout)
-        groups = []
-        chunks = []
-        for r in range(runs.shape[0]):
-            vals = runs[r][keep[r]]
-            for start in range(0, vals.size, cfg.group_size):
-                grp = quantize_group(vals[start : start + cfg.group_size], cfg.bits)
-                groups.append(grp)
-                chunks.append(pack_codes(grp.codes, cfg.bits))
+    kept = _runs(keep, cfg.layout)
+    vals = _runs(m.astype(np.float64), cfg.layout)[kept]
+    # a group starts at every group_size-th survivor of each run
+    starts = np.flatnonzero(_within(kept.sum(axis=1)) % cfg.group_size == 0)
+    lengths = np.diff(starts, append=vals.size)
+    levels = (1 << cfg.bits) - 1
+    z = np.minimum.reduceat(vals, starts)
+    s = (np.maximum.reduceat(vals, starts) - z) / levels
+
+    s_each = np.repeat(s, lengths)
+    scaled = (vals - np.repeat(z, lengths)) / np.where(s_each > 0, s_each, 1.0)
+    codes = np.where(s_each > 0, np.clip(np.rint(scaled), 0, levels), 0)
+    per_byte = 8 // cfg.bits
+    slots, nbytes = _code_slots(lengths, cfg.bits)
+    flat = np.zeros(nbytes * per_byte, dtype=np.uint16)
+    flat[slots] = codes
+    shifts = np.arange(per_byte, dtype=np.uint16) * cfg.bits
+    packed = (flat.reshape(nbytes, per_byte) << shifts).sum(axis=1).astype(np.uint8)
 
     return QuantizedTensor(
-        shape=(rows, cols),
+        shape=m.shape,
         bits=cfg.bits,
         group_size=cfg.group_size,
         layout=cfg.layout,
-        groups=tuple(groups),
-        packed_codes=b"".join(chunks),
-        outliers=tuple(outliers),
+        lengths=lengths,
+        zero_points=z,
+        scales=s,
+        packed_codes=packed.tobytes(),
+        outliers=outliers,
     )
 
 
@@ -282,48 +262,29 @@ def _scatter_runs(values: np.ndarray, q: QuantizedTensor) -> np.ndarray:
     Outlier positions are skipped (left at zero) exactly as quantization
     skipped them when forming groups.
     """
-    rows, cols = q.shape
-    out = np.zeros((rows, cols), dtype=np.float64)
-    keep = np.ones((rows, cols), dtype=bool)
+    out = np.zeros(q.shape, dtype=np.float64)
+    keep = np.ones(q.shape, dtype=bool)
     for r, c, _ in q.outliers:
         keep[r, c] = False
-    kr = _runs(keep, q.layout)
-    target = _runs(out, q.layout)
-    pos = 0
-    for r in range(target.shape[0]):
-        idx = np.nonzero(kr[r])[0]
-        target[r, idx] = values[pos : pos + idx.size]
-        pos += idx.size
+    _runs(out, q.layout)[_runs(keep, q.layout)] = values
     return out
 
 
 def dequantize_matrix(q: QuantizedTensor) -> Matrix:
     """Decode a QuantizedTensor back to a float32 matrix.
 
-    Groups are decoded from the packed byte stream in order; outliers are
-    written back bit-exactly at their original positions. Raises
-    IntegrityError if the packed stream length does not match the groups.
+    All codes are unpacked at once; outliers are written back bit-exactly at
+    their original positions.
     """
-    expected = sum(group_byte_length(g.length, q.bits) for g in q.groups)
-    if len(q.packed_codes) != expected:
-        raise IntegrityError(
-            f"packed stream is {len(q.packed_codes)} bytes, expected {expected}"
-        )
-
-    values = np.empty(sum(g.length for g in q.groups), dtype=np.float64)
-    offset = 0
-    pos = 0
-    for g in q.groups:
-        nbytes = group_byte_length(g.length, q.bits)
-        codes = unpack_codes(q.packed_codes[offset : offset + nbytes], q.bits, g.length)
-        if (codes != g.codes).any():
-            raise IntegrityError("packed codes disagree with group codes")
-        if g.scale == 0.0:
-            values[pos : pos + g.length] = g.zero_point
-        else:
-            values[pos : pos + g.length] = codes.astype(np.float64) * g.scale + g.zero_point
-        offset += nbytes
-        pos += g.length
+    per_byte = 8 // q.bits
+    raw = np.frombuffer(q.packed_codes, dtype=np.uint8)
+    shifts = np.arange(per_byte, dtype=np.uint8) * q.bits
+    unpacked = ((raw[:, None] >> shifts) & ((1 << q.bits) - 1)).reshape(-1)
+    codes = unpacked[_code_slots(q.lengths, q.bits)[0]]
+    s = np.repeat(q.scales, q.lengths)
+    z = np.repeat(q.zero_points, q.lengths)
+    # a constant group decodes to its zero point exactly, -0.0 included
+    values = np.where(s == 0.0, z, codes * s + z)
 
     result = _scatter_runs(values, q).astype(np.float32)
     for r, c, v in q.outliers:
@@ -337,12 +298,7 @@ def error_bound_matrix(q: QuantizedTensor) -> np.ndarray:
     Outlier positions are exact and get bound 0. Returned as float64 with
     the tensor's shape.
     """
-    bounds = np.empty(sum(g.length for g in q.groups), dtype=np.float64)
-    pos = 0
-    for g in q.groups:
-        bounds[pos : pos + g.length] = g.scale / 2.0
-        pos += g.length
-    return _scatter_runs(bounds, q)
+    return _scatter_runs(np.repeat(q.scales / 2.0, q.lengths), q)
 
 
 def quantized_bytes(q: QuantizedTensor) -> int:
@@ -353,7 +309,7 @@ def quantized_bytes(q: QuantizedTensor) -> int:
     """
     return (
         len(q.packed_codes)
-        + GROUP_METADATA_BYTES * len(q.groups)
+        + GROUP_METADATA_BYTES * len(q.lengths)
         + OUTLIER_BYTES * len(q.outliers)
     )
 

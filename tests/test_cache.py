@@ -1,9 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from kvtrade.budget import plan_bytes, uniform_plan
 from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
-from kvtrade.errors import ContractViolation
+from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext
 from kvtrade.quant import Layout
 
@@ -49,7 +51,7 @@ class TestPrefillCompress:
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
         k, _ = cache.materialize(0, 0)
         entry = cache.entry(0, 0)
-        s_max = max(g.scale for g in entry.quant_k[0].groups)
+        s_max = entry.quant_k[0].scales.max()
         assert k.shape == keys[0][0].shape
         assert np.abs(k - keys[0][0]).max() <= s_max / 2 + 1e-6
 
@@ -135,8 +137,7 @@ class TestDecodeAppend:
             cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
         block = cache.entry(0, 0).quant_k[-1]
         # one group of 4 tokens per channel
-        assert all(g.length == 4 for g in block.groups)
-        assert len(block.groups) == 8
+        assert block.lengths.tolist() == [4] * 8
 
     def test_decode_outliers_survive_flush_exactly(self):
         keys, values, ctxs = make_inputs(1, 1, 12, 8, seed=20)
@@ -178,7 +179,7 @@ class TestMaterialize:
         idx = list(cache.entry(0, 0).retained.retained)
         k, _ = cache.materialize(0, 0)
         gathered = keys[0][0][idx, :]
-        s_max = max(g.scale for g in cache.entry(0, 0).quant_k[0].groups)
+        s_max = cache.entry(0, 0).quant_k[0].scales.max()
         assert np.abs(k - gathered).max() <= s_max / 2 + 1e-6
 
     def test_outlier_rows_exact(self):
@@ -300,6 +301,58 @@ class TestSnapshot:
             k2, v2 = restored.materialize(0, head)
             assert np.array_equal(k1, k2) and np.array_equal(v1, v2)
         assert restored.measured_bytes() == cache.measured_bytes()
+
+
+SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBBIIdI")
+LAYOUT_AT, POLICY_AT = 18, 19
+
+
+def _patched(blob: bytes, offset: int, fmt: str, value) -> bytes:
+    out = bytearray(blob)
+    struct.pack_into(fmt, out, offset, value)
+    assert bytes(out) != blob
+    return bytes(out)
+
+
+def _swap_first_lengths(blob: bytes, table: int) -> bytes:
+    # 8 + 8 codes become 7 + 9: same total, one more packed byte at 4 bits
+    return _patched(_patched(blob, table, "<I", 7), table + 20, "<I", 9)
+
+
+class TestSnapshotRejects:
+    """Mutated snapshots raise IntegrityError, never IndexError or ContractViolation."""
+
+    @pytest.fixture
+    def snapshot(self):
+        # one 4-bit per-token head, group size 8 = head_dim: one 8-code group per row
+        keys, values, ctxs = make_inputs(1, 1, 24, 8, seed=13)
+        plan = uniform_plan(1, 4, 4, heads=1, head_dim=8, group_size=8)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        blob = dump_snapshot(cache)
+        n_pos = len(cache.entry(0, 0).stored_positions)
+        # bits, plan tokens, position count, positions, block count, block header
+        table = SNAPSHOT_HEADER + 5 + 4 + 4 * n_pos + 4 + 20
+        rows = struct.unpack_from("<I", blob, table - 20)[0]
+        assert struct.unpack_from("<Idd", blob, table)[0] == 8 == rows // 2
+        load_snapshot(blob)
+        return blob, table, rows
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            pytest.param(lambda b, t, rows: _patched(b, LAYOUT_AT, "<B", 2), id="layout-code"),
+            pytest.param(lambda b, t, rows: _patched(b, POLICY_AT, "<B", 200), id="policy-code"),
+            pytest.param(lambda b, t, rows: _patched(b, SNAPSHOT_HEADER, "<B", 3), id="bits-3"),
+            pytest.param(lambda b, t, rows: _patched(b, SNAPSHOT_HEADER, "<B", 0), id="bits-0"),
+            pytest.param(lambda b, t, rows: _patched(b, t, "<I", 0), id="zero-length-group"),
+            pytest.param(lambda b, t, rows: _patched(b, t - 20, "<I", rows + 1), id="lengths-vs-shape"),
+            pytest.param(lambda b, t, rows: _swap_first_lengths(b, t), id="packed-vs-table"),
+            pytest.param(lambda b, t, rows: b + b"\x00", id="trailing-bytes"),
+        ],
+    )
+    def test_rejected(self, snapshot, mutate):
+        with pytest.raises(IntegrityError):
+            load_snapshot(mutate(*snapshot))
 
 
 class TestClone:

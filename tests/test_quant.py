@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.quant import (
     Layout,
     QuantConfig,
+    QuantGroup,
     QuantizedTensor,
     dequantize_group,
     dequantize_matrix,
@@ -135,15 +138,15 @@ class TestPacking:
 class TestQuantizeMatrix:
     def test_single_row_composes_group_example(self):
         q = quantize_matrix(np.array([[0, 1, 2, 3]], dtype=np.float32), QuantConfig(2, 4))
-        assert len(q.groups) == 1
-        assert q.groups[0].codes.tolist() == [0, 1, 2, 3]
+        assert q.lengths.tolist() == [4]
+        assert unpack_codes(q.packed_codes, 2, 4).tolist() == [0, 1, 2, 3]
 
     def test_outlier_extraction(self):
         m = np.array([[100.0], [0.5]], dtype=np.float32)
         q = quantize_matrix(m, QuantConfig(4, 64, Layout.PER_TOKEN, outlier_threshold=6.0))
         assert q.outliers == ((0, 0, 100.0),)
-        assert len(q.groups) == 1 and q.groups[0].length == 1
-        assert q.groups[0].zero_point == 0.5
+        assert q.lengths.tolist() == [1]
+        assert q.zero_points[0] == 0.5
 
     def test_8bit_identity_error_bound(self):
         rng = np.random.default_rng(3)
@@ -157,35 +160,60 @@ class TestQuantizeMatrix:
         with pytest.raises(ContractViolation):
             quantize_matrix(np.zeros((0, 4), dtype=np.float32), QuantConfig(4))
 
+    @pytest.mark.parametrize(
+        "bad, threshold",
+        [(float("nan"), None), (float("inf"), None), (float("inf"), 6.0), (-float("inf"), 6.0)],
+    )
+    def test_non_finite_rejected(self, bad, threshold):
+        # rejected before outlier extraction, so Inf cannot become an outlier
+        m = np.zeros((2, 4), dtype=np.float32)
+        m[1, 2] = bad
+        with pytest.raises(ContractViolation):
+            quantize_matrix(m, QuantConfig(4, 4, outlier_threshold=threshold))
+
+    def test_all_outliers_make_no_groups(self):
+        m = np.full((2, 3), 9.0, dtype=np.float32)
+        q = quantize_matrix(m, QuantConfig(4, 4, Layout.PER_CHANNEL, outlier_threshold=1.0))
+        assert (q.lengths.size, q.packed_codes, len(q.outliers)) == (0, b"", 6)
+        assert np.array_equal(dequantize_matrix(q), m)
+
     def test_partial_trailing_group(self):
         m = np.arange(10, dtype=np.float32).reshape(1, 10)
         q = quantize_matrix(m, QuantConfig(4, 4))
-        assert [g.length for g in q.groups] == [4, 4, 2]
+        assert q.lengths.tolist() == [4, 4, 2]
 
     def test_per_channel_groups_run_down_columns(self):
         m = np.arange(12, dtype=np.float32).reshape(4, 3)
         q = quantize_matrix(m, QuantConfig(4, 2, Layout.PER_CHANNEL))
         # column 0 is [0, 3, 6, 9]: first group [0, 3]
-        assert q.groups[0].zero_point == 0.0
-        assert q.groups[0].length == 2
-        assert dequantize_group(q.groups[0]).tolist() == [0.0, 3.0]
+        assert q.zero_points[0] == 0.0
+        assert q.lengths[0] == 2
+        assert dequantize_matrix(q)[:2, 0].tolist() == [0.0, 3.0]
 
     def test_matches_per_group_reference(self):
-        # the vectorized path must agree with quantize_group exactly
+        # the block path must agree with quantize_group and pack_codes exactly,
+        # with outliers removed from each run and partial tail groups
         rng = np.random.default_rng(9)
-        m = rng.normal(size=(6, 50)).astype(np.float32)
-        for layout in Layout:
-            q = quantize_matrix(m, QuantConfig(4, 16, layout))
+        m = (rng.normal(size=(6, 50)) * 2).astype(np.float32)
+        m[:, 4] = 1.5  # a constant column
+        for threshold, (bits, group), layout in itertools.product(
+            [None, 1.0, 2.0, 6.0], [(2, 7), (4, 16), (8, 50), (4, 64)], Layout
+        ):
+            q = quantize_matrix(m, QuantConfig(bits, group, layout, threshold))
+            limit = np.inf if threshold is None else threshold
             runs = m if layout == Layout.PER_TOKEN else m.T
+            keep = np.abs(runs) <= limit
             expected = []
-            for row in runs:
-                for start in range(0, row.size, 16):
-                    expected.append(quantize_group(row[start : start + 16], 4))
-            assert len(expected) == len(q.groups)
-            for got, want in zip(q.groups, expected):
-                assert got.codes.tolist() == want.codes.tolist()
-                assert got.zero_point == want.zero_point
-                assert got.scale == want.scale
+            for row, kept in zip(runs, keep):
+                vals = row[kept]
+                for start in range(0, vals.size, group):
+                    expected.append(quantize_group(vals[start : start + group], bits))
+            assert q.lengths.tolist() == [g.length for g in expected]
+            assert q.zero_points.tolist() == [g.zero_point for g in expected]
+            assert q.scales.tolist() == [g.scale for g in expected]
+            assert q.packed_codes == b"".join(pack_codes(g.codes, bits) for g in expected)
+            r, c = np.nonzero(np.abs(m) > limit)
+            assert q.outliers == tuple(zip(r, c, m[r, c].tolist()))
 
 
 class TestDequantizeMatrix:
@@ -212,21 +240,27 @@ class TestDequantizeMatrix:
         out = dequantize_matrix(q)
         for r in range(8):
             err = np.abs(out[r] - m[r]).max()
-            assert err <= q.groups[r].scale / 2 + 1e-6
+            assert err <= q.scales[r] / 2 + 1e-6
 
     def test_corrupted_packing_detected(self):
         q = quantize_matrix(np.arange(8, dtype=np.float32).reshape(2, 4), QuantConfig(4, 4))
-        bad = QuantizedTensor(
-            shape=q.shape,
-            bits=q.bits,
-            group_size=q.group_size,
-            layout=q.layout,
-            groups=q.groups,
-            packed_codes=q.packed_codes[:-1],
-            outliers=q.outliers,
-        )
         with pytest.raises(IntegrityError):
-            dequantize_matrix(bad)
+            QuantizedTensor(
+                shape=q.shape,
+                bits=q.bits,
+                group_size=q.group_size,
+                layout=q.layout,
+                lengths=q.lengths,
+                zero_points=q.zero_points,
+                scales=q.scales,
+                packed_codes=q.packed_codes[:-1],
+                outliers=q.outliers,
+            )
+
+    def test_group_arrays_read_only(self):
+        q = quantize_matrix(np.arange(8, dtype=np.float32).reshape(2, 4), QuantConfig(4, 4))
+        with pytest.raises(ValueError):
+            q.scales[0] = 1.0
 
     def test_shape_restored(self):
         rng = np.random.default_rng(2)
@@ -247,7 +281,7 @@ class TestQuantizedBytes:
         assert quantized_bytes(quantize_matrix(m, QuantConfig(8, 64))) == 66
 
     def test_empty_tensor(self):
-        q = QuantizedTensor((0, 0), 4, 64, Layout.PER_TOKEN, (), b"")
+        q = QuantizedTensor((0, 0), 4, 64, Layout.PER_TOKEN, [], [], [], b"")
         assert quantized_bytes(q) == 0
 
     def test_outliers_charged_six_bytes(self):
@@ -277,10 +311,9 @@ class TestStructuralProperties:
         m = rng.normal(size=(12, 9)).astype(np.float32)
         qc = quantize_matrix(m, QuantConfig(4, 5, Layout.PER_CHANNEL))
         qt = quantize_matrix(np.ascontiguousarray(m.T), QuantConfig(4, 5, Layout.PER_TOKEN))
-        assert len(qc.groups) == len(qt.groups)
-        for a, b in zip(qc.groups, qt.groups):
-            assert a.codes.tolist() == b.codes.tolist()
-            assert (a.zero_point, a.scale, a.length) == (b.zero_point, b.scale, b.length)
+        assert qc.lengths.tolist() == qt.lengths.tolist()
+        assert qc.zero_points.tolist() == qt.zero_points.tolist()
+        assert qc.scales.tolist() == qt.scales.tolist()
         assert qc.packed_codes == qt.packed_codes
 
     def test_monotone_error_in_bits(self):
@@ -298,7 +331,7 @@ class TestStructuralProperties:
         m = rng.normal(size=(7, 23)).astype(np.float32)
         m[0, 0] = 50.0
         q = quantize_matrix(m, QuantConfig(4, 6, Layout.PER_CHANNEL, outlier_threshold=6.0))
-        assert sum(g.length for g in q.groups) + len(q.outliers) == m.size
+        assert q.lengths.sum() + len(q.outliers) == m.size
 
     def test_outliers_sorted_by_position(self):
         rng = np.random.default_rng(23)
@@ -336,5 +369,63 @@ def test_round_trip_bound_full_matrix(rows, cols, bits, group, layout, seed):
     m = rng.uniform(-8, 8, size=(rows, cols)).astype(np.float32)
     q = quantize_matrix(m, QuantConfig(bits, group, layout))
     out = dequantize_matrix(q)
-    s_max = max(g.scale for g in q.groups)
-    assert np.abs(out - m).max() <= s_max / 2 + 1e-6
+    assert np.abs(out - m).max() <= q.scales.max() / 2 + 1e-6
+
+
+def reference_dequantize(q):
+    """Decode group by group with unpack_codes and dequantize_group, then scatter."""
+    values, offset = [], 0
+    for length, zero, scale in zip(q.lengths.tolist(), q.zero_points, q.scales):
+        nbytes = (length * q.bits + 7) // 8
+        codes = unpack_codes(q.packed_codes[offset : offset + nbytes], q.bits, length)
+        values.extend(dequantize_group(QuantGroup(codes, float(zero), float(scale), length)))
+        offset += nbytes
+    out = np.zeros(q.shape, dtype=np.float64)
+    outlier_pos = {(r, c) for r, c, _ in q.outliers}
+    if q.layout == Layout.PER_TOKEN:
+        order = [(r, c) for r in range(q.shape[0]) for c in range(q.shape[1])]
+    else:
+        order = [(r, c) for c in range(q.shape[1]) for r in range(q.shape[0])]
+    survivors = [p for p in order if p not in outlier_pos]
+    for p, v in zip(survivors, values, strict=True):
+        out[p] = v
+    out = out.astype(np.float32)
+    for r, c, v in q.outliers:
+        out[r, c] = np.float32(v)
+    return out
+
+
+# few distinct values, so runs often hold constant groups (including -0.0 ones)
+element = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.5, -3.0]), st.floats(-20, 20, allow_nan=False, width=32)
+)
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    vals = draw(st.lists(element, min_size=rows * cols, max_size=rows * cols))
+    return np.array(vals, dtype=np.float32).reshape(rows, cols)
+
+
+@settings(max_examples=80)
+@given(
+    matrices(),
+    st.sampled_from([2, 4, 8]),
+    st.integers(1, 9),
+    st.sampled_from(list(Layout)),
+    st.sampled_from([None, 2.0, 6.0]),
+)
+def test_dequantize_matches_per_group_reference(m, bits, group, layout, threshold):
+    q = quantize_matrix(m, QuantConfig(bits, group, layout, threshold))
+    assert dequantize_matrix(q).tobytes() == reference_dequantize(q).tobytes()
+
+
+@pytest.mark.parametrize("layout", list(Layout))
+def test_negative_zero_constant_group_decodes_exactly(layout):
+    # rows 0-1 and row 2 are constant groups in both layouts
+    m = np.full((3, 4), -0.0, dtype=np.float32)
+    m[:2, :] = 2.5
+    q = quantize_matrix(m, QuantConfig(4, 2, layout))
+    out = dequantize_matrix(q)
+    assert out.tobytes() == m.tobytes() == reference_dequantize(q).tobytes()
