@@ -35,7 +35,6 @@ from .prune import (
     PruneDecision,
     ScoreContext,
     score_h2o,
-    score_pyramidkv,
     score_snapkv,
     score_streaming,
     top_k_indices,

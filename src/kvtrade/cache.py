@@ -1,13 +1,16 @@
 """Compressed KV cache: prune at prefill, quantize the survivors, decode on top.
 
-Per (layer, head) the cache keeps:
+Per (layer, head) the cache keeps one layout (KIVI's):
 
-* a stored section holding the pruned prompt tokens, either as quantized
-  blocks or as a raw float32 matrix on 16-bit layers;
-* a full-precision residual buffer for decode-time tokens, flushed into a
-  new quantized block whenever it reaches ``group_size`` rows (group-wise
-  quantization needs complete groups);
+* quantized blocks: one for the pruned prompt tokens, then one per flush;
+* a full-precision residual buffer after the blocks. Decode-time tokens
+  land here, and the residual is flushed into a new quantized block
+  whenever it reaches ``group_size`` rows (group-wise quantization needs
+  complete groups);
 * the original token positions of everything stored, in storage order.
+
+A 16-bit layer is the case where the residual is never flushed: it has no
+blocks and keeps every row, prompt and decode alike, in the residual.
 
 Pruning decisions are made once, from full-precision prefill attention;
 decode-time tokens are appended and never evicted. Attention at decode uses
@@ -22,15 +25,15 @@ is safe concurrently with no writer.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+import zlib
+from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import BYTES_PER_FP16, FULL_PRECISION_BITS, BudgetPlan
+from .budget import BYTES_PER_FP16, BudgetPlan
 from .errors import ContractViolation, IntegrityError
-from .prune import PolicyConfig, PolicyKind, PruneDecision, ScoreContext, decide
+from .prune import PolicyConfig, PolicyKind, ScoreContext, decide
 from .quant import (
-    SUPPORTED_BITS,
     Layout,
     QuantConfig,
     QuantizedTensor,
@@ -44,51 +47,40 @@ from .tensor import Matrix, concat_rows, zeros
 
 @dataclass
 class LayerHeadCache:
-    """Stored K/V for one (layer, head): quantized blocks or a full section, plus residual."""
+    """Stored K/V for one (layer, head): quantized blocks, then the full-precision residual.
 
-    bits: int
-    head_dim: int
-    k_cfg: QuantConfig | None
-    v_cfg: QuantConfig | None
-    retained: PruneDecision
-    quant_k: list[QuantizedTensor] = field(default_factory=list)
-    quant_v: list[QuantizedTensor] = field(default_factory=list)
-    full_k: Matrix | None = None
-    full_v: Matrix | None = None
-    residual_k: Matrix = None  # type: ignore[assignment]
-    residual_v: Matrix = None  # type: ignore[assignment]
-    stored_positions: list[int] = field(default_factory=list)
-    residual_positions: list[int] = field(default_factory=list)
+    ``positions`` lists the token position of every stored row, blocks
+    first, in storage order (strictly increasing).
+    """
 
-    def __post_init__(self) -> None:
-        if self.residual_k is None:
-            self.residual_k = zeros(0, self.head_dim)
-        if self.residual_v is None:
-            self.residual_v = zeros(0, self.head_dim)
+    positions: list[int]
+    quant_k: list[QuantizedTensor]
+    quant_v: list[QuantizedTensor]
+    residual_k: Matrix
+    residual_v: Matrix
 
-    @property
-    def token_count(self) -> int:
-        return len(self.stored_positions) + len(self.residual_positions)
+    def flush(self, cfgs: tuple[QuantConfig, QuantConfig] | None) -> None:
+        """Quantize the residual into one new K and V block if the layer quantizes.
 
-    def positions(self) -> list[int]:
-        return self.stored_positions + self.residual_positions
+        ``cfgs`` is the layer's ``BudgetPlan.quant_config``; None (16-bit)
+        keeps the rows in the residual.
+        """
+        if cfgs is None:
+            return
+        k_cfg, v_cfg = cfgs
+        self.quant_k.append(quantize_matrix(self.residual_k, k_cfg))
+        self.quant_v.append(quantize_matrix(self.residual_v, v_cfg))
+        self.residual_k = zeros(0, self.residual_k.shape[1])
+        self.residual_v = zeros(0, self.residual_v.shape[1])
 
     def clone(self) -> "LayerHeadCache":
         # QuantizedTensor blocks are immutable and can be shared
         return LayerHeadCache(
-            bits=self.bits,
-            head_dim=self.head_dim,
-            k_cfg=self.k_cfg,
-            v_cfg=self.v_cfg,
-            retained=self.retained,
+            positions=list(self.positions),
             quant_k=list(self.quant_k),
             quant_v=list(self.quant_v),
-            full_k=None if self.full_k is None else self.full_k.copy(),
-            full_v=None if self.full_v is None else self.full_v.copy(),
             residual_k=self.residual_k.copy(),
             residual_v=self.residual_v.copy(),
-            stored_positions=list(self.stored_positions),
-            residual_positions=list(self.residual_positions),
         )
 
 
@@ -119,10 +111,10 @@ class CompressedKVCache:
         )
 
     def decode_append(self, layer: int, head: int, h_k, h_v) -> None:
-        """Append one decode token's K/V rows at full precision.
+        """Append one decode token's K/V rows to the residual at full precision.
 
-        Quantized layers buffer the rows and flush a complete group-size
-        block; 16-bit layers extend their full-precision section directly.
+        A residual of ``group_size`` rows is flushed into a quantized block,
+        except on 16-bit layers, which keep every row in the residual.
         """
         e = self.entries[layer][head]
         k_row = np.asarray(h_k, dtype=np.float32).reshape(1, -1)
@@ -131,44 +123,31 @@ class CompressedKVCache:
             raise ContractViolation(
                 f"append rows must have width {self.head_dim}"
             )
-        appended_so_far = e.token_count - len(e.retained.retained)
-        pos = self.prefill_len + appended_so_far
-        if e.bits == FULL_PRECISION_BITS:
-            e.full_k = concat_rows(e.full_k, k_row)
-            e.full_v = concat_rows(e.full_v, v_row)
-            e.stored_positions.append(pos)
-            return
+        # decode positions continue from the prompt length, one per append
+        after_last = e.positions[-1] + 1 if e.positions else 0
+        e.positions.append(max(self.prefill_len, after_last))
         e.residual_k = concat_rows(e.residual_k, k_row)
         e.residual_v = concat_rows(e.residual_v, v_row)
-        e.residual_positions.append(pos)
         if e.residual_k.shape[0] == self.plan.group_size:
-            e.quant_k.append(quantize_matrix(e.residual_k, e.k_cfg))
-            e.quant_v.append(quantize_matrix(e.residual_v, e.v_cfg))
-            e.stored_positions.extend(e.residual_positions)
-            e.residual_positions = []
-            e.residual_k = zeros(0, self.head_dim)
-            e.residual_v = zeros(0, self.head_dim)
+            e.flush(self.plan.quant_config(layer, self.outlier_threshold))
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
-        """Dequantized stored section concatenated with the residual, in position order."""
+        """Dequantized blocks followed by the residual, in position order.
+
+        A layer without blocks (16-bit) returns its residual matrices
+        themselves, uncopied; callers must not write to them.
+        """
         e = self.entries[layer][head]
-        if e.bits == FULL_PRECISION_BITS:
-            k, v = e.full_k, e.full_v
-        else:
-            k_parts = [dequantize_matrix(q) for q in e.quant_k]
-            v_parts = [dequantize_matrix(q) for q in e.quant_v]
-            k = np.concatenate(k_parts, axis=0) if k_parts else zeros(0, self.head_dim)
-            v = np.concatenate(v_parts, axis=0) if v_parts else zeros(0, self.head_dim)
-        if e.residual_k.shape[0]:
-            k = concat_rows(k, e.residual_k)
-            v = concat_rows(v, e.residual_v)
+        if not e.quant_k:
+            return e.residual_k, e.residual_v
+        k = np.concatenate([dequantize_matrix(q) for q in e.quant_k] + [e.residual_k], axis=0)
+        v = np.concatenate([dequantize_matrix(q) for q in e.quant_v] + [e.residual_v], axis=0)
         return k, v
 
     def _entry_bytes(self, e: LayerHeadCache, block_bytes) -> int:
-        """One entry's bytes: fp16 K/V rows, plus ``block_bytes`` of each quantized block."""
-        fp16_rows = e.full_k.shape[0] if e.bits == FULL_PRECISION_BITS else e.residual_k.shape[0]
+        """One entry's bytes: fp16 residual K/V rows, plus ``block_bytes`` of each block."""
         blocks = sum(block_bytes(q) for q in e.quant_k + e.quant_v)
-        return blocks + 2 * fp16_rows * self.head_dim * BYTES_PER_FP16
+        return blocks + 2 * e.residual_k.shape[0] * self.head_dim * BYTES_PER_FP16
 
     def measured_bytes_per_layer(self) -> list[int]:
         return [sum(self._entry_bytes(e, quantized_bytes) for e in row) for row in self.entries]
@@ -181,7 +160,7 @@ class CompressedKVCache:
         return sum(self._entry_bytes(e, tensor_payload_bytes) for row in self.entries for e in row)
 
     def token_count(self, layer: int, head: int) -> int:
-        return self.entries[layer][head].token_count
+        return len(self.entries[layer][head].positions)
 
 
 def prefill_compress(
@@ -195,8 +174,8 @@ def prefill_compress(
     """Prune every (layer, head) to its plan budget, then quantize the survivors.
 
     Scoring sees the full-precision prefill attention in ``ctxs``; gathered
-    rows keep their temporal order. 16-bit layers skip quantization and
-    store the gathered matrices as-is. Residual buffers start empty.
+    rows keep their temporal order. The gathered rows go to the residual,
+    which is flushed into the prompt block; 16-bit layers keep them there.
     """
     if len(keys) != plan.layers:
         raise ContractViolation(
@@ -208,7 +187,7 @@ def prefill_compress(
 
     entries: list[list[LayerHeadCache]] = []
     for layer in range(plan.layers):
-        tokens, bits = plan.per_layer[layer]
+        tokens, _ = plan.per_layer[layer]
         if tokens < policy.window:
             raise ContractViolation(
                 f"layer {layer} budget {tokens} below policy minimum {policy.window}"
@@ -221,33 +200,15 @@ def prefill_compress(
                 raise ContractViolation(
                     f"inconsistent K/V shape at layer {layer} head {head}"
                 )
-            decision = decide(policy, ctxs[layer][head], n, tokens)
-            idx = list(decision.retained)
-            k_sel = np.ascontiguousarray(k[idx, :])
-            v_sel = np.ascontiguousarray(v[idx, :])
-            if bits == FULL_PRECISION_BITS:
-                entry = LayerHeadCache(
-                    bits=bits,
-                    head_dim=head_dim,
-                    k_cfg=None,
-                    v_cfg=None,
-                    retained=decision,
-                    full_k=k_sel,
-                    full_v=v_sel,
-                    stored_positions=idx,
-                )
-            else:
-                k_cfg, v_cfg = cfgs
-                entry = LayerHeadCache(
-                    bits=bits,
-                    head_dim=head_dim,
-                    k_cfg=k_cfg,
-                    v_cfg=v_cfg,
-                    retained=decision,
-                    quant_k=[quantize_matrix(k_sel, k_cfg)],
-                    quant_v=[quantize_matrix(v_sel, v_cfg)],
-                    stored_positions=idx,
-                )
+            idx = list(decide(policy, ctxs[layer][head], n, tokens).retained)
+            entry = LayerHeadCache(
+                positions=idx,
+                quant_k=[],
+                quant_v=[],
+                residual_k=np.ascontiguousarray(k[idx, :]),
+                residual_v=np.ascontiguousarray(v[idx, :]),
+            )
+            entry.flush(cfgs)
             row.append(entry)
         entries.append(row)
 
@@ -262,20 +223,26 @@ def prefill_compress(
     )
 
 
-# Snapshot binary layout (all little-endian):
+# Snapshot binary layout, version 2 (all little-endian):
 #   magic "KVSN", u16 version, u16 layers, u16 heads, u32 head_dim,
 #   u32 group_size, u8 layout, u8 policy kind, u32 recent window,
 #   u32 pool width, f64 outlier threshold (NaN = unset), u32 prefill_len,
-#   then per (layer, head):
-#     u8 bits, u32 plan tokens, positions, K/V sections, residual K/V.
-# Quantized sections are block lists: per block shape, group table
-# (u32 length, f64 zero, f64 scale), packed code bytes, outlier triples
-# (u32 row, u32 col, f32 value).
+#   i64 total_budget_bytes;
+#   the plan table: per layer u32 tokens, u8 bits;
+#   per (layer, head): u32 position count, u32 positions, K blocks,
+#   V blocks, residual K, residual V;
+#   u32 CRC-32 (zlib) of every byte before it.
+# A block list is u32 count, then per block its shape, group count, outlier
+# count and packed length, group table (u32 length, f64 zero, f64 scale),
+# packed code bytes and outlier triples (u32 row, u32 col, f32 value). A
+# residual is u32 rows, u32 cols, f32 values.
 SNAPSHOT_MAGIC = b"KVSN"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
+_HEADER = "<HHHIIBBIIdIq"
 _LAYOUTS = list(Layout)
 _POLICIES = list(PolicyKind)
+_PLAN_TABLE = np.dtype([("tokens", "<u4"), ("bits", "u1")])
 _GROUP_TABLE = np.dtype([("length", "<u4"), ("zero", "<f8"), ("scale", "<f8")])
 _OUTLIER_TABLE = np.dtype([("row", "<u4"), ("col", "<u4"), ("value", "<f4")])
 
@@ -308,7 +275,7 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
     out: list[bytes] = [
         SNAPSHOT_MAGIC,
         struct.pack(
-            "<HHHIIBBIIdI",
+            _HEADER,
             SNAPSHOT_VERSION,
             cache.plan.layers,
             cache.heads,
@@ -320,26 +287,20 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
             cache.policy.pool_width,
             float("nan") if cache.outlier_threshold is None else cache.outlier_threshold,
             cache.prefill_len,
+            cache.plan.total_budget_bytes,
         ),
+        np.array(list(cache.plan.per_layer), dtype=_PLAN_TABLE).tobytes(),
     ]
-    for layer in range(cache.plan.layers):
-        tokens, bits = cache.plan.per_layer[layer]
-        for head in range(cache.heads):
-            e = cache.entry(layer, head)
-            out.append(struct.pack("<BI", bits, tokens))
-            out.append(struct.pack("<I", len(e.stored_positions)))
-            out.append(np.asarray(e.stored_positions, dtype="<u4").tobytes())
-            if bits == FULL_PRECISION_BITS:
-                _dump_matrix(out, e.full_k)
-                _dump_matrix(out, e.full_v)
-            else:
-                _dump_blocks(out, e.quant_k)
-                _dump_blocks(out, e.quant_v)
-            out.append(struct.pack("<I", len(e.residual_positions)))
-            out.append(np.asarray(e.residual_positions, dtype="<u4").tobytes())
+    for row in cache.entries:
+        for e in row:
+            out.append(struct.pack("<I", len(e.positions)))
+            out.append(np.asarray(e.positions, dtype="<u4").tobytes())
+            _dump_blocks(out, e.quant_k)
+            _dump_blocks(out, e.quant_v)
             _dump_matrix(out, e.residual_k)
             _dump_matrix(out, e.residual_v)
-    return b"".join(out)
+    body = b"".join(out)
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 class _Reader:
@@ -364,9 +325,11 @@ def _load_matrix(r: _Reader) -> Matrix:
     return np.frombuffer(buf, dtype="<f4").reshape(rows, cols).astype(np.float32)
 
 
-def _load_blocks(r: _Reader, bits: int, group_size: int, layout: Layout) -> list[QuantizedTensor]:
+def _load_blocks(r: _Reader, cfg: QuantConfig | None) -> list[QuantizedTensor]:
     """Read a block list; QuantizedTensor rejects tables that disagree with the codes."""
     (count,) = r.unpack("<I")
+    if count and cfg is None:
+        raise IntegrityError("a 16-bit layer carries quantized blocks")
     blocks = []
     for _ in range(count):
         rows, cols, n_groups, n_out, packed_len = r.unpack("<IIIII")
@@ -376,9 +339,9 @@ def _load_blocks(r: _Reader, bits: int, group_size: int, layout: Layout) -> list
         blocks.append(
             QuantizedTensor(
                 shape=(rows, cols),
-                bits=bits,
-                group_size=group_size,
-                layout=layout,
+                bits=cfg.bits,
+                group_size=cfg.group_size,
+                layout=cfg.layout,
                 lengths=table["length"],
                 zero_points=table["zero"],
                 scales=table["scale"],
@@ -389,8 +352,43 @@ def _load_blocks(r: _Reader, bits: int, group_size: int, layout: Layout) -> list
     return blocks
 
 
+def _load_entry(r: _Reader, cfgs, head_dim: int) -> LayerHeadCache:
+    (n_pos,) = r.unpack("<I")
+    positions = np.frombuffer(r.take(4 * n_pos), dtype="<u4").astype(np.int64)
+    k_cfg, v_cfg = (None, None) if cfgs is None else cfgs
+    e = LayerHeadCache(
+        positions=positions.tolist(),
+        quant_k=_load_blocks(r, k_cfg),
+        quant_v=_load_blocks(r, v_cfg),
+        residual_k=_load_matrix(r),
+        residual_v=_load_matrix(r),
+    )
+    for part in (e.quant_k + [e.residual_k], e.quant_v + [e.residual_v]):
+        if sum(m.shape[0] for m in part) != n_pos or any(m.shape[1] != head_dim for m in part):
+            raise IntegrityError("entry rows or widths disagree with its positions")
+    if e.residual_k.shape != e.residual_v.shape:
+        raise IntegrityError("residual K and V differ in rows")
+    if np.any(np.diff(positions) <= 0):
+        raise IntegrityError("entry positions are not strictly increasing")
+    if not (np.isfinite(e.residual_k).all() and np.isfinite(e.residual_v).all()):
+        raise IntegrityError("residual values must be finite")
+    if k_cfg is not None and e.residual_k.shape[0] >= k_cfg.group_size:
+        raise IntegrityError("a quantized layer's residual holds a whole group")
+    return e
+
+
 def load_snapshot(data: bytes) -> CompressedKVCache:
-    """Rebuild a cache from :func:`dump_snapshot` output."""
+    """Rebuild a cache from :func:`dump_snapshot` output.
+
+    Any input that is not a valid snapshot raises :class:`IntegrityError`.
+    """
+    try:
+        return _load_snapshot(data)
+    except ContractViolation as exc:
+        raise IntegrityError(f"snapshot holds an invalid setting: {exc}") from exc
+
+
+def _load_snapshot(data: bytes) -> CompressedKVCache:
     r = _Reader(data)
     if r.take(4) != SNAPSHOT_MAGIC:
         raise IntegrityError("bad snapshot magic")
@@ -406,72 +404,31 @@ def load_snapshot(data: bytes) -> CompressedKVCache:
         pool,
         threshold,
         prefill_len,
-    ) = r.unpack("<HHHIIBBIIdI")
+        total_budget_bytes,
+    ) = r.unpack(_HEADER)
     if version != SNAPSHOT_VERSION:
         raise IntegrityError(f"unsupported snapshot version {version}")
+    if len(data) < r.pos + 4 or zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
+        raise IntegrityError("snapshot checksum mismatch")
+    r.data = data[:-4]
     if layout_code >= len(_LAYOUTS) or policy_code >= len(_POLICIES):
         raise IntegrityError(f"unknown layout code {layout_code} or policy code {policy_code}")
-    layout = _LAYOUTS[layout_code]
     policy = PolicyConfig(_POLICIES[policy_code], recent, pool)
     outlier = None if np.isnan(threshold) else float(threshold)
-
-    per_layer = []
-    entries: list[list[LayerHeadCache]] = []
-    for _ in range(layers):
-        row = []
-        layer_tokens_bits = None
-        for _ in range(heads):
-            bits, tokens = r.unpack("<BI")
-            if bits not in SUPPORTED_BITS + (FULL_PRECISION_BITS,):
-                raise IntegrityError(f"unsupported bit width {bits}")
-            layer_tokens_bits = (tokens, bits)
-            (n_pos,) = r.unpack("<I")
-            stored = np.frombuffer(r.take(4 * n_pos), dtype="<u4").tolist()
-            if bits == FULL_PRECISION_BITS:
-                full_k = _load_matrix(r)
-                full_v = _load_matrix(r)
-                quant_k: list[QuantizedTensor] = []
-                quant_v: list[QuantizedTensor] = []
-                k_cfg = v_cfg = None
-            else:
-                quant_k = _load_blocks(r, bits, group_size, layout)
-                quant_v = _load_blocks(r, bits, group_size, Layout.PER_TOKEN)
-                full_k = full_v = None
-                k_cfg = QuantConfig(bits, group_size, layout, outlier)
-                v_cfg = QuantConfig(bits, group_size, Layout.PER_TOKEN, outlier)
-            (n_res,) = r.unpack("<I")
-            res_pos = np.frombuffer(r.take(4 * n_res), dtype="<u4").tolist()
-            res_k = _load_matrix(r)
-            res_v = _load_matrix(r)
-            prompt_positions = [p for p in stored if p < prefill_len]
-            row.append(
-                LayerHeadCache(
-                    bits=bits,
-                    head_dim=head_dim,
-                    k_cfg=k_cfg,
-                    v_cfg=v_cfg,
-                    retained=PruneDecision(tuple(prompt_positions), layer_tokens_bits[0]),
-                    quant_k=quant_k,
-                    quant_v=quant_v,
-                    full_k=full_k,
-                    full_v=full_v,
-                    residual_k=res_k,
-                    residual_v=res_v,
-                    stored_positions=stored,
-                    residual_positions=res_pos,
-                )
-            )
-        per_layer.append(layer_tokens_bits)
-        entries.append(row)
-    if r.pos != len(data):
-        raise IntegrityError(f"{len(data) - r.pos} trailing bytes after the snapshot")
-
+    table = np.frombuffer(r.take(_PLAN_TABLE.itemsize * layers), dtype=_PLAN_TABLE)
     plan = BudgetPlan(
-        per_layer=tuple(per_layer),
+        per_layer=tuple(zip(table["tokens"].tolist(), table["bits"].tolist())),
         group_size=group_size,
-        layout=layout,
-        total_budget_bytes=0,
+        layout=_LAYOUTS[layout_code],
+        total_budget_bytes=total_budget_bytes,
     )
+    entries = []
+    for layer in range(layers):
+        cfgs = plan.quant_config(layer, outlier)
+        entries.append([_load_entry(r, cfgs, head_dim) for _ in range(heads)])
+    if r.pos != len(r.data):
+        raise IntegrityError(f"{len(r.data) - r.pos} trailing bytes after the snapshot")
+
     return CompressedKVCache(
         plan=plan,
         policy=policy,

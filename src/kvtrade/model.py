@@ -364,8 +364,6 @@ def quantization_logit_bound(model: Model, cache: CompressedKVCache, h) -> float
 
     entry = cache.entry(0, 0)
     k_mat, v_mat = cache.materialize(0, 0)
-    if entry.bits == 16:
-        return 0.0
     e_k_parts = [error_bound_matrix(qt) for qt in entry.quant_k]
     e_v_parts = [error_bound_matrix(qt) for qt in entry.quant_v]
     res_rows = entry.residual_k.shape[0] + 1  # residual + the appended query row

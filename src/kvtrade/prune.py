@@ -175,15 +175,10 @@ def score_snapkv(ctx: ScoreContext, budget: int, cfg: PolicyConfig) -> PruneDeci
     return _decision(picks + list(range(n - w, n)), budget)
 
 
-def score_pyramidkv(ctx: ScoreContext, layer_budget: int, cfg: PolicyConfig) -> PruneDecision:
-    """SnapKV mechanics under a per-layer budget from the pyramid allocation."""
-    return score_snapkv(ctx, layer_budget, cfg)
-
-
 _SCORERS = {
     PolicyKind.H2O: score_h2o,
     PolicyKind.SNAPKV: score_snapkv,
-    PolicyKind.PYRAMIDKV: score_pyramidkv,
+    PolicyKind.PYRAMIDKV: score_snapkv,  # per-layer budgets come from the pyramid plan
 }
 
 

@@ -82,7 +82,9 @@ class QuantizedTensor:
     hold one entry per group and are read-only, so blocks can be shared.
     ``packed_codes`` holds every code exactly once, one byte-aligned run per
     group. ``outliers`` is sorted by (row, col) and stores exact float32
-    values. Construction raises IntegrityError when these parts disagree.
+    values. Construction raises IntegrityError when these parts disagree,
+    or when a zero point, scale or outlier value is not finite or a scale
+    is negative.
     """
 
     shape: tuple[int, int]
@@ -106,6 +108,9 @@ class QuantizedTensor:
             raise IntegrityError("per-group arrays differ in length")
         if (self.lengths < 1).any():
             raise IntegrityError("every group must hold at least one code")
+        finite = np.isfinite(self.zero_points).all() and np.isfinite(self.scales).all()
+        if not finite or (self.scales < 0).any():
+            raise IntegrityError("zero points and scales must be finite, scales nonnegative")
         rows, cols = self.shape
         total = int(self.lengths.sum()) + len(self.outliers)
         if total != rows * cols:
@@ -114,6 +119,8 @@ class QuantizedTensor:
             pos = np.array([(r, c) for r, c, _ in self.outliers])
             if (pos < 0).any() or (pos >= (rows, cols)).any() or len(np.unique(pos, axis=0)) < len(pos):
                 raise IntegrityError("outlier positions must be distinct and inside the shape")
+            if not np.isfinite([v for _, _, v in self.outliers]).all():
+                raise IntegrityError("outlier values must be finite")
         expected = int(group_byte_length(self.lengths, self.bits).sum())
         if len(self.packed_codes) != expected:
             raise IntegrityError(f"packed stream is {len(self.packed_codes)} bytes, expected {expected}")

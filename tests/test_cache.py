@@ -1,7 +1,10 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvtrade.budget import plan_bytes, uniform_plan
 from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
@@ -59,7 +62,7 @@ class TestPrefillCompress:
         keys, values, ctxs = make_inputs(1, 1, 10, 8)
         plan = uniform_plan(1, 6, 16, heads=1, head_dim=8)
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        assert cache.entry(0, 0).stored_positions == [0, 1, 6, 7, 8, 9]
+        assert cache.entry(0, 0).positions == [0, 1, 6, 7, 8, 9]
         k, _ = cache.materialize(0, 0)
         assert np.array_equal(k, keys[0][0][[0, 1, 6, 7, 8, 9], :])
 
@@ -113,6 +116,23 @@ class TestDecodeAppend:
         assert np.array_equal(k[-1], row_k)
         assert np.array_equal(v[-1], row_v)
 
+    def test_16bit_layer_is_all_residual(self):
+        # 16-bit layers keep every row in the residual, past any group size
+        cache = self.make_cache(bits=16, group=4, n=12)
+        prompt_k, prompt_v = (m.copy() for m in cache.materialize(0, 0))
+        rng = np.random.default_rng(7)
+        rows_k, rows_v = [], []
+        for _ in range(9):
+            rows_k.append(rng.normal(size=8).astype(np.float32))
+            rows_v.append(rng.normal(size=8).astype(np.float32))
+            before = cache.measured_bytes()
+            cache.decode_append(0, 0, rows_k[-1], rows_v[-1])
+            assert cache.measured_bytes() - before == 2 * 8 * 2
+            assert cache.entry(0, 0).quant_k == [] and cache.entry(0, 0).quant_v == []
+        k, v = cache.materialize(0, 0)
+        assert np.array_equal(k, np.concatenate([prompt_k, np.stack(rows_k)]))
+        assert np.array_equal(v, np.concatenate([prompt_v, np.stack(rows_v)]))
+
     def test_residual_stays_under_group_size(self):
         cache = self.make_cache(group=4)
         rng = np.random.default_rng(1)
@@ -125,7 +145,7 @@ class TestDecodeAppend:
         rng = np.random.default_rng(3)
         for _ in range(9):
             cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
-        pos = cache.entry(0, 0).positions()
+        pos = cache.entry(0, 0).positions
         assert pos == sorted(pos)
         assert len(set(pos)) == len(pos)
         assert pos[-9:] == list(range(12, 21))
@@ -176,7 +196,7 @@ class TestMaterialize:
         keys, values, ctxs = make_inputs(1, 1, 20, 8, seed=7)
         plan = uniform_plan(1, 8, 4, heads=1, head_dim=8, group_size=8)
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        idx = list(cache.entry(0, 0).retained.retained)
+        idx = cache.entry(0, 0).positions
         k, _ = cache.materialize(0, 0)
         gathered = keys[0][0][idx, :]
         s_max = cache.entry(0, 0).quant_k[0].scales.max()
@@ -189,7 +209,7 @@ class TestMaterialize:
         cache = prefill_compress(
             keys, values, ctxs, plan, STREAM4, outlier_threshold=6.0
         )
-        idx = list(cache.entry(0, 0).retained.retained)
+        idx = cache.entry(0, 0).positions
         assert 3 in idx
         k, _ = cache.materialize(0, 0)
         assert k[idx.index(3), 5] == np.float32(42.5)
@@ -276,9 +296,9 @@ class TestSnapshot:
                 k2, v2 = restored.materialize(layer, head)
                 assert np.array_equal(k1, k2)
                 assert np.array_equal(v1, v2)
-                assert cache.entry(layer, head).positions() == restored.entry(
+                assert cache.entry(layer, head).positions == restored.entry(
                     layer, head
-                ).positions()
+                ).positions
         assert restored.measured_bytes() == cache.measured_bytes()
 
     def test_dump_is_deterministic(self):
@@ -287,6 +307,17 @@ class TestSnapshot:
     def test_redump_identical(self):
         blob = dump_snapshot(self.build())
         assert dump_snapshot(load_snapshot(blob)) == blob
+
+    def test_plan_round_trips(self):
+        cache = self.build()
+        assert cache.plan.total_budget_bytes > 0
+        assert load_snapshot(dump_snapshot(cache)).plan == cache.plan
+
+    def test_older_version_rejected(self):
+        blob = bytearray(dump_snapshot(self.build()))
+        struct.pack_into("<H", blob, 4, 1)
+        with pytest.raises(IntegrityError, match="version 1"):
+            load_snapshot(bytes(blob))
 
     def test_full_precision_sections_round_trip(self):
         keys, values, ctxs = make_inputs(1, 2, 16, 8, seed=17)
@@ -303,15 +334,21 @@ class TestSnapshot:
         assert restored.measured_bytes() == cache.measured_bytes()
 
 
-SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBBIIdI")
-LAYOUT_AT, POLICY_AT = 18, 19
+SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBBIIdIq")
+GROUP_SIZE_AT, LAYOUT_AT, POLICY_AT, RECENT_AT, POOL_AT = 14, 18, 19, 20, 24
+PLAN_TOKENS_AT, PLAN_BITS_AT = SNAPSHOT_HEADER, SNAPSHOT_HEADER + 4  # first layer's plan row
+
+
+def _sealed(body: bytes) -> bytes:
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def _patched(blob: bytes, offset: int, fmt: str, value) -> bytes:
-    out = bytearray(blob)
+    """``blob`` with one field rewritten and the CRC trailer recomputed."""
+    out = bytearray(blob[:-4])
     struct.pack_into(fmt, out, offset, value)
-    assert bytes(out) != blob
-    return bytes(out)
+    assert bytes(out) != blob[:-4]
+    return _sealed(bytes(out))
 
 
 def _swap_first_lengths(blob: bytes, table: int) -> bytes:
@@ -319,8 +356,19 @@ def _swap_first_lengths(blob: bytes, table: int) -> bytes:
     return _patched(_patched(blob, table, "<I", 7), table + 20, "<I", 9)
 
 
+def _flipped(blob: bytes, offset: int) -> bytes:
+    """``blob`` with one byte changed and the CRC trailer left as it was."""
+    out = bytearray(blob)
+    out[offset] ^= 0x10
+    return bytes(out)
+
+
 class TestSnapshotRejects:
-    """Mutated snapshots raise IntegrityError, never IndexError or ContractViolation."""
+    """Mutated snapshots raise IntegrityError, never IndexError or ContractViolation.
+
+    Every mutation but the flipped code byte recomputes the CRC trailer, so
+    the check under test is the structural one behind it.
+    """
 
     @pytest.fixture
     def snapshot(self):
@@ -329,11 +377,12 @@ class TestSnapshotRejects:
         plan = uniform_plan(1, 4, 4, heads=1, head_dim=8, group_size=8)
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
         blob = dump_snapshot(cache)
-        n_pos = len(cache.entry(0, 0).stored_positions)
-        # bits, plan tokens, position count, positions, block count, block header
+        n_pos = len(cache.entry(0, 0).positions)
+        # plan row, position count, positions, block count, block header
         table = SNAPSHOT_HEADER + 5 + 4 + 4 * n_pos + 4 + 20
         rows = struct.unpack_from("<I", blob, table - 20)[0]
         assert struct.unpack_from("<Idd", blob, table)[0] == 8 == rows // 2
+        assert struct.unpack_from("<IB", blob, PLAN_TOKENS_AT) == (16, 4)
         load_snapshot(blob)
         return blob, table, rows
 
@@ -342,17 +391,99 @@ class TestSnapshotRejects:
         [
             pytest.param(lambda b, t, rows: _patched(b, LAYOUT_AT, "<B", 2), id="layout-code"),
             pytest.param(lambda b, t, rows: _patched(b, POLICY_AT, "<B", 200), id="policy-code"),
-            pytest.param(lambda b, t, rows: _patched(b, SNAPSHOT_HEADER, "<B", 3), id="bits-3"),
-            pytest.param(lambda b, t, rows: _patched(b, SNAPSHOT_HEADER, "<B", 0), id="bits-0"),
+            pytest.param(lambda b, t, rows: _patched(b, PLAN_BITS_AT, "<B", 3), id="bits-3"),
+            pytest.param(lambda b, t, rows: _patched(b, PLAN_BITS_AT, "<B", 0), id="bits-0"),
             pytest.param(lambda b, t, rows: _patched(b, t, "<I", 0), id="zero-length-group"),
             pytest.param(lambda b, t, rows: _patched(b, t - 20, "<I", rows + 1), id="lengths-vs-shape"),
             pytest.param(lambda b, t, rows: _swap_first_lengths(b, t), id="packed-vs-table"),
-            pytest.param(lambda b, t, rows: b + b"\x00", id="trailing-bytes"),
+            pytest.param(lambda b, t, rows: _sealed(b[:-4] + b"\x00"), id="trailing-bytes"),
+            pytest.param(lambda b, t, rows: _patched(b, GROUP_SIZE_AT, "<I", 0), id="group-size-0"),
+            pytest.param(lambda b, t, rows: _patched(b, RECENT_AT, "<I", 0), id="recent-window-0"),
+            pytest.param(lambda b, t, rows: _patched(b, POOL_AT, "<I", 6), id="even-pool-width"),
+            pytest.param(lambda b, t, rows: _patched(b, PLAN_TOKENS_AT, "<I", 0), id="plan-tokens-0"),
+            pytest.param(
+                lambda b, t, rows: _patched(b, PLAN_BITS_AT, "<B", 16), id="16-bit-layer-with-blocks"
+            ),
+            pytest.param(lambda b, t, rows: _patched(b, t + 12, "<d", float("nan")), id="nan-scale"),
+            pytest.param(lambda b, t, rows: _flipped(b, t + 20 * rows), id="flipped-code-byte"),
         ],
     )
     def test_rejected(self, snapshot, mutate):
         with pytest.raises(IntegrityError):
             load_snapshot(mutate(*snapshot))
+
+
+def _fuzz_snapshots() -> dict[str, bytes]:
+    """A 4-bit per-channel cache with outliers and decode flushes, and a 16-bit one."""
+    keys, values, ctxs = make_inputs(1, 2, 24, 8, seed=22)
+    keys[0][0][23, 2] = 9.5  # the newest prompt row is always kept: a prompt outlier
+    plan = uniform_plan(
+        1, 4, 4, heads=2, head_dim=8, group_size=4, layout=Layout.PER_CHANNEL
+    )
+    quantized = prefill_compress(keys, values, ctxs, plan, STREAM4, outlier_threshold=6.0)
+    full = prefill_compress(
+        keys, values, ctxs, uniform_plan(1, 6, 16, heads=2, head_dim=8), STREAM4
+    )
+    rng = np.random.default_rng(23)
+    for step in range(6):  # one flush plus two residual rows per head
+        for head in range(2):
+            row = rng.normal(size=8).astype(np.float32)
+            row[5] = -8.25 if step == 1 else row[5]  # a flushed decode outlier
+            quantized.decode_append(0, head, row, row)
+            full.decode_append(0, head, row, row)
+    e = quantized.entry(0, 0)
+    assert len(e.quant_k) == 2 and e.residual_k.shape[0] == 2
+    assert e.quant_k[0].outliers and e.quant_k[1].outliers
+    assert not full.entry(0, 0).quant_k and full.entry(0, 0).residual_k.shape[0] == 12
+    return {"4bit": dump_snapshot(quantized), "16bit": dump_snapshot(full)}
+
+
+FUZZ_SNAPSHOTS = _fuzz_snapshots()
+
+
+class TestSnapshotFuzz:
+    """Any single-byte change or truncation of a valid snapshot raises IntegrityError only."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(FUZZ_SNAPSHOTS)), data=st.data())
+    def test_single_byte_change(self, kind, data):
+        blob = FUZZ_SNAPSHOTS[kind]
+        offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        delta = data.draw(st.integers(1, 255), label="xor")
+        out = bytearray(blob)
+        out[offset] ^= delta
+        with pytest.raises(IntegrityError):
+            load_snapshot(bytes(out))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(FUZZ_SNAPSHOTS)), data=st.data())
+    def test_truncation(self, kind, data):
+        blob = FUZZ_SNAPSHOTS[kind]
+        length = data.draw(st.integers(0, len(blob) - 1), label="length")
+        with pytest.raises(IntegrityError):
+            load_snapshot(blob[:length])
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(sorted(FUZZ_SNAPSHOTS)), data=st.data())
+    def test_resealed_byte_change_rejected_or_usable(self, kind, data):
+        # past the checksum, the structural checks either reject the bytes
+        # or leave a cache that every cache operation accepts
+        body = bytearray(FUZZ_SNAPSHOTS[kind][:-4])
+        offset = data.draw(st.integers(0, len(body) - 1), label="offset")
+        body[offset] ^= data.draw(st.integers(1, 255), label="xor")
+        try:
+            cache = load_snapshot(_sealed(bytes(body)))
+        except IntegrityError:
+            return
+        for layer in range(cache.plan.layers):
+            for head in range(cache.heads):
+                cache.materialize(layer, head)
+                cache.decode_append(layer, head, np.ones(cache.head_dim), np.ones(cache.head_dim))
+        load_snapshot(dump_snapshot(cache))
+
+    @pytest.mark.parametrize("kind", sorted(FUZZ_SNAPSHOTS))
+    def test_unmutated_loads(self, kind):
+        assert dump_snapshot(load_snapshot(FUZZ_SNAPSHOTS[kind])) == FUZZ_SNAPSHOTS[kind]
 
 
 class TestClone:

@@ -142,7 +142,7 @@ class TestExtremePruning:
         plan = uniform_plan(1, 1, 16, heads=1, head_dim=8)
         policy = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=1)
         cache = prefill_compress(res.keys, res.values, contexts(res), plan, policy)
-        assert cache.entry(0, 0).stored_positions == [5]
+        assert cache.entry(0, 0).positions == [5]
         logits = decode_step(model, cache, embed_token(model, 7))
         assert logits.shape == (16,)
         k, _ = cache.materialize(0, 0)

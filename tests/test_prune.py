@@ -11,7 +11,6 @@ from kvtrade.prune import (
     ScoreContext,
     decide,
     score_h2o,
-    score_pyramidkv,
     score_snapkv,
     score_streaming,
     top_k_indices,
@@ -214,9 +213,10 @@ class TestPyramidKV:
         ctx = random_context(rng, 30)
         cfg = PolicyConfig(PolicyKind.PYRAMIDKV)
         assert cfg.window == 8
-        d = score_pyramidkv(ctx, 12, cfg)
+        d = score_snapkv(ctx, 12, cfg)
         snap = score_snapkv(ctx, 12, PolicyConfig(PolicyKind.SNAPKV, recent_window=8))
         assert d.retained == snap.retained
+        assert decide(cfg, ctx, 30, 12) == d
 
 
 class TestPolicyProperties:
