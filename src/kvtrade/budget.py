@@ -40,6 +40,8 @@ class BudgetPlan:
     total_budget_bytes: int
 
     def __post_init__(self) -> None:
+        if self.group_size < 1:
+            raise ContractViolation(f"group_size must be >= 1, got {self.group_size}")
         for tokens, bits in self.per_layer:
             if bits not in PLAN_BITS:
                 raise ContractViolation(f"bits must be one of {PLAN_BITS}, got {bits}")

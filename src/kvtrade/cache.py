@@ -13,9 +13,11 @@ A 16-bit layer is the case where the residual is never flushed: it has no
 blocks and keeps every row, prompt and decode alike, in the residual.
 
 Pruning decisions are made once, from full-precision prefill attention;
-decode-time tokens are appended and never evicted. Attention at decode uses
-freshly dequantized K/V each step; this is a correctness-first reference
-path with no fused kernels.
+decode-time tokens are appended and never evicted. Attention at decode runs
+over ``materialize``'s output: each immutable block is decoded once, on
+first use, and kept on the block (``dequantize_matrix``), so a decode step
+decodes only blocks it has not seen and joins them with the residual. This
+is a correctness-first reference path with no fused kernels.
 
 A cache instance is single-writer per sequence: ``decode_append`` mutates
 state. Distinct (layer, head) sub-caches are independent; ``materialize``
@@ -134,6 +136,7 @@ class CompressedKVCache:
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
         """Dequantized blocks followed by the residual, in position order.
 
+        A layer with blocks returns new arrays, which callers may write to.
         A layer without blocks (16-bit) returns its residual matrices
         themselves, uncopied; callers must not write to them.
         """

@@ -398,13 +398,46 @@ def quantization_logit_bound(model: Model, cache: CompressedKVCache, h) -> float
 WEIGHTS_MAGIC = b"KVTW"
 WEIGHTS_VERSION = 1
 
+_WEIGHTS_HEADER = "<HHHIIIqB"
+# headroom below float32 max for rounding in float32 sums of products
+_ACTIVATION_LIMIT = float(np.finfo(np.float32).max) / 256
+
+
+def _activations_fit(cfg: ModelConfig, weights: Weights) -> bool:
+    """Whether every value :func:`prefill` computes stays below the limit, for any prompt.
+
+    ``a`` bounds the l2 norm of every residual-stream row; a row times a
+    matrix is bounded by ``a`` times the matrix's spectral norm. A head's
+    scores are dot products of its query and key rows, its output rows are
+    convex combinations of its value rows, and each layer adds its output
+    projection to the stream. Entries are bounded by their row's norm.
+    Weights must be finite (SVD needs it). Returning at the first layer
+    past the limit keeps every bound finite.
+    """
+
+    def norm(w: Matrix) -> float:
+        return float(np.linalg.norm(w.astype(np.float64), 2))
+
+    heads = [slice(h * cfg.head_dim, (h + 1) * cfg.head_dim) for h in range(cfg.heads)]
+    a = float(np.linalg.norm(weights.embedding.astype(np.float64), axis=1).max())
+    a += math.sqrt(cfg.d_model) if cfg.use_positions else 0.0  # entries in [-1, 1]
+    for lw in weights.layers:
+        q = [a * norm(lw.w_q[:, h]) for h in heads]
+        k = [a * norm(lw.w_k[:, h]) for h in heads]
+        v = [a * norm(lw.w_v[:, h]) for h in heads]
+        out = math.sqrt(sum(x * x for x in v)) * norm(lw.w_o)
+        if max(a, *q, *k, *v, max(x * y for x, y in zip(q, k)), out) > _ACTIVATION_LIMIT:
+            return False
+        a += out
+    return max(a, a * norm(weights.head)) <= _ACTIVATION_LIMIT
+
 
 def save_weights(model: Model, path) -> None:
     cfg = model.config
     parts = [
         WEIGHTS_MAGIC,
         struct.pack(
-            "<HHHIIIqB",
+            _WEIGHTS_HEADER,
             WEIGHTS_VERSION,
             cfg.layers,
             cfg.heads,
@@ -431,18 +464,32 @@ def save_weights(model: Model, path) -> None:
 
 
 def load_weights(path) -> Model:
+    """Read a :func:`save_weights` file.
+
+    Raises :class:`IntegrityError`, and no other exception, for content that
+    is not a valid weights file: a wrong magic or version, a short or
+    overlong file, a header :class:`ModelConfig` rejects, a use_positions
+    byte other than 0 or 1, weights that are not finite, and weights whose
+    prefill activations could overflow float32 (:func:`_activations_fit`).
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != WEIGHTS_MAGIC:
         raise IntegrityError("bad weights magic")
-    header = struct.calcsize("<HHHIIIqB")
+    offset = 4 + struct.calcsize(_WEIGHTS_HEADER)
+    if len(data) < offset:
+        raise IntegrityError("weights file truncated")
     version, layers, heads, d_model, vocab, ctx, seed, use_pos = struct.unpack(
-        "<HHHIIIqB", data[4 : 4 + header]
+        _WEIGHTS_HEADER, data[4:offset]
     )
     if version != WEIGHTS_VERSION:
         raise IntegrityError(f"unsupported weights version {version}")
-    cfg = ModelConfig(layers, heads, d_model, vocab, ctx, seed, bool(use_pos))
-    offset = 4 + header
+    if use_pos > 1:
+        raise IntegrityError(f"use_positions byte must be 0 or 1, got {use_pos}")
+    try:
+        cfg = ModelConfig(layers, heads, d_model, vocab, ctx, seed, bool(use_pos))
+    except ContractViolation as exc:
+        raise IntegrityError(f"weights header holds an invalid setting: {exc}") from exc
 
     def take(rows: int, cols: int) -> Matrix:
         nonlocal offset
@@ -466,4 +513,10 @@ def load_weights(path) -> Model:
     head = take(d_model, vocab)
     if offset != len(data):
         raise IntegrityError("trailing bytes in weights file")
-    return Model(cfg, Weights(emb, lws, head))
+    weights = Weights(emb, lws, head)
+    mats = [emb, head] + [w for lw in lws for w in (lw.w_q, lw.w_k, lw.w_v, lw.w_o)]
+    if not all(np.isfinite(m).all() for m in mats):
+        raise IntegrityError("weights must be finite")
+    if not _activations_fit(cfg, weights):
+        raise IntegrityError("weights could overflow float32 activations in prefill")
+    return Model(cfg, weights)

@@ -14,10 +14,13 @@ back to ``z`` exactly.
 
 A quantized block (:class:`QuantizedTensor`) holds each code once, in its
 packed byte stream, beside three per-group arrays: length, zero point and
-scale. Every block operation works on the whole block at once. The
-per-group functions (``quantize_group``, ``dequantize_group``,
-``pack_codes``, ``unpack_codes``) are the reference the tests compare the
-block operations against.
+scale. Every block operation works on the whole block at once. A block is
+immutable, so it is decoded at most once: the first ``dequantize_matrix``
+call keeps the float32 result on the block, read-only, and later calls
+return it. The kept form is not storage; byte accounting and snapshots
+ignore it. The per-group functions (``quantize_group``,
+``dequantize_group``, ``pack_codes``, ``unpack_codes``) are the reference
+the tests compare the block operations against.
 
 Byte accounting convention (used for every budget-parity figure in the
 package): packed code bytes, plus 2 bytes of scale/zero metadata per group,
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +42,8 @@ SUPPORTED_BITS = (2, 4, 8)
 
 GROUP_METADATA_BYTES = 2
 OUTLIER_BYTES = 6
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class Layout(str, Enum):
@@ -83,8 +89,9 @@ class QuantizedTensor:
     ``packed_codes`` holds every code exactly once, one byte-aligned run per
     group. ``outliers`` is sorted by (row, col) and stores exact float32
     values. Construction raises IntegrityError when these parts disagree,
-    or when a zero point, scale or outlier value is not finite or a scale
-    is negative.
+    when a zero point, scale or outlier value is not finite or a scale is
+    negative, or when a group's decode range ``[z, z + s * (2**bits - 1)]``
+    leaves the float32 range (its decode would overflow).
     """
 
     shape: tuple[int, int]
@@ -111,6 +118,12 @@ class QuantizedTensor:
         finite = np.isfinite(self.zero_points).all() and np.isfinite(self.scales).all()
         if not finite or (self.scales < 0).any():
             raise IntegrityError("zero points and scales must be finite, scales nonnegative")
+        # both ends of the range, not |z| + s * levels: a group spanning
+        # -max..+max decodes inside float32 although that sum does not
+        levels = (1 << self.bits) - 1
+        z, s = self.zero_points, self.scales
+        if (z < -_FLOAT32_MAX).any() or (s > (_FLOAT32_MAX - z) / levels).any():
+            raise IntegrityError("a group's decode range leaves the float32 range")
         rows, cols = self.shape
         total = int(self.lengths.sum()) + len(self.outliers)
         if total != rows * cols:
@@ -124,6 +137,13 @@ class QuantizedTensor:
         expected = int(group_byte_length(self.lengths, self.bits).sum())
         if len(self.packed_codes) != expected:
             raise IntegrityError(f"packed stream is {len(self.packed_codes)} bytes, expected {expected}")
+
+    @cached_property
+    def _decoded(self) -> Matrix:
+        # computed on first use only: blocks that are just dumped or loaded never decode
+        decoded = _decode(self)
+        decoded.flags.writeable = False
+        return decoded
 
 
 def _within(counts: np.ndarray) -> np.ndarray:
@@ -280,9 +300,14 @@ def _scatter_runs(values: np.ndarray, q: QuantizedTensor) -> np.ndarray:
 def dequantize_matrix(q: QuantizedTensor) -> Matrix:
     """Decode a QuantizedTensor back to a float32 matrix.
 
-    All codes are unpacked at once; outliers are written back bit-exactly at
-    their original positions.
+    The block is decoded on the first call only; every call returns that
+    same array, shared by all callers and read-only (copy it to modify).
     """
+    return q._decoded
+
+
+def _decode(q: QuantizedTensor) -> Matrix:
+    """Unpack every code at once and write outliers back bit-exactly."""
     per_byte = 8 // q.bits
     raw = np.frombuffer(q.packed_codes, dtype=np.uint8)
     shifts = np.arange(per_byte, dtype=np.uint8) * q.bits

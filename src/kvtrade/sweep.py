@@ -274,6 +274,9 @@ def validate_config(cfg: SweepConfig) -> list[str]:
     for b in cfg.bits:
         if b not in (2, 4, 8, 16):
             problems.append(f"bits must be one of 2/4/8/16, got {b}")
+    for g in cfg.group_sizes:
+        if g < 1:
+            problems.append(f"group size must be >= 1, got {g}")
     for s in cfg.layouts:
         if s not in STRATEGIES:
             problems.append(f"unknown layout/strategy {s!r}")
@@ -459,7 +462,12 @@ def _run_probe(model: Model, cfg: SweepConfig, point: GridPoint, cache, result):
 
 
 def run_point(cfg: SweepConfig, point: GridPoint) -> SweepRow | SweepSkip:
-    """Execute one grid point; contract violations become skips."""
+    """Execute one grid point; contract violations become skips.
+
+    An IntegrityError (corrupt stored data, such as a damaged weights file)
+    is not caught: it is a storage fault, not an infeasible config, so it
+    aborts the sweep, also under ``run_sweep(parallel=...)``.
+    """
     start = time.perf_counter()
     try:
         policy = PolicyConfig(

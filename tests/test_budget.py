@@ -166,3 +166,10 @@ def test_plan_for_tokens_carries_counts():
 def test_plan_rejects_zero_tokens():
     with pytest.raises(ContractViolation):
         BudgetPlan(((0, 4),), 64, Layout.PER_TOKEN, 0)
+
+
+@pytest.mark.parametrize("bits", [4, 16])
+def test_plan_rejects_group_size_below_one(bits):
+    # an all-16-bit plan never builds a QuantConfig, so the plan itself must check
+    with pytest.raises(ContractViolation, match="group_size"):
+        uniform_plan(1, 4, bits, heads=1, head_dim=8, group_size=0)

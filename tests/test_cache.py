@@ -10,7 +10,7 @@ from kvtrade.budget import plan_bytes, uniform_plan
 from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext
-from kvtrade.quant import Layout
+from kvtrade.quant import Layout, dequantize_matrix
 
 
 def causal_uniform_attn(n):
@@ -214,6 +214,23 @@ class TestMaterialize:
         k, _ = cache.materialize(0, 0)
         assert k[idx.index(3), 5] == np.float32(42.5)
 
+    @pytest.mark.parametrize("appends", [0, 3], ids=["blocks-only", "blocks-and-residual"])
+    def test_writing_the_result_leaves_the_cache_unchanged(self, appends):
+        keys, values, ctxs = make_inputs(1, 1, 20, 8, seed=9)
+        plan = uniform_plan(1, 8, 4, heads=1, head_dim=8, group_size=8)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        rng = np.random.default_rng(10)
+        for _ in range(appends):
+            cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+        e = cache.entry(0, 0)
+        assert e.quant_k and e.residual_k.shape[0] == appends
+        k, v = cache.materialize(0, 0)
+        expected = k.tobytes(), v.tobytes()
+        k[:] = 7.0
+        v[:] = 7.0
+        k, v = cache.materialize(0, 0)
+        assert (k.tobytes(), v.tobytes()) == expected
+
 
 class TestMeasuredBytes:
     def test_empty_like_cache(self):
@@ -405,12 +422,22 @@ class TestSnapshotRejects:
                 lambda b, t, rows: _patched(b, PLAN_BITS_AT, "<B", 16), id="16-bit-layer-with-blocks"
             ),
             pytest.param(lambda b, t, rows: _patched(b, t + 12, "<d", float("nan")), id="nan-scale"),
+            pytest.param(lambda b, t, rows: _patched(b, t + 12, "<d", 1e300), id="huge-scale"),
             pytest.param(lambda b, t, rows: _flipped(b, t + 20 * rows), id="flipped-code-byte"),
         ],
     )
     def test_rejected(self, snapshot, mutate):
         with pytest.raises(IntegrityError):
             load_snapshot(mutate(*snapshot))
+
+    def test_16bit_group_size_0_rejected(self):
+        # a 16-bit layer builds no QuantConfig, so only the plan can reject it
+        keys, values, ctxs = make_inputs(1, 1, 24, 8, seed=13)
+        plan = uniform_plan(1, 4, 16, heads=1, head_dim=8, group_size=8)
+        blob = dump_snapshot(prefill_compress(keys, values, ctxs, plan, STREAM4))
+        load_snapshot(blob)
+        with pytest.raises(IntegrityError, match="group_size"):
+            load_snapshot(_patched(blob, GROUP_SIZE_AT, "<I", 0))
 
 
 def _fuzz_snapshots() -> dict[str, bytes]:
@@ -477,7 +504,8 @@ class TestSnapshotFuzz:
             return
         for layer in range(cache.plan.layers):
             for head in range(cache.heads):
-                cache.materialize(layer, head)
+                k, v = cache.materialize(layer, head)
+                assert np.isfinite(k).all() and np.isfinite(v).all()
                 cache.decode_append(layer, head, np.ones(cache.head_dim), np.ones(cache.head_dim))
         load_snapshot(dump_snapshot(cache))
 
@@ -498,3 +526,17 @@ class TestClone:
             clone.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
         assert dump_snapshot(cache) == snapshot
         assert clone.token_count(0, 0) == cache.token_count(0, 0) + 6
+
+    def test_copies_of_a_decoded_cache_materialize_identically(self):
+        cache = TestSnapshot().build()
+        decoded = [cache.materialize(layer, head) for layer in range(2) for head in range(2)]
+        clone = cache.clone()
+        restored = load_snapshot(dump_snapshot(cache))
+        for copy in (clone, restored):
+            got = [copy.materialize(layer, head) for layer in range(2) for head in range(2)]
+            for (k1, v1), (k2, v2) in zip(decoded, got):
+                assert k1.tobytes() == k2.tobytes() and v1.tobytes() == v2.tobytes()
+        # a clone shares the blocks and their decode; a reload decodes its own
+        block = cache.entry(0, 0).quant_k[0]
+        assert dequantize_matrix(clone.entry(0, 0).quant_k[0]) is dequantize_matrix(block)
+        assert dequantize_matrix(restored.entry(0, 0).quant_k[0]) is not dequantize_matrix(block)

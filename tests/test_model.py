@@ -1,9 +1,15 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kvtrade.budget import uniform_plan
 from kvtrade.cache import prefill_compress
-from kvtrade.errors import ContractViolation
+from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.model import (
     DenseKV,
     Model,
@@ -244,6 +250,95 @@ class TestWeightsFile:
         loaded = load_weights(path)
         tokens = [1, 2, 3, 4]
         assert np.array_equal(prefill(model, tokens).logits, prefill(loaded, tokens).logits)
+
+    def test_deep_random_model_loads(self, tmp_path):
+        # the overflow bound must admit deep random models; a bound from
+        # column abs sums instead of spectral norms would reject this one
+        model = random_model(ModelConfig(12, 8, 256, 32, 64, seed=13))
+        path = tmp_path / "deep.bin"
+        save_weights(model, path)
+        loaded = load_weights(path)
+        assert np.array_equal(prefill(model, [1, 2, 3]).logits, prefill(loaded, [1, 2, 3]).logits)
+
+
+WEIGHTS_HEADER_END = 4 + struct.calcsize("<HHHIIIqB")
+LAYERS_AT, HEADS_AT, CONTEXT_AT, USE_POSITIONS_AT = 6, 8, 18, 30
+
+
+def _small_weights() -> bytes:
+    model = random_model(ModelConfig(2, 2, 8, 16, 32, seed=12, use_positions=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.bin"
+        save_weights(model, path)
+        return path.read_bytes()
+
+
+WEIGHTS = _small_weights()
+
+
+def _load(data: bytes) -> Model:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.bin"
+        path.write_bytes(data)
+        return load_weights(path)
+
+
+def _patched_weights(offset: int, fmt: str, value) -> bytes:
+    out = bytearray(WEIGHTS)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+class TestWeightsRejects:
+    """Damaged weights files raise IntegrityError, never struct.error or ContractViolation."""
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            pytest.param(WEIGHTS[:10], id="truncated-header"),
+            pytest.param(_patched_weights(LAYERS_AT, "<H", 0), id="zero-layers"),
+            pytest.param(_patched_weights(HEADS_AT, "<H", 3), id="d-model-not-divisible"),
+            pytest.param(_patched_weights(CONTEXT_AT, "<I", 0), id="zero-context"),
+            pytest.param(_patched_weights(USE_POSITIONS_AT, "<B", 2), id="use-positions-2"),
+            pytest.param(_patched_weights(WEIGHTS_HEADER_END, "<f", float("nan")), id="nan-weight"),
+            pytest.param(_patched_weights(WEIGHTS_HEADER_END, "<f", float("inf")), id="inf-weight"),
+            pytest.param(_patched_weights(WEIGHTS_HEADER_END, "<f", 3e38), id="overflowing-weight"),
+            pytest.param(WEIGHTS + b"\x00", id="trailing-byte"),
+        ],
+    )
+    def test_rejected(self, data):
+        with pytest.raises(IntegrityError):
+            _load(data)
+
+    def test_unmutated_loads(self):
+        assert _load(WEIGHTS).config == ModelConfig(2, 2, 8, 16, 32, seed=12, use_positions=True)
+
+
+class TestWeightsFuzz:
+    """A damaged weights file is rejected with IntegrityError or gives a model with finite logits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_byte_change(self, data):
+        offset = data.draw(
+            st.one_of(st.integers(0, WEIGHTS_HEADER_END - 1), st.integers(0, len(WEIGHTS) - 1)),
+            label="offset",
+        )
+        out = bytearray(WEIGHTS)
+        out[offset] ^= data.draw(st.integers(1, 255), label="xor")
+        try:
+            model = _load(bytes(out))
+        except IntegrityError:
+            return
+        prompt = [3, 1, 4, 1, 5, 9, 2, 6][: model.config.context_limit]
+        assert np.isfinite(prefill(model, prompt).logits).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_truncation(self, data):
+        length = data.draw(st.integers(0, len(WEIGHTS) - 1), label="length")
+        with pytest.raises(IntegrityError):
+            _load(WEIGHTS[:length])
 
 
 def test_positions_change_prefill_only_when_enabled():

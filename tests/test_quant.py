@@ -262,6 +262,43 @@ class TestDequantizeMatrix:
         with pytest.raises(ValueError):
             q.scales[0] = 1.0
 
+    def test_decoded_once_shared_and_read_only(self):
+        q = quantize_matrix(np.arange(8, dtype=np.float32).reshape(2, 4), QuantConfig(4, 4))
+        first = dequantize_matrix(q)
+        assert dequantize_matrix(q) is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+        assert np.array_equal(first, reference_dequantize(q))
+
+    @pytest.mark.parametrize(
+        "zero, scale",
+        [(0.0, 1e300), (-1e300, 0.0), (1e300, 0.0), (3e38, 1e37), (-3.4e38, 3e38)],
+        ids=["huge-scale", "huge-negative-zero", "huge-zero", "top-past-max", "span-past-max"],
+    )
+    def test_decode_range_past_float32_rejected(self, zero, scale):
+        # one 4-bit group of 2 codes: decodes into [zero, zero + 15 * scale]
+        with pytest.raises(IntegrityError, match="float32"):
+            QuantizedTensor(
+                shape=(1, 2),
+                bits=4,
+                group_size=2,
+                layout=Layout.PER_TOKEN,
+                lengths=[2],
+                zero_points=[zero],
+                scales=[scale],
+                packed_codes=b"\xf0",
+            )
+
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    @pytest.mark.parametrize("layout", list(Layout))
+    def test_float32_extremes_decode_finite(self, bits, layout):
+        # a group spanning -max..+max: |z| + s * levels is past max, its ends are not
+        top = np.finfo(np.float32).max
+        m = np.array([[-top, top, 0.0, 1.0], [top, top, -top, 3.0]], dtype=np.float32)
+        out = dequantize_matrix(quantize_matrix(m, QuantConfig(bits, 4, layout)))
+        assert np.isfinite(out).all()
+        assert out[0, 0] == -top and out[0, 1] == top and out[1, 2] == -top
+
     def test_shape_restored(self):
         rng = np.random.default_rng(2)
         m = rng.normal(size=(5, 7)).astype(np.float32)
@@ -418,7 +455,9 @@ def matrices(draw):
 )
 def test_dequantize_matches_per_group_reference(m, bits, group, layout, threshold):
     q = quantize_matrix(m, QuantConfig(bits, group, layout, threshold))
-    assert dequantize_matrix(q).tobytes() == reference_dequantize(q).tobytes()
+    expected = reference_dequantize(q).tobytes()
+    assert dequantize_matrix(q).tobytes() == expected
+    assert dequantize_matrix(q).tobytes() == expected  # the kept decode
 
 
 @pytest.mark.parametrize("layout", list(Layout))

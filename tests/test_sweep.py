@@ -68,6 +68,10 @@ class TestConfigParsing:
         assert any("task" in p for p in problems)
         assert any("grid" in p for p in problems)
 
+    def test_validate_flags_group_size_below_one(self):
+        assert any("group size" in p for p in validate_config(SweepConfig(group_sizes=(0,))))
+        assert validate_config(SweepConfig(group_sizes=(1, 64))) == []
+
 
 class TestGrid:
     def test_paired_filter(self):
@@ -261,6 +265,24 @@ class TestWeightsFile:
         )
         rows, skips = run_sweep(cfg)
         assert not skips and len(rows) == 1
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_corrupt_weights_file_aborts_the_sweep(self, tmp_path, parallel):
+        # stored-data corruption is a storage fault, not a skippable config
+        from kvtrade.errors import IntegrityError
+        from kvtrade.model import ModelConfig, random_model, save_weights
+
+        path = tmp_path / "model.bin"
+        save_weights(random_model(ModelConfig(1, 2, 16, 32, 64, seed=5)), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        cfg = SweepConfig(
+            task="random_probe", model="random", weights_file=str(path),
+            seq_lens=(24,), seeds=(0, 1), policies=("streaming_llm",),
+            bits=(8,), token_multipliers=(2,), base_tokens=8,
+            full_cache_tokens=24, probe_steps=2, recent_window=4,
+        )
+        with pytest.raises(IntegrityError, match="truncated"):
+            run_sweep(cfg, parallel=parallel)
 
     def test_recall_with_weights_file_rejected(self, tmp_path):
         cfg = SweepConfig(task="recall", model="recall", weights_file="w.bin")
