@@ -110,13 +110,7 @@ def uniform_plan(
     if base_tokens < 1:
         raise ContractViolation("base_tokens must be >= 1")
     tokens = base_tokens * (FULL_PRECISION_BITS // bits)
-    reference = layers * 2 * heads * base_tokens * head_dim * BYTES_PER_FP16
-    return BudgetPlan(
-        per_layer=tuple((tokens, bits) for _ in range(layers)),
-        group_size=group_size,
-        layout=layout,
-        total_budget_bytes=reference,
-    )
+    return plan_for_tokens([tokens] * layers, bits, heads, head_dim, group_size, layout)
 
 
 def plan_for_tokens(

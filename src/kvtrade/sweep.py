@@ -8,6 +8,11 @@ the cache under the point's plan, decodes task queries through it and
 records retrieval accuracy, logit perturbation against the uncompressed
 decode path, and exact byte accounting.
 
+Each schema is stated once: config keys and their parsers derive from the
+``SweepConfig`` annotations, CSV columns and their formats from the
+``SweepRow`` fields, and validation asks the types that own each rule
+(``PolicyConfig``, ``budget.PLAN_BITS``, ``STRATEGIES``, ``enumerate_grid``).
+
 Infeasible grid points (e.g. a budget below the policy's window) are
 recorded as skips with a reason and never crash the sweep. Results are
 emitted as CSV with a fixed 14-column schema in deterministic order (grid
@@ -18,13 +23,16 @@ times are kept on the row objects but excluded from the CSV for that reason.
 from __future__ import annotations
 
 import functools
+import itertools
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .budget import (
+    PLAN_BITS,
     BudgetPlan,
     LayerOverride,
     apply_overrides,
@@ -64,23 +72,6 @@ STRATEGIES: dict[str, tuple[Layout, float | None]] = {
     "per_token_outlier": (Layout.PER_TOKEN, 6.0),
     "per_channel_outlier": (Layout.PER_CHANNEL, 6.0),
 }
-
-CSV_COLUMNS = (
-    "policy",
-    "bits",
-    "token_multiplier",
-    "tokens_per_layer",
-    "group_size",
-    "layout",
-    "override_id",
-    "seed",
-    "seq_len",
-    "accuracy",
-    "logit_perturb",
-    "bytes",
-    "budget_ratio_raw",
-    "budget_ratio_meta",
-)
 
 
 @dataclass(frozen=True)
@@ -155,20 +146,8 @@ class SweepRow:
 
     def csv_values(self) -> list[str]:
         return [
-            self.policy,
-            str(self.bits),
-            str(self.token_multiplier),
-            str(self.tokens_per_layer),
-            str(self.group_size),
-            self.layout,
-            self.override_id,
-            str(self.seed),
-            str(self.seq_len),
-            _fmt(self.accuracy),
-            _fmt(self.logit_perturb),
-            str(self.bytes),
-            _fmt(self.budget_ratio_raw),
-            _fmt(self.budget_ratio_meta),
+            _fmt(getattr(self, col)) if kind is float else str(getattr(self, col))
+            for col, kind in _CSV_TYPES.items()
         ]
 
 
@@ -182,30 +161,39 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
+# CSV column -> SweepRow field type, which both formats and parses the column.
+_ROW_TYPES = typing.get_type_hints(SweepRow)
+_CSV_TYPES = {f.name: _ROW_TYPES[f.name] for f in fields(SweepRow) if f.name != "wall_time"}
+CSV_COLUMNS = tuple(_CSV_TYPES)
+
+
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
 
-_LIST_INT = {"seq_lens", "seeds", "bits", "token_multipliers", "group_sizes"}
-_LIST_FLOAT = {"needle_depths"}
-_LIST_STR = {"policies", "layouts", "overrides"}
-_SCALAR_INT = {
-    "base_tokens",
-    "full_cache_tokens",
-    "num_pairs",
-    "filler_vocab",
-    "probe_steps",
-    "layers",
-    "heads",
-    "d_model",
-    "vocab",
-    "context_limit",
-    "pool_width",
+
+def _parse_bool(val: str) -> bool:
+    if val.lower() not in ("true", "false"):
+        raise ValueError(f"expected true/false, got {val!r}")
+    return val.lower() == "true"
+
+
+def _list_of(item):
+    return lambda val: tuple(item(v.strip()) for v in val.split(",") if v.strip())
+
+
+# One parser per SweepConfig annotation type; an empty optional int is None.
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    int | None: lambda val: int(val) if val else None,
+    tuple[int, ...]: _list_of(int),
+    tuple[float, ...]: _list_of(float),
+    tuple[str, ...]: _list_of(str),
 }
-_SCALAR_FLOAT = {"pyramid_min_fraction"}
-_SCALAR_STR = {"task", "model", "weights_file", "output"}
-_SCALAR_BOOL = {"paired_budget"}
-_OPTIONAL_INT = {"recent_window"}
+_FIELD_PARSERS = {key: _PARSERS[t] for key, t in typing.get_type_hints(SweepConfig).items()}
 
 
 def parse_config(text: str) -> SweepConfig:
@@ -219,41 +207,23 @@ def parse_config(text: str) -> SweepConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        val = val.strip()
+        if key not in _FIELD_PARSERS:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"line {lineno}: repeated key {key!r}")
         try:
-            if key in _LIST_INT:
-                values[key] = tuple(int(v) for v in _split(val))
-            elif key in _LIST_FLOAT:
-                values[key] = tuple(float(v) for v in _split(val))
-            elif key in _LIST_STR:
-                values[key] = tuple(_split(val))
-            elif key in _SCALAR_INT:
-                values[key] = int(val)
-            elif key in _SCALAR_FLOAT:
-                values[key] = float(val)
-            elif key in _SCALAR_BOOL:
-                if val.lower() not in ("true", "false"):
-                    raise ValueError(f"expected true/false, got {val!r}")
-                values[key] = val.lower() == "true"
-            elif key in _OPTIONAL_INT:
-                values[key] = int(val) if val else None
-            elif key in _SCALAR_STR:
-                values[key] = val
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        except ConfigError:
-            raise
+            values[key] = _FIELD_PARSERS[key](val.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
     cfg = SweepConfig(**values)
-    problems = validate_config(cfg)
-    if problems:
-        raise ConfigError("; ".join(problems))
+    _require_valid(cfg)
     return cfg
 
 
-def _split(val: str) -> list[str]:
-    return [part.strip() for part in val.split(",") if part.strip()]
+def _require_valid(cfg: SweepConfig) -> None:
+    problems = validate_config(cfg)
+    if problems:
+        raise ConfigError("; ".join(problems))
 
 
 def validate_config(cfg: SweepConfig) -> list[str]:
@@ -266,14 +236,18 @@ def validate_config(cfg: SweepConfig) -> list[str]:
     if cfg.task == "recall" and (cfg.model != "recall" or cfg.weights_file):
         # the pair vocabulary cannot be reconstructed from a weights file
         problems.append("the recall task requires the built-in recall model")
-    if not (cfg.policies and cfg.bits and cfg.token_multipliers and cfg.group_sizes and cfg.layouts):
-        problems.append("grid axes must be non-empty")
+    if not enumerate_grid(cfg):
+        problems.append("the grid is empty (an axis has no value, or no bits x multiplier is 16)")
     for p in cfg.policies:
-        if p not in [k.value for k in PolicyKind]:
+        try:
+            PolicyConfig(PolicyKind(p), cfg.recent_window, cfg.pool_width)
+        except ContractViolation as exc:
+            problems.append(f"policy {p}: {exc}")
+        except ValueError:
             problems.append(f"unknown policy {p!r}")
     for b in cfg.bits:
-        if b not in (2, 4, 8, 16):
-            problems.append(f"bits must be one of 2/4/8/16, got {b}")
+        if b not in PLAN_BITS:
+            problems.append(f"bits must be one of {PLAN_BITS}, got {b}")
     for g in cfg.group_sizes:
         if g < 1:
             problems.append(f"group size must be >= 1, got {g}")
@@ -290,7 +264,11 @@ def validate_config(cfg: SweepConfig) -> list[str]:
             problems.append(f"seq_len {n} too short")
         if cfg.model == "random" and n > cfg.context_limit:
             problems.append(f"seq_len {n} exceeds context_limit {cfg.context_limit}")
+    if any(s < 0 for s in cfg.seeds):
+        problems.append("seeds must be >= 0")
     if cfg.task == "recall":
+        if cfg.num_pairs < 1:
+            problems.append("num_pairs must be >= 1 for the recall task")
         if cfg.needle_depths and len(cfg.needle_depths) != cfg.num_pairs:
             problems.append("needle_depths length must equal num_pairs")
         for d in cfg.needle_depths:
@@ -299,10 +277,10 @@ def validate_config(cfg: SweepConfig) -> list[str]:
         for n in cfg.seq_lens:
             if 2 * cfg.num_pairs > n:
                 problems.append(f"{cfg.num_pairs} pairs cannot fit in seq_len {n}")
-    if not cfg.seeds:
-        problems.append("seeds must be non-empty")
-    if cfg.pool_width < 1 or cfg.pool_width % 2 == 0:
-        problems.append("pool_width must be odd and >= 1")
+    if cfg.task == "random_probe" and cfg.probe_steps < 1:
+        problems.append("probe_steps must be >= 1 for the random_probe task")
+    if cfg.full_cache_tokens < 1:
+        problems.append("full_cache_tokens must be >= 1")
     if not 0 < cfg.pyramid_min_fraction <= 1:
         problems.append("pyramid_min_fraction must be in (0, 1]")
     return problems
@@ -339,33 +317,11 @@ def parse_override_spec(spec: str) -> list[LayerOverride]:
 
 
 def enumerate_grid(cfg: SweepConfig) -> list[GridPoint]:
-    points = []
-    index = 0
-    for policy in cfg.policies:
-        for bits in cfg.bits:
-            for mult in cfg.token_multipliers:
-                if cfg.paired_budget and bits * mult != 16:
-                    continue
-                for group in cfg.group_sizes:
-                    for strategy in cfg.layouts:
-                        for override in cfg.overrides:
-                            for seq_len in cfg.seq_lens:
-                                for seed in cfg.seeds:
-                                    points.append(
-                                        GridPoint(
-                                            index,
-                                            policy,
-                                            bits,
-                                            mult,
-                                            group,
-                                            strategy,
-                                            override,
-                                            seq_len,
-                                            seed,
-                                        )
-                                    )
-                                    index += 1
-    return points
+    """Grid points in axis-major order (policy first, seed last), indexed."""
+    axes = itertools.product(cfg.policies, cfg.bits, cfg.token_multipliers, cfg.group_sizes,
+                             cfg.layouts, cfg.overrides, cfg.seq_lens, cfg.seeds)
+    kept = (a for a in axes if not cfg.paired_budget or a[1] * a[2] == 16)
+    return [GridPoint(index, *a) for index, a in enumerate(kept)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -527,16 +483,16 @@ def run_point(cfg: SweepConfig, point: GridPoint) -> SweepRow | SweepSkip:
         return SweepSkip(point, str(exc))
 
 
-def _run_point_args(args) -> SweepRow | SweepSkip:
-    return run_point(*args)
-
-
 def run_sweep(cfg: SweepConfig, parallel: int = 1) -> tuple[list[SweepRow], list[SweepSkip]]:
-    """Run the whole grid; returns (completed rows, skipped points) in grid order."""
+    """Run the whole grid; returns (completed rows, skipped points) in grid order.
+
+    A config that ``validate_config`` rejects raises ConfigError before any point runs.
+    """
+    _require_valid(cfg)
     points = enumerate_grid(cfg)
     if parallel > 1:
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(_run_point_args, [(cfg, p) for p in points]))
+            outcomes = list(pool.map(run_point, [cfg] * len(points), points))
     else:
         outcomes = [run_point(cfg, p) for p in points]
     rows = [o for o in outcomes if isinstance(o, SweepRow)]
@@ -574,24 +530,7 @@ def parse_csv(text: str) -> list[SweepRow]:
         parts = ln.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(parts)}")
-        rows.append(
-            SweepRow(
-                policy=parts[0],
-                bits=int(parts[1]),
-                token_multiplier=int(parts[2]),
-                tokens_per_layer=int(parts[3]),
-                group_size=int(parts[4]),
-                layout=parts[5],
-                override_id=parts[6],
-                seed=int(parts[7]),
-                seq_len=int(parts[8]),
-                accuracy=float(parts[9]),
-                logit_perturb=float(parts[10]),
-                bytes=int(parts[11]),
-                budget_ratio_raw=float(parts[12]),
-                budget_ratio_meta=float(parts[13]),
-            )
-        )
+        rows.append(SweepRow(**{col: _CSV_TYPES[col](part) for col, part in zip(CSV_COLUMNS, parts)}))
     return rows
 
 

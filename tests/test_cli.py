@@ -43,6 +43,12 @@ class TestRun:
         cfg.write_text("task = juggling\n")
         assert main(["run", "--config", str(cfg)]) == 2
 
+    def test_zero_probe_steps_is_config_error(self, tmp_path):
+        cfg = tmp_path / "probe.cfg"
+        cfg.write_text("task = random_probe\nmodel = random\nseq_lens = 24\nprobe_steps = 0\n")
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KVTRADE_OUT_DIR", str(tmp_path / "outputs"))
         cfg = tmp_path / "sweep.cfg"

@@ -1,5 +1,8 @@
+from dataclasses import fields, replace
+
 import pytest
 
+from kvtrade import sweep
 from kvtrade.sweep import (
     CSV_COLUMNS,
     DEMO_CONFIG,
@@ -72,6 +75,65 @@ class TestConfigParsing:
         assert any("group size" in p for p in validate_config(SweepConfig(group_sizes=(0,))))
         assert validate_config(SweepConfig(group_sizes=(1, 64))) == []
 
+    @pytest.mark.parametrize(
+        "cfg, word",
+        [
+            (SweepConfig(task="random_probe", model="random", probe_steps=0), "probe_steps"),
+            (SweepConfig(full_cache_tokens=0), "full_cache_tokens"),
+            (SweepConfig(full_cache_tokens=-5), "full_cache_tokens"),
+            (SweepConfig(seeds=(0, -1)), "seeds"),
+            (SweepConfig(num_pairs=0), "num_pairs"),
+            (SweepConfig(recent_window=0), "recent_window"),
+            (SweepConfig(pool_width=4), "pool_width"),
+        ],
+        ids=["probe_steps", "full_cache_zero", "full_cache_negative", "seed", "num_pairs",
+             "recent_window", "pool_width"],
+    )
+    def test_validate_flags_configs_that_crash_or_mislead(self, cfg, word):
+        assert any(word in p for p in validate_config(cfg))
+
+    @pytest.mark.parametrize(
+        "text", ["seq_lens =\n", "overrides =\n", "bits = 2\n"], ids=["seq_lens", "overrides", "paired"]
+    )
+    def test_empty_grid_rejected(self, text):
+        with pytest.raises(ConfigError, match="grid"):
+            parse_config(text)
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ConfigError, match="line 2: repeated key 'seeds'"):
+            parse_config("seeds = 1\nseeds = 2\n")
+
+    def test_bad_bool_names_the_choices(self):
+        with pytest.raises(ConfigError, match="line 1: bad value for paired_budget: expected true/false"):
+            parse_config("paired_budget = yes\n")
+
+    def test_every_field_parses(self):
+        expected = SweepConfig(
+            task="random_probe", model="random", weights_file="w.bin", seq_lens=(32, 48),
+            seeds=(3, 4), policies=("h2o", "pyramidkv"), bits=(2, 8), token_multipliers=(8, 2),
+            paired_budget=False, group_sizes=(16, 32), layouts=("per_channel", "per_token_outlier"),
+            overrides=("none", "0-1@8x2"), base_tokens=12, full_cache_tokens=48, num_pairs=3,
+            needle_depths=(0.1, 0.5, 0.9), filler_vocab=20, probe_steps=5, layers=2, heads=2,
+            d_model=16, vocab=40, context_limit=64, pyramid_min_fraction=0.5, recent_window=6,
+            pool_width=5, output="out.csv",
+        )
+        for f in fields(SweepConfig):
+            assert getattr(expected, f.name) != f.default, f.name
+        text = {
+            "seq_lens": "32, 48", "seeds": "3,4", "policies": "h2o, pyramidkv", "bits": "2, 8",
+            "token_multipliers": "8, 2", "paired_budget": "FALSE", "group_sizes": "16, 32",
+            "layouts": "per_channel, per_token_outlier", "overrides": "none, 0-1@8x2",
+            "needle_depths": "0.1, 0.5, 0.9", "pyramid_min_fraction": "0.5",
+        }
+        lines = {f.name: text.get(f.name, str(getattr(expected, f.name))) for f in fields(SweepConfig)}
+        parsed = parse_config("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        for f in fields(SweepConfig):
+            assert getattr(parsed, f.name) == getattr(expected, f.name), f.name
+
+        lines.update(needle_depths="", recent_window="")
+        parsed = parse_config("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert parsed == replace(expected, needle_depths=(), recent_window=None)
+
 
 class TestGrid:
     def test_paired_filter(self):
@@ -89,6 +151,32 @@ class TestGrid:
     def test_indices_are_stable(self):
         points = enumerate_grid(SMALL)
         assert [p.index for p in points] == list(range(len(points)))
+
+    def test_unpaired_order_is_axis_major(self):
+        cfg = SweepConfig(
+            task="random_probe", model="random", paired_budget=False,
+            policies=("h2o", "snapkv"), bits=(16, 4), token_multipliers=(1, 4),
+            group_sizes=(32, 64), layouts=("per_token", "per_channel"),
+            overrides=("none", "0-1@8x2"), seq_lens=(24, 16), seeds=(1, 0),
+        )
+        expected = [
+            (p, b, m, g, s, o, n, seed)
+            for p in cfg.policies
+            for b in cfg.bits
+            for m in cfg.token_multipliers
+            for g in cfg.group_sizes
+            for s in cfg.layouts
+            for o in cfg.overrides
+            for n in cfg.seq_lens
+            for seed in cfg.seeds
+        ]
+        points = enumerate_grid(cfg)
+        assert len(expected) == 256
+        assert [
+            (p.policy, p.bits, p.multiplier, p.group_size, p.strategy, p.override_spec, p.seq_len, p.seed)
+            for p in points
+        ] == expected
+        assert [p.index for p in points] == list(range(256))
 
 
 class TestRunSweep:
@@ -160,6 +248,14 @@ class TestRunSweep:
         b, _ = run_sweep(SMALL)
         assert rows_to_csv(a) == rows_to_csv(b)
 
+    def test_invalid_config_rejected_before_any_point_runs(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(sweep, "run_point", fail)
+        with pytest.raises(ConfigError, match="probe_steps"):
+            run_sweep(SweepConfig(task="random_probe", model="random", probe_steps=0))
+
     def test_parallel_matches_serial(self):
         serial, _ = run_sweep(SMALL)
         parallel, _ = run_sweep(SMALL, parallel=2)
@@ -193,6 +289,12 @@ class TestRunSweep:
 class TestCsv:
     def test_header_only_when_empty(self):
         assert rows_to_csv([]) == ",".join(CSV_COLUMNS) + "\n"
+
+    def test_header_is_the_documented_schema(self):
+        assert rows_to_csv([]) == (
+            "policy,bits,token_multiplier,tokens_per_layer,group_size,layout,override_id,"
+            "seed,seq_len,accuracy,logit_perturb,bytes,budget_ratio_raw,budget_ratio_meta\n"
+        )
 
     def test_fixed_column_count(self):
         rows, _ = run_sweep(SMALL)
