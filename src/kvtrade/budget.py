@@ -7,9 +7,10 @@ reference, an 8-bit plan keeps 2x tokens and a 4-bit plan keeps 4x tokens.
 
 Byte accounting is explicit rather than waved away: quantized layers are
 charged via :func:`kvtrade.quant.quantized_bytes_for_shape` (codes plus
-2 bytes of group metadata per group), 16-bit layers at 2 bytes per element
-with no metadata. At group size 64 the metadata keeps matched plans within
-6.25% (4-bit) / 3.125% (8-bit) of the 16-bit reference.
+2 bytes of group metadata per group), full-precision K/V rows by
+:func:`fp16_kv_bytes` at 2 bytes per element with no metadata. At group
+size 64 the metadata keeps matched plans within 6.25% (4-bit) / 3.125%
+(8-bit) of the 16-bit reference.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .quant import Layout, QuantConfig, quantized_bytes_for_shape
 PLAN_BITS = (2, 4, 8, 16)
 FULL_PRECISION_BITS = 16
 BYTES_PER_FP16 = 2
+
+
+def fp16_kv_bytes(tokens: int, heads: int, head_dim: int) -> int:
+    """Bytes of ``tokens`` K and V rows on ``heads`` heads stored at 16 bits."""
+    return 2 * heads * tokens * head_dim * BYTES_PER_FP16
 
 
 @dataclass(frozen=True)
@@ -124,12 +130,11 @@ def plan_for_tokens(
     """Plan with explicit per-layer token counts (pyramid allocations etc.)."""
     counts = [int(t) for t in tokens_per_layer]
     base_total = sum(counts) * bits // FULL_PRECISION_BITS
-    reference = 2 * heads * base_total * head_dim * BYTES_PER_FP16
     return BudgetPlan(
         per_layer=tuple((t, bits) for t in counts),
         group_size=group_size,
         layout=layout,
-        total_budget_bytes=reference,
+        total_budget_bytes=fp16_kv_bytes(base_total, heads, head_dim),
     )
 
 
@@ -176,21 +181,17 @@ def pyramid_allocation(
 def plan_bytes(plan: BudgetPlan, heads: int, head_dim: int) -> int:
     """Accounted bytes of a fully populated plan (K and V, all heads).
 
-    Quantized layers follow the group accounting of the quant module, with
-    keys grouped by the plan layout and values per token; 16-bit layers are
-    charged 2 bytes per element with no metadata.
+    Quantized layers follow the group accounting of the quant module under
+    the layer's ``quant_config``; 16-bit layers are charged by
+    :func:`fp16_kv_bytes`.
     """
     total = 0
-    for tokens, bits in plan.per_layer:
-        if bits == FULL_PRECISION_BITS:
-            total += 2 * heads * tokens * head_dim * BYTES_PER_FP16
+    for layer, (tokens, _bits) in enumerate(plan.per_layer):
+        cfgs = plan.quant_config(layer)
+        if cfgs is None:
+            total += fp16_kv_bytes(tokens, heads, head_dim)
         else:
-            k_cfg = QuantConfig(bits, plan.group_size, plan.layout)
-            v_cfg = QuantConfig(bits, plan.group_size, Layout.PER_TOKEN)
-            per_head = quantized_bytes_for_shape(
-                tokens, head_dim, k_cfg
-            ) + quantized_bytes_for_shape(tokens, head_dim, v_cfg)
-            total += heads * per_head
+            total += heads * sum(quantized_bytes_for_shape(tokens, head_dim, c) for c in cfgs)
     return total
 
 

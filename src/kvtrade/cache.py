@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .budget import BYTES_PER_FP16, BudgetPlan
+from .budget import BudgetPlan, fp16_kv_bytes
 from .errors import ContractViolation, IntegrityError
-from .prune import PolicyConfig, PolicyKind, ScoreContext, decide
+from .prune import PolicyConfig, ScoreContext, decide
 from .quant import (
     Layout,
     QuantConfig,
@@ -88,10 +88,9 @@ class LayerHeadCache:
 
 @dataclass
 class CompressedKVCache:
-    """All (layer, head) sub-caches under one plan and eviction policy."""
+    """All (layer, head) sub-caches under one plan."""
 
     plan: BudgetPlan
-    policy: PolicyConfig
     heads: int
     head_dim: int
     prefill_len: int
@@ -104,7 +103,6 @@ class CompressedKVCache:
     def clone(self) -> "CompressedKVCache":
         return CompressedKVCache(
             plan=self.plan,
-            policy=self.policy,
             heads=self.heads,
             head_dim=self.head_dim,
             prefill_len=self.prefill_len,
@@ -150,7 +148,7 @@ class CompressedKVCache:
     def _entry_bytes(self, e: LayerHeadCache, block_bytes) -> int:
         """One entry's bytes: fp16 residual K/V rows, plus ``block_bytes`` of each block."""
         blocks = sum(block_bytes(q) for q in e.quant_k + e.quant_v)
-        return blocks + 2 * e.residual_k.shape[0] * self.head_dim * BYTES_PER_FP16
+        return blocks + fp16_kv_bytes(e.residual_k.shape[0], 1, self.head_dim)
 
     def measured_bytes_per_layer(self) -> list[int]:
         return [sum(self._entry_bytes(e, quantized_bytes) for e in row) for row in self.entries]
@@ -161,9 +159,6 @@ class CompressedKVCache:
     def payload_bytes(self) -> int:
         """Bytes with group metadata and outlier positions waived (codes + values only)."""
         return sum(self._entry_bytes(e, tensor_payload_bytes) for row in self.entries for e in row)
-
-    def token_count(self, layer: int, head: int) -> int:
-        return len(self.entries[layer][head].positions)
 
 
 def prefill_compress(
@@ -217,7 +212,6 @@ def prefill_compress(
 
     return CompressedKVCache(
         plan=plan,
-        policy=policy,
         heads=heads,
         head_dim=head_dim,
         prefill_len=n,
@@ -226,11 +220,10 @@ def prefill_compress(
     )
 
 
-# Snapshot binary layout, version 2 (all little-endian):
+# Snapshot binary layout, version 3 (all little-endian):
 #   magic "KVSN", u16 version, u16 layers, u16 heads, u32 head_dim,
-#   u32 group_size, u8 layout, u8 policy kind, u32 recent window,
-#   u32 pool width, f64 outlier threshold (NaN = unset), u32 prefill_len,
-#   i64 total_budget_bytes;
+#   u32 group_size, u8 layout, f64 outlier threshold (NaN = unset),
+#   u32 prefill_len, i64 total_budget_bytes;
 #   the plan table: per layer u32 tokens, u8 bits;
 #   per (layer, head): u32 position count, u32 positions, K blocks,
 #   V blocks, residual K, residual V;
@@ -240,11 +233,10 @@ def prefill_compress(
 # packed code bytes and outlier triples (u32 row, u32 col, f32 value). A
 # residual is u32 rows, u32 cols, f32 values.
 SNAPSHOT_MAGIC = b"KVSN"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
-_HEADER = "<HHHIIBBIIdIq"
+_HEADER = "<HHHIIBdIq"
 _LAYOUTS = list(Layout)
-_POLICIES = list(PolicyKind)
 _PLAN_TABLE = np.dtype([("tokens", "<u4"), ("bits", "u1")])
 _GROUP_TABLE = np.dtype([("length", "<u4"), ("zero", "<f8"), ("scale", "<f8")])
 _OUTLIER_TABLE = np.dtype([("row", "<u4"), ("col", "<u4"), ("value", "<f4")])
@@ -285,9 +277,6 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
             cache.head_dim,
             cache.plan.group_size,
             _LAYOUTS.index(cache.plan.layout),
-            _POLICIES.index(cache.policy.kind),
-            cache.policy.window,
-            cache.policy.pool_width,
             float("nan") if cache.outlier_threshold is None else cache.outlier_threshold,
             cache.prefill_len,
             cache.plan.total_budget_bytes,
@@ -402,9 +391,6 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
         head_dim,
         group_size,
         layout_code,
-        policy_code,
-        recent,
-        pool,
         threshold,
         prefill_len,
         total_budget_bytes,
@@ -414,9 +400,8 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
     if len(data) < r.pos + 4 or zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
         raise IntegrityError("snapshot checksum mismatch")
     r.data = data[:-4]
-    if layout_code >= len(_LAYOUTS) or policy_code >= len(_POLICIES):
-        raise IntegrityError(f"unknown layout code {layout_code} or policy code {policy_code}")
-    policy = PolicyConfig(_POLICIES[policy_code], recent, pool)
+    if layout_code >= len(_LAYOUTS):
+        raise IntegrityError(f"unknown layout code {layout_code}")
     outlier = None if np.isnan(threshold) else float(threshold)
     table = np.frombuffer(r.take(_PLAN_TABLE.itemsize * layers), dtype=_PLAN_TABLE)
     plan = BudgetPlan(
@@ -434,7 +419,6 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
 
     return CompressedKVCache(
         plan=plan,
-        policy=policy,
         heads=heads,
         head_dim=head_dim,
         prefill_len=prefill_len,

@@ -82,7 +82,7 @@ class PrefillResult:
 
 @dataclass
 class DenseKV:
-    """Uncompressed per-layer/head K/V lists; the reference decode path."""
+    """Uncompressed per-layer/head K/V lists; the reference decode store."""
 
     keys: list[list[Matrix]]
     values: list[list[Matrix]]
@@ -93,6 +93,14 @@ class DenseKV:
             keys=[[k.copy() for k in row] for row in result.keys],
             values=[[v.copy() for v in row] for row in result.values],
         )
+
+    def decode_append(self, layer: int, head: int, k_row, v_row) -> None:
+        """Append one decode token's K/V rows, uncompressed."""
+        self.keys[layer][head] = np.concatenate([self.keys[layer][head], k_row.reshape(1, -1)])
+        self.values[layer][head] = np.concatenate([self.values[layer][head], v_row.reshape(1, -1)])
+
+    def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
+        return self.keys[layer][head], self.values[layer][head]
 
 
 def positional_encoding(length: int, d_model: int, offset: int = 0) -> Matrix:
@@ -168,56 +176,37 @@ def prefill(model: Model, tokens) -> PrefillResult:
     return PrefillResult(logits, keys, values, attn, x)
 
 
-def _attend(q_row: Matrix, k: Matrix, v: Matrix, head_dim: int) -> Matrix:
-    scores = matmul(q_row, k.T) * np.float32(1.0 / math.sqrt(head_dim))
-    return matmul(softmax_rows(scores), v)
+def _decode(model: Model, store, h) -> np.ndarray:
+    """One decode step over ``store``, a :class:`CompressedKVCache` or :class:`DenseKV`.
+
+    Each head appends the token's K/V rows first (so it attends to itself),
+    then attends over the store's ``materialize`` output.
+    """
+    cfg = model.config
+    scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
+    x = np.asarray(h, dtype=np.float32).reshape(1, cfg.d_model)
+    for layer, lw in enumerate(model.weights.layers):
+        q = matmul(x, lw.w_q)
+        k = matmul(x, lw.w_k)
+        v = matmul(x, lw.w_v)
+        outs = []
+        for head in range(cfg.heads):
+            sl = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
+            store.decode_append(layer, head, k[0, sl], v[0, sl])
+            k_mat, v_mat = store.materialize(layer, head)
+            outs.append(matmul(softmax_rows(matmul(q[:, sl], k_mat.T) * scale), v_mat))
+        x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)
+    return matmul(x, model.weights.head)[0]
 
 
 def decode_step(model: Model, cache: CompressedKVCache, h) -> np.ndarray:
-    """One decode step through the compressed cache.
-
-    The token's K/V rows are appended first (so it attends to itself), then
-    each head attends over the materialized, dequantized cache. The cache is
-    mutated in place; returns the next-token logits.
-    """
-    cfg = model.config
-    x = np.asarray(h, dtype=np.float32).reshape(1, cfg.d_model)
-    for layer, lw in enumerate(model.weights.layers):
-        q = matmul(x, lw.w_q)
-        k = matmul(x, lw.w_k)
-        v = matmul(x, lw.w_v)
-        outs = []
-        for head in range(cfg.heads):
-            sl = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
-            cache.decode_append(layer, head, k[0, sl], v[0, sl])
-            k_mat, v_mat = cache.materialize(layer, head)
-            outs.append(_attend(q[:, sl], k_mat, v_mat, cfg.head_dim))
-        x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)
-    return matmul(x, model.weights.head)[0]
+    """One decode step through the compressed cache, mutated in place; returns the logits."""
+    return _decode(model, cache, h)
 
 
 def decode_step_dense(model: Model, kv: DenseKV, h) -> np.ndarray:
-    """Reference decode over uncompressed K/V lists; mirrors decode_step."""
-    cfg = model.config
-    x = np.asarray(h, dtype=np.float32).reshape(1, cfg.d_model)
-    for layer, lw in enumerate(model.weights.layers):
-        q = matmul(x, lw.w_q)
-        k = matmul(x, lw.w_k)
-        v = matmul(x, lw.w_v)
-        outs = []
-        for head in range(cfg.heads):
-            sl = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
-            kv.keys[layer][head] = np.concatenate(
-                [kv.keys[layer][head], k[:, sl]], axis=0
-            )
-            kv.values[layer][head] = np.concatenate(
-                [kv.values[layer][head], v[:, sl]], axis=0
-            )
-            outs.append(
-                _attend(q[:, sl], kv.keys[layer][head], kv.values[layer][head], cfg.head_dim)
-            )
-        x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)
-    return matmul(x, model.weights.head)[0]
+    """Reference decode: :func:`decode_step`'s loop over the uncompressed store ``kv``."""
+    return _decode(model, kv, h)
 
 
 def embed_token(model: Model, token: int, position: int = 0) -> np.ndarray:

@@ -2,9 +2,14 @@
 
 Each policy maps (attention statistics, token budget) to the set of token
 indices whose K/V entries survive compression, per layer and per head.
-Four scoring rules are implemented:
+Every policy keeps tokens by one rule (``_keep``): a budget below the
+recent window is a contract violation, a budget of at least the prompt
+length keeps every token, and otherwise the recent window survives plus
+the ``budget - window`` best-scoring earlier tokens (ties toward the
+earlier token). The policies differ only in how they score those earlier
+candidates:
 
-* ``streaming_llm``: initial sink tokens plus a recent window, no scores.
+* ``streaming_llm``: earlier is better, so the initial sink tokens survive.
 * ``h2o``: cumulative attention over all query rows (heavy hitters).
 * ``snapkv``: attention from a trailing observation window, max-pooled over
   key positions.
@@ -69,8 +74,6 @@ class ScoreContext:
 
     attn_probs: Matrix
     seq_len: int
-    layer_index: int = 0
-    head_index: int = 0
 
     def __post_init__(self) -> None:
         p = self.attn_probs
@@ -90,7 +93,6 @@ class PruneDecision:
     """Sorted, unique token indices retained under a budget."""
 
     retained: tuple[int, ...]
-    budget: int
 
     def __post_init__(self) -> None:
         r = self.retained
@@ -113,33 +115,31 @@ def top_k_indices(scores, k: int) -> list[int]:
     return sorted(int(i) for i in order)
 
 
-def _decision(indices, budget: int) -> PruneDecision:
-    return PruneDecision(tuple(sorted(int(i) for i in set(indices))), budget)
+def _keep(n: int, budget: int, cfg: PolicyConfig, candidate_scores) -> PruneDecision:
+    """The keep rule of every policy (see the module docstring).
+
+    ``candidate_scores(c)`` scores the ``c = n - window`` candidates; it is
+    called only when tokens are evicted.
+    """
+    w = cfg.window
+    if budget < w:
+        raise ContractViolation(f"budget {budget} below recent window {w}")
+    if budget >= n:
+        return PruneDecision(tuple(range(n)))
+    picks = top_k_indices(candidate_scores(n - w), budget - w)
+    return PruneDecision(tuple(picks) + tuple(range(n - w, n)))
 
 
 def score_streaming(n: int, budget: int, cfg: PolicyConfig) -> PruneDecision:
     """Attention sinks (earliest tokens) plus the recent window."""
-    w = cfg.window
-    if budget < w:
-        raise ContractViolation(f"budget {budget} below recent window {w}")
-    if budget >= n:
-        return _decision(range(n), budget)
-    sinks = range(budget - w)
-    recent = range(n - w, n)
-    return _decision(list(sinks) + list(recent), budget)
+    return _keep(n, budget, cfg, lambda c: -np.arange(c))
 
 
 def score_h2o(ctx: ScoreContext, budget: int, cfg: PolicyConfig) -> PruneDecision:
     """Cumulative-attention scoring over all query rows."""
-    w = cfg.window
-    if budget < w:
-        raise ContractViolation(f"budget {budget} below recent window {w}")
-    n = ctx.seq_len
-    if budget >= n:
-        return _decision(range(n), budget)
-    scores = ctx.attn_probs.astype(np.float64).sum(axis=0)
-    picks = top_k_indices(scores[: n - w], budget - w)
-    return _decision(picks + list(range(n - w, n)), budget)
+    return _keep(
+        ctx.seq_len, budget, cfg, lambda c: ctx.attn_probs.astype(np.float64).sum(axis=0)[:c]
+    )
 
 
 def _max_pool_1d(scores: np.ndarray, width: int) -> np.ndarray:
@@ -160,19 +160,12 @@ def score_snapkv(ctx: ScoreContext, budget: int, cfg: PolicyConfig) -> PruneDeci
     over the candidate region before top-k selection. The window itself is
     always retained.
     """
-    w = cfg.window
-    if budget < w:
-        raise ContractViolation(f"budget {budget} below recent window {w}")
-    n = ctx.seq_len
-    if budget >= n:
-        return _decision(range(n), budget)
-    if n <= w:
-        raise ContractViolation(f"seq_len {n} must exceed recent window {w}")
-    obs = ctx.attn_probs[n - w :, :].astype(np.float64)
-    raw = obs.sum(axis=0)[: n - w]
-    pooled = _max_pool_1d(raw, cfg.pool_width)
-    picks = top_k_indices(pooled, budget - w)
-    return _decision(picks + list(range(n - w, n)), budget)
+
+    def pooled(c: int) -> np.ndarray:  # the window's query rows start at row c
+        raw = ctx.attn_probs[c:, :].astype(np.float64).sum(axis=0)[:c]
+        return _max_pool_1d(raw, cfg.pool_width)
+
+    return _keep(ctx.seq_len, budget, cfg, pooled)
 
 
 _SCORERS = {

@@ -36,6 +36,7 @@ from .budget import (
     BudgetPlan,
     LayerOverride,
     apply_overrides,
+    fp16_kv_bytes,
     plan_for_tokens,
     pyramid_allocation,
 )
@@ -236,6 +237,11 @@ def validate_config(cfg: SweepConfig) -> list[str]:
     if cfg.task == "recall" and (cfg.model != "recall" or cfg.weights_file):
         # the pair vocabulary cannot be reconstructed from a weights file
         problems.append("the recall task requires the built-in recall model")
+    if cfg.model == "random" and not cfg.weights_file:
+        try:
+            ModelConfig(cfg.layers, cfg.heads, cfg.d_model, cfg.vocab, cfg.context_limit)
+        except ContractViolation as exc:
+            problems.append(f"random model: {exc}")
     if not enumerate_grid(cfg):
         problems.append("the grid is empty (an axis has no value, or no bits x multiplier is 16)")
     for p in cfg.policies:
@@ -269,6 +275,8 @@ def validate_config(cfg: SweepConfig) -> list[str]:
     if cfg.task == "recall":
         if cfg.num_pairs < 1:
             problems.append("num_pairs must be >= 1 for the recall task")
+        if cfg.filler_vocab < 1:
+            problems.append("filler_vocab must be >= 1 for the recall task")
         if cfg.needle_depths and len(cfg.needle_depths) != cfg.num_pairs:
             problems.append("needle_depths length must equal num_pairs")
         for d in cfg.needle_depths:
@@ -279,6 +287,8 @@ def validate_config(cfg: SweepConfig) -> list[str]:
                 problems.append(f"{cfg.num_pairs} pairs cannot fit in seq_len {n}")
     if cfg.task == "random_probe" and cfg.probe_steps < 1:
         problems.append("probe_steps must be >= 1 for the random_probe task")
+    if cfg.base_tokens < 1:
+        problems.append("base_tokens must be >= 1")
     if cfg.full_cache_tokens < 1:
         problems.append("full_cache_tokens must be >= 1")
     if not 0 < cfg.pyramid_min_fraction <= 1:
@@ -349,13 +359,7 @@ def _build_model(cfg: SweepConfig, point: GridPoint):
 
 def _contexts(result) -> list[list[ScoreContext]]:
     n = result.hidden.shape[0]
-    return [
-        [
-            ScoreContext(attn, n, layer_index=layer, head_index=head)
-            for head, attn in enumerate(row)
-        ]
-        for layer, row in enumerate(result.attn)
-    ]
+    return [[ScoreContext(attn, n) for attn in row] for row in result.attn]
 
 
 def _build_plan(cfg: SweepConfig, point: GridPoint, model: Model, policy: PolicyConfig) -> BudgetPlan:
@@ -380,11 +384,6 @@ def _build_plan(cfg: SweepConfig, point: GridPoint, model: Model, policy: Policy
         layout=layout,
     )
     return apply_overrides(plan, parse_override_spec(point.override_spec))
-
-
-def _full_cache_bytes(cfg: SweepConfig, model: Model) -> int:
-    c = model.config
-    return c.layers * 2 * c.heads * cfg.full_cache_tokens * c.head_dim * 2
 
 
 def _run_recall(model: Model, task, point: GridPoint, cache, result):
@@ -455,7 +454,8 @@ def run_point(cfg: SweepConfig, point: GridPoint) -> SweepRow | SweepSkip:
         )
         measured = cache.measured_bytes()
         payload = cache.payload_bytes()
-        full = _full_cache_bytes(cfg, model)
+        c = model.config
+        full = c.layers * fp16_kv_bytes(cfg.full_cache_tokens, c.heads, c.head_dim)
 
         if cfg.task == "recall":
             accuracy, perturb = _run_recall(model, task, point, cache, result)

@@ -38,10 +38,6 @@ def zeros(rows: int, cols: int) -> Matrix:
     return np.zeros((rows, cols), dtype=np.float32)
 
 
-def identity(n: int) -> Matrix:
-    return np.eye(n, dtype=np.float32)
-
-
 def _check(m: Matrix, name: str) -> Matrix:
     if not isinstance(m, np.ndarray) or m.ndim != 2:
         raise ContractViolation(f"{name} must be a 2-D array")

@@ -49,10 +49,7 @@ def report(num: int, ok: bool, desc: str) -> None:
 
 def contexts(result):
     n = result.hidden.shape[0]
-    return [
-        [ScoreContext(a, n, l, h) for h, a in enumerate(row)]
-        for l, row in enumerate(result.attn)
-    ]
+    return [[ScoreContext(a, n) for a in row] for row in result.attn]
 
 
 def test_criterion_1_quantization_round_trip():

@@ -28,8 +28,8 @@ def make_inputs(layers, heads, n, head_dim, seed=0):
         for _ in range(layers)
     ]
     ctxs = [
-        [ScoreContext(causal_uniform_attn(n), n, l, h) for h in range(heads)]
-        for l in range(layers)
+        [ScoreContext(causal_uniform_attn(n), n) for _ in range(heads)]
+        for _ in range(layers)
     ]
     return keys, values, ctxs
 
@@ -78,7 +78,7 @@ class TestPrefillCompress:
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
         for layer in range(3):
             for head in range(2):
-                assert cache.token_count(layer, head) == min(40, 50)
+                assert len(cache.entry(layer, head).positions) == min(40, 50)
 
 
 class TestDecodeAppend:
@@ -179,11 +179,11 @@ class TestDecodeAppend:
 
     def test_conservation_during_decode(self):
         cache = self.make_cache(group=4, n=12)
-        base = cache.token_count(0, 0)
+        base = len(cache.entry(0, 0).positions)
         rng = np.random.default_rng(6)
         for t in range(7):
             cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
-            assert cache.token_count(0, 0) == base + t + 1
+            assert len(cache.entry(0, 0).positions) == base + t + 1
 
     def test_wrong_width_rejected(self):
         cache = self.make_cache()
@@ -331,10 +331,11 @@ class TestSnapshot:
         assert load_snapshot(dump_snapshot(cache)).plan == cache.plan
 
     def test_older_version_rejected(self):
-        blob = bytearray(dump_snapshot(self.build()))
-        struct.pack_into("<H", blob, 4, 1)
-        with pytest.raises(IntegrityError, match="version 1"):
-            load_snapshot(bytes(blob))
+        for version in (1, 2):
+            blob = bytearray(dump_snapshot(self.build()))
+            struct.pack_into("<H", blob, 4, version)
+            with pytest.raises(IntegrityError, match=f"version {version}"):
+                load_snapshot(bytes(blob))
 
     def test_full_precision_sections_round_trip(self):
         keys, values, ctxs = make_inputs(1, 2, 16, 8, seed=17)
@@ -351,8 +352,8 @@ class TestSnapshot:
         assert restored.measured_bytes() == cache.measured_bytes()
 
 
-SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBBIIdIq")
-GROUP_SIZE_AT, LAYOUT_AT, POLICY_AT, RECENT_AT, POOL_AT = 14, 18, 19, 20, 24
+SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBdIq")
+GROUP_SIZE_AT, LAYOUT_AT = 14, 18
 PLAN_TOKENS_AT, PLAN_BITS_AT = SNAPSHOT_HEADER, SNAPSHOT_HEADER + 4  # first layer's plan row
 
 
@@ -407,7 +408,6 @@ class TestSnapshotRejects:
         "mutate",
         [
             pytest.param(lambda b, t, rows: _patched(b, LAYOUT_AT, "<B", 2), id="layout-code"),
-            pytest.param(lambda b, t, rows: _patched(b, POLICY_AT, "<B", 200), id="policy-code"),
             pytest.param(lambda b, t, rows: _patched(b, PLAN_BITS_AT, "<B", 3), id="bits-3"),
             pytest.param(lambda b, t, rows: _patched(b, PLAN_BITS_AT, "<B", 0), id="bits-0"),
             pytest.param(lambda b, t, rows: _patched(b, t, "<I", 0), id="zero-length-group"),
@@ -415,8 +415,6 @@ class TestSnapshotRejects:
             pytest.param(lambda b, t, rows: _swap_first_lengths(b, t), id="packed-vs-table"),
             pytest.param(lambda b, t, rows: _sealed(b[:-4] + b"\x00"), id="trailing-bytes"),
             pytest.param(lambda b, t, rows: _patched(b, GROUP_SIZE_AT, "<I", 0), id="group-size-0"),
-            pytest.param(lambda b, t, rows: _patched(b, RECENT_AT, "<I", 0), id="recent-window-0"),
-            pytest.param(lambda b, t, rows: _patched(b, POOL_AT, "<I", 6), id="even-pool-width"),
             pytest.param(lambda b, t, rows: _patched(b, PLAN_TOKENS_AT, "<I", 0), id="plan-tokens-0"),
             pytest.param(
                 lambda b, t, rows: _patched(b, PLAN_BITS_AT, "<B", 16), id="16-bit-layer-with-blocks"
@@ -525,7 +523,7 @@ class TestClone:
         for _ in range(6):
             clone.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
         assert dump_snapshot(cache) == snapshot
-        assert clone.token_count(0, 0) == cache.token_count(0, 0) + 6
+        assert len(clone.entry(0, 0).positions) == len(cache.entry(0, 0).positions) + 6
 
     def test_copies_of_a_decoded_cache_materialize_identically(self):
         cache = TestSnapshot().build()

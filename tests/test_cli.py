@@ -49,6 +49,12 @@ class TestRun:
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
         assert not (tmp_path / "out.csv").exists()
 
+    def test_zero_base_tokens_is_config_error(self, tmp_path):
+        cfg = tmp_path / "base.cfg"
+        cfg.write_text(GOOD_CONFIG.replace("base_tokens = 16", "base_tokens = 0"))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
+        assert not (tmp_path / "out.csv").exists()
+
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KVTRADE_OUT_DIR", str(tmp_path / "outputs"))
         cfg = tmp_path / "sweep.cfg"

@@ -26,6 +26,7 @@ from kvtrade.model import (
     save_weights,
 )
 from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext
+from kvtrade.sweep import STRATEGIES
 from kvtrade.tasks import gen_recall_task
 
 STREAM = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=4)
@@ -33,10 +34,7 @@ STREAM = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=4)
 
 def contexts(result):
     n = result.hidden.shape[0]
-    return [
-        [ScoreContext(a, n, l, h) for h, a in enumerate(row)]
-        for l, row in enumerate(result.attn)
-    ]
+    return [[ScoreContext(a, n) for a in row] for row in result.attn]
 
 
 class TestPrefill:
@@ -138,6 +136,34 @@ class TestCompressionOffEquivalence:
                 token = int(np.argmax(want))
 
 
+class TestDecodeMatchesPrefill:
+    """Decoding the last tokens after a shorter prefill gives the full prefill's logits.
+
+    Prefill computes attention over whole matrices, decode one row at a time
+    through a store, so this checks the shared decode loop against code it
+    does not share.
+    """
+
+    @pytest.mark.parametrize("use_positions", [False, True], ids=["no_positions", "positions"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_two_steps_match_prefill(self, use_positions, seed):
+        rng = np.random.default_rng(seed + 300)
+        layers, heads = int(rng.integers(2, 4)), int(rng.choice([2, 4]))
+        cfg = ModelConfig(layers, heads, 8 * heads, 40, 64, seed=seed, use_positions=use_positions)
+        model = random_model(cfg)
+        tokens = rng.integers(0, 40, int(rng.integers(8, 30))).tolist()
+        n = len(tokens)
+        res = prefill(model, tokens[:-2])
+        plan = uniform_plan(layers, 64, 16, heads=heads, head_dim=cfg.head_dim)
+        cache = prefill_compress(res.keys, res.values, contexts(res), plan, STREAM)
+        dense = DenseKV.from_prefill(res)
+        for position in (n - 2, n - 1):
+            want = prefill(model, tokens[: position + 1]).logits
+            h = embed_token(model, tokens[position], position=position)
+            for got in (decode_step(model, cache, h), decode_step_dense(model, dense, h)):
+                assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+
+
 class TestExtremePruning:
     def test_last_token_only_cache_still_decodes(self):
         # recent window 1, budget 1: only the newest prompt position survives;
@@ -199,6 +225,34 @@ class TestRecallModel:
             dense = DenseKV.from_prefill(res)
             ref = decode_step_dense(model, dense, h)
             assert int(np.argmax(logits)) == int(np.argmax(ref)) == q.value_token
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_retrieval_succeeds_exactly_when_the_pair_survives(self, seed):
+        n, pairs = 128, 8
+        model, vocab, _ = build_recall_model(pairs, n)
+        task = gen_recall_task(n, pairs, [i / (pairs - 1) for i in range(pairs)], seed, vocab)
+        res = prefill(model, task.tokens)
+        ctxs = contexts(res)
+        outcomes = set()
+        for kind in PolicyKind:
+            policy = PolicyConfig(kind, recent_window=8)
+            for bits in (16, 8, 4, 2):
+                for strategy in ("per_token", "per_channel", "per_token_outlier"):
+                    layout, threshold = STRATEGIES[strategy]
+                    plan = uniform_plan(
+                        1, 12, bits, heads=1, head_dim=model.config.d_model, group_size=16,
+                        layout=layout,
+                    )
+                    cache = prefill_compress(res.keys, res.values, ctxs, plan, policy, threshold)
+                    kept = set(cache.entry(0, 0).positions)
+                    for q in task.queries:
+                        h = embed_token(model, q.key_token, position=n)
+                        hit = int(np.argmax(decode_step(model, cache.clone(), h))) == q.value_token
+                        # the value row, one after the key, is the row W_K matches
+                        survived = q.position + 1 in kept
+                        assert hit == survived, (kind, bits, strategy, q)
+                        outcomes.add(hit)
+        assert outcomes == {True, False}
 
     def test_vocab_too_small_rejected(self):
         with pytest.raises(ContractViolation):

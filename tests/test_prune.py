@@ -305,7 +305,7 @@ class TestPolicyProperties:
 
 def test_prune_decision_rejects_disorder():
     with pytest.raises(ContractViolation):
-        PruneDecision((3, 1, 2), 3)
+        PruneDecision((3, 1, 2))
 
 
 def test_context_rejects_non_causal():

@@ -85,9 +85,15 @@ class TestConfigParsing:
             (SweepConfig(num_pairs=0), "num_pairs"),
             (SweepConfig(recent_window=0), "recent_window"),
             (SweepConfig(pool_width=4), "pool_width"),
+            (SweepConfig(base_tokens=0), "base_tokens"),
+            (SweepConfig(filler_vocab=0), "filler_vocab"),
+            (SweepConfig(task="random_probe", model="random", heads=3, d_model=32), "divide"),
+            (SweepConfig(task="random_probe", model="random", vocab=0), "dimensions"),
+            (SweepConfig(task="random_probe", model="random", layers=0), "dimensions"),
         ],
         ids=["probe_steps", "full_cache_zero", "full_cache_negative", "seed", "num_pairs",
-             "recent_window", "pool_width"],
+             "recent_window", "pool_width", "base_tokens", "filler_vocab", "random_heads",
+             "random_vocab", "random_layers"],
     )
     def test_validate_flags_configs_that_crash_or_mislead(self, cfg, word):
         assert any(word in p for p in validate_config(cfg))

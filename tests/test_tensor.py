@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kvtrade.errors import ContractViolation
-from kvtrade.tensor import concat_rows, identity, matmul, matrix, softmax_rows, zeros
+from kvtrade.tensor import concat_rows, matmul, matrix, softmax_rows, zeros
 
 
 def finite_matrices(max_side=8, lo=-50.0, hi=50.0):
@@ -25,11 +25,11 @@ def finite_matrices(max_side=8, lo=-50.0, hi=50.0):
 class TestMatmul:
     def test_identity_right(self):
         m = matrix([[1, 2], [3, 4]])
-        assert np.array_equal(matmul(m, identity(2)), m)
+        assert np.array_equal(matmul(m, np.eye(2, dtype=np.float32)), m)
 
     def test_identity_left(self):
         v = matrix([[5], [7]])
-        assert np.array_equal(matmul(identity(2), v), v)
+        assert np.array_equal(matmul(np.eye(2, dtype=np.float32), v), v)
 
     def test_hand_product(self):
         # hand evaluation: row sums of [[1,2],[3,4]]
@@ -42,8 +42,8 @@ class TestMatmul:
 
     @given(finite_matrices(max_side=6))
     def test_identity_exact_both_sides(self, m):
-        assert np.array_equal(matmul(identity(m.shape[0]), m), m)
-        assert np.array_equal(matmul(m, identity(m.shape[1])), m)
+        assert np.array_equal(matmul(np.eye(m.shape[0], dtype=np.float32), m), m)
+        assert np.array_equal(matmul(m, np.eye(m.shape[1], dtype=np.float32)), m)
 
 
 class TestSoftmaxRows:
