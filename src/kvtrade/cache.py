@@ -12,8 +12,8 @@ Per (layer, head) the cache keeps one layout (KIVI's):
 A 16-bit layer is the case where the residual is never flushed: it has no
 blocks and keeps every row, prompt and decode alike, in the residual.
 
-Pruning decisions are made once, from full-precision prefill attention;
-decode-time tokens are appended and never evicted. Attention at decode runs
+Pruning decisions are made once, from full-precision prefill attention
+statistics (``ScoreContext``); decode-time tokens are appended and never evicted. Attention at decode runs
 over ``materialize``'s output: each immutable block is decoded once, on
 first use, and kept on the block (``dequantize_matrix``), so a decode step
 decodes only blocks it has not seen and joins them with the residual. This
@@ -171,8 +171,8 @@ def prefill_compress(
 ) -> CompressedKVCache:
     """Prune every (layer, head) to its plan budget, then quantize the survivors.
 
-    Scoring sees the full-precision prefill attention in ``ctxs``; gathered
-    rows keep their temporal order. The gathered rows go to the residual,
+    Scoring sees the full-precision prefill attention statistics in ``ctxs``;
+    gathered rows keep their temporal order. The gathered rows go to the residual,
     which is flushed into the prompt block; 16-bit layers keep them there.
     """
     if len(keys) != plan.layers:

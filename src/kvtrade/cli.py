@@ -20,6 +20,7 @@ import os
 import sys
 from pathlib import Path
 
+from .errors import IntegrityError
 from .sweep import (
     DEMO_CONFIG,
     ConfigError,
@@ -73,6 +74,9 @@ def _cmd_run(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except IntegrityError as exc:  # a damaged weights file, read to validate
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     try:
         rows, skips = run_sweep(cfg, parallel=args.parallel)
         out = _resolve_out(args.out, cfg.output)
@@ -99,6 +103,9 @@ def _cmd_validate(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except IntegrityError as exc:
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     print("ok")
     return EXIT_OK
 

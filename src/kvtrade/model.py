@@ -21,6 +21,7 @@ import numpy as np
 
 from .cache import CompressedKVCache
 from .errors import ContractViolation, IntegrityError
+from .prune import check_causal_rows
 from .quant import error_bound_matrix
 from .tensor import Matrix, matmul, softmax_rows
 
@@ -76,7 +77,10 @@ class PrefillResult:
     logits: np.ndarray  # next-token logits, shape (vocab,)
     keys: list[list[Matrix]]  # [layer][head] -> n x head_dim
     values: list[list[Matrix]]
-    attn: list[list[Matrix]]  # [layer][head] -> n x n causal probabilities
+    # [layer][head] -> the last min(window, n) rows of the n x n causal
+    # probabilities, window rows x n
+    attn: list[list[Matrix]]
+    column_sums: list[list[np.ndarray]]  # [layer][head] -> float64 (n,), over all rows
     hidden: Matrix  # final-layer hidden states, n x d_model
 
 
@@ -131,9 +135,32 @@ def _head_slices(x: Matrix, heads: int, head_dim: int) -> list[Matrix]:
     return [x[:, h * head_dim : (h + 1) * head_dim] for h in range(heads)]
 
 
-def prefill(model: Model, tokens) -> PrefillResult:
+def _row_blocks(n: int) -> list[tuple[int, int, int]]:
+    """``(r0, new, r1)`` for each block of query rows in :func:`prefill`'s attention.
+
+    A block holds ``max(1, 2**18 // n)`` rows (every row up to n = 512); its
+    rows ``new..r1`` are the ones no earlier block computed. The last block
+    ends at row n and overlaps the one before it rather than running short:
+    BLAS may sum a short block's ``probs @ v`` products in another order (a
+    small-matrix kernel or gemv) than the full product, and a full-height
+    block keeps each output row bit-identical to the full n x n computation.
+    """
+    rows = min(max(1, 2**18 // n), n)
+    return [(min(new, n - rows), new, min(new + rows, n)) for new in range(0, n, rows)]
+
+
+def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     """Run the prompt once, returning next-token logits plus the full-precision
-    K/V and attention probabilities every compression decision starts from."""
+    K/V and the attention statistics every compression decision starts from.
+
+    Each head's attention is computed one block of query rows at a time
+    (:func:`_row_blocks`), so no n x n matrix is ever held. Per head the
+    result keeps the float64 column sums of the probabilities and the last
+    ``window`` probability rows (see :class:`PrefillResult`). Each block is
+    checked as :class:`ScoreContext` checks its rows: a row that does not
+    sum to 1, or that puts weight past its diagonal (a real score below
+    ``NEG_MASK``), raises ContractViolation.
+    """
     cfg = model.config
     ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
     n = ids.size
@@ -141,17 +168,22 @@ def prefill(model: Model, tokens) -> PrefillResult:
         raise ContractViolation(f"prompt length {n} outside (0, {cfg.context_limit}]")
     if ids.min() < 0 or ids.max() >= cfg.vocab:
         raise ContractViolation("token id outside vocabulary")
+    if window < 0:
+        raise ContractViolation(f"window must be >= 0, got {window}")
 
     x = model.weights.embedding[ids, :].copy()
     if cfg.use_positions:
         x = x + positional_encoding(n, cfg.d_model)
 
     scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
-    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    blocks = _row_blocks(n)
+    first_kept = n - min(window, n)
+    cols = np.arange(n)
 
     keys: list[list[Matrix]] = []
     values: list[list[Matrix]] = []
     attn: list[list[Matrix]] = []
+    column_sums: list[list[np.ndarray]] = []
     for lw in model.weights.layers:
         q = matmul(x, lw.w_q)
         k = matmul(x, lw.w_k)
@@ -159,21 +191,32 @@ def prefill(model: Model, tokens) -> PrefillResult:
         k_heads = _head_slices(k, cfg.heads, cfg.head_dim)
         v_heads = _head_slices(v, cfg.heads, cfg.head_dim)
         q_heads = _head_slices(q, cfg.heads, cfg.head_dim)
-        layer_attn = []
-        outs = []
-        for qh, kh, vh in zip(q_heads, k_heads, v_heads):
-            scores = matmul(qh, kh.T) * scale
-            scores[mask] = NEG_MASK
-            probs = softmax_rows(scores)
-            layer_attn.append(probs)
-            outs.append(matmul(probs, vh))
+        sums = [np.zeros(n) for _ in range(cfg.heads)]
+        kept = [np.empty((n - first_kept, n), dtype=np.float32) for _ in range(cfg.heads)]
+        out = np.empty((n, cfg.d_model), dtype=np.float32)
+        for r0, new, r1 in blocks:
+            mask = cols > np.arange(r0, r1)[:, None]
+            for head, (qh, kh, vh) in enumerate(zip(q_heads, k_heads, v_heads)):
+                scores = matmul(qh[r0:r1], kh.T) * scale
+                scores[mask] = NEG_MASK
+                probs = softmax_rows(scores)
+                check_causal_rows(probs, r0, masked=True)
+                cols_h = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
+                out[new:r1, cols_h] = matmul(probs, vh)[new - r0 :]
+                # the new rows, reduced in float64 with the running sums as
+                # their first row: bit for bit a full-matrix sum(axis=0)
+                sums[head] = np.add.reduce(np.vstack([sums[head], probs[new - r0 :]]), axis=0)
+                if r1 > first_kept:
+                    lo = max(new, first_kept)
+                    kept[head][lo - first_kept : r1 - first_kept] = probs[lo - r0 :]
         keys.append([np.ascontiguousarray(kh) for kh in k_heads])
         values.append([np.ascontiguousarray(vh) for vh in v_heads])
-        attn.append(layer_attn)
-        x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)
+        attn.append(kept)
+        column_sums.append(sums)
+        x = x + matmul(out, lw.w_o)
 
     logits = matmul(x[-1:, :], model.weights.head)[0]
-    return PrefillResult(logits, keys, values, attn, x)
+    return PrefillResult(logits, keys, values, attn, column_sums, x)
 
 
 def _decode(model: Model, store, h) -> np.ndarray:

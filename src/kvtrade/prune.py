@@ -17,8 +17,10 @@ candidates:
   budgets come from the pyramid allocation in :mod:`kvtrade.budget`.
 
 Eviction happens once, at prefill; decode-time tokens are always appended
-and never evicted. Scoring always sees full-precision prefill attention,
-never quantized values.
+and never evicted. Scoring sees two statistics of the full-precision prefill
+attention, never quantized values: each key's column sum over all query rows
+(h2o) and the last ``window`` query rows (snapkv, pyramidkv). Prefill
+streams its attention and keeps only these, so no n x n matrix is needed.
 """
 
 from __future__ import annotations
@@ -63,29 +65,67 @@ class PolicyConfig:
             return PYRAMIDKV_RECENT_WINDOW
         return DEFAULT_RECENT_WINDOW
 
+    @property
+    def window_rows(self) -> int:
+        """Trailing prefill query rows the policy's scorer reads (none for
+        streaming_llm and h2o)."""
+        return self.window if self.kind in (PolicyKind.SNAPKV, PolicyKind.PYRAMIDKV) else 0
+
+
+def check_causal_rows(probs: Matrix, first_row: int, masked: bool = False) -> None:
+    """Check rows ``first_row``.. of a causal attention matrix.
+
+    Each row must sum to 1 within 1e-5, and row i must be exactly zero past
+    column i. With ``masked``, every entry past a row's diagonal is the
+    softmax of one shared mask score, so all of them equal the first, and
+    that entry alone is checked.
+    """
+    last = first_row + probs.shape[0]
+    if np.abs(probs.sum(axis=1) - 1.0).max(initial=0.0) > 1e-5:
+        raise ContractViolation("attention rows must sum to 1")
+    if masked:
+        leaks = np.diagonal(probs, first_row + 1).any()
+    else:
+        leaks = probs[:, last:].any() or np.triu(probs[:, first_row:last], k=1).any()
+    if leaks:
+        raise ContractViolation("attention must have causal (lower-triangular) support")
+
 
 @dataclass(frozen=True)
 class ScoreContext:
-    """Prefill attention probabilities for one (layer, head).
+    """The prefill attention statistics eviction reads, for one (layer, head).
 
-    ``attn_probs`` is queries x keys with causal support: row i is a
-    probability distribution over keys 0..i and exactly zero beyond.
+    ``column_sums`` (float64, length n) is each key's attention summed over
+    all n query rows. ``window_probs`` holds the last w <= n query rows of
+    the causal probabilities: query row i is a distribution over keys 0..i
+    and exactly zero beyond.
     """
 
-    attn_probs: Matrix
+    column_sums: np.ndarray
+    window_probs: Matrix
     seq_len: int
 
     def __post_init__(self) -> None:
-        p = self.attn_probs
-        if p.ndim != 2 or p.shape[0] != self.seq_len or p.shape[1] != self.seq_len:
+        n, sums, p = self.seq_len, self.column_sums, self.window_probs
+        if sums.shape != (n,) or p.ndim != 2 or p.shape[0] > n or p.shape[1] != n:
             raise ContractViolation(
-                f"attn_probs must be {self.seq_len}x{self.seq_len}, got {p.shape}"
+                f"statistics for n={n} need column sums of shape ({n},) and at most "
+                f"{n} window rows of {n}; got {sums.shape} and {p.shape}"
             )
-        sums = p.sum(axis=1)
-        if np.abs(sums - 1.0).max() > 1e-5:
-            raise ContractViolation("attention rows must sum to 1")
-        if np.triu(p, k=1).any():
-            raise ContractViolation("attention must have causal (lower-triangular) support")
+        if not (np.isfinite(sums).all() and np.isfinite(p).all()):
+            raise ContractViolation("attention statistics must be finite")
+        check_causal_rows(p, n - p.shape[0])
+        if sums.min(initial=0.0) < 0 or abs(sums.sum() - n) > n * 1e-5:
+            raise ContractViolation(f"column sums must be >= 0 and total {n}")
+
+    @classmethod
+    def from_probs(cls, attn_probs: Matrix, seq_len: int) -> "ScoreContext":
+        """Statistics of a full n x n probability matrix, all n rows kept as the window."""
+        if attn_probs.shape != (seq_len, seq_len):
+            raise ContractViolation(
+                f"attn_probs must be {seq_len}x{seq_len}, got {attn_probs.shape}"
+            )
+        return cls(attn_probs.astype(np.float64).sum(axis=0), attn_probs, seq_len)
 
 
 @dataclass(frozen=True)
@@ -137,9 +177,7 @@ def score_streaming(n: int, budget: int, cfg: PolicyConfig) -> PruneDecision:
 
 def score_h2o(ctx: ScoreContext, budget: int, cfg: PolicyConfig) -> PruneDecision:
     """Cumulative-attention scoring over all query rows."""
-    return _keep(
-        ctx.seq_len, budget, cfg, lambda c: ctx.attn_probs.astype(np.float64).sum(axis=0)[:c]
-    )
+    return _keep(ctx.seq_len, budget, cfg, lambda c: ctx.column_sums[:c])
 
 
 def _max_pool_1d(scores: np.ndarray, width: int) -> np.ndarray:
@@ -158,11 +196,17 @@ def score_snapkv(ctx: ScoreContext, budget: int, cfg: PolicyConfig) -> PruneDeci
     The last ``recent_window`` query rows score every earlier key by summed
     attention; scores are smoothed by centered max pooling of ``pool_width``
     over the candidate region before top-k selection. The window itself is
-    always retained.
+    always retained. The context must hold the last ``recent_window`` rows
+    (or all n when the window is longer).
     """
+    w, held = cfg.window, ctx.window_probs.shape[0]
+    if held < min(w, ctx.seq_len):
+        raise ContractViolation(
+            f"{cfg.kind.value} reads the last {w} query rows; the context holds {held}"
+        )
 
-    def pooled(c: int) -> np.ndarray:  # the window's query rows start at row c
-        raw = ctx.attn_probs[c:, :].astype(np.float64).sum(axis=0)[:c]
+    def pooled(c: int) -> np.ndarray:  # the window's w = n - c query rows start at row c
+        raw = ctx.window_probs[held - w :, :].astype(np.float64).sum(axis=0)[:c]
         return _max_pool_1d(raw, cfg.pool_width)
 
     return _keep(ctx.seq_len, budget, cfg, pooled)

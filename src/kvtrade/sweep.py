@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import os
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
@@ -237,7 +238,14 @@ def validate_config(cfg: SweepConfig) -> list[str]:
     if cfg.task == "recall" and (cfg.model != "recall" or cfg.weights_file):
         # the pair vocabulary cannot be reconstructed from a weights file
         problems.append("the recall task requires the built-in recall model")
-    if cfg.model == "random" and not cfg.weights_file:
+    context_limit = None  # unknown for the recall model and an unreadable weights file
+    if cfg.weights_file:
+        try:
+            context_limit = _load_weights_file(cfg.weights_file).config.context_limit
+        except OSError:
+            pass  # reported when a point loads it
+    elif cfg.model == "random":
+        context_limit = cfg.context_limit
         try:
             ModelConfig(cfg.layers, cfg.heads, cfg.d_model, cfg.vocab, cfg.context_limit)
         except ContractViolation as exc:
@@ -268,8 +276,8 @@ def validate_config(cfg: SweepConfig) -> list[str]:
     for n in cfg.seq_lens:
         if n < 4:
             problems.append(f"seq_len {n} too short")
-        if cfg.model == "random" and n > cfg.context_limit:
-            problems.append(f"seq_len {n} exceeds context_limit {cfg.context_limit}")
+        if context_limit is not None and n > context_limit:
+            problems.append(f"seq_len {n} exceeds context_limit {context_limit}")
     if any(s < 0 for s in cfg.seeds):
         problems.append("seeds must be >= 0")
     if cfg.task == "recall":
@@ -340,9 +348,20 @@ def _recall_model(num_pairs: int, seq_len: int, filler_vocab: int):
     return model, vocab
 
 
+@functools.lru_cache(maxsize=4)
+def _weights_model(path: str, mtime_ns: int, size: int) -> Model:
+    return load_weights(path)
+
+
+def _load_weights_file(path: str) -> Model:
+    """``load_weights(path)``, read once per process while the file is unchanged."""
+    st = os.stat(path)
+    return _weights_model(path, st.st_mtime_ns, st.st_size)
+
+
 def _build_model(cfg: SweepConfig, point: GridPoint):
     if cfg.weights_file:
-        return load_weights(cfg.weights_file), None
+        return _load_weights_file(cfg.weights_file), None
     if cfg.model == "recall":
         model, vocab = _recall_model(cfg.num_pairs, point.seq_len, cfg.filler_vocab)
         return model, vocab
@@ -359,7 +378,10 @@ def _build_model(cfg: SweepConfig, point: GridPoint):
 
 def _contexts(result) -> list[list[ScoreContext]]:
     n = result.hidden.shape[0]
-    return [[ScoreContext(attn, n) for attn in row] for row in result.attn]
+    return [
+        [ScoreContext(sums, rows, n) for sums, rows in zip(layer_sums, layer_rows)]
+        for layer_sums, layer_rows in zip(result.column_sums, result.attn)
+    ]
 
 
 def _build_plan(cfg: SweepConfig, point: GridPoint, model: Model, policy: PolicyConfig) -> BudgetPlan:
@@ -443,7 +465,7 @@ def run_point(cfg: SweepConfig, point: GridPoint) -> SweepRow | SweepSkip:
         else:
             tokens = gen_probe_prompt(point.seq_len, model.config.vocab, point.seed)
 
-        result = prefill(model, tokens)
+        result = prefill(model, tokens, policy.window_rows)
         cache = prefill_compress(
             result.keys,
             result.values,

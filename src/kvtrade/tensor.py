@@ -76,9 +76,11 @@ def softmax_rows(m: Matrix) -> Matrix:
         raise ContractViolation("softmax_rows requires a nonempty matrix")
     x = m.astype(np.float64)
     x -= x.max(axis=1, keepdims=True)
-    e = np.exp(x)
-    p = e / e.sum(axis=1, keepdims=True)
-    return p.astype(np.float32)
+    # in place: one float64 temporary per call, which keeps prefill's blocks
+    # reusing freed memory instead of faulting in fresh pages for each
+    np.exp(x, out=x)
+    x /= x.sum(axis=1, keepdims=True)
+    return x.astype(np.float32)
 
 
 def concat_rows(a: Matrix, b: Matrix) -> Matrix:

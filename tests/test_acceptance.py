@@ -48,8 +48,12 @@ def report(num: int, ok: bool, desc: str) -> None:
 
 
 def contexts(result):
+    """Score contexts from prefill's statistics, as the sweep builds them."""
     n = result.hidden.shape[0]
-    return [[ScoreContext(a, n) for a in row] for row in result.attn]
+    return [
+        [ScoreContext(sums, rows, n) for sums, rows in zip(layer_sums, layer_rows)]
+        for layer_sums, layer_rows in zip(result.column_sums, result.attn)
+    ]
 
 
 def test_criterion_1_quantization_round_trip():
@@ -155,7 +159,7 @@ def test_criterion_3_pruning_oracle():
             n = int(rng.integers(5, 33)) if case % 2 == 0 else int(rng.integers(33, 257))
             tie_rich = case % 3 == 0
             attn = _random_attn(rng, n, tie_rich)
-            ctx = ScoreContext(attn, n)
+            ctx = ScoreContext.from_probs(attn, n)
             recent = int(rng.integers(1, min(n - 1, 40) + 1))
             budget = int(rng.integers(recent, n + 20))
             pool = int(rng.choice([1, 3, 5, 7]))
@@ -313,7 +317,7 @@ def test_criterion_8_layer_override_frame_property():
         model = random_model(cfg)
         rng = np.random.default_rng(1008)
         tokens = rng.integers(0, 32, 48).tolist()
-        res = prefill(model, tokens)
+        res = prefill(model, tokens, window=4)
         policy = PolicyConfig(PolicyKind.SNAPKV, recent_window=4)
 
         base_plan = uniform_plan(layers, 8, 4, heads=heads, head_dim=head_dim, group_size=8)

@@ -28,7 +28,7 @@ def make_inputs(layers, heads, n, head_dim, seed=0):
         for _ in range(layers)
     ]
     ctxs = [
-        [ScoreContext(causal_uniform_attn(n), n) for _ in range(heads)]
+        [ScoreContext.from_probs(causal_uniform_attn(n), n) for _ in range(heads)]
         for _ in range(layers)
     ]
     return keys, values, ctxs

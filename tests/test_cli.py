@@ -76,6 +76,24 @@ class TestValidate:
         assert "invalid" in capsys.readouterr().err
 
 
+def test_damaged_weights_file_is_runtime_error(tmp_path, capsys):
+    from kvtrade.model import ModelConfig, random_model, save_weights
+
+    path = tmp_path / "model.bin"
+    save_weights(random_model(ModelConfig(1, 2, 16, 32, 64, seed=5)), path)
+    path.write_bytes(path.read_bytes()[:-1])
+    cfg = tmp_path / "weights.cfg"
+    cfg.write_text(
+        f"task = random_probe\nmodel = random\nweights_file = {path}\nseq_lens = 24\n"
+        "policies = streaming_llm\nbits = 8\ntoken_multipliers = 2\nbase_tokens = 8\n"
+        "full_cache_tokens = 24\nprobe_steps = 2\nrecent_window = 4\n"
+    )
+    for args in (["run", "--out", str(tmp_path / "o.csv")], ["validate"]):
+        assert main(args + ["--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "runtime error" in err and "truncated" in err
+
+
 class TestDemo:
     def test_demo_prints_table(self, capsys):
         assert main(["demo"]) == 0

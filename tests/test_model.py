@@ -1,5 +1,7 @@
+import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from kvtrade.budget import uniform_plan
 from kvtrade.cache import prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.model import (
+    NEG_MASK,
     DenseKV,
     Model,
     ModelConfig,
@@ -20,27 +23,33 @@ from kvtrade.model import (
     decode_step_dense,
     embed_token,
     load_weights,
+    positional_encoding,
     prefill,
     quantization_logit_bound,
     random_model,
     save_weights,
 )
-from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext
+from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext, decide
 from kvtrade.sweep import STRATEGIES
 from kvtrade.tasks import gen_recall_task
+from kvtrade.tensor import matmul
 
 STREAM = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=4)
 
 
 def contexts(result):
+    """Score contexts from prefill's statistics, as the sweep builds them."""
     n = result.hidden.shape[0]
-    return [[ScoreContext(a, n) for a in row] for row in result.attn]
+    return [
+        [ScoreContext(sums, rows, n) for sums, rows in zip(layer_sums, layer_rows)]
+        for layer_sums, layer_rows in zip(result.column_sums, result.attn)
+    ]
 
 
 class TestPrefill:
     def test_single_token_attention(self):
         model = random_model(ModelConfig(2, 1, 8, 16, 32, seed=0))
-        res = prefill(model, [3])
+        res = prefill(model, [3], window=1)
         for row in res.attn:
             for attn in row:
                 assert attn.tolist() == [[1.0]]
@@ -58,7 +67,7 @@ class TestPrefill:
                 model.weights.head,
             ),
         )
-        res = prefill(zeroed, [1, 2, 3, 4, 5])
+        res = prefill(zeroed, [1, 2, 3, 4, 5], window=5)
         expected = np.tril(np.ones((5, 5))) / np.arange(1, 6)[:, None]
         for attn in res.attn[0]:
             assert np.allclose(attn, expected, atol=1e-6)
@@ -66,7 +75,7 @@ class TestPrefill:
     def test_shapes(self):
         cfg = ModelConfig(2, 1, 8, 16, 32, seed=2)
         model = random_model(cfg)
-        res = prefill(model, list(range(16)))
+        res = prefill(model, list(range(16)), window=16)
         assert res.logits.shape == (16,)
         for row_k, row_v, row_a in zip(res.keys, res.values, res.attn):
             assert len(row_k) == 1
@@ -90,7 +99,7 @@ class TestPrefill:
         cfg = ModelConfig(layers, heads, heads * head_dim, vocab, 64, seed=seed)
         model = random_model(cfg)
         n = int(rng.integers(2, 20))
-        res = prefill(model, rng.integers(0, vocab, n).tolist())
+        res = prefill(model, rng.integers(0, vocab, n).tolist(), window=n)
         assert res.logits.shape == (vocab,)
         assert res.hidden.shape == (n, cfg.d_model)
         assert all(k.shape == (n, head_dim) for row in res.keys for k in row)
@@ -105,8 +114,8 @@ class TestPrefill:
         t = 11
         mutated = list(tokens)
         mutated[t + 1] = (mutated[t + 1] + 7) % 32
-        a = prefill(model, tokens)
-        b = prefill(model, mutated)
+        a = prefill(model, tokens, window=20)
+        b = prefill(model, mutated, window=20)
         assert np.array_equal(a.hidden[: t + 1], b.hidden[: t + 1])
         for la, lb in zip(a.keys, b.keys):
             for ka, kb in zip(la, lb):
@@ -114,6 +123,127 @@ class TestPrefill:
         for la, lb in zip(a.attn, b.attn):
             for pa, pb in zip(la, lb):
                 assert np.array_equal(pa[: t + 1, : t + 1], pb[: t + 1, : t + 1])
+
+
+def _reference_softmax(m):
+    x = m.astype(np.float64)
+    x -= x.max(axis=1, keepdims=True)
+    e = np.exp(x)
+    return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
+
+
+def full_matrix_prefill(model, tokens):
+    """Oracle: prefill with each head's whole n x n attention matrix at once.
+
+    Returns ``(logits, keys, values, attn, hidden)`` with ``attn[layer][head]``
+    the full causal probability matrix.
+    """
+    cfg = model.config
+    ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
+    n = ids.size
+    x = model.weights.embedding[ids, :].copy()
+    if cfg.use_positions:
+        x = x + positional_encoding(n, cfg.d_model)
+    scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
+    mask = np.triu(np.ones((n, n), dtype=bool), k=1)
+    heads = [slice(h * cfg.head_dim, (h + 1) * cfg.head_dim) for h in range(cfg.heads)]
+    keys, values, attn = [], [], []
+    for lw in model.weights.layers:
+        q, k, v = matmul(x, lw.w_q), matmul(x, lw.w_k), matmul(x, lw.w_v)
+        layer_attn, outs = [], []
+        for sl in heads:
+            scores = matmul(q[:, sl], k[:, sl].T) * scale
+            scores[mask] = NEG_MASK
+            probs = _reference_softmax(scores)
+            layer_attn.append(probs)
+            outs.append(matmul(probs, v[:, sl]))
+        keys.append([k[:, sl] for sl in heads])
+        values.append([v[:, sl] for sl in heads])
+        attn.append(layer_attn)
+        x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)
+    return matmul(x[-1:, :], model.weights.head)[0], keys, values, attn, x
+
+
+class TestStreamedPrefill:
+    """Streamed prefill equals the full-matrix oracle bit for bit.
+
+    At n <= 512 prefill computes one block; 513 runs two overlapping blocks
+    of 511 rows and 1500 runs nine of 174 rows, the last overlapping.
+    """
+
+    @pytest.mark.parametrize("use_positions", [False, True])
+    @pytest.mark.parametrize("n", [1, 7, 512, 513, 1500])
+    def test_matches_full_matrix_oracle(self, n, use_positions):
+        cfg = ModelConfig(2, 2, 16, 40, 2048, seed=n, use_positions=use_positions)
+        model = random_model(cfg)
+        tokens = np.random.default_rng(n).integers(0, 40, n).tolist()
+        logits, keys, values, attn, hidden = full_matrix_prefill(model, tokens)
+        for window in (0, 8, 32, n):
+            res = prefill(model, tokens, window=window)
+            assert np.array_equal(res.logits, logits)
+            assert np.array_equal(res.hidden, hidden)
+            kept = min(window, n)
+            for layer in range(cfg.layers):
+                for head in range(cfg.heads):
+                    full = attn[layer][head]
+                    assert np.array_equal(res.keys[layer][head], keys[layer][head])
+                    assert np.array_equal(res.values[layer][head], values[layer][head])
+                    sums = res.column_sums[layer][head]
+                    assert sums.dtype == np.float64
+                    assert np.array_equal(sums, full.astype(np.float64).sum(axis=0))
+                    rows = res.attn[layer][head]
+                    assert rows.shape == (kept, n) and rows.dtype == np.float32
+                    assert np.array_equal(rows, full[n - kept :])
+                    self._same_decisions(res, full, layer, head, window)
+
+    @staticmethod
+    def _same_decisions(res, full, layer, head, window):
+        """decide keeps the same tokens from prefill's statistics and from the oracle's."""
+        n = full.shape[0]
+        streamed = ScoreContext(res.column_sums[layer][head], res.attn[layer][head], n)
+        oracle = ScoreContext.from_probs(full, n)
+        recent = max(window, 1)
+        for kind in PolicyKind:
+            policy = PolicyConfig(kind, recent_window=recent)
+            if policy.window_rows > window:
+                continue  # reads rows prefill did not keep
+            for budget in {recent, (recent + n) // 2, n}:
+                if budget >= recent:
+                    got = decide(policy, streamed, n, budget)
+                    assert got == decide(policy, oracle, n, budget), (kind, budget)
+
+    def test_memory_stays_below_one_n_by_n_matrix(self):
+        # guards against a refactor that brings the n x n matrix back
+        n = 2048
+        model = random_model(ModelConfig(1, 1, 32, 64, n, seed=0))
+        tokens = np.random.default_rng(0).integers(0, 64, n)
+        tracemalloc.start()
+        try:
+            prefill(model, tokens, window=32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 4  # 16 MiB, one float32 n x n matrix
+
+    def test_negative_window_rejected(self):
+        model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=0))
+        with pytest.raises(ContractViolation, match="window"):
+            prefill(model, [1, 2, 3], window=-1)
+
+    def test_score_below_mask_is_rejected(self):
+        # real scores under NEG_MASK let masked keys take weight: not causal
+        model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=0))
+        lw = model.weights.layers[0]
+        emb = np.zeros_like(model.weights.embedding)
+        emb[:, 0] = 1e16
+        w_q = np.zeros_like(lw.w_q)
+        w_q[0, 0] = 1.0
+        w_k = np.zeros_like(lw.w_k)
+        w_k[0, 0] = -1.0
+        layers = (type(lw)(w_q, w_k, lw.w_v, lw.w_o),)
+        broken = Model(model.config, Weights(emb, layers, model.weights.head))
+        with pytest.raises(ContractViolation, match="causal"):
+            prefill(broken, [1, 2, 3])
 
 
 class TestCompressionOffEquivalence:
@@ -231,7 +361,7 @@ class TestRecallModel:
         n, pairs = 128, 8
         model, vocab, _ = build_recall_model(pairs, n)
         task = gen_recall_task(n, pairs, [i / (pairs - 1) for i in range(pairs)], seed, vocab)
-        res = prefill(model, task.tokens)
+        res = prefill(model, task.tokens, window=8)
         ctxs = contexts(res)
         outcomes = set()
         for kind in PolicyKind:

@@ -67,7 +67,7 @@ def random_context(rng, n, tie_rich=False):
         logits[mask] = -np.inf
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         attn = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
-    return ScoreContext(attn, n)
+    return ScoreContext.from_probs(attn, n)
 
 
 class TestTopK:
@@ -123,7 +123,7 @@ class TestStreaming:
 class TestH2O:
     def test_identity_attention_ties(self):
         # every key accumulates exactly 1.0: ties keep lowest indices
-        ctx = ScoreContext(np.eye(8, dtype=np.float32), 8)
+        ctx = ScoreContext.from_probs(np.eye(8, dtype=np.float32), 8)
         d = score_h2o(ctx, 4, PolicyConfig(PolicyKind.H2O, recent_window=2))
         assert d.retained == (0, 1, 6, 7)
 
@@ -135,7 +135,7 @@ class TestH2O:
             attn[i, 3] = 1.0 if i >= 3 else 0.0
             if i < 3:
                 attn[i, 0] = 1.0
-        ctx = ScoreContext(attn, n)
+        ctx = ScoreContext.from_probs(attn, n)
         d = score_h2o(ctx, 5, PolicyConfig(PolicyKind.H2O, recent_window=2))
         assert 3 in d.retained
 
@@ -145,7 +145,7 @@ class TestH2O:
         scores = attn.astype(np.float64).sum(axis=0)
         expected = [25 / 12, 13 / 12, 7 / 12, 1 / 4]
         assert np.allclose(scores, expected, atol=1e-6)
-        ctx = ScoreContext(attn, 4)
+        ctx = ScoreContext.from_probs(attn, 4)
         d = score_h2o(ctx, 3, PolicyConfig(PolicyKind.H2O, recent_window=2))
         assert d.retained == (0, 2, 3)
 
@@ -157,7 +157,7 @@ class TestSnapKV:
         cfg1 = PolicyConfig(PolicyKind.SNAPKV, recent_window=4, pool_width=1)
         d1 = score_snapkv(ctx, 10, cfg1)
         # manual unsmoothed selection
-        raw = ctx.attn_probs[16:, :].astype(np.float64).sum(axis=0)[:16]
+        raw = ctx.window_probs[16:, :].astype(np.float64).sum(axis=0)[:16]
         expected = sorted(set(oracle_top_k(raw.tolist(), 6)) | set(range(16, 20)))
         assert list(d1.retained) == expected
 
@@ -171,7 +171,7 @@ class TestSnapKV:
             attn[i, i] = 1.0
         for i in range(n - 4, n):
             attn[i, 7] = 1.0  # observation rows all hit key 7
-        ctx = ScoreContext(attn, n)
+        ctx = ScoreContext.from_probs(attn, n)
         cfg = PolicyConfig(PolicyKind.SNAPKV, recent_window=4, pool_width=7)
         d = score_snapkv(ctx, 8, cfg)
         assert 7 in d.retained
@@ -184,7 +184,7 @@ class TestSnapKV:
             attn[i, i] = 1.0
         for i in range(n - 4, n):
             attn[i, 0] = 1.0
-        ctx = ScoreContext(attn, n)
+        ctx = ScoreContext.from_probs(attn, n)
         cfg = PolicyConfig(PolicyKind.SNAPKV, recent_window=4, pool_width=7)
         assert 0 in score_snapkv(ctx, 5, cfg).retained
 
@@ -197,12 +197,12 @@ class TestSnapKV:
         attn[4, 1] = 0.9
         attn[4, 4] = 0.1
         attn[5, 5] = 1.0
-        ctx = ScoreContext(attn, 6)
+        ctx = ScoreContext.from_probs(attn, 6)
         d = score_snapkv(ctx, 4, PolicyConfig(PolicyKind.SNAPKV, recent_window=2, pool_width=3))
         assert d.retained == (0, 1, 4, 5)
 
     def test_needs_room_beyond_window(self):
-        ctx = ScoreContext(np.eye(4, dtype=np.float32), 4)
+        ctx = ScoreContext.from_probs(np.eye(4, dtype=np.float32), 4)
         with pytest.raises(ContractViolation):
             score_snapkv(ctx, 3, PolicyConfig(PolicyKind.SNAPKV, recent_window=4))
 
@@ -251,7 +251,7 @@ class TestPolicyProperties:
             cfg = PolicyConfig(kind, recent_window=recent, pool_width=1)
             base = scorer(ctx, budget, cfg)
             victim = next(j for j in range(n - recent) if j not in base.retained)
-            attn = ctx.attn_probs.copy()
+            attn = ctx.window_probs.copy()
             attn[:, : n - recent] *= 0.01
             attn[:, victim] = 0.0
             # dump almost all of each row's candidate mass on the victim
@@ -260,7 +260,7 @@ class TestPolicyProperties:
                 attn[i, victim] = row_mass[i]
             for i in range(victim):
                 attn[i, i] += row_mass[i]
-            boosted = ScoreContext(attn / attn.sum(axis=1, keepdims=True), n)
+            boosted = ScoreContext.from_probs(attn / attn.sum(axis=1, keepdims=True), n)
             assert victim in scorer(boosted, budget, cfg).retained
 
     def test_scale_invariance_of_selection(self):
@@ -271,7 +271,7 @@ class TestPolicyProperties:
         base = score_h2o(ctx, 9, cfg)
         # positive scaling of all scores leaves top-k unchanged; emulate by
         # scaling the score vector fed to top_k_indices
-        scores = ctx.attn_probs.astype(np.float64).sum(axis=0)[: n - 3]
+        scores = ctx.window_probs.astype(np.float64).sum(axis=0)[: n - 3]
         for factor in (0.001, 3.0, 1e6):
             assert top_k_indices(scores * factor, 6) == top_k_indices(scores, 6)
         assert base.retained == score_h2o(ctx, 9, cfg).retained
@@ -287,7 +287,7 @@ class TestPolicyProperties:
             recent = int(rng.integers(1, min(n, 8)))
             budget = int(rng.integers(recent, n + 2))
             pool = int(rng.choice([1, 3, 7]))
-            attn = ctx.attn_probs
+            attn = ctx.window_probs
             streaming = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=recent)
             assert list(score_streaming(n, budget, streaming).retained) == oracle_streaming(
                 n, budget, recent
@@ -311,4 +311,69 @@ def test_prune_decision_rejects_disorder():
 def test_context_rejects_non_causal():
     attn = np.full((3, 3), 1 / 3, dtype=np.float32)
     with pytest.raises(ContractViolation):
-        ScoreContext(attn, 3)
+        ScoreContext.from_probs(attn, 3)
+
+
+class TestStatisticsRejects:
+    """ScoreContext rejects bad statistics with ContractViolation, never IndexError."""
+
+    N = 16
+
+    def stats(self, window=4):
+        ctx = random_context(np.random.default_rng(3), self.N)
+        return ctx.column_sums.copy(), ctx.window_probs[self.N - window :].copy()
+
+    @pytest.mark.parametrize("kind", [PolicyKind.SNAPKV, PolicyKind.PYRAMIDKV])
+    def test_window_longer_than_rows_held(self, kind):
+        from kvtrade.model import ModelConfig, prefill, random_model
+
+        n = 64
+        model = random_model(ModelConfig(1, 1, 8, 16, n, seed=0))
+        res = prefill(model, list(range(16)) * 4, window=8)
+        ctx = ScoreContext(res.column_sums[0][0], res.attn[0][0], n)
+        policy = PolicyConfig(kind, recent_window=32)
+        with pytest.raises(ContractViolation, match="last 32 query rows; the context holds 8"):
+            decide(policy, ctx, n, 40)
+
+    def test_column_sums_of_wrong_length(self):
+        sums, rows = self.stats()
+        with pytest.raises(ContractViolation, match="column sums of shape"):
+            ScoreContext(sums[:-1], rows, self.N)
+
+    def test_window_wider_than_n(self):
+        sums, rows = self.stats()
+        with pytest.raises(ContractViolation, match="window rows"):
+            ScoreContext(sums, np.pad(rows, ((0, 0), (0, 1))), self.N)
+
+    @pytest.mark.parametrize("where", ["sums", "rows"])
+    def test_nan(self, where):
+        sums, rows = self.stats()
+        (sums if where == "sums" else rows)[2] = np.nan
+        with pytest.raises(ContractViolation, match="finite"):
+            ScoreContext(sums, rows, self.N)
+
+    def test_window_row_not_summing_to_one(self):
+        sums, rows = self.stats()
+        rows[1] *= 0.5
+        with pytest.raises(ContractViolation, match="sum to 1"):
+            ScoreContext(sums, rows, self.N)
+
+    def test_window_row_past_its_diagonal(self):
+        sums, rows = self.stats()
+        # window row 0 is query row n-4, over keys 0..n-4: move key 0's weight to key n-3
+        rows[0, self.N - 3], rows[0, 0] = rows[0, 0], 0.0
+        with pytest.raises(ContractViolation, match="causal"):
+            ScoreContext(sums, rows, self.N)
+
+    def test_negative_column_sum(self):
+        sums, rows = self.stats()
+        sums[1] += sums[0] + 0.5
+        sums[0] = -0.5  # the total stays n
+        with pytest.raises(ContractViolation, match="column sums must be >= 0"):
+            ScoreContext(sums, rows, self.N)
+
+    def test_column_sums_off_total(self):
+        sums, rows = self.stats()
+        sums[0] += 1e-3
+        with pytest.raises(ContractViolation, match="total 16"):
+            ScoreContext(sums, rows, self.N)

@@ -392,6 +392,40 @@ class TestWeightsFile:
         with pytest.raises(IntegrityError, match="truncated"):
             run_sweep(cfg, parallel=parallel)
 
+    def test_weights_file_loads_once_per_sweep(self, tmp_path, monkeypatch):
+        from kvtrade.model import ModelConfig, random_model, save_weights
+
+        path = tmp_path / "model.bin"
+        save_weights(random_model(ModelConfig(1, 2, 16, 32, 64, seed=5)), path)
+        calls = []
+        load = sweep.load_weights
+        monkeypatch.setattr(sweep, "load_weights", lambda p: calls.append(p) or load(p))
+        sweep._weights_model.cache_clear()
+        cfg = SweepConfig(
+            task="random_probe", model="random", weights_file=str(path),
+            seq_lens=(24,), seeds=(0, 1, 2), policies=("streaming_llm",),
+            bits=(8,), token_multipliers=(2,), base_tokens=8,
+            full_cache_tokens=24, probe_steps=2, recent_window=4,
+        )
+        rows, skips = run_sweep(cfg)
+        assert len(rows) == 3 and not skips
+        assert calls == [str(path)]
+
+    def test_seq_len_past_the_files_context_limit_rejected(self, tmp_path):
+        from kvtrade.model import ModelConfig, random_model, save_weights
+
+        path = tmp_path / "model.bin"
+        save_weights(random_model(ModelConfig(1, 2, 16, 32, 32, seed=5)), path)
+        cfg = SweepConfig(
+            task="random_probe", model="random", weights_file=str(path),
+            seq_lens=(24, 64), seeds=(0,), policies=("streaming_llm",),
+            bits=(8,), token_multipliers=(2,), base_tokens=8,
+            full_cache_tokens=24, probe_steps=2, recent_window=4,
+        )
+        assert validate_config(cfg) == ["seq_len 64 exceeds context_limit 32"]
+        with pytest.raises(ConfigError, match="seq_len 64 exceeds context_limit 32"):
+            run_sweep(cfg)
+
     def test_recall_with_weights_file_rejected(self, tmp_path):
         cfg = SweepConfig(task="recall", model="recall", weights_file="w.bin")
         assert any("recall" in p for p in validate_config(cfg))
