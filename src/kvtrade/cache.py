@@ -36,10 +36,12 @@ from .budget import BudgetPlan, fp16_kv_bytes
 from .errors import ContractViolation, IntegrityError
 from .prune import PolicyConfig, ScoreContext, decide
 from .quant import (
+    OUTLIER_DTYPE,
     Layout,
     QuantConfig,
     QuantizedTensor,
     dequantize_matrix,
+    group_split,
     quantize_matrix,
     quantized_bytes,
     payload_bytes as tensor_payload_bytes,
@@ -114,7 +116,9 @@ class CompressedKVCache:
         """Append one decode token's K/V rows to the residual at full precision.
 
         A residual of ``group_size`` rows is flushed into a quantized block,
-        except on 16-bit layers, which keep every row in the residual.
+        except on 16-bit layers, which keep every row in the residual. Rows
+        of the wrong width or with a non-finite value raise ContractViolation
+        and leave the cache unchanged.
         """
         e = self.entries[layer][head]
         k_row = np.asarray(h_k, dtype=np.float32).reshape(1, -1)
@@ -123,6 +127,11 @@ class CompressedKVCache:
             raise ContractViolation(
                 f"append rows must have width {self.head_dim}"
             )
+        # count_nonzero, not .all(): on one short row per head and step it
+        # costs about half as much
+        finite = np.count_nonzero(np.isfinite(k_row)) + np.count_nonzero(np.isfinite(v_row))
+        if finite < 2 * self.head_dim:
+            raise ContractViolation("append rows must be finite")
         # decode positions continue from the prompt length, one per append
         after_last = e.positions[-1] + 1 if e.positions else 0
         e.positions.append(max(self.prefill_len, after_last))
@@ -220,50 +229,26 @@ def prefill_compress(
     )
 
 
-# Snapshot binary layout, version 3 (all little-endian):
+# Snapshot binary layout, version 4 (all little-endian):
 #   magic "KVSN", u16 version, u16 layers, u16 heads, u32 head_dim,
 #   u32 group_size, u8 layout, f64 outlier threshold (NaN = unset),
 #   u32 prefill_len, i64 total_budget_bytes;
 #   the plan table: per layer u32 tokens, u8 bits;
 #   per (layer, head): u32 position count, u32 positions, K blocks,
-#   V blocks, residual K, residual V;
+#   V blocks, residual K and residual V as f32 values;
 #   u32 CRC-32 (zlib) of every byte before it.
-# A block list is u32 count, then per block its shape, group count, outlier
-# count and packed length, group table (u32 length, f64 zero, f64 scale),
-# packed code bytes and outlier triples (u32 row, u32 col, f32 value). A
-# residual is u32 rows, u32 cols, f32 values.
+# A block is u32 outlier count, outliers (u32 row, u32 col, f32 value), the
+# group table (f64 zero, f64 scale) and the packed codes. No shape or count
+# the flush rule fixes is stored: a quantized layer's first block holds the
+# positions below prefill_len, each later one group_size rows, the residual
+# the rest; a 16-bit layer has no blocks. quant.group_split sizes a block.
 SNAPSHOT_MAGIC = b"KVSN"
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
 
 _HEADER = "<HHHIIBdIq"
 _LAYOUTS = list(Layout)
 _PLAN_TABLE = np.dtype([("tokens", "<u4"), ("bits", "u1")])
-_GROUP_TABLE = np.dtype([("length", "<u4"), ("zero", "<f8"), ("scale", "<f8")])
-_OUTLIER_TABLE = np.dtype([("row", "<u4"), ("col", "<u4"), ("value", "<f4")])
-
-
-def _dump_matrix(out: list[bytes], m: Matrix) -> None:
-    out.append(struct.pack("<II", m.shape[0], m.shape[1]))
-    out.append(np.ascontiguousarray(m, dtype="<f4").tobytes())
-
-
-def _dump_blocks(out: list[bytes], blocks: list[QuantizedTensor]) -> None:
-    out.append(struct.pack("<I", len(blocks)))
-    for q in blocks:
-        out.append(
-            struct.pack(
-                "<IIIII",
-                q.shape[0],
-                q.shape[1],
-                len(q.lengths),
-                len(q.outliers),
-                len(q.packed_codes),
-            )
-        )
-        table = np.rec.fromarrays([q.lengths, q.zero_points, q.scales], dtype=_GROUP_TABLE)
-        out.append(table.tobytes())
-        out.append(q.packed_codes)
-        out.append(np.array(list(q.outliers), dtype=_OUTLIER_TABLE).tobytes())
+_GROUP_TABLE = np.dtype([("zero", "<f8"), ("scale", "<f8")])
 
 
 def dump_snapshot(cache: CompressedKVCache) -> bytes:
@@ -287,10 +272,11 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
         for e in row:
             out.append(struct.pack("<I", len(e.positions)))
             out.append(np.asarray(e.positions, dtype="<u4").tobytes())
-            _dump_blocks(out, e.quant_k)
-            _dump_blocks(out, e.quant_v)
-            _dump_matrix(out, e.residual_k)
-            _dump_matrix(out, e.residual_v)
+            for q in e.quant_k + e.quant_v:
+                table = np.rec.fromarrays([q.zero_points, q.scales], dtype=_GROUP_TABLE)
+                out += [struct.pack("<I", len(q.outliers)), q.outliers.tobytes()]
+                out += [table.tobytes(), q.packed_codes]
+            out.append(np.array([e.residual_k, e.residual_v], dtype="<f4").tobytes())
     body = b"".join(out)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -311,62 +297,44 @@ class _Reader:
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
 
-def _load_matrix(r: _Reader) -> Matrix:
-    rows, cols = r.unpack("<II")
-    buf = r.take(rows * cols * 4)
-    return np.frombuffer(buf, dtype="<f4").reshape(rows, cols).astype(np.float32)
+def _load_block(r: _Reader, shape: tuple[int, int], cfg: QuantConfig) -> QuantizedTensor:
+    """Read one block of ``shape``: group_split frames it, QuantizedTensor checks it."""
+    (n_out,) = r.unpack("<I")
+    outliers = np.frombuffer(r.take(OUTLIER_DTYPE.itemsize * n_out), dtype=OUTLIER_DTYPE)
+    groups, nbytes = group_split(shape, cfg.layout, cfg.group_size, cfg.bits, outliers)
+    table = np.frombuffer(r.take(_GROUP_TABLE.itemsize * groups), dtype=_GROUP_TABLE)
+    return QuantizedTensor(
+        shape=shape,
+        bits=cfg.bits,
+        group_size=cfg.group_size,
+        layout=cfg.layout,
+        zero_points=table["zero"],
+        scales=table["scale"],
+        packed_codes=r.take(nbytes),
+        outliers=outliers,
+    )
 
 
-def _load_blocks(r: _Reader, cfg: QuantConfig | None) -> list[QuantizedTensor]:
-    """Read a block list; QuantizedTensor rejects tables that disagree with the codes."""
-    (count,) = r.unpack("<I")
-    if count and cfg is None:
-        raise IntegrityError("a 16-bit layer carries quantized blocks")
-    blocks = []
-    for _ in range(count):
-        rows, cols, n_groups, n_out, packed_len = r.unpack("<IIIII")
-        table = np.frombuffer(r.take(_GROUP_TABLE.itemsize * n_groups), dtype=_GROUP_TABLE)
-        packed = r.take(packed_len)
-        out = np.frombuffer(r.take(_OUTLIER_TABLE.itemsize * n_out), dtype=_OUTLIER_TABLE)
-        blocks.append(
-            QuantizedTensor(
-                shape=(rows, cols),
-                bits=cfg.bits,
-                group_size=cfg.group_size,
-                layout=cfg.layout,
-                lengths=table["length"],
-                zero_points=table["zero"],
-                scales=table["scale"],
-                packed_codes=packed,
-                outliers=tuple(zip(out["row"].tolist(), out["col"].tolist(), out["value"].tolist())),
-            )
-        )
-    return blocks
-
-
-def _load_entry(r: _Reader, cfgs, head_dim: int) -> LayerHeadCache:
+def _load_entry(r: _Reader, cfgs, head_dim: int, prefill_len: int) -> LayerHeadCache:
     (n_pos,) = r.unpack("<I")
     positions = np.frombuffer(r.take(4 * n_pos), dtype="<u4").astype(np.int64)
-    k_cfg, v_cfg = (None, None) if cfgs is None else cfgs
-    e = LayerHeadCache(
-        positions=positions.tolist(),
-        quant_k=_load_blocks(r, k_cfg),
-        quant_v=_load_blocks(r, v_cfg),
-        residual_k=_load_matrix(r),
-        residual_v=_load_matrix(r),
-    )
-    for part in (e.quant_k + [e.residual_k], e.quant_v + [e.residual_v]):
-        if sum(m.shape[0] for m in part) != n_pos or any(m.shape[1] != head_dim for m in part):
-            raise IntegrityError("entry rows or widths disagree with its positions")
-    if e.residual_k.shape != e.residual_v.shape:
-        raise IntegrityError("residual K and V differ in rows")
     if np.any(np.diff(positions) <= 0):
         raise IntegrityError("entry positions are not strictly increasing")
-    if not (np.isfinite(e.residual_k).all() and np.isfinite(e.residual_v).all()):
+    k_cfg, v_cfg = cfgs or (None, None)
+    blocks = []  # rows per block: the prompt block, then one per flush
+    if cfgs is not None:
+        prompt = int(np.searchsorted(positions, prefill_len))
+        if prompt == 0:
+            raise IntegrityError("a quantized entry holds no prompt rows")
+        blocks = [prompt] + [k_cfg.group_size] * ((n_pos - prompt) // k_cfg.group_size)
+    quant_k = [_load_block(r, (rows, head_dim), k_cfg) for rows in blocks]
+    quant_v = [_load_block(r, (rows, head_dim), v_cfg) for rows in blocks]
+    rest = n_pos - sum(blocks)
+    residual = np.frombuffer(r.take(8 * rest * head_dim), dtype="<f4").reshape(2, rest, head_dim)
+    if not np.isfinite(residual).all():
         raise IntegrityError("residual values must be finite")
-    if k_cfg is not None and e.residual_k.shape[0] >= k_cfg.group_size:
-        raise IntegrityError("a quantized layer's residual holds a whole group")
-    return e
+    residual_k, residual_v = residual.astype(np.float32)
+    return LayerHeadCache(positions.tolist(), quant_k, quant_v, residual_k, residual_v)
 
 
 def load_snapshot(data: bytes) -> CompressedKVCache:
@@ -413,7 +381,7 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
     entries = []
     for layer in range(layers):
         cfgs = plan.quant_config(layer, outlier)
-        entries.append([_load_entry(r, cfgs, head_dim) for _ in range(heads)])
+        entries.append([_load_entry(r, cfgs, head_dim, prefill_len) for _ in range(heads)])
     if r.pos != len(r.data):
         raise IntegrityError(f"{len(r.data) - r.pos} trailing bytes after the snapshot")
 

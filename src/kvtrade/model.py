@@ -144,6 +144,8 @@ def _row_blocks(n: int) -> list[tuple[int, int, int]]:
     BLAS may sum a short block's ``probs @ v`` products in another order (a
     small-matrix kernel or gemv) than the full product, and a full-height
     block keeps each output row bit-identical to the full n x n computation.
+    That holds for head_dim >= 4 with the bundled OpenBLAS; at head_dim 1-3
+    and n > 512 a row block of ``probs @ v`` may round differently.
     """
     rows = min(max(1, 2**18 // n), n)
     return [(min(new, n - rows), new, min(new + rows, n)) for new in range(0, n, rows)]

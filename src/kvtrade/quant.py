@@ -13,14 +13,17 @@ boundary. Constant groups take ``s = 0`` and all-zero codes, and dequantize
 back to ``z`` exactly.
 
 A quantized block (:class:`QuantizedTensor`) holds each code once, in its
-packed byte stream, beside three per-group arrays: length, zero point and
-scale. Every block operation works on the whole block at once. A block is
-immutable, so it is decoded at most once: the first ``dequantize_matrix``
-call keeps the float32 result on the block, read-only, and later calls
-return it. The kept form is not storage; byte accounting and snapshots
-ignore it. The per-group functions (``quantize_group``,
-``dequantize_group``, ``pack_codes``, ``unpack_codes``) are the reference
-the tests compare the block operations against.
+packed byte stream, beside two per-group arrays, zero point and scale, and
+its outliers as one structured array. How many codes each group holds is
+not stored: :func:`group_split` derives it from the block's shape, layout,
+group size and outlier positions. Every block operation works on the
+whole block at once. A block is immutable, so it is decoded at most once:
+the first ``dequantize_matrix`` call keeps the float32 result on the block,
+read-only, and later calls return it. The kept form is not storage; byte
+accounting and snapshots ignore it. The per-group functions
+(``quantize_group``, ``dequantize_group``) are the reference the tests
+compare the block operations against; ``pack_codes`` and ``unpack_codes``
+pack and unpack a group or a whole block's stream.
 
 Byte accounting convention (used for every budget-parity figure in the
 package): packed code bytes, plus 2 bytes of scale/zero metadata per group,
@@ -44,6 +47,9 @@ GROUP_METADATA_BYTES = 2
 OUTLIER_BYTES = 6
 
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+# one outlier: its position and its exact float32 value
+OUTLIER_DTYPE = np.dtype([("row", "<u4"), ("col", "<u4"), ("value", "<f4")])
 
 
 class Layout(str, Enum):
@@ -84,71 +90,114 @@ class QuantizedTensor:
     """A quantized matrix: packed codes, per-group arrays, outlier sidecar.
 
     Groups are in layout order: run by run, and inside a run in element
-    order with outliers skipped. ``lengths``, ``zero_points`` and ``scales``
-    hold one entry per group and are read-only, so blocks can be shared.
-    ``packed_codes`` holds every code exactly once, one byte-aligned run per
-    group. ``outliers`` is sorted by (row, col) and stores exact float32
-    values. Construction raises IntegrityError when these parts disagree,
-    when a zero point, scale or outlier value is not finite or a scale is
-    negative, or when a group's decode range ``[z, z + s * (2**bits - 1)]``
-    leaves the float32 range (its decode would overflow).
+    order with outliers skipped. ``zero_points`` and ``scales`` (one entry
+    per group) and ``outliers`` (an :data:`OUTLIER_DTYPE` array sorted by
+    position, exact float32 values) are read-only, so blocks can be shared.
+    ``packed_codes`` holds every code once, one byte-aligned run per group.
+    Construction raises IntegrityError when the group arrays or the packed
+    stream disagree with :func:`group_split`, when an outlier is invalid,
+    when a zero point or scale is not finite or a scale is negative, or when
+    a group's decode range ``[z, z + s * (2**bits - 1)]`` leaves float32.
     """
 
     shape: tuple[int, int]
     bits: int
     group_size: int
     layout: Layout
-    lengths: np.ndarray
     zero_points: np.ndarray
     scales: np.ndarray
     packed_codes: bytes
-    outliers: tuple[tuple[int, int, float], ...] = field(default=())
+    outliers: np.ndarray = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        for name, dtype in (("lengths", np.int64), ("zero_points", np.float64), ("scales", np.float64)):
-            arr = np.array(getattr(self, name), dtype=dtype).reshape(-1)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        arrays = {"zero_points": np.float64, "scales": np.float64, "outliers": OUTLIER_DTYPE}
+        # an outlier value past float32 becomes inf, which group_split rejects
+        with np.errstate(over="ignore"):
+            for name, dtype in arrays.items():
+                try:
+                    arr = np.array(getattr(self, name), dtype=dtype).reshape(-1)
+                except (OverflowError, TypeError, ValueError) as exc:
+                    raise IntegrityError(f"{name} do not convert to {dtype}: {exc}") from exc
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
         if self.bits not in SUPPORTED_BITS:
             raise IntegrityError(f"bits must be one of {SUPPORTED_BITS}, got {self.bits}")
-        if not len(self.lengths) == len(self.zero_points) == len(self.scales):
-            raise IntegrityError("per-group arrays differ in length")
-        if (self.lengths < 1).any():
-            raise IntegrityError("every group must hold at least one code")
-        finite = np.isfinite(self.zero_points).all() and np.isfinite(self.scales).all()
-        if not finite or (self.scales < 0).any():
-            raise IntegrityError("zero points and scales must be finite, scales nonnegative")
+        if self.group_size < 1:
+            raise IntegrityError(f"group_size must be >= 1, got {self.group_size}")
+        groups, nbytes = group_split(self.shape, self.layout, self.group_size, self.bits, self.outliers)
+        if not len(self.zero_points) == len(self.scales) == groups:
+            raise IntegrityError(f"group arrays do not hold {groups} groups")
         # both ends of the range, not |z| + s * levels: a group spanning
-        # -max..+max decodes inside float32 although that sum does not
-        levels = (1 << self.bits) - 1
+        # -max..+max decodes inside float32 although that sum does not. The
+        # comparisons are false for NaN and infinities, so they reject those too.
         z, s = self.zero_points, self.scales
-        if (z < -_FLOAT32_MAX).any() or (s > (_FLOAT32_MAX - z) / levels).any():
-            raise IntegrityError("a group's decode range leaves the float32 range")
-        rows, cols = self.shape
-        total = int(self.lengths.sum()) + len(self.outliers)
-        if total != rows * cols:
-            raise IntegrityError(f"group lengths + outliers = {total}, expected {rows * cols}")
-        if self.outliers:
-            pos = np.array([(r, c) for r, c, _ in self.outliers])
-            if (pos < 0).any() or (pos >= (rows, cols)).any() or len(np.unique(pos, axis=0)) < len(pos):
-                raise IntegrityError("outlier positions must be distinct and inside the shape")
-            if not np.isfinite([v for _, _, v in self.outliers]).all():
-                raise IntegrityError("outlier values must be finite")
-        expected = int(group_byte_length(self.lengths, self.bits).sum())
-        if len(self.packed_codes) != expected:
-            raise IntegrityError(f"packed stream is {len(self.packed_codes)} bytes, expected {expected}")
+        top = (_FLOAT32_MAX - z) / ((1 << self.bits) - 1)
+        if not ((z >= -_FLOAT32_MAX) & (s >= 0) & (s <= top)).all():
+            raise IntegrityError("a group's zero or scale is non-finite, negative or past float32")
+        if len(self.packed_codes) != nbytes:
+            raise IntegrityError(f"packed stream is {len(self.packed_codes)} bytes, expected {nbytes}")
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Codes in each group, in group order (read-only); derived, not stored."""
+        return _group_lengths(self.shape, self.layout, self.group_size, self.outliers)
 
     @cached_property
     def _decoded(self) -> Matrix:
         # computed on first use only: blocks that are just dumped or loaded never decode
-        decoded = _decode(self)
-        decoded.flags.writeable = False
-        return decoded
+        return _decode(self)
 
 
-def _within(counts: np.ndarray) -> np.ndarray:
-    """For segments of the given sizes laid end to end: each element's index in its segment."""
-    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+def _runs_of(shape: tuple[int, int], layout: Layout, outliers: np.ndarray):
+    """(run count, run length, the run of each outlier) of a block."""
+    rows, cols = shape
+    if layout == Layout.PER_TOKEN:
+        return rows, cols, outliers["row"]
+    return cols, rows, outliers["col"]
+
+
+def _split_runs(codes, group_size: int, bits: int):
+    """(groups, packed bytes) of a run of ``codes`` codes; elementwise on arrays."""
+    full, rem = divmod(codes, group_size)
+    nbytes = full * group_byte_length(group_size, bits) + group_byte_length(rem, bits)
+    return full + (rem > 0), nbytes
+
+
+def group_split(shape, layout: Layout, group_size: int, bits: int, outliers) -> tuple[int, int]:
+    """Group count and packed byte length of a block: the one rule for both.
+
+    Each run (a row per token, a column per channel) holds its length less
+    its outliers in codes: ``group_size`` codes a group, the last group
+    shorter, each group packed to whole bytes. Runs without outliers are
+    counted with integers. Raises IntegrityError for outliers outside
+    ``shape``, not strictly increasing in (row, col), or not finite.
+    """
+    runs, run_len, hit = _runs_of(shape, layout, outliers)
+    groups, nbytes = _split_runs(run_len, group_size, bits)
+    if not len(outliers):
+        return runs * groups, runs * nbytes
+    rows, cols = shape
+    row, col = outliers["row"].astype(np.int64), outliers["col"].astype(np.int64)
+    if (row >= rows).any() or (col >= cols).any() or (np.diff(row * cols + col) <= 0).any():
+        raise IntegrityError("outlier positions must be inside the shape and strictly increasing")
+    if not np.isfinite(outliers["value"]).all():
+        raise IntegrityError("outlier values must be finite")
+    hit, removed = np.unique(hit, return_counts=True)
+    hit_groups, hit_bytes = _split_runs(run_len - removed, group_size, bits)
+    clean = runs - len(hit)
+    return clean * groups + int(hit_groups.sum()), clean * nbytes + int(hit_bytes.sum())
+
+
+def _group_lengths(shape, layout: Layout, group_size: int, outliers: np.ndarray) -> np.ndarray:
+    """Codes in each group of a block, in group order (see :func:`group_split`)."""
+    runs, run_len, hit = _runs_of(shape, layout, outliers)
+    full, rem = divmod(run_len - np.bincount(hit, minlength=runs), group_size)
+    per_run = full + (rem > 0)
+    lengths = np.full(int(per_run.sum()), group_size, dtype=np.int64)
+    # each run's last group holds its remainder, when there is one
+    lengths[(np.cumsum(per_run) - 1)[rem > 0]] = rem[rem > 0]
+    lengths.flags.writeable = False
+    return lengths
 
 
 def _code_slots(lengths: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
@@ -159,17 +208,17 @@ def _code_slots(lengths: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
     slot is ``per_byte`` times the bytes of the groups before it. Returns
     the slot of every code in group order and the stream's length in bytes.
     """
-    per_byte = 8 // bits
     nbytes = group_byte_length(lengths, bits)
-    first = per_byte * (np.cumsum(nbytes) - nbytes)
-    return np.repeat(first, lengths) + _within(lengths), int(nbytes.sum())
+    # a code's slot is its index plus its group's first slot less first index
+    offset = (8 // bits) * (np.cumsum(nbytes) - nbytes) - (np.cumsum(lengths) - lengths)
+    return np.arange(lengths.sum()) + np.repeat(offset, lengths), int(nbytes.sum())
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> bytes:
-    """Bit-pack one group's codes (see module docstring for the format).
+    """Bit-pack one group's codes, or a block's slots (see the module docstring).
 
     Little-endian within each byte: the first code lands in the least
-    significant bits. The group is padded with zero codes to a byte boundary.
+    significant bits. The codes are padded with zeros to a byte boundary.
     """
     per_byte = 8 // bits
     codes = np.asarray(codes, dtype=np.uint8).reshape(-1)
@@ -244,18 +293,14 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
         raise ContractViolation("quantize_matrix requires a nonempty 2-D matrix")
     if not np.isfinite(m).all():
         raise ContractViolation("quantize_matrix requires finite values")
-    if cfg.outlier_threshold is None:
-        keep = np.ones(m.shape, dtype=bool)
-    else:
-        keep = np.abs(m) <= cfg.outlier_threshold
+    keep = np.abs(m) <= (np.inf if cfg.outlier_threshold is None else cfg.outlier_threshold)
     out_rows, out_cols = np.nonzero(~keep)
-    outliers = tuple(zip(out_rows.tolist(), out_cols.tolist(), m[~keep].tolist()))
+    outliers = np.empty(out_rows.size, dtype=OUTLIER_DTYPE)
+    outliers["row"], outliers["col"], outliers["value"] = out_rows, out_cols, m[out_rows, out_cols]
 
-    kept = _runs(keep, cfg.layout)
-    vals = _runs(m.astype(np.float64), cfg.layout)[kept]
-    # a group starts at every group_size-th survivor of each run
-    starts = np.flatnonzero(_within(kept.sum(axis=1)) % cfg.group_size == 0)
-    lengths = np.diff(starts, append=vals.size)
+    vals = _runs(m.astype(np.float64), cfg.layout)[_runs(keep, cfg.layout)]
+    lengths = _group_lengths(m.shape, cfg.layout, cfg.group_size, outliers)
+    starts = np.cumsum(lengths) - lengths
     levels = (1 << cfg.bits) - 1
     z = np.minimum.reduceat(vals, starts)
     s = (np.maximum.reduceat(vals, starts) - z) / levels
@@ -263,22 +308,18 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
     s_each = np.repeat(s, lengths)
     scaled = (vals - np.repeat(z, lengths)) / np.where(s_each > 0, s_each, 1.0)
     codes = np.where(s_each > 0, np.clip(np.rint(scaled), 0, levels), 0)
-    per_byte = 8 // cfg.bits
     slots, nbytes = _code_slots(lengths, cfg.bits)
-    flat = np.zeros(nbytes * per_byte, dtype=np.uint16)
+    flat = np.zeros(nbytes * (8 // cfg.bits), dtype=np.uint8)
     flat[slots] = codes
-    shifts = np.arange(per_byte, dtype=np.uint16) * cfg.bits
-    packed = (flat.reshape(nbytes, per_byte) << shifts).sum(axis=1).astype(np.uint8)
 
     return QuantizedTensor(
         shape=m.shape,
         bits=cfg.bits,
         group_size=cfg.group_size,
         layout=cfg.layout,
-        lengths=lengths,
         zero_points=z,
         scales=s,
-        packed_codes=packed.tobytes(),
+        packed_codes=pack_codes(flat, cfg.bits),
         outliers=outliers,
     )
 
@@ -291,8 +332,7 @@ def _scatter_runs(values: np.ndarray, q: QuantizedTensor) -> np.ndarray:
     """
     out = np.zeros(q.shape, dtype=np.float64)
     keep = np.ones(q.shape, dtype=bool)
-    for r, c, _ in q.outliers:
-        keep[r, c] = False
+    keep[q.outliers["row"], q.outliers["col"]] = False
     _runs(out, q.layout)[_runs(keep, q.layout)] = values
     return out
 
@@ -307,11 +347,8 @@ def dequantize_matrix(q: QuantizedTensor) -> Matrix:
 
 
 def _decode(q: QuantizedTensor) -> Matrix:
-    """Unpack every code at once and write outliers back bit-exactly."""
-    per_byte = 8 // q.bits
-    raw = np.frombuffer(q.packed_codes, dtype=np.uint8)
-    shifts = np.arange(per_byte, dtype=np.uint8) * q.bits
-    unpacked = ((raw[:, None] >> shifts) & ((1 << q.bits) - 1)).reshape(-1)
+    """Unpack every code at once and write outliers back bit-exactly (read-only result)."""
+    unpacked = unpack_codes(q.packed_codes, q.bits, len(q.packed_codes) * (8 // q.bits))
     codes = unpacked[_code_slots(q.lengths, q.bits)[0]]
     s = np.repeat(q.scales, q.lengths)
     z = np.repeat(q.zero_points, q.lengths)
@@ -319,8 +356,8 @@ def _decode(q: QuantizedTensor) -> Matrix:
     values = np.where(s == 0.0, z, codes * s + z)
 
     result = _scatter_runs(values, q).astype(np.float32)
-    for r, c, v in q.outliers:
-        result[r, c] = np.float32(v)
+    result[q.outliers["row"], q.outliers["col"]] = q.outliers["value"]
+    result.flags.writeable = False
     return result
 
 
@@ -339,11 +376,8 @@ def quantized_bytes(q: QuantizedTensor) -> int:
     Packed code bytes (byte-aligned per group) + 2 bytes of scale/zero
     metadata per group + 6 bytes per outlier.
     """
-    return (
-        len(q.packed_codes)
-        + GROUP_METADATA_BYTES * len(q.lengths)
-        + OUTLIER_BYTES * len(q.outliers)
-    )
+    metadata = GROUP_METADATA_BYTES * len(q.scales) + OUTLIER_BYTES * len(q.outliers)
+    return len(q.packed_codes) + metadata
 
 
 def payload_bytes(q: QuantizedTensor) -> int:
@@ -357,11 +391,6 @@ def quantized_bytes_for_shape(rows: int, cols: int, cfg: QuantConfig) -> int:
     Matches ``quantized_bytes(quantize_matrix(m, cfg))`` for any matrix of
     that shape whose elements all stay under the outlier threshold.
     """
-    n_runs, run_len = (rows, cols) if cfg.layout == Layout.PER_TOKEN else (cols, rows)
-    n_full, rem = divmod(run_len, cfg.group_size)
-    per_run_codes = n_full * group_byte_length(cfg.group_size, cfg.bits)
-    per_run_groups = n_full
-    if rem:
-        per_run_codes += group_byte_length(rem, cfg.bits)
-        per_run_groups += 1
-    return n_runs * (per_run_codes + GROUP_METADATA_BYTES * per_run_groups)
+    no_outliers = np.empty(0, dtype=OUTLIER_DTYPE)
+    groups, nbytes = group_split((rows, cols), cfg.layout, cfg.group_size, cfg.bits, no_outliers)
+    return nbytes + GROUP_METADATA_BYTES * groups

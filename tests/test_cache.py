@@ -173,7 +173,7 @@ class TestDecodeAppend:
             cache.decode_append(0, 0, row, row)
         e = cache.entry(0, 0)
         assert e.residual_k.shape[0] == 0
-        assert e.quant_k[-1].outliers == ((0, 3, 9.75),)
+        assert e.quant_k[-1].outliers.tolist() == [(0, 3, 9.75)]
         k, _ = cache.materialize(0, 0)
         assert k[12, 3] == np.float32(9.75)
 
@@ -189,6 +189,22 @@ class TestDecodeAppend:
         cache = self.make_cache()
         with pytest.raises(ContractViolation):
             cache.decode_append(0, 0, np.ones(5), np.ones(5))
+
+    @pytest.mark.parametrize("bits", [4, 16])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_non_finite_row_rejected_and_cache_unchanged(self, bits, bad, side):
+        cache = self.make_cache(bits=bits)
+        rng = np.random.default_rng(4)
+        for _ in range(3):  # at 4 bits, the next append would flush
+            cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+        before = dump_snapshot(cache)
+        row = np.ones(8)
+        row[5] = bad
+        rows = (row, np.ones(8)) if side == "k" else (np.ones(8), row)
+        with pytest.raises(ContractViolation, match="finite"):
+            cache.decode_append(0, 0, *rows)
+        assert dump_snapshot(cache) == before
 
 
 class TestMaterialize:
@@ -331,7 +347,7 @@ class TestSnapshot:
         assert load_snapshot(dump_snapshot(cache)).plan == cache.plan
 
     def test_older_version_rejected(self):
-        for version in (1, 2):
+        for version in (1, 2, 3):
             blob = bytearray(dump_snapshot(self.build()))
             struct.pack_into("<H", blob, 4, version)
             with pytest.raises(IntegrityError, match=f"version {version}"):
@@ -369,16 +385,18 @@ def _patched(blob: bytes, offset: int, fmt: str, value) -> bytes:
     return _sealed(bytes(out))
 
 
-def _swap_first_lengths(blob: bytes, table: int) -> bytes:
-    # 8 + 8 codes become 7 + 9: same total, one more packed byte at 4 bits
-    return _patched(_patched(blob, table, "<I", 7), table + 20, "<I", 9)
-
-
 def _flipped(blob: bytes, offset: int) -> bytes:
     """``blob`` with one byte changed and the CRC trailer left as it was."""
     out = bytearray(blob)
     out[offset] ^= 0x10
     return bytes(out)
+
+
+def _table_kept(blob: bytes, table: int, keep) -> bytes:
+    """``blob`` with only the ``keep`` entries of the 16-group table at ``table``, resealed."""
+    body = blob[:-4]
+    entries = b"".join(body[table + 16 * i : table + 16 * (i + 1)] for i in keep)
+    return _sealed(body[:table] + entries + body[table + 16 * 16 :])
 
 
 class TestSnapshotRejects:
@@ -390,38 +408,58 @@ class TestSnapshotRejects:
 
     @pytest.fixture
     def snapshot(self):
-        # one 4-bit per-token head, group size 8 = head_dim: one 8-code group per row
+        # one 4-bit per-token head, group size 8 = head_dim: one group per row,
+        # and two K outliers, at block rows 0 and 15
         keys, values, ctxs = make_inputs(1, 1, 24, 8, seed=13)
+        keys[0][0][0, 2], keys[0][0][23, 5] = 9.5, -7.25
         plan = uniform_plan(1, 4, 4, heads=1, head_dim=8, group_size=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4, outlier_threshold=6.0)
         blob = dump_snapshot(cache)
-        n_pos = len(cache.entry(0, 0).positions)
-        # plan row, position count, positions, block count, block header
-        table = SNAPSHOT_HEADER + 5 + 4 + 4 * n_pos + 4 + 20
-        rows = struct.unpack_from("<I", blob, table - 20)[0]
-        assert struct.unpack_from("<Idd", blob, table)[0] == 8 == rows // 2
+        e = cache.entry(0, 0)
         assert struct.unpack_from("<IB", blob, PLAN_TOKENS_AT) == (16, 4)
+        assert len(e.positions) == 16 and len(e.quant_k) == 1 and e.residual_k.size == 0
+        # plan row, position count; then the K prompt block: outlier count,
+        # two outliers, 16 groups (f64 zero, f64 scale), 16 * 4 code bytes
+        at = {"positions": SNAPSHOT_HEADER + 5 + 4}
+        at["block"] = at["positions"] + 4 * 16
+        at["outliers"] = at["block"] + 4
+        at["table"] = at["outliers"] + 2 * 12
+        at["codes"] = at["table"] + 16 * 16
+        assert struct.unpack_from("<I", blob, at["block"])[0] == 2
+        assert struct.unpack_from("<IIf", blob, at["outliers"] + 12) == (15, 5, -7.25)
+        assert struct.unpack_from("<d", blob, at["table"] + 8)[0] == e.quant_k[0].scales[0]
         load_snapshot(blob)
-        return blob, table, rows
+        return blob, at
 
     @pytest.mark.parametrize(
         "mutate",
         [
-            pytest.param(lambda b, t, rows: _patched(b, LAYOUT_AT, "<B", 2), id="layout-code"),
-            pytest.param(lambda b, t, rows: _patched(b, PLAN_BITS_AT, "<B", 3), id="bits-3"),
-            pytest.param(lambda b, t, rows: _patched(b, PLAN_BITS_AT, "<B", 0), id="bits-0"),
-            pytest.param(lambda b, t, rows: _patched(b, t, "<I", 0), id="zero-length-group"),
-            pytest.param(lambda b, t, rows: _patched(b, t - 20, "<I", rows + 1), id="lengths-vs-shape"),
-            pytest.param(lambda b, t, rows: _swap_first_lengths(b, t), id="packed-vs-table"),
-            pytest.param(lambda b, t, rows: _sealed(b[:-4] + b"\x00"), id="trailing-bytes"),
-            pytest.param(lambda b, t, rows: _patched(b, GROUP_SIZE_AT, "<I", 0), id="group-size-0"),
-            pytest.param(lambda b, t, rows: _patched(b, PLAN_TOKENS_AT, "<I", 0), id="plan-tokens-0"),
+            pytest.param(lambda b, at: _patched(b, LAYOUT_AT, "<B", 2), id="layout-code"),
+            pytest.param(lambda b, at: _patched(b, PLAN_BITS_AT, "<B", 3), id="bits-3"),
+            pytest.param(lambda b, at: _patched(b, PLAN_BITS_AT, "<B", 0), id="bits-0"),
+            pytest.param(lambda b, at: _sealed(b[:-4] + b"\x00"), id="trailing-bytes"),
+            pytest.param(lambda b, at: _patched(b, GROUP_SIZE_AT, "<I", 0), id="group-size-0"),
+            pytest.param(lambda b, at: _patched(b, PLAN_TOKENS_AT, "<I", 0), id="plan-tokens-0"),
             pytest.param(
-                lambda b, t, rows: _patched(b, PLAN_BITS_AT, "<B", 16), id="16-bit-layer-with-blocks"
+                lambda b, at: _patched(b, PLAN_BITS_AT, "<B", 16), id="16-bit-layer-with-blocks"
             ),
-            pytest.param(lambda b, t, rows: _patched(b, t + 12, "<d", float("nan")), id="nan-scale"),
-            pytest.param(lambda b, t, rows: _patched(b, t + 12, "<d", 1e300), id="huge-scale"),
-            pytest.param(lambda b, t, rows: _flipped(b, t + 20 * rows), id="flipped-code-byte"),
+            pytest.param(lambda b, at: _patched(b, at["table"] + 8, "<d", float("nan")), id="nan-scale"),
+            pytest.param(lambda b, at: _patched(b, at["table"] + 8, "<d", 1e300), id="huge-scale"),
+            pytest.param(lambda b, at: _flipped(b, at["codes"]), id="flipped-code-byte"),
+            pytest.param(
+                lambda b, at: _patched(b, at["positions"] + 4, "<I", 0), id="positions-not-increasing"
+            ),
+            pytest.param(lambda b, at: _patched(b, at["outliers"] + 12, "<I", 16), id="outlier-outside-shape"),
+            pytest.param(
+                lambda b, at: _patched(_patched(b, at["outliers"] + 12, "<I", 0), at["outliers"] + 16, "<I", 2),
+                id="outlier-repeated",
+            ),
+            pytest.param(
+                lambda b, at: _patched(b, at["outliers"] + 20, "<f", float("inf")), id="outlier-not-finite"
+            ),
+            pytest.param(lambda b, at: _table_kept(b, at["table"], range(1, 16)), id="group-entry-removed"),
+            # the v3 forgery: pairs of groups merged into one table entry each
+            pytest.param(lambda b, at: _table_kept(b, at["table"], range(0, 16, 2)), id="groups-merged"),
         ],
     )
     def test_rejected(self, snapshot, mutate):

@@ -172,9 +172,14 @@ class TestStreamedPrefill:
     """
 
     @pytest.mark.parametrize("use_positions", [False, True])
-    @pytest.mark.parametrize("n", [1, 7, 512, 513, 1500])
-    def test_matches_full_matrix_oracle(self, n, use_positions):
-        cfg = ModelConfig(2, 2, 16, 40, 2048, seed=n, use_positions=use_positions)
+    @pytest.mark.parametrize(
+        "n, head_dim",
+        [(1, 8), (7, 8), (512, 8), (513, 8), (1500, 8), (513, 4), (1500, 4)],
+        ids=["1", "7", "512", "513", "1500", "513-head_dim4", "1500-head_dim4"],
+    )
+    def test_matches_full_matrix_oracle(self, n, head_dim, use_positions):
+        # the narrowest heads the bit-for-bit match holds for (see _row_blocks)
+        cfg = ModelConfig(2, 2, 2 * head_dim, 40, 2048, seed=n, use_positions=use_positions)
         model = random_model(cfg)
         tokens = np.random.default_rng(n).integers(0, 40, n).tolist()
         logits, keys, values, attn, hidden = full_matrix_prefill(model, tokens)

@@ -144,7 +144,7 @@ class TestQuantizeMatrix:
     def test_outlier_extraction(self):
         m = np.array([[100.0], [0.5]], dtype=np.float32)
         q = quantize_matrix(m, QuantConfig(4, 64, Layout.PER_TOKEN, outlier_threshold=6.0))
-        assert q.outliers == ((0, 0, 100.0),)
+        assert q.outliers.tolist() == [(0, 0, 100.0)]
         assert q.lengths.tolist() == [1]
         assert q.zero_points[0] == 0.5
 
@@ -213,7 +213,7 @@ class TestQuantizeMatrix:
             assert q.scales.tolist() == [g.scale for g in expected]
             assert q.packed_codes == b"".join(pack_codes(g.codes, bits) for g in expected)
             r, c = np.nonzero(np.abs(m) > limit)
-            assert q.outliers == tuple(zip(r, c, m[r, c].tolist()))
+            assert q.outliers.tolist() == list(zip(r.tolist(), c.tolist(), m[r, c].tolist()))
 
 
 class TestDequantizeMatrix:
@@ -250,17 +250,50 @@ class TestDequantizeMatrix:
                 bits=q.bits,
                 group_size=q.group_size,
                 layout=q.layout,
-                lengths=q.lengths,
                 zero_points=q.zero_points,
                 scales=q.scales,
                 packed_codes=q.packed_codes[:-1],
                 outliers=q.outliers,
             )
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"outliers": [(-1, 1, 9.0)]}, "convert"),
+            ({"outliers": [(2**32, 1, 9.0)]}, "convert"),
+            ({"outliers": [(0, 1)]}, "convert"),
+            ({"outliers": [(0, 1, 1e300)]}, "finite"),
+            ({"outliers": [(0, 1, float("nan"))]}, "finite"),
+            ({"outliers": [(1, 1, 9.0)]}, "inside the shape"),
+            ({"outliers": [(0, 1, 9.0), (0, 1, 8.0)]}, "strictly increasing"),
+            ({"outliers": [(0, 2, 9.0), (0, 1, 8.0)]}, "strictly increasing"),
+            ({"group_size": 0}, "group_size"),
+            # the v3 forgery: two groups merged into one table entry
+            ({"group_size": 2, "zero_points": [0.0], "scales": [1.0]}, "2 groups"),
+        ],
+        ids=[
+            "negative-row", "row-past-u32", "short-record", "value-past-f32", "nan-value",
+            "outside-shape", "repeated", "unsorted", "group-size-0", "merged-groups",
+        ],
+    )
+    def test_invalid_block_rejected(self, changes, message):
+        # one row of 4 at group size 4; its outlier leaves 3 codes, 2 packed bytes
+        fields = dict(
+            shape=(1, 4), bits=4, group_size=4, layout=Layout.PER_TOKEN, zero_points=[0.0],
+            scales=[1.0], packed_codes=bytes(2), outliers=[(0, 1, 9.0)],
+        )
+        QuantizedTensor(**fields)
+        with pytest.raises(IntegrityError, match=message):
+            QuantizedTensor(**{**fields, **changes})
+
     def test_group_arrays_read_only(self):
-        q = quantize_matrix(np.arange(8, dtype=np.float32).reshape(2, 4), QuantConfig(4, 4))
-        with pytest.raises(ValueError):
-            q.scales[0] = 1.0
+        # 7.0 is an outlier, so the derived lengths are [4, 3]
+        cfg = QuantConfig(4, 4, outlier_threshold=6.5)
+        q = quantize_matrix(np.arange(8, dtype=np.float32).reshape(2, 4), cfg)
+        assert q.lengths.tolist() == [4, 3] and q.outliers.tolist() == [(1, 3, 7.0)]
+        for arr in (q.scales, q.lengths, q.outliers):
+            with pytest.raises(ValueError):
+                arr[0] = arr[1 % len(arr)]
 
     def test_decoded_once_shared_and_read_only(self):
         q = quantize_matrix(np.arange(8, dtype=np.float32).reshape(2, 4), QuantConfig(4, 4))
@@ -283,7 +316,6 @@ class TestDequantizeMatrix:
                 bits=4,
                 group_size=2,
                 layout=Layout.PER_TOKEN,
-                lengths=[2],
                 zero_points=[zero],
                 scales=[scale],
                 packed_codes=b"\xf0",
@@ -318,7 +350,7 @@ class TestQuantizedBytes:
         assert quantized_bytes(quantize_matrix(m, QuantConfig(8, 64))) == 66
 
     def test_empty_tensor(self):
-        q = QuantizedTensor((0, 0), 4, 64, Layout.PER_TOKEN, [], [], [], b"")
+        q = QuantizedTensor((0, 0), 4, 64, Layout.PER_TOKEN, [], [], b"")
         assert quantized_bytes(q) == 0
 
     def test_outliers_charged_six_bytes(self):
