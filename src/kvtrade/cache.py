@@ -88,6 +88,15 @@ class LayerHeadCache:
         )
 
 
+def _f32_row(h) -> Matrix:
+    """``h`` as one float32 row; a value past float32's range becomes inf, not a warning."""
+    row = np.asarray(h)
+    if row.dtype != np.float32:
+        with np.errstate(over="ignore"):
+            row = row.astype(np.float32)
+    return row.reshape(1, -1)
+
+
 @dataclass
 class CompressedKVCache:
     """All (layer, head) sub-caches under one plan."""
@@ -121,8 +130,7 @@ class CompressedKVCache:
         and leave the cache unchanged.
         """
         e = self.entries[layer][head]
-        k_row = np.asarray(h_k, dtype=np.float32).reshape(1, -1)
-        v_row = np.asarray(h_v, dtype=np.float32).reshape(1, -1)
+        k_row, v_row = _f32_row(h_k), _f32_row(h_v)
         if k_row.shape[1] != self.head_dim or v_row.shape[1] != self.head_dim:
             raise ContractViolation(
                 f"append rows must have width {self.head_dim}"

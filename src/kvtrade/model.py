@@ -151,6 +151,48 @@ def _row_blocks(n: int) -> list[tuple[int, int, int]]:
     return [(min(new, n - rows), new, min(new + rows, n)) for new in range(0, n, rows)]
 
 
+# Rows per softmax call and per column-sum fold inside a prefill row block:
+# bounds their float64 temporaries to 64 x n, whatever the block height.
+_SLICE_ROWS = 64
+
+
+def _prompt_ids(model: Model, tokens) -> np.ndarray:
+    cfg = model.config
+    ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
+    if ids.size == 0 or ids.size > cfg.context_limit:
+        raise ContractViolation(f"prompt length {ids.size} outside (0, {cfg.context_limit}]")
+    if ids.min() < 0 or ids.max() >= cfg.vocab:
+        raise ContractViolation("token id outside vocabulary")
+    return ids
+
+
+def _embed(model: Model, ids: np.ndarray) -> Matrix:
+    """Layer 0's input: the token embeddings, plus positions when enabled."""
+    x = model.weights.embedding[ids, :].copy()
+    if model.config.use_positions:
+        x = x + positional_encoding(ids.size, model.config.d_model)
+    return x
+
+
+def _project_kv(x: Matrix, lw: LayerWeights, cfg: ModelConfig) -> tuple[list[Matrix], list[Matrix]]:
+    """One layer's per-head K and V views of its input ``x``."""
+    k = matmul(x, lw.w_k)
+    v = matmul(x, lw.w_v)
+    return _head_slices(k, cfg.heads, cfg.head_dim), _head_slices(v, cfg.heads, cfg.head_dim)
+
+
+def prefill_kv0(model: Model, tokens) -> tuple[list[Matrix], list[Matrix]]:
+    """Layer 0's per-head K and V for a prompt, bit for bit what :func:`prefill` stores.
+
+    It embeds and projects through the same helpers as prefill, at the cost
+    of two n x d_model x d_model products, so a caller that keeps the rest
+    of a prefill can re-derive layer 0 instead of holding it.
+    """
+    ids = _prompt_ids(model, tokens)
+    k, v = _project_kv(_embed(model, ids), model.weights.layers[0], model.config)
+    return [np.ascontiguousarray(h) for h in k], [np.ascontiguousarray(h) for h in v]
+
+
 def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     """Run the prompt once, returning next-token logits plus the full-precision
     K/V and the attention statistics every compression decision starts from.
@@ -158,24 +200,19 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     Each head's attention is computed one block of query rows at a time
     (:func:`_row_blocks`), so no n x n matrix is ever held. Per head the
     result keeps the float64 column sums of the probabilities and the last
-    ``window`` probability rows (see :class:`PrefillResult`). Each block is
-    checked as :class:`ScoreContext` checks its rows: a row that does not
-    sum to 1, or that puts weight past its diagonal (a real score below
-    ``NEG_MASK``), raises ContractViolation.
+    ``window`` probability rows (see :class:`PrefillResult`). Both BLAS
+    products run on the whole block; the softmax and the column-sum fold run
+    on 64-row slices of it, in place, so their float64 temporaries stay at
+    64 x n. Softmax is row-wise and the fold adds one row at a time, so the
+    slicing changes no bit. Each block is checked as :class:`ScoreContext`
+    checks its rows: a row that does not sum to 1, or that puts weight past
+    its diagonal (a real score below ``NEG_MASK``), raises ContractViolation.
     """
     cfg = model.config
-    ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
+    ids = _prompt_ids(model, tokens)
     n = ids.size
-    if n == 0 or n > cfg.context_limit:
-        raise ContractViolation(f"prompt length {n} outside (0, {cfg.context_limit}]")
-    if ids.min() < 0 or ids.max() >= cfg.vocab:
-        raise ContractViolation("token id outside vocabulary")
     if window < 0:
         raise ContractViolation(f"window must be >= 0, got {window}")
-
-    x = model.weights.embedding[ids, :].copy()
-    if cfg.use_positions:
-        x = x + positional_encoding(n, cfg.d_model)
 
     scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
     blocks = _row_blocks(n)
@@ -186,28 +223,29 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     values: list[list[Matrix]] = []
     attn: list[list[Matrix]] = []
     column_sums: list[list[np.ndarray]] = []
+    x = _embed(model, ids)
     for lw in model.weights.layers:
-        q = matmul(x, lw.w_q)
-        k = matmul(x, lw.w_k)
-        v = matmul(x, lw.w_v)
-        k_heads = _head_slices(k, cfg.heads, cfg.head_dim)
-        v_heads = _head_slices(v, cfg.heads, cfg.head_dim)
-        q_heads = _head_slices(q, cfg.heads, cfg.head_dim)
+        k_heads, v_heads = _project_kv(x, lw, cfg)
+        q_heads = _head_slices(matmul(x, lw.w_q), cfg.heads, cfg.head_dim)
         sums = [np.zeros(n) for _ in range(cfg.heads)]
         kept = [np.empty((n - first_kept, n), dtype=np.float32) for _ in range(cfg.heads)]
         out = np.empty((n, cfg.d_model), dtype=np.float32)
         for r0, new, r1 in blocks:
             mask = cols > np.arange(r0, r1)[:, None]
             for head, (qh, kh, vh) in enumerate(zip(q_heads, k_heads, v_heads)):
-                scores = matmul(qh[r0:r1], kh.T) * scale
-                scores[mask] = NEG_MASK
-                probs = softmax_rows(scores)
+                probs = matmul(qh[r0:r1], kh.T)  # scores, made probabilities in place
+                probs *= scale
+                probs[mask] = NEG_MASK
+                for s in range(0, r1 - r0, _SLICE_ROWS):
+                    probs[s : s + _SLICE_ROWS] = softmax_rows(probs[s : s + _SLICE_ROWS])
                 check_causal_rows(probs, r0, masked=True)
                 cols_h = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
                 out[new:r1, cols_h] = matmul(probs, vh)[new - r0 :]
                 # the new rows, reduced in float64 with the running sums as
                 # their first row: bit for bit a full-matrix sum(axis=0)
-                sums[head] = np.add.reduce(np.vstack([sums[head], probs[new - r0 :]]), axis=0)
+                for s in range(new - r0, r1 - r0, _SLICE_ROWS):
+                    rows = probs[s : s + _SLICE_ROWS]
+                    sums[head] = np.add.reduce(np.vstack([sums[head], rows]), axis=0)
                 if r1 > first_kept:
                     lo = max(new, first_kept)
                     kept[head][lo - first_kept : r1 - first_kept] = probs[lo - r0 :]

@@ -3,10 +3,12 @@
 A sweep config is a flat ``key = value`` text file (lists comma-separated,
 one level only, ``#`` comments). The grid crosses eviction policy, bit
 width, token multiplier, group size, quantization strategy, layer override
-set, sequence length and seed; every grid point prefills a model, compresses
-the cache under the point's plan, decodes task queries through it and
+set, sequence length and seed; every grid point compresses its prompt's
+prefill cache under the point's plan, decodes task queries through it and
 records retrieval accuracy, logit perturbation against the uncompressed
-decode path, and exact byte accounting.
+decode path, and exact byte accounting. The points of one prompt (one
+sequence length and seed) share its prefill, score statistics and dense
+reference, computed once (see ``run_point``).
 
 Each schema is stated once: config keys and their parsers derive from the
 ``SweepConfig`` annotations, CSV columns and their formats from the
@@ -27,7 +29,6 @@ import itertools
 import os
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -53,6 +54,7 @@ from .model import (
     embed_token,
     load_weights,
     prefill,
+    prefill_kv0,
     random_model,
 )
 from .prune import PolicyConfig, PolicyKind, ScoreContext
@@ -359,12 +361,14 @@ def _load_weights_file(path: str) -> Model:
     return _weights_model(path, st.st_mtime_ns, st.st_size)
 
 
-def _build_model(cfg: SweepConfig, point: GridPoint):
+def _build_model(cfg: SweepConfig, point: GridPoint, prompt: "_Prompt | None"):
     if cfg.weights_file:
         return _load_weights_file(cfg.weights_file), None
     if cfg.model == "recall":
         model, vocab = _recall_model(cfg.num_pairs, point.seq_len, cfg.filler_vocab)
         return model, vocab
+    if prompt is not None:  # a random model is a function of the config and the seed
+        return prompt.model, None
     mc = ModelConfig(
         layers=cfg.layers,
         heads=cfg.heads,
@@ -374,14 +378,6 @@ def _build_model(cfg: SweepConfig, point: GridPoint):
         seed=point.seed,
     )
     return random_model(mc), None
-
-
-def _contexts(result) -> list[list[ScoreContext]]:
-    n = result.hidden.shape[0]
-    return [
-        [ScoreContext(sums, rows, n) for sums, rows in zip(layer_sums, layer_rows)]
-        for layer_sums, layer_rows in zip(result.column_sums, result.attn)
-    ]
 
 
 def _build_plan(cfg: SweepConfig, point: GridPoint, model: Model, policy: PolicyConfig) -> BudgetPlan:
@@ -408,68 +404,142 @@ def _build_plan(cfg: SweepConfig, point: GridPoint, model: Model, policy: Policy
     return apply_overrides(plan, parse_override_spec(point.override_spec))
 
 
-def _run_recall(model: Model, task, point: GridPoint, cache, result):
+# ---------------------------------------------------------------------------
+# Prompt state: the work every grid point of one prompt shares
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Prompt:
+    """What the grid points of one (seq_len, seed) prompt share, built once.
+
+    ``contexts`` come from a prefill whose window is the longest any policy
+    of the config (or the first point's) reads; a scorer reads only the
+    trailing rows it needs. The K/V of layers after the first are kept
+    read-only; layer 0 is re-projected at each point (``prefill_kv0``).
+    Each query is the decode input ``h``, the token a correct decode emits,
+    and the dense reference logits. ``recall`` decodes each query from the
+    prompt's cache; a probe decodes its queries in sequence, following the
+    dense argmax.
+    """
+
+    model: Model
+    tokens: list[int]
+    window: int  # trailing prefill rows each context holds
+    contexts: list[list[ScoreContext]]
+    keys: list[list[np.ndarray]]
+    values: list[list[np.ndarray]]
+    queries: list[tuple[np.ndarray, int, np.ndarray]]
+    recall: bool
+
+
+# The prompt states of the config run_point last saw, keyed by (seq_len,
+# seed), and the grid index of each prompt's last point, where it is dropped.
+_PROMPTS: dict[tuple[int, int], _Prompt] = {}
+_prompts_cfg: SweepConfig | None = None
+_last_point: dict[tuple[int, int], int] = {}
+
+
+def _track(cfg: SweepConfig) -> None:
+    """Forget every prompt state when ``cfg`` is not the config they belong to."""
+    global _prompts_cfg, _last_point
+    if cfg != _prompts_cfg:
+        _PROMPTS.clear()
+        _prompts_cfg = cfg
+        _last_point = {(p.seq_len, p.seed): p.index for p in enumerate_grid(cfg)}
+
+
+def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model, vocab, policy: PolicyConfig) -> _Prompt:
+    if cfg.task == "recall":
+        task = gen_recall_task(point.seq_len, cfg.num_pairs, cfg.depths(), point.seed, vocab)
+        tokens = task.tokens
+    else:
+        tokens = gen_probe_prompt(point.seq_len, model.config.vocab, point.seed)
+
+    # the config's other policies share recent_window and pool_width, so they construct too
+    kinds = {k.value for k in PolicyKind}
+    window = max([policy.window_rows] + [
+        PolicyConfig(PolicyKind(p), cfg.recent_window, cfg.pool_width).window_rows
+        for p in cfg.policies
+        if p in kinds
+    ])
+    result = prefill(model, tokens, window)
+    n = len(tokens)
+    contexts = [
+        [ScoreContext(sums, rows, n) for sums, rows in zip(layer_sums, layer_rows)]
+        for layer_sums, layer_rows in zip(result.column_sums, result.attn)
+    ]
+
+    queries = []
+    if cfg.task == "recall":
+        for query in task.queries:
+            h = embed_token(model, query.key_token, position=point.seq_len)
+            ref = decode_step_dense(model, DenseKV.from_prefill(result), h)
+            queries.append((h, query.value_token, ref))
+    else:
+        dense = DenseKV.from_prefill(result)
+        token = int(np.argmax(result.logits))
+        for step in range(cfg.probe_steps):
+            h = embed_token(model, token, position=point.seq_len + step)
+            ref = decode_step_dense(model, dense, h)
+            token = int(np.argmax(ref))
+            queries.append((h, token, ref))
+
+    keys, values = result.keys[1:], result.values[1:]
+    for m in itertools.chain(*keys, *values, *result.column_sums, *result.attn,
+                             (h for h, _, _ in queries), (ref for _, _, ref in queries)):
+        m.flags.writeable = False
+    return _Prompt(model, tokens, window, contexts, keys, values, queries, cfg.task == "recall")
+
+
+def _decode_queries(prompt: _Prompt, cache) -> tuple[float, float]:
+    """Accuracy and mean max-abs logit perturbation of the compressed decode."""
     hits = 0
     perturb = 0.0
-    for query in task.queries:
-        h = embed_token(model, query.key_token, position=point.seq_len)
-        episode = cache.clone()
-        logits = decode_step(model, episode, h)
-        dense = DenseKV.from_prefill(result)
-        ref = decode_step_dense(model, dense, h)
-        hits += int(np.argmax(logits) == query.value_token)
+    for h, expected, ref in prompt.queries:
+        logits = decode_step(prompt.model, cache.clone() if prompt.recall else cache, h)
+        hits += int(np.argmax(logits) == expected)
         perturb += float(np.abs(logits - ref).max())
-    n = len(task.queries)
+    n = len(prompt.queries)
     return hits / n, perturb / n
-
-
-def _run_probe(model: Model, cfg: SweepConfig, point: GridPoint, cache, result):
-    dense = DenseKV.from_prefill(result)
-    token = int(np.argmax(result.logits))
-    agree = 0
-    perturb = 0.0
-    for step in range(cfg.probe_steps):
-        h = embed_token(model, token, position=point.seq_len + step)
-        ref = decode_step_dense(model, dense, h)
-        logits = decode_step(model, cache, h)
-        agree += int(np.argmax(logits) == np.argmax(ref))
-        perturb += float(np.abs(logits - ref).max())
-        token = int(np.argmax(ref))
-    return agree / cfg.probe_steps, perturb / cfg.probe_steps
 
 
 def run_point(cfg: SweepConfig, point: GridPoint) -> SweepRow | SweepSkip:
     """Execute one grid point; contract violations become skips.
+
+    The work that depends only on the point's prompt (the task, prefill,
+    score statistics and the dense reference) is done at the prompt's first
+    point and kept for its later ones, until the prompt's last point in
+    ``enumerate_grid(cfg)`` has run, skipped or not. A call with another
+    config drops every kept prompt. A prompt whose task or prefill raises
+    ContractViolation keeps nothing, so each of its points skips alike.
+    The kept prompts are module state: call run_point from one thread.
 
     An IntegrityError (corrupt stored data, such as a damaged weights file)
     is not caught: it is a storage fault, not an infeasible config, so it
     aborts the sweep, also under ``run_sweep(parallel=...)``.
     """
     start = time.perf_counter()
+    _track(cfg)
+    key = (point.seq_len, point.seed)
     try:
         policy = PolicyConfig(
             PolicyKind(point.policy),
             recent_window=cfg.recent_window,
             pool_width=cfg.pool_width,
         )
-        model, vocab = _build_model(cfg, point)
+        prompt = _PROMPTS.get(key)
+        model, vocab = _build_model(cfg, point, prompt)
         _layout, threshold = STRATEGIES[point.strategy]
         plan = _build_plan(cfg, point, model, policy)
+        if prompt is None or prompt.model is not model or prompt.window < policy.window_rows:
+            prompt = _PROMPTS[key] = _build_prompt(cfg, point, model, vocab, policy)
 
-        task = None
-        if cfg.task == "recall":
-            task = gen_recall_task(
-                point.seq_len, cfg.num_pairs, cfg.depths(), point.seed, vocab
-            )
-            tokens = task.tokens
-        else:
-            tokens = gen_probe_prompt(point.seq_len, model.config.vocab, point.seed)
-
-        result = prefill(model, tokens, policy.window_rows)
+        keys0, values0 = prefill_kv0(model, prompt.tokens)
         cache = prefill_compress(
-            result.keys,
-            result.values,
-            _contexts(result),
+            [keys0, *prompt.keys],
+            [values0, *prompt.values],
+            prompt.contexts,
             plan,
             policy,
             outlier_threshold=threshold,
@@ -478,11 +548,7 @@ def run_point(cfg: SweepConfig, point: GridPoint) -> SweepRow | SweepSkip:
         payload = cache.payload_bytes()
         c = model.config
         full = c.layers * fp16_kv_bytes(cfg.full_cache_tokens, c.heads, c.head_dim)
-
-        if cfg.task == "recall":
-            accuracy, perturb = _run_recall(model, task, point, cache, result)
-        else:
-            accuracy, perturb = _run_probe(model, cfg, point, cache, result)
+        accuracy, perturb = _decode_queries(prompt, cache)
 
         return SweepRow(
             policy=point.policy,
@@ -503,20 +569,38 @@ def run_point(cfg: SweepConfig, point: GridPoint) -> SweepRow | SweepSkip:
         )
     except ContractViolation as exc:
         return SweepSkip(point, str(exc))
+    finally:
+        if _last_point.get(key) == point.index:
+            _PROMPTS.pop(key, None)
+
+
+def _run_prompt(cfg: SweepConfig, points: list[GridPoint]) -> list[SweepRow | SweepSkip]:
+    return [run_point(cfg, p) for p in points]
 
 
 def run_sweep(cfg: SweepConfig, parallel: int = 1) -> tuple[list[SweepRow], list[SweepSkip]]:
     """Run the whole grid; returns (completed rows, skipped points) in grid order.
 
+    Points run prompt by prompt, so one prompt's state is live at a time;
+    with ``parallel > 1``, each worker process runs whole prompts.
     A config that ``validate_config`` rejects raises ConfigError before any point runs.
     """
     _require_valid(cfg)
     points = enumerate_grid(cfg)
+    prompts: dict[tuple[int, int], list[GridPoint]] = {}
+    for p in points:
+        prompts.setdefault((p.seq_len, p.seed), []).append(p)
+    groups = list(prompts.values())
     if parallel > 1:
+        # imported here: multiprocessing costs every `import kvtrade` memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(run_point, [cfg] * len(points), points))
+            done = list(pool.map(_run_prompt, [cfg] * len(groups), groups))
     else:
-        outcomes = [run_point(cfg, p) for p in points]
+        done = [_run_prompt(cfg, g) for g in groups]
+    by_index = {p.index: o for g, outcomes in zip(groups, done) for p, o in zip(g, outcomes)}
+    outcomes = [by_index[p.index] for p in points]
     rows = [o for o in outcomes if isinstance(o, SweepRow)]
     skips = [o for o in outcomes if isinstance(o, SweepSkip)]
     return rows, skips

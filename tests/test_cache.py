@@ -206,6 +206,18 @@ class TestDecodeAppend:
             cache.decode_append(0, 0, *rows)
         assert dump_snapshot(cache) == before
 
+    @pytest.mark.parametrize("big", [1e300, -1e300])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_row_past_float32_rejected_not_warned(self, big, as_list):
+        # pytest turns the cast's overflow RuntimeWarning into an error
+        cache = self.make_cache()
+        before = dump_snapshot(cache)
+        row = np.ones(8)
+        row[2] = big
+        with pytest.raises(ContractViolation, match="finite"):
+            cache.decode_append(0, 0, row.tolist() if as_list else row, np.ones(8))
+        assert dump_snapshot(cache) == before
+
 
 class TestMaterialize:
     def test_round_trip_bound(self):

@@ -25,6 +25,7 @@ from kvtrade.model import (
     load_weights,
     positional_encoding,
     prefill,
+    prefill_kv0,
     quantization_logit_bound,
     random_model,
     save_weights,
@@ -229,6 +230,19 @@ class TestStreamedPrefill:
         finally:
             tracemalloc.stop()
         assert peak < n * n * 4  # 16 MiB, one float32 n x n matrix
+
+    @pytest.mark.parametrize("use_positions", [False, True])
+    def test_layer0_kv_reprojects_bit_for_bit(self, use_positions):
+        model = random_model(ModelConfig(2, 2, 16, 40, 256, seed=3, use_positions=use_positions))
+        tokens = np.random.default_rng(3).integers(0, 40, 200).tolist()
+        res = prefill(model, tokens, window=8)
+        keys, values = prefill_kv0(model, tokens)
+        for head in range(2):
+            assert np.array_equal(keys[head], res.keys[0][head])
+            assert np.array_equal(values[head], res.values[0][head])
+            assert keys[head].flags.c_contiguous and values[head].flags.c_contiguous
+        with pytest.raises(ContractViolation, match="vocabulary"):
+            prefill_kv0(model, [40])
 
     def test_negative_window_rejected(self):
         model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=0))

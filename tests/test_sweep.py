@@ -448,3 +448,109 @@ class TestStrategies:
         assert by_layout["per_token_outlier"].bytes > by_layout["per_token"].bytes
         for r in rows:
             assert r.accuracy == 1.0  # full coverage at 4x
+
+
+def _fields(outcome):
+    """Every field of a row but wall_time, or a skip's point and reason."""
+    if isinstance(outcome, sweep.SweepSkip):
+        return ("skip", outcome.point, outcome.reason)
+    return tuple(getattr(outcome, f.name) for f in fields(outcome) if f.name != "wall_time")
+
+
+# two policies x paired bits x two seeds; each prompt's last point (16-bit,
+# 1x the base tokens) is below the policy window and so skips for budget
+SHARED = [
+    SweepConfig(
+        task="recall", model="recall", seq_lens=(96,), seeds=(0, 1),
+        policies=("pyramidkv", "snapkv"), bits=(4, 16), token_multipliers=(4, 1),
+        base_tokens=24, full_cache_tokens=96, num_pairs=6, filler_vocab=16,
+    ),
+    SweepConfig(
+        task="random_probe", model="random", seq_lens=(40,), seeds=(0, 1),
+        policies=("h2o", "snapkv"), bits=(4, 16), token_multipliers=(4, 1),
+        base_tokens=6, full_cache_tokens=40, probe_steps=3, recent_window=8,
+        layers=2, heads=2, d_model=16, vocab=32, group_sizes=(8,),
+    ),
+]
+
+
+class TestPromptState:
+    @pytest.mark.parametrize("cfg", SHARED, ids=["recall", "random_probe"])
+    def test_sharing_changes_no_row(self, cfg):
+        points = enumerate_grid(cfg)
+        oracle = []
+        for p in points:
+            sweep._PROMPTS.clear()
+            oracle.append(_fields(sweep.run_point(cfg, p)))
+        sweep._PROMPTS.clear()
+        assert all(o[0] == "skip" for o in oracle[-len(cfg.seeds):])
+        assert [_fields(sweep.run_point(cfg, p)) for p in points] == oracle
+        for parallel in (1, 2):
+            rows, skips = run_sweep(cfg, parallel=parallel)
+            assert [_fields(r) for r in rows] == [o for o in oracle if o[0] != "skip"]
+            assert [_fields(s) for s in skips] == [o for o in oracle if o[0] == "skip"]
+
+    @pytest.mark.parametrize("cfg", SHARED, ids=["recall", "random_probe"])
+    def test_each_prompt_prefills_once_and_is_dropped_at_its_last_point(self, cfg, monkeypatch):
+        calls = []
+        prefill = sweep.prefill
+        monkeypatch.setattr(sweep, "prefill", lambda *a: calls.append(a) or prefill(*a))
+        points = enumerate_grid(cfg)
+        assert isinstance(sweep.run_point(cfg, points[-1]), sweep.SweepSkip)
+        sweep._PROMPTS.clear()
+        calls.clear()
+        for p in points:
+            sweep.run_point(cfg, p)
+        assert len(calls) == len(cfg.seeds)
+        assert sweep._PROMPTS == {}
+        run_sweep(cfg)
+        assert len(calls) == 2 * len(cfg.seeds)
+        assert sweep._PROMPTS == {}
+
+    def test_another_config_drops_every_prompt(self):
+        cfg = SHARED[0]
+        sweep.run_point(cfg, enumerate_grid(cfg)[0])
+        kept = sweep._PROMPTS[(96, 0)]
+        sweep.run_point(SMALL, enumerate_grid(SMALL)[0])  # also seq_len 96, seed 0
+        assert list(sweep._PROMPTS) == [(96, 0)]
+        assert sweep._PROMPTS[(96, 0)] is not kept
+        sweep._PROMPTS.clear()
+
+    def test_prefill_failure_is_not_kept(self):
+        # unvalidated: the prompt is longer than the model's context
+        cfg = replace(SHARED[1], context_limit=32)
+        outcomes = [sweep.run_point(cfg, p) for p in enumerate_grid(cfg)]
+        assert {o.reason for o in outcomes} == {"prompt length 40 outside (0, 32]"}
+        assert sweep._PROMPTS == {}
+
+    def test_rewritten_weights_file_recomputes(self, tmp_path):
+        import os
+
+        from kvtrade.model import ModelConfig, random_model, save_weights
+
+        path = tmp_path / "model.bin"
+        save_weights(random_model(ModelConfig(2, 2, 16, 32, 64, seed=5)), path)
+        cfg = replace(SHARED[1], model="random", weights_file=str(path), seeds=(0,))
+        first, second = enumerate_grid(cfg)[:2]
+        sweep.run_point(cfg, first)
+        kept = sweep._PROMPTS[(40, 0)]
+        save_weights(random_model(ModelConfig(2, 2, 16, 32, 64, seed=6)), path)
+        os.utime(path, ns=(1, 1))  # a new mtime, however coarse the clock
+        shared = _fields(sweep.run_point(cfg, second))
+        assert sweep._PROMPTS[(40, 0)] is not kept
+        sweep._PROMPTS.clear()
+        assert shared == _fields(sweep.run_point(cfg, second))
+        sweep._PROMPTS.clear()
+
+
+def test_import_does_not_load_multiprocessing():
+    import os
+    import subprocess
+    import sys
+
+    import kvtrade
+
+    src = os.path.dirname(os.path.dirname(kvtrade.__file__))
+    code = "import sys, kvtrade; sys.exit('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
