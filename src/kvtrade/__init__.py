@@ -13,9 +13,8 @@ from .budget import (
     plan_bytes,
     plan_for_tokens,
     pyramid_allocation,
-    uniform_plan,
 )
-from .cache import CompressedKVCache, LayerHeadCache, dump_snapshot, load_snapshot, prefill_compress
+from .cache import CompressedKVCache, dump_snapshot, load_snapshot, prefill_compress
 from .errors import ContractViolation, IntegrityError
 from .model import (
     Model,
@@ -42,11 +41,8 @@ from .prune import (
 from .quant import (
     Layout,
     QuantConfig,
-    QuantGroup,
     QuantizedTensor,
-    dequantize_group,
     dequantize_matrix,
-    quantize_group,
     quantize_matrix,
     quantized_bytes,
 )

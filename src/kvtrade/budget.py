@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolation
-from .quant import Layout, QuantConfig, quantized_bytes_for_shape
+from .quant import Layout, QuantConfig, check_layout, quantized_bytes_for_shape
 
 PLAN_BITS = (2, 4, 8, 16)
 FULL_PRECISION_BITS = 16
@@ -48,6 +48,9 @@ class BudgetPlan:
     def __post_init__(self) -> None:
         if self.group_size < 1:
             raise ContractViolation(f"group_size must be >= 1, got {self.group_size}")
+        check_layout(self.layout)
+        if not self.per_layer:
+            raise ContractViolation("a plan needs at least one layer")
         for tokens, bits in self.per_layer:
             if bits not in PLAN_BITS:
                 raise ContractViolation(f"bits must be one of {PLAN_BITS}, got {bits}")
@@ -95,28 +98,6 @@ class LayerOverride:
             raise ContractViolation(
                 "override must preserve budget: tokens_multiplier must equal 16/bits"
             )
-
-
-def uniform_plan(
-    layers: int,
-    base_tokens: int,
-    bits: int,
-    heads: int,
-    head_dim: int,
-    group_size: int = 64,
-    layout: Layout = Layout.PER_TOKEN,
-) -> BudgetPlan:
-    """Every layer keeps ``base_tokens * (16 / bits)`` tokens at ``bits``.
-
-    ``base_tokens`` @ 16-bit is the reference configuration whose byte cost
-    becomes ``total_budget_bytes``.
-    """
-    if bits not in PLAN_BITS:
-        raise ContractViolation(f"bits must be one of {PLAN_BITS}, got {bits}")
-    if base_tokens < 1:
-        raise ContractViolation("base_tokens must be >= 1")
-    tokens = base_tokens * (FULL_PRECISION_BITS // bits)
-    return plan_for_tokens([tokens] * layers, bits, heads, head_dim, group_size, layout)
 
 
 def plan_for_tokens(

@@ -88,13 +88,21 @@ class LayerHeadCache:
         )
 
 
-def _f32_row(h) -> Matrix:
-    """``h`` as one float32 row; a value past float32's range becomes inf, not a warning."""
+def _f32_row(h, width: int) -> Matrix:
+    """``h``, shaped ``(width,)`` or ``(1, width)``, as one float32 row.
+
+    Any other shape raises ContractViolation. A value past float32's range
+    becomes inf, not a warning.
+    """
     row = np.asarray(h)
+    if row.shape != (width,) and row.shape != (1, width):
+        raise ContractViolation(
+            f"append rows must be shaped ({width},) or (1, {width}), got {row.shape}"
+        )
     if row.dtype != np.float32:
         with np.errstate(over="ignore"):
             row = row.astype(np.float32)
-    return row.reshape(1, -1)
+    return row.reshape(1, width)
 
 
 @dataclass
@@ -109,6 +117,12 @@ class CompressedKVCache:
     entries: list[list[LayerHeadCache]]
 
     def entry(self, layer: int, head: int) -> LayerHeadCache:
+        """The sub-cache of (layer, head); an index outside the cache raises ContractViolation."""
+        # plain comparisons: decode calls this once per head and step
+        if not (0 <= layer < len(self.entries) and 0 <= head < self.heads):
+            raise ContractViolation(
+                f"(layer, head) ({layer}, {head}) outside {len(self.entries)} x {self.heads}"
+            )
         return self.entries[layer][head]
 
     def clone(self) -> "CompressedKVCache":
@@ -125,16 +139,13 @@ class CompressedKVCache:
         """Append one decode token's K/V rows to the residual at full precision.
 
         A residual of ``group_size`` rows is flushed into a quantized block,
-        except on 16-bit layers, which keep every row in the residual. Rows
-        of the wrong width or with a non-finite value raise ContractViolation
-        and leave the cache unchanged.
+        except on 16-bit layers, which keep every row in the residual. An
+        index outside the cache, a row not shaped ``(head_dim,)`` or
+        ``(1, head_dim)``, or a non-finite value raises ContractViolation
+        and leaves the cache unchanged.
         """
-        e = self.entries[layer][head]
-        k_row, v_row = _f32_row(h_k), _f32_row(h_v)
-        if k_row.shape[1] != self.head_dim or v_row.shape[1] != self.head_dim:
-            raise ContractViolation(
-                f"append rows must have width {self.head_dim}"
-            )
+        e = self.entry(layer, head)
+        k_row, v_row = _f32_row(h_k, self.head_dim), _f32_row(h_v, self.head_dim)
         # count_nonzero, not .all(): on one short row per head and step it
         # costs about half as much
         finite = np.count_nonzero(np.isfinite(k_row)) + np.count_nonzero(np.isfinite(v_row))
@@ -153,9 +164,10 @@ class CompressedKVCache:
 
         A layer with blocks returns new arrays, which callers may write to.
         A layer without blocks (16-bit) returns its residual matrices
-        themselves, uncopied; callers must not write to them.
+        themselves, uncopied; callers must not write to them. An index
+        outside the cache raises ContractViolation.
         """
-        e = self.entries[layer][head]
+        e = self.entry(layer, head)
         if not e.quant_k:
             return e.residual_k, e.residual_v
         k = np.concatenate([dequantize_matrix(q) for q in e.quant_k] + [e.residual_k], axis=0)
@@ -191,14 +203,22 @@ def prefill_compress(
     Scoring sees the full-precision prefill attention statistics in ``ctxs``;
     gathered rows keep their temporal order. The gathered rows go to the residual,
     which is flushed into the prompt block; 16-bit layers keep them there.
+    ``keys``, ``values`` and ``ctxs`` must each hold the plan's layers, every
+    layer the same number of heads (at least one), and every head a finite
+    nonempty n x head_dim K and V; anything else raises ContractViolation.
     """
     if len(keys) != plan.layers:
         raise ContractViolation(
             f"plan has {plan.layers} layers, got {len(keys)} key layers"
         )
     heads = len(keys[0])
-    n = keys[0][0].shape[0]
-    head_dim = keys[0][0].shape[1]
+    for name, arg in (("keys", keys), ("values", values), ("ctxs", ctxs)):
+        if len(arg) != plan.layers or any(len(row) != heads for row in arg):
+            raise ContractViolation(f"{name} must hold {plan.layers} layers of {heads} heads")
+    shape = np.shape(keys[0][0]) if heads else ()
+    if len(shape) != 2 or 0 in shape:
+        raise ContractViolation(f"K/V must be nonempty n x head_dim matrices, got {shape}")
+    n, head_dim = shape
 
     entries: list[list[LayerHeadCache]] = []
     for layer in range(plan.layers):
@@ -215,6 +235,8 @@ def prefill_compress(
                 raise ContractViolation(
                     f"inconsistent K/V shape at layer {layer} head {head}"
                 )
+            if not (np.isfinite(k).all() and np.isfinite(v).all()):
+                raise ContractViolation(f"K/V at layer {layer} head {head} must be finite")
             idx = list(decide(policy, ctxs[layer][head], n, tokens).retained)
             entry = LayerHeadCache(
                 positions=idx,

@@ -22,7 +22,6 @@ import numpy as np
 from .cache import CompressedKVCache
 from .errors import ContractViolation, IntegrityError
 from .prune import check_causal_rows
-from .quant import error_bound_matrix
 from .tensor import Matrix, matmul, softmax_rows
 
 NEG_MASK = np.float32(-1e30)
@@ -321,6 +320,10 @@ def embed_token(model: Model, token: int, position: int = 0) -> np.ndarray:
 # therefore succeeds exactly when the pair survives in the cache.
 
 
+# W_V's gain on the payload dims: the retrieved value's logit
+_PAYLOAD_GAIN = np.float32(8.0)
+
+
 @dataclass(frozen=True)
 class RecallVocab:
     num_pairs: int
@@ -345,8 +348,6 @@ def build_recall_model(
     seq_len: int,
     filler_vocab: int = 32,
     d_model: int | None = None,
-    attend_gain: float | None = None,
-    payload_gain: float = 8.0,
 ) -> tuple[Model, RecallVocab, float]:
     """Construct the retrieval model and report its worst-case logit margin.
 
@@ -366,10 +367,8 @@ def build_recall_model(
         raise ContractViolation(f"d_model {d_model} too small for {m} pairs")
     vocab = RecallVocab(m, filler_vocab)
 
-    if attend_gain is None:
-        # post-softmax weight on the matched position ~ 1 - n/(99n)
-        attend_gain = math.sqrt(math.sqrt(d_model) * math.log(99.0 * (seq_len + 2)))
-    c = np.float32(attend_gain)
+    # attention gain: post-softmax weight on the matched position ~ 1 - n/(99n)
+    c = np.float32(math.sqrt(math.sqrt(d_model) * math.log(99.0 * (seq_len + 2))))
 
     emb = np.zeros((vocab.size, d_model), dtype=np.float32)
     for i in range(m):
@@ -387,7 +386,7 @@ def build_recall_model(
     for i in range(m):
         w_q[m + i, i] = c
         w_k[i, i] = c
-        w_v[2 * m + i, 2 * m + i] = np.float32(payload_gain)
+        w_v[2 * m + i, 2 * m + i] = _PAYLOAD_GAIN
         w_o[2 * m + i, 2 * m + i] = 1.0
         head[2 * m + i, vocab.value(i)] = 1.0
 
@@ -416,52 +415,6 @@ def build_recall_model(
         best_other = max(v for t, v in enumerate(logits) if t != expected)
         margin = min(margin, float(logits[expected] - best_other))
     return model, vocab, margin
-
-
-def quantization_logit_bound(model: Model, cache: CompressedKVCache, h) -> float:
-    """Worst-case |logit perturbation| from quantization, single-layer models.
-
-    Per-group dequantization error is bounded by scale/2; the bound is
-    propagated numerically through the attention step for the given query
-    state: score shifts bound the softmax weight drift multiplicatively,
-    value errors add directly, and the result is pushed through |W_O| and
-    the |output head|.
-    """
-    cfg = model.config
-    if cfg.layers != 1 or cfg.heads != 1:
-        raise ContractViolation("bound is computed for 1-layer, 1-head models")
-    lw = model.weights.layers[0]
-    x = np.asarray(h, dtype=np.float64).reshape(1, cfg.d_model)
-    q = x @ lw.w_q.astype(np.float64)
-
-    entry = cache.entry(0, 0)
-    k_mat, v_mat = cache.materialize(0, 0)
-    e_k_parts = [error_bound_matrix(qt) for qt in entry.quant_k]
-    e_v_parts = [error_bound_matrix(qt) for qt in entry.quant_v]
-    res_rows = entry.residual_k.shape[0] + 1  # residual + the appended query row
-    zeros_tail = np.zeros((res_rows, cfg.d_model), dtype=np.float64)
-    e_k = np.concatenate(e_k_parts + [zeros_tail], axis=0)[: k_mat.shape[0] + 1]
-    e_v = np.concatenate(e_v_parts + [zeros_tail], axis=0)[: v_mat.shape[0] + 1]
-
-    # the appended query row is stored at full precision in the residual
-    k_full = np.concatenate([k_mat.astype(np.float64), x @ lw.w_k.astype(np.float64)])
-    v_full = np.concatenate([v_mat.astype(np.float64), x @ lw.w_v.astype(np.float64)])
-    e_k = e_k[: k_full.shape[0]]
-    e_v = e_v[: v_full.shape[0]]
-
-    scale = 1.0 / math.sqrt(cfg.head_dim)
-    scores = (q @ k_full.T)[0] * scale
-    score_err = (np.abs(q) @ e_k.T)[0] * scale
-    w = np.exp(scores - scores.max())
-    w /= w.sum()
-    blow = math.exp(2.0 * float(score_err.max()))
-    weight_drift = w * (blow - 1.0)
-
-    out_err = weight_drift @ np.abs(v_full) + blow * (w @ e_v)
-    logit_err = out_err @ np.abs(lw.w_o.astype(np.float64)) @ np.abs(
-        model.weights.head.astype(np.float64)
-    )
-    return float(logit_err.max())
 
 
 # Weights file: magic "KVTW", u16 version, u16 layers, u16 heads, u32 d_model,

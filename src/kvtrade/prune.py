@@ -118,15 +118,6 @@ class ScoreContext:
         if sums.min(initial=0.0) < 0 or abs(sums.sum() - n) > n * 1e-5:
             raise ContractViolation(f"column sums must be >= 0 and total {n}")
 
-    @classmethod
-    def from_probs(cls, attn_probs: Matrix, seq_len: int) -> "ScoreContext":
-        """Statistics of a full n x n probability matrix, all n rows kept as the window."""
-        if attn_probs.shape != (seq_len, seq_len):
-            raise ContractViolation(
-                f"attn_probs must be {seq_len}x{seq_len}, got {attn_probs.shape}"
-            )
-        return cls(attn_probs.astype(np.float64).sum(axis=0), attn_probs, seq_len)
-
 
 @dataclass(frozen=True)
 class PruneDecision:
@@ -223,10 +214,12 @@ def decide(policy: PolicyConfig, ctx: ScoreContext | None, n: int, budget: int) 
     """Dispatch to the policy's scoring rule.
 
     ``streaming_llm`` needs no attention statistics; the score-based rules
-    require a ScoreContext.
+    require a ScoreContext for the same ``n`` tokens.
     """
     if policy.kind == PolicyKind.STREAMING_LLM:
         return score_streaming(n, budget, policy)
     if ctx is None:
         raise ContractViolation(f"{policy.kind.value} requires a ScoreContext")
+    if ctx.seq_len != n:
+        raise ContractViolation(f"statistics for n={ctx.seq_len} cannot score {n} tokens")
     return _SCORERS[policy.kind](ctx, budget, policy)

@@ -20,10 +20,10 @@ group size and outlier positions. Every block operation works on the
 whole block at once. A block is immutable, so it is decoded at most once:
 the first ``dequantize_matrix`` call keeps the float32 result on the block,
 read-only, and later calls return it. The kept form is not storage; byte
-accounting and snapshots ignore it. The per-group functions
-(``quantize_group``, ``dequantize_group``) are the reference the tests
-compare the block operations against; ``pack_codes`` and ``unpack_codes``
-pack and unpack a group or a whole block's stream.
+accounting and snapshots ignore it. ``pack_codes`` and ``unpack_codes``
+pack and unpack a group or a whole block's stream. The per-group
+reference that the tests compare the block operations against lives in
+the test suite, not here.
 
 Byte accounting convention (used for every budget-parity figure in the
 package): packed code bytes, plus 2 bytes of scale/zero metadata per group,
@@ -59,6 +59,12 @@ class Layout(str, Enum):
     PER_CHANNEL = "per_channel"
 
 
+def check_layout(layout) -> None:
+    """Raise ContractViolation unless ``layout`` is a :class:`Layout` member."""
+    if not isinstance(layout, Layout):
+        raise ContractViolation(f"layout must be a Layout member, got {layout!r}")
+
+
 @dataclass(frozen=True)
 class QuantConfig:
     bits: int
@@ -71,18 +77,9 @@ class QuantConfig:
             raise ContractViolation(f"bits must be one of {SUPPORTED_BITS}, got {self.bits}")
         if self.group_size < 1:
             raise ContractViolation("group_size must be >= 1")
+        check_layout(self.layout)
         if self.outlier_threshold is not None and self.outlier_threshold < 0:
             raise ContractViolation("outlier_threshold must be nonnegative")
-
-
-@dataclass(frozen=True)
-class QuantGroup:
-    """One quantized group: integer codes plus its (scale, zero_point) pair."""
-
-    codes: np.ndarray  # uint8, values in [0, 2**bits - 1]
-    zero_point: float
-    scale: float
-    length: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,36 +240,6 @@ def unpack_codes(buf: bytes, bits: int, count: int) -> np.ndarray:
 
 def group_byte_length(length: int, bits: int) -> int:
     return (length * bits + 7) // 8
-
-
-def quantize_group(values, bits: int) -> QuantGroup:
-    """Min-max quantize one group of finite values to ``bits``-bit codes.
-
-    Rounding is half-to-even. A constant group degenerates to scale 0 with
-    all codes 0 (the formula would otherwise divide by zero).
-    """
-    if bits not in SUPPORTED_BITS:
-        raise ContractViolation(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
-    v = np.asarray(values, dtype=np.float64).reshape(-1)
-    if v.size == 0:
-        raise ContractViolation("quantize_group requires a nonempty group")
-    if not np.all(np.isfinite(v)):
-        raise ContractViolation("quantize_group requires finite values")
-    z = float(v.min())
-    m = float(v.max())
-    levels = (1 << bits) - 1
-    if m == z:
-        return QuantGroup(np.zeros(v.size, dtype=np.uint8), z, 0.0, v.size)
-    s = (m - z) / levels
-    codes = np.clip(np.rint((v - z) / s), 0, levels).astype(np.uint8)
-    return QuantGroup(codes, z, s, v.size)
-
-
-def dequantize_group(g: QuantGroup) -> np.ndarray:
-    """Invert :func:`quantize_group`: ``code * scale + zero_point`` (float64)."""
-    if g.scale == 0.0:
-        return np.full(g.length, g.zero_point, dtype=np.float64)
-    return g.codes.astype(np.float64) * g.scale + g.zero_point
 
 
 def _runs(m: np.ndarray, layout: Layout) -> np.ndarray:

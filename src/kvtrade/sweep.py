@@ -627,7 +627,7 @@ def emit_csv(rows: list[SweepRow], path) -> None:
 
 
 def parse_csv(text: str) -> list[SweepRow]:
-    """Parse emit_csv output back into rows (used by tests and scripts)."""
+    """Inverse of :func:`emit_csv`: each column typed as its ``SweepRow`` field."""
     lines = [ln for ln in text.splitlines() if ln]
     if not lines or lines[0] != ",".join(CSV_COLUMNS):
         raise ValueError("unexpected CSV header")

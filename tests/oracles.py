@@ -1,0 +1,145 @@
+"""Reference implementations the tests compare the engine against.
+
+None of these runs on an engine path; each restates, in its plainest form,
+something the package computes another way:
+
+* ``QuantGroup``, ``quantize_group``, ``dequantize_group``: min-max
+  quantization of one group at a time, the per-group form of the block
+  operations in :mod:`kvtrade.quant`;
+* ``uniform_plan``: a plan that keeps the same token count at one bit
+  width on every layer, built through :func:`kvtrade.budget.plan_for_tokens`;
+* ``context_from_probs``: the score statistics of a full n x n probability
+  matrix, the oracle for prefill's streamed statistics;
+* ``quantization_logit_bound``: a worst-case bound on the logit change that
+  quantization causes in one decode step of a single-layer model.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from kvtrade.budget import FULL_PRECISION_BITS, PLAN_BITS, BudgetPlan, plan_for_tokens
+from kvtrade.cache import CompressedKVCache
+from kvtrade.errors import ContractViolation
+from kvtrade.model import Model
+from kvtrade.prune import ScoreContext
+from kvtrade.quant import SUPPORTED_BITS, Layout, error_bound_matrix
+from kvtrade.tensor import Matrix
+
+
+@dataclass(frozen=True)
+class QuantGroup:
+    """One quantized group: integer codes plus its (scale, zero_point) pair."""
+
+    codes: np.ndarray  # uint8, values in [0, 2**bits - 1]
+    zero_point: float
+    scale: float
+    length: int
+
+
+def quantize_group(values, bits: int) -> QuantGroup:
+    """Min-max quantize one group of finite values to ``bits``-bit codes.
+
+    Rounding is half-to-even. A constant group degenerates to scale 0 with
+    all codes 0 (the formula would otherwise divide by zero).
+    """
+    if bits not in SUPPORTED_BITS:
+        raise ContractViolation(f"bits must be one of {SUPPORTED_BITS}, got {bits}")
+    v = np.asarray(values, dtype=np.float64).reshape(-1)
+    if v.size == 0:
+        raise ContractViolation("quantize_group requires a nonempty group")
+    if not np.all(np.isfinite(v)):
+        raise ContractViolation("quantize_group requires finite values")
+    z = float(v.min())
+    m = float(v.max())
+    levels = (1 << bits) - 1
+    if m == z:
+        return QuantGroup(np.zeros(v.size, dtype=np.uint8), z, 0.0, v.size)
+    s = (m - z) / levels
+    codes = np.clip(np.rint((v - z) / s), 0, levels).astype(np.uint8)
+    return QuantGroup(codes, z, s, v.size)
+
+
+def dequantize_group(g: QuantGroup) -> np.ndarray:
+    """Invert :func:`quantize_group`: ``code * scale + zero_point`` (float64)."""
+    if g.scale == 0.0:
+        return np.full(g.length, g.zero_point, dtype=np.float64)
+    return g.codes.astype(np.float64) * g.scale + g.zero_point
+
+
+def uniform_plan(
+    layers: int,
+    base_tokens: int,
+    bits: int,
+    heads: int,
+    head_dim: int,
+    group_size: int = 64,
+    layout: Layout = Layout.PER_TOKEN,
+) -> BudgetPlan:
+    """Every layer keeps ``base_tokens * (16 / bits)`` tokens at ``bits``.
+
+    ``base_tokens`` @ 16-bit is the reference configuration whose byte cost
+    becomes ``total_budget_bytes``.
+    """
+    if bits not in PLAN_BITS:
+        raise ContractViolation(f"bits must be one of {PLAN_BITS}, got {bits}")
+    if base_tokens < 1:
+        raise ContractViolation("base_tokens must be >= 1")
+    tokens = base_tokens * (FULL_PRECISION_BITS // bits)
+    return plan_for_tokens([tokens] * layers, bits, heads, head_dim, group_size, layout)
+
+
+def context_from_probs(attn_probs: Matrix, seq_len: int) -> ScoreContext:
+    """Statistics of a full n x n probability matrix, all n rows kept as the window."""
+    if attn_probs.shape != (seq_len, seq_len):
+        raise ContractViolation(f"attn_probs must be {seq_len}x{seq_len}, got {attn_probs.shape}")
+    return ScoreContext(attn_probs.astype(np.float64).sum(axis=0), attn_probs, seq_len)
+
+
+def quantization_logit_bound(model: Model, cache: CompressedKVCache, h) -> float:
+    """Worst-case |logit perturbation| from quantization, single-layer models.
+
+    Per-group dequantization error is bounded by scale/2; the bound is
+    propagated numerically through the attention step for the given query
+    state: score shifts bound the softmax weight drift multiplicatively,
+    value errors add directly, and the result is pushed through |W_O| and
+    the |output head|.
+    """
+    cfg = model.config
+    if cfg.layers != 1 or cfg.heads != 1:
+        raise ContractViolation("bound is computed for 1-layer, 1-head models")
+    lw = model.weights.layers[0]
+    x = np.asarray(h, dtype=np.float64).reshape(1, cfg.d_model)
+    q = x @ lw.w_q.astype(np.float64)
+
+    entry = cache.entry(0, 0)
+    k_mat, v_mat = cache.materialize(0, 0)
+    e_k_parts = [error_bound_matrix(qt) for qt in entry.quant_k]
+    e_v_parts = [error_bound_matrix(qt) for qt in entry.quant_v]
+    res_rows = entry.residual_k.shape[0] + 1  # residual + the appended query row
+    zeros_tail = np.zeros((res_rows, cfg.d_model), dtype=np.float64)
+    e_k = np.concatenate(e_k_parts + [zeros_tail], axis=0)[: k_mat.shape[0] + 1]
+    e_v = np.concatenate(e_v_parts + [zeros_tail], axis=0)[: v_mat.shape[0] + 1]
+
+    # the appended query row is stored at full precision in the residual
+    k_full = np.concatenate([k_mat.astype(np.float64), x @ lw.w_k.astype(np.float64)])
+    v_full = np.concatenate([v_mat.astype(np.float64), x @ lw.w_v.astype(np.float64)])
+    e_k = e_k[: k_full.shape[0]]
+    e_v = e_v[: v_full.shape[0]]
+
+    scale = 1.0 / math.sqrt(cfg.head_dim)
+    scores = (q @ k_full.T)[0] * scale
+    score_err = (np.abs(q) @ e_k.T)[0] * scale
+    w = np.exp(scores - scores.max())
+    w /= w.sum()
+    blow = math.exp(2.0 * float(score_err.max()))
+    weight_drift = w * (blow - 1.0)
+
+    out_err = weight_drift @ np.abs(v_full) + blow * (w @ e_v)
+    logit_err = out_err @ np.abs(lw.w_o.astype(np.float64)) @ np.abs(
+        model.weights.head.astype(np.float64)
+    )
+    return float(logit_err.max())

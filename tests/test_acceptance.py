@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from kvtrade.budget import plan_bytes, uniform_plan, apply_overrides, LayerOverride
+from kvtrade.budget import plan_bytes, apply_overrides, LayerOverride
 from kvtrade.cache import prefill_compress
 from kvtrade.model import (
     DenseKV,
@@ -34,13 +34,12 @@ from kvtrade.prune import (
 from kvtrade.quant import (
     Layout,
     QuantConfig,
-    dequantize_group,
     dequantize_matrix,
-    quantize_group,
     quantize_matrix,
     quantized_bytes,
 )
 from kvtrade.sweep import SweepConfig, run_sweep
+from oracles import context_from_probs, dequantize_group, quantize_group, uniform_plan
 
 
 def report(num: int, ok: bool, desc: str) -> None:
@@ -95,7 +94,7 @@ def test_criterion_2_budget_parity():
             heads = int(rng.integers(1, 9))
             head_dim = int(rng.choice([64, 128]))
             base = 32 * int(rng.integers(1, 9))
-            layout = rng.choice(list(Layout))
+            layout = Layout(rng.choice([member.value for member in Layout]))
             args = dict(heads=heads, head_dim=head_dim, group_size=64, layout=layout)
             ref = plan_bytes(uniform_plan(layers, base, 16, **args), heads, head_dim)
             four = plan_bytes(uniform_plan(layers, base, 4, **args), heads, head_dim)
@@ -159,7 +158,7 @@ def test_criterion_3_pruning_oracle():
             n = int(rng.integers(5, 33)) if case % 2 == 0 else int(rng.integers(33, 257))
             tie_rich = case % 3 == 0
             attn = _random_attn(rng, n, tie_rich)
-            ctx = ScoreContext.from_probs(attn, n)
+            ctx = context_from_probs(attn, n)
             recent = int(rng.integers(1, min(n - 1, 40) + 1))
             budget = int(rng.integers(recent, n + 20))
             pool = int(rng.choice([1, 3, 5, 7]))

@@ -10,10 +10,10 @@ from kvtrade.budget import (
     plan_bytes,
     plan_for_tokens,
     pyramid_allocation,
-    uniform_plan,
 )
 from kvtrade.errors import ContractViolation
 from kvtrade.quant import Layout
+from oracles import uniform_plan
 
 
 class TestUniformPlan:
@@ -83,9 +83,11 @@ class TestPlanBytes:
         plan = BudgetPlan(((64, 4),), 64, Layout.PER_TOKEN, 0)
         assert plan_bytes(plan, 1, 64) == 2 * (64 * 34)
 
-    def test_empty_plan(self):
-        plan = BudgetPlan((), 64, Layout.PER_TOKEN, 0)
-        assert plan_bytes(plan, 4, 64) == 0
+    def test_empty_plan_rejected(self):
+        with pytest.raises(ContractViolation, match="at least one layer"):
+            BudgetPlan((), 64, Layout.PER_TOKEN, 0)
+        with pytest.raises(ContractViolation, match="at least one layer"):
+            plan_for_tokens([], 16, heads=1, head_dim=8)
 
     def test_budget_parity_window(self):
         rng = np.random.default_rng(0)
@@ -94,7 +96,7 @@ class TestPlanBytes:
             heads = int(rng.integers(1, 9))
             head_dim = int(rng.choice([64, 128]))
             base = 32 * int(rng.integers(1, 9))
-            layout = rng.choice(list(Layout))
+            layout = Layout(rng.choice([member.value for member in Layout]))
             ref = plan_bytes(uniform_plan(layers, base, 16, heads, head_dim, 64, layout), heads, head_dim)
             four = plan_bytes(uniform_plan(layers, base, 4, heads, head_dim, 64, layout), heads, head_dim)
             eight = plan_bytes(uniform_plan(layers, base, 8, heads, head_dim, 64, layout), heads, head_dim)
@@ -173,3 +175,12 @@ def test_plan_rejects_group_size_below_one(bits):
     # an all-16-bit plan never builds a QuantConfig, so the plan itself must check
     with pytest.raises(ContractViolation, match="group_size"):
         uniform_plan(1, 4, bits, heads=1, head_dim=8, group_size=0)
+
+
+@pytest.mark.parametrize("layout", ["bogus", None])
+def test_plan_rejects_layout_outside_the_enum(layout):
+    # the snapshot format can only store a Layout member
+    with pytest.raises(ContractViolation, match="Layout member"):
+        plan_for_tokens([8], 4, heads=1, head_dim=8, layout=layout)
+    with pytest.raises(ContractViolation, match="Layout member"):
+        BudgetPlan(((8, 16),), 64, layout, 0)

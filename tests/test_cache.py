@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvtrade.budget import plan_bytes, uniform_plan
+from kvtrade.budget import plan_bytes
 from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
-from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext
+from kvtrade.prune import PolicyConfig, PolicyKind
 from kvtrade.quant import Layout, dequantize_matrix
+from oracles import context_from_probs, uniform_plan
 
 
 def causal_uniform_attn(n):
@@ -28,13 +29,14 @@ def make_inputs(layers, heads, n, head_dim, seed=0):
         for _ in range(layers)
     ]
     ctxs = [
-        [ScoreContext.from_probs(causal_uniform_attn(n), n) for _ in range(heads)]
+        [context_from_probs(causal_uniform_attn(n), n) for _ in range(heads)]
         for _ in range(layers)
     ]
     return keys, values, ctxs
 
 
 STREAM4 = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=4)
+H2O4 = PolicyConfig(PolicyKind.H2O, recent_window=4)
 
 
 class TestPrefillCompress:
@@ -70,6 +72,46 @@ class TestPrefillCompress:
         keys, values, ctxs = make_inputs(1, 1, 10, 8)
         plan = uniform_plan(1, 2, 16, heads=1, head_dim=8)
         with pytest.raises(ContractViolation):
+            prefill_compress(keys, values, ctxs, plan, STREAM4)
+
+    @pytest.mark.parametrize("ctx_n", [32, 8])
+    def test_statistics_for_another_length_rejected(self, ctx_n):
+        # longer statistics would pick rows past the keys' end, shorter ones
+        # only rows below their own n
+        keys, values, _ = make_inputs(1, 1, 16, 8)
+        ctxs = [[context_from_probs(causal_uniform_attn(ctx_n), ctx_n)]]
+        plan = uniform_plan(1, 10, 16, heads=1, head_dim=8)
+        with pytest.raises(ContractViolation, match=f"statistics for n={ctx_n}"):
+            prefill_compress(keys, values, ctxs, plan, H2O4)
+
+    @pytest.mark.parametrize(
+        "malform",
+        [
+            pytest.param(lambda k, v, c: k[1].pop(), id="fewer-key-heads"),
+            pytest.param(lambda k, v, c: k[1].append(k[1][0]), id="more-key-heads"),
+            pytest.param(lambda k, v, c: v[1].pop(), id="fewer-value-heads"),
+            pytest.param(lambda k, v, c: v.pop(), id="fewer-value-layers"),
+            pytest.param(lambda k, v, c: c.pop(), id="fewer-ctx-layers"),
+            pytest.param(lambda k, v, c: c[1].pop(), id="fewer-ctx-heads"),
+            pytest.param(lambda k, v, c: [row.clear() for row in (*k, *v, *c)], id="no-heads"),
+        ],
+    )
+    def test_malformed_structure_rejected(self, malform):
+        keys, values, ctxs = make_inputs(2, 2, 10, 8)
+        malform(keys, values, ctxs)
+        plan = uniform_plan(2, 4, 4, heads=2, head_dim=8)
+        with pytest.raises(ContractViolation):
+            prefill_compress(keys, values, ctxs, plan, H2O4)
+
+    @pytest.mark.parametrize("bits", [4, 16])
+    @pytest.mark.parametrize("side", ["k", "v"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_kv_rejected(self, bits, side, bad):
+        # a 16-bit layer stores K/V as given, so prefill_compress itself must check
+        keys, values, ctxs = make_inputs(1, 1, 12, 8)
+        (keys if side == "k" else values)[0][0][3, 1] = bad
+        plan = uniform_plan(1, 16, bits, heads=1, head_dim=8)
+        with pytest.raises(ContractViolation, match="finite"):
             prefill_compress(keys, values, ctxs, plan, STREAM4)
 
     def test_conservation_after_prefill(self):
@@ -189,6 +231,34 @@ class TestDecodeAppend:
         cache = self.make_cache()
         with pytest.raises(ContractViolation):
             cache.decode_append(0, 0, np.ones(5), np.ones(5))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (8, 1), (1, 1, 8), (2, 8), (16,), ()])
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_row_shape_rejected_and_cache_unchanged(self, shape, side):
+        # (2, 4), (8, 1) and (1, 1, 8) hold 8 values, but not as one row
+        cache = self.make_cache()
+        before = dump_snapshot(cache)
+        rows = (np.ones(shape), np.ones(8)) if side == "k" else (np.ones(8), np.ones(shape))
+        with pytest.raises(ContractViolation, match="shaped"):
+            cache.decode_append(0, 0, *rows)
+        assert dump_snapshot(cache) == before
+
+    def test_row_and_one_row_matrix_append_alike(self):
+        flat, one_row = self.make_cache(), self.make_cache()
+        flat.decode_append(0, 0, np.arange(8.0), np.ones(8))
+        one_row.decode_append(0, 0, np.arange(8.0).reshape(1, 8), np.ones((1, 8)))
+        assert dump_snapshot(flat) == dump_snapshot(one_row)
+
+    @pytest.mark.parametrize("layer, head", [(-1, 0), (0, -1), (1, 0), (0, 1), (5, 5)])
+    def test_index_outside_cache_rejected_and_cache_unchanged(self, layer, head):
+        # a negative index must not wrap to the last layer or head
+        cache = self.make_cache()
+        before = dump_snapshot(cache)
+        with pytest.raises(ContractViolation, match="outside"):
+            cache.decode_append(layer, head, np.ones(8), np.ones(8))
+        with pytest.raises(ContractViolation, match="outside"):
+            cache.materialize(layer, head)
+        assert dump_snapshot(cache) == before
 
     @pytest.mark.parametrize("bits", [4, 16])
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -381,7 +451,7 @@ class TestSnapshot:
 
 
 SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBdIq")
-GROUP_SIZE_AT, LAYOUT_AT = 14, 18
+LAYERS_AT, GROUP_SIZE_AT, LAYOUT_AT = 6, 14, 18
 PLAN_TOKENS_AT, PLAN_BITS_AT = SNAPSHOT_HEADER, SNAPSHOT_HEADER + 4  # first layer's plan row
 
 
@@ -451,6 +521,10 @@ class TestSnapshotRejects:
             pytest.param(lambda b, at: _patched(b, PLAN_BITS_AT, "<B", 0), id="bits-0"),
             pytest.param(lambda b, at: _sealed(b[:-4] + b"\x00"), id="trailing-bytes"),
             pytest.param(lambda b, at: _patched(b, GROUP_SIZE_AT, "<I", 0), id="group-size-0"),
+            # the header alone, declaring no layers: no plan has zero layers
+            pytest.param(
+                lambda b, at: _sealed(_patched(b, LAYERS_AT, "<H", 0)[:SNAPSHOT_HEADER]), id="zero-layers"
+            ),
             pytest.param(lambda b, at: _patched(b, PLAN_TOKENS_AT, "<I", 0), id="plan-tokens-0"),
             pytest.param(
                 lambda b, at: _patched(b, PLAN_BITS_AT, "<B", 16), id="16-bit-layer-with-blocks"

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvtrade.budget import uniform_plan
 from kvtrade.cache import prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.model import (
@@ -26,7 +25,6 @@ from kvtrade.model import (
     positional_encoding,
     prefill,
     prefill_kv0,
-    quantization_logit_bound,
     random_model,
     save_weights,
 )
@@ -34,6 +32,7 @@ from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext, decide
 from kvtrade.sweep import STRATEGIES
 from kvtrade.tasks import gen_recall_task
 from kvtrade.tensor import matmul
+from oracles import context_from_probs, quantization_logit_bound, uniform_plan
 
 STREAM = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=4)
 
@@ -207,7 +206,7 @@ class TestStreamedPrefill:
         """decide keeps the same tokens from prefill's statistics and from the oracle's."""
         n = full.shape[0]
         streamed = ScoreContext(res.column_sums[layer][head], res.attn[layer][head], n)
-        oracle = ScoreContext.from_probs(full, n)
+        oracle = context_from_probs(full, n)
         recent = max(window, 1)
         for kind in PolicyKind:
             policy = PolicyConfig(kind, recent_window=recent)

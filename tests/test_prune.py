@@ -15,6 +15,7 @@ from kvtrade.prune import (
     score_streaming,
     top_k_indices,
 )
+from oracles import context_from_probs
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle: full sort with explicit tie-breaks, explicit window
@@ -67,7 +68,7 @@ def random_context(rng, n, tie_rich=False):
         logits[mask] = -np.inf
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         attn = (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
-    return ScoreContext.from_probs(attn, n)
+    return context_from_probs(attn, n)
 
 
 class TestTopK:
@@ -123,7 +124,7 @@ class TestStreaming:
 class TestH2O:
     def test_identity_attention_ties(self):
         # every key accumulates exactly 1.0: ties keep lowest indices
-        ctx = ScoreContext.from_probs(np.eye(8, dtype=np.float32), 8)
+        ctx = context_from_probs(np.eye(8, dtype=np.float32), 8)
         d = score_h2o(ctx, 4, PolicyConfig(PolicyKind.H2O, recent_window=2))
         assert d.retained == (0, 1, 6, 7)
 
@@ -135,7 +136,7 @@ class TestH2O:
             attn[i, 3] = 1.0 if i >= 3 else 0.0
             if i < 3:
                 attn[i, 0] = 1.0
-        ctx = ScoreContext.from_probs(attn, n)
+        ctx = context_from_probs(attn, n)
         d = score_h2o(ctx, 5, PolicyConfig(PolicyKind.H2O, recent_window=2))
         assert 3 in d.retained
 
@@ -145,7 +146,7 @@ class TestH2O:
         scores = attn.astype(np.float64).sum(axis=0)
         expected = [25 / 12, 13 / 12, 7 / 12, 1 / 4]
         assert np.allclose(scores, expected, atol=1e-6)
-        ctx = ScoreContext.from_probs(attn, 4)
+        ctx = context_from_probs(attn, 4)
         d = score_h2o(ctx, 3, PolicyConfig(PolicyKind.H2O, recent_window=2))
         assert d.retained == (0, 2, 3)
 
@@ -171,7 +172,7 @@ class TestSnapKV:
             attn[i, i] = 1.0
         for i in range(n - 4, n):
             attn[i, 7] = 1.0  # observation rows all hit key 7
-        ctx = ScoreContext.from_probs(attn, n)
+        ctx = context_from_probs(attn, n)
         cfg = PolicyConfig(PolicyKind.SNAPKV, recent_window=4, pool_width=7)
         d = score_snapkv(ctx, 8, cfg)
         assert 7 in d.retained
@@ -184,7 +185,7 @@ class TestSnapKV:
             attn[i, i] = 1.0
         for i in range(n - 4, n):
             attn[i, 0] = 1.0
-        ctx = ScoreContext.from_probs(attn, n)
+        ctx = context_from_probs(attn, n)
         cfg = PolicyConfig(PolicyKind.SNAPKV, recent_window=4, pool_width=7)
         assert 0 in score_snapkv(ctx, 5, cfg).retained
 
@@ -197,12 +198,12 @@ class TestSnapKV:
         attn[4, 1] = 0.9
         attn[4, 4] = 0.1
         attn[5, 5] = 1.0
-        ctx = ScoreContext.from_probs(attn, 6)
+        ctx = context_from_probs(attn, 6)
         d = score_snapkv(ctx, 4, PolicyConfig(PolicyKind.SNAPKV, recent_window=2, pool_width=3))
         assert d.retained == (0, 1, 4, 5)
 
     def test_needs_room_beyond_window(self):
-        ctx = ScoreContext.from_probs(np.eye(4, dtype=np.float32), 4)
+        ctx = context_from_probs(np.eye(4, dtype=np.float32), 4)
         with pytest.raises(ContractViolation):
             score_snapkv(ctx, 3, PolicyConfig(PolicyKind.SNAPKV, recent_window=4))
 
@@ -260,7 +261,7 @@ class TestPolicyProperties:
                 attn[i, victim] = row_mass[i]
             for i in range(victim):
                 attn[i, i] += row_mass[i]
-            boosted = ScoreContext.from_probs(attn / attn.sum(axis=1, keepdims=True), n)
+            boosted = context_from_probs(attn / attn.sum(axis=1, keepdims=True), n)
             assert victim in scorer(boosted, budget, cfg).retained
 
     def test_scale_invariance_of_selection(self):
@@ -311,7 +312,7 @@ def test_prune_decision_rejects_disorder():
 def test_context_rejects_non_causal():
     attn = np.full((3, 3), 1 / 3, dtype=np.float32)
     with pytest.raises(ContractViolation):
-        ScoreContext.from_probs(attn, 3)
+        context_from_probs(attn, 3)
 
 
 class TestStatisticsRejects:

@@ -9,18 +9,16 @@ from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.quant import (
     Layout,
     QuantConfig,
-    QuantGroup,
     QuantizedTensor,
-    dequantize_group,
     dequantize_matrix,
     error_bound_matrix,
     pack_codes,
-    quantize_group,
     quantize_matrix,
     quantized_bytes,
     quantized_bytes_for_shape,
     unpack_codes,
 )
+from oracles import QuantGroup, dequantize_group, quantize_group
 
 value_lists = st.lists(
     st.floats(-1e4, 1e4, allow_nan=False, width=32), min_size=1, max_size=80
@@ -339,6 +337,13 @@ class TestDequantizeMatrix:
             assert dequantize_matrix(q).shape == (5, 7)
 
 
+@pytest.mark.parametrize("layout", ["bogus", None])
+def test_config_rejects_layout_outside_the_enum(layout):
+    # anything but Layout.PER_TOKEN would otherwise group per channel
+    with pytest.raises(ContractViolation, match="Layout member"):
+        QuantConfig(4, 4, layout)
+
+
 class TestQuantizedBytes:
     def test_single_group_4bit(self):
         # 64 codes at 4-bit in one group: 32 code bytes + 2 metadata
@@ -366,7 +371,7 @@ class TestQuantizedBytes:
             cfg = QuantConfig(
                 int(rng.choice([2, 4, 8])),
                 int(rng.integers(1, 70)),
-                rng.choice(list(Layout)),
+                Layout(rng.choice([member.value for member in Layout])),
             )
             m = rng.normal(size=(rows, cols)).astype(np.float32)
             assert quantized_bytes(quantize_matrix(m, cfg)) == quantized_bytes_for_shape(
