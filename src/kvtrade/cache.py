@@ -88,21 +88,29 @@ class LayerHeadCache:
         )
 
 
-def _f32_row(h, width: int) -> Matrix:
-    """``h``, shaped ``(width,)`` or ``(1, width)``, as one float32 row.
+def append_rows(h_k, h_v, width: int) -> tuple[Matrix, Matrix]:
+    """One decode token's K and V, each shaped ``(width,)`` or ``(1, width)``, as float32 rows.
 
-    Any other shape raises ContractViolation. A value past float32's range
-    becomes inf, not a warning.
+    Any other shape, or a value that is not finite in float32 (one past its
+    range becomes inf, not a warning), raises ContractViolation.
     """
-    row = np.asarray(h)
-    if row.shape != (width,) and row.shape != (1, width):
-        raise ContractViolation(
-            f"append rows must be shaped ({width},) or (1, {width}), got {row.shape}"
-        )
-    if row.dtype != np.float32:
-        with np.errstate(over="ignore"):
-            row = row.astype(np.float32)
-    return row.reshape(1, width)
+    rows = []
+    for h in (h_k, h_v):
+        row = np.asarray(h)
+        if row.shape != (width,) and row.shape != (1, width):
+            raise ContractViolation(
+                f"append rows must be shaped ({width},) or (1, {width}), got {row.shape}"
+            )
+        if row.dtype != np.float32:
+            with np.errstate(over="ignore"):
+                row = row.astype(np.float32)
+        rows.append(row.reshape(1, width))
+    k_row, v_row = rows
+    # count_nonzero, not .all(): on one short row per head and step it
+    # costs about half as much
+    if np.count_nonzero(np.isfinite(k_row)) + np.count_nonzero(np.isfinite(v_row)) < 2 * width:
+        raise ContractViolation("append rows must be finite")
+    return k_row, v_row
 
 
 @dataclass
@@ -145,12 +153,7 @@ class CompressedKVCache:
         and leaves the cache unchanged.
         """
         e = self.entry(layer, head)
-        k_row, v_row = _f32_row(h_k, self.head_dim), _f32_row(h_v, self.head_dim)
-        # count_nonzero, not .all(): on one short row per head and step it
-        # costs about half as much
-        finite = np.count_nonzero(np.isfinite(k_row)) + np.count_nonzero(np.isfinite(v_row))
-        if finite < 2 * self.head_dim:
-            raise ContractViolation("append rows must be finite")
+        k_row, v_row = append_rows(h_k, h_v, self.head_dim)
         # decode positions continue from the prompt length, one per append
         after_last = e.positions[-1] + 1 if e.positions else 0
         e.positions.append(max(self.prefill_len, after_last))

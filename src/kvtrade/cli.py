@@ -6,7 +6,7 @@ Subcommands:
   special config name ``demo`` uses the built-in demonstration sweep.
 * ``validate --config <path>``: schema-check a config; exit 0 when valid,
   2 when not.
-* ``demo``: run the built-in sweep and print a result table.
+* ``demo``: ``run --config demo`` plus a result table; a CSV only with ``--out``.
 
 Exit codes: 0 success, 1 runtime error, 2 config error. When set, the
 ``KVTRADE_OUT_DIR`` environment variable provides the default directory for
@@ -20,11 +20,12 @@ import os
 import sys
 from pathlib import Path
 
-from .errors import IntegrityError
 from .sweep import (
     DEMO_CONFIG,
     ConfigError,
+    SweepConfig,
     SweepRow,
+    SweepSkip,
     emit_csv,
     parse_config,
     run_sweep,
@@ -37,20 +38,16 @@ EXIT_CONFIG = 2
 OUT_DIR_ENV = "KVTRADE_OUT_DIR"
 
 
-def _read_config(spec: str) -> str:
-    if spec == "demo":
-        return DEMO_CONFIG
-    return Path(spec).read_text(encoding="utf-8")
+def _load_config(spec: str) -> SweepConfig:
+    """Parse the config file at ``spec``, or the built-in one for ``demo``.
 
-
-def _resolve_out(arg_out: str | None, cfg_out: str) -> Path:
-    name = arg_out or cfg_out or "sweep.csv"
-    path = Path(name)
-    if not path.is_absolute():
-        base = os.environ.get(OUT_DIR_ENV)
-        if base:
-            path = Path(base) / path
-    return path
+    An unreadable file is a ConfigError.
+    """
+    try:
+        text = DEMO_CONFIG if spec == "demo" else Path(spec).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
+    return parse_config(text)
 
 
 def _print_table(rows: list[SweepRow], stream) -> None:
@@ -68,62 +65,46 @@ def _print_table(rows: list[SweepRow], stream) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(line, widths)), file=stream)
 
 
-def _cmd_run(args) -> int:
-    try:
-        cfg = parse_config(_read_config(args.config))
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IntegrityError as exc:  # a damaged weights file, read to validate
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    try:
-        rows, skips = run_sweep(cfg, parallel=args.parallel)
-        out = _resolve_out(args.out, cfg.output)
+def _run(spec: str, parallel: int, out: str | None) -> tuple[list[SweepRow], list[SweepSkip], Path | None]:
+    """Run the config at ``spec``; returns its rows, its skips and the CSV path written.
+
+    Unless ``out`` is None the CSV goes to ``out``, else the config's ``output``,
+    else ``sweep.csv``, a relative path under ``KVTRADE_OUT_DIR`` when that is set.
+    """
+    cfg = _load_config(spec)
+    rows, skips = run_sweep(cfg, parallel=parallel)
+    if out is not None:
+        out = Path(out or cfg.output or "sweep.csv")
+        if not out.is_absolute() and os.environ.get(OUT_DIR_ENV):
+            out = Path(os.environ[OUT_DIR_ENV]) / out
         out.parent.mkdir(parents=True, exist_ok=True)
         emit_csv(rows, out)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    return rows, skips, out
+
+
+def _cmd_run(args) -> int:
+    rows, skips, out = _run(args.config, args.parallel, args.out or "")
     print(f"wrote {len(rows)} rows to {out} ({len(skips)} skipped)")
-    if skips and args.verbose:
+    if args.verbose:
         for skip in skips:
             p = skip.point
-            print(
-                f"skipped {p.policy}/{p.bits}b/x{p.multiplier}/{p.strategy}"
-                f"/seed{p.seed}: {skip.reason}",
-                file=sys.stderr,
-            )
+            print(f"skipped {p.policy}/{p.bits}b/x{p.multiplier}/{p.strategy}"
+                  f"/seed{p.seed}: {skip.reason}", file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    try:
-        parse_config(_read_config(args.config))
-    except (ConfigError, OSError) as exc:
-        print(f"invalid: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except IntegrityError as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    _load_config(args.config)
     print("ok")
     return EXIT_OK
 
 
 def _cmd_demo(args) -> int:
-    cfg = parse_config(DEMO_CONFIG)
-    try:
-        rows, skips = run_sweep(cfg)
-    except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+    rows, skips, out = _run("demo", 1, args.out or None)
     _print_table(rows, sys.stdout)
     if skips:
         print(f"({len(skips)} grid points skipped)")
-    if args.out:
-        out = _resolve_out(args.out, "")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        emit_csv(rows, out)
+    if out is not None:
         print(f"wrote {out}")
     return EXIT_OK
 
@@ -151,7 +132,15 @@ def main(argv=None) -> int:
     p_demo.set_defaults(func=_cmd_demo)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        label = "invalid" if args.command == "validate" else "config error"
+        print(f"{label}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except Exception as exc:  # noqa: BLE001 - CLI boundary; IntegrityError among them
+        print(f"runtime error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

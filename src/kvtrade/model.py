@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import CompressedKVCache
+from .cache import CompressedKVCache, append_rows
 from .errors import ContractViolation, IntegrityError
 from .prune import check_causal_rows
 from .tensor import Matrix, matmul, softmax_rows
@@ -97,12 +97,18 @@ class DenseKV:
             values=[[v.copy() for v in row] for row in result.values],
         )
 
-    def decode_append(self, layer: int, head: int, k_row, v_row) -> None:
-        """Append one decode token's K/V rows, uncompressed."""
-        self.keys[layer][head] = np.concatenate([self.keys[layer][head], k_row.reshape(1, -1)])
-        self.values[layer][head] = np.concatenate([self.values[layer][head], v_row.reshape(1, -1)])
+    def decode_append(self, layer: int, head: int, h_k, h_v) -> None:
+        """Append one decode token's K/V rows, uncompressed; a bad index or row
+        (:func:`append_rows`) raises ContractViolation and leaves the store unchanged."""
+        k, v = self.materialize(layer, head)
+        k_row, v_row = append_rows(h_k, h_v, k.shape[1])
+        self.keys[layer][head] = np.concatenate([k, k_row])
+        self.values[layer][head] = np.concatenate([v, v_row])
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
+        """The stored K/V of (layer, head); an index outside the store raises ContractViolation."""
+        if not (0 <= layer < len(self.keys) and 0 <= head < len(self.keys[layer])):
+            raise ContractViolation(f"(layer, head) ({layer}, {head}) outside the store")
         return self.keys[layer][head], self.values[layer][head]
 
 
@@ -329,6 +335,12 @@ class RecallVocab:
     num_pairs: int
     filler_vocab: int
 
+    def __post_init__(self) -> None:
+        if self.num_pairs < 1:
+            raise ContractViolation(f"num_pairs must be >= 1, got {self.num_pairs}")
+        if self.filler_vocab < 1:
+            raise ContractViolation(f"filler_vocab must be >= 1, got {self.filler_vocab}")
+
     def key(self, i: int) -> int:
         return i
 
@@ -343,29 +355,14 @@ class RecallVocab:
         return 2 * self.num_pairs + self.filler_vocab
 
 
-def build_recall_model(
-    num_pairs: int,
-    seq_len: int,
-    filler_vocab: int = 32,
-    d_model: int | None = None,
-) -> tuple[Model, RecallVocab, float]:
-    """Construct the retrieval model and report its worst-case logit margin.
+def build_recall_model(num_pairs: int, seq_len: int, filler_vocab: int = 32) -> tuple[Model, RecallVocab]:
+    """The retrieval model for ``seq_len``-token prompts, and its vocabulary.
 
-    The margin is measured by running the model itself: a reference prompt of
-    ``seq_len`` tokens with every pair present is prefilled at full precision
-    and each key queried; the returned margin is the minimum over queries of
-    (logit of the correct value) - (best competing logit).
+    ``d_model`` is ``4 * num_pairs``: the match, probe, payload and filler blocks.
     """
+    vocab = RecallVocab(num_pairs, filler_vocab)
     m = num_pairs
-    if m < 1:
-        raise ContractViolation("need at least one pair")
-    if filler_vocab < 1:
-        raise ContractViolation("vocabulary too small: no filler alphabet")
-    if d_model is None:
-        d_model = 4 * m
-    if d_model < 3 * m + 1:
-        raise ContractViolation(f"d_model {d_model} too small for {m} pairs")
-    vocab = RecallVocab(m, filler_vocab)
+    d_model = 4 * m
 
     # attention gain: post-softmax weight on the matched position ~ 1 - n/(99n)
     c = np.float32(math.sqrt(math.sqrt(d_model) * math.log(99.0 * (seq_len + 2))))
@@ -376,7 +373,7 @@ def build_recall_model(
         emb[vocab.value(i), i] = 1.0
         emb[vocab.value(i), 2 * m + i] = 1.0
     for j in range(filler_vocab):
-        emb[vocab.filler(j), 3 * m + j % (d_model - 3 * m)] = 1.0
+        emb[vocab.filler(j), 3 * m + j % m] = 1.0
 
     w_q = np.zeros((d_model, d_model), dtype=np.float32)
     w_k = np.zeros((d_model, d_model), dtype=np.float32)
@@ -397,24 +394,7 @@ def build_recall_model(
         vocab=vocab.size,
         context_limit=seq_len + 2,
     )
-    model = Model(cfg, Weights(emb, (LayerWeights(w_q, w_k, w_v, w_o),), head))
-
-    # reference prompt: pairs evenly spread through filler, all retained
-    tokens = [vocab.filler(j) for j in range(seq_len)]
-    span = max(seq_len - 2, 1)
-    for i in range(m):
-        pos = min(int(i * span / max(m - 1, 1)), seq_len - 2)
-        tokens[pos] = vocab.key(i)
-        tokens[pos + 1] = vocab.value(i)
-    result = prefill(model, tokens)
-    margin = math.inf
-    for i in range(m):
-        kv = DenseKV.from_prefill(result)
-        logits = decode_step_dense(model, kv, embed_token(model, vocab.key(i)))
-        expected = vocab.value(i)
-        best_other = max(v for t, v in enumerate(logits) if t != expected)
-        margin = min(margin, float(logits[expected] - best_other))
-    return model, vocab, margin
+    return Model(cfg, Weights(emb, (LayerWeights(w_q, w_k, w_v, w_o),), head)), vocab
 
 
 # Weights file: magic "KVTW", u16 version, u16 layers, u16 heads, u32 d_model,

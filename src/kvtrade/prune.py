@@ -52,6 +52,8 @@ class PolicyConfig:
     pool_width: int = 7
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, PolicyKind):
+            raise ContractViolation(f"kind must be a PolicyKind member, got {self.kind!r}")
         if self.recent_window is not None and self.recent_window < 1:
             raise ContractViolation("recent_window must be >= 1")
         if self.pool_width < 1 or self.pool_width % 2 == 0:

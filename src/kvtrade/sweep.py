@@ -13,7 +13,8 @@ reference, computed once (see ``run_point``).
 Each schema is stated once: config keys and their parsers derive from the
 ``SweepConfig`` annotations, CSV columns and their formats from the
 ``SweepRow`` fields, and validation asks the types that own each rule
-(``PolicyConfig``, ``budget.PLAN_BITS``, ``STRATEGIES``, ``enumerate_grid``).
+(``PolicyConfig``, ``budget.PLAN_BITS``, ``STRATEGIES``, ``enumerate_grid``,
+``RecallVocab`` and ``gen_recall_task``, which places the needles).
 
 Infeasible grid points (e.g. a budget below the policy's window) are
 recorded as skips with a reason and never crash the sweep. Results are
@@ -48,6 +49,7 @@ from .model import (
     DenseKV,
     Model,
     ModelConfig,
+    RecallVocab,
     build_recall_model,
     decode_step,
     decode_step_dense,
@@ -283,18 +285,13 @@ def validate_config(cfg: SweepConfig) -> list[str]:
     if any(s < 0 for s in cfg.seeds):
         problems.append("seeds must be >= 0")
     if cfg.task == "recall":
-        if cfg.num_pairs < 1:
-            problems.append("num_pairs must be >= 1 for the recall task")
-        if cfg.filler_vocab < 1:
-            problems.append("filler_vocab must be >= 1 for the recall task")
-        if cfg.needle_depths and len(cfg.needle_depths) != cfg.num_pairs:
-            problems.append("needle_depths length must equal num_pairs")
-        for d in cfg.needle_depths:
-            if not 0.0 <= d <= 1.0:
-                problems.append(f"needle depth {d} outside [0, 1]")
+        # needle placement does not depend on the seed, so seed 0 stands for all
         for n in cfg.seq_lens:
-            if 2 * cfg.num_pairs > n:
-                problems.append(f"{cfg.num_pairs} pairs cannot fit in seq_len {n}")
+            try:
+                gen_recall_task(n, cfg.num_pairs, cfg.depths(), 0,
+                                RecallVocab(cfg.num_pairs, cfg.filler_vocab))
+            except ContractViolation as exc:
+                problems.append(f"recall task at seq_len {n}: {exc}")
     if cfg.task == "random_probe" and cfg.probe_steps < 1:
         problems.append("probe_steps must be >= 1 for the random_probe task")
     if cfg.base_tokens < 1:
@@ -344,10 +341,7 @@ def enumerate_grid(cfg: SweepConfig) -> list[GridPoint]:
     return [GridPoint(index, *a) for index, a in enumerate(kept)]
 
 
-@functools.lru_cache(maxsize=8)
-def _recall_model(num_pairs: int, seq_len: int, filler_vocab: int):
-    model, vocab, _margin = build_recall_model(num_pairs, seq_len, filler_vocab)
-    return model, vocab
+_recall_model = functools.lru_cache(maxsize=8)(build_recall_model)
 
 
 @functools.lru_cache(maxsize=4)
@@ -365,8 +359,7 @@ def _build_model(cfg: SweepConfig, point: GridPoint, prompt: "_Prompt | None"):
     if cfg.weights_file:
         return _load_weights_file(cfg.weights_file), None
     if cfg.model == "recall":
-        model, vocab = _recall_model(cfg.num_pairs, point.seq_len, cfg.filler_vocab)
-        return model, vocab
+        return _recall_model(cfg.num_pairs, point.seq_len, cfg.filler_vocab)
     if prompt is not None:  # a random model is a function of the config and the seed
         return prompt.model, None
     mc = ModelConfig(

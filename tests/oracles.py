@@ -11,7 +11,9 @@ something the package computes another way:
 * ``context_from_probs``: the score statistics of a full n x n probability
   matrix, the oracle for prefill's streamed statistics;
 * ``quantization_logit_bound``: a worst-case bound on the logit change that
-  quantization causes in one decode step of a single-layer model.
+  quantization causes in one decode step of a single-layer model;
+* ``recall_margin``: the recall model's worst-case logit margin, measured by
+  running the model at full precision.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from kvtrade.budget import FULL_PRECISION_BITS, PLAN_BITS, BudgetPlan, plan_for_tokens
 from kvtrade.cache import CompressedKVCache
 from kvtrade.errors import ContractViolation
-from kvtrade.model import Model
+from kvtrade.model import DenseKV, Model, RecallVocab, decode_step_dense, embed_token, prefill
 from kvtrade.prune import ScoreContext
 from kvtrade.quant import SUPPORTED_BITS, Layout, error_bound_matrix
 from kvtrade.tensor import Matrix
@@ -143,3 +145,30 @@ def quantization_logit_bound(model: Model, cache: CompressedKVCache, h) -> float
         model.weights.head.astype(np.float64)
     )
     return float(logit_err.max())
+
+
+def recall_margin(model: Model, vocab: RecallVocab, seq_len: int) -> float:
+    """Worst-case logit margin of a :func:`kvtrade.model.build_recall_model` model.
+
+    The margin is measured by running the model itself: a reference prompt of
+    ``seq_len`` tokens with every pair present is prefilled at full precision
+    and each key queried; the returned margin is the minimum over queries of
+    (logit of the correct value) - (best competing logit).
+    """
+    m = vocab.num_pairs
+    # reference prompt: pairs evenly spread through filler, all retained
+    tokens = [vocab.filler(j) for j in range(seq_len)]
+    span = max(seq_len - 2, 1)
+    for i in range(m):
+        pos = min(int(i * span / max(m - 1, 1)), seq_len - 2)
+        tokens[pos] = vocab.key(i)
+        tokens[pos + 1] = vocab.value(i)
+    result = prefill(model, tokens)
+    margin = math.inf
+    for i in range(m):
+        kv = DenseKV.from_prefill(result)
+        logits = decode_step_dense(model, kv, embed_token(model, vocab.key(i)))
+        expected = vocab.value(i)
+        best_other = max(v for t, v in enumerate(logits) if t != expected)
+        margin = min(margin, float(logits[expected] - best_other))
+    return margin

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 
 from kvtrade.cache import prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
+from kvtrade import model as kvmodel
 from kvtrade.model import (
     NEG_MASK,
     DenseKV,
     Model,
     ModelConfig,
+    RecallVocab,
     Weights,
     build_recall_model,
     decode_step,
@@ -32,7 +34,7 @@ from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext, decide
 from kvtrade.sweep import STRATEGIES
 from kvtrade.tasks import gen_recall_task
 from kvtrade.tensor import matmul
-from oracles import context_from_probs, quantization_logit_bound, uniform_plan
+from oracles import context_from_probs, quantization_logit_bound, recall_margin, uniform_plan
 
 STREAM = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=4)
 
@@ -332,8 +334,8 @@ class TestExtremePruning:
 
 class TestRecallModel:
     def test_full_recall_without_compression(self):
-        model, vocab, margin = build_recall_model(4, 64)
-        assert margin > 0
+        model, vocab = build_recall_model(4, 64)
+        assert recall_margin(model, vocab, 64) > 0
         task = gen_recall_task(64, 4, [0.0, 0.3, 0.6, 1.0], 0, vocab)
         res = prefill(model, task.tokens)
         for q in task.queries:
@@ -342,7 +344,7 @@ class TestRecallModel:
             assert int(np.argmax(logits)) == q.value_token
 
     def test_evicted_needle_fails(self):
-        model, vocab, _ = build_recall_model(4, 64)
+        model, vocab = build_recall_model(4, 64)
         task = gen_recall_task(64, 4, [0.5, 0.55, 0.6, 1.0], 0, vocab)
         res = prefill(model, task.tokens)
         # budget 8 with window 4: sinks {0..3} + recent {60..63}; the pair at
@@ -358,7 +360,8 @@ class TestRecallModel:
         assert int(np.argmax(logits)) == kept.value_token
 
     def test_8bit_margin_beats_bound_and_argmax_unchanged(self):
-        model, vocab, margin = build_recall_model(4, 48)
+        model, vocab = build_recall_model(4, 48)
+        margin = recall_margin(model, vocab, 48)
         task = gen_recall_task(48, 4, [0.0, 0.3, 0.6, 1.0], 1, vocab)
         res = prefill(model, task.tokens)
         plan = uniform_plan(
@@ -377,7 +380,7 @@ class TestRecallModel:
     @pytest.mark.parametrize("seed", range(3))
     def test_retrieval_succeeds_exactly_when_the_pair_survives(self, seed):
         n, pairs = 128, 8
-        model, vocab, _ = build_recall_model(pairs, n)
+        model, vocab = build_recall_model(pairs, n)
         task = gen_recall_task(n, pairs, [i / (pairs - 1) for i in range(pairs)], seed, vocab)
         res = prefill(model, task.tokens, window=8)
         ctxs = contexts(res)
@@ -405,8 +408,23 @@ class TestRecallModel:
     def test_vocab_too_small_rejected(self):
         with pytest.raises(ContractViolation):
             build_recall_model(4, 64, filler_vocab=0)
-        with pytest.raises(ContractViolation):
-            build_recall_model(4, 64, d_model=8)
+
+    @pytest.mark.parametrize("pairs, filler, key", [(0, 4, "num_pairs"), (-1, 4, "num_pairs"),
+                                                    (4, 0, "filler_vocab")])
+    def test_vocab_names_the_setting_it_rejects(self, pairs, filler, key):
+        with pytest.raises(ContractViolation, match=key):
+            RecallVocab(pairs, filler)
+        with pytest.raises(ContractViolation, match=key):
+            build_recall_model(pairs, 64, filler)
+
+    def test_building_runs_the_model_nowhere(self, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("build_recall_model ran the model")
+
+        monkeypatch.setattr(kvmodel, "prefill", boom)
+        monkeypatch.setattr(kvmodel, "_decode", boom)
+        model, vocab = build_recall_model(8, 256)
+        assert model.config.d_model == 32 and vocab.size == 48
 
 
 class TestBitsPerturbationOrdering:
@@ -555,3 +573,40 @@ def test_positions_change_prefill_only_when_enabled():
     # identical tokens are indistinguishable without positions
     assert np.array_equal(a.keys[0][0][0], a.keys[0][0][1])
     assert not np.array_equal(b.keys[0][0][0], b.keys[0][0][1])
+
+
+class TestDenseKVRejects:
+    """The reference store rejects what the compressed cache rejects, unchanged after."""
+
+    def make(self):
+        model = random_model(ModelConfig(1, 1, 4, 8, 16, seed=2))
+        return DenseKV.from_prefill(prefill(model, [1, 2, 3]))
+
+    @staticmethod
+    def state(kv):
+        return [m.tobytes() for row in kv.keys + kv.values for m in row]
+
+    @pytest.mark.parametrize("layer, head", [(-1, 0), (0, -1), (1, 0), (0, 1)])
+    def test_index_outside_the_store(self, layer, head):
+        kv = self.make()
+        before = self.state(kv)
+        with pytest.raises(ContractViolation, match="outside"):
+            kv.materialize(layer, head)
+        with pytest.raises(ContractViolation, match="outside"):
+            kv.decode_append(layer, head, np.ones(4), np.ones(4))
+        assert self.state(kv) == before
+
+    @pytest.mark.parametrize("k_row, match", [
+        (np.ones((2, 2)), "shaped"),
+        (np.ones(5), "shaped"),
+        (np.array([1.0, np.nan, 0.0, 0.0]), "finite"),
+        (np.array([1e39, 0.0, 0.0, 0.0]), "finite"),
+    ], ids=["two_by_two", "too_wide", "nan", "past_float32"])
+    def test_bad_row(self, k_row, match):
+        kv = self.make()
+        before = self.state(kv)
+        with pytest.raises(ContractViolation, match=match):
+            kv.decode_append(0, 0, k_row, np.ones(4))
+        with pytest.raises(ContractViolation, match=match):
+            kv.decode_append(0, 0, np.ones(4), k_row)
+        assert self.state(kv) == before

@@ -304,6 +304,13 @@ class TestPolicyProperties:
                 )
 
 
+@pytest.mark.parametrize("kind", ["bogus", "snapkv", None])
+def test_policy_rejects_kind_outside_the_enum(kind):
+    # a plain string, even a member's value, is not a PolicyKind
+    with pytest.raises(ContractViolation, match="PolicyKind member"):
+        PolicyConfig(kind)
+
+
 def test_prune_decision_rejects_disorder():
     with pytest.raises(ContractViolation):
         PruneDecision((3, 1, 2))

@@ -1,8 +1,11 @@
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from kvtrade import sweep
+from kvtrade.errors import ContractViolation
+from kvtrade.model import RecallVocab
 from kvtrade.sweep import (
     CSV_COLUMNS,
     DEMO_CONFIG,
@@ -16,6 +19,7 @@ from kvtrade.sweep import (
     run_sweep,
     validate_config,
 )
+from kvtrade.tasks import gen_recall_task
 
 SMALL = SweepConfig(
     task="recall",
@@ -97,6 +101,36 @@ class TestConfigParsing:
     )
     def test_validate_flags_configs_that_crash_or_mislead(self, cfg, word):
         assert any(word in p for p in validate_config(cfg))
+
+    def test_validate_flags_needles_with_no_slot_left(self):
+        # both pairs ask for depth 1.0: the second has no slot after the first
+        cfg = SweepConfig(num_pairs=2, needle_depths=(1.0, 1.0))
+        assert any("no slot left at depth 1.0" in p for p in validate_config(cfg))
+
+    def test_validate_flags_a_recall_setting_exactly_when_the_task_generator_raises(self):
+        rng = np.random.default_rng(11)
+        outcomes = set()
+        for _ in range(300):
+            pairs = int(rng.integers(0, 7))
+            n = int(rng.integers(4, 24))
+            if rng.random() < 0.25:
+                depths = ()
+            else:
+                count = max(0, pairs + int(rng.choice([-1, 0, 0, 0, 1])))
+                # crowd the depths toward the end and sometimes past [0, 1]
+                depths = tuple(float(d) for d in rng.choice([0.0, 0.5, 0.9, 1.0, 1.2, -0.1], count))
+            cfg = SweepConfig(seq_lens=(n,), num_pairs=pairs, needle_depths=depths,
+                              filler_vocab=int(rng.integers(0, 4)))
+            try:
+                gen_recall_task(n, pairs, cfg.depths(), int(rng.integers(0, 1000)),
+                                RecallVocab(pairs, cfg.filler_vocab))
+                raised = False
+            except ContractViolation:
+                raised = True
+            flagged = any(p.startswith("recall task") for p in validate_config(cfg))
+            assert flagged == raised, (pairs, n, depths, cfg.filler_vocab)
+            outcomes.add(raised)
+        assert outcomes == {True, False}
 
     @pytest.mark.parametrize(
         "text", ["seq_lens =\n", "overrides =\n", "bits = 2\n"], ids=["seq_lens", "overrides", "paired"]

@@ -53,7 +53,7 @@ class TestGenRecallTask:
             gen_recall_task(64, 3, [0.0, 1.0], 0, VOCAB)
 
     def test_tokens_come_from_model_vocab(self):
-        _, vocab, _ = build_recall_model(4, 64)
+        _, vocab = build_recall_model(4, 64)
         task = gen_recall_task(64, 4, [0.0, 0.3, 0.6, 0.9], 1, vocab)
         assert all(0 <= t < vocab.size for t in task.tokens)
         keys = {q.key_token for q in task.queries}
