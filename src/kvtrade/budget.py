@@ -20,11 +20,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ContractViolation
-from .quant import Layout, QuantConfig, check_layout, quantized_bytes_for_shape
+from .quant import SUPPORTED_BITS, Layout, QuantConfig, quantized_bytes_for_shape
 
 PLAN_BITS = (2, 4, 8, 16)
 FULL_PRECISION_BITS = 16
 BYTES_PER_FP16 = 2
+
+
+def preserves_budget(bits: int, tokens_multiplier: int) -> bool:
+    """Whether ``tokens_multiplier`` x the base tokens at ``bits`` cost what 1x at 16 bits does."""
+    return bits * tokens_multiplier == FULL_PRECISION_BITS
 
 
 def fp16_kv_bytes(tokens: int, heads: int, head_dim: int) -> int:
@@ -38,17 +43,19 @@ class BudgetPlan:
 
     ``total_budget_bytes`` is the byte cost of the 16-bit reference this
     plan trades against (the budget denominator used for parity checks).
+    ``outlier_threshold``, when set, stores values with a larger magnitude
+    exactly beside the quantized groups (see ``QuantConfig``).
     """
 
     per_layer: tuple[tuple[int, int], ...]
     group_size: int
     layout: Layout
     total_budget_bytes: int
+    outlier_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.group_size < 1:
-            raise ContractViolation(f"group_size must be >= 1, got {self.group_size}")
-        check_layout(self.layout)
+        # QuantConfig checks the setup every layer shares, also when no layer quantizes
+        QuantConfig(SUPPORTED_BITS[0], self.group_size, self.layout, self.outlier_threshold)
         if not self.per_layer:
             raise ContractViolation("a plan needs at least one layer")
         for tokens, bits in self.per_layer:
@@ -61,7 +68,7 @@ class BudgetPlan:
     def layers(self) -> int:
         return len(self.per_layer)
 
-    def quant_config(self, layer: int, outlier_threshold: float | None = None):
+    def quant_config(self, layer: int):
         """(K config, V config) for a layer, or None at 16-bit.
 
         ``per_channel`` plans quantize keys along the token axis and values
@@ -71,8 +78,8 @@ class BudgetPlan:
         tokens, bits = self.per_layer[layer]
         if bits == FULL_PRECISION_BITS:
             return None
-        k_cfg = QuantConfig(bits, self.group_size, self.layout, outlier_threshold)
-        v_cfg = QuantConfig(bits, self.group_size, Layout.PER_TOKEN, outlier_threshold)
+        k_cfg = QuantConfig(bits, self.group_size, self.layout, self.outlier_threshold)
+        v_cfg = QuantConfig(bits, self.group_size, Layout.PER_TOKEN, self.outlier_threshold)
         return k_cfg, v_cfg
 
 
@@ -80,8 +87,8 @@ class BudgetPlan:
 class LayerOverride:
     """Reconfigure layers [start, end) to ``tokens_multiplier`` x base tokens at ``bits``.
 
-    Only budget-preserving combinations are accepted: the multiplier must
-    equal 16 / bits, mirroring the 1x@16 / 2x@8 / 4x@4 configurations.
+    Only budget-preserving combinations (:func:`preserves_budget`) of a
+    plan width are accepted: 1x@16, 2x@8, 4x@4 and 8x@2.
     """
 
     start: int
@@ -92,12 +99,10 @@ class LayerOverride:
     def __post_init__(self) -> None:
         if self.start < 0 or self.end <= self.start:
             raise ContractViolation(f"bad layer range [{self.start}, {self.end})")
-        if self.bits not in (4, 8, 16):
-            raise ContractViolation(f"override bits must be 4, 8 or 16, got {self.bits}")
-        if self.tokens_multiplier != 16 // self.bits:
-            raise ContractViolation(
-                "override must preserve budget: tokens_multiplier must equal 16/bits"
-            )
+        if self.bits not in PLAN_BITS:
+            raise ContractViolation(f"override bits must be one of {PLAN_BITS}, got {self.bits}")
+        if not preserves_budget(self.bits, self.tokens_multiplier):
+            raise ContractViolation(f"override {self.bits}x{self.tokens_multiplier} changes the budget")
 
 
 def plan_for_tokens(
@@ -107,6 +112,7 @@ def plan_for_tokens(
     head_dim: int,
     group_size: int = 64,
     layout: Layout = Layout.PER_TOKEN,
+    outlier_threshold: float | None = None,
 ) -> BudgetPlan:
     """Plan with explicit per-layer token counts (pyramid allocations etc.)."""
     counts = [int(t) for t in tokens_per_layer]
@@ -116,6 +122,7 @@ def plan_for_tokens(
         group_size=group_size,
         layout=layout,
         total_budget_bytes=fp16_kv_bytes(base_total, heads, head_dim),
+        outlier_threshold=outlier_threshold,
     )
 
 

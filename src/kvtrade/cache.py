@@ -121,8 +121,12 @@ class CompressedKVCache:
     heads: int
     head_dim: int
     prefill_len: int
-    outlier_threshold: float | None
     entries: list[list[LayerHeadCache]]
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        """(layers, heads, head_dim)."""
+        return len(self.entries), self.heads, self.head_dim
 
     def entry(self, layer: int, head: int) -> LayerHeadCache:
         """The sub-cache of (layer, head); an index outside the cache raises ContractViolation."""
@@ -139,7 +143,6 @@ class CompressedKVCache:
             heads=self.heads,
             head_dim=self.head_dim,
             prefill_len=self.prefill_len,
-            outlier_threshold=self.outlier_threshold,
             entries=[[e.clone() for e in row] for row in self.entries],
         )
 
@@ -160,7 +163,7 @@ class CompressedKVCache:
         e.residual_k = concat_rows(e.residual_k, k_row)
         e.residual_v = concat_rows(e.residual_v, v_row)
         if e.residual_k.shape[0] == self.plan.group_size:
-            e.flush(self.plan.quant_config(layer, self.outlier_threshold))
+            e.flush(self.plan.quant_config(layer))
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
         """Dequantized blocks followed by the residual, in position order.
@@ -199,7 +202,6 @@ def prefill_compress(
     ctxs: list[list[ScoreContext | None]],
     plan: BudgetPlan,
     policy: PolicyConfig,
-    outlier_threshold: float | None = None,
 ) -> CompressedKVCache:
     """Prune every (layer, head) to its plan budget, then quantize the survivors.
 
@@ -210,11 +212,7 @@ def prefill_compress(
     layer the same number of heads (at least one), and every head a finite
     nonempty n x head_dim K and V; anything else raises ContractViolation.
     """
-    if len(keys) != plan.layers:
-        raise ContractViolation(
-            f"plan has {plan.layers} layers, got {len(keys)} key layers"
-        )
-    heads = len(keys[0])
+    heads = len(keys[0]) if keys else 0
     for name, arg in (("keys", keys), ("values", values), ("ctxs", ctxs)):
         if len(arg) != plan.layers or any(len(row) != heads for row in arg):
             raise ContractViolation(f"{name} must hold {plan.layers} layers of {heads} heads")
@@ -230,7 +228,7 @@ def prefill_compress(
             raise ContractViolation(
                 f"layer {layer} budget {tokens} below policy minimum {policy.window}"
             )
-        cfgs = plan.quant_config(layer, outlier_threshold)
+        cfgs = plan.quant_config(layer)
         row: list[LayerHeadCache] = []
         for head in range(heads):
             k, v = keys[layer][head], values[layer][head]
@@ -257,7 +255,6 @@ def prefill_compress(
         heads=heads,
         head_dim=head_dim,
         prefill_len=n,
-        outlier_threshold=outlier_threshold,
         entries=entries,
     )
 
@@ -295,7 +292,7 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
             cache.head_dim,
             cache.plan.group_size,
             _LAYOUTS.index(cache.plan.layout),
-            float("nan") if cache.outlier_threshold is None else cache.outlier_threshold,
+            float("nan") if cache.plan.outlier_threshold is None else cache.plan.outlier_threshold,
             cache.prefill_len,
             cache.plan.total_budget_bytes,
         ),
@@ -403,17 +400,17 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
     r.data = data[:-4]
     if layout_code >= len(_LAYOUTS):
         raise IntegrityError(f"unknown layout code {layout_code}")
-    outlier = None if np.isnan(threshold) else float(threshold)
     table = np.frombuffer(r.take(_PLAN_TABLE.itemsize * layers), dtype=_PLAN_TABLE)
     plan = BudgetPlan(
         per_layer=tuple(zip(table["tokens"].tolist(), table["bits"].tolist())),
         group_size=group_size,
         layout=_LAYOUTS[layout_code],
         total_budget_bytes=total_budget_bytes,
+        outlier_threshold=None if np.isnan(threshold) else threshold,
     )
     entries = []
     for layer in range(layers):
-        cfgs = plan.quant_config(layer, outlier)
+        cfgs = plan.quant_config(layer)
         entries.append([_load_entry(r, cfgs, head_dim, prefill_len) for _ in range(heads)])
     if r.pos != len(r.data):
         raise IntegrityError(f"{len(r.data) - r.pos} trailing bytes after the snapshot")
@@ -423,6 +420,5 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
         heads=heads,
         head_dim=head_dim,
         prefill_len=prefill_len,
-        outlier_threshold=outlier,
         entries=entries,
     )

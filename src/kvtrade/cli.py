@@ -88,7 +88,7 @@ def _cmd_run(args) -> int:
     if args.verbose:
         for skip in skips:
             p = skip.point
-            print(f"skipped {p.policy}/{p.bits}b/x{p.multiplier}/{p.strategy}"
+            print(f"skipped {p.policy}/{p.bits}b/x{p.token_multiplier}/{p.layout}"
                   f"/seed{p.seed}: {skip.reason}", file=sys.stderr)
     return EXIT_OK
 

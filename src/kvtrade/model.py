@@ -90,6 +90,14 @@ class DenseKV:
     keys: list[list[Matrix]]
     values: list[list[Matrix]]
 
+    @property
+    def shape(self) -> tuple[int, int, int] | None:
+        """(layers, heads, head_dim), or None when its matrices disagree on heads or width."""
+        rows = self.keys + self.values
+        heads, widths = {len(row) for row in rows}, {m.shape[1] for row in rows for m in row}
+        uniform = len(self.keys) == len(self.values) and len(heads) == len(widths) == 1
+        return (len(self.keys), *heads, *widths) if uniform else None
+
     @classmethod
     def from_prefill(cls, result: PrefillResult) -> "DenseKV":
         return cls(
@@ -171,11 +179,11 @@ def _prompt_ids(model: Model, tokens) -> np.ndarray:
     return ids
 
 
-def _embed(model: Model, ids: np.ndarray) -> Matrix:
-    """Layer 0's input: the token embeddings, plus positions when enabled."""
+def _embed(model: Model, ids: np.ndarray, offset: int = 0) -> Matrix:
+    """Layer 0's input: the token embeddings, plus positions from ``offset`` when enabled."""
     x = model.weights.embedding[ids, :].copy()
     if model.config.use_positions:
-        x = x + positional_encoding(ids.size, model.config.d_model)
+        x = x + positional_encoding(ids.size, model.config.d_model, offset)
     return x
 
 
@@ -268,11 +276,19 @@ def _decode(model: Model, store, h) -> np.ndarray:
     """One decode step over ``store``, a :class:`CompressedKVCache` or :class:`DenseKV`.
 
     Each head appends the token's K/V rows first (so it attends to itself),
-    then attends over the store's ``materialize`` output.
+    then attends over the store's ``materialize`` output. A store not shaped
+    like the model, or an ``h`` not shaped ``(d_model,)`` or ``(1, d_model)``,
+    raises ContractViolation before the first append.
     """
     cfg = model.config
+    want = (cfg.layers, cfg.heads, cfg.head_dim)
+    if store.shape != want:
+        raise ContractViolation(f"store (layers, heads, head_dim) {store.shape} is not the model's {want}")
+    x = np.asarray(h, dtype=np.float32)
+    if x.shape not in ((cfg.d_model,), (1, cfg.d_model)):
+        raise ContractViolation(f"h must be shaped ({cfg.d_model},) or (1, {cfg.d_model}), got {x.shape}")
+    x = x.reshape(1, cfg.d_model)
     scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
-    x = np.asarray(h, dtype=np.float32).reshape(1, cfg.d_model)
     for layer, lw in enumerate(model.weights.layers):
         q = matmul(x, lw.w_q)
         k = matmul(x, lw.w_k)
@@ -298,11 +314,9 @@ def decode_step_dense(model: Model, kv: DenseKV, h) -> np.ndarray:
 
 
 def embed_token(model: Model, token: int, position: int = 0) -> np.ndarray:
-    """Embedding row for one token (plus positional term when enabled)."""
-    h = model.weights.embedding[token, :].copy()
-    if model.config.use_positions:
-        h = h + positional_encoding(1, model.config.d_model, offset=position)[0]
-    return h
+    """Embedding row for one token (plus positional term when enabled); a
+    token outside the vocabulary raises ContractViolation."""
+    return _embed(model, _prompt_ids(model, [token]), position)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -139,8 +139,8 @@ def top_k_indices(scores, k: int) -> list[int]:
     The result is sorted ascending.
     """
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if k > s.size:
-        raise ContractViolation(f"k={k} exceeds {s.size} scores")
+    if not 0 <= k <= s.size:
+        raise ContractViolation(f"k={k} outside [0, {s.size}]")
     if k == 0:
         return []
     # stable sort on negated scores keeps earlier indices first among ties

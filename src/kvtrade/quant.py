@@ -78,8 +78,9 @@ class QuantConfig:
         if self.group_size < 1:
             raise ContractViolation("group_size must be >= 1")
         check_layout(self.layout)
-        if self.outlier_threshold is not None and self.outlier_threshold < 0:
-            raise ContractViolation("outlier_threshold must be nonnegative")
+        # written so that NaN fails too
+        if self.outlier_threshold is not None and not self.outlier_threshold >= 0:
+            raise ContractViolation(f"outlier_threshold must be None or >= 0, got {self.outlier_threshold}")
 
 
 @dataclass(frozen=True, eq=False)

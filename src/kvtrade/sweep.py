@@ -19,8 +19,7 @@ Each schema is stated once: config keys and their parsers derive from the
 Infeasible grid points (e.g. a budget below the policy's window) are
 recorded as skips with a reason and never crash the sweep. Results are
 emitted as CSV with a fixed 14-column schema in deterministic order (grid
-order, then seed), so identical configs produce byte-identical files; wall
-times are kept on the row objects but excluded from the CSV for that reason.
+order, then seed), so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import functools
 import itertools
 import os
-import time
 import typing
 from dataclasses import dataclass, fields
 
@@ -41,6 +39,7 @@ from .budget import (
     apply_overrides,
     fp16_kv_bytes,
     plan_for_tokens,
+    preserves_budget,
     pyramid_allocation,
 )
 from .cache import prefill_compress
@@ -110,6 +109,9 @@ class SweepConfig:
     pool_width: int = 7
     output: str = ""
 
+    def policy(self, name: str) -> PolicyConfig:
+        return PolicyConfig(PolicyKind(name), self.recent_window, self.pool_width)
+
     def depths(self) -> tuple[float, ...]:
         if self.needle_depths:
             return self.needle_depths
@@ -121,13 +123,15 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class GridPoint:
+    """One point of the grid; every field but ``index`` fills the CSV column of its name."""
+
     index: int
     policy: str
     bits: int
-    multiplier: int
+    token_multiplier: int
     group_size: int
-    strategy: str
-    override_spec: str
+    layout: str  # a STRATEGIES key
+    override_id: str  # an override spec, "none" for none
     seq_len: int
     seed: int
 
@@ -148,7 +152,6 @@ class SweepRow:
     bytes: int
     budget_ratio_raw: float
     budget_ratio_meta: float
-    wall_time: float = 0.0  # informational only, never emitted to CSV
 
     def csv_values(self) -> list[str]:
         return [
@@ -169,8 +172,9 @@ def _fmt(x: float) -> str:
 
 # CSV column -> SweepRow field type, which both formats and parses the column.
 _ROW_TYPES = typing.get_type_hints(SweepRow)
-_CSV_TYPES = {f.name: _ROW_TYPES[f.name] for f in fields(SweepRow) if f.name != "wall_time"}
+_CSV_TYPES = {f.name: _ROW_TYPES[f.name] for f in fields(SweepRow)}
 CSV_COLUMNS = tuple(_CSV_TYPES)
+_POINT_COLUMNS = [f.name for f in fields(GridPoint) if f.name in _CSV_TYPES]  # filled by the point
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +262,7 @@ def validate_config(cfg: SweepConfig) -> list[str]:
         problems.append("the grid is empty (an axis has no value, or no bits x multiplier is 16)")
     for p in cfg.policies:
         try:
-            PolicyConfig(PolicyKind(p), cfg.recent_window, cfg.pool_width)
+            cfg.policy(p)
         except ContractViolation as exc:
             problems.append(f"policy {p}: {exc}")
         except ValueError:
@@ -335,9 +339,10 @@ def parse_override_spec(spec: str) -> list[LayerOverride]:
 
 def enumerate_grid(cfg: SweepConfig) -> list[GridPoint]:
     """Grid points in axis-major order (policy first, seed last), indexed."""
+    overrides = [o or "none" for o in cfg.overrides]
     axes = itertools.product(cfg.policies, cfg.bits, cfg.token_multipliers, cfg.group_sizes,
-                             cfg.layouts, cfg.overrides, cfg.seq_lens, cfg.seeds)
-    kept = (a for a in axes if not cfg.paired_budget or a[1] * a[2] == 16)
+                             cfg.layouts, overrides, cfg.seq_lens, cfg.seeds)
+    kept = (a for a in axes if not cfg.paired_budget or preserves_budget(a[1], a[2]))
     return [GridPoint(index, *a) for index, a in enumerate(kept)]
 
 
@@ -374,9 +379,9 @@ def _build_model(cfg: SweepConfig, point: GridPoint, prompt: "_Prompt | None"):
 
 
 def _build_plan(cfg: SweepConfig, point: GridPoint, model: Model, policy: PolicyConfig) -> BudgetPlan:
-    layout, _thr = STRATEGIES[point.strategy]
+    layout, threshold = STRATEGIES[point.layout]
     layers = model.config.layers
-    tokens = cfg.base_tokens * point.multiplier
+    tokens = cfg.base_tokens * point.token_multiplier
     if point.policy == PolicyKind.PYRAMIDKV.value:
         counts = pyramid_allocation(
             layers,
@@ -393,8 +398,9 @@ def _build_plan(cfg: SweepConfig, point: GridPoint, model: Model, policy: Policy
         head_dim=model.config.head_dim,
         group_size=point.group_size,
         layout=layout,
+        outlier_threshold=threshold,
     )
-    return apply_overrides(plan, parse_override_spec(point.override_spec))
+    return apply_overrides(plan, parse_override_spec(point.override_id))
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +413,9 @@ class _Prompt:
     """What the grid points of one (seq_len, seed) prompt share, built once.
 
     ``contexts`` come from a prefill whose window is the longest any policy
-    of the config (or the first point's) reads; a scorer reads only the
-    trailing rows it needs. The K/V of layers after the first are kept
-    read-only; layer 0 is re-projected at each point (``prefill_kv0``).
+    of the config reads; a scorer reads only the trailing rows it needs. The
+    K/V of layers after the first are kept read-only; layer 0 is
+    re-projected at each point (``prefill_kv0``).
     Each query is the decode input ``h``, the token a correct decode emits,
     and the dense reference logits. ``recall`` decodes each query from the
     prompt's cache; a probe decodes its queries in sequence, following the
@@ -418,7 +424,6 @@ class _Prompt:
 
     model: Model
     tokens: list[int]
-    window: int  # trailing prefill rows each context holds
     contexts: list[list[ScoreContext]]
     keys: list[list[np.ndarray]]
     values: list[list[np.ndarray]]
@@ -442,20 +447,16 @@ def _track(cfg: SweepConfig) -> None:
         _last_point = {(p.seq_len, p.seed): p.index for p in enumerate_grid(cfg)}
 
 
-def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model, vocab, policy: PolicyConfig) -> _Prompt:
+def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model, vocab) -> _Prompt:
     if cfg.task == "recall":
         task = gen_recall_task(point.seq_len, cfg.num_pairs, cfg.depths(), point.seed, vocab)
         tokens = task.tokens
     else:
         tokens = gen_probe_prompt(point.seq_len, model.config.vocab, point.seed)
 
-    # the config's other policies share recent_window and pool_width, so they construct too
+    # the point's policy has constructed, so every known policy of the config does too
     kinds = {k.value for k in PolicyKind}
-    window = max([policy.window_rows] + [
-        PolicyConfig(PolicyKind(p), cfg.recent_window, cfg.pool_width).window_rows
-        for p in cfg.policies
-        if p in kinds
-    ])
+    window = max(cfg.policy(p).window_rows for p in cfg.policies if p in kinds)
     result = prefill(model, tokens, window)
     n = len(tokens)
     contexts = [
@@ -482,7 +483,7 @@ def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model, vocab, polic
     for m in itertools.chain(*keys, *values, *result.column_sums, *result.attn,
                              (h for h, _, _ in queries), (ref for _, _, ref in queries)):
         m.flags.writeable = False
-    return _Prompt(model, tokens, window, contexts, keys, values, queries, cfg.task == "recall")
+    return _Prompt(model, tokens, contexts, keys, values, queries, cfg.task == "recall")
 
 
 def _decode_queries(prompt: _Prompt, cache) -> tuple[float, float]:
@@ -512,31 +513,19 @@ def run_point(cfg: SweepConfig, point: GridPoint) -> SweepRow | SweepSkip:
     is not caught: it is a storage fault, not an infeasible config, so it
     aborts the sweep, also under ``run_sweep(parallel=...)``.
     """
-    start = time.perf_counter()
     _track(cfg)
     key = (point.seq_len, point.seed)
     try:
-        policy = PolicyConfig(
-            PolicyKind(point.policy),
-            recent_window=cfg.recent_window,
-            pool_width=cfg.pool_width,
-        )
+        policy = cfg.policy(point.policy)
         prompt = _PROMPTS.get(key)
         model, vocab = _build_model(cfg, point, prompt)
-        _layout, threshold = STRATEGIES[point.strategy]
         plan = _build_plan(cfg, point, model, policy)
-        if prompt is None or prompt.model is not model or prompt.window < policy.window_rows:
-            prompt = _PROMPTS[key] = _build_prompt(cfg, point, model, vocab, policy)
+        if prompt is None or prompt.model is not model:
+            prompt = _PROMPTS[key] = _build_prompt(cfg, point, model, vocab)
 
         keys0, values0 = prefill_kv0(model, prompt.tokens)
-        cache = prefill_compress(
-            [keys0, *prompt.keys],
-            [values0, *prompt.values],
-            prompt.contexts,
-            plan,
-            policy,
-            outlier_threshold=threshold,
-        )
+        cache = prefill_compress([keys0, *prompt.keys], [values0, *prompt.values],
+                                 prompt.contexts, plan, policy)
         measured = cache.measured_bytes()
         payload = cache.payload_bytes()
         c = model.config
@@ -544,21 +533,13 @@ def run_point(cfg: SweepConfig, point: GridPoint) -> SweepRow | SweepSkip:
         accuracy, perturb = _decode_queries(prompt, cache)
 
         return SweepRow(
-            policy=point.policy,
-            bits=point.bits,
-            token_multiplier=point.multiplier,
-            tokens_per_layer=cfg.base_tokens * point.multiplier,
-            group_size=point.group_size,
-            layout=point.strategy,
-            override_id=point.override_spec if point.override_spec else "none",
-            seed=point.seed,
-            seq_len=point.seq_len,
+            **{col: getattr(point, col) for col in _POINT_COLUMNS},
+            tokens_per_layer=cfg.base_tokens * point.token_multiplier,
             accuracy=accuracy,
             logit_perturb=perturb,
             bytes=measured,
             budget_ratio_raw=payload / full,
             budget_ratio_meta=measured / full,
-            wall_time=time.perf_counter() - start,
         )
     except ContractViolation as exc:
         return SweepSkip(point, str(exc))

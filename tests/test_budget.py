@@ -4,11 +4,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kvtrade.budget import (
+    PLAN_BITS,
     BudgetPlan,
     LayerOverride,
     apply_overrides,
     plan_bytes,
     plan_for_tokens,
+    preserves_budget,
     pyramid_allocation,
 )
 from kvtrade.errors import ContractViolation
@@ -150,6 +152,21 @@ class TestApplyOverrides:
     def test_budget_violating_override_rejected(self):
         with pytest.raises(ContractViolation):
             LayerOverride(0, 4, 4, 16)
+        with pytest.raises(ContractViolation):
+            LayerOverride(0, 4, 4, 2)
+
+    @pytest.mark.parametrize("bits", PLAN_BITS)
+    def test_override_at_every_plan_width(self, bits):
+        # the pairing rule the grid uses: 1x@16, 2x@8, 4x@4 and 8x@2
+        assert preserves_budget(bits, 16 // bits)
+        LayerOverride(0, 1, 16 // bits, bits)
+
+    def test_2bit_override_keeps_tokens_times_bits(self):
+        plan = self.base_plan()
+        out = apply_overrides(plan, [LayerOverride(0, 8, 8, 2)])
+        assert out.per_layer[:8] == ((1024, 2),) * 8
+        for (tokens, bits), (base_tokens, base_bits) in zip(out.per_layer, plan.per_layer):
+            assert tokens * bits == base_tokens * base_bits
 
     def test_byte_parity_of_override(self):
         plan = self.base_plan()
@@ -175,6 +192,20 @@ def test_plan_rejects_group_size_below_one(bits):
     # an all-16-bit plan never builds a QuantConfig, so the plan itself must check
     with pytest.raises(ContractViolation, match="group_size"):
         uniform_plan(1, 4, bits, heads=1, head_dim=8, group_size=0)
+
+
+@pytest.mark.parametrize("threshold", [-1.0, float("nan")])
+def test_plan_rejects_a_threshold_below_zero_or_nan(threshold):
+    # an all-16-bit plan builds no QuantConfig of its own either
+    with pytest.raises(ContractViolation, match="outlier_threshold"):
+        plan_for_tokens([8], 16, heads=1, head_dim=8, outlier_threshold=threshold)
+
+
+def test_plan_carries_its_threshold_to_every_layer():
+    plan = plan_for_tokens([8, 8], 4, heads=1, head_dim=8, outlier_threshold=6.0)
+    plan = apply_overrides(plan, [LayerOverride(1, 2, 2, 8)])
+    assert plan.outlier_threshold == 6.0
+    assert {c.outlier_threshold for layer in range(2) for c in plan.quant_config(layer)} == {6.0}
 
 
 @pytest.mark.parametrize("layout", ["bogus", None])

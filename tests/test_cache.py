@@ -1,5 +1,6 @@
 import struct
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -204,9 +205,7 @@ class TestDecodeAppend:
     def test_decode_outliers_survive_flush_exactly(self):
         keys, values, ctxs = make_inputs(1, 1, 12, 8, seed=20)
         plan = uniform_plan(1, 16, 4, heads=1, head_dim=8, group_size=4)
-        cache = prefill_compress(
-            keys, values, ctxs, plan, STREAM4, outlier_threshold=6.0
-        )
+        cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=6.0), STREAM4)
         spike = np.zeros(8, dtype=np.float32)
         spike[3] = 9.75
         rng = np.random.default_rng(21)
@@ -304,9 +303,7 @@ class TestMaterialize:
         keys, values, ctxs = make_inputs(1, 1, 16, 8, seed=8)
         keys[0][0][3, 5] = 42.5  # position 3 is retained by streaming sinks
         plan = uniform_plan(1, 8, 4, heads=1, head_dim=8, group_size=8)
-        cache = prefill_compress(
-            keys, values, ctxs, plan, STREAM4, outlier_threshold=6.0
-        )
+        cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=6.0), STREAM4)
         idx = cache.entry(0, 0).positions
         assert 3 in idx
         k, _ = cache.materialize(0, 0)
@@ -390,10 +387,10 @@ class TestMeasuredBytes:
 
 
 class TestSnapshot:
-    def build(self):
+    def build(self, threshold=6.0):
         keys, values, ctxs = make_inputs(2, 2, 24, 8, seed=13)
         plan = uniform_plan(2, 4, 4, heads=2, head_dim=8, group_size=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4, outlier_threshold=6.0)
+        cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=threshold), STREAM4)
         rng = np.random.default_rng(14)
         for layer in range(2):
             for head in range(2):
@@ -424,9 +421,10 @@ class TestSnapshot:
         assert dump_snapshot(load_snapshot(blob)) == blob
 
     def test_plan_round_trips(self):
-        cache = self.build()
-        assert cache.plan.total_budget_bytes > 0
-        assert load_snapshot(dump_snapshot(cache)).plan == cache.plan
+        # the outlier cache's plan carries its threshold through the header
+        for cache in (self.build(), self.build(threshold=None)):
+            assert cache.plan.total_budget_bytes > 0
+            assert load_snapshot(dump_snapshot(cache)).plan == cache.plan
 
     def test_older_version_rejected(self):
         for version in (1, 2, 3):
@@ -451,7 +449,7 @@ class TestSnapshot:
 
 
 SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBdIq")
-LAYERS_AT, GROUP_SIZE_AT, LAYOUT_AT = 6, 14, 18
+LAYERS_AT, GROUP_SIZE_AT, LAYOUT_AT, THRESHOLD_AT = 6, 14, 18, 19
 PLAN_TOKENS_AT, PLAN_BITS_AT = SNAPSHOT_HEADER, SNAPSHOT_HEADER + 4  # first layer's plan row
 
 
@@ -495,7 +493,7 @@ class TestSnapshotRejects:
         keys, values, ctxs = make_inputs(1, 1, 24, 8, seed=13)
         keys[0][0][0, 2], keys[0][0][23, 5] = 9.5, -7.25
         plan = uniform_plan(1, 4, 4, heads=1, head_dim=8, group_size=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4, outlier_threshold=6.0)
+        cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=6.0), STREAM4)
         blob = dump_snapshot(cache)
         e = cache.entry(0, 0)
         assert struct.unpack_from("<IB", blob, PLAN_TOKENS_AT) == (16, 4)
@@ -561,6 +559,15 @@ class TestSnapshotRejects:
         with pytest.raises(IntegrityError, match="group_size"):
             load_snapshot(_patched(blob, GROUP_SIZE_AT, "<I", 0))
 
+    def test_16bit_negative_threshold_rejected(self):
+        # a 16-bit layer builds no QuantConfig, so only the plan can reject it
+        keys, values, ctxs = make_inputs(1, 1, 24, 8, seed=13)
+        plan = uniform_plan(1, 4, 16, heads=1, head_dim=8, group_size=8)
+        blob = dump_snapshot(prefill_compress(keys, values, ctxs, plan, STREAM4))
+        assert np.isnan(struct.unpack_from("<d", blob, THRESHOLD_AT)[0])
+        with pytest.raises(IntegrityError, match="outlier_threshold"):
+            load_snapshot(_patched(blob, THRESHOLD_AT, "<d", -1.0))
+
 
 def _fuzz_snapshots() -> dict[str, bytes]:
     """A 4-bit per-channel cache with outliers and decode flushes, and a 16-bit one."""
@@ -569,7 +576,7 @@ def _fuzz_snapshots() -> dict[str, bytes]:
     plan = uniform_plan(
         1, 4, 4, heads=2, head_dim=8, group_size=4, layout=Layout.PER_CHANNEL
     )
-    quantized = prefill_compress(keys, values, ctxs, plan, STREAM4, outlier_threshold=6.0)
+    quantized = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=6.0), STREAM4)
     full = prefill_compress(
         keys, values, ctxs, uniform_plan(1, 6, 16, heads=2, head_dim=8), STREAM4
     )

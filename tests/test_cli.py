@@ -69,6 +69,14 @@ class TestValidate:
         cfg.write_text(GOOD_CONFIG)
         assert main(["validate", "--config", str(cfg)]) == 0
 
+    def test_2bit_override_is_valid(self, tmp_path):
+        # 8x@2 is a paired grid point, so an override may use it too
+        text = GOOD_CONFIG.replace("bits = 16, 4", "bits = 2, 16")
+        text = text.replace("token_multipliers = 1, 4", "token_multipliers = 8, 1")
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text(text + "overrides = 0-1@2x8\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+
     def test_invalid_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("bits = 5\n")

@@ -2,6 +2,7 @@ import math
 import struct
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvtrade.cache import prefill_compress
+from kvtrade.cache import dump_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade import model as kvmodel
 from kvtrade.model import (
@@ -394,7 +395,7 @@ class TestRecallModel:
                         1, 12, bits, heads=1, head_dim=model.config.d_model, group_size=16,
                         layout=layout,
                     )
-                    cache = prefill_compress(res.keys, res.values, ctxs, plan, policy, threshold)
+                    cache = prefill_compress(res.keys, res.values, ctxs, replace(plan, outlier_threshold=threshold), policy)
                     kept = set(cache.entry(0, 0).positions)
                     for q in task.queries:
                         h = embed_token(model, q.key_token, position=n)
@@ -573,6 +574,69 @@ def test_positions_change_prefill_only_when_enabled():
     # identical tokens are indistinguishable without positions
     assert np.array_equal(a.keys[0][0][0], a.keys[0][0][1])
     assert not np.array_equal(b.keys[0][0][0], b.keys[0][0][1])
+
+
+def test_embed_token_rejects_a_token_outside_the_vocabulary():
+    model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=2))
+    for token in (-1, 16):
+        with pytest.raises(ContractViolation, match="vocabulary"):
+            embed_token(model, token)
+
+
+def _model(layers, heads, d_model):
+    return random_model(ModelConfig(layers, heads, d_model, 8, 16, seed=3))
+
+
+class TestDecodeRejectsAMisfit:
+    """A store or ``h`` that does not fit the model raises before the first append."""
+
+    @staticmethod
+    def stores(layers, heads, d_model):
+        res = prefill(_model(layers, heads, d_model), [1, 2, 3])
+        plan = uniform_plan(layers, 4, 16, heads=heads, head_dim=d_model // heads)
+        return prefill_compress(res.keys, res.values, contexts(res), plan, STREAM), DenseKV.from_prefill(res)
+
+    @staticmethod
+    def check_rejected(model, cache, dense, h, match):
+        before = dump_snapshot(cache), TestDenseKVRejects.state(dense)
+        with pytest.raises(ContractViolation, match=match):
+            decode_step(model, cache, h)
+        with pytest.raises(ContractViolation, match=match):
+            decode_step_dense(model, dense, h)
+        assert (dump_snapshot(cache), TestDenseKVRejects.state(dense)) == before
+
+    # (model, store) as (layers, heads, d_model)
+    @pytest.mark.parametrize("model_dims, store_dims", [
+        ((2, 1, 4), (1, 1, 4)),
+        ((1, 1, 4), (2, 1, 4)),
+        ((1, 2, 4), (1, 1, 4)),
+        ((1, 2, 8), (1, 2, 4)),
+    ], ids=["more_model_layers", "more_store_layers", "more_model_heads", "wider_model_heads"])
+    def test_store_of_another_shape(self, model_dims, store_dims):
+        model = _model(*model_dims)
+        cache, dense = self.stores(*store_dims)
+        self.check_rejected(model, cache, dense, np.ones(model.config.d_model), "store")
+
+    @pytest.mark.parametrize("h", [np.ones((2, 2)), np.ones(3), np.ones((4, 1))], ids=["2x2", "three", "column"])
+    def test_misshapen_h(self, h):
+        cache, dense = self.stores(1, 1, 4)
+        self.check_rejected(_model(1, 1, 4), cache, dense, h, "shaped")
+
+    def test_ragged_dense_store(self):
+        _, dense = self.stores(1, 2, 4)
+        dense.values[0][1] = np.ones((3, 4), dtype=np.float32)  # one head twice as wide
+        assert dense.shape is None
+        before = TestDenseKVRejects.state(dense)
+        with pytest.raises(ContractViolation, match="store"):
+            decode_step_dense(_model(1, 2, 4), dense, np.ones(4))
+        assert TestDenseKVRejects.state(dense) == before
+
+    @pytest.mark.parametrize("h", [np.ones(4), np.ones((1, 4))], ids=["row", "one_by_four"])
+    def test_fitting_store_and_h_decode(self, h):
+        cache, dense = self.stores(1, 1, 4)
+        model = _model(1, 1, 4)
+        assert cache.shape == dense.shape == (1, 1, 4)
+        assert np.array_equal(decode_step(model, cache, h), decode_step_dense(model, dense, h))
 
 
 class TestDenseKVRejects:

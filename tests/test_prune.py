@@ -85,6 +85,11 @@ class TestTopK:
         with pytest.raises(ContractViolation):
             top_k_indices([1.0], 2)
 
+    def test_negative_k_rejected(self):
+        # a negative slice bound would keep all but the last -k indices
+        with pytest.raises(ContractViolation):
+            top_k_indices([1.0, 2.0, 3.0], -1)
+
     def test_against_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):

@@ -169,6 +169,12 @@ class TestQuantizeMatrix:
         with pytest.raises(ContractViolation):
             quantize_matrix(m, QuantConfig(4, 4, outlier_threshold=threshold))
 
+    @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
+    def test_threshold_below_zero_or_nan_rejected(self, threshold):
+        # a NaN threshold compares false with every value, so every value would be an outlier
+        with pytest.raises(ContractViolation, match="outlier_threshold"):
+            QuantConfig(4, 4, outlier_threshold=threshold)
+
     def test_all_outliers_make_no_groups(self):
         m = np.full((2, 3), 9.0, dtype=np.float32)
         q = quantize_matrix(m, QuantConfig(4, 4, Layout.PER_CHANNEL, outlier_threshold=1.0))

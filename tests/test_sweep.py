@@ -178,7 +178,7 @@ class TestConfigParsing:
 class TestGrid:
     def test_paired_filter(self):
         points = enumerate_grid(SMALL)
-        assert [(p.bits, p.multiplier) for p in points] == [(16, 1), (4, 4)]
+        assert [(p.bits, p.token_multiplier) for p in points] == [(16, 1), (4, 4)]
 
     def test_unpaired_cross_product(self):
         cfg = SweepConfig(
@@ -213,7 +213,7 @@ class TestGrid:
         points = enumerate_grid(cfg)
         assert len(expected) == 256
         assert [
-            (p.policy, p.bits, p.multiplier, p.group_size, p.strategy, p.override_spec, p.seq_len, p.seed)
+            (p.policy, p.bits, p.token_multiplier, p.group_size, p.layout, p.override_id, p.seq_len, p.seed)
             for p in points
         ] == expected
         assert [p.index for p in points] == list(range(256))
@@ -232,7 +232,6 @@ class TestRunSweep:
         for r in rows:
             assert 0.0 <= r.accuracy <= 1.0
             assert r.bytes > 0
-            assert r.wall_time > 0
 
     def test_lossless_point_matches_dense(self):
         cfg = SweepConfig(
@@ -485,10 +484,10 @@ class TestStrategies:
 
 
 def _fields(outcome):
-    """Every field of a row but wall_time, or a skip's point and reason."""
+    """Every field of a row, or a skip's point and reason."""
     if isinstance(outcome, sweep.SweepSkip):
         return ("skip", outcome.point, outcome.reason)
-    return tuple(getattr(outcome, f.name) for f in fields(outcome) if f.name != "wall_time")
+    return tuple(getattr(outcome, f.name) for f in fields(outcome))
 
 
 # two policies x paired bits x two seeds; each prompt's last point (16-bit,
