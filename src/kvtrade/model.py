@@ -130,7 +130,9 @@ def positional_encoding(length: int, d_model: int, offset: int = 0) -> Matrix:
 
 
 def random_model(cfg: ModelConfig) -> Model:
-    """Seeded random weights, uniform in (-0.1, 0.1)."""
+    """Seeded random weights, uniform in (-0.1, 0.1); the seed must be >= 0."""
+    if cfg.seed < 0:
+        raise ContractViolation(f"seed must be >= 0, got {cfg.seed}")
     rng = np.random.default_rng(cfg.seed)
 
     def draw(rows: int, cols: int) -> Matrix:
@@ -170,13 +172,16 @@ _SLICE_ROWS = 64
 
 
 def _prompt_ids(model: Model, tokens) -> np.ndarray:
+    """``tokens`` as int64 ids: a prompt that fits the context, of integer dtype, in the vocabulary."""
     cfg = model.config
-    ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
+    ids = np.asarray(tokens).reshape(-1)
     if ids.size == 0 or ids.size > cfg.context_limit:
         raise ContractViolation(f"prompt length {ids.size} outside (0, {cfg.context_limit}]")
+    if ids.dtype.kind not in "iu":
+        raise ContractViolation(f"token ids must be integers, got dtype {ids.dtype}")
     if ids.min() < 0 or ids.max() >= cfg.vocab:
         raise ContractViolation("token id outside vocabulary")
-    return ids
+    return ids.astype(np.int64, copy=False)
 
 
 def _embed(model: Model, ids: np.ndarray, offset: int = 0) -> Matrix:

@@ -59,12 +59,6 @@ class Layout(str, Enum):
     PER_CHANNEL = "per_channel"
 
 
-def check_layout(layout) -> None:
-    """Raise ContractViolation unless ``layout`` is a :class:`Layout` member."""
-    if not isinstance(layout, Layout):
-        raise ContractViolation(f"layout must be a Layout member, got {layout!r}")
-
-
 @dataclass(frozen=True)
 class QuantConfig:
     bits: int
@@ -77,7 +71,8 @@ class QuantConfig:
             raise ContractViolation(f"bits must be one of {SUPPORTED_BITS}, got {self.bits}")
         if self.group_size < 1:
             raise ContractViolation("group_size must be >= 1")
-        check_layout(self.layout)
+        if not isinstance(self.layout, Layout):
+            raise ContractViolation(f"layout must be a Layout member, got {self.layout!r}")
         # written so that NaN fails too
         if self.outlier_threshold is not None and not self.outlier_threshold >= 0:
             raise ContractViolation(f"outlier_threshold must be None or >= 0, got {self.outlier_threshold}")

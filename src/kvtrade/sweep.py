@@ -110,7 +110,11 @@ class SweepConfig:
     output: str = ""
 
     def policy(self, name: str) -> PolicyConfig:
-        return PolicyConfig(PolicyKind(name), self.recent_window, self.pool_width)
+        try:
+            kind = PolicyKind(name)
+        except ValueError:
+            raise ContractViolation(f"unknown policy {name!r}") from None
+        return PolicyConfig(kind, self.recent_window, self.pool_width)
 
     def depths(self) -> tuple[float, ...]:
         if self.needle_depths:
@@ -265,8 +269,6 @@ def validate_config(cfg: SweepConfig) -> list[str]:
             cfg.policy(p)
         except ContractViolation as exc:
             problems.append(f"policy {p}: {exc}")
-        except ValueError:
-            problems.append(f"unknown policy {p!r}")
     for b in cfg.bits:
         if b not in PLAN_BITS:
             problems.append(f"bits must be one of {PLAN_BITS}, got {b}")

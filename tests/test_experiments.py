@@ -1,0 +1,77 @@
+"""The experiment configs under ``experiments/`` and the CSV summarizer."""
+
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
+
+import kvtrade
+from kvtrade.sweep import emit_csv, enumerate_grid, parse_config, run_sweep
+
+ROOT = Path(__file__).resolve().parents[1]
+SUMMARIZE = ROOT / "scripts" / "summarize.py"
+# summary lines per experiment: its grid's points at one seed
+SUMMARY_LINES = {"budget_tradeoff": 30, "layer_overrides": 9, "quant_strategy": 12}
+
+
+def _config(name: str):
+    return parse_config((ROOT / "experiments" / f"{name}.cfg").read_text(encoding="utf-8"))
+
+
+def _summarize(*csvs) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kvtrade.__file__))}
+    return subprocess.run([sys.executable, str(SUMMARIZE), *map(str, csvs)],
+                          env=env, capture_output=True, text=True)
+
+
+def test_every_experiment_is_there():
+    assert sorted(p.stem for p in (ROOT / "experiments").glob("*.cfg")) == sorted(SUMMARY_LINES)
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_LINES))
+def test_experiment_runs_and_summarizes(name, tmp_path):
+    assert (ROOT / "experiments" / f"{name}.cfg").read_text(encoding="utf-8").startswith("# ")
+    cfg = _config(name)
+    rows, skips = run_sweep(replace(cfg, seeds=cfg.seeds[:1]))
+    assert rows and not skips
+    csv = tmp_path / "sweep.csv"
+    emit_csv(rows, csv)
+
+    proc = _summarize(csv)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split()[-4:] == ["seeds", "median_accuracy", "median_logit_perturb",
+                                     "median_budget_ratio_meta"]
+    assert len(lines) == 1 + SUMMARY_LINES[name]
+    assert all(line.split()[-4] == "1" for line in lines[1:])
+
+
+def test_budget_grid_holds_the_budget_matched_points():
+    points = enumerate_grid(_config("budget_tradeoff"))
+    # 1x@16, 2x@8 and 4x@4 at 32, 64 and 128 tokens of 16-bit budget
+    matched = {(p.bits, 32 * p.token_multiplier) for p in points
+               if p.bits * p.token_multiplier in (16, 32, 64)}
+    assert matched == {(16, 32), (16, 64), (16, 128), (8, 64), (8, 128), (8, 256),
+                       (4, 128), (4, 256), (4, 512)}
+
+
+def test_summarize_pools_seeds_across_files(tmp_path):
+    cfg = replace(_config("quant_strategy"), seeds=(0, 1), layouts=("per_token",), group_sizes=(64,))
+    rows, _ = run_sweep(cfg)
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    emit_csv(rows[:1], first)
+    emit_csv(rows[1:], second)
+    proc = _summarize(first, second)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[1].split()[-4] == "2"
+
+
+def test_summarize_without_a_csv_prints_its_usage():
+    proc = _summarize()
+    assert proc.returncode == 1
+    assert "summarize.py <sweep.csv>" in proc.stderr

@@ -583,6 +583,41 @@ def test_embed_token_rejects_a_token_outside_the_vocabulary():
             embed_token(model, token)
 
 
+def test_random_model_rejects_a_negative_seed():
+    with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
+        random_model(ModelConfig(1, 1, 8, 16, 32, seed=-1))
+
+
+class TestTokenIds:
+    """Token ids must be integers; numpy integer ids act as Python ints."""
+
+    model = random_model(ModelConfig(1, 1, 4, 8, 16, seed=2))
+
+    @pytest.mark.parametrize("tokens", [[1.5, 2.9], [3.0], [1, None], [True, False], ["1"]],
+                             ids=["fractional", "integral float", "None", "bool", "str"])
+    def test_non_integer_ids_rejected(self, tokens):
+        with pytest.raises(ContractViolation, match="token ids must be integers"):
+            prefill(self.model, tokens)
+        with pytest.raises(ContractViolation, match="token ids must be integers"):
+            embed_token(self.model, tokens[-1])
+
+    def test_empty_prompt_keeps_its_length_message(self):
+        with pytest.raises(ContractViolation, match="prompt length 0"):
+            prefill(self.model, [])
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
+    def test_numpy_integer_ids_match_python_ints(self, dtype):
+        tokens = [1, 7, 0, 3]
+        ref = prefill(self.model, tokens)
+        got = prefill(self.model, np.array(tokens, dtype=dtype))
+        for a, b in [(ref.logits, got.logits), (ref.hidden, got.hidden),
+                     (ref.keys[0][0], got.keys[0][0]), (ref.values[0][0], got.values[0][0]),
+                     (ref.column_sums[0][0], got.column_sums[0][0])]:
+            assert a.tobytes() == b.tobytes()
+        for t in tokens:
+            assert embed_token(self.model, dtype(t), 2).tobytes() == embed_token(self.model, t, 2).tobytes()
+
+
 def _model(layers, heads, d_model):
     return random_model(ModelConfig(layers, heads, d_model, 8, 16, seed=3))
 

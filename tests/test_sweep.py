@@ -587,3 +587,39 @@ def test_import_does_not_load_multiprocessing():
     code = "import sys, kvtrade; sys.exit('multiprocessing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+class TestUnvalidatedConfigSkips:
+    """A config built in code and never validated skips its bad points."""
+
+    def test_unknown_policy_is_a_contract_violation(self):
+        with pytest.raises(ContractViolation, match="unknown policy 'maxkv'"):
+            SMALL.policy("maxkv")
+        assert "policy maxkv: unknown policy 'maxkv'" in validate_config(replace(SMALL, policies=("maxkv",)))
+
+    def test_unknown_policy_skips_its_points(self):
+        cfg = replace(SHARED[1], policies=("bogus", "snapkv"), seeds=(0,))
+        outcomes = [sweep.run_point(cfg, p) for p in enumerate_grid(cfg)]
+        bogus = outcomes[:len(outcomes) // 2]  # policy is the outermost axis
+        assert {o.point.policy for o in bogus} == {"bogus"}
+        assert {o.reason for o in bogus} == {"unknown policy 'bogus'"}
+        assert any(isinstance(o, sweep.SweepRow) for o in outcomes)
+        assert sweep._PROMPTS == {}
+
+    @pytest.mark.parametrize("cfg", SHARED, ids=["recall", "random_probe"])
+    def test_negative_seed_skips_its_points(self, cfg):
+        cfg = replace(cfg, seeds=(-1,))
+        outcomes = [sweep.run_point(cfg, p) for p in enumerate_grid(cfg)]
+        assert {o.reason for o in outcomes} == {"seed must be >= 0, got -1"}
+        assert "seeds must be >= 0" in validate_config(cfg)
+        assert sweep._PROMPTS == {}
+
+    def test_negative_seed_skips_a_weights_file_probe(self, tmp_path):
+        from kvtrade.model import ModelConfig, random_model, save_weights
+
+        path = tmp_path / "model.bin"
+        save_weights(random_model(ModelConfig(2, 2, 16, 32, 64, seed=5)), path)
+        cfg = replace(SHARED[1], model="random", weights_file=str(path), seeds=(-1,))
+        outcomes = [sweep.run_point(cfg, p) for p in enumerate_grid(cfg)]
+        assert {o.reason for o in outcomes} == {"seed must be >= 0, got -1"}
+        assert sweep._PROMPTS == {}

@@ -2,7 +2,7 @@ import pytest
 
 from kvtrade.errors import ContractViolation
 from kvtrade.model import RecallVocab, build_recall_model
-from kvtrade.tasks import gen_recall_task
+from kvtrade.tasks import gen_probe_prompt, gen_recall_task
 
 VOCAB = RecallVocab(num_pairs=8, filler_vocab=16)
 
@@ -60,3 +60,10 @@ class TestGenRecallTask:
         values = {q.value_token for q in task.queries}
         assert all(k < vocab.num_pairs for k in keys)
         assert all(vocab.num_pairs <= v < 2 * vocab.num_pairs for v in values)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
+        gen_recall_task(64, 3, [0.0, 0.5, 1.0], -1, VOCAB)
+    with pytest.raises(ContractViolation, match="seed must be >= 0, got -2"):
+        gen_probe_prompt(16, 8, -2)
