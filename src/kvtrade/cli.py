@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .sweep import (
@@ -87,9 +88,9 @@ def _cmd_run(args) -> int:
     print(f"wrote {len(rows)} rows to {out} ({len(skips)} skipped)")
     if args.verbose:
         for skip in skips:
-            p = skip.point
-            print(f"skipped {p.policy}/{p.bits}b/x{p.token_multiplier}/{p.layout}"
-                  f"/seed{p.seed}: {skip.reason}", file=sys.stderr)
+            label = " ".join(f"{f.name}={getattr(skip.point, f.name)}"
+                             for f in fields(skip.point) if f.name != "index")
+            print(f"skipped {label}: {skip.reason}", file=sys.stderr)
     return EXIT_OK
 
 

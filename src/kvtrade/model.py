@@ -154,20 +154,22 @@ def _row_blocks(n: int) -> list[tuple[int, int, int]]:
     """``(r0, new, r1)`` for each block of query rows in :func:`prefill`'s attention.
 
     A block holds ``max(1, 2**18 // n)`` rows (every row up to n = 512); its
-    rows ``new..r1`` are the ones no earlier block computed. The last block
-    ends at row n and overlaps the one before it rather than running short:
-    BLAS may sum a short block's ``probs @ v`` products in another order (a
-    small-matrix kernel or gemv) than the full product, and a full-height
-    block keeps each output row bit-identical to the full n x n computation.
-    That holds for head_dim >= 4 with the bundled OpenBLAS; at head_dim 1-3
-    and n > 512 a row block of ``probs @ v`` may round differently.
+    rows ``new..r1`` are the ones no earlier block computed. Its rows see key
+    columns ``[0, r1)`` only: every column from ``r1`` on is past each of its
+    rows' diagonals. The last block ends at row n and overlaps the one before
+    it rather than running short: BLAS may sum a short block's ``probs @ v``
+    products in another order (a small-matrix kernel or gemv) than the full
+    product, and a full-height, full-width block keeps each output row
+    bit-identical to the full n x n computation. That holds for head_dim >= 4
+    with the bundled OpenBLAS; at head_dim 1-3 and n > 512 a row block of
+    ``probs @ v`` may round differently.
     """
     rows = min(max(1, 2**18 // n), n)
     return [(min(new, n - rows), new, min(new + rows, n)) for new in range(0, n, rows)]
 
 
 # Rows per softmax call and per column-sum fold inside a prefill row block:
-# bounds their float64 temporaries to 64 x n, whatever the block height.
+# bounds their float64 temporaries to 64 x r1, whatever the block height.
 _SLICE_ROWS = 64
 
 
@@ -182,6 +184,15 @@ def _prompt_ids(model: Model, tokens) -> np.ndarray:
     if ids.min() < 0 or ids.max() >= cfg.vocab:
         raise ContractViolation("token id outside vocabulary")
     return ids.astype(np.int64, copy=False)
+
+
+def _nonnegative_int(name: str, value) -> int:
+    """``value``, an integer >= 0 (a numpy integer too, a bool not), as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ContractViolation(f"{name} must be an integer, got {value!r}")
+    if value < 0:
+        raise ContractViolation(f"{name} must be >= 0, got {value}")
+    return int(value)
 
 
 def _embed(model: Model, ids: np.ndarray, offset: int = 0) -> Matrix:
@@ -218,24 +229,33 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     Each head's attention is computed one block of query rows at a time
     (:func:`_row_blocks`), so no n x n matrix is ever held. Per head the
     result keeps the float64 column sums of the probabilities and the last
-    ``window`` probability rows (see :class:`PrefillResult`). Both BLAS
-    products run on the whole block; the softmax and the column-sum fold run
-    on 64-row slices of it, in place, so their float64 temporaries stay at
-    64 x n. Softmax is row-wise and the fold adds one row at a time, so the
-    slicing changes no bit. Each block is checked as :class:`ScoreContext`
-    checks its rows: a row that does not sum to 1, or that puts weight past
-    its diagonal (a real score below ``NEG_MASK``), raises ContractViolation.
+    ``window`` probability rows (see :class:`PrefillResult`). A block
+    ``(r0, new, r1)`` computes its scores, softmax and column-sum fold over
+    key columns ``[0, r1)`` only, since every later column is masked; the
+    softmax and the fold run on 64-row slices of it, so their float64
+    temporaries stay at 64 x r1. Softmax is row-wise and the fold adds one
+    row at a time, so neither the truncation nor the slicing changes a bit.
+    ``probs @ v`` alone runs full width, on a zero-padded buffer held once
+    per call, because a product truncated to ``r1`` columns may round
+    differently. Each block is checked as :class:`ScoreContext` checks its
+    rows: a row that does not sum to 1, or that puts weight past its
+    diagonal (a real score below ``NEG_MASK``), raises ContractViolation, as
+    does a ``window`` that is not an integer >= 0.
     """
     cfg = model.config
     ids = _prompt_ids(model, tokens)
     n = ids.size
-    if window < 0:
-        raise ContractViolation(f"window must be >= 0, got {window}")
+    window = _nonnegative_int("window", window)
 
     scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
     blocks = _row_blocks(n)
     first_kept = n - min(window, n)
     cols = np.arange(n)
+    # probs @ v runs full width: a product truncated to [0, r1) may round
+    # differently. Columns past r1 stay zero, since r1 only grows in a layer.
+    padded = np.empty((blocks[0][2], n), dtype=np.float32)
+    # the column-sum fold: row 0 the running sums, then a slice's rows
+    fold = np.empty((1 + _SLICE_ROWS, n))
 
     keys: list[list[Matrix]] = []
     values: list[list[Matrix]] = []
@@ -246,27 +266,31 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
         k_heads, v_heads = _project_kv(x, lw, cfg)
         q_heads = _head_slices(matmul(x, lw.w_q), cfg.heads, cfg.head_dim)
         sums = [np.zeros(n) for _ in range(cfg.heads)]
-        kept = [np.empty((n - first_kept, n), dtype=np.float32) for _ in range(cfg.heads)]
+        kept = [np.zeros((n - first_kept, n), dtype=np.float32) for _ in range(cfg.heads)]
         out = np.empty((n, cfg.d_model), dtype=np.float32)
+        padded.fill(0.0)
         for r0, new, r1 in blocks:
-            mask = cols > np.arange(r0, r1)[:, None]
+            mask = cols[:r1] > np.arange(r0, r1)[:, None]
+            probs = padded[:, :r1]
             for head, (qh, kh, vh) in enumerate(zip(q_heads, k_heads, v_heads)):
-                probs = matmul(qh[r0:r1], kh.T)  # scores, made probabilities in place
-                probs *= scale
-                probs[mask] = NEG_MASK
+                scores = matmul(qh[r0:r1], kh[:r1].T)
+                scores *= scale
+                scores[mask] = NEG_MASK
                 for s in range(0, r1 - r0, _SLICE_ROWS):
-                    probs[s : s + _SLICE_ROWS] = softmax_rows(probs[s : s + _SLICE_ROWS])
+                    probs[s : s + _SLICE_ROWS] = softmax_rows(scores[s : s + _SLICE_ROWS])
                 check_causal_rows(probs, r0, masked=True)
                 cols_h = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
-                out[new:r1, cols_h] = matmul(probs, vh)[new - r0 :]
+                out[new:r1, cols_h] = matmul(padded, vh)[new - r0 :]
                 # the new rows, reduced in float64 with the running sums as
                 # their first row: bit for bit a full-matrix sum(axis=0)
                 for s in range(new - r0, r1 - r0, _SLICE_ROWS):
                     rows = probs[s : s + _SLICE_ROWS]
-                    sums[head] = np.add.reduce(np.vstack([sums[head], rows]), axis=0)
+                    fold[0, :r1] = sums[head][:r1]
+                    fold[1 : 1 + len(rows), :r1] = rows
+                    np.add.reduce(fold[: 1 + len(rows), :r1], axis=0, out=sums[head][:r1])
                 if r1 > first_kept:
                     lo = max(new, first_kept)
-                    kept[head][lo - first_kept : r1 - first_kept] = probs[lo - r0 :]
+                    kept[head][lo - first_kept : r1 - first_kept, :r1] = probs[lo - r0 :]
         keys.append([np.ascontiguousarray(kh) for kh in k_heads])
         values.append([np.ascontiguousarray(vh) for vh in v_heads])
         attn.append(kept)
@@ -320,8 +344,11 @@ def decode_step_dense(model: Model, kv: DenseKV, h) -> np.ndarray:
 
 def embed_token(model: Model, token: int, position: int = 0) -> np.ndarray:
     """Embedding row for one token (plus positional term when enabled); a
-    token outside the vocabulary raises ContractViolation."""
-    return _embed(model, _prompt_ids(model, [token]), position)[0]
+    token outside the vocabulary, or a position that is not an integer >= 0,
+    raises ContractViolation. A position may pass ``context_limit``: decode
+    continues past the prompt."""
+    ids = _prompt_ids(model, [token])
+    return _embed(model, ids, _nonnegative_int("position", position))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,23 @@ class TestRun:
         assert len(rows) == 2
         assert "wrote 2 rows" in capsys.readouterr().out
 
+    def test_verbose_skips_name_every_grid_field(self, tmp_path, capsys):
+        # two points that differ only by override, both below the policy's window
+        cfg = tmp_path / "skips.cfg"
+        cfg.write_text(
+            "task = random_probe\nmodel = random\nseq_lens = 32\nseeds = 0\n"
+            "policies = snapkv\nbits = 4\ntoken_multipliers = 4\nbase_tokens = 2\n"
+            "full_cache_tokens = 32\nprobe_steps = 2\nlayers = 2\nheads = 1\nd_model = 8\n"
+            "vocab = 16\ncontext_limit = 64\nrecent_window = 15\noverrides = none, 0-1@8x2\n"
+        )
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o.csv"), "--verbose"]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        fields = "policy=snapkv bits=4 token_multiplier=4 group_size=64 layout=per_token"
+        assert lines == [
+            f"skipped {fields} override_id=none seq_len=32 seed=0: layer 0 budget 8 below policy minimum 15",
+            f"skipped {fields} override_id=0-1@8x2 seq_len=32 seed=0: layer 0 budget 4 below policy minimum 15",
+        ]
+
     def test_run_demo_config(self, tmp_path):
         out = tmp_path / "demo.csv"
         assert main(["run", "--config", "demo", "--out", str(out)]) == 0

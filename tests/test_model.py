@@ -135,11 +135,11 @@ def _reference_softmax(m):
     return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
 
 
-def full_matrix_prefill(model, tokens):
+def full_matrix_prefill(model, tokens, keep=lambda probs: probs):
     """Oracle: prefill with each head's whole n x n attention matrix at once.
 
     Returns ``(logits, keys, values, attn, hidden)`` with ``attn[layer][head]``
-    the full causal probability matrix.
+    ``keep`` of the full causal probability matrix, by default the matrix.
     """
     cfg = model.config
     ids = np.asarray(tokens, dtype=np.int64).reshape(-1)
@@ -158,7 +158,7 @@ def full_matrix_prefill(model, tokens):
             scores = matmul(q[:, sl], k[:, sl].T) * scale
             scores[mask] = NEG_MASK
             probs = _reference_softmax(scores)
-            layer_attn.append(probs)
+            layer_attn.append(keep(probs))
             outs.append(matmul(probs, v[:, sl]))
         keys.append([k[:, sl] for sl in heads])
         values.append([v[:, sl] for sl in heads])
@@ -204,6 +204,30 @@ class TestStreamedPrefill:
                     assert np.array_equal(rows, full[n - kept :])
                     self._same_decisions(res, full, layer, head, window)
 
+    @pytest.mark.parametrize("n", [2048, 2000], ids=["2048", "2000-overlap"])
+    def test_matches_full_matrix_oracle_at_the_benchmark_shape(self, n):
+        # prefill_long's model: 4 layers x 4 heads of head_dim 16; at n = 2000
+        # a block holds 131 rows, so the last block overlaps the one before it
+        cfg = ModelConfig(4, 4, 64, 128, n, seed=n)
+        model = random_model(cfg)
+        tokens = np.random.default_rng(n).integers(0, 128, n)
+
+        def statistics(probs):  # all of a head's matrix that the check reads
+            return probs.astype(np.float64).sum(axis=0), probs[-32:].copy()
+
+        logits, keys, values, attn, hidden = full_matrix_prefill(model, tokens, statistics)
+        for window in (0, 32):
+            res = prefill(model, tokens, window=window)
+            assert np.array_equal(res.logits, logits)
+            assert np.array_equal(res.hidden, hidden)
+            for layer in range(cfg.layers):
+                for head in range(cfg.heads):
+                    sums, last_rows = attn[layer][head]
+                    assert np.array_equal(res.keys[layer][head], keys[layer][head])
+                    assert np.array_equal(res.values[layer][head], values[layer][head])
+                    assert np.array_equal(res.column_sums[layer][head], sums)
+                    assert np.array_equal(res.attn[layer][head], last_rows[32 - window :])
+
     @staticmethod
     def _same_decisions(res, full, layer, head, window):
         """decide keeps the same tokens from prefill's statistics and from the oracle's."""
@@ -233,6 +257,20 @@ class TestStreamedPrefill:
             tracemalloc.stop()
         assert peak < n * n * 4  # 16 MiB, one float32 n x n matrix
 
+    def test_memory_at_the_benchmark_shape(self):
+        # prefill_long's prefill: the column-sum fold, the zero-padded buffer
+        # for probs @ v and one block's scores and softmax, per call
+        n = 2048
+        model = random_model(ModelConfig(4, 4, 64, 128, n, seed=0))
+        tokens = np.random.default_rng(0).integers(0, 128, n)
+        tracemalloc.start()
+        try:
+            prefill(model, tokens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
     @pytest.mark.parametrize("use_positions", [False, True])
     def test_layer0_kv_reprojects_bit_for_bit(self, use_positions):
         model = random_model(ModelConfig(2, 2, 16, 40, 256, seed=3, use_positions=use_positions))
@@ -250,6 +288,12 @@ class TestStreamedPrefill:
         model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=0))
         with pytest.raises(ContractViolation, match="window"):
             prefill(model, [1, 2, 3], window=-1)
+
+    @pytest.mark.parametrize("window", [2.5, "3", None, True], ids=["float", "str", "None", "bool"])
+    def test_non_integer_window_rejected(self, window):
+        model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=0))
+        with pytest.raises(ContractViolation, match="window must be an integer"):
+            prefill(model, [1, 2, 3], window)
 
     def test_score_below_mask_is_rejected(self):
         # real scores under NEG_MASK let masked keys take weight: not causal
@@ -583,6 +627,27 @@ def test_embed_token_rejects_a_token_outside_the_vocabulary():
             embed_token(model, token)
 
 
+@pytest.mark.parametrize("use_positions", [False, True])
+def test_embed_token_rejects_a_negative_position(use_positions):
+    model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=2, use_positions=use_positions))
+    with pytest.raises(ContractViolation, match="position must be >= 0, got -1"):
+        embed_token(model, 3, -1)
+
+
+@pytest.mark.parametrize("position", [2.5, "3", None, True], ids=["float", "str", "None", "bool"])
+def test_embed_token_rejects_a_non_integer_position(position):
+    model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=2, use_positions=True))
+    with pytest.raises(ContractViolation, match="position must be an integer"):
+        embed_token(model, 3, position)
+
+
+def test_embed_token_takes_a_position_past_the_context_limit():
+    # decode continues past the prompt: step t of a seq_len prompt embeds at seq_len + t
+    model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=2, use_positions=True))
+    row = embed_token(model, 3, 40)
+    assert np.array_equal(row, model.weights.embedding[3] + positional_encoding(1, 8, 40)[0])
+
+
 def test_random_model_rejects_a_negative_seed():
     with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
         random_model(ModelConfig(1, 1, 8, 16, 32, seed=-1))
@@ -607,15 +672,16 @@ class TestTokenIds:
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8])
     def test_numpy_integer_ids_match_python_ints(self, dtype):
+        # a numpy integer window and position act as Python ints too
         tokens = [1, 7, 0, 3]
-        ref = prefill(self.model, tokens)
-        got = prefill(self.model, np.array(tokens, dtype=dtype))
+        ref = prefill(self.model, tokens, window=2)
+        got = prefill(self.model, np.array(tokens, dtype=dtype), window=dtype(2))
         for a, b in [(ref.logits, got.logits), (ref.hidden, got.hidden),
                      (ref.keys[0][0], got.keys[0][0]), (ref.values[0][0], got.values[0][0]),
-                     (ref.column_sums[0][0], got.column_sums[0][0])]:
+                     (ref.column_sums[0][0], got.column_sums[0][0]), (ref.attn[0][0], got.attn[0][0])]:
             assert a.tobytes() == b.tobytes()
         for t in tokens:
-            assert embed_token(self.model, dtype(t), 2).tobytes() == embed_token(self.model, t, 2).tobytes()
+            assert embed_token(self.model, dtype(t), dtype(2)).tobytes() == embed_token(self.model, t, 2).tobytes()
 
 
 def _model(layers, heads, d_model):
