@@ -133,6 +133,8 @@ def main(argv=None) -> int:
     p_demo.set_defaults(func=_cmd_demo)
 
     args = parser.parse_args(argv)
+    if args.command == "run" and args.parallel < 1:  # argparse itself rejects a non-integer
+        p_run.error(f"--parallel must be >= 1, got {args.parallel}")
     try:
         return args.func(args)
     except ConfigError as exc:

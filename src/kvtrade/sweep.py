@@ -13,8 +13,10 @@ reference, computed once (see ``run_point``).
 Each schema is stated once: config keys and their parsers derive from the
 ``SweepConfig`` annotations, CSV columns and their formats from the
 ``SweepRow`` fields, and validation asks the types that own each rule
-(``PolicyConfig``, ``budget.PLAN_BITS``, ``STRATEGIES``, ``enumerate_grid``,
-``RecallVocab`` and ``gen_recall_task``, which places the needles).
+(``PolicyConfig``, ``ModelConfig``, ``budget.PLAN_BITS``, ``STRATEGIES``,
+``enumerate_grid``, ``apply_overrides``, ``RecallVocab`` and
+``gen_recall_task``, which places the needles) when a ``SweepConfig`` is
+built, so every config that exists, parsed or built in code, is valid.
 
 Infeasible grid points (e.g. a budget below the policy's window) are
 recorded as skips with a reason and never crash the sweep. Results are
@@ -81,6 +83,8 @@ STRATEGIES: dict[str, tuple[Layout, float | None]] = {
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """One sweep's settings; building one (``replace`` too) raises ConfigError naming each problem."""
+
     task: str = "recall"
     model: str = "recall"  # recall | random (or set weights_file)
     weights_file: str = ""
@@ -108,6 +112,82 @@ class SweepConfig:
     recent_window: int | None = None
     pool_width: int = 7
     output: str = ""
+
+    def __post_init__(self) -> None:
+        problems = []
+        if self.task not in ("recall", "random_probe"):
+            problems.append(f"task must be recall or random_probe, got {self.task!r}")
+        if self.model not in ("recall", "random"):
+            problems.append(f"model must be recall or random, got {self.model!r}")
+        if self.task == "recall" and (self.model != "recall" or self.weights_file):
+            # the pair vocabulary cannot be reconstructed from a weights file
+            problems.append("the recall task requires the built-in recall model")
+        context_limit = layers = None  # unknown for an unreadable file; recall fits each seq_len
+        if self.weights_file:
+            try:
+                file_config = _load_weights_file(self.weights_file).config
+                context_limit, layers = file_config.context_limit, file_config.layers
+            except OSError:
+                pass  # reported when a point loads it
+        elif self.model == "random":
+            context_limit = self.context_limit
+            try:
+                layers = ModelConfig(self.layers, self.heads, self.d_model, self.vocab, context_limit).layers
+            except ContractViolation as exc:
+                problems.append(f"random model: {exc}")
+        elif self.model == "recall":
+            layers = 1  # build_recall_model's single layer
+        if not enumerate_grid(self):
+            problems.append("the grid is empty (an axis has no value, or no bits x multiplier is 16)")
+        for p in self.policies:
+            try:
+                self.policy(p)
+            except ContractViolation as exc:
+                problems.append(f"policy {p}: {exc}")
+        for b in self.bits:
+            if b not in PLAN_BITS:
+                problems.append(f"bits must be one of {PLAN_BITS}, got {b}")
+        for m in self.token_multipliers:
+            if m < 1:
+                problems.append(f"token multiplier must be >= 1, got {m}")
+        for g in self.group_sizes:
+            if g < 1:
+                problems.append(f"group size must be >= 1, got {g}")
+        for s in self.layouts:
+            if s not in STRATEGIES:
+                problems.append(f"unknown layout/strategy {s!r}")
+        for spec in self.overrides:
+            try:
+                overrides = parse_override_spec(spec)
+                if layers is not None:  # apply_overrides fits the ranges to the model's layers
+                    apply_overrides(plan_for_tokens([1] * layers, 16, heads=1, head_dim=1), overrides)
+            except ContractViolation as exc:
+                problems.append(f"bad override {spec!r}: {exc}")
+        for n in self.seq_lens:
+            if n < 4:
+                problems.append(f"seq_len {n} too short")
+            if context_limit is not None and n > context_limit:
+                problems.append(f"seq_len {n} exceeds context_limit {context_limit}")
+        if any(s < 0 for s in self.seeds):
+            problems.append("seeds must be >= 0")
+        if self.task == "recall":
+            # needle placement does not depend on the seed, so seed 0 stands for all
+            for n in self.seq_lens:
+                try:
+                    gen_recall_task(n, self.num_pairs, self.depths(), 0,
+                                    RecallVocab(self.num_pairs, self.filler_vocab))
+                except ContractViolation as exc:
+                    problems.append(f"recall task at seq_len {n}: {exc}")
+        if self.task == "random_probe" and self.probe_steps < 1:
+            problems.append("probe_steps must be >= 1 for the random_probe task")
+        if self.base_tokens < 1:
+            problems.append("base_tokens must be >= 1")
+        if self.full_cache_tokens < 1:
+            problems.append("full_cache_tokens must be >= 1")
+        if not 0 < self.pyramid_min_fraction <= 1:
+            problems.append("pyramid_min_fraction must be in (0, 1]")
+        if problems:
+            raise ConfigError("; ".join(problems))
 
     def policy(self, name: str) -> PolicyConfig:
         try:
@@ -211,7 +291,7 @@ _FIELD_PARSERS = {key: _PARSERS[t] for key, t in typing.get_type_hints(SweepConf
 
 
 def parse_config(text: str) -> SweepConfig:
-    """Parse and validate the flat key-value schema (see module docstring)."""
+    """Parse the flat key-value schema (see module docstring) into a config."""
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -229,84 +309,7 @@ def parse_config(text: str) -> SweepConfig:
             values[key] = _FIELD_PARSERS[key](val.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    cfg = SweepConfig(**values)
-    _require_valid(cfg)
-    return cfg
-
-
-def _require_valid(cfg: SweepConfig) -> None:
-    problems = validate_config(cfg)
-    if problems:
-        raise ConfigError("; ".join(problems))
-
-
-def validate_config(cfg: SweepConfig) -> list[str]:
-    """Return a list of problems (empty when the config is usable)."""
-    problems = []
-    if cfg.task not in ("recall", "random_probe"):
-        problems.append(f"task must be recall or random_probe, got {cfg.task!r}")
-    if cfg.model not in ("recall", "random"):
-        problems.append(f"model must be recall or random, got {cfg.model!r}")
-    if cfg.task == "recall" and (cfg.model != "recall" or cfg.weights_file):
-        # the pair vocabulary cannot be reconstructed from a weights file
-        problems.append("the recall task requires the built-in recall model")
-    context_limit = None  # unknown for the recall model and an unreadable weights file
-    if cfg.weights_file:
-        try:
-            context_limit = _load_weights_file(cfg.weights_file).config.context_limit
-        except OSError:
-            pass  # reported when a point loads it
-    elif cfg.model == "random":
-        context_limit = cfg.context_limit
-        try:
-            ModelConfig(cfg.layers, cfg.heads, cfg.d_model, cfg.vocab, cfg.context_limit)
-        except ContractViolation as exc:
-            problems.append(f"random model: {exc}")
-    if not enumerate_grid(cfg):
-        problems.append("the grid is empty (an axis has no value, or no bits x multiplier is 16)")
-    for p in cfg.policies:
-        try:
-            cfg.policy(p)
-        except ContractViolation as exc:
-            problems.append(f"policy {p}: {exc}")
-    for b in cfg.bits:
-        if b not in PLAN_BITS:
-            problems.append(f"bits must be one of {PLAN_BITS}, got {b}")
-    for g in cfg.group_sizes:
-        if g < 1:
-            problems.append(f"group size must be >= 1, got {g}")
-    for s in cfg.layouts:
-        if s not in STRATEGIES:
-            problems.append(f"unknown layout/strategy {s!r}")
-    for spec in cfg.overrides:
-        try:
-            parse_override_spec(spec)
-        except ContractViolation as exc:
-            problems.append(f"bad override {spec!r}: {exc}")
-    for n in cfg.seq_lens:
-        if n < 4:
-            problems.append(f"seq_len {n} too short")
-        if context_limit is not None and n > context_limit:
-            problems.append(f"seq_len {n} exceeds context_limit {context_limit}")
-    if any(s < 0 for s in cfg.seeds):
-        problems.append("seeds must be >= 0")
-    if cfg.task == "recall":
-        # needle placement does not depend on the seed, so seed 0 stands for all
-        for n in cfg.seq_lens:
-            try:
-                gen_recall_task(n, cfg.num_pairs, cfg.depths(), 0,
-                                RecallVocab(cfg.num_pairs, cfg.filler_vocab))
-            except ContractViolation as exc:
-                problems.append(f"recall task at seq_len {n}: {exc}")
-    if cfg.task == "random_probe" and cfg.probe_steps < 1:
-        problems.append("probe_steps must be >= 1 for the random_probe task")
-    if cfg.base_tokens < 1:
-        problems.append("base_tokens must be >= 1")
-    if cfg.full_cache_tokens < 1:
-        problems.append("full_cache_tokens must be >= 1")
-    if not 0 < cfg.pyramid_min_fraction <= 1:
-        problems.append("pyramid_min_fraction must be in (0, 1]")
-    return problems
+    return SweepConfig(**values)
 
 
 def parse_override_spec(spec: str) -> list[LayerOverride]:
@@ -363,20 +366,14 @@ def _load_weights_file(path: str) -> Model:
 
 
 def _build_model(cfg: SweepConfig, point: GridPoint, prompt: "_Prompt | None"):
-    if cfg.weights_file:
+    """The point's model and, when built here for a new prompt, its recall vocabulary."""
+    if cfg.weights_file:  # the one model that can change under a kept prompt
         return _load_weights_file(cfg.weights_file), None
+    if prompt is not None:  # a built model is a function of the config, seq_len and seed
+        return prompt.model, None
     if cfg.model == "recall":
         return _recall_model(cfg.num_pairs, point.seq_len, cfg.filler_vocab)
-    if prompt is not None:  # a random model is a function of the config and the seed
-        return prompt.model, None
-    mc = ModelConfig(
-        layers=cfg.layers,
-        heads=cfg.heads,
-        d_model=cfg.d_model,
-        vocab=cfg.vocab,
-        context_limit=cfg.context_limit,
-        seed=point.seed,
-    )
+    mc = ModelConfig(cfg.layers, cfg.heads, cfg.d_model, cfg.vocab, cfg.context_limit, seed=point.seed)
     return random_model(mc), None
 
 
@@ -456,9 +453,7 @@ def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model, vocab) -> _P
     else:
         tokens = gen_probe_prompt(point.seq_len, model.config.vocab, point.seed)
 
-    # the point's policy has constructed, so every known policy of the config does too
-    kinds = {k.value for k in PolicyKind}
-    window = max(cfg.policy(p).window_rows for p in cfg.policies if p in kinds)
+    window = max(cfg.policy(p).window_rows for p in cfg.policies)
     result = prefill(model, tokens, window)
     n = len(tokens)
     contexts = [
@@ -503,6 +498,8 @@ def _decode_queries(prompt: _Prompt, cache) -> tuple[float, float]:
 def run_point(cfg: SweepConfig, point: GridPoint) -> SweepRow | SweepSkip:
     """Execute one grid point; contract violations become skips.
 
+    ``cfg`` is valid, so a skip is a point it cannot run: a budget below the
+    policy's window, or a weights file rewritten since ``cfg`` was built.
     The work that depends only on the point's prompt (the task, prefill,
     score statistics and the dense reference) is done at the prompt's first
     point and kept for its later ones, until the prompt's last point in
@@ -558,10 +555,11 @@ def run_sweep(cfg: SweepConfig, parallel: int = 1) -> tuple[list[SweepRow], list
     """Run the whole grid; returns (completed rows, skipped points) in grid order.
 
     Points run prompt by prompt, so one prompt's state is live at a time;
-    with ``parallel > 1``, each worker process runs whole prompts.
-    A config that ``validate_config`` rejects raises ConfigError before any point runs.
+    with ``parallel > 1``, each worker process runs whole prompts. A
+    ``parallel`` that is not an integer >= 1 raises ContractViolation.
     """
-    _require_valid(cfg)
+    if isinstance(parallel, bool) or not isinstance(parallel, (int, np.integer)) or parallel < 1:
+        raise ContractViolation(f"parallel must be an integer >= 1, got {parallel!r}")
     points = enumerate_grid(cfg)
     prompts: dict[tuple[int, int], list[GridPoint]] = {}
     for p in points:

@@ -74,6 +74,22 @@ class TestPyramidAllocation:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
         assert len(counts) == layers
 
+    @pytest.mark.parametrize("total, counts", [(5, [3, 2]), (7, [4, 3])])
+    def test_rounding_residue_settled(self, total, counts):
+        # 2.5 and 3.5 per layer round half to even: one token short, one over
+        assert pyramid_allocation(2, total, 1.0) == counts
+
+    @given(st.integers(2, 16), st.integers(1, 400), st.floats(0.05, 1.0, allow_nan=False), st.integers(1, 8))
+    def test_any_total_sums_exactly_or_is_rejected(self, layers, total, fraction, min_tokens):
+        try:
+            counts = pyramid_allocation(layers, total, fraction, min_tokens)
+        except ContractViolation as exc:
+            assert "below the minimum" in str(exc)
+            return
+        assert sum(counts) == total and len(counts) == layers
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        assert counts[-1] >= min_tokens
+
 
 class TestPlanBytes:
     def test_16bit_reference(self):
@@ -154,6 +170,16 @@ class TestApplyOverrides:
             LayerOverride(0, 4, 4, 16)
         with pytest.raises(ContractViolation):
             LayerOverride(0, 4, 4, 2)
+
+    @pytest.mark.parametrize("start, end", [(-1, 2), (3, 3), (4, 2)])
+    def test_bad_range_rejected(self, start, end):
+        with pytest.raises(ContractViolation, match=rf"bad layer range \[{start}, {end}\)"):
+            LayerOverride(start, end, 1, 16)
+
+    @pytest.mark.parametrize("bits", [0, 3, 32])
+    def test_bad_bits_rejected(self, bits):
+        with pytest.raises(ContractViolation, match=f"override bits must be one of .*, got {bits}"):
+            LayerOverride(0, 1, 1, bits)
 
     @pytest.mark.parametrize("bits", PLAN_BITS)
     def test_override_at_every_plan_width(self, bits):

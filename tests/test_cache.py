@@ -449,7 +449,7 @@ class TestSnapshot:
 
 
 SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBdIq")
-LAYERS_AT, GROUP_SIZE_AT, LAYOUT_AT, THRESHOLD_AT = 6, 14, 18, 19
+LAYERS_AT, GROUP_SIZE_AT, LAYOUT_AT, THRESHOLD_AT, PREFILL_LEN_AT = 6, 14, 18, 19, 27
 PLAN_TOKENS_AT, PLAN_BITS_AT = SNAPSHOT_HEADER, SNAPSHOT_HEADER + 4  # first layer's plan row
 
 
@@ -549,6 +549,25 @@ class TestSnapshotRejects:
     def test_rejected(self, snapshot, mutate):
         with pytest.raises(IntegrityError):
             load_snapshot(mutate(*snapshot))
+
+    def test_quantized_entry_without_prompt_rows_rejected(self, snapshot):
+        # with no prompt, every kept position is a decode row: no prompt block to read
+        blob, _ = snapshot
+        assert struct.unpack_from("<I", blob, PREFILL_LEN_AT)[0] == 24
+        with pytest.raises(IntegrityError, match="a quantized entry holds no prompt rows"):
+            load_snapshot(_patched(blob, PREFILL_LEN_AT, "<I", 0))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_residual_rejected(self, value):
+        # a 16-bit head keeps every row in the residual: plan row, position
+        # count, four positions, then the first K value
+        keys, values, ctxs = make_inputs(1, 1, 24, 8, seed=13)
+        plan = uniform_plan(1, 4, 16, heads=1, head_dim=8, group_size=8)
+        blob = dump_snapshot(prefill_compress(keys, values, ctxs, plan, STREAM4))
+        at = SNAPSHOT_HEADER + 5 + 4 + 4 * 4
+        assert struct.unpack_from("<f", blob, at)[0] == keys[0][0][20, 0]
+        with pytest.raises(IntegrityError, match="residual values must be finite"):
+            load_snapshot(_patched(blob, at, "<f", value))
 
     def test_16bit_group_size_0_rejected(self):
         # a 16-bit layer builds no QuantConfig, so only the plan can reject it

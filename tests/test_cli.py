@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from kvtrade.cli import main
 from kvtrade.sweep import parse_csv
 
@@ -71,6 +73,17 @@ class TestRun:
         cfg.write_text(GOOD_CONFIG.replace("base_tokens = 16", "base_tokens = 0"))
         assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out.csv")]) == 2
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("parallel", ["0", "-1", "1.5"])
+    def test_parallel_below_one_or_not_an_integer_is_config_error(self, tmp_path, capsys, parallel):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(GOOD_CONFIG)
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--config", str(cfg), "--out", str(out), "--parallel", parallel])
+        assert exited.value.code == 2
+        assert "--parallel" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KVTRADE_OUT_DIR", str(tmp_path / "outputs"))

@@ -316,6 +316,14 @@ def test_policy_rejects_kind_outside_the_enum(kind):
         PolicyConfig(kind)
 
 
+@pytest.mark.parametrize("kind", [PolicyKind.H2O, PolicyKind.SNAPKV, PolicyKind.PYRAMIDKV])
+def test_decide_without_a_score_context_rejected(kind):
+    with pytest.raises(ContractViolation, match=f"{kind.value} requires a ScoreContext"):
+        decide(PolicyConfig(kind, recent_window=4), None, 16, 8)
+    # streaming_llm reads no statistics
+    assert decide(PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=4), None, 16, 8).retained
+
+
 def test_prune_decision_rejects_disorder():
     with pytest.raises(ContractViolation):
         PruneDecision((3, 1, 2))

@@ -1,4 +1,5 @@
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from kvtrade.sweep import (
     parse_csv,
     rows_to_csv,
     run_sweep,
-    validate_config,
 )
 from kvtrade.tasks import gen_recall_task
 
@@ -70,42 +70,59 @@ class TestConfigParsing:
             parse_config("overrides = 0-4@16x4\n")
 
     def test_validate_lists_problems(self):
-        cfg = SweepConfig(task="nope", policies=())
-        problems = validate_config(cfg)
+        with pytest.raises(ConfigError) as caught:
+            SweepConfig(task="nope", policies=())
+        problems = str(caught.value).split("; ")
         assert any("task" in p for p in problems)
         assert any("grid" in p for p in problems)
 
     def test_validate_flags_group_size_below_one(self):
-        assert any("group size" in p for p in validate_config(SweepConfig(group_sizes=(0,))))
-        assert validate_config(SweepConfig(group_sizes=(1, 64))) == []
+        with pytest.raises(ConfigError, match="group size"):
+            SweepConfig(group_sizes=(0,))
+        SweepConfig(group_sizes=(1, 64))
 
     @pytest.mark.parametrize(
-        "cfg, word",
+        "kwargs, word",
         [
-            (SweepConfig(task="random_probe", model="random", probe_steps=0), "probe_steps"),
-            (SweepConfig(full_cache_tokens=0), "full_cache_tokens"),
-            (SweepConfig(full_cache_tokens=-5), "full_cache_tokens"),
-            (SweepConfig(seeds=(0, -1)), "seeds"),
-            (SweepConfig(num_pairs=0), "num_pairs"),
-            (SweepConfig(recent_window=0), "recent_window"),
-            (SweepConfig(pool_width=4), "pool_width"),
-            (SweepConfig(base_tokens=0), "base_tokens"),
-            (SweepConfig(filler_vocab=0), "filler_vocab"),
-            (SweepConfig(task="random_probe", model="random", heads=3, d_model=32), "divide"),
-            (SweepConfig(task="random_probe", model="random", vocab=0), "dimensions"),
-            (SweepConfig(task="random_probe", model="random", layers=0), "dimensions"),
+            (dict(task="random_probe", model="random", probe_steps=0), "probe_steps"),
+            (dict(full_cache_tokens=0), "full_cache_tokens"),
+            (dict(full_cache_tokens=-5), "full_cache_tokens"),
+            (dict(seeds=(0, -1)), "seeds"),
+            (dict(num_pairs=0), "num_pairs"),
+            (dict(recent_window=0), "recent_window"),
+            (dict(pool_width=4), "pool_width"),
+            (dict(base_tokens=0), "base_tokens"),
+            (dict(filler_vocab=0), "filler_vocab"),
+            (dict(task="random_probe", model="random", heads=3, d_model=32), "divide"),
+            (dict(task="random_probe", model="random", vocab=0), "dimensions"),
+            (dict(task="random_probe", model="random", layers=0), "dimensions"),
+            (dict(layouts=("bogus",)), "layout"),
+            (dict(task="random_prob"), "task"),
+            (dict(task="random_probe", model="randm"), "model"),
+            # with no pairing filter, a multiplier below 1 would leave every layer no token
+            (dict(paired_budget=False, token_multipliers=(0, 1)), "token multiplier"),
+            (dict(paired_budget=False, token_multipliers=(-1,)), "token multiplier"),
+            # the recall model has one layer, a random one ``layers``
+            (dict(overrides=("0-4@8x2",)), "override range exceeds layer count"),
+            (dict(task="random_probe", model="random", layers=4, overrides=("none", "2-5@8x2")),
+             "override range exceeds layer count"),
+            (dict(task="random_probe", model="random", layers=4, overrides=("0-2@8x2;1-3@16x1",)),
+             "override ranges overlap"),
         ],
         ids=["probe_steps", "full_cache_zero", "full_cache_negative", "seed", "num_pairs",
              "recent_window", "pool_width", "base_tokens", "filler_vocab", "random_heads",
-             "random_vocab", "random_layers"],
+             "random_vocab", "random_layers", "layout", "task_typo", "model_typo",
+             "token_multiplier_zero", "token_multiplier_negative", "override_past_recall_layers",
+             "override_past_random_layers", "override_overlap"],
     )
-    def test_validate_flags_configs_that_crash_or_mislead(self, cfg, word):
-        assert any(word in p for p in validate_config(cfg))
+    def test_validate_flags_configs_that_crash_or_mislead(self, kwargs, word):
+        with pytest.raises(ConfigError, match=word):
+            SweepConfig(**kwargs)
 
     def test_validate_flags_needles_with_no_slot_left(self):
         # both pairs ask for depth 1.0: the second has no slot after the first
-        cfg = SweepConfig(num_pairs=2, needle_depths=(1.0, 1.0))
-        assert any("no slot left at depth 1.0" in p for p in validate_config(cfg))
+        with pytest.raises(ConfigError, match="no slot left at depth 1.0"):
+            SweepConfig(num_pairs=2, needle_depths=(1.0, 1.0))
 
     def test_validate_flags_a_recall_setting_exactly_when_the_task_generator_raises(self):
         rng = np.random.default_rng(11)
@@ -119,16 +136,22 @@ class TestConfigParsing:
                 count = max(0, pairs + int(rng.choice([-1, 0, 0, 0, 1])))
                 # crowd the depths toward the end and sometimes past [0, 1]
                 depths = tuple(float(d) for d in rng.choice([0.0, 0.5, 0.9, 1.0, 1.2, -0.1], count))
-            cfg = SweepConfig(seq_lens=(n,), num_pairs=pairs, needle_depths=depths,
-                              filler_vocab=int(rng.integers(0, 4)))
+            kwargs = dict(seq_lens=(n,), num_pairs=pairs, needle_depths=depths,
+                          filler_vocab=int(rng.integers(0, 4)))
             try:
-                gen_recall_task(n, pairs, cfg.depths(), int(rng.integers(0, 1000)),
-                                RecallVocab(pairs, cfg.filler_vocab))
+                # the depths the config would use, by its own rule
+                gen_recall_task(n, pairs, SweepConfig.depths(SimpleNamespace(**kwargs)),
+                                int(rng.integers(0, 1000)), RecallVocab(pairs, kwargs["filler_vocab"]))
                 raised = False
             except ContractViolation:
                 raised = True
-            flagged = any(p.startswith("recall task") for p in validate_config(cfg))
-            assert flagged == raised, (pairs, n, depths, cfg.filler_vocab)
+            try:
+                SweepConfig(**kwargs)
+                flagged = False
+            except ConfigError as exc:
+                assert all(p.startswith("recall task") for p in str(exc).split("; ")), exc
+                flagged = True
+            assert flagged == raised, (pairs, n, depths, kwargs["filler_vocab"])
             outcomes.add(raised)
         assert outcomes == {True, False}
 
@@ -300,6 +323,12 @@ class TestRunSweep:
         parallel, _ = run_sweep(SMALL, parallel=2)
         assert rows_to_csv(serial) == rows_to_csv(parallel)
 
+    @pytest.mark.parametrize("parallel", [0, -1, 1.5, True])
+    def test_parallel_below_one_or_not_an_integer_rejected(self, parallel, monkeypatch):
+        monkeypatch.setattr(sweep, "run_point", lambda *a: pytest.fail("a point ran"))
+        with pytest.raises(ContractViolation, match="parallel must be an integer >= 1"):
+            run_sweep(SMALL, parallel=parallel)
+
     def test_pyramid_policy_runs(self):
         cfg = SweepConfig(
             task="random_probe", model="random", seq_lens=(32,), seeds=(0,),
@@ -354,6 +383,20 @@ class TestCsv:
     def test_unwritable_path_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             emit_csv([], tmp_path / "missing_dir" / "out.csv")
+
+    @pytest.mark.parametrize("text", ["", "policy,bits\n", rows_to_csv([]).replace("seed,", "")],
+                             ids=["empty", "short", "column-missing"])
+    def test_wrong_header_rejected(self, text):
+        with pytest.raises(ValueError, match="unexpected CSV header"):
+            parse_csv(text)
+
+    def test_wrong_column_count_rejected(self):
+        header, row = rows_to_csv(run_sweep(SMALL)[0][:1]).splitlines()
+        parse_csv(f"{header}\n{row}\n")
+        with pytest.raises(ValueError, match="expected 14 columns, got 13"):
+            parse_csv(f"{header}\n{row.rsplit(',', 1)[0]}\n")
+        with pytest.raises(ValueError, match="expected 14 columns, got 15"):
+            parse_csv(f"{header}\n{row},1\n")
 
 
 class TestBudgetMatchedRows:
@@ -415,15 +458,17 @@ class TestWeightsFile:
 
         path = tmp_path / "model.bin"
         save_weights(random_model(ModelConfig(1, 2, 16, 32, 64, seed=5)), path)
-        path.write_bytes(path.read_bytes()[:-1])
         cfg = SweepConfig(
             task="random_probe", model="random", weights_file=str(path),
             seq_lens=(24,), seeds=(0, 1), policies=("streaming_llm",),
             bits=(8,), token_multipliers=(2,), base_tokens=8,
             full_cache_tokens=24, probe_steps=2, recent_window=4,
         )
+        path.write_bytes(path.read_bytes()[:-1])  # damaged after the config was built
         with pytest.raises(IntegrityError, match="truncated"):
             run_sweep(cfg, parallel=parallel)
+        with pytest.raises(IntegrityError, match="truncated"):
+            replace(cfg)  # building the config reads the file too
 
     def test_weights_file_loads_once_per_sweep(self, tmp_path, monkeypatch):
         from kvtrade.model import ModelConfig, random_model, save_weights
@@ -449,19 +494,34 @@ class TestWeightsFile:
 
         path = tmp_path / "model.bin"
         save_weights(random_model(ModelConfig(1, 2, 16, 32, 32, seed=5)), path)
-        cfg = SweepConfig(
+        cfg = dict(
             task="random_probe", model="random", weights_file=str(path),
             seq_lens=(24, 64), seeds=(0,), policies=("streaming_llm",),
             bits=(8,), token_multipliers=(2,), base_tokens=8,
             full_cache_tokens=24, probe_steps=2, recent_window=4,
         )
-        assert validate_config(cfg) == ["seq_len 64 exceeds context_limit 32"]
-        with pytest.raises(ConfigError, match="seq_len 64 exceeds context_limit 32"):
-            run_sweep(cfg)
+        with pytest.raises(ConfigError, match="^seq_len 64 exceeds context_limit 32$"):
+            SweepConfig(**cfg)
+
+    def test_override_past_the_files_layers_rejected(self, tmp_path):
+        # the file's two layers count, not the config's ``layers``
+        from kvtrade.model import ModelConfig, random_model, save_weights
+
+        path = tmp_path / "model.bin"
+        save_weights(random_model(ModelConfig(2, 2, 16, 32, 64, seed=5)), path)
+        cfg = dict(
+            task="random_probe", model="random", weights_file=str(path), layers=4,
+            seq_lens=(24,), seeds=(0,), policies=("streaming_llm",),
+            bits=(8,), token_multipliers=(2,), base_tokens=8,
+            full_cache_tokens=24, probe_steps=2, recent_window=4,
+        )
+        SweepConfig(**cfg, overrides=("none", "0-2@16x1"))
+        with pytest.raises(ConfigError, match="^bad override '1-3@16x1': override range exceeds layer count$"):
+            SweepConfig(**cfg, overrides=("none", "1-3@16x1"))
 
     def test_recall_with_weights_file_rejected(self, tmp_path):
-        cfg = SweepConfig(task="recall", model="recall", weights_file="w.bin")
-        assert any("recall" in p for p in validate_config(cfg))
+        with pytest.raises(ConfigError, match="recall"):
+            SweepConfig(task="recall", model="recall", weights_file="w.bin")
 
 
 class TestStrategies:
@@ -540,6 +600,21 @@ class TestPromptState:
         assert len(calls) == 2 * len(cfg.seeds)
         assert sweep._PROMPTS == {}
 
+    def test_recall_prompts_outlive_the_recall_model_cache(self, monkeypatch):
+        # 9 lengths, each a prompt with two points, one per pass over the
+        # lengths: more recall models than the 8 the model cache holds
+        cfg = replace(SMALL, seq_lens=tuple(range(24, 42, 2)), num_pairs=2, filler_vocab=4,
+                      base_tokens=6, full_cache_tokens=24, recent_window=2)
+        calls = []
+        prefill = sweep.prefill
+        monkeypatch.setattr(sweep, "prefill", lambda *a: calls.append(a) or prefill(*a))
+        sweep._recall_model.cache_clear()
+        outcomes = [sweep.run_point(cfg, p) for p in enumerate_grid(cfg)]
+        assert len(outcomes) == 18 and all(isinstance(o, sweep.SweepRow) for o in outcomes)
+        assert sweep._recall_model.cache_info().currsize == 8
+        assert len(calls) == 9
+        assert sweep._PROMPTS == {}
+
     def test_another_config_drops_every_prompt(self):
         cfg = SHARED[0]
         sweep.run_point(cfg, enumerate_grid(cfg)[0])
@@ -549,9 +624,18 @@ class TestPromptState:
         assert sweep._PROMPTS[(96, 0)] is not kept
         sweep._PROMPTS.clear()
 
-    def test_prefill_failure_is_not_kept(self):
-        # unvalidated: the prompt is longer than the model's context
-        cfg = replace(SHARED[1], context_limit=32)
+    def test_prefill_failure_is_not_kept(self, tmp_path):
+        # the weights file is rewritten after the config is built: the prompt
+        # is now longer than the model's context
+        import os
+
+        from kvtrade.model import ModelConfig, random_model, save_weights
+
+        path = tmp_path / "model.bin"
+        save_weights(random_model(ModelConfig(2, 2, 16, 32, 64, seed=5)), path)
+        cfg = replace(SHARED[1], weights_file=str(path))
+        save_weights(random_model(ModelConfig(2, 2, 16, 32, 32, seed=5)), path)
+        os.utime(path, ns=(1, 1))  # a new mtime, however coarse the clock
         outcomes = [sweep.run_point(cfg, p) for p in enumerate_grid(cfg)]
         assert {o.reason for o in outcomes} == {"prompt length 40 outside (0, 32]"}
         assert sweep._PROMPTS == {}
@@ -590,36 +674,30 @@ def test_import_does_not_load_multiprocessing():
 
 
 class TestUnvalidatedConfigSkips:
-    """A config built in code and never validated skips its bad points."""
+    """A value that would skip every point of a policy or seed fails the config's construction.
+
+    The functions behind it still raise ContractViolation for direct callers.
+    """
 
     def test_unknown_policy_is_a_contract_violation(self):
         with pytest.raises(ContractViolation, match="unknown policy 'maxkv'"):
             SMALL.policy("maxkv")
-        assert "policy maxkv: unknown policy 'maxkv'" in validate_config(replace(SMALL, policies=("maxkv",)))
+        with pytest.raises(ConfigError, match="^policy maxkv: unknown policy 'maxkv'$"):
+            replace(SMALL, policies=("maxkv",))
 
     def test_unknown_policy_skips_its_points(self):
-        cfg = replace(SHARED[1], policies=("bogus", "snapkv"), seeds=(0,))
-        outcomes = [sweep.run_point(cfg, p) for p in enumerate_grid(cfg)]
-        bogus = outcomes[:len(outcomes) // 2]  # policy is the outermost axis
-        assert {o.point.policy for o in bogus} == {"bogus"}
-        assert {o.reason for o in bogus} == {"unknown policy 'bogus'"}
-        assert any(isinstance(o, sweep.SweepRow) for o in outcomes)
-        assert sweep._PROMPTS == {}
+        with pytest.raises(ConfigError, match="^policy bogus: unknown policy 'bogus'$"):
+            replace(SHARED[1], policies=("bogus", "snapkv"), seeds=(0,))
 
     @pytest.mark.parametrize("cfg", SHARED, ids=["recall", "random_probe"])
     def test_negative_seed_skips_its_points(self, cfg):
-        cfg = replace(cfg, seeds=(-1,))
-        outcomes = [sweep.run_point(cfg, p) for p in enumerate_grid(cfg)]
-        assert {o.reason for o in outcomes} == {"seed must be >= 0, got -1"}
-        assert "seeds must be >= 0" in validate_config(cfg)
-        assert sweep._PROMPTS == {}
+        with pytest.raises(ConfigError, match="^seeds must be >= 0$"):
+            replace(cfg, seeds=(-1,))
 
     def test_negative_seed_skips_a_weights_file_probe(self, tmp_path):
         from kvtrade.model import ModelConfig, random_model, save_weights
 
         path = tmp_path / "model.bin"
         save_weights(random_model(ModelConfig(2, 2, 16, 32, 64, seed=5)), path)
-        cfg = replace(SHARED[1], model="random", weights_file=str(path), seeds=(-1,))
-        outcomes = [sweep.run_point(cfg, p) for p in enumerate_grid(cfg)]
-        assert {o.reason for o in outcomes} == {"seed must be >= 0, got -1"}
-        assert sweep._PROMPTS == {}
+        with pytest.raises(ConfigError, match="^seeds must be >= 0$"):
+            replace(SHARED[1], model="random", weights_file=str(path), seeds=(-1,))

@@ -40,6 +40,13 @@ class TestMatmul:
         with pytest.raises(ContractViolation):
             matmul(zeros(2, 3), zeros(2, 3))
 
+    def test_overflowing_product_rejected(self):
+        # finite float32 inputs whose product is past float32's range; numpy's
+        # own overflow warning is silenced so that the check behind it runs
+        big = matrix([[1e30, 1e30]])
+        with np.errstate(over="ignore"), pytest.raises(ContractViolation, match="non-finite elements"):
+            matmul(big, big.T)
+
     @given(finite_matrices(max_side=6))
     def test_identity_exact_both_sides(self, m):
         assert np.array_equal(matmul(np.eye(m.shape[0], dtype=np.float32), m), m)
