@@ -46,7 +46,7 @@ from .quant import (
     quantized_bytes,
     payload_bytes as tensor_payload_bytes,
 )
-from .tensor import Matrix, concat_rows, zeros
+from .tensor import Matrix, concat_rows
 
 
 @dataclass
@@ -74,8 +74,8 @@ class LayerHeadCache:
         k_cfg, v_cfg = cfgs
         self.quant_k.append(quantize_matrix(self.residual_k, k_cfg))
         self.quant_v.append(quantize_matrix(self.residual_v, v_cfg))
-        self.residual_k = zeros(0, self.residual_k.shape[1])
-        self.residual_v = zeros(0, self.residual_v.shape[1])
+        self.residual_k = np.zeros((0, self.residual_k.shape[1]), dtype=np.float32)
+        self.residual_v = np.zeros((0, self.residual_v.shape[1]), dtype=np.float32)
 
     def clone(self) -> "LayerHeadCache":
         # QuantizedTensor blocks are immutable and can be shared
@@ -311,14 +311,17 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-class _Reader:
-    def __init__(self, data: bytes):
+class Reader:
+    """Reads a binary format front to back; ``name`` names it in IntegrityError messages."""
+
+    def __init__(self, data: bytes, name: str):
         self.data = data
+        self.name = name
         self.pos = 0
 
     def take(self, n: int) -> bytes:
         if self.pos + n > len(self.data):
-            raise IntegrityError("snapshot truncated")
+            raise IntegrityError(f"{self.name} truncated")
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
         return chunk
@@ -326,13 +329,23 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def array(self, dtype, count: int) -> np.ndarray:
+        """The next ``count`` items of ``dtype``, read-only."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype)
 
-def _load_block(r: _Reader, shape: tuple[int, int], cfg: QuantConfig) -> QuantizedTensor:
+    def end(self) -> None:
+        """Raise IntegrityError unless every byte has been read."""
+        if self.pos != len(self.data):
+            raise IntegrityError(f"{len(self.data) - self.pos} trailing bytes after the {self.name}")
+
+
+def _load_block(r: Reader, shape: tuple[int, int], cfg: QuantConfig) -> QuantizedTensor:
     """Read one block of ``shape``: group_split frames it, QuantizedTensor checks it."""
     (n_out,) = r.unpack("<I")
-    outliers = np.frombuffer(r.take(OUTLIER_DTYPE.itemsize * n_out), dtype=OUTLIER_DTYPE)
+    outliers = r.array(OUTLIER_DTYPE, n_out)
     groups, nbytes = group_split(shape, cfg.layout, cfg.group_size, cfg.bits, outliers)
-    table = np.frombuffer(r.take(_GROUP_TABLE.itemsize * groups), dtype=_GROUP_TABLE)
+    table = r.array(_GROUP_TABLE, groups)
     return QuantizedTensor(
         shape=shape,
         bits=cfg.bits,
@@ -345,9 +358,9 @@ def _load_block(r: _Reader, shape: tuple[int, int], cfg: QuantConfig) -> Quantiz
     )
 
 
-def _load_entry(r: _Reader, cfgs, head_dim: int, prefill_len: int) -> LayerHeadCache:
+def _load_entry(r: Reader, cfgs, head_dim: int, prefill_len: int) -> LayerHeadCache:
     (n_pos,) = r.unpack("<I")
-    positions = np.frombuffer(r.take(4 * n_pos), dtype="<u4").astype(np.int64)
+    positions = r.array("<u4", n_pos).astype(np.int64)
     if np.any(np.diff(positions) <= 0):
         raise IntegrityError("entry positions are not strictly increasing")
     k_cfg, v_cfg = cfgs or (None, None)
@@ -360,7 +373,7 @@ def _load_entry(r: _Reader, cfgs, head_dim: int, prefill_len: int) -> LayerHeadC
     quant_k = [_load_block(r, (rows, head_dim), k_cfg) for rows in blocks]
     quant_v = [_load_block(r, (rows, head_dim), v_cfg) for rows in blocks]
     rest = n_pos - sum(blocks)
-    residual = np.frombuffer(r.take(8 * rest * head_dim), dtype="<f4").reshape(2, rest, head_dim)
+    residual = r.array("<f4", 2 * rest * head_dim).reshape(2, rest, head_dim)
     if not np.isfinite(residual).all():
         raise IntegrityError("residual values must be finite")
     residual_k, residual_v = residual.astype(np.float32)
@@ -379,7 +392,7 @@ def load_snapshot(data: bytes) -> CompressedKVCache:
 
 
 def _load_snapshot(data: bytes) -> CompressedKVCache:
-    r = _Reader(data)
+    r = Reader(data, "snapshot")
     if r.take(4) != SNAPSHOT_MAGIC:
         raise IntegrityError("bad snapshot magic")
     (
@@ -400,7 +413,7 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
     r.data = data[:-4]
     if layout_code >= len(_LAYOUTS):
         raise IntegrityError(f"unknown layout code {layout_code}")
-    table = np.frombuffer(r.take(_PLAN_TABLE.itemsize * layers), dtype=_PLAN_TABLE)
+    table = r.array(_PLAN_TABLE, layers)
     plan = BudgetPlan(
         per_layer=tuple(zip(table["tokens"].tolist(), table["bits"].tolist())),
         group_size=group_size,
@@ -412,8 +425,7 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
     for layer in range(layers):
         cfgs = plan.quant_config(layer)
         entries.append([_load_entry(r, cfgs, head_dim, prefill_len) for _ in range(heads)])
-    if r.pos != len(r.data):
-        raise IntegrityError(f"{len(r.data) - r.pos} trailing bytes after the snapshot")
+    r.end()
 
     return CompressedKVCache(
         plan=plan,

@@ -19,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cache import CompressedKVCache, append_rows
+from .cache import CompressedKVCache, Reader, append_rows
 from .errors import ContractViolation, IntegrityError
-from .prune import check_causal_rows
 from .tensor import Matrix, matmul, softmax_rows
 
-NEG_MASK = np.float32(-1e30)
+# prefill's score for a future key: softmax gives it exactly 0 weight
+NEG_MASK = np.float32(-np.inf)
 
 
 @dataclass(frozen=True)
@@ -237,10 +237,11 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     row at a time, so neither the truncation nor the slicing changes a bit.
     ``probs @ v`` alone runs full width, on a zero-padded buffer held once
     per call, because a product truncated to ``r1`` columns may round
-    differently. Each block is checked as :class:`ScoreContext` checks its
-    rows: a row that does not sum to 1, or that puts weight past its
-    diagonal (a real score below ``NEG_MASK``), raises ContractViolation, as
-    does a ``window`` that is not an integer >= 0.
+    differently. Future keys score ``NEG_MASK`` (-inf). Every real score is
+    finite (``matmul`` rejects a non-finite product), and the softmax
+    normalises in float64, so each future key gets exactly 0 weight and each
+    row sums to 1: the rows are causal by construction and need no check. A
+    ``window`` that is not an integer >= 0 raises ContractViolation.
     """
     cfg = model.config
     ids = _prompt_ids(model, tokens)
@@ -278,7 +279,6 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
                 scores[mask] = NEG_MASK
                 for s in range(0, r1 - r0, _SLICE_ROWS):
                     probs[s : s + _SLICE_ROWS] = softmax_rows(scores[s : s + _SLICE_ROWS])
-                check_causal_rows(probs, r0, masked=True)
                 cols_h = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
                 out[new:r1, cols_h] = matmul(padded, vh)[new - r0 :]
                 # the new rows, reduced in float64 with the running sums as
@@ -445,7 +445,7 @@ def build_recall_model(num_pairs: int, seq_len: int, filler_vocab: int = 32) -> 
 
 # Weights file: magic "KVTW", u16 version, u16 layers, u16 heads, u32 d_model,
 # u32 vocab, u32 context_limit, i64 seed, u8 use_positions, then raw f32 LE
-# matrices: embedding, per layer (W_Q, W_K, W_V, W_O), output head.
+# matrices in the order _matrices gives.
 WEIGHTS_MAGIC = b"KVTW"
 WEIGHTS_VERSION = 1
 
@@ -483,35 +483,29 @@ def _activations_fit(cfg: ModelConfig, weights: Weights) -> bool:
     return max(a, a * norm(weights.head)) <= _ACTIVATION_LIMIT
 
 
+def _matrices(weights: Weights) -> list[Matrix]:
+    """The weights file's matrices in file order: the embedding, W_Q, W_K,
+    W_V and W_O of each layer, then the output head."""
+    layers = [w for lw in weights.layers for w in (lw.w_q, lw.w_k, lw.w_v, lw.w_o)]
+    return [weights.embedding, *layers, weights.head]
+
+
 def save_weights(model: Model, path) -> None:
     cfg = model.config
-    parts = [
-        WEIGHTS_MAGIC,
-        struct.pack(
-            _WEIGHTS_HEADER,
-            WEIGHTS_VERSION,
-            cfg.layers,
-            cfg.heads,
-            cfg.d_model,
-            cfg.vocab,
-            cfg.context_limit,
-            cfg.seed,
-            int(cfg.use_positions),
-        ),
-    ]
-
-    def emit(mat: Matrix) -> None:
-        parts.append(np.ascontiguousarray(mat, dtype="<f4").tobytes())
-
-    emit(model.weights.embedding)
-    for lw in model.weights.layers:
-        emit(lw.w_q)
-        emit(lw.w_k)
-        emit(lw.w_v)
-        emit(lw.w_o)
-    emit(model.weights.head)
+    header = struct.pack(
+        _WEIGHTS_HEADER,
+        WEIGHTS_VERSION,
+        cfg.layers,
+        cfg.heads,
+        cfg.d_model,
+        cfg.vocab,
+        cfg.context_limit,
+        cfg.seed,
+        int(cfg.use_positions),
+    )
+    mats = [np.ascontiguousarray(m, dtype="<f4").tobytes() for m in _matrices(model.weights)]
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(b"".join([WEIGHTS_MAGIC, header, *mats]))
 
 
 def load_weights(path) -> Model:
@@ -524,15 +518,10 @@ def load_weights(path) -> Model:
     prefill activations could overflow float32 (:func:`_activations_fit`).
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != WEIGHTS_MAGIC:
+        r = Reader(fh.read(), "weights file")
+    if r.take(4) != WEIGHTS_MAGIC:
         raise IntegrityError("bad weights magic")
-    offset = 4 + struct.calcsize(_WEIGHTS_HEADER)
-    if len(data) < offset:
-        raise IntegrityError("weights file truncated")
-    version, layers, heads, d_model, vocab, ctx, seed, use_pos = struct.unpack(
-        _WEIGHTS_HEADER, data[4:offset]
-    )
+    version, layers, heads, d_model, vocab, ctx, seed, use_pos = r.unpack(_WEIGHTS_HEADER)
     if version != WEIGHTS_VERSION:
         raise IntegrityError(f"unsupported weights version {version}")
     if use_pos > 1:
@@ -543,30 +532,13 @@ def load_weights(path) -> Model:
         raise IntegrityError(f"weights header holds an invalid setting: {exc}") from exc
 
     def take(rows: int, cols: int) -> Matrix:
-        nonlocal offset
-        nbytes = rows * cols * 4
-        if offset + nbytes > len(data):
-            raise IntegrityError("weights file truncated")
-        mat = np.frombuffer(data[offset : offset + nbytes], dtype="<f4")
-        offset += nbytes
-        return mat.reshape(rows, cols).astype(np.float32)
+        return r.array("<f4", rows * cols).reshape(rows, cols).astype(np.float32)
 
     emb = take(vocab, d_model)
-    lws = tuple(
-        LayerWeights(
-            take(d_model, d_model),
-            take(d_model, d_model),
-            take(d_model, d_model),
-            take(d_model, d_model),
-        )
-        for _ in range(layers)
-    )
-    head = take(d_model, vocab)
-    if offset != len(data):
-        raise IntegrityError("trailing bytes in weights file")
-    weights = Weights(emb, lws, head)
-    mats = [emb, head] + [w for lw in lws for w in (lw.w_q, lw.w_k, lw.w_v, lw.w_o)]
-    if not all(np.isfinite(m).all() for m in mats):
+    lws = tuple(LayerWeights(*(take(d_model, d_model) for _ in range(4))) for _ in range(layers))
+    weights = Weights(emb, lws, take(d_model, vocab))
+    r.end()
+    if not all(np.isfinite(m).all() for m in _matrices(weights)):
         raise IntegrityError("weights must be finite")
     if not _activations_fit(cfg, weights):
         raise IntegrityError("weights could overflow float32 activations in prefill")

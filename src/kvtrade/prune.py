@@ -21,6 +21,9 @@ and never evicted. Scoring sees two statistics of the full-precision prefill
 attention, never quantized values: each key's column sum over all query rows
 (h2o) and the last ``window`` query rows (snapkv, pyramidkv). Prefill
 streams its attention and keeps only these, so no n x n matrix is needed.
+Prefill's statistics are causal by construction (it masks future keys with
+-inf); ``ScoreContext`` checks the statistics it is given, from prefill or
+from anywhere else, before a scorer reads them.
 """
 
 from __future__ import annotations
@@ -74,25 +77,6 @@ class PolicyConfig:
         return self.window if self.kind in (PolicyKind.SNAPKV, PolicyKind.PYRAMIDKV) else 0
 
 
-def check_causal_rows(probs: Matrix, first_row: int, masked: bool = False) -> None:
-    """Check rows ``first_row``.. of a causal attention matrix.
-
-    Each row must sum to 1 within 1e-5, and row i must be exactly zero past
-    column i. With ``masked``, every entry past a row's diagonal is the
-    softmax of one shared mask score, so all of them equal the first, and
-    that entry alone is checked.
-    """
-    last = first_row + probs.shape[0]
-    if np.abs(probs.sum(axis=1) - 1.0).max(initial=0.0) > 1e-5:
-        raise ContractViolation("attention rows must sum to 1")
-    if masked:
-        leaks = np.diagonal(probs, first_row + 1).any()
-    else:
-        leaks = probs[:, last:].any() or np.triu(probs[:, first_row:last], k=1).any()
-    if leaks:
-        raise ContractViolation("attention must have causal (lower-triangular) support")
-
-
 @dataclass(frozen=True)
 class ScoreContext:
     """The prefill attention statistics eviction reads, for one (layer, head).
@@ -100,7 +84,9 @@ class ScoreContext:
     ``column_sums`` (float64, length n) is each key's attention summed over
     all n query rows. ``window_probs`` holds the last w <= n query rows of
     the causal probabilities: query row i is a distribution over keys 0..i
-    and exactly zero beyond.
+    and exactly zero beyond. Statistics that break this contract (a row
+    off 1 by more than 1e-5, weight past a row's diagonal, column sums that
+    are negative or do not total n) raise ContractViolation.
     """
 
     column_sums: np.ndarray
@@ -116,7 +102,10 @@ class ScoreContext:
             )
         if not (np.isfinite(sums).all() and np.isfinite(p).all()):
             raise ContractViolation("attention statistics must be finite")
-        check_causal_rows(p, n - p.shape[0])
+        if np.abs(p.sum(axis=1) - 1.0).max(initial=0.0) > 1e-5:
+            raise ContractViolation("attention rows must sum to 1")
+        if np.triu(p[:, n - p.shape[0] :], k=1).any():  # window row j is query row n - w + j
+            raise ContractViolation("attention must have causal (lower-triangular) support")
         if sums.min(initial=0.0) < 0 or abs(sums.sum() - n) > n * 1e-5:
             raise ContractViolation(f"column sums must be >= 0 and total {n}")
 

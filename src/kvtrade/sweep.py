@@ -351,9 +351,6 @@ def enumerate_grid(cfg: SweepConfig) -> list[GridPoint]:
     return [GridPoint(index, *a) for index, a in enumerate(kept)]
 
 
-_recall_model = functools.lru_cache(maxsize=8)(build_recall_model)
-
-
 @functools.lru_cache(maxsize=4)
 def _weights_model(path: str, mtime_ns: int, size: int) -> Model:
     return load_weights(path)
@@ -365,16 +362,15 @@ def _load_weights_file(path: str) -> Model:
     return _weights_model(path, st.st_mtime_ns, st.st_size)
 
 
-def _build_model(cfg: SweepConfig, point: GridPoint, prompt: "_Prompt | None"):
-    """The point's model and, when built here for a new prompt, its recall vocabulary."""
+def _build_model(cfg: SweepConfig, point: GridPoint, prompt: "_Prompt | None") -> Model:
     if cfg.weights_file:  # the one model that can change under a kept prompt
-        return _load_weights_file(cfg.weights_file), None
+        return _load_weights_file(cfg.weights_file)
     if prompt is not None:  # a built model is a function of the config, seq_len and seed
-        return prompt.model, None
+        return prompt.model
     if cfg.model == "recall":
-        return _recall_model(cfg.num_pairs, point.seq_len, cfg.filler_vocab)
+        return build_recall_model(cfg.num_pairs, point.seq_len, cfg.filler_vocab)[0]
     mc = ModelConfig(cfg.layers, cfg.heads, cfg.d_model, cfg.vocab, cfg.context_limit, seed=point.seed)
-    return random_model(mc), None
+    return random_model(mc)
 
 
 def _build_plan(cfg: SweepConfig, point: GridPoint, model: Model, policy: PolicyConfig) -> BudgetPlan:
@@ -446,8 +442,9 @@ def _track(cfg: SweepConfig) -> None:
         _last_point = {(p.seq_len, p.seed): p.index for p in enumerate_grid(cfg)}
 
 
-def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model, vocab) -> _Prompt:
+def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model) -> _Prompt:
     if cfg.task == "recall":
+        vocab = RecallVocab(cfg.num_pairs, cfg.filler_vocab)
         task = gen_recall_task(point.seq_len, cfg.num_pairs, cfg.depths(), point.seed, vocab)
         tokens = task.tokens
     else:
@@ -517,10 +514,10 @@ def run_point(cfg: SweepConfig, point: GridPoint) -> SweepRow | SweepSkip:
     try:
         policy = cfg.policy(point.policy)
         prompt = _PROMPTS.get(key)
-        model, vocab = _build_model(cfg, point, prompt)
+        model = _build_model(cfg, point, prompt)
         plan = _build_plan(cfg, point, model, policy)
         if prompt is None or prompt.model is not model:
-            prompt = _PROMPTS[key] = _build_prompt(cfg, point, model, vocab)
+            prompt = _PROMPTS[key] = _build_prompt(cfg, point, model)
 
         keys0, values0 = prefill_kv0(model, prompt.tokens)
         cache = prefill_compress([keys0, *prompt.keys], [values0, *prompt.values],

@@ -17,25 +17,8 @@ import numpy as np
 
 from .errors import ContractViolation
 
-# A Matrix is a 2-D float32 ndarray; these helpers keep construction and the
-# "finite after every public op" invariant in one place.
+# A Matrix is a 2-D float32 ndarray; matmul rejects a product that is not finite.
 Matrix = np.ndarray
-
-
-def matrix(data) -> Matrix:
-    """Build a validated 2-D float32 matrix from nested sequences or an array."""
-    m = np.asarray(data, dtype=np.float32)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if m.ndim != 2:
-        raise ContractViolation(f"matrix must be 2-D, got ndim={m.ndim}")
-    if m.size and not np.all(np.isfinite(m)):
-        raise ContractViolation("matrix contains non-finite elements")
-    return np.ascontiguousarray(m)
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return np.zeros((rows, cols), dtype=np.float32)
 
 
 def _check(m: Matrix, name: str) -> Matrix:
@@ -49,8 +32,9 @@ def _check(m: Matrix, name: str) -> Matrix:
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     """Standard matrix product a @ b.
 
-    Raises ContractViolation on an inner-dimension mismatch. Repeated calls
-    on identical inputs are bit-identical within one environment.
+    Raises ContractViolation on an inner-dimension mismatch, or when the
+    product is not finite (an overflow raises, rather than warns). Repeated
+    calls on identical inputs are bit-identical within one environment.
     """
     a = _check(a, "a")
     b = _check(b, "b")
@@ -58,8 +42,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ContractViolation(
             f"matmul dimension mismatch: {a.shape} x {b.shape}"
         )
-    out = a @ b
-    if out.size and not np.all(np.isfinite(out)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a @ b
+    if not np.isfinite(out).all():
         raise ContractViolation("matmul produced non-finite elements")
     return out
 

@@ -3,6 +3,8 @@
 None of these runs on an engine path; each restates, in its plainest form,
 something the package computes another way:
 
+* ``matrix``: a validated 2-D float32 matrix from nested sequences, the
+  tests' shorthand for the engine's ``Matrix``;
 * ``QuantGroup``, ``quantize_group``, ``dequantize_group``: min-max
   quantization of one group at a time, the per-group form of the block
   operations in :mod:`kvtrade.quant`;
@@ -30,6 +32,18 @@ from kvtrade.model import DenseKV, Model, RecallVocab, decode_step_dense, embed_
 from kvtrade.prune import ScoreContext
 from kvtrade.quant import SUPPORTED_BITS, Layout, error_bound_matrix
 from kvtrade.tensor import Matrix
+
+
+def matrix(data) -> Matrix:
+    """Build a validated 2-D float32 matrix from nested sequences or an array."""
+    m = np.asarray(data, dtype=np.float32)
+    if m.ndim == 1:
+        m = m.reshape(1, -1)
+    if m.ndim != 2:
+        raise ContractViolation(f"matrix must be 2-D, got ndim={m.ndim}")
+    if m.size and not np.all(np.isfinite(m)):
+        raise ContractViolation("matrix contains non-finite elements")
+    return np.ascontiguousarray(m)
 
 
 @dataclass(frozen=True)

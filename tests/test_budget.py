@@ -56,6 +56,13 @@ class TestPyramidAllocation:
         with pytest.raises(ContractViolation):
             pyramid_allocation(4, 400, 0.5, min_tokens=60)
 
+    @pytest.mark.parametrize("layers, fraction, word", [
+        (0, 0.5, "layers"), (4, 0.0, "min_fraction"), (4, 1.5, "min_fraction"),
+    ], ids=["no-layers", "fraction-0", "fraction-past-1"])
+    def test_bad_arguments_rejected(self, layers, fraction, word):
+        with pytest.raises(ContractViolation, match=word):
+            pyramid_allocation(layers, 400, fraction)
+
     @given(
         st.integers(1, 24),
         st.integers(1, 40),
@@ -125,6 +132,12 @@ class TestPlanBytes:
 class TestApplyOverrides:
     def base_plan(self, layers=16):
         return uniform_plan(layers, 128, 4, heads=1, head_dim=64)
+
+    def test_tokens_without_a_whole_16bit_base_rejected(self):
+        # 5 tokens at 4 bits hold 20 bits each: no whole count of 16-bit tokens
+        plan = plan_for_tokens([5], 4, heads=1, head_dim=8)
+        with pytest.raises(ContractViolation, match="no whole 16-bit base"):
+            apply_overrides(plan, [LayerOverride(0, 1, 8, 2)])
 
     def test_empty_override_is_identity(self):
         plan = self.base_plan()

@@ -85,6 +85,14 @@ class TestPrefillCompress:
         with pytest.raises(ContractViolation, match=f"statistics for n={ctx_n}"):
             prefill_compress(keys, values, ctxs, plan, H2O4)
 
+    def test_later_head_of_another_shape_rejected(self):
+        # the first head fixes n x head_dim; the second layer's second head is a row short
+        keys, values, ctxs = make_inputs(2, 2, 10, 8)
+        keys[1][1] = keys[1][1][:9]
+        plan = uniform_plan(2, 4, 4, heads=2, head_dim=8)
+        with pytest.raises(ContractViolation, match="inconsistent K/V shape at layer 1 head 1"):
+            prefill_compress(keys, values, ctxs, plan, H2O4)
+
     @pytest.mark.parametrize(
         "malform",
         [

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from kvtrade import cli
 from kvtrade.cli import main
 from kvtrade.sweep import parse_csv
 
@@ -138,6 +139,14 @@ class TestDemo:
         out = capsys.readouterr().out
         assert "policy" in out.splitlines()[0]
         assert any("snapkv" in line for line in out.splitlines())
+
+    def test_demo_out_prints_its_skips_and_csv_path(self, tmp_path, capsys, monkeypatch):
+        # a window of 20 skips the 16-token 1x point and keeps the 64-token 4x one
+        monkeypatch.setattr(cli, "DEMO_CONFIG", GOOD_CONFIG.replace("recent_window = 4", "recent_window = 20"))
+        out = tmp_path / "demo.csv"
+        assert main(["demo", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == ["(1 grid points skipped)", f"wrote {out}"]
+        assert len(parse_csv(out.read_text())) == 1
 
 
 def test_console_entry_point(tmp_path):

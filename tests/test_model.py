@@ -295,8 +295,9 @@ class TestStreamedPrefill:
         with pytest.raises(ContractViolation, match="window must be an integer"):
             prefill(model, [1, 2, 3], window)
 
-    def test_score_below_mask_is_rejected(self):
-        # real scores under NEG_MASK let masked keys take weight: not causal
+    def test_score_below_the_old_mask_prefills_causally(self):
+        # real scores near -3.5e31 sit below the old finite mask (-1e30) and
+        # let masked keys take weight; under the -inf mask they cannot
         model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=0))
         lw = model.weights.layers[0]
         emb = np.zeros_like(model.weights.embedding)
@@ -307,8 +308,13 @@ class TestStreamedPrefill:
         w_k[0, 0] = -1.0
         layers = (type(lw)(w_q, w_k, lw.w_v, lw.w_o),)
         broken = Model(model.config, Weights(emb, layers, model.weights.head))
-        with pytest.raises(ContractViolation, match="causal"):
-            prefill(broken, [1, 2, 3])
+        tokens = [1, 2, 3]
+        res = prefill(broken, tokens, window=3)
+        logits, _, _, attn, hidden = full_matrix_prefill(broken, tokens)
+        assert np.array_equal(res.attn[0][0], attn[0][0])
+        assert not np.triu(res.attn[0][0], k=1).any()
+        assert np.array_equal(res.logits, logits)
+        assert np.array_equal(res.hidden, hidden)
 
 
 class TestCompressionOffEquivalence:
@@ -579,6 +585,15 @@ class TestWeightsRejects:
         assert _load(WEIGHTS).config == ModelConfig(2, 2, 8, 16, 32, seed=12, use_positions=True)
 
 
+@pytest.mark.parametrize("data, message", [
+    (WEIGHTS[:-1], "^weights file truncated$"),
+    (WEIGHTS + b"\x00\x00", "^2 trailing bytes after the weights file$"),
+], ids=["truncated", "trailing"])
+def test_weights_length_errors_name_the_format(data, message):
+    with pytest.raises(IntegrityError, match=message):
+        _load(data)
+
+
 class TestWeightsFuzz:
     """A damaged weights file is rejected with IntegrityError or gives a model with finite logits."""
 
@@ -597,6 +612,15 @@ class TestWeightsFuzz:
             return
         prompt = [3, 1, 4, 1, 5, 9, 2, 6][: model.config.context_limit]
         assert np.isfinite(prefill(model, prompt).logits).all()
+
+    def test_score_below_the_old_mask_prefills(self):
+        # sets a layer-1 W_K entry to 1.28e35: the file loads, and its real
+        # scores fall below the old finite mask of -1e30
+        out = bytearray(WEIGHTS)
+        out[2046] ^= 0xC3
+        model = _load(bytes(out))
+        assert model.weights.layers[1].w_k.max() > 1e35
+        assert np.isfinite(prefill(model, [3, 1, 4, 1, 5, 9, 2, 6]).logits).all()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

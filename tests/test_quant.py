@@ -139,6 +139,12 @@ class TestQuantizeMatrix:
         assert q.lengths.tolist() == [4]
         assert unpack_codes(q.packed_codes, 2, 4).tolist() == [0, 1, 2, 3]
 
+    @pytest.mark.parametrize("nbytes", [1, 3], ids=["short", "long"])
+    def test_unpack_rejects_a_buffer_of_another_length(self, nbytes):
+        # four 4-bit codes pack into 2 bytes
+        with pytest.raises(IntegrityError, match="expected 2"):
+            unpack_codes(bytes(nbytes), 4, 4)
+
     def test_outlier_extraction(self):
         m = np.array([[100.0], [0.5]], dtype=np.float32)
         q = quantize_matrix(m, QuantConfig(4, 64, Layout.PER_TOKEN, outlier_threshold=6.0))
@@ -272,12 +278,13 @@ class TestDequantizeMatrix:
             ({"outliers": [(0, 1, 9.0), (0, 1, 8.0)]}, "strictly increasing"),
             ({"outliers": [(0, 2, 9.0), (0, 1, 8.0)]}, "strictly increasing"),
             ({"group_size": 0}, "group_size"),
+            ({"bits": 3}, "bits must be one of"),
             # the v3 forgery: two groups merged into one table entry
             ({"group_size": 2, "zero_points": [0.0], "scales": [1.0]}, "2 groups"),
         ],
         ids=[
             "negative-row", "row-past-u32", "short-record", "value-past-f32", "nan-value",
-            "outside-shape", "repeated", "unsorted", "group-size-0", "merged-groups",
+            "outside-shape", "repeated", "unsorted", "group-size-0", "bits-3", "merged-groups",
         ],
     )
     def test_invalid_block_rejected(self, changes, message):
@@ -341,6 +348,13 @@ class TestDequantizeMatrix:
         for layout in Layout:
             q = quantize_matrix(m, QuantConfig(8, 3, layout))
             assert dequantize_matrix(q).shape == (5, 7)
+
+
+@pytest.mark.parametrize("bits", [1, 3, 16])
+def test_config_rejects_unsupported_bits(bits):
+    # 16-bit layers keep full precision and never quantize
+    with pytest.raises(ContractViolation, match="bits must be one of"):
+        QuantConfig(bits)
 
 
 @pytest.mark.parametrize("layout", ["bogus", None])

@@ -108,12 +108,16 @@ class TestConfigParsing:
              "override range exceeds layer count"),
             (dict(task="random_probe", model="random", layers=4, overrides=("0-2@8x2;1-3@16x1",)),
              "override ranges overlap"),
+            (dict(seq_lens=(3,)), "seq_len 3 too short"),
+            (dict(pyramid_min_fraction=0.0), "pyramid_min_fraction"),
+            (dict(pyramid_min_fraction=1.5), "pyramid_min_fraction"),
         ],
         ids=["probe_steps", "full_cache_zero", "full_cache_negative", "seed", "num_pairs",
              "recent_window", "pool_width", "base_tokens", "filler_vocab", "random_heads",
              "random_vocab", "random_layers", "layout", "task_typo", "model_typo",
              "token_multiplier_zero", "token_multiplier_negative", "override_past_recall_layers",
-             "override_past_random_layers", "override_overlap"],
+             "override_past_random_layers", "override_overlap", "seq_len_3",
+             "pyramid_fraction_0", "pyramid_fraction_past_1"],
     )
     def test_validate_flags_configs_that_crash_or_mislead(self, kwargs, word):
         with pytest.raises(ConfigError, match=word):
@@ -161,6 +165,10 @@ class TestConfigParsing:
     def test_empty_grid_rejected(self, text):
         with pytest.raises(ConfigError, match="grid"):
             parse_config(text)
+
+    def test_line_without_equals_rejected(self):
+        with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
+            parse_config("seeds = 1\nseq_lens 64\n")
 
     def test_repeated_key_rejected(self):
         with pytest.raises(ConfigError, match="line 2: repeated key 'seeds'"):
@@ -602,16 +610,14 @@ class TestPromptState:
 
     def test_recall_prompts_outlive_the_recall_model_cache(self, monkeypatch):
         # 9 lengths, each a prompt with two points, one per pass over the
-        # lengths: more recall models than the 8 the model cache holds
+        # lengths: each prompt is prefilled once, at its first point
         cfg = replace(SMALL, seq_lens=tuple(range(24, 42, 2)), num_pairs=2, filler_vocab=4,
                       base_tokens=6, full_cache_tokens=24, recent_window=2)
         calls = []
         prefill = sweep.prefill
         monkeypatch.setattr(sweep, "prefill", lambda *a: calls.append(a) or prefill(*a))
-        sweep._recall_model.cache_clear()
         outcomes = [sweep.run_point(cfg, p) for p in enumerate_grid(cfg)]
         assert len(outcomes) == 18 and all(isinstance(o, sweep.SweepRow) for o in outcomes)
-        assert sweep._recall_model.cache_info().currsize == 8
         assert len(calls) == 9
         assert sweep._PROMPTS == {}
 

@@ -62,6 +62,11 @@ class TestGenRecallTask:
         assert all(vocab.num_pairs <= v < 2 * vocab.num_pairs for v in values)
 
 
+def test_more_pairs_than_the_vocabulary_rejected():
+    with pytest.raises(ContractViolation, match="more pairs than the model encodes"):
+        gen_recall_task(64, 9, [0.5] * 9, 0, VOCAB)
+
+
 def test_negative_seed_rejected():
     with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
         gen_recall_task(64, 3, [0.0, 0.5, 1.0], -1, VOCAB)
