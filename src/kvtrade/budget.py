@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int
 from .quant import SUPPORTED_BITS, Layout, QuantConfig, quantized_bytes_for_shape
 
 PLAN_BITS = (2, 4, 8, 16)
@@ -59,10 +59,9 @@ class BudgetPlan:
         if not self.per_layer:
             raise ContractViolation("a plan needs at least one layer")
         for tokens, bits in self.per_layer:
-            if bits not in PLAN_BITS:
+            if require_int("bits", bits, 0) not in PLAN_BITS:
                 raise ContractViolation(f"bits must be one of {PLAN_BITS}, got {bits}")
-            if tokens < 1:
-                raise ContractViolation("every layer needs at least one token")
+            require_int("tokens", tokens, 1)
 
     @property
     def layers(self) -> int:
@@ -97,9 +96,10 @@ class LayerOverride:
     bits: int
 
     def __post_init__(self) -> None:
-        if self.start < 0 or self.end <= self.start:
-            raise ContractViolation(f"bad layer range [{self.start}, {self.end})")
-        if self.bits not in PLAN_BITS:
+        require_int("start", self.start, 0)
+        require_int("end", self.end, self.start + 1)
+        require_int("tokens_multiplier", self.tokens_multiplier, 1)
+        if require_int("bits", self.bits, 0) not in PLAN_BITS:
             raise ContractViolation(f"override bits must be one of {PLAN_BITS}, got {self.bits}")
         if not preserves_budget(self.bits, self.tokens_multiplier):
             raise ContractViolation(f"override {self.bits}x{self.tokens_multiplier} changes the budget")
@@ -115,7 +115,7 @@ def plan_for_tokens(
     outlier_threshold: float | None = None,
 ) -> BudgetPlan:
     """Plan with explicit per-layer token counts (pyramid allocations etc.)."""
-    counts = [int(t) for t in tokens_per_layer]
+    counts = list(tokens_per_layer)
     base_total = sum(counts) * bits // FULL_PRECISION_BITS
     return BudgetPlan(
         per_layer=tuple((t, bits) for t in counts),
@@ -140,8 +140,9 @@ def pyramid_allocation(
     (added there, or removed from the latest layers when negative, which
     keeps the sequence non-increasing).
     """
-    if layers < 1:
-        raise ContractViolation("layers must be >= 1")
+    require_int("layers", layers, 1)
+    require_int("total_tokens", total_tokens, 0)
+    require_int("min_tokens", min_tokens, 0)
     if not 0 < min_fraction <= 1:
         raise ContractViolation("min_fraction must be in (0, 1]")
     if layers == 1:

@@ -46,7 +46,7 @@ from .quant import (
     quantized_bytes,
     payload_bytes as tensor_payload_bytes,
 )
-from .tensor import Matrix, concat_rows
+from .tensor import Matrix, as_matrix, concat_rows
 
 
 @dataclass
@@ -91,8 +91,8 @@ class LayerHeadCache:
 def append_rows(h_k, h_v, width: int) -> tuple[Matrix, Matrix]:
     """One decode token's K and V, each shaped ``(width,)`` or ``(1, width)``, as float32 rows.
 
-    Any other shape, or a value that is not finite in float32 (one past its
-    range becomes inf, not a warning), raises ContractViolation.
+    Any other shape, values that are not numbers, or a value that is not finite
+    in float32 (one past its range becomes inf, not a warning), raises ContractViolation.
     """
     rows = []
     for h in (h_k, h_v):
@@ -101,10 +101,7 @@ def append_rows(h_k, h_v, width: int) -> tuple[Matrix, Matrix]:
             raise ContractViolation(
                 f"append rows must be shaped ({width},) or (1, {width}), got {row.shape}"
             )
-        if row.dtype != np.float32:
-            with np.errstate(over="ignore"):
-                row = row.astype(np.float32)
-        rows.append(row.reshape(1, width))
+        rows.append(as_matrix(row.reshape(1, width), "append rows"))
     k_row, v_row = rows
     # count_nonzero, not .all(): on one short row per head and step it
     # costs about half as much
@@ -210,7 +207,7 @@ def prefill_compress(
     which is flushed into the prompt block; 16-bit layers keep them there.
     ``keys``, ``values`` and ``ctxs`` must each hold the plan's layers, every
     layer the same number of heads (at least one), and every head a finite
-    nonempty n x head_dim K and V; anything else raises ContractViolation.
+    nonempty n x head_dim K and V array; anything else raises ContractViolation.
     """
     heads = len(keys[0]) if keys else 0
     for name, arg in (("keys", keys), ("values", values), ("ctxs", ctxs)):
@@ -231,7 +228,7 @@ def prefill_compress(
         cfgs = plan.quant_config(layer)
         row: list[LayerHeadCache] = []
         for head in range(heads):
-            k, v = keys[layer][head], values[layer][head]
+            k, v = (as_matrix(kv[layer][head], f"K/V at layer {layer} head {head}") for kv in (keys, values))
             if k.shape != (n, head_dim) or v.shape != (n, head_dim):
                 raise ContractViolation(
                     f"inconsistent K/V shape at layer {layer} head {head}"

@@ -21,6 +21,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+from .errors import ContractViolation, require_int
 from .sweep import (
     DEMO_CONFIG,
     ConfigError,
@@ -133,8 +134,11 @@ def main(argv=None) -> int:
     p_demo.set_defaults(func=_cmd_demo)
 
     args = parser.parse_args(argv)
-    if args.command == "run" and args.parallel < 1:  # argparse itself rejects a non-integer
-        p_run.error(f"--parallel must be >= 1, got {args.parallel}")
+    if args.command == "run":  # argparse itself rejects a non-integer
+        try:
+            require_int("--parallel", args.parallel, 1)
+        except ContractViolation as exc:
+            p_run.error(str(exc))
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import CompressedKVCache, Reader, append_rows
-from .errors import ContractViolation, IntegrityError
+from .errors import ContractViolation, IntegrityError, require_int
 from .tensor import Matrix, matmul, softmax_rows
 
 # prefill's score for a future key: softmax gives it exactly 0 weight
@@ -38,8 +38,9 @@ class ModelConfig:
     use_positions: bool = False
 
     def __post_init__(self) -> None:
-        if min(self.layers, self.heads, self.d_model, self.vocab, self.context_limit) < 1:
-            raise ContractViolation("all model dimensions must be >= 1")
+        for name in ("layers", "heads", "d_model", "vocab", "context_limit"):
+            require_int(name, getattr(self, name), 1)
+        require_int("seed", self.seed, 0)
         if self.d_model % self.heads:
             raise ContractViolation(
                 f"d_model {self.d_model} must divide evenly into {self.heads} heads"
@@ -130,9 +131,7 @@ def positional_encoding(length: int, d_model: int, offset: int = 0) -> Matrix:
 
 
 def random_model(cfg: ModelConfig) -> Model:
-    """Seeded random weights, uniform in (-0.1, 0.1); the seed must be >= 0."""
-    if cfg.seed < 0:
-        raise ContractViolation(f"seed must be >= 0, got {cfg.seed}")
+    """Seeded random weights, uniform in (-0.1, 0.1)."""
     rng = np.random.default_rng(cfg.seed)
 
     def draw(rows: int, cols: int) -> Matrix:
@@ -186,15 +185,6 @@ def _prompt_ids(model: Model, tokens) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
-def _nonnegative_int(name: str, value) -> int:
-    """``value``, an integer >= 0 (a numpy integer too, a bool not), as an int."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ContractViolation(f"{name} must be an integer, got {value!r}")
-    if value < 0:
-        raise ContractViolation(f"{name} must be >= 0, got {value}")
-    return int(value)
-
-
 def _embed(model: Model, ids: np.ndarray, offset: int = 0) -> Matrix:
     """Layer 0's input: the token embeddings, plus positions from ``offset`` when enabled."""
     x = model.weights.embedding[ids, :].copy()
@@ -246,7 +236,7 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     cfg = model.config
     ids = _prompt_ids(model, tokens)
     n = ids.size
-    window = _nonnegative_int("window", window)
+    window = require_int("window", window, 0)
 
     scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
     blocks = _row_blocks(n)
@@ -348,7 +338,7 @@ def embed_token(model: Model, token: int, position: int = 0) -> np.ndarray:
     raises ContractViolation. A position may pass ``context_limit``: decode
     continues past the prompt."""
     ids = _prompt_ids(model, [token])
-    return _embed(model, ids, _nonnegative_int("position", position))[0]
+    return _embed(model, ids, require_int("position", position, 0))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +372,8 @@ class RecallVocab:
     filler_vocab: int
 
     def __post_init__(self) -> None:
-        if self.num_pairs < 1:
-            raise ContractViolation(f"num_pairs must be >= 1, got {self.num_pairs}")
-        if self.filler_vocab < 1:
-            raise ContractViolation(f"filler_vocab must be >= 1, got {self.filler_vocab}")
+        require_int("num_pairs", self.num_pairs, 1)
+        require_int("filler_vocab", self.filler_vocab, 1)
 
     def key(self, i: int) -> int:
         return i

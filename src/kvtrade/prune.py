@@ -2,12 +2,12 @@
 
 Each policy maps (attention statistics, token budget) to the set of token
 indices whose K/V entries survive compression, per layer and per head.
-Every policy keeps tokens by one rule (``_keep``): a budget below the
-recent window is a contract violation, a budget of at least the prompt
-length keeps every token, and otherwise the recent window survives plus
-the ``budget - window`` best-scoring earlier tokens (ties toward the
-earlier token). The policies differ only in how they score those earlier
-candidates:
+Every policy keeps tokens by one rule (``_keep``): a budget that is not an
+integer of at least the recent window is a contract violation, a budget of
+at least the prompt length keeps every token, and otherwise the recent
+window survives plus the ``budget - window`` best-scoring earlier tokens
+(ties toward the earlier token). The policies differ only in how they score
+those earlier candidates:
 
 * ``streaming_llm``: earlier is better, so the initial sink tokens survive.
 * ``h2o``: cumulative attention over all query rows (heavy hitters).
@@ -33,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int
 from .tensor import Matrix
 
 
@@ -57,10 +57,10 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.kind, PolicyKind):
             raise ContractViolation(f"kind must be a PolicyKind member, got {self.kind!r}")
-        if self.recent_window is not None and self.recent_window < 1:
-            raise ContractViolation("recent_window must be >= 1")
-        if self.pool_width < 1 or self.pool_width % 2 == 0:
-            raise ContractViolation("pool_width must be an odd count >= 1")
+        if self.recent_window is not None:
+            require_int("recent_window", self.recent_window, 1)
+        if require_int("pool_width", self.pool_width, 1) % 2 == 0:
+            raise ContractViolation(f"pool_width must be odd, got {self.pool_width}")
 
     @property
     def window(self) -> int:
@@ -125,11 +125,13 @@ class PruneDecision:
 def top_k_indices(scores, k: int) -> list[int]:
     """Indices of the k largest scores, ties broken toward the smaller index.
 
-    The result is sorted ascending.
+    The result is sorted ascending; non-finite scores raise ContractViolation.
     """
     s = np.asarray(scores, dtype=np.float64).reshape(-1)
-    if not 0 <= k <= s.size:
+    if require_int("k", k, 0) > s.size:
         raise ContractViolation(f"k={k} outside [0, {s.size}]")
+    if not np.isfinite(s).all():
+        raise ContractViolation("scores must be finite")
     if k == 0:
         return []
     # stable sort on negated scores keeps earlier indices first among ties
@@ -144,8 +146,7 @@ def _keep(n: int, budget: int, cfg: PolicyConfig, candidate_scores) -> PruneDeci
     called only when tokens are evicted.
     """
     w = cfg.window
-    if budget < w:
-        raise ContractViolation(f"budget {budget} below recent window {w}")
+    require_int("budget", budget, w)
     if budget >= n:
         return PruneDecision(tuple(range(n)))
     picks = top_k_indices(candidate_scores(n - w), budget - w)

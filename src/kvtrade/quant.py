@@ -38,8 +38,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation, IntegrityError
-from .tensor import Matrix
+from .errors import ContractViolation, IntegrityError, require_int
+from .tensor import Matrix, as_matrix
 
 SUPPORTED_BITS = (2, 4, 8)
 
@@ -67,10 +67,10 @@ class QuantConfig:
     outlier_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.bits not in SUPPORTED_BITS:
+        # the integer check first: 4.0 in SUPPORTED_BITS holds
+        if require_int("bits", self.bits, 0) not in SUPPORTED_BITS:
             raise ContractViolation(f"bits must be one of {SUPPORTED_BITS}, got {self.bits}")
-        if self.group_size < 1:
-            raise ContractViolation("group_size must be >= 1")
+        require_int("group_size", self.group_size, 1)
         if not isinstance(self.layout, Layout):
             raise ContractViolation(f"layout must be a Layout member, got {self.layout!r}")
         # written so that NaN fails too
@@ -251,8 +251,8 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
     leftward and are chopped into ``group_size`` chunks, the final partial
     chunk quantized as its own shorter group.
     """
-    m = np.asarray(m, dtype=np.float32)
-    if m.ndim != 2 or m.size == 0:
+    m = as_matrix(np.asarray(m), "quantize_matrix input")
+    if m.size == 0:
         raise ContractViolation("quantize_matrix requires a nonempty 2-D matrix")
     if not np.isfinite(m).all():
         raise ContractViolation("quantize_matrix requires finite values")

@@ -13,8 +13,8 @@ reference, computed once (see ``run_point``).
 Each schema is stated once: config keys and their parsers derive from the
 ``SweepConfig`` annotations, CSV columns and their formats from the
 ``SweepRow`` fields, and validation asks the types that own each rule
-(``PolicyConfig``, ``ModelConfig``, ``budget.PLAN_BITS``, ``STRATEGIES``,
-``enumerate_grid``, ``apply_overrides``, ``RecallVocab`` and
+(``require_int``, ``PolicyConfig``, ``ModelConfig``, ``budget.PLAN_BITS``,
+``STRATEGIES``, ``enumerate_grid``, ``apply_overrides``, ``RecallVocab`` and
 ``gen_recall_task``, which places the needles) when a ``SweepConfig`` is
 built, so every config that exists, parsed or built in code, is valid.
 
@@ -45,7 +45,7 @@ from .budget import (
     pyramid_allocation,
 )
 from .cache import prefill_compress
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int
 from .model import (
     DenseKV,
     Model,
@@ -115,6 +115,17 @@ class SweepConfig:
 
     def __post_init__(self) -> None:
         problems = []
+
+        def ints(name: str, values, minimum: int) -> list[int]:
+            """The integers >= ``minimum`` in ``values``, a tuple or one value; the rest are problems."""
+            kept = []
+            for value in values if isinstance(values, tuple) else (values,):
+                try:
+                    kept.append(require_int(name, value, minimum))
+                except ContractViolation as exc:
+                    problems.append(str(exc))
+            return kept
+
         if self.task not in ("recall", "random_probe"):
             problems.append(f"task must be recall or random_probe, got {self.task!r}")
         if self.model not in ("recall", "random"):
@@ -144,15 +155,13 @@ class SweepConfig:
                 self.policy(p)
             except ContractViolation as exc:
                 problems.append(f"policy {p}: {exc}")
-        for b in self.bits:
+        for b in ints("bits", self.bits, 0):  # the integer check first: 4.0 in PLAN_BITS holds
             if b not in PLAN_BITS:
                 problems.append(f"bits must be one of {PLAN_BITS}, got {b}")
-        for m in self.token_multipliers:
-            if m < 1:
-                problems.append(f"token multiplier must be >= 1, got {m}")
-        for g in self.group_sizes:
-            if g < 1:
-                problems.append(f"group size must be >= 1, got {g}")
+        seq_lens = ints("seq_lens", self.seq_lens, 4)
+        for name, minimum in {"seeds": 0, "token_multipliers": 1, "group_sizes": 1,
+                              "base_tokens": 1, "full_cache_tokens": 1, "probe_steps": 1}.items():
+            ints(name, getattr(self, name), minimum)
         for s in self.layouts:
             if s not in STRATEGIES:
                 problems.append(f"unknown layout/strategy {s!r}")
@@ -163,27 +172,18 @@ class SweepConfig:
                     apply_overrides(plan_for_tokens([1] * layers, 16, heads=1, head_dim=1), overrides)
             except ContractViolation as exc:
                 problems.append(f"bad override {spec!r}: {exc}")
-        for n in self.seq_lens:
-            if n < 4:
-                problems.append(f"seq_len {n} too short")
+        for n in seq_lens:
             if context_limit is not None and n > context_limit:
                 problems.append(f"seq_len {n} exceeds context_limit {context_limit}")
-        if any(s < 0 for s in self.seeds):
-            problems.append("seeds must be >= 0")
         if self.task == "recall":
             # needle placement does not depend on the seed, so seed 0 stands for all
-            for n in self.seq_lens:
+            for n in seq_lens:
                 try:
-                    gen_recall_task(n, self.num_pairs, self.depths(), 0,
-                                    RecallVocab(self.num_pairs, self.filler_vocab))
+                    # the vocabulary first: depths() counts num_pairs, which it checks
+                    vocab = RecallVocab(self.num_pairs, self.filler_vocab)
+                    gen_recall_task(n, self.num_pairs, self.depths(), 0, vocab)
                 except ContractViolation as exc:
                     problems.append(f"recall task at seq_len {n}: {exc}")
-        if self.task == "random_probe" and self.probe_steps < 1:
-            problems.append("probe_steps must be >= 1 for the random_probe task")
-        if self.base_tokens < 1:
-            problems.append("base_tokens must be >= 1")
-        if self.full_cache_tokens < 1:
-            problems.append("full_cache_tokens must be >= 1")
         if not 0 < self.pyramid_min_fraction <= 1:
             problems.append("pyramid_min_fraction must be in (0, 1]")
         if problems:
@@ -555,8 +555,7 @@ def run_sweep(cfg: SweepConfig, parallel: int = 1) -> tuple[list[SweepRow], list
     with ``parallel > 1``, each worker process runs whole prompts. A
     ``parallel`` that is not an integer >= 1 raises ContractViolation.
     """
-    if isinstance(parallel, bool) or not isinstance(parallel, (int, np.integer)) or parallel < 1:
-        raise ContractViolation(f"parallel must be an integer >= 1, got {parallel!r}")
+    parallel = require_int("parallel", parallel, 1)
     points = enumerate_grid(cfg)
     prompts: dict[tuple[int, int], list[GridPoint]] = {}
     for p in points:

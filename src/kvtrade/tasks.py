@@ -14,13 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, require_int
 from .model import RecallVocab
-
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ContractViolation(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -48,10 +43,10 @@ def gen_recall_task(
     A pair at depth d starts at floor(d * (seq_len - 2)); depth 0.0 is the
     prompt start and depth 1.0 sits immediately before the decode-time query.
     Colliding placements shift forward to the next free slot. Which pair
-    identity lands at which depth is shuffled per seed; a seed below 0
-    raises ContractViolation.
+    identity lands at which depth is shuffled per seed. A ``seq_len`` that
+    is not an integer >= 1, or a ``seed`` not one >= 0, raises ContractViolation.
     """
-    _check_seed(seed)
+    seq_len, seed = require_int("seq_len", seq_len, 1), require_int("seed", seed, 0)
     depths = list(needle_depths)
     if len(depths) != num_pairs:
         raise ContractViolation(
@@ -88,7 +83,7 @@ def gen_recall_task(
 
 
 def gen_probe_prompt(seq_len: int, vocab_size: int, seed: int) -> list[int]:
-    """Seeded uniform-random prompt for logit-perturbation probes; the seed must be >= 0."""
-    _check_seed(seed)
+    """Seeded uniform-random prompt for logit-perturbation probes (seq_len >= 1, seed >= 0)."""
+    seq_len, seed = require_int("seq_len", seq_len, 1), require_int("seed", seed, 0)
     rng = np.random.default_rng([seed, seq_len])
     return [int(t) for t in rng.integers(0, vocab_size, seq_len)]

@@ -19,14 +19,19 @@ from .errors import ContractViolation
 
 # A Matrix is a 2-D float32 ndarray; matmul rejects a product that is not finite.
 Matrix = np.ndarray
+_FLOAT32 = np.dtype(np.float32)
 
 
-def _check(m: Matrix, name: str) -> Matrix:
+def as_matrix(m, name: str) -> Matrix:
+    """A 2-D ndarray of numbers as float32 (inf past its range, no warning); else ContractViolation."""
     if not isinstance(m, np.ndarray) or m.ndim != 2:
         raise ContractViolation(f"{name} must be a 2-D array")
-    if m.dtype != np.float32:
-        m = m.astype(np.float32)
-    return m
+    if m.dtype is _FLOAT32:  # a builtin dtype is a singleton: the cheapest test
+        return m
+    if m.dtype.kind not in "biuf":  # booleans, integers and floats
+        raise ContractViolation(f"{name} must hold numbers, got dtype {m.dtype}")
+    with np.errstate(over="ignore"):
+        return m.astype(np.float32)
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -36,8 +41,8 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     product is not finite (an overflow raises, rather than warns). Repeated
     calls on identical inputs are bit-identical within one environment.
     """
-    a = _check(a, "a")
-    b = _check(b, "b")
+    a = as_matrix(a, "a")
+    b = as_matrix(b, "b")
     if a.shape[1] != b.shape[0]:
         raise ContractViolation(
             f"matmul dimension mismatch: {a.shape} x {b.shape}"
@@ -56,7 +61,7 @@ def softmax_rows(m: Matrix) -> Matrix:
     uniform distribution. The accumulation runs in float64 and is cast
     back to float32.
     """
-    m = _check(m, "m")
+    m = as_matrix(m, "m")
     if m.size == 0:
         raise ContractViolation("softmax_rows requires a nonempty matrix")
     x = m.astype(np.float64)
@@ -70,8 +75,8 @@ def softmax_rows(m: Matrix) -> Matrix:
 
 def concat_rows(a: Matrix, b: Matrix) -> Matrix:
     """Stack b's rows below a's. Column counts must match."""
-    a = _check(a, "a")
-    b = _check(b, "b")
+    a = as_matrix(a, "a")
+    b = as_matrix(b, "b")
     if a.shape[1] != b.shape[1]:
         raise ContractViolation(
             f"concat_rows column mismatch: {a.shape[1]} vs {b.shape[1]}"

@@ -6,12 +6,14 @@ oracles (full-sort selection, explicit window unions, per-group error bounds)
 against the library implementations.
 """
 
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import kvtrade
 from kvtrade.budget import plan_bytes, apply_overrides, LayerOverride
 from kvtrade.cache import prefill_compress
 from kvtrade.model import (
@@ -345,10 +347,12 @@ def test_criterion_9_determinism(tmp_path):
     ok = False
     try:
         outputs = []
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kvtrade.__file__))}
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
             proc = subprocess.run(
                 [sys.executable, "-m", "kvtrade.cli", "run", "--config", "demo", "--out", str(out)],
+                env=env,
                 capture_output=True,
                 text=True,
             )

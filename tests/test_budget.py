@@ -184,9 +184,13 @@ class TestApplyOverrides:
         with pytest.raises(ContractViolation):
             LayerOverride(0, 4, 4, 2)
 
-    @pytest.mark.parametrize("start, end", [(-1, 2), (3, 3), (4, 2)])
-    def test_bad_range_rejected(self, start, end):
-        with pytest.raises(ContractViolation, match=rf"bad layer range \[{start}, {end}\)"):
+    @pytest.mark.parametrize("start, end, message", [
+        (-1, 2, "start must be an integer >= 0, got -1"),
+        (3, 3, "end must be an integer >= 4, got 3"),
+        (4, 2, "end must be an integer >= 5, got 2"),
+    ], ids=["-1-2", "3-3", "4-2"])
+    def test_bad_range_rejected(self, start, end, message):
+        with pytest.raises(ContractViolation, match=message):
             LayerOverride(start, end, 1, 16)
 
     @pytest.mark.parametrize("bits", [0, 3, 32])

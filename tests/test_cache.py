@@ -123,6 +123,16 @@ class TestPrefillCompress:
         with pytest.raises(ContractViolation, match="finite"):
             prefill_compress(keys, values, ctxs, plan, STREAM4)
 
+    @pytest.mark.parametrize("bad", ["list", "strings"])
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_kv_not_an_array_of_numbers_rejected(self, side, bad):
+        keys, values, ctxs = make_inputs(1, 1, 12, 8)
+        kv = keys if side == "k" else values
+        kv[0][0] = kv[0][0].tolist() if bad == "list" else kv[0][0].astype(str)
+        plan = uniform_plan(1, 16, 4, heads=1, head_dim=8)
+        with pytest.raises(ContractViolation, match="K/V at layer 0 head 0 must"):
+            prefill_compress(keys, values, ctxs, plan, STREAM4)
+
     def test_conservation_after_prefill(self):
         keys, values, ctxs = make_inputs(3, 2, 50, 8, seed=4)
         plan = uniform_plan(3, 20, 8, heads=2, head_dim=8)  # 40 tokens per layer
@@ -280,6 +290,17 @@ class TestDecodeAppend:
         row[5] = bad
         rows = (row, np.ones(8)) if side == "k" else (np.ones(8), row)
         with pytest.raises(ContractViolation, match="finite"):
+            cache.decode_append(0, 0, *rows)
+        assert dump_snapshot(cache) == before
+
+    @pytest.mark.parametrize("row", [["a"] * 8, np.array(["1.0"] * 8)], ids=["letters", "numeric_strings"])
+    @pytest.mark.parametrize("bits", [4, 16])
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_non_numeric_row_rejected_and_cache_unchanged(self, side, bits, row):
+        cache = self.make_cache(bits=bits)
+        before = dump_snapshot(cache)
+        rows = (row, np.ones(8)) if side == "k" else (np.ones(8), row)
+        with pytest.raises(ContractViolation, match="append rows must hold numbers"):
             cache.decode_append(0, 0, *rows)
         assert dump_snapshot(cache) == before
 

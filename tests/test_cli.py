@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import kvtrade
 from kvtrade import cli
 from kvtrade.cli import main
 from kvtrade.sweep import parse_csv
@@ -150,8 +152,10 @@ class TestDemo:
 
 
 def test_console_entry_point(tmp_path):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(kvtrade.__file__))}
     proc = subprocess.run(
         [sys.executable, "-m", "kvtrade.cli", "validate", "--config", "demo"],
+        env=env,
         capture_output=True,
         text=True,
     )

@@ -1,0 +1,128 @@
+"""Every integer setting follows one rule, ``errors.require_int``.
+
+Each row builds something from one integer setting. The setting must reject
+2.5, ``True``, its minimum as a float and the integer below its minimum,
+with a message that names it, and take a numpy integer at its minimum.
+``SweepConfig`` reports the same rule as a ``ConfigError`` problem.
+"""
+
+import numpy as np
+import pytest
+
+from kvtrade.budget import BudgetPlan, LayerOverride, plan_for_tokens, pyramid_allocation
+from kvtrade.errors import ContractViolation, require_int
+from kvtrade.model import ModelConfig, RecallVocab, embed_token, prefill, random_model
+from kvtrade.prune import PolicyConfig, PolicyKind, score_streaming, top_k_indices
+from kvtrade.quant import Layout, QuantConfig
+from kvtrade.sweep import ConfigError, SweepConfig, run_sweep
+from kvtrade.tasks import gen_probe_prompt, gen_recall_task
+
+MODEL = dict(layers=1, heads=1, d_model=4, vocab=8, context_limit=16, seed=0)
+TINY_MODEL = random_model(ModelConfig(**MODEL))
+VOCAB = RecallVocab(4, 8)
+STREAM2 = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=2)
+# one 16-bit point of a one-pair recall prompt: every axis can be set alone
+SWEEP = dict(num_pairs=1, paired_budget=False, bits=(16,), token_multipliers=(1,))
+TINY_SWEEP = SweepConfig(
+    task="random_probe", model="random", seq_lens=(8,), policies=("streaming_llm",),
+    bits=(16,), token_multipliers=(1,), base_tokens=4, full_cache_tokens=8, probe_steps=1,
+    layers=1, heads=1, d_model=4, vocab=8, context_limit=16, recent_window=2,
+)
+
+
+def model_config(name):
+    return lambda v: ModelConfig(**{**MODEL, name: v})
+
+
+def sweep_axis(name):
+    return lambda v: SweepConfig(**{**SWEEP, name: (v,)})
+
+
+def sweep_value(name):
+    return lambda v: SweepConfig(**{**SWEEP, name: v})
+
+
+def plan(tokens, bits):
+    return BudgetPlan(((tokens, bits),), 4, Layout.PER_TOKEN, 0)
+
+
+# (build, the name its messages use, its minimum, further values it rejects)
+SETTINGS = [
+    *(pytest.param(model_config(name), name, 1, (1.5,), id=f"ModelConfig.{name}")
+      for name in ("layers", "heads", "d_model", "vocab", "context_limit")),
+    pytest.param(model_config("seed"), "seed", 0, (), id="ModelConfig.seed"),
+    pytest.param(lambda v: RecallVocab(v, 8), "num_pairs", 1, (), id="RecallVocab.num_pairs"),
+    pytest.param(lambda v: RecallVocab(4, v), "filler_vocab", 1, (), id="RecallVocab.filler_vocab"),
+    pytest.param(lambda v: PolicyConfig(PolicyKind.SNAPKV, recent_window=v), "recent_window", 1, (),
+                 id="PolicyConfig.recent_window"),
+    pytest.param(lambda v: PolicyConfig(PolicyKind.SNAPKV, pool_width=v), "pool_width", 1, (),
+                 id="PolicyConfig.pool_width"),
+    # 2 is the smallest supported width, and 4.0 in SUPPORTED_BITS holds
+    pytest.param(lambda v: QuantConfig(v), "bits", 2, (4.0,), id="QuantConfig.bits"),
+    pytest.param(lambda v: QuantConfig(4, v), "group_size", 1, (), id="QuantConfig.group_size"),
+    pytest.param(lambda v: plan(v, 16), "tokens", 1, (), id="BudgetPlan.tokens"),
+    pytest.param(lambda v: plan(16, v), "bits", 2, (4.0,), id="BudgetPlan.bits"),
+    pytest.param(lambda v: plan_for_tokens([v], 4, heads=1, head_dim=4, group_size=4), "tokens", 1,
+                 (3.7,), id="plan_for_tokens.tokens"),
+    pytest.param(lambda v: LayerOverride(v, 4, 1, 16), "start", 0, (), id="LayerOverride.start"),
+    pytest.param(lambda v: LayerOverride(0, v, 1, 16), "end", 1, (), id="LayerOverride.end"),
+    pytest.param(lambda v: LayerOverride(0, 1, v, 16), "tokens_multiplier", 1, (),
+                 id="LayerOverride.tokens_multiplier"),
+    pytest.param(lambda v: LayerOverride(0, 1, 8, v), "bits", 2, (), id="LayerOverride.bits"),
+    pytest.param(lambda v: pyramid_allocation(v, 10, 0.5), "layers", 1, (),
+                 id="pyramid_allocation.layers"),
+    pytest.param(lambda v: pyramid_allocation(1, v, 0.5, min_tokens=0), "total_tokens", 0, (),
+                 id="pyramid_allocation.total_tokens"),
+    pytest.param(lambda v: pyramid_allocation(2, 10, 0.5, min_tokens=v), "min_tokens", 0, (),
+                 id="pyramid_allocation.min_tokens"),
+    pytest.param(lambda v: top_k_indices([1.0, 3.0, 2.0], v), "k", 0, (1.5,), id="top_k_indices.k"),
+    pytest.param(lambda v: score_streaming(10, v, STREAM2), "budget", 2, (5.5,), id="_keep.budget"),
+    pytest.param(lambda v: gen_recall_task(v, 0, [], 0, VOCAB), "seq_len", 1, (),
+                 id="gen_recall_task.seq_len"),
+    pytest.param(lambda v: gen_recall_task(16, 1, [0.5], v, VOCAB), "seed", 0, (),
+                 id="gen_recall_task.seed"),
+    pytest.param(lambda v: gen_probe_prompt(v, 8, 0), "seq_len", 1, (), id="gen_probe_prompt.seq_len"),
+    pytest.param(lambda v: gen_probe_prompt(8, 8, v), "seed", 0, (), id="gen_probe_prompt.seed"),
+    pytest.param(lambda v: prefill(TINY_MODEL, [1, 2], v), "window", 0, (), id="prefill.window"),
+    pytest.param(lambda v: embed_token(TINY_MODEL, 1, v), "position", 0, (), id="embed_token.position"),
+    pytest.param(lambda v: run_sweep(TINY_SWEEP, parallel=v), "parallel", 1, (), id="run_sweep.parallel"),
+]
+
+SWEEP_SETTINGS = [
+    pytest.param(sweep_axis("seq_lens"), "seq_lens", 4, (64.0,), id="seq_lens"),
+    pytest.param(sweep_axis("seeds"), "seeds", 0, (0.5,), id="seeds"),
+    pytest.param(sweep_axis("bits"), "bits", 2, (4.0,), id="bits"),
+    pytest.param(sweep_axis("token_multipliers"), "token_multipliers", 1, (), id="token_multipliers"),
+    pytest.param(sweep_axis("group_sizes"), "group_sizes", 1, (16.5,), id="group_sizes"),
+    pytest.param(sweep_value("base_tokens"), "base_tokens", 1, (32.5,), id="base_tokens"),
+    pytest.param(sweep_value("full_cache_tokens"), "full_cache_tokens", 1, (), id="full_cache_tokens"),
+    pytest.param(sweep_value("probe_steps"), "probe_steps", 1, (), id="probe_steps"),
+]
+
+
+def check_setting(build, name, minimum, extra, error):
+    for bad in (2.5, True, float(minimum), minimum - 1, *extra):
+        with pytest.raises(error, match=rf"\b{name} must be"):
+            build(bad)
+    build(np.int64(minimum))
+
+
+@pytest.mark.parametrize("build, name, minimum, extra", SETTINGS)
+def test_integer_setting_follows_the_one_rule(build, name, minimum, extra):
+    check_setting(build, name, minimum, extra, ContractViolation)
+
+
+@pytest.mark.parametrize("build, name, minimum, extra", SWEEP_SETTINGS)
+def test_sweep_config_integer_axis_follows_the_one_rule(build, name, minimum, extra):
+    check_setting(build, name, minimum, extra, ConfigError)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), np.uint8(3), 3])
+def test_require_int_returns_a_python_int(value):
+    got = require_int("x", value, 3)
+    assert got == 3 and type(got) is int
+
+
+def test_require_int_names_the_setting_and_the_value():
+    with pytest.raises(ContractViolation, match=r"^x must be an integer >= 1, got '2'$"):
+        require_int("x", "2", 1)

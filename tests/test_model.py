@@ -533,7 +533,7 @@ class TestWeightsFile:
 
 
 WEIGHTS_HEADER_END = 4 + struct.calcsize("<HHHIIIqB")
-LAYERS_AT, HEADS_AT, CONTEXT_AT, USE_POSITIONS_AT = 6, 8, 18, 30
+LAYERS_AT, HEADS_AT, CONTEXT_AT, SEED_AT, USE_POSITIONS_AT = 6, 8, 18, 22, 30
 
 
 def _small_weights() -> bytes:
@@ -570,6 +570,7 @@ class TestWeightsRejects:
             pytest.param(_patched_weights(LAYERS_AT, "<H", 0), id="zero-layers"),
             pytest.param(_patched_weights(HEADS_AT, "<H", 3), id="d-model-not-divisible"),
             pytest.param(_patched_weights(CONTEXT_AT, "<I", 0), id="zero-context"),
+            pytest.param(_patched_weights(SEED_AT, "<q", -1), id="negative-seed"),
             pytest.param(_patched_weights(USE_POSITIONS_AT, "<B", 2), id="use-positions-2"),
             pytest.param(_patched_weights(WEIGHTS_HEADER_END, "<f", float("nan")), id="nan-weight"),
             pytest.param(_patched_weights(WEIGHTS_HEADER_END, "<f", float("inf")), id="inf-weight"),
@@ -654,7 +655,7 @@ def test_embed_token_rejects_a_token_outside_the_vocabulary():
 @pytest.mark.parametrize("use_positions", [False, True])
 def test_embed_token_rejects_a_negative_position(use_positions):
     model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=2, use_positions=use_positions))
-    with pytest.raises(ContractViolation, match="position must be >= 0, got -1"):
+    with pytest.raises(ContractViolation, match="position must be an integer >= 0, got -1"):
         embed_token(model, 3, -1)
 
 
@@ -673,7 +674,7 @@ def test_embed_token_takes_a_position_past_the_context_limit():
 
 
 def test_random_model_rejects_a_negative_seed():
-    with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
+    with pytest.raises(ContractViolation, match="seed must be an integer >= 0, got -1"):
         random_model(ModelConfig(1, 1, 8, 16, 32, seed=-1))
 
 
@@ -790,7 +791,8 @@ class TestDenseKVRejects:
         (np.ones(5), "shaped"),
         (np.array([1.0, np.nan, 0.0, 0.0]), "finite"),
         (np.array([1e39, 0.0, 0.0, 0.0]), "finite"),
-    ], ids=["two_by_two", "too_wide", "nan", "past_float32"])
+        (np.array(["a"] * 4), "numbers"),
+    ], ids=["two_by_two", "too_wide", "nan", "past_float32", "strings"])
     def test_bad_row(self, k_row, match):
         kv = self.make()
         before = self.state(kv)

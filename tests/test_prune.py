@@ -90,6 +90,12 @@ class TestTopK:
         with pytest.raises(ContractViolation):
             top_k_indices([1.0, 2.0, 3.0], -1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_scores_rejected(self, bad):
+        # NaN would silently rank below every real score
+        with pytest.raises(ContractViolation, match="scores must be finite"):
+            top_k_indices([bad, 1.0, 2.0], 1)
+
     def test_against_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(2000):

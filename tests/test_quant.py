@@ -175,6 +175,12 @@ class TestQuantizeMatrix:
         with pytest.raises(ContractViolation):
             quantize_matrix(m, QuantConfig(4, 4, outlier_threshold=threshold))
 
+    @pytest.mark.parametrize("m", [[["a", "b"]], np.array([["1.0", "2.0"]]), [[1.0, None]]],
+                             ids=["letters", "numeric_strings", "objects"])
+    def test_values_that_are_not_numbers_rejected(self, m):
+        with pytest.raises(ContractViolation, match="must hold numbers"):
+            quantize_matrix(m, QuantConfig(4, 4))
+
     @pytest.mark.parametrize("threshold", [-1.0, float("nan")])
     def test_threshold_below_zero_or_nan_rejected(self, threshold):
         # a NaN threshold compares false with every value, so every value would be an outlier

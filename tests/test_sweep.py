@@ -77,7 +77,7 @@ class TestConfigParsing:
         assert any("grid" in p for p in problems)
 
     def test_validate_flags_group_size_below_one(self):
-        with pytest.raises(ConfigError, match="group size"):
+        with pytest.raises(ConfigError, match="group_sizes"):
             SweepConfig(group_sizes=(0,))
         SweepConfig(group_sizes=(1, 64))
 
@@ -94,21 +94,21 @@ class TestConfigParsing:
             (dict(base_tokens=0), "base_tokens"),
             (dict(filler_vocab=0), "filler_vocab"),
             (dict(task="random_probe", model="random", heads=3, d_model=32), "divide"),
-            (dict(task="random_probe", model="random", vocab=0), "dimensions"),
-            (dict(task="random_probe", model="random", layers=0), "dimensions"),
+            (dict(task="random_probe", model="random", vocab=0), "vocab must be an integer >= 1, got 0"),
+            (dict(task="random_probe", model="random", layers=0), "layers must be an integer >= 1, got 0"),
             (dict(layouts=("bogus",)), "layout"),
             (dict(task="random_prob"), "task"),
             (dict(task="random_probe", model="randm"), "model"),
             # with no pairing filter, a multiplier below 1 would leave every layer no token
-            (dict(paired_budget=False, token_multipliers=(0, 1)), "token multiplier"),
-            (dict(paired_budget=False, token_multipliers=(-1,)), "token multiplier"),
+            (dict(paired_budget=False, token_multipliers=(0, 1)), "token_multipliers must be an integer >= 1, got 0"),
+            (dict(paired_budget=False, token_multipliers=(-1,)), "token_multipliers must be an integer >= 1, got -1"),
             # the recall model has one layer, a random one ``layers``
             (dict(overrides=("0-4@8x2",)), "override range exceeds layer count"),
             (dict(task="random_probe", model="random", layers=4, overrides=("none", "2-5@8x2")),
              "override range exceeds layer count"),
             (dict(task="random_probe", model="random", layers=4, overrides=("0-2@8x2;1-3@16x1",)),
              "override ranges overlap"),
-            (dict(seq_lens=(3,)), "seq_len 3 too short"),
+            (dict(seq_lens=(3,)), "seq_lens must be an integer >= 4, got 3"),
             (dict(pyramid_min_fraction=0.0), "pyramid_min_fraction"),
             (dict(pyramid_min_fraction=1.5), "pyramid_min_fraction"),
         ],
@@ -697,7 +697,7 @@ class TestUnvalidatedConfigSkips:
 
     @pytest.mark.parametrize("cfg", SHARED, ids=["recall", "random_probe"])
     def test_negative_seed_skips_its_points(self, cfg):
-        with pytest.raises(ConfigError, match="^seeds must be >= 0$"):
+        with pytest.raises(ConfigError, match="^seeds must be an integer >= 0, got -1$"):
             replace(cfg, seeds=(-1,))
 
     def test_negative_seed_skips_a_weights_file_probe(self, tmp_path):
@@ -705,5 +705,5 @@ class TestUnvalidatedConfigSkips:
 
         path = tmp_path / "model.bin"
         save_weights(random_model(ModelConfig(2, 2, 16, 32, 64, seed=5)), path)
-        with pytest.raises(ConfigError, match="^seeds must be >= 0$"):
+        with pytest.raises(ConfigError, match="^seeds must be an integer >= 0, got -1$"):
             replace(SHARED[1], model="random", weights_file=str(path), seeds=(-1,))

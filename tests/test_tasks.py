@@ -68,7 +68,7 @@ def test_more_pairs_than_the_vocabulary_rejected():
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(ContractViolation, match="seed must be >= 0, got -1"):
+    with pytest.raises(ContractViolation, match="seed must be an integer >= 0, got -1"):
         gen_recall_task(64, 3, [0.0, 0.5, 1.0], -1, VOCAB)
-    with pytest.raises(ContractViolation, match="seed must be >= 0, got -2"):
+    with pytest.raises(ContractViolation, match="seed must be an integer >= 0, got -2"):
         gen_probe_prompt(16, 8, -2)

@@ -116,3 +116,35 @@ def test_matrix_rejects_non_finite():
         matrix([[1.0, float("nan")]])
     with pytest.raises(ContractViolation):
         matrix([[float("inf")]])
+
+
+# operands each op must reject, and the message it gives
+BAD_OPERANDS = {
+    "1-D": (np.ones(2, dtype=np.float32), "must be a 2-D array"),
+    "3-D": (np.ones((1, 2, 2), dtype=np.float32), "must be a 2-D array"),
+    "list": ([[1.0, 2.0], [3.0, 4.0]], "must be a 2-D array"),
+    "strings": (np.array([["1", "2"], ["3", "4"]]), "must hold numbers"),
+}
+OPS = {
+    "matmul": lambda x: matmul(x, np.eye(2, dtype=np.float32)),
+    "softmax_rows": softmax_rows,
+    "concat_rows": lambda x: concat_rows(zeros(1, 2), x),
+}
+
+
+@pytest.mark.parametrize("operand", BAD_OPERANDS.values(), ids=BAD_OPERANDS)
+@pytest.mark.parametrize("op", OPS.values(), ids=OPS)
+def test_operand_not_a_2d_array_of_numbers_rejected(op, operand):
+    value, message = operand
+    with pytest.raises(ContractViolation, match=message):
+        op(value)
+
+
+def test_float64_operands_give_the_float32_result_of_their_cast():
+    rng = np.random.default_rng(5)
+    a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
+    a32, b32 = a.astype(np.float32), b.astype(np.float32)
+    for got, want in [(matmul(a, b), matmul(a32, b32)), (matmul(a32, b), matmul(a32, b32)),
+                      (softmax_rows(a), softmax_rows(a32)), (concat_rows(a, a32), concat_rows(a32, a32))]:
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
