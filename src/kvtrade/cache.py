@@ -14,14 +14,16 @@ blocks and keeps every row, prompt and decode alike, in the residual.
 
 Pruning decisions are made once, from full-precision prefill attention
 statistics (``ScoreContext``); decode-time tokens are appended and never evicted. Attention at decode runs
-over ``materialize``'s output: each immutable block is decoded once, on
-first use, and kept on the block (``dequantize_matrix``), so a decode step
-decodes only blocks it has not seen and joins them with the residual. This
-is a correctness-first reference path with no fused kernels.
+over ``materialize_layer``'s output: every head of one layer, each
+head's rows as ``materialize`` gives them, stacked ``(heads, rows,
+head_dim)``. Each immutable block is decoded once, on first use, and kept
+on the block (``dequantize_matrix``), so a decode step decodes only blocks
+it has not seen and joins them with the residual. This is a
+correctness-first reference path with no fused kernels.
 
 A cache instance is single-writer per sequence: ``decode_append`` mutates
 state. Distinct (layer, head) sub-caches are independent; ``materialize``
-is safe concurrently with no writer.
+and ``materialize_layer`` are safe concurrently with no writer.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .budget import BudgetPlan, fp16_kv_bytes
-from .errors import ContractViolation, IntegrityError
+from .errors import ContractViolation, IntegrityError, require_index
 from .prune import PolicyConfig, ScoreContext, decide
 from .quant import (
     OUTLIER_DTYPE,
@@ -76,6 +78,13 @@ class LayerHeadCache:
         self.quant_v.append(quantize_matrix(self.residual_v, v_cfg))
         self.residual_k = np.zeros((0, self.residual_k.shape[1]), dtype=np.float32)
         self.residual_v = np.zeros((0, self.residual_v.shape[1]), dtype=np.float32)
+
+    def parts(self) -> tuple[list[Matrix], list[Matrix]]:
+        """The stored K and V rows in position order: each block decoded, then the residual."""
+        return (
+            [dequantize_matrix(q) for q in self.quant_k] + [self.residual_k],
+            [dequantize_matrix(q) for q in self.quant_v] + [self.residual_v],
+        )
 
     def clone(self) -> "LayerHeadCache":
         # QuantizedTensor blocks are immutable and can be shared
@@ -126,13 +135,11 @@ class CompressedKVCache:
         return len(self.entries), self.heads, self.head_dim
 
     def entry(self, layer: int, head: int) -> LayerHeadCache:
-        """The sub-cache of (layer, head); an index outside the cache raises ContractViolation."""
-        # plain comparisons: decode calls this once per head and step
-        if not (0 <= layer < len(self.entries) and 0 <= head < self.heads):
-            raise ContractViolation(
-                f"(layer, head) ({layer}, {head}) outside {len(self.entries)} x {self.heads}"
-            )
-        return self.entries[layer][head]
+        """The sub-cache of (layer, head); an index that is not an integer inside
+        the cache (:func:`require_index`) raises ContractViolation."""
+        return self.entries[require_index("layer", layer, len(self.entries))][
+            require_index("head", head, self.heads)
+        ]
 
     def clone(self) -> "CompressedKVCache":
         return CompressedKVCache(
@@ -148,9 +155,9 @@ class CompressedKVCache:
 
         A residual of ``group_size`` rows is flushed into a quantized block,
         except on 16-bit layers, which keep every row in the residual. An
-        index outside the cache, a row not shaped ``(head_dim,)`` or
-        ``(1, head_dim)``, or a non-finite value raises ContractViolation
-        and leaves the cache unchanged.
+        index that is not an integer inside the cache, a row not shaped
+        ``(head_dim,)`` or ``(1, head_dim)``, or a non-finite value raises
+        ContractViolation and leaves the cache unchanged.
         """
         e = self.entry(layer, head)
         k_row, v_row = append_rows(h_k, h_v, self.head_dim)
@@ -167,14 +174,36 @@ class CompressedKVCache:
 
         A layer with blocks returns new arrays, which callers may write to.
         A layer without blocks (16-bit) returns its residual matrices
-        themselves, uncopied; callers must not write to them. An index
-        outside the cache raises ContractViolation.
+        themselves, uncopied; callers must not write to them. An index that
+        is not an integer inside the cache raises ContractViolation.
         """
         e = self.entry(layer, head)
         if not e.quant_k:
             return e.residual_k, e.residual_v
-        k = np.concatenate([dequantize_matrix(q) for q in e.quant_k] + [e.residual_k], axis=0)
-        v = np.concatenate([dequantize_matrix(q) for q in e.quant_v] + [e.residual_v], axis=0)
+        k_parts, v_parts = e.parts()
+        return np.concatenate(k_parts, axis=0), np.concatenate(v_parts, axis=0)
+
+    def materialize_layer(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every head's :meth:`materialize` output for ``layer``, stacked ``(heads, rows, head_dim)``.
+
+        A one-head layer returns a view of ``materialize(layer, 0)``, so on a
+        16-bit layer callers must not write to it; otherwise the stacks are
+        new arrays. An index that is not an integer inside the cache, or heads
+        that hold different row counts, raise ContractViolation.
+        """
+        if self.heads == 1:
+            k, v = self.materialize(layer, 0)
+            return k[None], v[None]
+        row = self.entries[require_index("layer", layer, len(self.entries))]
+        rows = {len(e.positions) for e in row}
+        if len(rows) != 1:
+            raise ContractViolation(f"layer {layer}'s heads hold different row counts {sorted(rows)}")
+        k = np.empty((self.heads, rows.pop(), self.head_dim), dtype=np.float32)
+        v = np.empty_like(k)
+        for head, e in enumerate(row):
+            k_parts, v_parts = e.parts()
+            np.concatenate(k_parts, axis=0, out=k[head])
+            np.concatenate(v_parts, axis=0, out=v[head])
         return k, v
 
     def _entry_bytes(self, e: LayerHeadCache, block_bytes) -> int:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import CompressedKVCache, Reader, append_rows
-from .errors import ContractViolation, IntegrityError, require_int
-from .tensor import Matrix, matmul, softmax_rows
+from .errors import ContractViolation, IntegrityError, require_index, require_int
+from .tensor import Matrix, matmul, softmax_rows, stacked_matmul
 
 # prefill's score for a future key: softmax gives it exactly 0 weight
 NEG_MASK = np.float32(-np.inf)
@@ -115,10 +115,26 @@ class DenseKV:
         self.values[layer][head] = np.concatenate([v, v_row])
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
-        """The stored K/V of (layer, head); an index outside the store raises ContractViolation."""
-        if not (0 <= layer < len(self.keys) and 0 <= head < len(self.keys[layer])):
-            raise ContractViolation(f"(layer, head) ({layer}, {head}) outside the store")
+        """The stored K/V of (layer, head); an index that is not an integer inside
+        the store (:func:`require_index`) raises ContractViolation."""
+        layer = require_index("layer", layer, len(self.keys))
+        head = require_index("head", head, len(self.keys[layer]))
         return self.keys[layer][head], self.values[layer][head]
+
+    def materialize_layer(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """Every head's K/V for ``layer``, stacked ``(heads, rows, head_dim)``.
+
+        A one-head layer returns a view of its matrices; callers must not
+        write to it. An index that is not an integer inside the store, or
+        heads that hold different row counts, raise ContractViolation.
+        """
+        keys = self.keys[require_index("layer", layer, len(self.keys))]
+        rows = {k.shape[0] for k in keys}
+        if len(rows) != 1:
+            raise ContractViolation(f"layer {layer}'s heads hold different row counts {sorted(rows)}")
+        if len(keys) == 1:
+            return keys[0][None], self.values[layer][0][None]
+        return np.stack(keys), np.stack(self.values[layer])
 
 
 def positional_encoding(length: int, d_model: int, offset: int = 0) -> Matrix:
@@ -294,10 +310,13 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
 def _decode(model: Model, store, h) -> np.ndarray:
     """One decode step over ``store``, a :class:`CompressedKVCache` or :class:`DenseKV`.
 
-    Each head appends the token's K/V rows first (so it attends to itself),
-    then attends over the store's ``materialize`` output. A store not shaped
-    like the model, or an ``h`` not shaped ``(d_model,)`` or ``(1, d_model)``,
-    raises ContractViolation before the first append.
+    In each layer every head appends the token's K/V rows first (so it
+    attends to itself). Then all heads attend at once over the store's
+    ``materialize_layer`` stacks: one stacked product for the scores, one
+    softmax over the ``(heads, rows)`` scores and one stacked product with
+    V, each head's result bit for bit what its own 2-D products give. A
+    store not shaped like the model, or an ``h`` not shaped ``(d_model,)``
+    or ``(1, d_model)``, raises ContractViolation before the first append.
     """
     cfg = model.config
     want = (cfg.layers, cfg.heads, cfg.head_dim)
@@ -307,18 +326,20 @@ def _decode(model: Model, store, h) -> np.ndarray:
     if x.shape not in ((cfg.d_model,), (1, cfg.d_model)):
         raise ContractViolation(f"h must be shaped ({cfg.d_model},) or (1, {cfg.d_model}), got {x.shape}")
     x = x.reshape(1, cfg.d_model)
-    scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
+    heads, head_dim = cfg.heads, cfg.head_dim
+    scale = np.float32(1.0 / math.sqrt(head_dim))
     for layer, lw in enumerate(model.weights.layers):
         q = matmul(x, lw.w_q)
         k = matmul(x, lw.w_k)
         v = matmul(x, lw.w_v)
-        outs = []
-        for head in range(cfg.heads):
-            sl = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
+        for head in range(heads):
+            sl = slice(head * head_dim, (head + 1) * head_dim)
             store.decode_append(layer, head, k[0, sl], v[0, sl])
-            k_mat, v_mat = store.materialize(layer, head)
-            outs.append(matmul(softmax_rows(matmul(q[:, sl], k_mat.T) * scale), v_mat))
-        x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)
+        k_stack, v_stack = store.materialize_layer(layer)
+        scores = stacked_matmul(q.reshape(heads, 1, head_dim), k_stack.transpose(0, 2, 1))
+        probs = softmax_rows(scores.reshape(heads, -1) * scale)
+        out = stacked_matmul(probs.reshape(heads, 1, -1), v_stack)
+        x = x + matmul(out.reshape(1, cfg.d_model), lw.w_o)
     return matmul(x, model.weights.head)[0]
 
 

@@ -2,8 +2,9 @@
 
 Each policy maps (attention statistics, token budget) to the set of token
 indices whose K/V entries survive compression, per layer and per head.
-Every policy keeps tokens by one rule (``_keep``): a budget that is not an
-integer of at least the recent window is a contract violation, a budget of
+Every policy keeps tokens by one rule (``_keep``): a prompt length ``n``
+that is not an integer >= 1, or a budget that is not an integer of at least
+the recent window, is a contract violation, a budget of
 at least the prompt length keeps every token, and otherwise the recent
 window survives plus the ``budget - window`` best-scoring earlier tokens
 (ties toward the earlier token). The policies differ only in how they score
@@ -146,6 +147,7 @@ def _keep(n: int, budget: int, cfg: PolicyConfig, candidate_scores) -> PruneDeci
     called only when tokens are evicted.
     """
     w = cfg.window
+    require_int("n", n, 1)
     require_int("budget", budget, w)
     if budget >= n:
         return PruneDecision(tuple(range(n)))
@@ -206,8 +208,10 @@ def decide(policy: PolicyConfig, ctx: ScoreContext | None, n: int, budget: int) 
     """Dispatch to the policy's scoring rule.
 
     ``streaming_llm`` needs no attention statistics; the score-based rules
-    require a ScoreContext for the same ``n`` tokens.
+    require a ScoreContext for the same ``n`` tokens. An ``n`` that is not an
+    integer >= 1 raises ContractViolation.
     """
+    require_int("n", n, 1)
     if policy.kind == PolicyKind.STREAMING_LLM:
         return score_streaming(n, budget, policy)
     if ctx is None:

@@ -113,10 +113,13 @@ class QuantizedTensor:
                     raise IntegrityError(f"{name} do not convert to {dtype}: {exc}") from exc
                 arr.flags.writeable = False
                 object.__setattr__(self, name, arr)
-        if self.bits not in SUPPORTED_BITS:
+        try:  # the integer check first: 4.0 in SUPPORTED_BITS holds
+            bits = require_int("bits", self.bits, 0)
+            require_int("group_size", self.group_size, 1)
+        except ContractViolation as exc:
+            raise IntegrityError(str(exc)) from exc
+        if bits not in SUPPORTED_BITS:
             raise IntegrityError(f"bits must be one of {SUPPORTED_BITS}, got {self.bits}")
-        if self.group_size < 1:
-            raise IntegrityError(f"group_size must be >= 1, got {self.group_size}")
         groups, nbytes = group_split(self.shape, self.layout, self.group_size, self.bits, self.outliers)
         if not len(self.zero_points) == len(self.scales) == groups:
             raise IntegrityError(f"group arrays do not hold {groups} groups")

@@ -44,9 +44,11 @@ def gen_recall_task(
     prompt start and depth 1.0 sits immediately before the decode-time query.
     Colliding placements shift forward to the next free slot. Which pair
     identity lands at which depth is shuffled per seed. A ``seq_len`` that
-    is not an integer >= 1, or a ``seed`` not one >= 0, raises ContractViolation.
+    is not an integer >= 1, or a ``num_pairs`` or ``seed`` not one >= 0, raises
+    ContractViolation.
     """
     seq_len, seed = require_int("seq_len", seq_len, 1), require_int("seed", seed, 0)
+    num_pairs = require_int("num_pairs", num_pairs, 0)
     depths = list(needle_depths)
     if len(depths) != num_pairs:
         raise ContractViolation(
@@ -83,7 +85,9 @@ def gen_recall_task(
 
 
 def gen_probe_prompt(seq_len: int, vocab_size: int, seed: int) -> list[int]:
-    """Seeded uniform-random prompt for logit-perturbation probes (seq_len >= 1, seed >= 0)."""
+    """Seeded uniform-random prompt for logit-perturbation probes (seq_len >= 1,
+    vocab_size >= 1, seed >= 0)."""
     seq_len, seed = require_int("seq_len", seq_len, 1), require_int("seed", seed, 0)
+    vocab_size = require_int("vocab_size", vocab_size, 1)
     rng = np.random.default_rng([seed, seq_len])
     return [int(t) for t in rng.integers(0, vocab_size, seq_len)]

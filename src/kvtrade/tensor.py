@@ -2,8 +2,11 @@
 
 Everything downstream (quantization, eviction scoring, the attention-only
 model) works on plain 2-D ``numpy.float32`` arrays in row-major order.
-Batch size is fixed at 1 throughout, so multi-head state is represented as
-explicit per-layer/per-head matrices rather than higher-rank tensors.
+Batch size is fixed at 1 throughout. The cache stores multi-head state as
+explicit per-layer/per-head matrices; decode reads a layer's heads as
+``(heads, rows, head_dim)`` stacks and attends over all of them at once
+with :func:`stacked_matmul`, whose products equal :func:`matmul`'s head
+by head, bit for bit.
 
 Arithmetic runs in 32-bit floats. Storage *accounting* elsewhere still
 charges 16 bits per full-precision element; keeping the math in float32
@@ -47,6 +50,26 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         raise ContractViolation(
             f"matmul dimension mismatch: {a.shape} x {b.shape}"
         )
+    return _finite_product(a, b)
+
+
+def stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every i of two equal stacks of float32 matrices.
+
+    Both operands must be 3-D float32 arrays holding the same number of
+    matrices, with ``a.shape[2] == b.shape[1]``; the rules are otherwise
+    :func:`matmul`'s, and each product equals ``matmul(a[i], b[i])``.
+    """
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.ndim == b.ndim == 3
+            and a.dtype == _FLOAT32 and b.dtype == _FLOAT32):
+        raise ContractViolation("stacked_matmul operands must be 3-D float32 arrays")
+    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+        raise ContractViolation(f"stacked_matmul dimension mismatch: {a.shape} x {b.shape}")
+    return _finite_product(a, b)
+
+
+def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``; a product that is not finite raises ContractViolation, with no warning first."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
     if not np.isfinite(out).all():

@@ -15,7 +15,10 @@ something the package computes another way:
 * ``quantization_logit_bound``: a worst-case bound on the logit change that
   quantization causes in one decode step of a single-layer model;
 * ``recall_margin``: the recall model's worst-case logit margin, measured by
-  running the model at full precision.
+  running the model at full precision;
+* ``per_head_decode``: one decode step that appends, materializes and
+  attends head by head with 2-D products, the oracle for the decode step
+  that attends over a whole layer's stacked heads at once.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from kvtrade.errors import ContractViolation
 from kvtrade.model import DenseKV, Model, RecallVocab, decode_step_dense, embed_token, prefill
 from kvtrade.prune import ScoreContext
 from kvtrade.quant import SUPPORTED_BITS, Layout, error_bound_matrix
-from kvtrade.tensor import Matrix
+from kvtrade.tensor import Matrix, matmul, softmax_rows
 
 
 def matrix(data) -> Matrix:
@@ -186,3 +189,34 @@ def recall_margin(model: Model, vocab: RecallVocab, seq_len: int) -> float:
         best_other = max(v for t, v in enumerate(logits) if t != expected)
         margin = min(margin, float(logits[expected] - best_other))
     return margin
+
+
+def per_head_decode(model: Model, store, h) -> np.ndarray:
+    """One decode step over ``store`` (a cache or a ``DenseKV``), one head at a time.
+
+    Each head appends the token's K/V rows first (so it attends to itself),
+    then attends over the store's ``materialize`` output. A store not shaped
+    like the model, or an ``h`` not shaped ``(d_model,)`` or ``(1, d_model)``,
+    raises ContractViolation before the first append.
+    """
+    cfg = model.config
+    want = (cfg.layers, cfg.heads, cfg.head_dim)
+    if store.shape != want:
+        raise ContractViolation(f"store (layers, heads, head_dim) {store.shape} is not the model's {want}")
+    x = np.asarray(h, dtype=np.float32)
+    if x.shape not in ((cfg.d_model,), (1, cfg.d_model)):
+        raise ContractViolation(f"h must be shaped ({cfg.d_model},) or (1, {cfg.d_model}), got {x.shape}")
+    x = x.reshape(1, cfg.d_model)
+    scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
+    for layer, lw in enumerate(model.weights.layers):
+        q = matmul(x, lw.w_q)
+        k = matmul(x, lw.w_k)
+        v = matmul(x, lw.w_v)
+        outs = []
+        for head in range(cfg.heads):
+            sl = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
+            store.decode_append(layer, head, k[0, sl], v[0, sl])
+            k_mat, v_mat = store.materialize(layer, head)
+            outs.append(matmul(softmax_rows(matmul(q[:, sl], k_mat.T) * scale), v_mat))
+        x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)
+    return matmul(x, model.weights.head)[0]

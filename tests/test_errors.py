@@ -3,17 +3,21 @@
 Each row builds something from one integer setting. The setting must reject
 2.5, ``True``, its minimum as a float and the integer below its minimum,
 with a message that names it, and take a numpy integer at its minimum.
-``SweepConfig`` reports the same rule as a ``ConfigError`` problem.
+``SweepConfig`` reports the same rule as a ``ConfigError`` problem, and a
+quantized block, which holds stored data, as an ``IntegrityError``. A
+layer or head index is a setting whose minimum is 0 that must also be
+below the store's count (``errors.require_index``).
 """
 
 import numpy as np
 import pytest
 
 from kvtrade.budget import BudgetPlan, LayerOverride, plan_for_tokens, pyramid_allocation
-from kvtrade.errors import ContractViolation, require_int
-from kvtrade.model import ModelConfig, RecallVocab, embed_token, prefill, random_model
-from kvtrade.prune import PolicyConfig, PolicyKind, score_streaming, top_k_indices
-from kvtrade.quant import Layout, QuantConfig
+from kvtrade.cache import prefill_compress
+from kvtrade.errors import ContractViolation, IntegrityError, require_int
+from kvtrade.model import DenseKV, ModelConfig, RecallVocab, embed_token, prefill, random_model
+from kvtrade.prune import PolicyConfig, PolicyKind, decide, score_streaming, top_k_indices
+from kvtrade.quant import Layout, QuantConfig, QuantizedTensor
 from kvtrade.sweep import ConfigError, SweepConfig, run_sweep
 from kvtrade.tasks import gen_probe_prompt, gen_recall_task
 
@@ -28,6 +32,22 @@ TINY_SWEEP = SweepConfig(
     bits=(16,), token_multipliers=(1,), base_tokens=4, full_cache_tokens=8, probe_steps=1,
     layers=1, heads=1, d_model=4, vocab=8, context_limit=16, recent_window=2,
 )
+
+
+TINY_PREFILL = prefill(TINY_MODEL, [1, 2, 3])
+ROW = np.ones(4)
+
+
+def tiny_cache():
+    """A fresh 1-layer, 1-head cache of the tiny model's prompt, 4-bit."""
+    plan = plan_for_tokens([4], 4, heads=1, head_dim=4, group_size=4)
+    return prefill_compress(TINY_PREFILL.keys, TINY_PREFILL.values, [[None]], plan, STREAM2)
+
+
+def block(bits=4, group_size=4, groups=1, nbytes=2):
+    """A 1 x 4 per-token block of zero codes in ``groups`` groups packed into ``nbytes``."""
+    return QuantizedTensor((1, 4), bits, group_size, Layout.PER_TOKEN, [0.0] * groups, [1.0] * groups,
+                           bytes(nbytes))
 
 
 def model_config(name):
@@ -86,6 +106,33 @@ SETTINGS = [
     pytest.param(lambda v: prefill(TINY_MODEL, [1, 2], v), "window", 0, (), id="prefill.window"),
     pytest.param(lambda v: embed_token(TINY_MODEL, 1, v), "position", 0, (), id="embed_token.position"),
     pytest.param(lambda v: run_sweep(TINY_SWEEP, parallel=v), "parallel", 1, (), id="run_sweep.parallel"),
+    pytest.param(lambda v: score_streaming(v, 2, STREAM2), "n", 1, (40.5,), id="score_streaming.n"),
+    pytest.param(lambda v: decide(STREAM2, None, v, 2), "n", 1, (40.5,), id="decide.n"),
+    pytest.param(lambda v: gen_recall_task(16, v, [], 0, VOCAB), "num_pairs", 0, (1.0,),
+                 id="gen_recall_task.num_pairs"),
+    pytest.param(lambda v: gen_probe_prompt(8, v, 0), "vocab_size", 1, (5.5,), id="gen_probe_prompt.vocab_size"),
+    # indices: 1 is past the one layer and the one head
+    pytest.param(lambda v: tiny_cache().decode_append(v, 0, ROW, ROW), "layer", 0, (1,),
+                 id="CompressedKVCache.decode_append.layer"),
+    pytest.param(lambda v: tiny_cache().decode_append(0, v, ROW, ROW), "head", 0, (1,),
+                 id="CompressedKVCache.decode_append.head"),
+    pytest.param(lambda v: tiny_cache().materialize(0, v), "head", 0, (1,), id="CompressedKVCache.materialize.head"),
+    pytest.param(lambda v: tiny_cache().materialize_layer(v), "layer", 0, (1,),
+                 id="CompressedKVCache.materialize_layer.layer"),
+    pytest.param(lambda v: DenseKV.from_prefill(TINY_PREFILL).materialize(v, 0), "layer", 0, (1,),
+                 id="DenseKV.materialize.layer"),
+    pytest.param(lambda v: DenseKV.from_prefill(TINY_PREFILL).decode_append(0, v, ROW, ROW), "head", 0, (1,),
+                 id="DenseKV.decode_append.head"),
+    pytest.param(lambda v: DenseKV.from_prefill(TINY_PREFILL).materialize_layer(v), "layer", 0, (1,),
+                 id="DenseKV.materialize_layer.layer"),
+]
+
+# stored data: a block raises IntegrityError
+STORED_SETTINGS = [
+    # four 2-bit codes pack into 1 byte; four 1-code groups into 4
+    pytest.param(lambda v: block(bits=v, nbytes=1), "bits", 2, (4.0,), id="QuantizedTensor.bits"),
+    pytest.param(lambda v: block(group_size=v, groups=4, nbytes=4), "group_size", 1, (4.0,),
+                 id="QuantizedTensor.group_size"),
 ]
 
 SWEEP_SETTINGS = [
@@ -110,6 +157,11 @@ def check_setting(build, name, minimum, extra, error):
 @pytest.mark.parametrize("build, name, minimum, extra", SETTINGS)
 def test_integer_setting_follows_the_one_rule(build, name, minimum, extra):
     check_setting(build, name, minimum, extra, ContractViolation)
+
+
+@pytest.mark.parametrize("build, name, minimum, extra", STORED_SETTINGS)
+def test_stored_integer_follows_the_one_rule(build, name, minimum, extra):
+    check_setting(build, name, minimum, extra, IntegrityError)
 
 
 @pytest.mark.parametrize("build, name, minimum, extra", SWEEP_SETTINGS)

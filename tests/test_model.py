@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvtrade.budget import plan_for_tokens
 from kvtrade.cache import dump_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade import model as kvmodel
@@ -32,10 +33,17 @@ from kvtrade.model import (
     save_weights,
 )
 from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext, decide
+from kvtrade.quant import Layout
 from kvtrade.sweep import STRATEGIES
-from kvtrade.tasks import gen_recall_task
+from kvtrade.tasks import gen_probe_prompt, gen_recall_task
 from kvtrade.tensor import matmul
-from oracles import context_from_probs, quantization_logit_bound, recall_margin, uniform_plan
+from oracles import (
+    context_from_probs,
+    per_head_decode,
+    quantization_logit_bound,
+    recall_margin,
+    uniform_plan,
+)
 
 STREAM = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=4)
 
@@ -801,3 +809,80 @@ class TestDenseKVRejects:
         with pytest.raises(ContractViolation, match=match):
             kv.decode_append(0, 0, np.ones(4), k_row)
         assert self.state(kv) == before
+
+
+class TestStackedDecode:
+    """Decode attends over a layer's stacked heads, bit for bit as the per-head loop does."""
+
+    PROMPT = 12
+    STEPS = 9  # two flushes at group size 4
+
+    @staticmethod
+    def same(a, b):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def check_layers(self, store, layers, heads):
+        for layer in range(layers):
+            k, v = store.materialize_layer(layer)
+            for head in range(heads):
+                k_h, v_h = store.materialize(layer, head)
+                assert self.same(k[head], k_h) and self.same(v[head], v_h)
+
+    # every bit width in each (layers, heads) case; head_dim, positions and
+    # layout rotate so that every value of each meets every bit width
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_equals_the_per_head_loop(self, layers, heads):
+        for i, bits in enumerate((16, 2, 4, 8)):
+            head_dim = (4, 8, 16)[(i + heads) % 3]
+            layout = list(Layout)[(i + layers + heads) % 2]
+            seed = 16 * layers + 4 * heads + i
+            cfg = ModelConfig(layers, heads, heads * head_dim, 16, 64, seed, (i + layers) % 2 == 0)
+            model = random_model(cfg)
+            prompt = gen_probe_prompt(self.PROMPT, cfg.vocab, seed)
+            res = prefill(model, prompt)
+            plan = plan_for_tokens([8] * layers, bits, heads, head_dim, group_size=4, layout=layout)
+            no_scores = [[None] * heads for _ in range(layers)]
+            cache = prefill_compress(res.keys, res.values, no_scores, plan, STREAM)
+            stores = [(decode_step, cache, cache.clone()),
+                      (decode_step_dense, DenseKV.from_prefill(res), DenseKV.from_prefill(res))]
+            token = prompt[-1]
+            for step in range(self.STEPS):
+                h = embed_token(model, token, self.PROMPT + step)
+                for decode, store, reference in stores:
+                    logits = decode(model, store, h)
+                    assert self.same(logits, per_head_decode(model, reference, h))
+                    self.check_layers(store, layers, heads)
+                token = int(np.argmax(logits))
+            blocks = len(cache.entry(layers - 1, heads - 1).quant_k)
+            assert blocks == (0 if bits == 16 else 3)  # the prompt block and two flushes
+
+    @staticmethod
+    def stores(bits):
+        model = _model(2, 2, 8)
+        res = prefill(model, [1, 2, 3, 4, 5])
+        plan = plan_for_tokens([4, 4], bits, 2, 4, group_size=4)
+        cache = prefill_compress(res.keys, res.values, [[None] * 2] * 2, plan, STREAM)
+        return cache, DenseKV.from_prefill(res)
+
+    @pytest.mark.parametrize("bits", [4, 16])
+    def test_heads_holding_different_row_counts_rejected(self, bits):
+        for store in self.stores(bits):
+            store.decode_append(1, 0, np.ones(4), np.ones(4))
+            store.materialize_layer(0)
+            with pytest.raises(ContractViolation, match="layer 1's heads hold different row counts"):
+                store.materialize_layer(1)
+
+    def test_one_head_layer_is_a_view(self):
+        model = _model(1, 1, 4)
+        res = prefill(model, [1, 2, 3])
+        for bits in (4, 16):
+            plan = plan_for_tokens([4], bits, 1, 4, group_size=4)
+            cache = prefill_compress(res.keys, res.values, [[None]], plan, STREAM)
+            for store in (cache, DenseKV.from_prefill(res)):
+                k, v = store.materialize_layer(0)
+                k_0, v_0 = store.materialize(0, 0)
+                assert not (k.flags.owndata or v.flags.owndata)
+                assert self.same(k[0], k_0) and self.same(v[0], v_0)
+                # stored matrices come back uncopied: 16-bit residuals, the dense store
+                assert (bits == 4 and store is cache) or np.shares_memory(k, k_0)

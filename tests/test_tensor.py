@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kvtrade.errors import ContractViolation
-from kvtrade.tensor import concat_rows, matmul, softmax_rows
+from kvtrade.tensor import concat_rows, matmul, softmax_rows, stacked_matmul
 from oracles import matrix
 
 
@@ -56,6 +56,47 @@ class TestMatmul:
     def test_identity_exact_both_sides(self, m):
         assert np.array_equal(matmul(np.eye(m.shape[0], dtype=np.float32), m), m)
         assert np.array_equal(matmul(m, np.eye(m.shape[1], dtype=np.float32)), m)
+
+
+class TestStackedMatmul:
+    # (stack, rows, inner, cols); one-row products are decode's shape
+    @pytest.mark.parametrize("shape", [(1, 1, 4, 9), (4, 1, 16, 33), (3, 5, 8, 2), (2, 1, 1, 1)])
+    def test_each_product_is_matmul(self, shape):
+        stack, rows, inner, cols = shape
+        rng = np.random.default_rng(stack * rows + inner)
+        a = rng.normal(size=(stack, rows, inner)).astype(np.float32)
+        b = rng.normal(size=(stack, inner, cols)).astype(np.float32)
+        keys = np.ascontiguousarray(b.transpose(0, 2, 1))  # decode multiplies by stored keys, transposed
+        for right in (b, keys.transpose(0, 2, 1)):
+            out = stacked_matmul(a, right)
+            assert out.shape == (stack, rows, cols) and out.dtype == np.float32
+            for i in range(stack):
+                assert out[i].tobytes() == matmul(a[i], right[i]).tobytes()
+
+    @pytest.mark.parametrize("a, b, message", [
+        (np.ones((2, 1, 4)), np.ones((3, 4, 5)), "mismatch"),
+        (np.ones((2, 1, 4)), np.ones((2, 3, 5)), "mismatch"),
+        (np.ones((2, 4)), np.ones((2, 4, 5)), "3-D float32"),
+        (np.ones((1, 1, 2)), [[[1.0], [1.0]]], "3-D float32"),
+    ], ids=["stacks", "inner", "2-D", "list"])
+    def test_misfit_operands_rejected(self, a, b, message):
+        a = np.asarray(a, dtype=np.float32)
+        b = b if isinstance(b, list) else np.asarray(b, dtype=np.float32)
+        with pytest.raises(ContractViolation, match=message):
+            stacked_matmul(a, b)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
+    def test_operands_not_float32_rejected(self, dtype):
+        a, b = np.ones((2, 1, 4), dtype=np.float32), np.ones((2, 4, 3), dtype=np.float32)
+        for args in ((a.astype(dtype), b), (a, b.astype(dtype))):
+            with pytest.raises(ContractViolation, match="3-D float32"):
+                stacked_matmul(*args)
+
+    def test_overflowing_product_rejected(self):
+        # under filterwarnings = error a warning would pre-empt the check
+        big = np.full((2, 1, 2), 1e30, dtype=np.float32)
+        with pytest.raises(ContractViolation, match="non-finite elements"):
+            stacked_matmul(big, big.transpose(0, 2, 1))
 
 
 class TestSoftmaxRows:
