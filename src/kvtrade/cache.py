@@ -13,16 +13,20 @@ A 16-bit layer is the case where the residual is never flushed: it has no
 blocks and keeps every row, prompt and decode alike, in the residual.
 
 Pruning decisions are made once, from full-precision prefill attention
-statistics (``ScoreContext``); decode-time tokens are appended and never evicted. Attention at decode runs
-over ``materialize_layer``'s output: every head of one layer, each
-head's rows as ``materialize`` gives them, stacked ``(heads, rows,
-head_dim)``. Each immutable block is decoded once, on first use, and kept
-on the block (``dequantize_matrix``), so a decode step decodes only blocks
-it has not seen and joins them with the residual. This is a
+statistics (``ScoreContext``); decode-time tokens are appended and never
+evicted. Decode writes a layer at a time: ``decode_append`` takes the
+layer's K and V rows as its projection gives them, every head side by side
+``(heads * head_dim,)``, checks them once and appends each head's slice to
+that head's residual, so every head of a layer holds the same number of
+rows. Attention at decode runs over ``materialize_layer``'s output: every
+head of one layer, each head's rows as ``materialize`` gives them, stacked
+``(heads, rows, head_dim)``. Each immutable block is decoded once, on first
+use, and kept on the block (``dequantize_matrix``), so a decode step decodes
+only blocks it has not seen and joins them with the residual. This is a
 correctness-first reference path with no fused kernels.
 
 A cache instance is single-writer per sequence: ``decode_append`` mutates
-state. Distinct (layer, head) sub-caches are independent; ``materialize``
+every head of one layer. Distinct layers are independent; ``materialize``
 and ``materialize_layer`` are safe concurrently with no writer.
 """
 
@@ -98,7 +102,7 @@ class LayerHeadCache:
 
 
 def append_rows(h_k, h_v, width: int) -> tuple[Matrix, Matrix]:
-    """One decode token's K and V, each shaped ``(width,)`` or ``(1, width)``, as float32 rows.
+    """One decode token's K and V for a layer, each shaped ``(width,)`` or ``(1, width)``, as float32 rows.
 
     Any other shape, values that are not numbers, or a value that is not finite
     in float32 (one past its range becomes inf, not a warning), raises ContractViolation.
@@ -112,7 +116,7 @@ def append_rows(h_k, h_v, width: int) -> tuple[Matrix, Matrix]:
             )
         rows.append(as_matrix(row.reshape(1, width), "append rows"))
     k_row, v_row = rows
-    # count_nonzero, not .all(): on one short row per head and step it
+    # count_nonzero, not .all(): on one short row per layer and step it
     # costs about half as much
     if np.count_nonzero(np.isfinite(k_row)) + np.count_nonzero(np.isfinite(v_row)) < 2 * width:
         raise ContractViolation("append rows must be finite")
@@ -150,24 +154,29 @@ class CompressedKVCache:
             entries=[[e.clone() for e in row] for row in self.entries],
         )
 
-    def decode_append(self, layer: int, head: int, h_k, h_v) -> None:
-        """Append one decode token's K/V rows to the residual at full precision.
+    def decode_append(self, layer: int, h_k, h_v) -> None:
+        """Append one decode token's K/V rows to every head of ``layer``, at full precision.
 
-        A residual of ``group_size`` rows is flushed into a quantized block,
-        except on 16-bit layers, which keep every row in the residual. An
-        index that is not an integer inside the cache, a row not shaped
-        ``(head_dim,)`` or ``(1, head_dim)``, or a non-finite value raises
-        ContractViolation and leaves the cache unchanged.
+        ``h_k`` and ``h_v`` are the layer's K and V rows as the projection
+        gives them: every head side by side, shaped ``(heads * head_dim,)``
+        or ``(1, heads * head_dim)``. Head h's slice lands in head h's
+        residual, and a residual of ``group_size`` rows is flushed into a
+        quantized block, except on 16-bit layers, which keep every row in the
+        residual. A layer index that is not an integer inside the cache, a row
+        of any other shape, values that are not numbers or not finite raise
+        ContractViolation before any head changes.
         """
-        e = self.entry(layer, head)
-        k_row, v_row = append_rows(h_k, h_v, self.head_dim)
-        # decode positions continue from the prompt length, one per append
-        after_last = e.positions[-1] + 1 if e.positions else 0
-        e.positions.append(max(self.prefill_len, after_last))
-        e.residual_k = concat_rows(e.residual_k, k_row)
-        e.residual_v = concat_rows(e.residual_v, v_row)
-        if e.residual_k.shape[0] == self.plan.group_size:
-            e.flush(self.plan.quant_config(layer))
+        row = self.entries[require_index("layer", layer, len(self.entries))]
+        k_row, v_row = append_rows(h_k, h_v, self.heads * self.head_dim)
+        for head, e in enumerate(row):
+            sl = slice(head * self.head_dim, (head + 1) * self.head_dim)
+            # decode positions continue from the prompt length, one per append
+            after_last = e.positions[-1] + 1 if e.positions else 0
+            e.positions.append(max(self.prefill_len, after_last))
+            e.residual_k = concat_rows(e.residual_k, k_row[:, sl])
+            e.residual_v = concat_rows(e.residual_v, v_row[:, sl])
+            if e.residual_k.shape[0] == self.plan.group_size:
+                e.flush(self.plan.quant_config(layer))
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
         """Dequantized blocks followed by the residual, in position order.
@@ -187,8 +196,9 @@ class CompressedKVCache:
         """Every head's :meth:`materialize` output for ``layer``, stacked ``(heads, rows, head_dim)``.
 
         A one-head layer returns a view of ``materialize(layer, 0)``, so on a
-        16-bit layer callers must not write to it; otherwise the stacks are
-        new arrays. An index that is not an integer inside the cache, or heads
+        16-bit layer callers must not write to it; otherwise every head's
+        parts are joined in one concatenation for K and one for V, into new
+        arrays. An index that is not an integer inside the cache, or heads
         that hold different row counts, raise ContractViolation.
         """
         if self.heads == 1:
@@ -198,13 +208,13 @@ class CompressedKVCache:
         rows = {len(e.positions) for e in row}
         if len(rows) != 1:
             raise ContractViolation(f"layer {layer}'s heads hold different row counts {sorted(rows)}")
-        k = np.empty((self.heads, rows.pop(), self.head_dim), dtype=np.float32)
-        v = np.empty_like(k)
-        for head, e in enumerate(row):
-            k_parts, v_parts = e.parts()
-            np.concatenate(k_parts, axis=0, out=k[head])
-            np.concatenate(v_parts, axis=0, out=v[head])
-        return k, v
+        k_parts, v_parts = [], []
+        for e in row:
+            k, v = e.parts()
+            k_parts += k
+            v_parts += v
+        shape = (self.heads, rows.pop(), self.head_dim)
+        return np.concatenate(k_parts).reshape(shape), np.concatenate(v_parts).reshape(shape)
 
     def _entry_bytes(self, e: LayerHeadCache, block_bytes) -> int:
         """One entry's bytes: fp16 residual K/V rows, plus ``block_bytes`` of each block."""
@@ -409,7 +419,8 @@ def _load_entry(r: Reader, cfgs, head_dim: int, prefill_len: int) -> LayerHeadCa
 def load_snapshot(data: bytes) -> CompressedKVCache:
     """Rebuild a cache from :func:`dump_snapshot` output.
 
-    Any input that is not a valid snapshot raises :class:`IntegrityError`.
+    Any input that is not a valid snapshot raises :class:`IntegrityError`,
+    among them a layer whose heads hold different row counts.
     """
     try:
         return _load_snapshot(data)
@@ -450,7 +461,12 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
     entries = []
     for layer in range(layers):
         cfgs = plan.quant_config(layer)
-        entries.append([_load_entry(r, cfgs, head_dim, prefill_len) for _ in range(heads)])
+        row = [_load_entry(r, cfgs, head_dim, prefill_len) for _ in range(heads)]
+        # decode appends to every head of a layer at once, so heads never differ
+        rows = {len(e.positions) for e in row}
+        if len(rows) > 1:
+            raise IntegrityError(f"layer {layer}'s heads hold different row counts {sorted(rows)}")
+        entries.append(row)
     r.end()
 
     return CompressedKVCache(

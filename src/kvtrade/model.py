@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,10 +53,25 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LayerWeights:
+    """One layer's projections, each ``(d_model, d_model)``.
+
+    Construction joins W_Q, W_K and W_V into one stored copy, ``w_qkv``
+    ``(d_model, 3 * d_model)``, of which ``w_q``, ``w_k`` and ``w_v`` become
+    column views. Decode projects through ``w_qkv`` in one product; with the
+    bundled OpenBLAS that gives the three separate products' bits.
+    """
+
     w_q: Matrix
     w_k: Matrix
     w_v: Matrix
     w_o: Matrix
+    w_qkv: Matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        w_qkv = np.concatenate((self.w_q, self.w_k, self.w_v), axis=1)
+        for name, view in zip(("w_q", "w_k", "w_v"), np.split(w_qkv, 3, axis=1)):
+            object.__setattr__(self, name, view)
+        object.__setattr__(self, "w_qkv", w_qkv)
 
 
 @dataclass(frozen=True)
@@ -106,13 +121,20 @@ class DenseKV:
             values=[[v.copy() for v in row] for row in result.values],
         )
 
-    def decode_append(self, layer: int, head: int, h_k, h_v) -> None:
-        """Append one decode token's K/V rows, uncompressed; a bad index or row
-        (:func:`append_rows`) raises ContractViolation and leaves the store unchanged."""
-        k, v = self.materialize(layer, head)
-        k_row, v_row = append_rows(h_k, h_v, k.shape[1])
-        self.keys[layer][head] = np.concatenate([k, k_row])
-        self.values[layer][head] = np.concatenate([v, v_row])
+    def decode_append(self, layer: int, h_k, h_v) -> None:
+        """:meth:`CompressedKVCache.decode_append`'s contract, uncompressed; a
+        layer not holding K and V of one head_dim in every head also raises."""
+        keys = self.keys[require_index("layer", layer, len(self.keys))]
+        values = self.values[layer]
+        widths = {m.shape[1] for m in keys + values}
+        if len(values) != len(keys) or len(widths) != 1:
+            raise ContractViolation(f"layer {layer} must hold K and V of one head_dim for each head")
+        (head_dim,) = widths
+        k_row, v_row = append_rows(h_k, h_v, len(keys) * head_dim)
+        for head in range(len(keys)):
+            sl = slice(head * head_dim, (head + 1) * head_dim)
+            keys[head] = np.concatenate([keys[head], k_row[:, sl]])
+            values[head] = np.concatenate([values[head], v_row[:, sl]])
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
         """The stored K/V of (layer, head); an index that is not an integer inside
@@ -310,13 +332,15 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
 def _decode(model: Model, store, h) -> np.ndarray:
     """One decode step over ``store``, a :class:`CompressedKVCache` or :class:`DenseKV`.
 
-    In each layer every head appends the token's K/V rows first (so it
-    attends to itself). Then all heads attend at once over the store's
-    ``materialize_layer`` stacks: one stacked product for the scores, one
-    softmax over the ``(heads, rows)`` scores and one stacked product with
-    V, each head's result bit for bit what its own 2-D products give. A
-    store not shaped like the model, or an ``h`` not shaped ``(d_model,)``
-    or ``(1, d_model)``, raises ContractViolation before the first append.
+    In each layer one product with ``w_qkv`` gives the token's Q, K and V
+    rows for every head, and one ``decode_append`` stores all heads' K and V
+    (so each head attends to itself). Then all heads attend at once over the
+    store's ``materialize_layer`` stacks: one stacked product for the
+    scores, one softmax over the ``(heads, rows)`` scores and one stacked
+    product with V, each head's result bit for bit what its own 2-D products
+    give. A store not shaped like the model, or an ``h`` not shaped
+    ``(d_model,)`` or ``(1, d_model)``, raises ContractViolation before the
+    first append.
     """
     cfg = model.config
     want = (cfg.layers, cfg.heads, cfg.head_dim)
@@ -326,17 +350,13 @@ def _decode(model: Model, store, h) -> np.ndarray:
     if x.shape not in ((cfg.d_model,), (1, cfg.d_model)):
         raise ContractViolation(f"h must be shaped ({cfg.d_model},) or (1, {cfg.d_model}), got {x.shape}")
     x = x.reshape(1, cfg.d_model)
-    heads, head_dim = cfg.heads, cfg.head_dim
+    d, heads, head_dim = cfg.d_model, cfg.heads, cfg.head_dim
     scale = np.float32(1.0 / math.sqrt(head_dim))
     for layer, lw in enumerate(model.weights.layers):
-        q = matmul(x, lw.w_q)
-        k = matmul(x, lw.w_k)
-        v = matmul(x, lw.w_v)
-        for head in range(heads):
-            sl = slice(head * head_dim, (head + 1) * head_dim)
-            store.decode_append(layer, head, k[0, sl], v[0, sl])
+        qkv = matmul(x, lw.w_qkv)[0]
+        store.decode_append(layer, qkv[d : 2 * d], qkv[2 * d :])
         k_stack, v_stack = store.materialize_layer(layer)
-        scores = stacked_matmul(q.reshape(heads, 1, head_dim), k_stack.transpose(0, 2, 1))
+        scores = stacked_matmul(qkv[:d].reshape(heads, 1, head_dim), k_stack.transpose(0, 2, 1))
         probs = softmax_rows(scores.reshape(heads, -1) * scale)
         out = stacked_matmul(probs.reshape(heads, 1, -1), v_stack)
         x = x + matmul(out.reshape(1, cfg.d_model), lw.w_o)

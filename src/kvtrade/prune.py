@@ -87,7 +87,8 @@ class ScoreContext:
     the causal probabilities: query row i is a distribution over keys 0..i
     and exactly zero beyond. Statistics that break this contract (a row
     off 1 by more than 1e-5, weight past a row's diagonal, column sums that
-    are negative or do not total n) raise ContractViolation.
+    are negative or do not total n), or a ``seq_len`` that is not an
+    integer >= 1, raise ContractViolation.
     """
 
     column_sums: np.ndarray
@@ -95,7 +96,8 @@ class ScoreContext:
     seq_len: int
 
     def __post_init__(self) -> None:
-        n, sums, p = self.seq_len, self.column_sums, self.window_probs
+        n = require_int("seq_len", self.seq_len, 1)
+        sums, p = self.column_sums, self.window_probs
         if sums.shape != (n,) or p.ndim != 2 or p.shape[0] > n or p.shape[1] != n:
             raise ContractViolation(
                 f"statistics for n={n} need column sums of shape ({n},) and at most "

@@ -194,8 +194,9 @@ def recall_margin(model: Model, vocab: RecallVocab, seq_len: int) -> float:
 def per_head_decode(model: Model, store, h) -> np.ndarray:
     """One decode step over ``store`` (a cache or a ``DenseKV``), one head at a time.
 
-    Each head appends the token's K/V rows first (so it attends to itself),
-    then attends over the store's ``materialize`` output. A store not shaped
+    The token's Q, K and V come from three separate products; its K/V rows
+    are appended to every head first (so each attends to itself), then each
+    head attends over the store's ``materialize`` output. A store not shaped
     like the model, or an ``h`` not shaped ``(d_model,)`` or ``(1, d_model)``,
     raises ContractViolation before the first append.
     """
@@ -212,10 +213,10 @@ def per_head_decode(model: Model, store, h) -> np.ndarray:
         q = matmul(x, lw.w_q)
         k = matmul(x, lw.w_k)
         v = matmul(x, lw.w_v)
+        store.decode_append(layer, k, v)
         outs = []
         for head in range(cfg.heads):
             sl = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
-            store.decode_append(layer, head, k[0, sl], v[0, sl])
             k_mat, v_mat = store.materialize(layer, head)
             outs.append(matmul(softmax_rows(matmul(q[:, sl], k_mat.T) * scale), v_mat))
         x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)

@@ -11,7 +11,7 @@ from kvtrade.budget import plan_bytes
 from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.prune import PolicyConfig, PolicyKind
-from kvtrade.quant import Layout, dequantize_matrix
+from kvtrade.quant import Layout, dequantize_matrix, quantize_matrix
 from oracles import context_from_probs, uniform_plan
 
 
@@ -153,7 +153,7 @@ class TestDecodeAppend:
     def test_single_append_goes_to_residual(self):
         cache = self.make_cache()
         before = len(cache.entry(0, 0).quant_k)
-        cache.decode_append(0, 0, np.ones(8), np.ones(8))
+        cache.decode_append(0, np.ones(8), np.ones(8))
         e = cache.entry(0, 0)
         assert e.residual_k.shape[0] == 1
         assert len(e.quant_k) == before
@@ -162,7 +162,7 @@ class TestDecodeAppend:
         cache = self.make_cache(group=4)
         rng = np.random.default_rng(0)
         for _ in range(4):
-            cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
         e = cache.entry(0, 0)
         assert e.residual_k.shape[0] == 0
         assert len(e.quant_k) == 2  # prefill block + flushed block
@@ -172,7 +172,7 @@ class TestDecodeAppend:
         cache = self.make_cache(bits=16)
         row_k = np.linspace(-1, 1, 8).astype(np.float32)
         row_v = np.linspace(1, -1, 8).astype(np.float32)
-        cache.decode_append(0, 0, row_k, row_v)
+        cache.decode_append(0, row_k, row_v)
         k, v = cache.materialize(0, 0)
         assert np.array_equal(k[-1], row_k)
         assert np.array_equal(v[-1], row_v)
@@ -187,7 +187,7 @@ class TestDecodeAppend:
             rows_k.append(rng.normal(size=8).astype(np.float32))
             rows_v.append(rng.normal(size=8).astype(np.float32))
             before = cache.measured_bytes()
-            cache.decode_append(0, 0, rows_k[-1], rows_v[-1])
+            cache.decode_append(0, rows_k[-1], rows_v[-1])
             assert cache.measured_bytes() - before == 2 * 8 * 2
             assert cache.entry(0, 0).quant_k == [] and cache.entry(0, 0).quant_v == []
         k, v = cache.materialize(0, 0)
@@ -198,14 +198,14 @@ class TestDecodeAppend:
         cache = self.make_cache(group=4)
         rng = np.random.default_rng(1)
         for _ in range(19):
-            cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
             assert cache.entry(0, 0).residual_k.shape[0] < 4
 
     def test_positions_strictly_increasing(self):
         cache = self.make_cache(group=4, n=12)
         rng = np.random.default_rng(3)
         for _ in range(9):
-            cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
         pos = cache.entry(0, 0).positions
         assert pos == sorted(pos)
         assert len(set(pos)) == len(pos)
@@ -215,7 +215,7 @@ class TestDecodeAppend:
         cache = self.make_cache(group=4, layout=Layout.PER_CHANNEL)
         rng = np.random.default_rng(5)
         for _ in range(4):
-            cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
         block = cache.entry(0, 0).quant_k[-1]
         # one group of 4 tokens per channel
         assert block.lengths.tolist() == [4] * 8
@@ -229,7 +229,7 @@ class TestDecodeAppend:
         rng = np.random.default_rng(21)
         for step in range(4):  # fills one group, flushing the spike row
             row = spike if step == 0 else rng.normal(size=8).astype(np.float32)
-            cache.decode_append(0, 0, row, row)
+            cache.decode_append(0, row, row)
         e = cache.entry(0, 0)
         assert e.residual_k.shape[0] == 0
         assert e.quant_k[-1].outliers.tolist() == [(0, 3, 9.75)]
@@ -241,13 +241,13 @@ class TestDecodeAppend:
         base = len(cache.entry(0, 0).positions)
         rng = np.random.default_rng(6)
         for t in range(7):
-            cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
             assert len(cache.entry(0, 0).positions) == base + t + 1
 
     def test_wrong_width_rejected(self):
         cache = self.make_cache()
         with pytest.raises(ContractViolation):
-            cache.decode_append(0, 0, np.ones(5), np.ones(5))
+            cache.decode_append(0, np.ones(5), np.ones(5))
 
     @pytest.mark.parametrize("shape", [(2, 4), (8, 1), (1, 1, 8), (2, 8), (16,), ()])
     @pytest.mark.parametrize("side", ["k", "v"])
@@ -257,13 +257,13 @@ class TestDecodeAppend:
         before = dump_snapshot(cache)
         rows = (np.ones(shape), np.ones(8)) if side == "k" else (np.ones(8), np.ones(shape))
         with pytest.raises(ContractViolation, match="shaped"):
-            cache.decode_append(0, 0, *rows)
+            cache.decode_append(0, *rows)
         assert dump_snapshot(cache) == before
 
     def test_row_and_one_row_matrix_append_alike(self):
         flat, one_row = self.make_cache(), self.make_cache()
-        flat.decode_append(0, 0, np.arange(8.0), np.ones(8))
-        one_row.decode_append(0, 0, np.arange(8.0).reshape(1, 8), np.ones((1, 8)))
+        flat.decode_append(0, np.arange(8.0), np.ones(8))
+        one_row.decode_append(0, np.arange(8.0).reshape(1, 8), np.ones((1, 8)))
         assert dump_snapshot(flat) == dump_snapshot(one_row)
 
     @pytest.mark.parametrize("layer, head", [(-1, 0), (0, -1), (1, 0), (0, 1), (5, 5)])
@@ -271,8 +271,9 @@ class TestDecodeAppend:
         # a negative index must not wrap to the last layer or head
         cache = self.make_cache()
         before = dump_snapshot(cache)
-        with pytest.raises(ContractViolation, match="outside"):
-            cache.decode_append(layer, head, np.ones(8), np.ones(8))
+        if layer != 0:  # decode_append takes a layer only
+            with pytest.raises(ContractViolation, match="outside"):
+                cache.decode_append(layer, np.ones(8), np.ones(8))
         with pytest.raises(ContractViolation, match="outside"):
             cache.materialize(layer, head)
         assert dump_snapshot(cache) == before
@@ -284,13 +285,13 @@ class TestDecodeAppend:
         cache = self.make_cache(bits=bits)
         rng = np.random.default_rng(4)
         for _ in range(3):  # at 4 bits, the next append would flush
-            cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
         before = dump_snapshot(cache)
         row = np.ones(8)
         row[5] = bad
         rows = (row, np.ones(8)) if side == "k" else (np.ones(8), row)
         with pytest.raises(ContractViolation, match="finite"):
-            cache.decode_append(0, 0, *rows)
+            cache.decode_append(0, *rows)
         assert dump_snapshot(cache) == before
 
     @pytest.mark.parametrize("row", [["a"] * 8, np.array(["1.0"] * 8)], ids=["letters", "numeric_strings"])
@@ -301,7 +302,7 @@ class TestDecodeAppend:
         before = dump_snapshot(cache)
         rows = (row, np.ones(8)) if side == "k" else (np.ones(8), row)
         with pytest.raises(ContractViolation, match="append rows must hold numbers"):
-            cache.decode_append(0, 0, *rows)
+            cache.decode_append(0, *rows)
         assert dump_snapshot(cache) == before
 
     @pytest.mark.parametrize("big", [1e300, -1e300])
@@ -313,8 +314,76 @@ class TestDecodeAppend:
         row = np.ones(8)
         row[2] = big
         with pytest.raises(ContractViolation, match="finite"):
-            cache.decode_append(0, 0, row.tolist() if as_list else row, np.ones(8))
+            cache.decode_append(0, row.tolist() if as_list else row, np.ones(8))
         assert dump_snapshot(cache) == before
+
+
+class TestLayerAppend:
+    """One decode_append writes every head of a layer from one row, or no head at all."""
+
+    HEADS, HEAD_DIM = 3, 4
+    WIDTH = HEADS * HEAD_DIM
+
+    def make_cache(self, bits=4, layout=Layout.PER_TOKEN):
+        keys, values, ctxs = make_inputs(2, self.HEADS, 12, self.HEAD_DIM, seed=30)
+        plan = uniform_plan(2, 16, bits, heads=self.HEADS, head_dim=self.HEAD_DIM, group_size=4, layout=layout)
+        return prefill_compress(keys, values, ctxs, plan, STREAM4)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.ones(11), "shaped"),
+            (np.ones((3, 4)), "shaped"),
+            (np.r_[np.ones(11), np.nan], "finite"),
+            (np.array(["1.0"] * 12), "numbers"),
+        ],
+        ids=["one_short", "heads_by_head_dim", "nan_in_last_head", "strings"],
+    )
+    @pytest.mark.parametrize("bits", [4, 16])
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_bad_row_leaves_every_head_unchanged(self, side, bits, bad, match):
+        cache = self.make_cache(bits)
+        rng = np.random.default_rng(31)
+        for _ in range(3):  # at 4 bits, the next append would flush every head
+            cache.decode_append(1, rng.normal(size=self.WIDTH), rng.normal(size=self.WIDTH))
+        before = dump_snapshot(cache)
+        rows = (bad, np.ones(self.WIDTH)) if side == "k" else (np.ones(self.WIDTH), bad)
+        with pytest.raises(ContractViolation, match=match):
+            cache.decode_append(1, *rows)
+        assert dump_snapshot(cache) == before
+
+    @pytest.mark.parametrize("layout", list(Layout))
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_completing_a_group_adds_one_block_to_every_head(self, bits, layout):
+        cache = self.make_cache(bits, layout)
+        layer_0 = [cache.entry(0, head).clone() for head in range(self.HEADS)]
+        rng = np.random.default_rng(32)
+        rows = [rng.normal(size=(2, self.WIDTH)).astype(np.float32) for _ in range(4)]
+        for step, (k, v) in enumerate(rows):
+            blocks = [len(cache.entry(1, head).quant_k) for head in range(self.HEADS)]
+            cache.decode_append(1, k, v)
+            added = [len(cache.entry(1, head).quant_k) - n for head, n in enumerate(blocks)]
+            assert added == [int(step == 3)] * self.HEADS
+        k_cfg, v_cfg = cache.plan.quant_config(1)
+        for head in range(self.HEADS):
+            e = cache.entry(1, head)
+            assert len(e.quant_v) == len(e.quant_k) and e.residual_k.shape[0] == 0
+            # each head's block quantizes that head's slice of the four rows
+            sl = slice(head * self.HEAD_DIM, (head + 1) * self.HEAD_DIM)
+            for block, side, cfg in ((e.quant_k[-1], 0, k_cfg), (e.quant_v[-1], 1, v_cfg)):
+                expected = quantize_matrix(np.stack([pair[side][sl] for pair in rows]), cfg)
+                assert dequantize_matrix(block).tobytes() == dequantize_matrix(expected).tobytes()
+            assert cache.entry(0, head).positions == layer_0[head].positions
+            assert cache.entry(0, head).quant_k == layer_0[head].quant_k
+
+    def test_16bit_heads_take_their_slices_bit_for_bit(self):
+        cache = self.make_cache(16)
+        rng = np.random.default_rng(33)
+        k, v = rng.normal(size=(2, 1, self.WIDTH)).astype(np.float32)
+        cache.decode_append(1, k, v)
+        k_stack, v_stack = cache.materialize_layer(1)
+        assert np.array_equal(k_stack[:, -1], k.reshape(self.HEADS, self.HEAD_DIM))
+        assert np.array_equal(v_stack[:, -1], v.reshape(self.HEADS, self.HEAD_DIM))
 
 
 class TestMaterialize:
@@ -345,7 +414,7 @@ class TestMaterialize:
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
         rng = np.random.default_rng(10)
         for _ in range(appends):
-            cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
         e = cache.entry(0, 0)
         assert e.quant_k and e.residual_k.shape[0] == appends
         k, v = cache.materialize(0, 0)
@@ -376,7 +445,7 @@ class TestMeasuredBytes:
         plan = uniform_plan(1, 16, 4, heads=1, head_dim=8, group_size=64)
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
         before = cache.measured_bytes()
-        cache.decode_append(0, 0, np.ones(8), np.ones(8))
+        cache.decode_append(0, np.ones(8), np.ones(8))
         assert cache.measured_bytes() - before == 8 * 2 * 2
 
     def test_monotone_between_flushes(self):
@@ -389,7 +458,7 @@ class TestMeasuredBytes:
         rng = np.random.default_rng(12)
         last = cache.measured_bytes()
         for _ in range(10):
-            cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
             now = cache.measured_bytes()
             if cache.entry(0, 0).residual_k.shape[0] == 0:
                 # flush: 3 buffered fp16 rows (96 B across K and V) plus the
@@ -409,7 +478,7 @@ class TestMeasuredBytes:
         rng = np.random.default_rng(12)
         last = cache.measured_bytes()
         for _ in range(10):
-            cache.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
             now = cache.measured_bytes()
             assert now > last
             last = now
@@ -422,9 +491,8 @@ class TestSnapshot:
         cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=threshold), STREAM4)
         rng = np.random.default_rng(14)
         for layer in range(2):
-            for head in range(2):
-                for _ in range(5):
-                    cache.decode_append(layer, head, rng.normal(size=8), rng.normal(size=8))
+            for _ in range(5):
+                cache.decode_append(layer, rng.normal(size=16), rng.normal(size=16))
         return cache
 
     def test_round_trip(self):
@@ -467,8 +535,7 @@ class TestSnapshot:
         plan = uniform_plan(1, 12, 16, heads=2, head_dim=8)
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
         rng = np.random.default_rng(18)
-        for head in range(2):
-            cache.decode_append(0, head, rng.normal(size=8), rng.normal(size=8))
+        cache.decode_append(0, rng.normal(size=16), rng.normal(size=16))
         restored = load_snapshot(dump_snapshot(cache))
         for head in range(2):
             k1, v1 = cache.materialize(0, head)
@@ -586,6 +653,19 @@ class TestSnapshotRejects:
         with pytest.raises(IntegrityError, match="a quantized entry holds no prompt rows"):
             load_snapshot(_patched(blob, PREFILL_LEN_AT, "<I", 0))
 
+    @pytest.mark.parametrize("bits", [4, 16])
+    def test_heads_holding_different_row_counts_rejected(self, bits):
+        # decode appends to every head of a layer, so give one head a row directly
+        keys, values, ctxs = make_inputs(1, 2, 24, 8, seed=34)
+        plan = uniform_plan(1, 4, bits, heads=2, head_dim=8, group_size=8)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        e = cache.entry(0, 0)
+        e.positions.append(e.positions[-1] + 1)
+        e.residual_k = np.concatenate([e.residual_k, np.ones((1, 8), dtype=np.float32)])
+        e.residual_v = np.concatenate([e.residual_v, np.ones((1, 8), dtype=np.float32)])
+        with pytest.raises(IntegrityError, match=r"layer 0's heads hold different row counts \[\d+, \d+\]"):
+            load_snapshot(dump_snapshot(cache))
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_residual_rejected(self, value):
         # a 16-bit head keeps every row in the residual: plan row, position
@@ -630,11 +710,11 @@ def _fuzz_snapshots() -> dict[str, bytes]:
     )
     rng = np.random.default_rng(23)
     for step in range(6):  # one flush plus two residual rows per head
-        for head in range(2):
-            row = rng.normal(size=8).astype(np.float32)
-            row[5] = -8.25 if step == 1 else row[5]  # a flushed decode outlier
-            quantized.decode_append(0, head, row, row)
-            full.decode_append(0, head, row, row)
+        row = rng.normal(size=16).astype(np.float32)
+        if step == 1:
+            row[[5, 13]] = -8.25  # a flushed decode outlier in each head
+        quantized.decode_append(0, row, row)
+        full.decode_append(0, row, row)
     e = quantized.entry(0, 0)
     assert len(e.quant_k) == 2 and e.residual_k.shape[0] == 2
     assert e.quant_k[0].outliers and e.quant_k[1].outliers
@@ -679,11 +759,15 @@ class TestSnapshotFuzz:
             cache = load_snapshot(_sealed(bytes(body)))
         except IntegrityError:
             return
+        row = np.ones(cache.heads * cache.head_dim)
         for layer in range(cache.plan.layers):
             for head in range(cache.heads):
                 k, v = cache.materialize(layer, head)
                 assert np.isfinite(k).all() and np.isfinite(v).all()
-                cache.decode_append(layer, head, np.ones(cache.head_dim), np.ones(cache.head_dim))
+            k, v = cache.materialize_layer(layer)
+            assert np.isfinite(k).all() and np.isfinite(v).all()
+            cache.decode_append(layer, row, row)
+            cache.materialize_layer(layer)
         load_snapshot(dump_snapshot(cache))
 
     @pytest.mark.parametrize("kind", sorted(FUZZ_SNAPSHOTS))
@@ -700,7 +784,7 @@ class TestClone:
         clone = cache.clone()
         rng = np.random.default_rng(16)
         for _ in range(6):
-            clone.decode_append(0, 0, rng.normal(size=8), rng.normal(size=8))
+            clone.decode_append(0, rng.normal(size=8), rng.normal(size=8))
         assert dump_snapshot(cache) == snapshot
         assert len(clone.entry(0, 0).positions) == len(cache.entry(0, 0).positions) + 6
 

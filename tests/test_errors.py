@@ -16,7 +16,7 @@ from kvtrade.budget import BudgetPlan, LayerOverride, plan_for_tokens, pyramid_a
 from kvtrade.cache import prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError, require_int
 from kvtrade.model import DenseKV, ModelConfig, RecallVocab, embed_token, prefill, random_model
-from kvtrade.prune import PolicyConfig, PolicyKind, decide, score_streaming, top_k_indices
+from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext, decide, score_streaming, top_k_indices
 from kvtrade.quant import Layout, QuantConfig, QuantizedTensor
 from kvtrade.sweep import ConfigError, SweepConfig, run_sweep
 from kvtrade.tasks import gen_probe_prompt, gen_recall_task
@@ -108,21 +108,21 @@ SETTINGS = [
     pytest.param(lambda v: run_sweep(TINY_SWEEP, parallel=v), "parallel", 1, (), id="run_sweep.parallel"),
     pytest.param(lambda v: score_streaming(v, 2, STREAM2), "n", 1, (40.5,), id="score_streaming.n"),
     pytest.param(lambda v: decide(STREAM2, None, v, 2), "n", 1, (40.5,), id="decide.n"),
+    pytest.param(lambda v: ScoreContext(np.ones(1), np.ones((1, 1), dtype=np.float32), v), "seq_len", 1,
+                 (4.0,), id="ScoreContext.seq_len"),
     pytest.param(lambda v: gen_recall_task(16, v, [], 0, VOCAB), "num_pairs", 0, (1.0,),
                  id="gen_recall_task.num_pairs"),
     pytest.param(lambda v: gen_probe_prompt(8, v, 0), "vocab_size", 1, (5.5,), id="gen_probe_prompt.vocab_size"),
     # indices: 1 is past the one layer and the one head
-    pytest.param(lambda v: tiny_cache().decode_append(v, 0, ROW, ROW), "layer", 0, (1,),
+    pytest.param(lambda v: tiny_cache().decode_append(v, ROW, ROW), "layer", 0, (1,),
                  id="CompressedKVCache.decode_append.layer"),
-    pytest.param(lambda v: tiny_cache().decode_append(0, v, ROW, ROW), "head", 0, (1,),
-                 id="CompressedKVCache.decode_append.head"),
     pytest.param(lambda v: tiny_cache().materialize(0, v), "head", 0, (1,), id="CompressedKVCache.materialize.head"),
     pytest.param(lambda v: tiny_cache().materialize_layer(v), "layer", 0, (1,),
                  id="CompressedKVCache.materialize_layer.layer"),
     pytest.param(lambda v: DenseKV.from_prefill(TINY_PREFILL).materialize(v, 0), "layer", 0, (1,),
                  id="DenseKV.materialize.layer"),
-    pytest.param(lambda v: DenseKV.from_prefill(TINY_PREFILL).decode_append(0, v, ROW, ROW), "head", 0, (1,),
-                 id="DenseKV.decode_append.head"),
+    pytest.param(lambda v: DenseKV.from_prefill(TINY_PREFILL).decode_append(v, ROW, ROW), "layer", 0, (1,),
+                 id="DenseKV.decode_append.layer"),
     pytest.param(lambda v: DenseKV.from_prefill(TINY_PREFILL).materialize_layer(v), "layer", 0, (1,),
                  id="DenseKV.materialize_layer.layer"),
 ]

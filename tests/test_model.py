@@ -763,6 +763,8 @@ class TestDecodeRejectsAMisfit:
         before = TestDenseKVRejects.state(dense)
         with pytest.raises(ContractViolation, match="store"):
             decode_step_dense(_model(1, 2, 4), dense, np.ones(4))
+        with pytest.raises(ContractViolation, match="one head_dim"):
+            dense.decode_append(0, np.ones(4), np.ones(4))
         assert TestDenseKVRejects.state(dense) == before
 
     @pytest.mark.parametrize("h", [np.ones(4), np.ones((1, 4))], ids=["row", "one_by_four"])
@@ -790,8 +792,9 @@ class TestDenseKVRejects:
         before = self.state(kv)
         with pytest.raises(ContractViolation, match="outside"):
             kv.materialize(layer, head)
-        with pytest.raises(ContractViolation, match="outside"):
-            kv.decode_append(layer, head, np.ones(4), np.ones(4))
+        if layer != 0:  # decode_append takes a layer only
+            with pytest.raises(ContractViolation, match="outside"):
+                kv.decode_append(layer, np.ones(4), np.ones(4))
         assert self.state(kv) == before
 
     @pytest.mark.parametrize("k_row, match", [
@@ -805,10 +808,45 @@ class TestDenseKVRejects:
         kv = self.make()
         before = self.state(kv)
         with pytest.raises(ContractViolation, match=match):
-            kv.decode_append(0, 0, k_row, np.ones(4))
+            kv.decode_append(0, k_row, np.ones(4))
         with pytest.raises(ContractViolation, match=match):
-            kv.decode_append(0, 0, np.ones(4), k_row)
+            kv.decode_append(0, np.ones(4), k_row)
         assert self.state(kv) == before
+
+    @pytest.mark.parametrize("bad, match", [
+        (np.ones(7), "shaped"),
+        (np.ones((2, 4)), "shaped"),
+        (np.r_[np.ones(7), np.nan], "finite"),
+    ], ids=["one_short", "heads_by_head_dim", "nan_in_last_head"])
+    def test_bad_layer_row_leaves_every_head_unchanged(self, bad, match):
+        kv = DenseKV.from_prefill(prefill(_model(1, 2, 8), [1, 2, 3]))
+        before = self.state(kv)
+        with pytest.raises(ContractViolation, match=match):
+            kv.decode_append(0, bad, np.ones(8))
+        with pytest.raises(ContractViolation, match=match):
+            kv.decode_append(0, np.ones(8), bad)
+        assert self.state(kv) == before
+
+
+class TestFusedProjection:
+    """Decode's one Q/K/V product gives the bits of three separate ones."""
+
+    def test_q_k_v_are_views_of_one_stored_matrix(self):
+        model = random_model(ModelConfig(2, 2, 8, 16, 32, seed=5))
+        for lw in model.weights.layers:
+            assert lw.w_qkv.shape == (8, 24)
+            for i, w in enumerate((lw.w_q, lw.w_k, lw.w_v)):
+                assert w.base is lw.w_qkv and np.array_equal(w, lw.w_qkv[:, 8 * i : 8 * (i + 1)])
+
+    @pytest.mark.parametrize("rows", [1, 5, 64])
+    @pytest.mark.parametrize("d_model", [4, 12, 32, 96])
+    def test_fused_and_view_products_match_contiguous_ones(self, d_model, rows):
+        lw = random_model(ModelConfig(1, 1, d_model, 8, 8, seed=d_model + rows)).weights.layers[0]
+        x = np.random.default_rng(rows).normal(size=(rows, d_model)).astype(np.float32)
+        separate = [matmul(x, np.ascontiguousarray(w)) for w in (lw.w_q, lw.w_k, lw.w_v)]
+        assert matmul(x, lw.w_qkv).tobytes() == np.concatenate(separate, axis=1).tobytes()
+        for w, product in zip((lw.w_q, lw.w_k, lw.w_v), separate):
+            assert matmul(x, w).tobytes() == product.tobytes()
 
 
 class TestStackedDecode:
@@ -867,8 +905,15 @@ class TestStackedDecode:
 
     @pytest.mark.parametrize("bits", [4, 16])
     def test_heads_holding_different_row_counts_rejected(self, bits):
-        for store in self.stores(bits):
-            store.decode_append(1, 0, np.ones(4), np.ones(4))
+        cache, dense = self.stores(bits)
+        # decode appends to every head of a layer, so give one head a row directly
+        e = cache.entry(1, 0)
+        e.positions.append(e.positions[-1] + 1)
+        e.residual_k = np.concatenate([e.residual_k, np.ones((1, 4), dtype=np.float32)])
+        e.residual_v = np.concatenate([e.residual_v, np.ones((1, 4), dtype=np.float32)])
+        for layer_kv in (dense.keys[1], dense.values[1]):
+            layer_kv[0] = np.concatenate([layer_kv[0], np.ones((1, 4), dtype=np.float32)])
+        for store in (cache, dense):
             store.materialize_layer(0)
             with pytest.raises(ContractViolation, match="layer 1's heads hold different row counts"):
                 store.materialize_layer(1)
