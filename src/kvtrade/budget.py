@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation, require_int
+from .errors import ContractViolation, is_number, require_int
 from .quant import SUPPORTED_BITS, Layout, QuantConfig, quantized_bytes_for_shape
 
 PLAN_BITS = (2, 4, 8, 16)
@@ -33,8 +33,9 @@ def preserves_budget(bits: int, tokens_multiplier: int) -> bool:
 
 
 def fp16_kv_bytes(tokens: int, heads: int, head_dim: int) -> int:
-    """Bytes of ``tokens`` K and V rows on ``heads`` heads stored at 16 bits."""
-    return 2 * heads * tokens * head_dim * BYTES_PER_FP16
+    """Bytes of ``tokens`` (>= 0) K and V rows on ``heads`` heads stored at 16 bits."""
+    tokens, heads = require_int("tokens", tokens, 0), require_int("heads", heads, 1)
+    return 2 * heads * tokens * require_int("head_dim", head_dim, 1) * BYTES_PER_FP16
 
 
 @dataclass(frozen=True)
@@ -115,15 +116,9 @@ def plan_for_tokens(
     outlier_threshold: float | None = None,
 ) -> BudgetPlan:
     """Plan with explicit per-layer token counts (pyramid allocations etc.)."""
-    counts = list(tokens_per_layer)
-    base_total = sum(counts) * bits // FULL_PRECISION_BITS
-    return BudgetPlan(
-        per_layer=tuple((t, bits) for t in counts),
-        group_size=group_size,
-        layout=layout,
-        total_budget_bytes=fp16_kv_bytes(base_total, heads, head_dim),
-        outlier_threshold=outlier_threshold,
-    )
+    plan = BudgetPlan(tuple((t, bits) for t in tokens_per_layer), group_size, layout, 0, outlier_threshold)
+    base_total = sum(t for t, _ in plan.per_layer) * bits // FULL_PRECISION_BITS
+    return replace(plan, total_budget_bytes=fp16_kv_bytes(base_total, heads, head_dim))
 
 
 def pyramid_allocation(
@@ -143,8 +138,8 @@ def pyramid_allocation(
     require_int("layers", layers, 1)
     require_int("total_tokens", total_tokens, 0)
     require_int("min_tokens", min_tokens, 0)
-    if not 0 < min_fraction <= 1:
-        raise ContractViolation("min_fraction must be in (0, 1]")
+    if not (is_number(min_fraction) and 0 < min_fraction <= 1):
+        raise ContractViolation(f"min_fraction must be a number in (0, 1], got {min_fraction!r}")
     if layers == 1:
         counts = [total_tokens]
     else:
@@ -172,8 +167,9 @@ def plan_bytes(plan: BudgetPlan, heads: int, head_dim: int) -> int:
 
     Quantized layers follow the group accounting of the quant module under
     the layer's ``quant_config``; 16-bit layers are charged by
-    :func:`fp16_kv_bytes`.
+    :func:`fp16_kv_bytes`. ``heads`` and ``head_dim`` must be integers >= 1.
     """
+    heads, head_dim = require_int("heads", heads, 1), require_int("head_dim", head_dim, 1)
     total = 0
     for layer, (tokens, _bits) in enumerate(plan.per_layer):
         cfgs = plan.quant_config(layer)

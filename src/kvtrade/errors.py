@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one check of an integer setting or index."""
+"""Exception types shared across the package, the one check of an integer setting or index,
+and the test of a real-valued setting."""
 
 import numpy as np
 
@@ -14,6 +15,11 @@ class IntegrityError(RuntimeError):
 def _is_int(value) -> bool:
     """A Python or numpy integer; a bool is not one."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A Python or numpy real number; a bool is not one."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
 def require_int(name: str, value, minimum: int) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cache import CompressedKVCache, Reader, append_rows
 from .errors import ContractViolation, IntegrityError, require_index, require_int
-from .tensor import Matrix, matmul, softmax_rows, stacked_matmul
+from .tensor import Matrix, matmul, softmax_rows
 
 # prefill's score for a future key: softmax gives it exactly 0 weight
 NEG_MASK = np.float32(-np.inf)
@@ -99,64 +99,54 @@ class PrefillResult:
     hidden: Matrix  # final-layer hidden states, n x d_model
 
 
+def _stack_dims(k, v) -> tuple[int, int] | None:
+    """(heads, head_dim) of a layer's K and V, or None unless both are 3-D float32 arrays of one shape."""
+    stacks = isinstance(k, np.ndarray) and isinstance(v, np.ndarray) and k.ndim == 3 and k.shape == v.shape
+    return (k.shape[0], k.shape[2]) if stacks and k.dtype == v.dtype == np.float32 else None
+
+
 @dataclass
 class DenseKV:
-    """Uncompressed per-layer/head K/V lists; the reference decode store."""
+    """The uncompressed reference decode store: per layer, one float32 ``(heads, rows, head_dim)``
+    stack for K and one for V, the form decode attends over. A stored stack is never written
+    in place; an append replaces the layer's arrays, so stacks read before it keep their rows."""
 
-    keys: list[list[Matrix]]
-    values: list[list[Matrix]]
+    keys: list[np.ndarray]
+    values: list[np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int, int] | None:
-        """(layers, heads, head_dim), or None when its matrices disagree on heads or width."""
-        rows = self.keys + self.values
-        heads, widths = {len(row) for row in rows}, {m.shape[1] for row in rows for m in row}
-        uniform = len(self.keys) == len(self.values) and len(heads) == len(widths) == 1
-        return (len(self.keys), *heads, *widths) if uniform else None
+        """(layers, heads, head_dim), or None unless every layer's K and V share it (:func:`_stack_dims`)."""
+        dims = {_stack_dims(k, v) for k, v in zip(self.keys, self.values)}
+        uniform = len(self.keys) == len(self.values) and len(dims) == 1 and None not in dims
+        return (len(self.keys), *dims.pop()) if uniform else None
 
     @classmethod
     def from_prefill(cls, result: PrefillResult) -> "DenseKV":
-        return cls(
-            keys=[[k.copy() for k in row] for row in result.keys],
-            values=[[v.copy() for v in row] for row in result.values],
-        )
+        return cls([np.stack(row) for row in result.keys], [np.stack(row) for row in result.values])
 
     def decode_append(self, layer: int, h_k, h_v) -> None:
         """:meth:`CompressedKVCache.decode_append`'s contract, uncompressed; a
-        layer not holding K and V of one head_dim in every head also raises."""
-        keys = self.keys[require_index("layer", layer, len(self.keys))]
-        values = self.values[layer]
-        widths = {m.shape[1] for m in keys + values}
-        if len(values) != len(keys) or len(widths) != 1:
-            raise ContractViolation(f"layer {layer} must hold K and V of one head_dim for each head")
-        (head_dim,) = widths
-        k_row, v_row = append_rows(h_k, h_v, len(keys) * head_dim)
-        for head in range(len(keys)):
-            sl = slice(head * head_dim, (head + 1) * head_dim)
-            keys[head] = np.concatenate([keys[head], k_row[:, sl]])
-            values[head] = np.concatenate([values[head], v_row[:, sl]])
+        layer not holding K and V stacks of one shape also raises."""
+        k, v = self.materialize_layer(layer)
+        dims = _stack_dims(k, v)
+        if dims is None:
+            raise ContractViolation(f"layer {layer} must hold K and V as 3-D float32 stacks of one shape")
+        k_row, v_row = append_rows(h_k, h_v, dims[0] * dims[1])
+        self.keys[layer] = np.concatenate((k, k_row.reshape(dims[0], 1, dims[1])), axis=1)
+        self.values[layer] = np.concatenate((v, v_row.reshape(dims[0], 1, dims[1])), axis=1)
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
-        """The stored K/V of (layer, head); an index that is not an integer inside
-        the store (:func:`require_index`) raises ContractViolation."""
-        layer = require_index("layer", layer, len(self.keys))
-        head = require_index("head", head, len(self.keys[layer]))
-        return self.keys[layer][head], self.values[layer][head]
+        """The stored K/V of (layer, head), views of the layer's stacks."""
+        k, v = self.materialize_layer(layer)
+        head = require_index("head", head, len(k))
+        return k[head], v[head]
 
     def materialize_layer(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every head's K/V for ``layer``, stacked ``(heads, rows, head_dim)``.
-
-        A one-head layer returns a view of its matrices; callers must not
-        write to it. An index that is not an integer inside the store, or
-        heads that hold different row counts, raise ContractViolation.
-        """
-        keys = self.keys[require_index("layer", layer, len(self.keys))]
-        rows = {k.shape[0] for k in keys}
-        if len(rows) != 1:
-            raise ContractViolation(f"layer {layer}'s heads hold different row counts {sorted(rows)}")
-        if len(keys) == 1:
-            return keys[0][None], self.values[layer][0][None]
-        return np.stack(keys), np.stack(self.values[layer])
+        """The stored K/V stacks of ``layer``, uncopied (callers must not write to them);
+        an index that is not an integer inside the store raises ContractViolation."""
+        layer = require_index("layer", layer, len(self.keys))
+        return self.keys[layer], self.values[layer]
 
 
 def positional_encoding(length: int, d_model: int, offset: int = 0) -> Matrix:
@@ -211,9 +201,11 @@ _SLICE_ROWS = 64
 
 
 def _prompt_ids(model: Model, tokens) -> np.ndarray:
-    """``tokens`` as int64 ids: a prompt that fits the context, of integer dtype, in the vocabulary."""
+    """``tokens`` as int64 ids: a 1-D prompt that fits the context, of integer dtype, in the vocabulary."""
     cfg = model.config
-    ids = np.asarray(tokens).reshape(-1)
+    ids = np.asarray(tokens)
+    if ids.ndim != 1:
+        raise ContractViolation(f"a prompt must be 1-D and a token one id, got shape {ids.shape}")
     if ids.size == 0 or ids.size > cfg.context_limit:
         raise ContractViolation(f"prompt length {ids.size} outside (0, {cfg.context_limit}]")
     if ids.dtype.kind not in "iu":
@@ -335,10 +327,10 @@ def _decode(model: Model, store, h) -> np.ndarray:
     In each layer one product with ``w_qkv`` gives the token's Q, K and V
     rows for every head, and one ``decode_append`` stores all heads' K and V
     (so each head attends to itself). Then all heads attend at once over the
-    store's ``materialize_layer`` stacks: one stacked product for the
+    store's ``materialize_layer`` stacks: one stacked :func:`matmul` for the
     scores, one softmax over the ``(heads, rows)`` scores and one stacked
-    product with V, each head's result bit for bit what its own 2-D products
-    give. A store not shaped like the model, or an ``h`` not shaped
+    :func:`matmul` with V, each head's result bit for bit what its own 2-D
+    products give. A store not shaped like the model, or an ``h`` not shaped
     ``(d_model,)`` or ``(1, d_model)``, raises ContractViolation before the
     first append.
     """
@@ -356,9 +348,9 @@ def _decode(model: Model, store, h) -> np.ndarray:
         qkv = matmul(x, lw.w_qkv)[0]
         store.decode_append(layer, qkv[d : 2 * d], qkv[2 * d :])
         k_stack, v_stack = store.materialize_layer(layer)
-        scores = stacked_matmul(qkv[:d].reshape(heads, 1, head_dim), k_stack.transpose(0, 2, 1))
+        scores = matmul(qkv[:d].reshape(heads, 1, head_dim), k_stack.transpose(0, 2, 1))
         probs = softmax_rows(scores.reshape(heads, -1) * scale)
-        out = stacked_matmul(probs.reshape(heads, 1, -1), v_stack)
+        out = matmul(probs.reshape(heads, 1, -1), v_stack)
         x = x + matmul(out.reshape(1, cfg.d_model), lw.w_o)
     return matmul(x, model.weights.head)[0]
 
@@ -375,8 +367,8 @@ def decode_step_dense(model: Model, kv: DenseKV, h) -> np.ndarray:
 
 def embed_token(model: Model, token: int, position: int = 0) -> np.ndarray:
     """Embedding row for one token (plus positional term when enabled); a
-    token outside the vocabulary, or a position that is not an integer >= 0,
-    raises ContractViolation. A position may pass ``context_limit``: decode
+    token that is not one integer id inside the vocabulary, or a position
+    that is not an integer >= 0, raises ContractViolation. A position may pass ``context_limit``: decode
     continues past the prompt."""
     ids = _prompt_ids(model, [token])
     return _embed(model, ids, require_int("position", position, 0))[0]
@@ -435,7 +427,7 @@ def build_recall_model(num_pairs: int, seq_len: int, filler_vocab: int = 32) -> 
 
     ``d_model`` is ``4 * num_pairs``: the match, probe, payload and filler blocks.
     """
-    vocab = RecallVocab(num_pairs, filler_vocab)
+    vocab, seq_len = RecallVocab(num_pairs, filler_vocab), require_int("seq_len", seq_len, 1)
     m = num_pairs
     d_model = 4 * m
 

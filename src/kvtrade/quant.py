@@ -356,7 +356,9 @@ def quantized_bytes_for_shape(rows: int, cols: int, cfg: QuantConfig) -> int:
 
     Matches ``quantized_bytes(quantize_matrix(m, cfg))`` for any matrix of
     that shape whose elements all stay under the outlier threshold.
+    ``rows`` and ``cols`` must be integers >= 1.
     """
+    shape = require_int("rows", rows, 1), require_int("cols", cols, 1)
     no_outliers = np.empty(0, dtype=OUTLIER_DTYPE)
-    groups, nbytes = group_split((rows, cols), cfg.layout, cfg.group_size, cfg.bits, no_outliers)
+    groups, nbytes = group_split(shape, cfg.layout, cfg.group_size, cfg.bits, no_outliers)
     return nbytes + GROUP_METADATA_BYTES * groups

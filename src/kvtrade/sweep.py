@@ -45,7 +45,7 @@ from .budget import (
     pyramid_allocation,
 )
 from .cache import prefill_compress
-from .errors import ContractViolation, require_int
+from .errors import ContractViolation, is_number, require_int
 from .model import (
     DenseKV,
     Model,
@@ -184,8 +184,11 @@ class SweepConfig:
                     gen_recall_task(n, self.num_pairs, self.depths(), 0, vocab)
                 except ContractViolation as exc:
                     problems.append(f"recall task at seq_len {n}: {exc}")
-        if not 0 < self.pyramid_min_fraction <= 1:
-            problems.append("pyramid_min_fraction must be in (0, 1]")
+        if not (is_number(self.pyramid_min_fraction) and 0 < self.pyramid_min_fraction <= 1):
+            problems.append("pyramid_min_fraction must be a number in (0, 1], "
+                            f"got {self.pyramid_min_fraction!r}")
+        if not isinstance(self.paired_budget, (bool, np.bool_)):
+            problems.append(f"paired_budget must be True or False, got {self.paired_budget!r}")
         if problems:
             raise ConfigError("; ".join(problems))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, require_int
+from .errors import ContractViolation, is_number, require_int
 from .model import RecallVocab
 
 
@@ -69,8 +69,8 @@ def gen_recall_task(
     occupied: set[int] = set()
     queries: list[RecallQuery] = []
     for depth, pair in zip(depths, order):
-        if not 0.0 <= depth <= 1.0:
-            raise ContractViolation(f"depth {depth} outside [0, 1]")
+        if not (is_number(depth) and 0.0 <= depth <= 1.0):
+            raise ContractViolation(f"depth must be a number in [0, 1], got {depth!r}")
         pos = min(int(math.floor(depth * span)), span)
         while pos <= span and (pos in occupied or pos + 1 in occupied):
             pos += 1

@@ -2,11 +2,10 @@
 
 Everything downstream (quantization, eviction scoring, the attention-only
 model) works on plain 2-D ``numpy.float32`` arrays in row-major order.
-Batch size is fixed at 1 throughout. The cache stores multi-head state as
-explicit per-layer/per-head matrices; decode reads a layer's heads as
-``(heads, rows, head_dim)`` stacks and attends over all of them at once
-with :func:`stacked_matmul`, whose products equal :func:`matmul`'s head
-by head, bit for bit.
+Batch size is fixed at 1 throughout. Decode reads a layer's heads as
+``(heads, rows, head_dim)`` stacks and attends over all of them at once:
+:func:`matmul` takes two matrices or two equal stacks, and a stacked
+product equals the 2-D products head by head, bit for bit.
 
 Arithmetic runs in 32-bit floats. Storage *accounting* elsewhere still
 charges 16 bits per full-precision element; keeping the math in float32
@@ -37,39 +36,25 @@ def as_matrix(m, name: str) -> Matrix:
         return m.astype(np.float32)
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Standard matrix product a @ b.
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for two matrices (:func:`as_matrix`), or ``a[i] @ b[i]`` for every i
+    of two equal stacks, 3-D float32 arrays whose products equal the 2-D ones bit for bit.
 
-    Raises ContractViolation on an inner-dimension mismatch, or when the
-    product is not finite (an overflow raises, rather than warns). Repeated
-    calls on identical inputs are bit-identical within one environment.
+    Raises ContractViolation for other operands, on an inner-dimension mismatch,
+    or when the product is not finite (an overflow raises, rather than warns).
+    Repeated calls on identical inputs are bit-identical within one environment.
     """
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(
-            f"matmul dimension mismatch: {a.shape} x {b.shape}"
-        )
-    return _finite_product(a, b)
-
-
-def stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a[i] @ b[i]`` for every i of two equal stacks of float32 matrices.
-
-    Both operands must be 3-D float32 arrays holding the same number of
-    matrices, with ``a.shape[2] == b.shape[1]``; the rules are otherwise
-    :func:`matmul`'s, and each product equals ``matmul(a[i], b[i])``.
-    """
-    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.ndim == b.ndim == 3
-            and a.dtype == _FLOAT32 and b.dtype == _FLOAT32):
-        raise ContractViolation("stacked_matmul operands must be 3-D float32 arrays")
-    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-        raise ContractViolation(f"stacked_matmul dimension mismatch: {a.shape} x {b.shape}")
-    return _finite_product(a, b)
-
-
-def _finite_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``; a product that is not finite raises ContractViolation, with no warning first."""
+    if getattr(a, "ndim", 2) == 3:  # one getattr: the cheapest test that leaves a 2-D product no slower
+        if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and b.ndim == 3
+                and a.dtype is _FLOAT32 and b.dtype is _FLOAT32):
+            raise ContractViolation("a stacked matmul takes two 3-D float32 arrays")
+        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
+            raise ContractViolation(f"matmul dimension mismatch: {a.shape} x {b.shape}")
+    else:
+        a = as_matrix(a, "a")
+        b = as_matrix(b, "b")
+        if a.shape[1] != b.shape[0]:
+            raise ContractViolation(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
     if not np.isfinite(out).all():
@@ -82,13 +67,17 @@ def softmax_rows(m: Matrix) -> Matrix:
 
     Each output row sums to 1 within 1e-6; an all-equal row yields the
     uniform distribution. The accumulation runs in float64 and is cast
-    back to float32.
+    back to float32. An entry may be -inf (weight 0, prefill's mask); a row
+    whose maximum is not finite (NaN, +inf or all -inf) raises ContractViolation.
     """
     m = as_matrix(m, "m")
     if m.size == 0:
         raise ContractViolation("softmax_rows requires a nonempty matrix")
     x = m.astype(np.float64)
-    x -= x.max(axis=1, keepdims=True)
+    peaks = x.max(axis=1, keepdims=True)
+    if np.count_nonzero(np.isfinite(peaks)) < len(peaks):  # count_nonzero: cheaper than .all() here
+        raise ContractViolation("softmax_rows needs a finite maximum in every row")
+    x -= peaks
     # in place: one float64 temporary per call, which keeps prefill's blocks
     # reusing freed memory instead of faulting in fresh pages for each
     np.exp(x, out=x)

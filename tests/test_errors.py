@@ -12,12 +12,12 @@ below the store's count (``errors.require_index``).
 import numpy as np
 import pytest
 
-from kvtrade.budget import BudgetPlan, LayerOverride, plan_for_tokens, pyramid_allocation
+from kvtrade.budget import BudgetPlan, LayerOverride, fp16_kv_bytes, plan_bytes, plan_for_tokens, pyramid_allocation
 from kvtrade.cache import prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError, require_int
-from kvtrade.model import DenseKV, ModelConfig, RecallVocab, embed_token, prefill, random_model
+from kvtrade.model import DenseKV, ModelConfig, RecallVocab, build_recall_model, embed_token, prefill, random_model
 from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext, decide, score_streaming, top_k_indices
-from kvtrade.quant import Layout, QuantConfig, QuantizedTensor
+from kvtrade.quant import Layout, QuantConfig, QuantizedTensor, quantized_bytes_for_shape
 from kvtrade.sweep import ConfigError, SweepConfig, run_sweep
 from kvtrade.tasks import gen_probe_prompt, gen_recall_task
 
@@ -66,6 +66,11 @@ def plan(tokens, bits):
     return BudgetPlan(((tokens, bits),), 4, Layout.PER_TOKEN, 0)
 
 
+def two_layer_plan():
+    """A 4-bit and a 16-bit layer: plan_bytes charges both kinds."""
+    return BudgetPlan(((4, 4), (4, 16)), 4, Layout.PER_TOKEN, 0)
+
+
 # (build, the name its messages use, its minimum, further values it rejects)
 SETTINGS = [
     *(pytest.param(model_config(name), name, 1, (1.5,), id=f"ModelConfig.{name}")
@@ -84,6 +89,19 @@ SETTINGS = [
     pytest.param(lambda v: plan(16, v), "bits", 2, (4.0,), id="BudgetPlan.bits"),
     pytest.param(lambda v: plan_for_tokens([v], 4, heads=1, head_dim=4, group_size=4), "tokens", 1,
                  (3.7,), id="plan_for_tokens.tokens"),
+    pytest.param(lambda v: plan_for_tokens([4], 4, v, 4), "heads", 1, (), id="plan_for_tokens.heads"),
+    pytest.param(lambda v: plan_for_tokens([4], 4, 1, v), "head_dim", 1, (), id="plan_for_tokens.head_dim"),
+    pytest.param(lambda v: plan_bytes(two_layer_plan(), v, 4), "heads", 1, (), id="plan_bytes.heads"),
+    pytest.param(lambda v: plan_bytes(two_layer_plan(), 1, v), "head_dim", 1, (), id="plan_bytes.head_dim"),
+    pytest.param(lambda v: quantized_bytes_for_shape(v, 4, QuantConfig(4, 4)), "rows", 1, (),
+                 id="quantized_bytes_for_shape.rows"),
+    pytest.param(lambda v: quantized_bytes_for_shape(4, v, QuantConfig(4, 4)), "cols", 1, (),
+                 id="quantized_bytes_for_shape.cols"),
+    # an empty residual holds 0 rows
+    pytest.param(lambda v: fp16_kv_bytes(v, 1, 4), "tokens", 0, (), id="fp16_kv_bytes.tokens"),
+    pytest.param(lambda v: fp16_kv_bytes(4, v, 4), "heads", 1, (), id="fp16_kv_bytes.heads"),
+    pytest.param(lambda v: fp16_kv_bytes(4, 1, v), "head_dim", 1, (), id="fp16_kv_bytes.head_dim"),
+    pytest.param(lambda v: build_recall_model(2, v), "seq_len", 1, (-5,), id="build_recall_model.seq_len"),
     pytest.param(lambda v: LayerOverride(v, 4, 1, 16), "start", 0, (), id="LayerOverride.start"),
     pytest.param(lambda v: LayerOverride(0, v, 1, 16), "end", 1, (), id="LayerOverride.end"),
     pytest.param(lambda v: LayerOverride(0, 1, v, 16), "tokens_multiplier", 1, (),
@@ -178,3 +196,31 @@ def test_require_int_returns_a_python_int(value):
 def test_require_int_names_the_setting_and_the_value():
     with pytest.raises(ContractViolation, match=r"^x must be an integer >= 1, got '2'$"):
         require_int("x", "2", 1)
+
+
+# settings that must be numbers: anything else raises the package's error, not a TypeError
+NON_NUMERIC = [
+    pytest.param(lambda v: gen_recall_task(16, 1, [v], 0, VOCAB), ContractViolation, "depth must be a number",
+                 id="gen_recall_task.depth"),
+    pytest.param(lambda v: pyramid_allocation(2, 10, v), ContractViolation, "min_fraction must be a number",
+                 id="pyramid_allocation.min_fraction"),
+    pytest.param(lambda v: SweepConfig(**SWEEP, pyramid_min_fraction=v), ConfigError,
+                 "pyramid_min_fraction must be a number", id="SweepConfig.pyramid_min_fraction"),
+    pytest.param(lambda v: SweepConfig(**SWEEP, needle_depths=(v,)), ConfigError, "depth must be a number",
+                 id="SweepConfig.needle_depths"),
+]
+
+
+@pytest.mark.parametrize("build, error, message", NON_NUMERIC)
+@pytest.mark.parametrize("value", ["a", None, True, complex(0.5, 0)], ids=["str", "None", "bool", "complex"])
+def test_non_numeric_setting_raises_the_package_error(build, error, message, value):
+    with pytest.raises(error, match=message):
+        build(value)
+    build(np.float32(0.5))
+
+
+@pytest.mark.parametrize("value", ["no", 0, None, np.int64(1)])
+def test_sweep_config_paired_budget_must_be_a_bool(value):
+    with pytest.raises(ConfigError, match=r"paired_budget must be True or False, got "):
+        SweepConfig(**{**SWEEP, "paired_budget": value})
+    assert SweepConfig(**{**SWEEP, "paired_budget": np.bool_(False)}).paired_budget == np.False_

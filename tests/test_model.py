@@ -699,6 +699,15 @@ class TestTokenIds:
         with pytest.raises(ContractViolation, match="token ids must be integers"):
             embed_token(self.model, tokens[-1])
 
+    @pytest.mark.parametrize("call", [lambda m: prefill(m, [[1, 2], [3, 4]]), lambda m: prefill(m, 5),
+                                      lambda m: prefill_kv0(m, [[1, 2]]), lambda m: embed_token(m, [1, 2]),
+                                      lambda m: embed_token(m, [3])],
+                             ids=["2-D prompt", "scalar prompt", "prefill_kv0 2-D", "two tokens", "token in a list"])
+    def test_prompt_is_1d_and_a_token_one_id(self, call):
+        # the ids are not flattened: a 2 x 2 prompt is not a 4-token one, nor [1, 2] token 1
+        with pytest.raises(ContractViolation, match="1-D"):
+            call(self.model)
+
     def test_empty_prompt_keeps_its_length_message(self):
         with pytest.raises(ContractViolation, match="prompt length 0"):
             prefill(self.model, [])
@@ -757,15 +766,18 @@ class TestDecodeRejectsAMisfit:
         self.check_rejected(_model(1, 1, 4), cache, dense, h, "shaped")
 
     def test_ragged_dense_store(self):
-        _, dense = self.stores(1, 2, 4)
-        dense.values[0][1] = np.ones((3, 4), dtype=np.float32)  # one head twice as wide
-        assert dense.shape is None
-        before = TestDenseKVRejects.state(dense)
-        with pytest.raises(ContractViolation, match="store"):
-            decode_step_dense(_model(1, 2, 4), dense, np.ones(4))
-        with pytest.raises(ContractViolation, match="one head_dim"):
-            dense.decode_append(0, np.ones(4), np.ones(4))
-        assert TestDenseKVRejects.state(dense) == before
+        # a layer whose K and V are not 3-D float32 stacks of one shape
+        for layer_v in (np.ones((2, 3, 4), dtype=np.float32), np.ones((2, 4, 2), dtype=np.float32),
+                        np.ones((2, 3, 2)), np.ones((3, 2), dtype=np.float32), [[[1.0] * 2] * 3] * 2):
+            _, dense = self.stores(1, 2, 4)
+            dense.values[0] = layer_v
+            assert dense.shape is None
+            before = TestDenseKVRejects.state(dense)
+            with pytest.raises(ContractViolation, match="store"):
+                decode_step_dense(_model(1, 2, 4), dense, np.ones(4))
+            with pytest.raises(ContractViolation, match="stacks of one shape"):
+                dense.decode_append(0, np.ones(4), np.ones(4))
+            assert TestDenseKVRejects.state(dense) == before
 
     @pytest.mark.parametrize("h", [np.ones(4), np.ones((1, 4))], ids=["row", "one_by_four"])
     def test_fitting_store_and_h_decode(self, h):
@@ -784,7 +796,7 @@ class TestDenseKVRejects:
 
     @staticmethod
     def state(kv):
-        return [m.tobytes() for row in kv.keys + kv.values for m in row]
+        return [(np.shape(m), np.asarray(m).tobytes()) for m in kv.keys + kv.values]
 
     @pytest.mark.parametrize("layer, head", [(-1, 0), (0, -1), (1, 0), (0, 1)])
     def test_index_outside_the_store(self, layer, head):
@@ -905,18 +917,16 @@ class TestStackedDecode:
 
     @pytest.mark.parametrize("bits", [4, 16])
     def test_heads_holding_different_row_counts_rejected(self, bits):
-        cache, dense = self.stores(bits)
+        # a dense layer is one stack, so only the cache can hold ragged heads
+        cache, _ = self.stores(bits)
         # decode appends to every head of a layer, so give one head a row directly
         e = cache.entry(1, 0)
         e.positions.append(e.positions[-1] + 1)
         e.residual_k = np.concatenate([e.residual_k, np.ones((1, 4), dtype=np.float32)])
         e.residual_v = np.concatenate([e.residual_v, np.ones((1, 4), dtype=np.float32)])
-        for layer_kv in (dense.keys[1], dense.values[1]):
-            layer_kv[0] = np.concatenate([layer_kv[0], np.ones((1, 4), dtype=np.float32)])
-        for store in (cache, dense):
-            store.materialize_layer(0)
-            with pytest.raises(ContractViolation, match="layer 1's heads hold different row counts"):
-                store.materialize_layer(1)
+        cache.materialize_layer(0)
+        with pytest.raises(ContractViolation, match="layer 1's heads hold different row counts"):
+            cache.materialize_layer(1)
 
     def test_one_head_layer_is_a_view(self):
         model = _model(1, 1, 4)
@@ -924,10 +934,26 @@ class TestStackedDecode:
         for bits in (4, 16):
             plan = plan_for_tokens([4], bits, 1, 4, group_size=4)
             cache = prefill_compress(res.keys, res.values, [[None]], plan, STREAM)
-            for store in (cache, DenseKV.from_prefill(res)):
-                k, v = store.materialize_layer(0)
-                k_0, v_0 = store.materialize(0, 0)
-                assert not (k.flags.owndata or v.flags.owndata)
-                assert self.same(k[0], k_0) and self.same(v[0], v_0)
-                # stored matrices come back uncopied: 16-bit residuals, the dense store
-                assert (bits == 4 and store is cache) or np.shares_memory(k, k_0)
+            k, v = cache.materialize_layer(0)
+            k_0, v_0 = cache.materialize(0, 0)
+            assert not (k.flags.owndata or v.flags.owndata)
+            assert self.same(k[0], k_0) and self.same(v[0], v_0)
+            # a 16-bit residual comes back uncopied
+            assert bits == 4 or np.shares_memory(k, k_0)
+        dense = DenseKV.from_prefill(res)
+        k, v = dense.materialize_layer(0)
+        assert k is dense.keys[0] and v is dense.values[0]
+        k_0, v_0 = dense.materialize(0, 0)
+        assert self.same(k[0], k_0) and self.same(v[0], v_0) and np.shares_memory(k, k_0)
+
+    def test_dense_stacks_read_before_an_append_are_unchanged_after_it(self):
+        model = _model(2, 2, 8)
+        dense = DenseKV.from_prefill(prefill(model, [1, 2, 3, 4, 5]))
+        read = [dense.materialize_layer(layer) for layer in range(2)] + [dense.materialize(1, 1)]
+        before = [(m.shape, m.tobytes()) for pair in read for m in pair]
+        decode_step_dense(model, dense, embed_token(model, 6, 5))
+        assert [(m.shape, m.tobytes()) for pair in read for m in pair] == before
+        for layer in range(2):
+            k, v = dense.materialize_layer(layer)
+            assert k.shape == v.shape == (2, 6, 4)
+            assert self.same(k[:, :5], read[layer][0]) and self.same(v[:, :5], read[layer][1])

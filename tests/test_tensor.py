@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kvtrade.errors import ContractViolation
-from kvtrade.tensor import concat_rows, matmul, softmax_rows, stacked_matmul
+from kvtrade.tensor import concat_rows, matmul, softmax_rows
 from oracles import matrix
 
 
@@ -45,6 +45,12 @@ class TestMatmul:
         with pytest.raises(ContractViolation):
             matmul(zeros(2, 3), zeros(2, 3))
 
+    @pytest.mark.parametrize("a", [np.ones(2, dtype=np.float32), [[1.0, 2.0]], np.array([["1", "2"]])],
+                             ids=["1-D", "list", "strings"])
+    def test_left_operand_not_a_2d_array_of_numbers_rejected(self, a):
+        with pytest.raises(ContractViolation, match="^a must"):
+            matmul(a, np.eye(2, dtype=np.float32))
+
     def test_overflowing_product_rejected(self):
         # finite float32 inputs whose product is past float32's range: under
         # filterwarnings = error, numpy must not warn before the check raises
@@ -59,6 +65,8 @@ class TestMatmul:
 
 
 class TestStackedMatmul:
+    """matmul of two equal stacks: each product is the 2-D one's, and any other pairing is rejected."""
+
     # (stack, rows, inner, cols); one-row products are decode's shape
     @pytest.mark.parametrize("shape", [(1, 1, 4, 9), (4, 1, 16, 33), (3, 5, 8, 2), (2, 1, 1, 1)])
     def test_each_product_is_matmul(self, shape):
@@ -68,7 +76,7 @@ class TestStackedMatmul:
         b = rng.normal(size=(stack, inner, cols)).astype(np.float32)
         keys = np.ascontiguousarray(b.transpose(0, 2, 1))  # decode multiplies by stored keys, transposed
         for right in (b, keys.transpose(0, 2, 1)):
-            out = stacked_matmul(a, right)
+            out = matmul(a, right)
             assert out.shape == (stack, rows, cols) and out.dtype == np.float32
             for i in range(stack):
                 assert out[i].tobytes() == matmul(a[i], right[i]).tobytes()
@@ -76,27 +84,28 @@ class TestStackedMatmul:
     @pytest.mark.parametrize("a, b, message", [
         (np.ones((2, 1, 4)), np.ones((3, 4, 5)), "mismatch"),
         (np.ones((2, 1, 4)), np.ones((2, 3, 5)), "mismatch"),
-        (np.ones((2, 4)), np.ones((2, 4, 5)), "3-D float32"),
-        (np.ones((1, 1, 2)), [[[1.0], [1.0]]], "3-D float32"),
-    ], ids=["stacks", "inner", "2-D", "list"])
+        (np.ones((2, 4)), np.ones((2, 4, 5)), "b must be a 2-D array"),
+        (np.ones((2, 1, 4)), np.ones((4, 5)), "two 3-D float32 arrays"),
+        (np.ones((1, 1, 2)), [[[1.0], [1.0]]], "two 3-D float32 arrays"),
+        ([[[1.0, 1.0]]], np.ones((1, 2, 1)), "a must be a 2-D array"),
+    ], ids=["stacks", "inner", "2-D", "3-D by 2-D", "list", "list by 3-D"])
     def test_misfit_operands_rejected(self, a, b, message):
-        a = np.asarray(a, dtype=np.float32)
-        b = b if isinstance(b, list) else np.asarray(b, dtype=np.float32)
+        a, b = (x if isinstance(x, list) else np.asarray(x, dtype=np.float32) for x in (a, b))
         with pytest.raises(ContractViolation, match=message):
-            stacked_matmul(a, b)
+            matmul(a, b)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
     def test_operands_not_float32_rejected(self, dtype):
         a, b = np.ones((2, 1, 4), dtype=np.float32), np.ones((2, 4, 3), dtype=np.float32)
         for args in ((a.astype(dtype), b), (a, b.astype(dtype))):
-            with pytest.raises(ContractViolation, match="3-D float32"):
-                stacked_matmul(*args)
+            with pytest.raises(ContractViolation, match="two 3-D float32 arrays"):
+                matmul(*args)
 
     def test_overflowing_product_rejected(self):
         # under filterwarnings = error a warning would pre-empt the check
         big = np.full((2, 1, 2), 1e30, dtype=np.float32)
         with pytest.raises(ContractViolation, match="non-finite elements"):
-            stacked_matmul(big, big.transpose(0, 2, 1))
+            matmul(big, big.transpose(0, 2, 1))
 
 
 class TestSoftmaxRows:
@@ -116,6 +125,22 @@ class TestSoftmaxRows:
     def test_empty_rejected(self):
         with pytest.raises(ContractViolation):
             softmax_rows(zeros(0, 3))
+
+    @pytest.mark.parametrize("row", [[0.0, np.nan], [np.nan, np.nan], [np.inf, 0.0], [-np.inf, np.inf],
+                                     [-np.inf, -np.inf], [1e300, 0.0]],
+                             ids=["nan", "all_nan", "+inf", "+inf_and_-inf", "all_-inf", "past_float32"])
+    def test_row_without_a_finite_maximum_rejected(self, row):
+        # float64 input: 1e300 becomes inf in float32, with no warning; the bad row last, then first
+        m = np.array([[0.0, 1.0], row])
+        for rows in (m, m[::-1]):
+            with pytest.raises(ContractViolation, match="finite maximum"):
+                softmax_rows(rows)
+
+    def test_minus_inf_entries_get_zero_weight(self):
+        # prefill masks future keys with -inf: softmax(-inf, 0, ln 3) = (0, 1, 3) / 4
+        out = softmax_rows(np.array([[-np.inf, 0.0, math.log(3.0)], [-np.inf, 5.0, -np.inf]], dtype=np.float32))
+        assert out[0, 0] == 0.0 and np.allclose(out[0], [0.0, 0.25, 0.75], atol=1e-7)
+        assert out[1].tolist() == [0.0, 1.0, 0.0]
 
     @given(finite_matrices())
     def test_rows_sum_to_one(self, m):
@@ -167,7 +192,8 @@ BAD_OPERANDS = {
     "strings": (np.array([["1", "2"], ["3", "4"]]), "must hold numbers"),
 }
 OPS = {
-    "matmul": lambda x: matmul(x, np.eye(2, dtype=np.float32)),
+    # the right operand: a 3-D left one asks for a stacked product (TestStackedMatmul)
+    "matmul": lambda x: matmul(np.eye(2, dtype=np.float32), x),
     "softmax_rows": softmax_rows,
     "concat_rows": lambda x: concat_rows(zeros(1, 2), x),
 }
