@@ -1,13 +1,16 @@
 """Compressed KV cache: prune at prefill, quantize the survivors, decode on top.
 
-Per (layer, head) the cache keeps one layout (KIVI's):
+The cache keeps one layout (KIVI's):
 
-* quantized blocks: one for the pruned prompt tokens, then one per flush;
-* a full-precision residual buffer after the blocks. Decode-time tokens
-  land here, and the residual is flushed into a new quantized block
-  whenever it reaches ``group_size`` rows (group-wise quantization needs
-  complete groups);
-* the original token positions of everything stored, in storage order.
+* per (layer, head), quantized blocks: one for the pruned prompt tokens,
+  then one per flush, and the original token positions of every stored
+  row, in storage order;
+* per layer, a full-precision residual after the blocks: one float32
+  ``(heads, rows, head_dim)`` stack for K and one for V, the form
+  ``DenseKV`` stores and decode attends over. Decode-time tokens land
+  here, and when a quantized layer's residual reaches ``group_size`` rows,
+  each head's slice is flushed into a new block of that head (group-wise
+  quantization needs complete groups).
 
 A 16-bit layer is the case where the residual is never flushed: it has no
 blocks and keeps every row, prompt and decode alike, in the residual.
@@ -16,10 +19,12 @@ Pruning decisions are made once, from full-precision prefill attention
 statistics (``ScoreContext``); decode-time tokens are appended and never
 evicted. Decode writes a layer at a time: ``decode_append`` takes the
 layer's K and V rows as its projection gives them, every head side by side
-``(heads * head_dim,)``, checks them once and appends each head's slice to
-that head's residual, so every head of a layer holds the same number of
-rows. Attention at decode runs over ``materialize_layer``'s output: every
-head of one layer, each head's rows as ``materialize`` gives them, stacked
+``(heads * head_dim,)``, checks them once and joins them to the residual
+stacks with one :func:`concat_rows` each, so every head of a layer holds
+the same number of rows. A residual stack is never written in place: an
+append or a flush replaces it, so clones share stacks as they share blocks.
+Attention at decode runs over ``materialize_layer``'s output: every head of
+one layer, each head's rows as ``materialize`` gives them, stacked
 ``(heads, rows, head_dim)``. Each immutable block is decoded once, on first
 use, and kept on the block (``dequantize_matrix``), so a decode step decodes
 only blocks it has not seen and joins them with the residual. This is a
@@ -57,7 +62,8 @@ from .tensor import Matrix, as_matrix, concat_rows
 
 @dataclass
 class LayerHeadCache:
-    """Stored K/V for one (layer, head): quantized blocks, then the full-precision residual.
+    """The quantized rows of one (layer, head); its full-precision rows are its
+    slice of the layer's residual stacks.
 
     ``positions`` lists the token position of every stored row, blocks
     first, in storage order (strictly increasing).
@@ -66,39 +72,23 @@ class LayerHeadCache:
     positions: list[int]
     quant_k: list[QuantizedTensor]
     quant_v: list[QuantizedTensor]
-    residual_k: Matrix
-    residual_v: Matrix
-
-    def flush(self, cfgs: tuple[QuantConfig, QuantConfig] | None) -> None:
-        """Quantize the residual into one new K and V block if the layer quantizes.
-
-        ``cfgs`` is the layer's ``BudgetPlan.quant_config``; None (16-bit)
-        keeps the rows in the residual.
-        """
-        if cfgs is None:
-            return
-        k_cfg, v_cfg = cfgs
-        self.quant_k.append(quantize_matrix(self.residual_k, k_cfg))
-        self.quant_v.append(quantize_matrix(self.residual_v, v_cfg))
-        self.residual_k = np.zeros((0, self.residual_k.shape[1]), dtype=np.float32)
-        self.residual_v = np.zeros((0, self.residual_v.shape[1]), dtype=np.float32)
-
-    def parts(self) -> tuple[list[Matrix], list[Matrix]]:
-        """The stored K and V rows in position order: each block decoded, then the residual."""
-        return (
-            [dequantize_matrix(q) for q in self.quant_k] + [self.residual_k],
-            [dequantize_matrix(q) for q in self.quant_v] + [self.residual_v],
-        )
 
     def clone(self) -> "LayerHeadCache":
         # QuantizedTensor blocks are immutable and can be shared
-        return LayerHeadCache(
-            positions=list(self.positions),
-            quant_k=list(self.quant_k),
-            quant_v=list(self.quant_v),
-            residual_k=self.residual_k.copy(),
-            residual_v=self.residual_v.copy(),
-        )
+        return LayerHeadCache(list(self.positions), list(self.quant_k), list(self.quant_v))
+
+
+def _empty_stack(heads: int, head_dim: int) -> np.ndarray:
+    return np.zeros((heads, 0, head_dim), dtype=np.float32)
+
+
+def _flush(row: list[LayerHeadCache], k, v, cfgs: tuple[QuantConfig, QuantConfig]) -> None:
+    """Quantize each head's rows of ``k`` and ``v`` (layer stacks, or lists of
+    one matrix per head) into one new block of that head."""
+    k_cfg, v_cfg = cfgs
+    for e, k_h, v_h in zip(row, k, v):
+        e.quant_k.append(quantize_matrix(k_h, k_cfg))
+        e.quant_v.append(quantize_matrix(v_h, v_cfg))
 
 
 def append_rows(h_k, h_v, width: int) -> tuple[Matrix, Matrix]:
@@ -125,13 +115,19 @@ def append_rows(h_k, h_v, width: int) -> tuple[Matrix, Matrix]:
 
 @dataclass
 class CompressedKVCache:
-    """All (layer, head) sub-caches under one plan."""
+    """All (layer, head) sub-caches under one plan, and each layer's residual stacks.
+
+    ``residual_k[layer]`` and ``residual_v[layer]`` are float32
+    ``(heads, rows, head_dim)`` arrays, never written in place.
+    """
 
     plan: BudgetPlan
     heads: int
     head_dim: int
     prefill_len: int
     entries: list[list[LayerHeadCache]]
+    residual_k: list[np.ndarray]
+    residual_v: list[np.ndarray]
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -146,12 +142,15 @@ class CompressedKVCache:
         ]
 
     def clone(self) -> "CompressedKVCache":
+        # residual stacks, like blocks, are replaced rather than written: shared
         return CompressedKVCache(
             plan=self.plan,
             heads=self.heads,
             head_dim=self.head_dim,
             prefill_len=self.prefill_len,
             entries=[[e.clone() for e in row] for row in self.entries],
+            residual_k=list(self.residual_k),
+            residual_v=list(self.residual_v),
         )
 
     def decode_append(self, layer: int, h_k, h_v) -> None:
@@ -159,77 +158,90 @@ class CompressedKVCache:
 
         ``h_k`` and ``h_v`` are the layer's K and V rows as the projection
         gives them: every head side by side, shaped ``(heads * head_dim,)``
-        or ``(1, heads * head_dim)``. Head h's slice lands in head h's
-        residual, and a residual of ``group_size`` rows is flushed into a
-        quantized block, except on 16-bit layers, which keep every row in the
-        residual. A layer index that is not an integer inside the cache, a row
-        of any other shape, values that are not numbers or not finite raise
-        ContractViolation before any head changes.
+        or ``(1, heads * head_dim)``. They join the layer's residual stacks,
+        one :func:`concat_rows` for K and one for V, each head's slice
+        becoming a row of that head. When a quantized layer's residual
+        reaches ``group_size`` rows, each head's slice is flushed into a new
+        block of that head and the residual starts empty; a 16-bit layer
+        keeps every row in the residual. A layer index that is not an
+        integer inside the cache, a row of any other shape, values that are
+        not numbers or not finite raise ContractViolation before any head
+        changes.
         """
-        row = self.entries[require_index("layer", layer, len(self.entries))]
-        k_row, v_row = append_rows(h_k, h_v, self.heads * self.head_dim)
-        for head, e in enumerate(row):
-            sl = slice(head * self.head_dim, (head + 1) * self.head_dim)
+        layer = require_index("layer", layer, len(self.entries))
+        heads, head_dim = self.heads, self.head_dim
+        k_row, v_row = append_rows(h_k, h_v, heads * head_dim)
+        k = concat_rows(self.residual_k[layer], k_row.reshape(heads, 1, head_dim))
+        v = concat_rows(self.residual_v[layer], v_row.reshape(heads, 1, head_dim))
+        row = self.entries[layer]
+        for e in row:
             # decode positions continue from the prompt length, one per append
             after_last = e.positions[-1] + 1 if e.positions else 0
             e.positions.append(max(self.prefill_len, after_last))
-            e.residual_k = concat_rows(e.residual_k, k_row[:, sl])
-            e.residual_v = concat_rows(e.residual_v, v_row[:, sl])
-            if e.residual_k.shape[0] == self.plan.group_size:
-                e.flush(self.plan.quant_config(layer))
+        if k.shape[1] == self.plan.group_size and (cfgs := self.plan.quant_config(layer)) is not None:
+            _flush(row, k, v, cfgs)
+            k = v = _empty_stack(heads, head_dim)
+        self.residual_k[layer], self.residual_v[layer] = k, v
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
         """Dequantized blocks followed by the residual, in position order.
 
         A layer with blocks returns new arrays, which callers may write to.
-        A layer without blocks (16-bit) returns its residual matrices
-        themselves, uncopied; callers must not write to them. An index that
-        is not an integer inside the cache raises ContractViolation.
+        A layer without blocks (16-bit) returns views of its residual
+        stacks, uncopied; callers must not write to them. An index that is
+        not an integer inside the cache raises ContractViolation.
         """
         e = self.entry(layer, head)
+        k, v = self.residual_k[layer][head], self.residual_v[layer][head]
         if not e.quant_k:
-            return e.residual_k, e.residual_v
-        k_parts, v_parts = e.parts()
-        return np.concatenate(k_parts, axis=0), np.concatenate(v_parts, axis=0)
+            return k, v
+        return (
+            np.concatenate([dequantize_matrix(q) for q in e.quant_k] + [k]),
+            np.concatenate([dequantize_matrix(q) for q in e.quant_v] + [v]),
+        )
 
     def materialize_layer(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Every head's :meth:`materialize` output for ``layer``, stacked ``(heads, rows, head_dim)``.
 
-        A one-head layer returns a view of ``materialize(layer, 0)``, so on a
-        16-bit layer callers must not write to it; otherwise every head's
-        parts are joined in one concatenation for K and one for V, into new
-        arrays. An index that is not an integer inside the cache, or heads
-        that hold different row counts, raise ContractViolation.
+        A layer without blocks (16-bit) returns its residual stacks
+        themselves, uncopied; callers must not write to them. Otherwise
+        every head's decoded blocks and residual slice are joined in one
+        concatenation for K and one for V, into new arrays. An index that
+        is not an integer inside the cache, or heads that hold different
+        row counts, raise ContractViolation.
         """
-        if self.heads == 1:
-            k, v = self.materialize(layer, 0)
-            return k[None], v[None]
-        row = self.entries[require_index("layer", layer, len(self.entries))]
+        layer = require_index("layer", layer, len(self.entries))
+        row = self.entries[layer]
         rows = {len(e.positions) for e in row}
         if len(rows) != 1:
             raise ContractViolation(f"layer {layer}'s heads hold different row counts {sorted(rows)}")
+        (n,) = rows
+        k, v = self.residual_k[layer], self.residual_v[layer]
+        if k.shape[1] == n:  # every row in the residual: no blocks
+            return k, v
         k_parts, v_parts = [], []
-        for e in row:
-            k, v = e.parts()
-            k_parts += k
-            v_parts += v
-        shape = (self.heads, rows.pop(), self.head_dim)
+        for e, k_h, v_h in zip(row, k, v):
+            k_parts += map(dequantize_matrix, e.quant_k)
+            k_parts.append(k_h)
+            v_parts += map(dequantize_matrix, e.quant_v)
+            v_parts.append(v_h)
+        shape = (self.heads, n, self.head_dim)
         return np.concatenate(k_parts).reshape(shape), np.concatenate(v_parts).reshape(shape)
 
-    def _entry_bytes(self, e: LayerHeadCache, block_bytes) -> int:
-        """One entry's bytes: fp16 residual K/V rows, plus ``block_bytes`` of each block."""
-        blocks = sum(block_bytes(q) for q in e.quant_k + e.quant_v)
-        return blocks + fp16_kv_bytes(e.residual_k.shape[0], 1, self.head_dim)
+    def _layer_bytes(self, layer: int, block_bytes) -> int:
+        """One layer's bytes: its fp16 residual K/V rows, plus ``block_bytes`` of each block."""
+        blocks = sum(block_bytes(q) for e in self.entries[layer] for q in e.quant_k + e.quant_v)
+        return blocks + fp16_kv_bytes(self.residual_k[layer].shape[1], self.heads, self.head_dim)
 
     def measured_bytes_per_layer(self) -> list[int]:
-        return [sum(self._entry_bytes(e, quantized_bytes) for e in row) for row in self.entries]
+        return [self._layer_bytes(layer, quantized_bytes) for layer in range(len(self.entries))]
 
     def measured_bytes(self) -> int:
         return sum(self.measured_bytes_per_layer())
 
     def payload_bytes(self) -> int:
         """Bytes with group metadata and outlier positions waived (codes + values only)."""
-        return sum(self._entry_bytes(e, tensor_payload_bytes) for row in self.entries for e in row)
+        return sum(self._layer_bytes(layer, tensor_payload_bytes) for layer in range(len(self.entries)))
 
 
 def prefill_compress(
@@ -242,8 +254,9 @@ def prefill_compress(
     """Prune every (layer, head) to its plan budget, then quantize the survivors.
 
     Scoring sees the full-precision prefill attention statistics in ``ctxs``;
-    gathered rows keep their temporal order. The gathered rows go to the residual,
-    which is flushed into the prompt block; 16-bit layers keep them there.
+    gathered rows keep their temporal order. A layer's gathered rows form its
+    residual stacks, which a quantized layer flushes into each head's prompt
+    block; 16-bit layers keep them there.
     ``keys``, ``values`` and ``ctxs`` must each hold the plan's layers, every
     layer the same number of heads (at least one), and every head a finite
     nonempty n x head_dim K and V array; anything else raises ContractViolation.
@@ -258,14 +271,16 @@ def prefill_compress(
     n, head_dim = shape
 
     entries: list[list[LayerHeadCache]] = []
+    residual_k: list[np.ndarray] = []
+    residual_v: list[np.ndarray] = []
     for layer in range(plan.layers):
         tokens, _ = plan.per_layer[layer]
         if tokens < policy.window:
             raise ContractViolation(
                 f"layer {layer} budget {tokens} below policy minimum {policy.window}"
             )
-        cfgs = plan.quant_config(layer)
         row: list[LayerHeadCache] = []
+        kept_k, kept_v = [], []
         for head in range(heads):
             k, v = (as_matrix(kv[layer][head], f"K/V at layer {layer} head {head}") for kv in (keys, values))
             if k.shape != (n, head_dim) or v.shape != (n, head_dim):
@@ -275,16 +290,18 @@ def prefill_compress(
             if not (np.isfinite(k).all() and np.isfinite(v).all()):
                 raise ContractViolation(f"K/V at layer {layer} head {head} must be finite")
             idx = list(decide(policy, ctxs[layer][head], n, tokens).retained)
-            entry = LayerHeadCache(
-                positions=idx,
-                quant_k=[],
-                quant_v=[],
-                residual_k=np.ascontiguousarray(k[idx, :]),
-                residual_v=np.ascontiguousarray(v[idx, :]),
-            )
-            entry.flush(cfgs)
-            row.append(entry)
+            row.append(LayerHeadCache(positions=idx, quant_k=[], quant_v=[]))
+            kept_k.append(k[idx, :])
+            kept_v.append(v[idx, :])
+        cfgs = plan.quant_config(layer)
+        if cfgs is None:
+            k, v = np.stack(kept_k), np.stack(kept_v)
+        else:  # the prompt blocks
+            _flush(row, kept_k, kept_v, cfgs)
+            k = v = _empty_stack(heads, head_dim)
         entries.append(row)
+        residual_k.append(k)
+        residual_v.append(v)
 
     return CompressedKVCache(
         plan=plan,
@@ -292,6 +309,8 @@ def prefill_compress(
         head_dim=head_dim,
         prefill_len=n,
         entries=entries,
+        residual_k=residual_k,
+        residual_v=residual_v,
     )
 
 
@@ -334,15 +353,15 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
         ),
         np.array(list(cache.plan.per_layer), dtype=_PLAN_TABLE).tobytes(),
     ]
-    for row in cache.entries:
-        for e in row:
+    for row, res_k, res_v in zip(cache.entries, cache.residual_k, cache.residual_v):
+        for e, k, v in zip(row, res_k, res_v):
             out.append(struct.pack("<I", len(e.positions)))
             out.append(np.asarray(e.positions, dtype="<u4").tobytes())
             for q in e.quant_k + e.quant_v:
                 table = np.rec.fromarrays([q.zero_points, q.scales], dtype=_GROUP_TABLE)
                 out += [struct.pack("<I", len(q.outliers)), q.outliers.tobytes()]
                 out += [table.tobytes(), q.packed_codes]
-            out.append(np.array([e.residual_k, e.residual_v], dtype="<f4").tobytes())
+            out.append(np.array([k, v], dtype="<f4").tobytes())
     body = b"".join(out)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -394,7 +413,8 @@ def _load_block(r: Reader, shape: tuple[int, int], cfg: QuantConfig) -> Quantize
     )
 
 
-def _load_entry(r: Reader, cfgs, head_dim: int, prefill_len: int) -> LayerHeadCache:
+def _load_entry(r: Reader, cfgs, head_dim: int, prefill_len: int) -> tuple[LayerHeadCache, np.ndarray]:
+    """One head's entry, and its residual K and V rows as one ``(2, rows, head_dim)`` array."""
     (n_pos,) = r.unpack("<I")
     positions = r.array("<u4", n_pos).astype(np.int64)
     if np.any(np.diff(positions) <= 0):
@@ -412,8 +432,7 @@ def _load_entry(r: Reader, cfgs, head_dim: int, prefill_len: int) -> LayerHeadCa
     residual = r.array("<f4", 2 * rest * head_dim).reshape(2, rest, head_dim)
     if not np.isfinite(residual).all():
         raise IntegrityError("residual values must be finite")
-    residual_k, residual_v = residual.astype(np.float32)
-    return LayerHeadCache(positions.tolist(), quant_k, quant_v, residual_k, residual_v)
+    return LayerHeadCache(positions.tolist(), quant_k, quant_v), residual
 
 
 def load_snapshot(data: bytes) -> CompressedKVCache:
@@ -458,15 +477,22 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
         total_budget_bytes=total_budget_bytes,
         outlier_threshold=None if np.isnan(threshold) else threshold,
     )
-    entries = []
+    if heads == 0:
+        raise IntegrityError("a snapshot must hold at least one head")
+    entries, residual_k, residual_v = [], [], []
     for layer in range(layers):
         cfgs = plan.quant_config(layer)
-        row = [_load_entry(r, cfgs, head_dim, prefill_len) for _ in range(heads)]
+        row, residuals = zip(*(_load_entry(r, cfgs, head_dim, prefill_len) for _ in range(heads)))
         # decode appends to every head of a layer at once, so heads never differ
         rows = {len(e.positions) for e in row}
         if len(rows) > 1:
             raise IntegrityError(f"layer {layer}'s heads hold different row counts {sorted(rows)}")
-        entries.append(row)
+        if len({res.shape for res in residuals}) > 1:
+            raise IntegrityError(f"layer {layer}'s heads hold different residual row counts")
+        k, v = np.stack(residuals, axis=1)  # each (heads, rows, head_dim)
+        entries.append(list(row))
+        residual_k.append(k)
+        residual_v.append(v)
     r.end()
 
     return CompressedKVCache(
@@ -475,4 +501,6 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
         head_dim=head_dim,
         prefill_len=prefill_len,
         entries=entries,
+        residual_k=residual_k,
+        residual_v=residual_v,
     )

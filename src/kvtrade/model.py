@@ -21,7 +21,7 @@ import numpy as np
 
 from .cache import CompressedKVCache, Reader, append_rows
 from .errors import ContractViolation, IntegrityError, require_index, require_int
-from .tensor import Matrix, matmul, softmax_rows
+from .tensor import Matrix, concat_rows, matmul, softmax_rows
 
 # prefill's score for a future key: softmax gives it exactly 0 weight
 NEG_MASK = np.float32(-np.inf)
@@ -133,8 +133,8 @@ class DenseKV:
         if dims is None:
             raise ContractViolation(f"layer {layer} must hold K and V as 3-D float32 stacks of one shape")
         k_row, v_row = append_rows(h_k, h_v, dims[0] * dims[1])
-        self.keys[layer] = np.concatenate((k, k_row.reshape(dims[0], 1, dims[1])), axis=1)
-        self.values[layer] = np.concatenate((v, v_row.reshape(dims[0], 1, dims[1])), axis=1)
+        self.keys[layer] = concat_rows(k, k_row.reshape(dims[0], 1, dims[1]))
+        self.values[layer] = concat_rows(v, v_row.reshape(dims[0], 1, dims[1]))
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
         """The stored K/V of (layer, head), views of the layer's stacks."""
@@ -203,7 +203,10 @@ _SLICE_ROWS = 64
 def _prompt_ids(model: Model, tokens) -> np.ndarray:
     """``tokens`` as int64 ids: a 1-D prompt that fits the context, of integer dtype, in the vocabulary."""
     cfg = model.config
-    ids = np.asarray(tokens)
+    try:
+        ids = np.asarray(tokens)
+    except ValueError:  # a ragged prompt, such as [[1, 2], [3]]
+        raise ContractViolation("a prompt must be 1-D and a token one id, got a ragged sequence") from None
     if ids.ndim != 1:
         raise ContractViolation(f"a prompt must be 1-D and a token one id, got shape {ids.shape}")
     if ids.size == 0 or ids.size > cfg.context_limit:

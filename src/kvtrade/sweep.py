@@ -130,13 +130,18 @@ class SweepConfig:
             problems.append(f"task must be recall or random_probe, got {self.task!r}")
         if self.model not in ("recall", "random"):
             problems.append(f"model must be recall or random, got {self.model!r}")
-        if self.task == "recall" and (self.model != "recall" or self.weights_file):
+        weights_file = self.weights_file
+        if not isinstance(weights_file, (str, os.PathLike)):
+            # open() would take an integer for a file descriptor
+            problems.append(f"weights_file must be a path, got {weights_file!r}")
+            weights_file = ""
+        if self.task == "recall" and (self.model != "recall" or weights_file):
             # the pair vocabulary cannot be reconstructed from a weights file
             problems.append("the recall task requires the built-in recall model")
         context_limit = layers = None  # unknown for an unreadable file; recall fits each seq_len
-        if self.weights_file:
+        if weights_file:
             try:
-                file_config = _load_weights_file(self.weights_file).config
+                file_config = _load_weights_file(weights_file).config
                 context_limit, layers = file_config.context_limit, file_config.layers
             except OSError:
                 pass  # reported when a point loads it

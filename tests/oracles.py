@@ -138,7 +138,7 @@ def quantization_logit_bound(model: Model, cache: CompressedKVCache, h) -> float
     k_mat, v_mat = cache.materialize(0, 0)
     e_k_parts = [error_bound_matrix(qt) for qt in entry.quant_k]
     e_v_parts = [error_bound_matrix(qt) for qt in entry.quant_v]
-    res_rows = entry.residual_k.shape[0] + 1  # residual + the appended query row
+    res_rows = cache.residual_k[0].shape[1] + 1  # residual + the appended query row
     zeros_tail = np.zeros((res_rows, cfg.d_model), dtype=np.float64)
     e_k = np.concatenate(e_k_parts + [zeros_tail], axis=0)[: k_mat.shape[0] + 1]
     e_v = np.concatenate(e_v_parts + [zeros_tail], axis=0)[: v_mat.shape[0] + 1]

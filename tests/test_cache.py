@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvtrade.budget import plan_bytes
+from kvtrade.budget import plan_bytes, plan_for_tokens
 from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.prune import PolicyConfig, PolicyKind
@@ -154,9 +154,8 @@ class TestDecodeAppend:
         cache = self.make_cache()
         before = len(cache.entry(0, 0).quant_k)
         cache.decode_append(0, np.ones(8), np.ones(8))
-        e = cache.entry(0, 0)
-        assert e.residual_k.shape[0] == 1
-        assert len(e.quant_k) == before
+        assert cache.residual_k[0].shape == cache.residual_v[0].shape == (1, 1, 8)
+        assert len(cache.entry(0, 0).quant_k) == before
 
     def test_flush_at_group_size(self):
         cache = self.make_cache(group=4)
@@ -164,7 +163,7 @@ class TestDecodeAppend:
         for _ in range(4):
             cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
         e = cache.entry(0, 0)
-        assert e.residual_k.shape[0] == 0
+        assert cache.residual_k[0].shape == cache.residual_v[0].shape == (1, 0, 8)
         assert len(e.quant_k) == 2  # prefill block + flushed block
         assert e.quant_k[-1].shape == (4, 8)
 
@@ -199,7 +198,7 @@ class TestDecodeAppend:
         rng = np.random.default_rng(1)
         for _ in range(19):
             cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-            assert cache.entry(0, 0).residual_k.shape[0] < 4
+            assert cache.residual_k[0].shape[1] < 4
 
     def test_positions_strictly_increasing(self):
         cache = self.make_cache(group=4, n=12)
@@ -231,7 +230,7 @@ class TestDecodeAppend:
             row = spike if step == 0 else rng.normal(size=8).astype(np.float32)
             cache.decode_append(0, row, row)
         e = cache.entry(0, 0)
-        assert e.residual_k.shape[0] == 0
+        assert cache.residual_k[0].shape[1] == 0
         assert e.quant_k[-1].outliers.tolist() == [(0, 3, 9.75)]
         k, _ = cache.materialize(0, 0)
         assert k[12, 3] == np.float32(9.75)
@@ -367,7 +366,7 @@ class TestLayerAppend:
         k_cfg, v_cfg = cache.plan.quant_config(1)
         for head in range(self.HEADS):
             e = cache.entry(1, head)
-            assert len(e.quant_v) == len(e.quant_k) and e.residual_k.shape[0] == 0
+            assert len(e.quant_v) == len(e.quant_k) and cache.residual_k[1].shape[1] == 0
             # each head's block quantizes that head's slice of the four rows
             sl = slice(head * self.HEAD_DIM, (head + 1) * self.HEAD_DIM)
             for block, side, cfg in ((e.quant_k[-1], 0, k_cfg), (e.quant_v[-1], 1, v_cfg)):
@@ -384,6 +383,44 @@ class TestLayerAppend:
         k_stack, v_stack = cache.materialize_layer(1)
         assert np.array_equal(k_stack[:, -1], k.reshape(self.HEADS, self.HEAD_DIM))
         assert np.array_equal(v_stack[:, -1], v.reshape(self.HEADS, self.HEAD_DIM))
+
+
+class TestResidualStacks:
+    """A layer's full-precision rows are one (heads, rows, head_dim) stack for K and one for V."""
+
+    HEAD_DIM, PROMPT, KEPT, APPENDS = 4, 12, 8, 11
+
+    # the oracle: each head's kept prompt rows, then its slice of every
+    # appended row; on a quantized layer the prompt rows and each full group
+    # are one block each, and the rest stays at full precision
+    @pytest.mark.parametrize("group_size", [1, 8])
+    @pytest.mark.parametrize("layout", list(Layout))
+    @pytest.mark.parametrize("bits", [16, 8, 4, 2])
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    def test_each_head_stores_its_slices(self, heads, bits, layout, group_size):
+        keys, values, ctxs = make_inputs(2, heads, self.PROMPT, self.HEAD_DIM, seed=heads + bits)
+        plan = plan_for_tokens([self.KEPT] * 2, bits, heads, self.HEAD_DIM, group_size, layout)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        rng = np.random.default_rng(group_size)
+        rows = rng.normal(size=(self.APPENDS, 2, heads * self.HEAD_DIM)).astype(np.float32)
+        for k, v in rows:
+            cache.decode_append(1, k, v)
+        cfgs = plan.quant_config(1) or (None, None)
+        full = 0 if bits == 16 else self.APPENDS // group_size * group_size
+        k_stack, v_stack = cache.materialize_layer(1)
+        for head in range(heads):
+            kept = cache.entry(1, head).positions[: self.KEPT]
+            appended = rows[:, :, head * self.HEAD_DIM : (head + 1) * self.HEAD_DIM]
+            for side, (prompt, cfg, stack) in enumerate(zip((keys, values), cfgs, (k_stack, v_stack))):
+                blocks = [prompt[1][head][kept]] + [appended[i : i + group_size, side] for i in range(0, full, group_size)]
+                decoded = blocks if cfg is None else [dequantize_matrix(quantize_matrix(b, cfg)) for b in blocks]
+                expected = np.concatenate(decoded + [appended[full:, side]])
+                assert cache.materialize(1, head)[side].tobytes() == expected.tobytes()
+                assert stack[head].tobytes() == expected.tobytes()
+        rest = self.KEPT + self.APPENDS if bits == 16 else self.APPENDS - full
+        assert cache.residual_k[1].shape == cache.residual_v[1].shape == (heads, rest, self.HEAD_DIM)
+        # layer 0 took no row
+        assert cache.residual_k[0].shape == (heads, self.KEPT if bits == 16 else 0, self.HEAD_DIM)
 
 
 class TestMaterialize:
@@ -416,7 +453,7 @@ class TestMaterialize:
         for _ in range(appends):
             cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
         e = cache.entry(0, 0)
-        assert e.quant_k and e.residual_k.shape[0] == appends
+        assert e.quant_k and cache.residual_k[0].shape[1] == appends
         k, v = cache.materialize(0, 0)
         expected = k.tobytes(), v.tobytes()
         k[:] = 7.0
@@ -460,7 +497,7 @@ class TestMeasuredBytes:
         for _ in range(10):
             cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
             now = cache.measured_bytes()
-            if cache.entry(0, 0).residual_k.shape[0] == 0:
+            if cache.residual_k[0].shape[1] == 0:
                 # flush: 3 buffered fp16 rows (96 B across K and V) plus the
                 # new row became one 4x8 4-bit block per matrix; each row
                 # packs as two groups of 4 codes (2 code bytes + 2 metadata)
@@ -545,7 +582,7 @@ class TestSnapshot:
 
 
 SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBdIq")
-LAYERS_AT, GROUP_SIZE_AT, LAYOUT_AT, THRESHOLD_AT, PREFILL_LEN_AT = 6, 14, 18, 19, 27
+LAYERS_AT, HEADS_AT, GROUP_SIZE_AT, LAYOUT_AT, THRESHOLD_AT, PREFILL_LEN_AT = 6, 8, 14, 18, 19, 27
 PLAN_TOKENS_AT, PLAN_BITS_AT = SNAPSHOT_HEADER, SNAPSHOT_HEADER + 4  # first layer's plan row
 
 
@@ -593,7 +630,7 @@ class TestSnapshotRejects:
         blob = dump_snapshot(cache)
         e = cache.entry(0, 0)
         assert struct.unpack_from("<IB", blob, PLAN_TOKENS_AT) == (16, 4)
-        assert len(e.positions) == 16 and len(e.quant_k) == 1 and e.residual_k.size == 0
+        assert len(e.positions) == 16 and len(e.quant_k) == 1 and cache.residual_k[0].size == 0
         # plan row, position count; then the K prompt block: outlier count,
         # two outliers, 16 groups (f64 zero, f64 scale), 16 * 4 code bytes
         at = {"positions": SNAPSHOT_HEADER + 5 + 4}
@@ -615,6 +652,7 @@ class TestSnapshotRejects:
             pytest.param(lambda b, at: _patched(b, PLAN_BITS_AT, "<B", 0), id="bits-0"),
             pytest.param(lambda b, at: _sealed(b[:-4] + b"\x00"), id="trailing-bytes"),
             pytest.param(lambda b, at: _patched(b, GROUP_SIZE_AT, "<I", 0), id="group-size-0"),
+            pytest.param(lambda b, at: _patched(b, HEADS_AT, "<H", 0), id="no-heads"),
             # the header alone, declaring no layers: no plan has zero layers
             pytest.param(
                 lambda b, at: _sealed(_patched(b, LAYERS_AT, "<H", 0)[:SNAPSHOT_HEADER]), id="zero-layers"
@@ -655,15 +693,37 @@ class TestSnapshotRejects:
 
     @pytest.mark.parametrize("bits", [4, 16])
     def test_heads_holding_different_row_counts_rejected(self, bits):
-        # decode appends to every head of a layer, so give one head a row directly
+        # decode appends to every head of a layer at once, so splice in head 1's
+        # entry from the snapshot of the same cache one append later
         keys, values, ctxs = make_inputs(1, 2, 24, 8, seed=34)
         plan = uniform_plan(1, 4, bits, heads=2, head_dim=8, group_size=8)
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        e = cache.entry(0, 0)
-        e.positions.append(e.positions[-1] + 1)
-        e.residual_k = np.concatenate([e.residual_k, np.ones((1, 8), dtype=np.float32)])
-        e.residual_v = np.concatenate([e.residual_v, np.ones((1, 8), dtype=np.float32)])
-        with pytest.raises(IntegrityError, match=r"layer 0's heads hold different row counts \[\d+, \d+\]"):
+        later = cache.clone()
+        later.decode_append(0, np.ones(16), np.ones(16))
+        start = SNAPSHOT_HEADER + 5  # after the one-layer plan table
+        now, then = (dump_snapshot(c)[:-4] for c in (cache, later))
+        # no outliers: both heads' entries in one snapshot take the same bytes
+        at_now, at_then = start + (len(now) - start) // 2, start + (len(then) - start) // 2
+        rows = len(cache.entry(0, 0).positions)
+        assert struct.unpack_from("<I", now, at_now)[0] == rows
+        assert struct.unpack_from("<I", then, at_then)[0] == rows + 1
+        blob = _sealed(now[:at_now] + then[at_then:])
+        with pytest.raises(IntegrityError, match=rf"layer 0's heads hold different row counts \[{rows}, {rows + 1}\]"):
+            load_snapshot(blob)
+
+    def test_heads_holding_different_residual_row_counts_rejected(self):
+        # 17 rows in each head, but head 1's positions frame 9 prompt rows and
+        # one flushed group, which leaves it no residual row beside head 0's one
+        keys, values, ctxs = make_inputs(1, 2, 24, 8, seed=35)
+        plan = uniform_plan(1, 4, 4, heads=2, head_dim=8, group_size=8)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        cache.decode_append(0, np.ones(16), np.ones(16))
+        e = cache.entry(0, 1)
+        assert len(e.positions) == 17 and cache.residual_k[0].shape == (2, 1, 8)
+        e.positions[:] = list(range(9)) + list(range(24, 32))
+        for blocks, cfg in ((e.quant_k, plan.quant_config(0)[0]), (e.quant_v, plan.quant_config(0)[1])):
+            blocks[:] = [quantize_matrix(np.ones((rows, 8)), cfg) for rows in (9, 8)]
+        with pytest.raises(IntegrityError, match="layer 0's heads hold different residual row counts"):
             load_snapshot(dump_snapshot(cache))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
@@ -716,9 +776,9 @@ def _fuzz_snapshots() -> dict[str, bytes]:
         quantized.decode_append(0, row, row)
         full.decode_append(0, row, row)
     e = quantized.entry(0, 0)
-    assert len(e.quant_k) == 2 and e.residual_k.shape[0] == 2
+    assert len(e.quant_k) == 2 and quantized.residual_k[0].shape == (2, 2, 8)
     assert e.quant_k[0].outliers and e.quant_k[1].outliers
-    assert not full.entry(0, 0).quant_k and full.entry(0, 0).residual_k.shape[0] == 12
+    assert not full.entry(0, 0).quant_k and full.residual_k[0].shape == (2, 12, 8)
     return {"4bit": dump_snapshot(quantized), "16bit": dump_snapshot(full)}
 
 

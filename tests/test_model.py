@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 import tempfile
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvtrade.budget import plan_for_tokens
-from kvtrade.cache import dump_snapshot, prefill_compress
+from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade import model as kvmodel
 from kvtrade.model import (
@@ -708,6 +709,14 @@ class TestTokenIds:
         with pytest.raises(ContractViolation, match="1-D"):
             call(self.model)
 
+    @pytest.mark.parametrize("call", [lambda m: prefill(m, [[1, 2], [3]]), lambda m: prefill(m, [1, [2]]),
+                                      lambda m: prefill_kv0(m, [[1, 2], [3]]), lambda m: embed_token(m, [1, [2]])],
+                             ids=["prefill rows", "prefill nested id", "prefill_kv0", "embed_token"])
+    def test_ragged_prompt_rejected(self, call):
+        # numpy cannot build an array of it and raises a bare ValueError
+        with pytest.raises(ContractViolation, match="1-D and a token one id, got a ragged sequence"):
+            call(self.model)
+
     def test_empty_prompt_keeps_its_length_message(self):
         with pytest.raises(ContractViolation, match="prompt length 0"):
             prefill(self.model, [])
@@ -919,16 +928,17 @@ class TestStackedDecode:
     def test_heads_holding_different_row_counts_rejected(self, bits):
         # a dense layer is one stack, so only the cache can hold ragged heads
         cache, _ = self.stores(bits)
-        # decode appends to every head of a layer, so give one head a row directly
+        # decode appends to every head of a layer at once, and a layer's
+        # residual is one stack, so give one head a position directly
         e = cache.entry(1, 0)
         e.positions.append(e.positions[-1] + 1)
-        e.residual_k = np.concatenate([e.residual_k, np.ones((1, 4), dtype=np.float32)])
-        e.residual_v = np.concatenate([e.residual_v, np.ones((1, 4), dtype=np.float32)])
         cache.materialize_layer(0)
         with pytest.raises(ContractViolation, match="layer 1's heads hold different row counts"):
             cache.materialize_layer(1)
 
     def test_one_head_layer_is_a_view(self):
+        # one head takes no path of its own: a 16-bit layer's stacks come back
+        # uncopied, and materialize gives views of them
         model = _model(1, 1, 4)
         res = prefill(model, [1, 2, 3])
         for bits in (4, 16):
@@ -936,10 +946,10 @@ class TestStackedDecode:
             cache = prefill_compress(res.keys, res.values, [[None]], plan, STREAM)
             k, v = cache.materialize_layer(0)
             k_0, v_0 = cache.materialize(0, 0)
-            assert not (k.flags.owndata or v.flags.owndata)
+            assert k.shape == v.shape == (1, 3, 4)
             assert self.same(k[0], k_0) and self.same(v[0], v_0)
-            # a 16-bit residual comes back uncopied
-            assert bits == 4 or np.shares_memory(k, k_0)
+            stored = k is cache.residual_k[0] and v is cache.residual_v[0]
+            assert stored == (bits == 16) and np.shares_memory(k, k_0) == (bits == 16)
         dense = DenseKV.from_prefill(res)
         k, v = dense.materialize_layer(0)
         assert k is dense.keys[0] and v is dense.values[0]
@@ -957,3 +967,50 @@ class TestStackedDecode:
             k, v = dense.materialize_layer(layer)
             assert k.shape == v.shape == (2, 6, 4)
             assert self.same(k[:, :5], read[layer][0]) and self.same(v[:, :5], read[layer][1])
+
+
+class TestResidualStacks:
+    """Decode over a cache whose full-precision rows are one K and one V stack per layer."""
+
+    PROMPT, KEPT, HEAD_DIM = 12, 8, 4
+    STEPS, RESTORE_AT = 10, 5
+
+    @staticmethod
+    def stored(arrays):
+        return [m.tobytes() for pair in arrays for m in pair]
+
+    # every bit width, layout and group size (1 flushes at every step, 8 once)
+    # on each (layers, heads) case
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_decode_across_flushes(self, layers, heads):
+        cases = itertools.product((16, 8, 4, 2), Layout, (1, 8))
+        for i, (bits, layout, group_size) in enumerate(cases):
+            seed = 100 * layers + 20 * heads + i
+            model = random_model(ModelConfig(layers, heads, heads * self.HEAD_DIM, 16, 64, seed))
+            prompt = gen_probe_prompt(self.PROMPT, 16, seed)
+            res = prefill(model, prompt)
+            plan = plan_for_tokens([self.KEPT] * layers, bits, heads, self.HEAD_DIM, group_size, layout)
+            cache = prefill_compress(res.keys, res.values, [[None] * heads] * layers, plan, STREAM)
+            reference, restored = cache.clone(), None
+            token = prompt[-1]
+            for step in range(self.STEPS):
+                if step == self.RESTORE_AT:
+                    restored = load_snapshot(dump_snapshot(cache))
+                h = embed_token(model, token, self.PROMPT + step)
+                held = [cache.materialize_layer(layer) for layer in range(layers)]
+                before = self.stored(held)
+                decode_step(model, cache.clone(), h)
+                assert self.stored(cache.materialize_layer(layer) for layer in range(layers)) == before
+                logits = decode_step(model, cache, h)
+                assert self.stored(held) == before  # stacks read before an append keep their rows
+                assert logits.tobytes() == per_head_decode(model, reference, h).tobytes()
+                if restored is not None:
+                    assert decode_step(model, restored, h).tobytes() == logits.tobytes()
+                token = int(np.argmax(logits))
+            assert dump_snapshot(restored) == dump_snapshot(cache)
+            blocks = 0 if bits == 16 else 1 + self.STEPS // group_size
+            rest = self.KEPT + self.STEPS if bits == 16 else self.STEPS % group_size
+            for layer in range(layers):
+                assert [len(cache.entry(layer, head).quant_k) for head in range(heads)] == [blocks] * heads
+                assert cache.residual_k[layer].shape == cache.residual_v[layer].shape == (heads, rest, self.HEAD_DIM)

@@ -527,6 +527,24 @@ class TestWeightsFile:
         with pytest.raises(ConfigError, match="^bad override '1-3@16x1': override range exceeds layer count$"):
             SweepConfig(**cfg, overrides=("none", "1-3@16x1"))
 
+    @pytest.mark.parametrize("kind", ["float", "file descriptor"])
+    def test_weights_file_that_is_not_a_path_rejected(self, tmp_path, kind):
+        # open() would take an integer for a file descriptor, read it and close it
+        from kvtrade.model import ModelConfig, random_model, save_weights
+
+        path = tmp_path / "model.bin"
+        save_weights(random_model(ModelConfig(1, 2, 16, 32, 64, seed=5)), path)
+        cfg = dict(task="random_probe", model="random", seq_lens=(24,), seeds=(0,),
+                   policies=("streaming_llm",), bits=(8,), token_multipliers=(2,), base_tokens=8,
+                   full_cache_tokens=24, probe_steps=2, recent_window=4)
+        assert SweepConfig(**cfg, weights_file=path).weights_file == path  # a path object is one
+        with open(path, "rb") as fh:
+            value = 3.5 if kind == "float" else fh.fileno()
+            assert value not in (0, 1, 2)
+            with pytest.raises(ConfigError, match=f"^weights_file must be a path, got {value}$"):
+                SweepConfig(**cfg, weights_file=value)
+            assert fh.read(4) == b"KVTW"  # the descriptor was neither read nor closed
+
     def test_recall_with_weights_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="recall"):
             SweepConfig(task="recall", model="recall", weights_file="w.bin")

@@ -177,6 +177,37 @@ class TestConcatRows:
             assert np.array_equal(out[a.shape[0] :], b)
 
 
+class TestStackedConcatRows:
+    """concat_rows of two stacks joins each head's rows; any other pairing is rejected."""
+
+    # (heads, rows of a, rows of b, cols); one appended row is decode's shape
+    @pytest.mark.parametrize("shape", [(1, 0, 1, 4), (4, 7, 1, 32), (3, 2, 5, 1)])
+    def test_each_head_is_concat_rows(self, shape):
+        heads, rows_a, rows_b, cols = shape
+        rng = np.random.default_rng(heads + rows_a)
+        a = rng.normal(size=(heads, rows_a, cols)).astype(np.float32)
+        b = rng.normal(size=(heads, rows_b, cols)).astype(np.float32)
+        out = concat_rows(a, b)
+        assert out.shape == (heads, rows_a + rows_b, cols) and out.dtype == np.float32
+        assert not (np.shares_memory(out, a) or np.shares_memory(out, b))
+        for h in range(heads):
+            assert out[h].tobytes() == concat_rows(a[h], b[h]).tobytes()
+
+    @pytest.mark.parametrize("a, b, message", [
+        ((2, 1, 4), (3, 1, 4), "stack mismatch"),
+        ((2, 1, 4), (2, 1, 5), "stack mismatch"),
+        ((2, 1, 4), (1, 4), "two 3-D float32 arrays"),
+        ((1, 1, 2), [[[1.0, 1.0]]], "two 3-D float32 arrays"),
+        ((2, 1, 4), np.ones((2, 1, 4)), "two 3-D float32 arrays"),
+        (np.ones((2, 1, 4), dtype=np.float16), (2, 1, 4), "two 3-D float32 arrays"),
+    ], ids=["heads", "cols", "3-D by 2-D", "list", "float64", "float16"])
+    def test_misfit_operands_rejected(self, a, b, message):
+        # a shape stands for a float32 array of ones
+        a, b = (np.ones(x, dtype=np.float32) if isinstance(x, tuple) else x for x in (a, b))
+        with pytest.raises(ContractViolation, match=message):
+            concat_rows(a, b)
+
+
 def test_matrix_rejects_non_finite():
     with pytest.raises(ContractViolation):
         matrix([[1.0, float("nan")]])
