@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Run the benchmark on two checkouts in alternating pairs and count the change's wins.
 
-    python scripts/bench_pairs.py --parent DIR --change DIR --workload W --pairs N [--seed S] [--seconds T]
+    python scripts/bench_pairs.py --parent DIR --change DIR --workload W --pairs N [--seed S]
 
 Each pair runs ``kvbench/run.py --trace 0`` once in each checkout, each run
 a new process in that checkout, for ``run_seconds`` of the change's
-BENCHMARK.json (or ``--seconds``). Pair i runs the parent first when i is
-even and the change first when it is odd, so neither side always meets the
-machine in the same state. For every metric the script prints each side's
-median and quartiles, the change's median against the parent's, and the
-pairs the change won (strictly better in the metric's direction); then it
-names every run whose csv or logits sha256 differs from the parent's first
-run, or that reported failures. It exits 1 if it named any.
+BENCHMARK.json. Pair i runs the parent first when i is even and the change
+first when it is odd, so neither side always meets the machine in the same
+state. For every metric the script prints each side's median and quartiles,
+the change's median against the parent's, and the pairs the change won
+(strictly better in the metric's direction); then it names every run whose
+csv or logits sha256 differs from the parent's first run, or that reported
+failures. It exits 1 if it named any.
 """
 
 from __future__ import annotations
@@ -102,14 +102,13 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, help="seconds per run (default: BENCHMARK.json's run_seconds)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     if args.workload not in {w["name"] for w in bench["workloads"]}:
         parser.error(f"--workload must be one of BENCHMARK.json's workloads, got {args.workload!r}")
-    seconds = bench["run_seconds"] if args.seconds is None else args.seconds
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}

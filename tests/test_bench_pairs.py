@@ -2,8 +2,6 @@
 
 import importlib.util
 import json
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -56,15 +54,14 @@ def test_differing_sha_and_failures_are_named():
 
 
 def test_one_pair_on_one_checkout_runs_clean():
-    proc = subprocess.run(
-        [sys.executable, str(SCRIPT), "--parent", str(ROOT), "--change", str(ROOT),
-         "--workload", "recall_tradeoff", "--pairs", "1", "--seconds", "0"],
-        capture_output=True, text=True, check=False,
-    )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    lines = proc.stdout.splitlines()
-    assert lines[0] == "recall_tradeoff, seed 0, 1 pairs of 0 s runs"
-    assert lines[1].split() == ["metric", "parent", "median", "[q1,", "q3]", "change", "median", "[q1,", "q3]",
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    parent = [bench_pairs.run_once(ROOT, "recall_tradeoff", 0, 0)]
+    change = [bench_pairs.run_once(ROOT, "recall_tradeoff", 0, 0)]
+    assert bench_pairs.problems(parent, change) == []
+    rows = bench_pairs.summary(parent, change, better)
+    assert sorted(r["metric"] for r in rows) == sorted(better)
+    lines = bench_pairs._table(rows).splitlines()
+    assert lines[0].split() == ["metric", "parent", "median", "[q1,", "q3]", "change", "median", "[q1,", "q3]",
                                 "change", "wins"]
-    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
-    assert sorted(line.split()[0] for line in lines[2:]) == sorted(names)
+    assert sorted(line.split()[0] for line in lines[1:]) == sorted(better)
