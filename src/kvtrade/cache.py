@@ -3,8 +3,7 @@
 The cache keeps one layout (KIVI's):
 
 * per (layer, head), quantized blocks: one for the pruned prompt tokens,
-  then one per flush, and the original token positions of every stored
-  row, in storage order;
+  then one per flush, and the prompt positions eviction kept;
 * per layer, a full-precision residual after the blocks: one float32
   ``(heads, rows, head_dim)`` stack for K and one for V, the form
   ``DenseKV`` stores and decode attends over. Decode-time tokens land
@@ -14,20 +13,23 @@ The cache keeps one layout (KIVI's):
 
 A 16-bit layer is the case where the residual is never flushed: it has no
 blocks and keeps every row, prompt and decode alike, in the residual.
+Every row after the kept prompt rows is a decode row, and its position is
+implied: the i-th decode row of a layer sits at ``prefill_len + i``.
 
 Pruning decisions are made once, from full-precision prefill attention
 statistics (``ScoreContext``); decode-time tokens are appended and never
 evicted. Decode writes a layer at a time: ``decode_append`` takes the
 layer's K and V rows as its projection gives them, every head side by side
 ``(heads * head_dim,)``, checks them once and joins them to the residual
-stacks with one :func:`concat_rows` each, so every head of a layer holds
-the same number of rows. A residual stack is never written in place: an
+stacks with one :func:`concat_rows` each. Eviction keeps as many prompt
+rows in every head and each append reaches every head, so every head of a
+layer holds as many rows. A residual stack is never written in place: an
 append or a flush replaces it, so clones share stacks as they share blocks.
 Attention at decode runs over ``materialize_layer``'s output: every head of
-one layer, each head's rows as ``materialize`` gives them, stacked
-``(heads, rows, head_dim)``. Each immutable block is decoded once, on first
-use, and kept on the block (``dequantize_matrix``), so a decode step decodes
-only blocks it has not seen and joins them with the residual. This is a
+one layer, stacked ``(heads, rows, head_dim)``; ``materialize`` is a view of
+one head of it. Each immutable block is decoded once, on first use, and
+kept on the block (``dequantize_matrix``), so a decode step decodes only
+blocks it has not seen and joins them with the residual. This is a
 correctness-first reference path with no fused kernels.
 
 A cache instance is single-writer per sequence: ``decode_append`` mutates
@@ -65,17 +67,18 @@ class LayerHeadCache:
     """The quantized rows of one (layer, head); its full-precision rows are its
     slice of the layer's residual stacks.
 
-    ``positions`` lists the token position of every stored row, blocks
-    first, in storage order (strictly increasing).
+    ``positions`` holds the prompt positions eviction kept, strictly
+    increasing: the positions of the first stored rows. Decode rows follow
+    them at implied positions (see the module docstring).
     """
 
-    positions: list[int]
+    positions: tuple[int, ...]
     quant_k: list[QuantizedTensor]
     quant_v: list[QuantizedTensor]
 
     def clone(self) -> "LayerHeadCache":
-        # QuantizedTensor blocks are immutable and can be shared
-        return LayerHeadCache(list(self.positions), list(self.quant_k), list(self.quant_v))
+        # the positions tuple and the QuantizedTensor blocks are immutable and can be shared
+        return LayerHeadCache(self.positions, list(self.quant_k), list(self.quant_v))
 
 
 def _empty_stack(heads: int, head_dim: int) -> np.ndarray:
@@ -173,51 +176,31 @@ class CompressedKVCache:
         k_row, v_row = append_rows(h_k, h_v, heads * head_dim)
         k = concat_rows(self.residual_k[layer], k_row.reshape(heads, 1, head_dim))
         v = concat_rows(self.residual_v[layer], v_row.reshape(heads, 1, head_dim))
-        row = self.entries[layer]
-        for e in row:
-            # decode positions continue from the prompt length, one per append
-            after_last = e.positions[-1] + 1 if e.positions else 0
-            e.positions.append(max(self.prefill_len, after_last))
         if k.shape[1] == self.plan.group_size and (cfgs := self.plan.quant_config(layer)) is not None:
-            _flush(row, k, v, cfgs)
+            _flush(self.entries[layer], k, v, cfgs)
             k = v = _empty_stack(heads, head_dim)
         self.residual_k[layer], self.residual_v[layer] = k, v
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
-        """Dequantized blocks followed by the residual, in position order.
-
-        A layer with blocks returns new arrays, which callers may write to.
-        A layer without blocks (16-bit) returns views of its residual
-        stacks, uncopied; callers must not write to them. An index that is
-        not an integer inside the cache raises ContractViolation.
-        """
-        e = self.entry(layer, head)
-        k, v = self.residual_k[layer][head], self.residual_v[layer][head]
-        if not e.quant_k:
-            return k, v
-        return (
-            np.concatenate([dequantize_matrix(q) for q in e.quant_k] + [k]),
-            np.concatenate([dequantize_matrix(q) for q in e.quant_v] + [v]),
-        )
+        """(layer, head)'s rows, views of :meth:`materialize_layer`'s stacks; an
+        index that is not an integer inside the cache raises ContractViolation."""
+        k, v = self.materialize_layer(layer)
+        head = require_index("head", head, self.heads)
+        return k[head], v[head]
 
     def materialize_layer(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every head's :meth:`materialize` output for ``layer``, stacked ``(heads, rows, head_dim)``.
+        """Every head's rows of ``layer`` in position order, stacked ``(heads, rows, head_dim)``.
 
         A layer without blocks (16-bit) returns its residual stacks
         themselves, uncopied; callers must not write to them. Otherwise
         every head's decoded blocks and residual slice are joined in one
         concatenation for K and one for V, into new arrays. An index that
-        is not an integer inside the cache, or heads that hold different
-        row counts, raise ContractViolation.
+        is not an integer inside the cache raises ContractViolation.
         """
         layer = require_index("layer", layer, len(self.entries))
         row = self.entries[layer]
-        rows = {len(e.positions) for e in row}
-        if len(rows) != 1:
-            raise ContractViolation(f"layer {layer}'s heads hold different row counts {sorted(rows)}")
-        (n,) = rows
         k, v = self.residual_k[layer], self.residual_v[layer]
-        if k.shape[1] == n:  # every row in the residual: no blocks
+        if not row[0].quant_k:  # a 16-bit layer: every row in the residual
             return k, v
         k_parts, v_parts = [], []
         for e, k_h, v_h in zip(row, k, v):
@@ -225,7 +208,7 @@ class CompressedKVCache:
             k_parts.append(k_h)
             v_parts += map(dequantize_matrix, e.quant_v)
             v_parts.append(v_h)
-        shape = (self.heads, n, self.head_dim)
+        shape = (self.heads, -1, self.head_dim)
         return np.concatenate(k_parts).reshape(shape), np.concatenate(v_parts).reshape(shape)
 
     def _layer_bytes(self, layer: int, block_bytes) -> int:
@@ -289,8 +272,9 @@ def prefill_compress(
                 )
             if not (np.isfinite(k).all() and np.isfinite(v).all()):
                 raise ContractViolation(f"K/V at layer {layer} head {head} must be finite")
-            idx = list(decide(policy, ctxs[layer][head], n, tokens).retained)
-            row.append(LayerHeadCache(positions=idx, quant_k=[], quant_v=[]))
+            kept = decide(policy, ctxs[layer][head], n, tokens).retained
+            row.append(LayerHeadCache(positions=kept, quant_k=[], quant_v=[]))
+            idx = list(kept)  # a tuple index would index one axis per item
             kept_k.append(k[idx, :])
             kept_v.append(v[idx, :])
         cfgs = plan.quant_config(layer)
@@ -327,6 +311,9 @@ def prefill_compress(
 # the flush rule fixes is stored: a quantized layer's first block holds the
 # positions below prefill_len, each later one group_size rows, the residual
 # the rest; a 16-bit layer has no blocks. quant.group_split sizes a block.
+# The positions are the kept prompt positions, then the implied decode
+# positions prefill_len, prefill_len + 1, ...; every head of a layer holds
+# as many of each.
 SNAPSHOT_MAGIC = b"KVSN"
 SNAPSHOT_VERSION = 4
 
@@ -355,8 +342,10 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
     ]
     for row, res_k, res_v in zip(cache.entries, cache.residual_k, cache.residual_v):
         for e, k, v in zip(row, res_k, res_v):
-            out.append(struct.pack("<I", len(e.positions)))
-            out.append(np.asarray(e.positions, dtype="<u4").tobytes())
+            decode_rows = sum(q.shape[0] for q in e.quant_k) + len(k) - len(e.positions)
+            positions = e.positions + tuple(range(cache.prefill_len, cache.prefill_len + decode_rows))
+            out.append(struct.pack("<I", len(positions)))
+            out.append(np.asarray(positions, dtype="<u4").tobytes())
             for q in e.quant_k + e.quant_v:
                 table = np.rec.fromarrays([q.zero_points, q.scales], dtype=_GROUP_TABLE)
                 out += [struct.pack("<I", len(q.outliers)), q.outliers.tobytes()]
@@ -413,33 +402,38 @@ def _load_block(r: Reader, shape: tuple[int, int], cfg: QuantConfig) -> Quantize
     )
 
 
-def _load_entry(r: Reader, cfgs, head_dim: int, prefill_len: int) -> tuple[LayerHeadCache, np.ndarray]:
-    """One head's entry, and its residual K and V rows as one ``(2, rows, head_dim)`` array."""
+def _load_entry(r: Reader, cfgs, head_dim: int, prefill_len: int) -> tuple[LayerHeadCache, int, np.ndarray]:
+    """One head's entry, its row count, and its residual K and V rows as one
+    ``(2, rows, head_dim)`` array."""
     (n_pos,) = r.unpack("<I")
     positions = r.array("<u4", n_pos).astype(np.int64)
     if np.any(np.diff(positions) <= 0):
         raise IntegrityError("entry positions are not strictly increasing")
+    prompt = int(np.searchsorted(positions, prefill_len))
     k_cfg, v_cfg = cfgs or (None, None)
     blocks = []  # rows per block: the prompt block, then one per flush
     if cfgs is not None:
-        prompt = int(np.searchsorted(positions, prefill_len))
         if prompt == 0:
             raise IntegrityError("a quantized entry holds no prompt rows")
         blocks = [prompt] + [k_cfg.group_size] * ((n_pos - prompt) // k_cfg.group_size)
+    if not np.array_equal(positions[prompt:], np.arange(prefill_len, prefill_len + n_pos - prompt)):
+        raise IntegrityError("decode positions must count up from prefill_len one at a time")
     quant_k = [_load_block(r, (rows, head_dim), k_cfg) for rows in blocks]
     quant_v = [_load_block(r, (rows, head_dim), v_cfg) for rows in blocks]
     rest = n_pos - sum(blocks)
     residual = r.array("<f4", 2 * rest * head_dim).reshape(2, rest, head_dim)
     if not np.isfinite(residual).all():
         raise IntegrityError("residual values must be finite")
-    return LayerHeadCache(positions.tolist(), quant_k, quant_v), residual
+    return LayerHeadCache(tuple(positions[:prompt].tolist()), quant_k, quant_v), n_pos, residual
 
 
 def load_snapshot(data: bytes) -> CompressedKVCache:
     """Rebuild a cache from :func:`dump_snapshot` output.
 
     Any input that is not a valid snapshot raises :class:`IntegrityError`,
-    among them a layer whose heads hold different row counts.
+    among them decode positions that do not count up from ``prefill_len``
+    one at a time, and a layer whose heads hold different numbers of rows
+    or of prompt rows.
     """
     try:
         return _load_snapshot(data)
@@ -482,13 +476,12 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
     entries, residual_k, residual_v = [], [], []
     for layer in range(layers):
         cfgs = plan.quant_config(layer)
-        row, residuals = zip(*(_load_entry(r, cfgs, head_dim, prefill_len) for _ in range(heads)))
-        # decode appends to every head of a layer at once, so heads never differ
-        rows = {len(e.positions) for e in row}
-        if len(rows) > 1:
-            raise IntegrityError(f"layer {layer}'s heads hold different row counts {sorted(rows)}")
-        if len({res.shape for res in residuals}) > 1:
-            raise IntegrityError(f"layer {layer}'s heads hold different residual row counts")
+        row, rows, residuals = zip(*(_load_entry(r, cfgs, head_dim, prefill_len) for _ in range(heads)))
+        # eviction keeps as many prompt rows in every head, and decode appends
+        # to every head of a layer at once, so heads never differ
+        for what, counts in (("row", set(rows)), ("prompt row", {len(e.positions) for e in row})):
+            if len(counts) > 1:
+                raise IntegrityError(f"layer {layer}'s heads hold different {what} counts {sorted(counts)}")
         k, v = np.stack(residuals, axis=1)  # each (heads, rows, head_dim)
         entries.append(list(row))
         residual_k.append(k)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cache import CompressedKVCache, Reader, append_rows
 from .errors import ContractViolation, IntegrityError, require_index, require_int
-from .tensor import Matrix, concat_rows, matmul, softmax_rows
+from .tensor import Matrix, as_matrix, concat_rows, matmul, softmax_rows
 
 # prefill's score for a future key: softmax gives it exactly 0 weight
 NEG_MASK = np.float32(-np.inf)
@@ -334,17 +334,17 @@ def _decode(model: Model, store, h) -> np.ndarray:
     scores, one softmax over the ``(heads, rows)`` scores and one stacked
     :func:`matmul` with V, each head's result bit for bit what its own 2-D
     products give. A store not shaped like the model, or an ``h`` not shaped
-    ``(d_model,)`` or ``(1, d_model)``, raises ContractViolation before the
-    first append.
+    ``(d_model,)`` or ``(1, d_model)`` or not holding numbers
+    (:func:`as_matrix`), raises ContractViolation before the first append.
     """
     cfg = model.config
     want = (cfg.layers, cfg.heads, cfg.head_dim)
     if store.shape != want:
         raise ContractViolation(f"store (layers, heads, head_dim) {store.shape} is not the model's {want}")
-    x = np.asarray(h, dtype=np.float32)
+    x = np.asarray(h)
     if x.shape not in ((cfg.d_model,), (1, cfg.d_model)):
         raise ContractViolation(f"h must be shaped ({cfg.d_model},) or (1, {cfg.d_model}), got {x.shape}")
-    x = x.reshape(1, cfg.d_model)
+    x = as_matrix(x.reshape(1, cfg.d_model), "h")
     d, heads, head_dim = cfg.d_model, cfg.heads, cfg.head_dim
     scale = np.float32(1.0 / math.sqrt(head_dim))
     for layer, lw in enumerate(model.weights.layers):

@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation, IntegrityError, require_int
+from .errors import ContractViolation, IntegrityError, is_number, require_int
 from .tensor import Matrix, as_matrix
 
 SUPPORTED_BITS = (2, 4, 8)
@@ -74,8 +74,9 @@ class QuantConfig:
         if not isinstance(self.layout, Layout):
             raise ContractViolation(f"layout must be a Layout member, got {self.layout!r}")
         # written so that NaN fails too
-        if self.outlier_threshold is not None and not self.outlier_threshold >= 0:
-            raise ContractViolation(f"outlier_threshold must be None or >= 0, got {self.outlier_threshold}")
+        t = self.outlier_threshold
+        if t is not None and not (is_number(t) and t >= 0):
+            raise ContractViolation(f"outlier_threshold must be None or a number >= 0, got {t!r}")
 
 
 @dataclass(frozen=True, eq=False)

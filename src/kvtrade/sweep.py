@@ -114,7 +114,10 @@ class SweepConfig:
     output: str = ""
 
     def __post_init__(self) -> None:
-        problems = []
+        problems = [f"{key} must be a tuple, got {getattr(self, key)!r}"
+                    for key in _TUPLE_KEYS if not isinstance(getattr(self, key), tuple)]
+        if problems:  # the checks below read every axis as a tuple
+            raise ConfigError("; ".join(problems))
 
         def ints(name: str, values, minimum: int) -> list[int]:
             """The integers >= ``minimum`` in ``values``, a tuple or one value; the rest are problems."""
@@ -135,6 +138,8 @@ class SweepConfig:
             # open() would take an integer for a file descriptor
             problems.append(f"weights_file must be a path, got {weights_file!r}")
             weights_file = ""
+        if not isinstance(self.output, (str, os.PathLike)):
+            problems.append(f"output must be a path, got {self.output!r}")
         if self.task == "recall" and (self.model != "recall" or weights_file):
             # the pair vocabulary cannot be reconstructed from a weights file
             problems.append("the recall task requires the built-in recall model")
@@ -295,7 +300,10 @@ _PARSERS = {
     tuple[float, ...]: _list_of(float),
     tuple[str, ...]: _list_of(str),
 }
-_FIELD_PARSERS = {key: _PARSERS[t] for key, t in typing.get_type_hints(SweepConfig).items()}
+_FIELD_TYPES = typing.get_type_hints(SweepConfig)
+_FIELD_PARSERS = {key: _PARSERS[t] for key, t in _FIELD_TYPES.items()}
+# the keys a SweepConfig must hold as tuples, however it is built
+_TUPLE_KEYS = [key for key, t in _FIELD_TYPES.items() if typing.get_origin(t) is tuple]
 
 
 def parse_config(text: str) -> SweepConfig:

@@ -3,10 +3,10 @@
 Everything downstream (quantization, eviction scoring, the attention-only
 model) works on plain 2-D ``numpy.float32`` arrays in row-major order.
 Batch size is fixed at 1 throughout. Decode stores and reads a layer's
-heads as ``(heads, rows, head_dim)`` stacks: :func:`concat_rows` appends to
-every head of a stack at once, and :func:`matmul` takes two matrices or two
-equal stacks, a stacked product equal to the 2-D products head by head, bit
-for bit.
+heads as ``(heads, rows, head_dim)`` stacks: :func:`concat_rows` joins two
+stacks, appending to every head at once, and :func:`matmul` takes two
+matrices or two equal stacks, a stacked product equal to the 2-D products
+head by head, bit for bit.
 
 Arithmetic runs in 32-bit floats. Storage *accounting* elsewhere still
 charges 16 bits per full-precision element; keeping the math in float32
@@ -85,28 +85,19 @@ def softmax_rows(m: Matrix) -> Matrix:
 
 
 def concat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack b's rows below a's: two matrices (:func:`as_matrix`) of one column
-    count, or two stacks, 3-D float32 arrays of one head count and width,
-    joined head by head along the row axis into a new stack.
+    """Stack b's rows below a's, head by head: two stacks, 3-D float32 arrays of
+    one head count and width, joined along the row axis into a new stack.
 
-    Other operands, or mismatched column or head counts, raise ContractViolation.
+    Other operands, or mismatched head counts or widths, raise ContractViolation.
     """
-    if getattr(a, "ndim", 2) == 3:  # matmul's test: a 2-D join is no slower for it
-        _require_stacks(a, b, "concat_rows")
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
-            raise ContractViolation(f"concat_rows stack mismatch: {a.shape} vs {b.shape}")
-        return np.concatenate((a, b), axis=1)
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[1]:
-        raise ContractViolation(
-            f"concat_rows column mismatch: {a.shape[1]} vs {b.shape[1]}"
-        )
-    return np.concatenate([a, b], axis=0)
+    _require_stacks(a, b, "concat_rows")
+    if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
+        raise ContractViolation(f"concat_rows stack mismatch: {a.shape} vs {b.shape}")
+    return np.concatenate((a, b), axis=1)
 
 
 def _require_stacks(a, b, op: str) -> None:
     """ContractViolation unless ``a`` and ``b`` are both 3-D float32 arrays."""
-    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and b.ndim == 3
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.ndim == b.ndim == 3
             and a.dtype is _FLOAT32 and b.dtype is _FLOAT32):
         raise ContractViolation(f"a stacked {op} takes two 3-D float32 arrays")

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 from dataclasses import replace
@@ -65,7 +66,7 @@ class TestPrefillCompress:
         keys, values, ctxs = make_inputs(1, 1, 10, 8)
         plan = uniform_plan(1, 6, 16, heads=1, head_dim=8)
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        assert cache.entry(0, 0).positions == [0, 1, 6, 7, 8, 9]
+        assert cache.entry(0, 0).positions == (0, 1, 6, 7, 8, 9)
         k, _ = cache.materialize(0, 0)
         assert np.array_equal(k, keys[0][0][[0, 1, 6, 7, 8, 9], :])
 
@@ -201,11 +202,18 @@ class TestDecodeAppend:
             assert cache.residual_k[0].shape[1] < 4
 
     def test_positions_strictly_increasing(self):
+        # an entry keeps its prompt positions; the snapshot writes the decode
+        # rows' positions after them, counting up from the prompt length
         cache = self.make_cache(group=4, n=12)
+        kept = cache.entry(0, 0).positions
         rng = np.random.default_rng(3)
         for _ in range(9):
             cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-        pos = cache.entry(0, 0).positions
+        assert cache.entry(0, 0).positions == kept
+        blob = dump_snapshot(cache)
+        (count,) = struct.unpack_from("<I", blob, SNAPSHOT_HEADER + 5)
+        pos = list(struct.unpack_from(f"<{count}I", blob, SNAPSHOT_HEADER + 9))
+        assert count == cache.materialize_layer(0)[0].shape[1] == len(kept) + 9
         assert pos == sorted(pos)
         assert len(set(pos)) == len(pos)
         assert pos[-9:] == list(range(12, 21))
@@ -241,7 +249,8 @@ class TestDecodeAppend:
         rng = np.random.default_rng(6)
         for t in range(7):
             cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-            assert len(cache.entry(0, 0).positions) == base + t + 1
+            k, v = cache.materialize_layer(0)
+            assert k.shape[1] == v.shape[1] == base + t + 1
 
     def test_wrong_width_rejected(self):
         cache = self.make_cache()
@@ -409,7 +418,8 @@ class TestResidualStacks:
         full = 0 if bits == 16 else self.APPENDS // group_size * group_size
         k_stack, v_stack = cache.materialize_layer(1)
         for head in range(heads):
-            kept = cache.entry(1, head).positions[: self.KEPT]
+            kept = list(cache.entry(1, head).positions)
+            assert len(kept) == self.KEPT
             appended = rows[:, :, head * self.HEAD_DIM : (head + 1) * self.HEAD_DIM]
             for side, (prompt, cfg, stack) in enumerate(zip((keys, values), cfgs, (k_stack, v_stack))):
                 blocks = [prompt[1][head][kept]] + [appended[i : i + group_size, side] for i in range(0, full, group_size)]
@@ -712,19 +722,39 @@ class TestSnapshotRejects:
             load_snapshot(blob)
 
     def test_heads_holding_different_residual_row_counts_rejected(self):
-        # 17 rows in each head, but head 1's positions frame 9 prompt rows and
-        # one flushed group, which leaves it no residual row beside head 0's one
+        # 17 rows in each head: head 0 from a cache that kept 9 prompt rows and
+        # flushed 8 decode rows, so no residual row, head 1 from one that kept
+        # 8 and holds one residual row beside its flushed group
         keys, values, ctxs = make_inputs(1, 2, 24, 8, seed=35)
-        plan = uniform_plan(1, 4, 4, heads=2, head_dim=8, group_size=8)
+        blobs = []
+        for kept in (9, 8):
+            plan = plan_for_tokens([kept], 4, heads=2, head_dim=8, group_size=8)
+            cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+            for _ in range(17 - kept):
+                cache.decode_append(0, np.ones(16), np.ones(16))
+            assert cache.residual_k[0].shape[1] == 9 - kept
+            blobs.append(dump_snapshot(cache)[:-4])
+        start = SNAPSHOT_HEADER + 5  # after the one-layer plan table
+        # no outliers: both heads' entries in one snapshot take the same bytes
+        at_9, at_8 = (start + (len(b) - start) // 2 for b in blobs)
+        for blob, at in zip(blobs, (at_9, at_8)):
+            assert struct.unpack_from("<I", blob, at)[0] == 17
+        blob = _sealed(blobs[0][:at_9] + blobs[1][at_8:])
+        with pytest.raises(IntegrityError, match=r"layer 0's heads hold different prompt row counts \[8, 9\]"):
+            load_snapshot(blob)
+
+    def test_decode_positions_with_a_gap_rejected(self):
+        # a decode row's position is implied by its index, so a gap is not a cache
+        keys, values, ctxs = make_inputs(1, 1, 24, 8, seed=36)
+        plan = uniform_plan(1, 4, 16, heads=1, head_dim=8, group_size=8)
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        cache.decode_append(0, np.ones(16), np.ones(16))
-        e = cache.entry(0, 1)
-        assert len(e.positions) == 17 and cache.residual_k[0].shape == (2, 1, 8)
-        e.positions[:] = list(range(9)) + list(range(24, 32))
-        for blocks, cfg in ((e.quant_k, plan.quant_config(0)[0]), (e.quant_v, plan.quant_config(0)[1])):
-            blocks[:] = [quantize_matrix(np.ones((rows, 8)), cfg) for rows in (9, 8)]
-        with pytest.raises(IntegrityError, match="layer 0's heads hold different residual row counts"):
-            load_snapshot(dump_snapshot(cache))
+        for _ in range(2):
+            cache.decode_append(0, np.ones(8), np.ones(8))
+        blob = dump_snapshot(cache)
+        last = SNAPSHOT_HEADER + 5 + 4 + 4 * 5  # plan row, position count, the sixth position
+        assert struct.unpack_from("<6I", blob, SNAPSHOT_HEADER + 9) == (20, 21, 22, 23, 24, 25)
+        with pytest.raises(IntegrityError, match="decode positions must count up from prefill_len"):
+            load_snapshot(_patched(blob, last, "<I", 26))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_residual_rejected(self, value):
@@ -834,6 +864,14 @@ class TestSnapshotFuzz:
     def test_unmutated_loads(self, kind):
         assert dump_snapshot(load_snapshot(FUZZ_SNAPSHOTS[kind])) == FUZZ_SNAPSHOTS[kind]
 
+    # version 4's bytes for both fixtures: a cache change that alters them is a format change
+    @pytest.mark.parametrize("kind, sha256", [
+        ("16bit", "d09e801f2f46138403944d08deb4595e8e40cc57cb0e1abd39f34f3abf3a8e40"),
+        ("4bit", "4789bc5d440a512285fced858610ade5d440768b7bf6f04b6bda40727afe5413"),
+    ])
+    def test_bytes_are_pinned(self, kind, sha256):
+        assert hashlib.sha256(FUZZ_SNAPSHOTS[kind]).hexdigest() == sha256
+
 
 class TestClone:
     def test_clone_isolates_decode(self):
@@ -846,7 +884,9 @@ class TestClone:
         for _ in range(6):
             clone.decode_append(0, rng.normal(size=8), rng.normal(size=8))
         assert dump_snapshot(cache) == snapshot
-        assert len(clone.entry(0, 0).positions) == len(cache.entry(0, 0).positions) + 6
+        rows = cache.materialize_layer(0)[0].shape[1]
+        assert clone.materialize_layer(0)[0].shape[1] == rows + 6
+        assert clone.entry(0, 0).positions is cache.entry(0, 0).positions
 
     def test_copies_of_a_decoded_cache_materialize_identically(self):
         cache = TestSnapshot().build()

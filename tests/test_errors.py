@@ -13,9 +13,19 @@ import numpy as np
 import pytest
 
 from kvtrade.budget import BudgetPlan, LayerOverride, fp16_kv_bytes, plan_bytes, plan_for_tokens, pyramid_allocation
-from kvtrade.cache import prefill_compress
+from kvtrade.cache import dump_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError, require_int
-from kvtrade.model import DenseKV, ModelConfig, RecallVocab, build_recall_model, embed_token, prefill, random_model
+from kvtrade.model import (
+    DenseKV,
+    ModelConfig,
+    RecallVocab,
+    build_recall_model,
+    decode_step,
+    decode_step_dense,
+    embed_token,
+    prefill,
+    random_model,
+)
 from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext, decide, score_streaming, top_k_indices
 from kvtrade.quant import Layout, QuantConfig, QuantizedTensor, quantized_bytes_for_shape
 from kvtrade.sweep import ConfigError, SweepConfig, run_sweep
@@ -224,3 +234,42 @@ def test_sweep_config_paired_budget_must_be_a_bool(value):
     with pytest.raises(ConfigError, match=r"paired_budget must be True or False, got "):
         SweepConfig(**{**SWEEP, "paired_budget": value})
     assert SweepConfig(**{**SWEEP, "paired_budget": np.bool_(False)}).paired_budget == np.False_
+
+
+# (decode, a fresh store of the tiny model, the store's stored bytes)
+DECODERS = {
+    "decode_step": (decode_step, tiny_cache, dump_snapshot),
+    "decode_step_dense": (decode_step_dense, lambda: DenseKV.from_prefill(TINY_PREFILL),
+                          lambda kv: [m.tobytes() for m in kv.keys + kv.values]),
+}
+
+
+# a decode step's input row must hold numbers: strings, numeric ones too, and
+# objects raise before the first append
+@pytest.mark.parametrize("h", [np.array(["1.0"] * 4), np.array(["a"] * 4), ["a"] * 4, np.ones(4, dtype=object)],
+                         ids=["numeric_strings", "letters", "list_of_letters", "objects"])
+@pytest.mark.parametrize("decoder", DECODERS.values(), ids=DECODERS)
+def test_decode_input_must_hold_numbers(decoder, h):
+    decode, make_store, stored = decoder
+    store = make_store()
+    before = stored(store)
+    with pytest.raises(ContractViolation, match="h must hold numbers"):
+        decode(TINY_MODEL, store, h)
+    assert stored(store) == before
+    decode(TINY_MODEL, store, np.ones(4))
+
+
+# outlier_threshold is a real-valued setting that may also be unset (None)
+THRESHOLD_BUILDS = {
+    "QuantConfig": lambda v: QuantConfig(4, 8, outlier_threshold=v),
+    "plan_for_tokens": lambda v: plan_for_tokens([8], 4, heads=1, head_dim=8, outlier_threshold=v),
+}
+
+
+@pytest.mark.parametrize("value", ["x", True, np.True_, complex(0.5, 0)], ids=["str", "bool", "numpy_bool", "complex"])
+@pytest.mark.parametrize("build", THRESHOLD_BUILDS.values(), ids=THRESHOLD_BUILDS)
+def test_outlier_threshold_must_be_a_number(build, value):
+    with pytest.raises(ContractViolation, match="outlier_threshold must be None or a number >= 0, got "):
+        build(value)
+    for fine in (None, 6, np.float32(6.0)):
+        build(fine)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, replace
 from types import SimpleNamespace
 
@@ -122,6 +123,22 @@ class TestConfigParsing:
     def test_validate_flags_configs_that_crash_or_mislead(self, kwargs, word):
         with pytest.raises(ConfigError, match=word):
             SweepConfig(**kwargs)
+
+    # each tuple-typed key given one value of its items, as a caller building a config in code might
+    @pytest.mark.parametrize("key, value", [
+        ("seq_lens", 64), ("seeds", 0), ("policies", "snapkv"), ("bits", 4), ("token_multipliers", 1),
+        ("group_sizes", 64), ("layouts", "per_token"), ("overrides", "none"), ("needle_depths", 0.5),
+        ("bits", [4, 8, 16]),
+    ])
+    def test_axis_that_is_not_a_tuple_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be a tuple, got {re.escape(repr(value))}$"):
+            SweepConfig(**{key: value})
+
+    @pytest.mark.parametrize("value", [5, 2.5, None, b"out.csv"])
+    def test_output_that_is_not_a_path_rejected(self, value, tmp_path):
+        with pytest.raises(ConfigError, match=rf"^output must be a path, got {re.escape(repr(value))}$"):
+            SweepConfig(output=value)
+        assert SweepConfig(output=tmp_path / "out.csv").output == tmp_path / "out.csv"
 
     def test_validate_flags_needles_with_no_slot_left(self):
         # both pairs ask for depth 1.0: the second has no slot after the first

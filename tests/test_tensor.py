@@ -149,36 +149,44 @@ class TestSoftmaxRows:
         assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-6
 
 
+def stack(heads):
+    """A float32 stack from nested lists, one ``rows x cols`` list per head."""
+    return np.array(heads, dtype=np.float32)
+
+
 class TestConcatRows:
+    """Joins of two stacks checked by hand."""
+
     def test_simple(self):
-        assert concat_rows(matrix([[1]]), matrix([[2]])).tolist() == [[1.0], [2.0]]
+        assert concat_rows(stack([[[1]]]), stack([[[2]]])).tolist() == [[[1.0], [2.0]]]
 
     def test_empty_prefix_is_identity(self):
-        m = matrix([[1, 2], [3, 4]])
-        assert np.array_equal(concat_rows(zeros(0, 2), m), m)
+        m = stack([[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+        assert np.array_equal(concat_rows(np.zeros((2, 0, 2), dtype=np.float32), m), m)
 
     def test_hand_stack(self):
-        out = concat_rows(matrix([[1, 2]]), matrix([[3, 4]]))
-        assert out.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        out = concat_rows(stack([[[1, 2]], [[5, 6]]]), stack([[[3, 4]], [[7, 8]]]))
+        assert out.tolist() == [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]]
 
     def test_column_mismatch(self):
-        with pytest.raises(ContractViolation):
-            concat_rows(zeros(1, 2), zeros(1, 3))
+        with pytest.raises(ContractViolation, match="stack mismatch"):
+            concat_rows(np.zeros((1, 1, 2), dtype=np.float32), np.zeros((1, 1, 3), dtype=np.float32))
 
     @given(finite_matrices(max_side=5), finite_matrices(max_side=5))
     def test_row_counts_add(self, a, b):
-        if a.shape[1] != b.shape[1]:
+        a, b = a[None], b[None]  # one-head stacks
+        if a.shape[2] != b.shape[2]:
             with pytest.raises(ContractViolation):
                 concat_rows(a, b)
         else:
             out = concat_rows(a, b)
-            assert out.shape[0] == a.shape[0] + b.shape[0]
-            assert np.array_equal(out[: a.shape[0]], a)
-            assert np.array_equal(out[a.shape[0] :], b)
+            assert out.shape[1] == a.shape[1] + b.shape[1]
+            assert np.array_equal(out[:, : a.shape[1]], a)
+            assert np.array_equal(out[:, a.shape[1] :], b)
 
 
 class TestStackedConcatRows:
-    """concat_rows of two stacks joins each head's rows; any other pairing is rejected."""
+    """concat_rows joins each head's rows of two stacks; any other pairing, two matrices too, is rejected."""
 
     # (heads, rows of a, rows of b, cols); one appended row is decode's shape
     @pytest.mark.parametrize("shape", [(1, 0, 1, 4), (4, 7, 1, 32), (3, 2, 5, 1)])
@@ -191,16 +199,17 @@ class TestStackedConcatRows:
         assert out.shape == (heads, rows_a + rows_b, cols) and out.dtype == np.float32
         assert not (np.shares_memory(out, a) or np.shares_memory(out, b))
         for h in range(heads):
-            assert out[h].tobytes() == concat_rows(a[h], b[h]).tobytes()
+            assert out[h].tobytes() == np.concatenate((a[h], b[h])).tobytes()
 
     @pytest.mark.parametrize("a, b, message", [
         ((2, 1, 4), (3, 1, 4), "stack mismatch"),
         ((2, 1, 4), (2, 1, 5), "stack mismatch"),
         ((2, 1, 4), (1, 4), "two 3-D float32 arrays"),
+        ((1, 4), (1, 4), "two 3-D float32 arrays"),
         ((1, 1, 2), [[[1.0, 1.0]]], "two 3-D float32 arrays"),
         ((2, 1, 4), np.ones((2, 1, 4)), "two 3-D float32 arrays"),
         (np.ones((2, 1, 4), dtype=np.float16), (2, 1, 4), "two 3-D float32 arrays"),
-    ], ids=["heads", "cols", "3-D by 2-D", "list", "float64", "float16"])
+    ], ids=["heads", "cols", "3-D by 2-D", "2-D", "list", "float64", "float16"])
     def test_misfit_operands_rejected(self, a, b, message):
         # a shape stands for a float32 array of ones
         a, b = (np.ones(x, dtype=np.float32) if isinstance(x, tuple) else x for x in (a, b))
@@ -226,7 +235,6 @@ OPS = {
     # the right operand: a 3-D left one asks for a stacked product (TestStackedMatmul)
     "matmul": lambda x: matmul(np.eye(2, dtype=np.float32), x),
     "softmax_rows": softmax_rows,
-    "concat_rows": lambda x: concat_rows(zeros(1, 2), x),
 }
 
 
@@ -243,6 +251,6 @@ def test_float64_operands_give_the_float32_result_of_their_cast():
     a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
     a32, b32 = a.astype(np.float32), b.astype(np.float32)
     for got, want in [(matmul(a, b), matmul(a32, b32)), (matmul(a32, b), matmul(a32, b32)),
-                      (softmax_rows(a), softmax_rows(a32)), (concat_rows(a, a32), concat_rows(a32, a32))]:
+                      (softmax_rows(a), softmax_rows(a32))]:
         assert got.dtype == np.float32
         assert got.tobytes() == want.tobytes()
