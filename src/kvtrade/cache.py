@@ -42,6 +42,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -102,7 +103,10 @@ def append_rows(h_k, h_v, width: int) -> tuple[Matrix, Matrix]:
     """
     rows = []
     for h in (h_k, h_v):
-        row = np.asarray(h)
+        try:
+            row = np.asarray(h)
+        except ValueError:  # a ragged row, such as [1, [2], 3, 4]
+            raise ContractViolation("append rows must hold numbers, got a ragged sequence") from None
         if row.shape != (width,) and row.shape != (1, width):
             raise ContractViolation(
                 f"append rows must be shaped ({width},) or (1, {width}), got {row.shape}"
@@ -298,24 +302,25 @@ def prefill_compress(
     )
 
 
-# Snapshot binary layout, version 4 (all little-endian):
+# Snapshot binary layout, version 5 (all little-endian):
 #   magic "KVSN", u16 version, u16 layers, u16 heads, u32 head_dim,
 #   u32 group_size, u8 layout, f64 outlier threshold (NaN = unset),
 #   u32 prefill_len, i64 total_budget_bytes;
 #   the plan table: per layer u32 tokens, u8 bits;
-#   per (layer, head): u32 position count, u32 positions, K blocks,
-#   V blocks, residual K and residual V as f32 values;
+#   per layer: u32 kept prompt rows, u32 decode rows, every head's kept
+#   positions as one (heads, kept) u32 array, each head's K blocks then its
+#   V blocks, and the residual K and V stacks as one (2, heads, rows,
+#   head_dim) f32 array;
 #   u32 CRC-32 (zlib) of every byte before it.
 # A block is u32 outlier count, outliers (u32 row, u32 col, f32 value), the
 # group table (f64 zero, f64 scale) and the packed codes. No shape or count
 # the flush rule fixes is stored: a quantized layer's first block holds the
-# positions below prefill_len, each later one group_size rows, the residual
-# the rest; a 16-bit layer has no blocks. quant.group_split sizes a block.
-# The positions are the kept prompt positions, then the implied decode
-# positions prefill_len, prefill_len + 1, ...; every head of a layer holds
-# as many of each.
+# kept prompt rows, each later one group_size decode rows, the residual the
+# rest; a 16-bit layer has no blocks. quant.group_split sizes a block.
+# Decode positions are implied (prefill_len, prefill_len + 1, ...), and
+# every head of a layer holds as many rows, so neither is written.
 SNAPSHOT_MAGIC = b"KVSN"
-SNAPSHOT_VERSION = 4
+SNAPSHOT_VERSION = 5
 
 _HEADER = "<HHHIIBdIq"
 _LAYOUTS = list(Layout)
@@ -340,17 +345,17 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
         ),
         np.array(list(cache.plan.per_layer), dtype=_PLAN_TABLE).tobytes(),
     ]
-    for row, res_k, res_v in zip(cache.entries, cache.residual_k, cache.residual_v):
-        for e, k, v in zip(row, res_k, res_v):
-            decode_rows = sum(q.shape[0] for q in e.quant_k) + len(k) - len(e.positions)
-            positions = e.positions + tuple(range(cache.prefill_len, cache.prefill_len + decode_rows))
-            out.append(struct.pack("<I", len(positions)))
-            out.append(np.asarray(positions, dtype="<u4").tobytes())
+    for row, k, v in zip(cache.entries, cache.residual_k, cache.residual_v):
+        kept = len(row[0].positions)
+        rows = sum(q.shape[0] for q in row[0].quant_k) + k.shape[1]
+        out.append(struct.pack("<II", kept, rows - kept))
+        out.append(np.array([e.positions for e in row], dtype="<u4").tobytes())
+        for e in row:
             for q in e.quant_k + e.quant_v:
                 table = np.rec.fromarrays([q.zero_points, q.scales], dtype=_GROUP_TABLE)
                 out += [struct.pack("<I", len(q.outliers)), q.outliers.tobytes()]
                 out += [table.tobytes(), q.packed_codes]
-            out.append(np.array([k, v], dtype="<f4").tobytes())
+        out.append(np.array([k, v], dtype="<f4").tobytes())
     body = b"".join(out)
     return body + struct.pack("<I", zlib.crc32(body))
 
@@ -402,38 +407,21 @@ def _load_block(r: Reader, shape: tuple[int, int], cfg: QuantConfig) -> Quantize
     )
 
 
-def _load_entry(r: Reader, cfgs, head_dim: int, prefill_len: int) -> tuple[LayerHeadCache, int, np.ndarray]:
-    """One head's entry, its row count, and its residual K and V rows as one
-    ``(2, rows, head_dim)`` array."""
-    (n_pos,) = r.unpack("<I")
-    positions = r.array("<u4", n_pos).astype(np.int64)
-    if np.any(np.diff(positions) <= 0):
-        raise IntegrityError("entry positions are not strictly increasing")
-    prompt = int(np.searchsorted(positions, prefill_len))
-    k_cfg, v_cfg = cfgs or (None, None)
-    blocks = []  # rows per block: the prompt block, then one per flush
-    if cfgs is not None:
-        if prompt == 0:
-            raise IntegrityError("a quantized entry holds no prompt rows")
-        blocks = [prompt] + [k_cfg.group_size] * ((n_pos - prompt) // k_cfg.group_size)
-    if not np.array_equal(positions[prompt:], np.arange(prefill_len, prefill_len + n_pos - prompt)):
-        raise IntegrityError("decode positions must count up from prefill_len one at a time")
-    quant_k = [_load_block(r, (rows, head_dim), k_cfg) for rows in blocks]
-    quant_v = [_load_block(r, (rows, head_dim), v_cfg) for rows in blocks]
-    rest = n_pos - sum(blocks)
-    residual = r.array("<f4", 2 * rest * head_dim).reshape(2, rest, head_dim)
-    if not np.isfinite(residual).all():
-        raise IntegrityError("residual values must be finite")
-    return LayerHeadCache(tuple(positions[:prompt].tolist()), quant_k, quant_v), n_pos, residual
+def _load_blocks(r: Reader, cfg: QuantConfig | None, kept: int, flushes: int, head_dim: int) -> list[QuantizedTensor]:
+    """One head's blocks of one side: none on a 16-bit layer (``cfg`` None),
+    else the prompt block of ``kept`` rows, then ``flushes`` of group_size rows."""
+    if cfg is None:
+        return []
+    rows = chain((kept,), repeat(cfg.group_size, flushes))  # lazy: a forged count meets the end of the data
+    return [_load_block(r, (n, head_dim), cfg) for n in rows]
 
 
 def load_snapshot(data: bytes) -> CompressedKVCache:
     """Rebuild a cache from :func:`dump_snapshot` output.
 
     Any input that is not a valid snapshot raises :class:`IntegrityError`,
-    among them decode positions that do not count up from ``prefill_len``
-    one at a time, and a layer whose heads hold different numbers of rows
-    or of prompt rows.
+    among them a layer keeping no prompt rows or more than ``prefill_len``,
+    and kept positions that do not strictly increase below ``prefill_len``.
     """
     try:
         return _load_snapshot(data)
@@ -471,21 +459,28 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
         total_budget_bytes=total_budget_bytes,
         outlier_threshold=None if np.isnan(threshold) else threshold,
     )
-    if heads == 0:
-        raise IntegrityError("a snapshot must hold at least one head")
+    if heads == 0 or head_dim == 0:
+        raise IntegrityError(f"a snapshot must hold heads of at least one dimension, got {heads} x {head_dim}")
     entries, residual_k, residual_v = [], [], []
     for layer in range(layers):
-        cfgs = plan.quant_config(layer)
-        row, rows, residuals = zip(*(_load_entry(r, cfgs, head_dim, prefill_len) for _ in range(heads)))
-        # eviction keeps as many prompt rows in every head, and decode appends
-        # to every head of a layer at once, so heads never differ
-        for what, counts in (("row", set(rows)), ("prompt row", {len(e.positions) for e in row})):
-            if len(counts) > 1:
-                raise IntegrityError(f"layer {layer}'s heads hold different {what} counts {sorted(counts)}")
-        k, v = np.stack(residuals, axis=1)  # each (heads, rows, head_dim)
-        entries.append(list(row))
-        residual_k.append(k)
-        residual_v.append(v)
+        kept, decode = r.unpack("<II")
+        if not 1 <= kept <= prefill_len:
+            raise IntegrityError(f"layer {layer} keeps {kept} prompt rows, outside [1, {prefill_len}]")
+        positions = r.array("<u4", heads * kept).reshape(heads, kept)
+        if (positions[:, 1:] <= positions[:, :-1]).any() or positions[:, -1].max() >= prefill_len:
+            raise IntegrityError(f"layer {layer}'s kept positions do not strictly increase below {prefill_len}")
+        k_cfg, v_cfg = plan.quant_config(layer) or (None, None)
+        flushes, rest = (0, kept + decode) if k_cfg is None else divmod(decode, group_size)
+        row = []
+        for p in positions.tolist():  # each head's K blocks, then its V blocks
+            quant_k = _load_blocks(r, k_cfg, kept, flushes, head_dim)
+            row.append(LayerHeadCache(tuple(p), quant_k, _load_blocks(r, v_cfg, kept, flushes, head_dim)))
+        entries.append(row)
+        residual = r.array("<f4", 2 * heads * rest * head_dim).reshape(2, heads, rest, head_dim)
+        if not np.isfinite(residual).all():
+            raise IntegrityError("residual values must be finite")
+        residual_k.append(residual[0])
+        residual_v.append(residual[1])
     r.end()
 
     return CompressedKVCache(

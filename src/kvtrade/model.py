@@ -341,7 +341,10 @@ def _decode(model: Model, store, h) -> np.ndarray:
     want = (cfg.layers, cfg.heads, cfg.head_dim)
     if store.shape != want:
         raise ContractViolation(f"store (layers, heads, head_dim) {store.shape} is not the model's {want}")
-    x = np.asarray(h)
+    try:
+        x = np.asarray(h)
+    except ValueError:  # a ragged row, such as [1, [2], 3, 4]
+        raise ContractViolation("h must hold numbers, got a ragged sequence") from None
     if x.shape not in ((cfg.d_model,), (1, cfg.d_model)):
         raise ContractViolation(f"h must be shaped ({cfg.d_model},) or (1, {cfg.d_model}), got {x.shape}")
     x = as_matrix(x.reshape(1, cfg.d_model), "h")

@@ -126,9 +126,11 @@ class QuantizedTensor:
             raise IntegrityError(f"group arrays do not hold {groups} groups")
         # both ends of the range, not |z| + s * levels: a group spanning
         # -max..+max decodes inside float32 although that sum does not. The
-        # comparisons are false for NaN and infinities, so they reject those too.
+        # comparisons are false for NaN and infinities, so they reject those
+        # too; a signaling NaN would also warn in the subtraction.
         z, s = self.zero_points, self.scales
-        top = (_FLOAT32_MAX - z) / ((1 << self.bits) - 1)
+        with np.errstate(invalid="ignore"):
+            top = (_FLOAT32_MAX - z) / ((1 << self.bits) - 1)
         if not ((z >= -_FLOAT32_MAX) & (s >= 0) & (s <= top)).all():
             raise IntegrityError("a group's zero or scale is non-finite, negative or past float32")
         if len(self.packed_codes) != nbytes:

@@ -202,21 +202,19 @@ class TestDecodeAppend:
             assert cache.residual_k[0].shape[1] < 4
 
     def test_positions_strictly_increasing(self):
-        # an entry keeps its prompt positions; the snapshot writes the decode
-        # rows' positions after them, counting up from the prompt length
+        # an entry keeps its prompt positions; the snapshot writes them and the
+        # decode row count, which implies the decode rows' positions
         cache = self.make_cache(group=4, n=12)
         kept = cache.entry(0, 0).positions
+        assert list(kept) == sorted(set(kept)) and kept[-1] < 12
         rng = np.random.default_rng(3)
         for _ in range(9):
             cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
         assert cache.entry(0, 0).positions == kept
+        assert cache.materialize_layer(0)[0].shape[1] == len(kept) + 9
         blob = dump_snapshot(cache)
-        (count,) = struct.unpack_from("<I", blob, SNAPSHOT_HEADER + 5)
-        pos = list(struct.unpack_from(f"<{count}I", blob, SNAPSHOT_HEADER + 9))
-        assert count == cache.materialize_layer(0)[0].shape[1] == len(kept) + 9
-        assert pos == sorted(pos)
-        assert len(set(pos)) == len(pos)
-        assert pos[-9:] == list(range(12, 21))
+        assert struct.unpack_from("<II", blob, SNAPSHOT_HEADER + 5) == (len(kept), 9)
+        assert struct.unpack_from(f"<{len(kept)}I", blob, SNAPSHOT_HEADER + 13) == kept
 
     def test_per_channel_flush_makes_token_spanning_groups(self):
         cache = self.make_cache(group=4, layout=Layout.PER_CHANNEL)
@@ -302,7 +300,8 @@ class TestDecodeAppend:
             cache.decode_append(0, *rows)
         assert dump_snapshot(cache) == before
 
-    @pytest.mark.parametrize("row", [["a"] * 8, np.array(["1.0"] * 8)], ids=["letters", "numeric_strings"])
+    @pytest.mark.parametrize("row", [["a"] * 8, np.array(["1.0"] * 8), [1, [2], 3, 4, 5, 6, 7, 8]],
+                             ids=["letters", "numeric_strings", "ragged"])
     @pytest.mark.parametrize("bits", [4, 16])
     @pytest.mark.parametrize("side", ["k", "v"])
     def test_non_numeric_row_rejected_and_cache_unchanged(self, side, bits, row):
@@ -571,7 +570,7 @@ class TestSnapshot:
             assert load_snapshot(dump_snapshot(cache)).plan == cache.plan
 
     def test_older_version_rejected(self):
-        for version in (1, 2, 3):
+        for version in (1, 2, 3, 4):
             blob = bytearray(dump_snapshot(self.build()))
             struct.pack_into("<H", blob, 4, version)
             with pytest.raises(IntegrityError, match=f"version {version}"):
@@ -592,7 +591,7 @@ class TestSnapshot:
 
 
 SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBdIq")
-LAYERS_AT, HEADS_AT, GROUP_SIZE_AT, LAYOUT_AT, THRESHOLD_AT, PREFILL_LEN_AT = 6, 8, 14, 18, 19, 27
+LAYERS_AT, HEADS_AT, HEAD_DIM_AT, GROUP_SIZE_AT, LAYOUT_AT, THRESHOLD_AT, PREFILL_LEN_AT = 6, 8, 10, 14, 18, 19, 27
 PLAN_TOKENS_AT, PLAN_BITS_AT = SNAPSHOT_HEADER, SNAPSHOT_HEADER + 4  # first layer's plan row
 
 
@@ -641,10 +640,14 @@ class TestSnapshotRejects:
         e = cache.entry(0, 0)
         assert struct.unpack_from("<IB", blob, PLAN_TOKENS_AT) == (16, 4)
         assert len(e.positions) == 16 and len(e.quant_k) == 1 and cache.residual_k[0].size == 0
-        # plan row, position count; then the K prompt block: outlier count,
-        # two outliers, 16 groups (f64 zero, f64 scale), 16 * 4 code bytes
-        at = {"positions": SNAPSHOT_HEADER + 5 + 4}
+        # plan row; the layer's kept and decode row counts and its one head's
+        # positions; then the K prompt block: outlier count, two outliers,
+        # 16 groups (f64 zero, f64 scale), 16 * 4 code bytes
+        at = {"kept": SNAPSHOT_HEADER + 5}
+        at["positions"] = at["kept"] + 8
         at["block"] = at["positions"] + 4 * 16
+        assert struct.unpack_from("<II", blob, at["kept"]) == (16, 0)
+        assert struct.unpack_from("<16I", blob, at["positions"]) == e.positions
         at["outliers"] = at["block"] + 4
         at["table"] = at["outliers"] + 2 * 12
         at["codes"] = at["table"] + 16 * 16
@@ -695,78 +698,61 @@ class TestSnapshotRejects:
             load_snapshot(mutate(*snapshot))
 
     def test_quantized_entry_without_prompt_rows_rejected(self, snapshot):
-        # with no prompt, every kept position is a decode row: no prompt block to read
-        blob, _ = snapshot
+        # eviction keeps at least one prompt row: no layer has an empty prompt block
+        blob, at = snapshot
+        with pytest.raises(IntegrityError, match=r"layer 0 keeps 0 prompt rows, outside \[1, 24\]"):
+            load_snapshot(_patched(blob, at["kept"], "<I", 0))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("kept", 25, r"keeps 25 prompt rows, outside \[1, 24\]"),
+        ("prefill_len", 15, r"keeps 16 prompt rows, outside \[1, 15\]"),
+        ("prefill_len", 0, r"keeps 16 prompt rows, outside \[1, 0\]"),
+    ])
+    def test_more_kept_rows_than_the_prompt_rejected(self, snapshot, field, value, message):
+        blob, at = snapshot
         assert struct.unpack_from("<I", blob, PREFILL_LEN_AT)[0] == 24
-        with pytest.raises(IntegrityError, match="a quantized entry holds no prompt rows"):
-            load_snapshot(_patched(blob, PREFILL_LEN_AT, "<I", 0))
+        offset = PREFILL_LEN_AT if field == "prefill_len" else at["kept"]
+        with pytest.raises(IntegrityError, match=message):
+            load_snapshot(_patched(blob, offset, "<I", value))
 
     @pytest.mark.parametrize("bits", [4, 16])
-    def test_heads_holding_different_row_counts_rejected(self, bits):
-        # decode appends to every head of a layer at once, so splice in head 1's
-        # entry from the snapshot of the same cache one append later
+    def test_kept_position_past_the_prompt_rejected(self, bits):
+        # the second head's last kept position is the last prompt position,
+        # n - 1; one more is where the first decode row sits
         keys, values, ctxs = make_inputs(1, 2, 24, 8, seed=34)
         plan = uniform_plan(1, 4, bits, heads=2, head_dim=8, group_size=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        later = cache.clone()
-        later.decode_append(0, np.ones(16), np.ones(16))
-        start = SNAPSHOT_HEADER + 5  # after the one-layer plan table
-        now, then = (dump_snapshot(c)[:-4] for c in (cache, later))
-        # no outliers: both heads' entries in one snapshot take the same bytes
-        at_now, at_then = start + (len(now) - start) // 2, start + (len(then) - start) // 2
-        rows = len(cache.entry(0, 0).positions)
-        assert struct.unpack_from("<I", now, at_now)[0] == rows
-        assert struct.unpack_from("<I", then, at_then)[0] == rows + 1
-        blob = _sealed(now[:at_now] + then[at_then:])
-        with pytest.raises(IntegrityError, match=rf"layer 0's heads hold different row counts \[{rows}, {rows + 1}\]"):
-            load_snapshot(blob)
-
-    def test_heads_holding_different_residual_row_counts_rejected(self):
-        # 17 rows in each head: head 0 from a cache that kept 9 prompt rows and
-        # flushed 8 decode rows, so no residual row, head 1 from one that kept
-        # 8 and holds one residual row beside its flushed group
-        keys, values, ctxs = make_inputs(1, 2, 24, 8, seed=35)
-        blobs = []
-        for kept in (9, 8):
-            plan = plan_for_tokens([kept], 4, heads=2, head_dim=8, group_size=8)
-            cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-            for _ in range(17 - kept):
-                cache.decode_append(0, np.ones(16), np.ones(16))
-            assert cache.residual_k[0].shape[1] == 9 - kept
-            blobs.append(dump_snapshot(cache)[:-4])
-        start = SNAPSHOT_HEADER + 5  # after the one-layer plan table
-        # no outliers: both heads' entries in one snapshot take the same bytes
-        at_9, at_8 = (start + (len(b) - start) // 2 for b in blobs)
-        for blob, at in zip(blobs, (at_9, at_8)):
-            assert struct.unpack_from("<I", blob, at)[0] == 17
-        blob = _sealed(blobs[0][:at_9] + blobs[1][at_8:])
-        with pytest.raises(IntegrityError, match=r"layer 0's heads hold different prompt row counts \[8, 9\]"):
-            load_snapshot(blob)
-
-    def test_decode_positions_with_a_gap_rejected(self):
-        # a decode row's position is implied by its index, so a gap is not a cache
-        keys, values, ctxs = make_inputs(1, 1, 24, 8, seed=36)
-        plan = uniform_plan(1, 4, 16, heads=1, head_dim=8, group_size=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        for _ in range(2):
-            cache.decode_append(0, np.ones(8), np.ones(8))
-        blob = dump_snapshot(cache)
-        last = SNAPSHOT_HEADER + 5 + 4 + 4 * 5  # plan row, position count, the sixth position
-        assert struct.unpack_from("<6I", blob, SNAPSHOT_HEADER + 9) == (20, 21, 22, 23, 24, 25)
-        with pytest.raises(IntegrityError, match="decode positions must count up from prefill_len"):
-            load_snapshot(_patched(blob, last, "<I", 26))
+        blob = dump_snapshot(prefill_compress(keys, values, ctxs, plan, STREAM4))
+        kept, decode = struct.unpack_from("<II", blob, SNAPSHOT_HEADER + 5)
+        last = SNAPSHOT_HEADER + 5 + 8 + 4 * (2 * kept - 1)
+        assert (kept, decode) == (64 // bits, 0)
+        assert struct.unpack_from("<2I", blob, last - 4) == (22, 23)
+        with pytest.raises(IntegrityError, match=r"layer 0's kept positions do not strictly increase below 24"):
+            load_snapshot(_patched(blob, last, "<I", 24))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_residual_rejected(self, value):
-        # a 16-bit head keeps every row in the residual: plan row, position
-        # count, four positions, then the first K value
+        # a 16-bit head keeps every row in the residual: plan row, kept and
+        # decode row counts, four positions, then the first K value
         keys, values, ctxs = make_inputs(1, 1, 24, 8, seed=13)
         plan = uniform_plan(1, 4, 16, heads=1, head_dim=8, group_size=8)
         blob = dump_snapshot(prefill_compress(keys, values, ctxs, plan, STREAM4))
-        at = SNAPSHOT_HEADER + 5 + 4 + 4 * 4
+        at = SNAPSHOT_HEADER + 5 + 8 + 4 * 4
         assert struct.unpack_from("<f", blob, at)[0] == keys[0][0][20, 0]
         with pytest.raises(IntegrityError, match="residual values must be finite"):
             load_snapshot(_patched(blob, at, "<f", value))
+
+    def test_zero_width_heads_rejected(self):
+        # a zero-width row takes no bytes, so a forged decode row count would
+        # load, and the next append would overflow its u32 field in the dump
+        keys, values, ctxs = make_inputs(1, 1, 24, 8, seed=13)
+        plan = uniform_plan(1, 4, 16, heads=1, head_dim=8, group_size=8)
+        blob = dump_snapshot(prefill_compress(keys, values, ctxs, plan, STREAM4))
+        counts = SNAPSHOT_HEADER + 5
+        forged = bytearray(blob[: counts + 8 + 4 * 4])  # up to the four kept positions
+        struct.pack_into("<I", forged, HEAD_DIM_AT, 0)
+        struct.pack_into("<I", forged, counts + 4, 2**32 - 1)
+        with pytest.raises(IntegrityError, match="heads of at least one dimension, got 1 x 0"):
+            load_snapshot(_sealed(bytes(forged)))
 
     def test_16bit_group_size_0_rejected(self):
         # a 16-bit layer builds no QuantConfig, so only the plan can reject it
@@ -815,6 +801,28 @@ def _fuzz_snapshots() -> dict[str, bytes]:
 FUZZ_SNAPSHOTS = _fuzz_snapshots()
 
 
+def _resealed_change_rejected_or_usable(body: bytes, offset: int, xor: int) -> None:
+    """Past the checksum, the structural checks either reject ``body`` with the
+    byte at ``offset`` xored by ``xor`` and resealed, or leave a cache that
+    every cache operation accepts."""
+    out = bytearray(body)
+    out[offset] ^= xor
+    try:
+        cache = load_snapshot(_sealed(bytes(out)))
+    except IntegrityError:
+        return
+    row = np.ones(cache.heads * cache.head_dim)
+    for layer in range(cache.plan.layers):
+        for head in range(cache.heads):
+            k, v = cache.materialize(layer, head)
+            assert np.isfinite(k).all() and np.isfinite(v).all()
+        k, v = cache.materialize_layer(layer)
+        assert np.isfinite(k).all() and np.isfinite(v).all()
+        cache.decode_append(layer, row, row)
+        cache.materialize_layer(layer)
+    load_snapshot(dump_snapshot(cache))
+
+
 class TestSnapshotFuzz:
     """Any single-byte change or truncation of a valid snapshot raises IntegrityError only."""
 
@@ -840,34 +848,40 @@ class TestSnapshotFuzz:
     @settings(max_examples=300, deadline=None)
     @given(kind=st.sampled_from(sorted(FUZZ_SNAPSHOTS)), data=st.data())
     def test_resealed_byte_change_rejected_or_usable(self, kind, data):
-        # past the checksum, the structural checks either reject the bytes
-        # or leave a cache that every cache operation accepts
-        body = bytearray(FUZZ_SNAPSHOTS[kind][:-4])
+        body = FUZZ_SNAPSHOTS[kind][:-4]
         offset = data.draw(st.integers(0, len(body) - 1), label="offset")
-        body[offset] ^= data.draw(st.integers(1, 255), label="xor")
-        try:
-            cache = load_snapshot(_sealed(bytes(body)))
-        except IntegrityError:
-            return
-        row = np.ones(cache.heads * cache.head_dim)
-        for layer in range(cache.plan.layers):
-            for head in range(cache.heads):
-                k, v = cache.materialize(layer, head)
-                assert np.isfinite(k).all() and np.isfinite(v).all()
-            k, v = cache.materialize_layer(layer)
-            assert np.isfinite(k).all() and np.isfinite(v).all()
-            cache.decode_append(layer, row, row)
-            cache.materialize_layer(layer)
-        load_snapshot(dump_snapshot(cache))
+        _resealed_change_rejected_or_usable(body, offset, data.draw(st.integers(1, 255), label="xor"))
+
+    @pytest.mark.parametrize("kind", sorted(FUZZ_SNAPSHOTS))
+    def test_every_resealed_byte_xor_0x40_rejected_or_usable(self, kind):
+        # one mask at every offset: on the top byte of an f64 zero point near
+        # +-1 it makes an infinity or a NaN, signaling ones among them, which
+        # sampled offsets and masks can miss
+        body = FUZZ_SNAPSHOTS[kind][:-4]
+        for offset in range(len(body)):
+            _resealed_change_rejected_or_usable(body, offset, 0x40)
 
     @pytest.mark.parametrize("kind", sorted(FUZZ_SNAPSHOTS))
     def test_unmutated_loads(self, kind):
         assert dump_snapshot(load_snapshot(FUZZ_SNAPSHOTS[kind])) == FUZZ_SNAPSHOTS[kind]
 
-    # version 4's bytes for both fixtures: a cache change that alters them is a format change
+    def test_prompt_ending_at_the_u32_limit_decodes_and_dumps(self):
+        # decode positions are implied, so ones past u32 are never written
+        last = 2**32 - 1
+        cache = load_snapshot(_patched(FUZZ_SNAPSHOTS["16bit"], PREFILL_LEN_AT, "<I", last))
+        rows = cache.materialize_layer(0)[0].shape[1]
+        row = np.arange(cache.heads * cache.head_dim, dtype=np.float32)
+        for _ in range(2):
+            cache.decode_append(0, row, row)
+        restored = load_snapshot(dump_snapshot(cache))
+        assert restored.prefill_len == last
+        assert restored.materialize_layer(0)[0].shape[1] == rows + 2
+        assert dump_snapshot(restored) == dump_snapshot(cache)
+
+    # version 5's bytes for both fixtures: a cache change that alters them is a format change
     @pytest.mark.parametrize("kind, sha256", [
-        ("16bit", "d09e801f2f46138403944d08deb4595e8e40cc57cb0e1abd39f34f3abf3a8e40"),
-        ("4bit", "4789bc5d440a512285fced858610ade5d440768b7bf6f04b6bda40727afe5413"),
+        pytest.param("16bit", "a1989435e99f296880080ee8e3ca17f0de41566a16512583b41b09439f850e75", id="16bit"),
+        pytest.param("4bit", "f89908aae3d7d36c5b5a7e4ba6e68edf90e22da70138dd9640ca5869f9000e07", id="4bit"),
     ])
     def test_bytes_are_pinned(self, kind, sha256):
         assert hashlib.sha256(FUZZ_SNAPSHOTS[kind]).hexdigest() == sha256

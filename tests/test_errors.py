@@ -244,10 +244,11 @@ DECODERS = {
 }
 
 
-# a decode step's input row must hold numbers: strings, numeric ones too, and
-# objects raise before the first append
-@pytest.mark.parametrize("h", [np.array(["1.0"] * 4), np.array(["a"] * 4), ["a"] * 4, np.ones(4, dtype=object)],
-                         ids=["numeric_strings", "letters", "list_of_letters", "objects"])
+# a decode step's input row must hold numbers: strings, numeric ones too,
+# objects and ragged rows raise before the first append
+@pytest.mark.parametrize("h", [np.array(["1.0"] * 4), np.array(["a"] * 4), ["a"] * 4, np.ones(4, dtype=object),
+                               [1, [2], 3, 4], [[1, 2], [3, 4, 5]]],
+                         ids=["numeric_strings", "letters", "list_of_letters", "objects", "ragged", "ragged_rows"])
 @pytest.mark.parametrize("decoder", DECODERS.values(), ids=DECODERS)
 def test_decode_input_must_hold_numbers(decoder, h):
     decode, make_store, stored = decoder

@@ -1,4 +1,5 @@
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -337,6 +338,14 @@ class TestDequantizeMatrix:
                 scales=[scale],
                 packed_codes=b"\xf0",
             )
+
+    @pytest.mark.parametrize("field", ["zero_points", "scales"])
+    def test_signaling_nan_rejected_not_warned(self, field):
+        # arithmetic on a signaling NaN raises numpy's "invalid value" warning
+        snan = np.frombuffer(struct.pack("<Q", 0x7FF0000000000001), dtype="<f8")
+        fields = {"zero_points": [0.0], "scales": [1.0], field: snan}
+        with pytest.raises(IntegrityError, match="non-finite"):
+            QuantizedTensor(shape=(1, 2), bits=4, group_size=2, layout=Layout.PER_TOKEN, packed_codes=b"\xf0", **fields)
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
     @pytest.mark.parametrize("layout", list(Layout))
