@@ -9,9 +9,12 @@ BENCHMARK.json. Pair i runs the parent first when i is even and the change
 first when it is odd, so neither side always meets the machine in the same
 state. For every metric the script prints each side's median and quartiles,
 the change's median against the parent's, and the pairs the change won
-(strictly better in the metric's direction); then it names every run whose
+(strictly better in the metric's direction). Then it names every run whose
 csv or logits sha256 differs from the parent's first run, or that reported
-failures. It exits 1 if it named any.
+failures, and every end-to-end metric whose change median is worse than the
+parent's by more than the metric's ``bound`` in BENCHMARK.json, a fraction
+of the parent median in the metric's ``better`` direction. It exits 1 if it
+named any.
 """
 
 from __future__ import annotations
@@ -82,6 +85,25 @@ def problems(parent: list[dict], change: list[dict]) -> list[str]:
     return found
 
 
+def over_bounds(rows: list[dict], bounds: dict[str, tuple[str, float]]) -> list[str]:
+    """The :func:`summary` rows whose change median is worse than the parent's by more than their bound.
+
+    ``bounds`` maps a metric to its ("lower" or "higher", bound); a metric
+    missing from it is not gated.
+    """
+    found = []
+    for r in rows:
+        if r["metric"] not in bounds:
+            continue
+        better, bound = bounds[r["metric"]]
+        parent, change = r["parent"][1], r["change"][1]
+        worse = change - parent if better == "lower" else parent - change
+        if worse > bound * abs(parent):
+            found.append(f"{r['metric']}: change median {change:.6g} is worse than the parent's {parent:.6g} "
+                         f"by more than its bound of {bound:.0%}")
+    return found
+
+
 def _table(rows: list[dict]) -> str:
     def cell(q: tuple[float, float, float]) -> str:
         return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
@@ -110,14 +132,16 @@ def main(argv=None) -> int:
         parser.error(f"--workload must be one of BENCHMARK.json's workloads, got {args.workload!r}")
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(args.pairs):
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
             runs[side].append(run_once(getattr(args, side), args.workload, args.seed, seconds))
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
-    print(_table(summary(runs["parent"], runs["change"], better)))
-    found = problems(runs["parent"], runs["change"])
+    rows = summary(runs["parent"], runs["change"], better)
+    print(_table(rows))
+    found = problems(runs["parent"], runs["change"]) + over_bounds(rows, bounds)
     for line in found:
         print(line)
     return 1 if found else 0

@@ -3,7 +3,9 @@
 The cache keeps one layout (KIVI's):
 
 * per (layer, head), quantized blocks: one for the pruned prompt tokens,
-  then one per flush, and the prompt positions eviction kept;
+  then one per flush;
+* per layer, the prompt positions eviction kept, one read-only
+  ``(heads, kept)`` array;
 * per layer, a full-precision residual after the blocks: one float32
   ``(heads, rows, head_dim)`` stack for K and one for V, the form
   ``DenseKV`` stores and decode attends over. Decode-time tokens land
@@ -66,20 +68,14 @@ from .tensor import Matrix, as_matrix, concat_rows
 @dataclass
 class LayerHeadCache:
     """The quantized rows of one (layer, head); its full-precision rows are its
-    slice of the layer's residual stacks.
+    slice of the layer's residual stacks."""
 
-    ``positions`` holds the prompt positions eviction kept, strictly
-    increasing: the positions of the first stored rows. Decode rows follow
-    them at implied positions (see the module docstring).
-    """
-
-    positions: tuple[int, ...]
     quant_k: list[QuantizedTensor]
     quant_v: list[QuantizedTensor]
 
-    def clone(self) -> "LayerHeadCache":
-        # the positions tuple and the QuantizedTensor blocks are immutable and can be shared
-        return LayerHeadCache(self.positions, list(self.quant_k), list(self.quant_v))
+
+# kept prompt positions, fresh or loaded: the snapshot's u32
+_POSITION_DTYPE = np.dtype("<u4")
 
 
 def _empty_stack(heads: int, head_dim: int) -> np.ndarray:
@@ -87,8 +83,7 @@ def _empty_stack(heads: int, head_dim: int) -> np.ndarray:
 
 
 def _flush(row: list[LayerHeadCache], k, v, cfgs: tuple[QuantConfig, QuantConfig]) -> None:
-    """Quantize each head's rows of ``k`` and ``v`` (layer stacks, or lists of
-    one matrix per head) into one new block of that head."""
+    """Quantize each head's rows of the layer stacks ``k`` and ``v`` into one new block of that head."""
     k_cfg, v_cfg = cfgs
     for e, k_h, v_h in zip(row, k, v):
         e.quant_k.append(quantize_matrix(k_h, k_cfg))
@@ -122,10 +117,12 @@ def append_rows(h_k, h_v, width: int) -> tuple[Matrix, Matrix]:
 
 @dataclass
 class CompressedKVCache:
-    """All (layer, head) sub-caches under one plan, and each layer's residual stacks.
+    """All (layer, head) sub-caches under one plan, and each layer's kept positions and residual stacks.
 
-    ``residual_k[layer]`` and ``residual_v[layer]`` are float32
-    ``(heads, rows, head_dim)`` arrays, never written in place.
+    ``positions[layer]`` is a read-only ``(heads, kept)`` u32 array, each
+    head's kept prompt positions, strictly increasing: the positions of its
+    first stored rows. ``residual_k[layer]`` and ``residual_v[layer]`` are
+    float32 ``(heads, rows, head_dim)`` arrays, never written in place.
     """
 
     plan: BudgetPlan
@@ -133,6 +130,7 @@ class CompressedKVCache:
     head_dim: int
     prefill_len: int
     entries: list[list[LayerHeadCache]]
+    positions: list[np.ndarray]
     residual_k: list[np.ndarray]
     residual_v: list[np.ndarray]
 
@@ -149,16 +147,12 @@ class CompressedKVCache:
         ]
 
     def clone(self) -> "CompressedKVCache":
-        # residual stacks, like blocks, are replaced rather than written: shared
-        return CompressedKVCache(
-            plan=self.plan,
-            heads=self.heads,
-            head_dim=self.head_dim,
-            prefill_len=self.prefill_len,
-            entries=[[e.clone() for e in row] for row in self.entries],
-            residual_k=list(self.residual_k),
-            residual_v=list(self.residual_v),
-        )
+        # blocks are immutable and positions read-only, and residual stacks,
+        # like blocks, are replaced rather than written: shared
+        entries = [[LayerHeadCache(list(e.quant_k), list(e.quant_v)) for e in row] for row in self.entries]
+        return CompressedKVCache(plan=self.plan, heads=self.heads, head_dim=self.head_dim,
+                                 prefill_len=self.prefill_len, entries=entries, positions=list(self.positions),
+                                 residual_k=list(self.residual_k), residual_v=list(self.residual_v))
 
     def decode_append(self, layer: int, h_k, h_v) -> None:
         """Append one decode token's K/V rows to every head of ``layer``, at full precision.
@@ -232,74 +226,59 @@ class CompressedKVCache:
 
 
 def prefill_compress(
-    keys: list[list[Matrix]],
-    values: list[list[Matrix]],
+    keys: list[np.ndarray],
+    values: list[np.ndarray],
     ctxs: list[list[ScoreContext | None]],
     plan: BudgetPlan,
     policy: PolicyConfig,
 ) -> CompressedKVCache:
     """Prune every (layer, head) to its plan budget, then quantize the survivors.
 
-    Scoring sees the full-precision prefill attention statistics in ``ctxs``;
-    gathered rows keep their temporal order. A layer's gathered rows form its
-    residual stacks, which a quantized layer flushes into each head's prompt
-    block; 16-bit layers keep them there.
-    ``keys``, ``values`` and ``ctxs`` must each hold the plan's layers, every
-    layer the same number of heads (at least one), and every head a finite
-    nonempty n x head_dim K and V array; anything else raises ContractViolation.
+    ``keys[layer]`` and ``values[layer]`` are a layer's K and V stacks as
+    ``model.prefill`` gives them, ``(heads, n, head_dim)``; ``ctxs[layer]``
+    holds each head's prefill attention statistics (or None). A layer's kept
+    positions are one ``(heads, kept)`` array; one index per side gathers
+    the kept rows, in temporal order, into the layer's residual stacks, which
+    a quantized layer flushes into each head's prompt block. ``keys``,
+    ``values`` and ``ctxs`` must each hold the plan's layers, every K and V
+    one finite, nonempty stack of numbers of one shape, and every ctx row one
+    item per head; anything else raises ContractViolation.
     """
-    heads = len(keys[0]) if keys else 0
-    for name, arg in (("keys", keys), ("values", values), ("ctxs", ctxs)):
-        if len(arg) != plan.layers or any(len(row) != heads for row in arg):
-            raise ContractViolation(f"{name} must hold {plan.layers} layers of {heads} heads")
-    shape = np.shape(keys[0][0]) if heads else ()
-    if len(shape) != 2 or 0 in shape:
-        raise ContractViolation(f"K/V must be nonempty n x head_dim matrices, got {shape}")
-    n, head_dim = shape
-
-    entries: list[list[LayerHeadCache]] = []
-    residual_k: list[np.ndarray] = []
-    residual_v: list[np.ndarray] = []
+    if not len(keys) == len(values) == len(ctxs) == plan.layers:
+        raise ContractViolation(f"keys, values and ctxs must each hold {plan.layers} layers")
+    shape = None
+    entries, positions, residual_k, residual_v = [], [], [], []
     for layer in range(plan.layers):
         tokens, _ = plan.per_layer[layer]
         if tokens < policy.window:
             raise ContractViolation(
                 f"layer {layer} budget {tokens} below policy minimum {policy.window}"
             )
-        row: list[LayerHeadCache] = []
-        kept_k, kept_v = [], []
-        for head in range(heads):
-            k, v = (as_matrix(kv[layer][head], f"K/V at layer {layer} head {head}") for kv in (keys, values))
-            if k.shape != (n, head_dim) or v.shape != (n, head_dim):
-                raise ContractViolation(
-                    f"inconsistent K/V shape at layer {layer} head {head}"
-                )
-            if not (np.isfinite(k).all() and np.isfinite(v).all()):
-                raise ContractViolation(f"K/V at layer {layer} head {head} must be finite")
-            kept = decide(policy, ctxs[layer][head], n, tokens).retained
-            row.append(LayerHeadCache(positions=kept, quant_k=[], quant_v=[]))
-            idx = list(kept)  # a tuple index would index one axis per item
-            kept_k.append(k[idx, :])
-            kept_v.append(v[idx, :])
-        cfgs = plan.quant_config(layer)
-        if cfgs is None:
-            k, v = np.stack(kept_k), np.stack(kept_v)
-        else:  # the prompt blocks
-            _flush(row, kept_k, kept_v, cfgs)
+        # a value past float32's range becomes inf, rejected below
+        k, v = (as_matrix(m, f"K/V at layer {layer}", ndim=3) for m in (keys[layer], values[layer]))
+        shape = shape or k.shape
+        if 0 in shape or k.shape != shape or v.shape != shape:
+            raise ContractViolation(f"K/V at layer {layer} must be nonempty, shaped {shape}: "
+                                    f"got {k.shape}, {v.shape}")
+        if not (np.isfinite(k).all() and np.isfinite(v).all()):
+            raise ContractViolation(f"K/V at layer {layer} must be finite")
+        heads, n, head_dim = shape
+        if len(ctxs[layer]) != heads:
+            raise ContractViolation(f"ctxs must hold {heads} heads at layer {layer}, got {len(ctxs[layer])}")
+        kept = np.array([decide(policy, c, n, tokens).retained for c in ctxs[layer]], _POSITION_DTYPE)
+        kept.flags.writeable = False
+        gather = (np.arange(heads)[:, None], kept)
+        k, v = k[gather], v[gather]
+        row = [LayerHeadCache([], []) for _ in range(heads)]
+        if (cfgs := plan.quant_config(layer)) is not None:  # the prompt blocks
+            _flush(row, k, v, cfgs)
             k = v = _empty_stack(heads, head_dim)
         entries.append(row)
+        positions.append(kept)
         residual_k.append(k)
         residual_v.append(v)
-
-    return CompressedKVCache(
-        plan=plan,
-        heads=heads,
-        head_dim=head_dim,
-        prefill_len=n,
-        entries=entries,
-        residual_k=residual_k,
-        residual_v=residual_v,
-    )
+    return CompressedKVCache(plan=plan, heads=heads, head_dim=head_dim, prefill_len=n, entries=entries,
+                             positions=positions, residual_k=residual_k, residual_v=residual_v)
 
 
 # Snapshot binary layout, version 5 (all little-endian):
@@ -345,11 +324,10 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
         ),
         np.array(list(cache.plan.per_layer), dtype=_PLAN_TABLE).tobytes(),
     ]
-    for row, k, v in zip(cache.entries, cache.residual_k, cache.residual_v):
-        kept = len(row[0].positions)
+    for row, kept, k, v in zip(cache.entries, cache.positions, cache.residual_k, cache.residual_v):
         rows = sum(q.shape[0] for q in row[0].quant_k) + k.shape[1]
-        out.append(struct.pack("<II", kept, rows - kept))
-        out.append(np.array([e.positions for e in row], dtype="<u4").tobytes())
+        out.append(struct.pack("<II", kept.shape[1], rows - kept.shape[1]))
+        out.append(kept.tobytes())
         for e in row:
             for q in e.quant_k + e.quant_v:
                 table = np.rec.fromarrays([q.zero_points, q.scales], dtype=_GROUP_TABLE)
@@ -461,34 +439,26 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
     )
     if heads == 0 or head_dim == 0:
         raise IntegrityError(f"a snapshot must hold heads of at least one dimension, got {heads} x {head_dim}")
-    entries, residual_k, residual_v = [], [], []
+    entries, positions, residual_k, residual_v = [], [], [], []
     for layer in range(layers):
         kept, decode = r.unpack("<II")
         if not 1 <= kept <= prefill_len:
             raise IntegrityError(f"layer {layer} keeps {kept} prompt rows, outside [1, {prefill_len}]")
-        positions = r.array("<u4", heads * kept).reshape(heads, kept)
-        if (positions[:, 1:] <= positions[:, :-1]).any() or positions[:, -1].max() >= prefill_len:
+        p = r.array(_POSITION_DTYPE, heads * kept).reshape(heads, kept)
+        if (p[:, 1:] <= p[:, :-1]).any() or p[:, -1].max() >= prefill_len:
             raise IntegrityError(f"layer {layer}'s kept positions do not strictly increase below {prefill_len}")
+        p.flags.writeable = False  # shared by clones, whatever buffer the snapshot came in
+        positions.append(p)
         k_cfg, v_cfg = plan.quant_config(layer) or (None, None)
         flushes, rest = (0, kept + decode) if k_cfg is None else divmod(decode, group_size)
-        row = []
-        for p in positions.tolist():  # each head's K blocks, then its V blocks
-            quant_k = _load_blocks(r, k_cfg, kept, flushes, head_dim)
-            row.append(LayerHeadCache(tuple(p), quant_k, _load_blocks(r, v_cfg, kept, flushes, head_dim)))
-        entries.append(row)
+        # each head's K blocks, then its V blocks: arguments evaluate left to right
+        entries.append([LayerHeadCache(_load_blocks(r, k_cfg, kept, flushes, head_dim),
+                                       _load_blocks(r, v_cfg, kept, flushes, head_dim)) for _ in range(heads)])
         residual = r.array("<f4", 2 * heads * rest * head_dim).reshape(2, heads, rest, head_dim)
         if not np.isfinite(residual).all():
             raise IntegrityError("residual values must be finite")
         residual_k.append(residual[0])
         residual_v.append(residual[1])
     r.end()
-
-    return CompressedKVCache(
-        plan=plan,
-        heads=heads,
-        head_dim=head_dim,
-        prefill_len=prefill_len,
-        entries=entries,
-        residual_k=residual_k,
-        residual_v=residual_v,
-    )
+    return CompressedKVCache(plan=plan, heads=heads, head_dim=head_dim, prefill_len=prefill_len, entries=entries,
+                             positions=positions, residual_k=residual_k, residual_v=residual_v)

@@ -89,13 +89,16 @@ class Model:
 
 @dataclass
 class PrefillResult:
+    """A prefill's outputs, every per-head array one stack per layer; callers must
+    not write to the stacks (:meth:`DenseKV.from_prefill` shares them)."""
+
     logits: np.ndarray  # next-token logits, shape (vocab,)
-    keys: list[list[Matrix]]  # [layer][head] -> n x head_dim
-    values: list[list[Matrix]]
-    # [layer][head] -> the last min(window, n) rows of the n x n causal
-    # probabilities, window rows x n
-    attn: list[list[Matrix]]
-    column_sums: list[list[np.ndarray]]  # [layer][head] -> float64 (n,), over all rows
+    keys: list[np.ndarray]  # [layer] -> C-contiguous float32 (heads, n, head_dim)
+    values: list[np.ndarray]
+    # [layer] -> each head's last w = min(window, n) rows of the n x n causal
+    # probabilities, float32 (heads, w, n)
+    attn: list[np.ndarray]
+    column_sums: list[np.ndarray]  # [layer] -> float64 (heads, n), over all rows
     hidden: Matrix  # final-layer hidden states, n x d_model
 
 
@@ -123,7 +126,8 @@ class DenseKV:
 
     @classmethod
     def from_prefill(cls, result: PrefillResult) -> "DenseKV":
-        return cls([np.stack(row) for row in result.keys], [np.stack(row) for row in result.values])
+        """A store sharing ``result``'s stacks: an append replaces them rather than writing them."""
+        return cls(list(result.keys), list(result.values))
 
     def decode_append(self, layer: int, h_k, h_v) -> None:
         """:meth:`CompressedKVCache.decode_append`'s contract, uncompressed; a
@@ -233,16 +237,18 @@ def _project_kv(x: Matrix, lw: LayerWeights, cfg: ModelConfig) -> tuple[list[Mat
     return _head_slices(k, cfg.heads, cfg.head_dim), _head_slices(v, cfg.heads, cfg.head_dim)
 
 
-def prefill_kv0(model: Model, tokens) -> tuple[list[Matrix], list[Matrix]]:
-    """Layer 0's per-head K and V for a prompt, bit for bit what :func:`prefill` stores.
+def prefill_kv0(model: Model, tokens) -> tuple[np.ndarray, np.ndarray]:
+    """Layer 0's K and V stacks for a prompt, bit for bit what :func:`prefill` stores.
 
     It embeds and projects through the same helpers as prefill, at the cost
-    of two n x d_model x d_model products, so a caller that keeps the rest
-    of a prefill can re-derive layer 0 instead of holding it.
+    of two n x d_model x d_model products. ``sweep`` re-derives layer 0 at
+    each point: called in grid order, seed innermost, ``run_point`` keeps
+    every seed's prompt live, and holding layer 0 in each raised the
+    benchmark's ``recall_tradeoff`` peak RSS by 11%.
     """
     ids = _prompt_ids(model, tokens)
     k, v = _project_kv(_embed(model, ids), model.weights.layers[0], model.config)
-    return [np.ascontiguousarray(h) for h in k], [np.ascontiguousarray(h) for h in v]
+    return np.stack(k), np.stack(v)
 
 
 def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
@@ -252,7 +258,8 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     Each head's attention is computed one block of query rows at a time
     (:func:`_row_blocks`), so no n x n matrix is ever held. Per head the
     result keeps the float64 column sums of the probabilities and the last
-    ``window`` probability rows (see :class:`PrefillResult`). A block
+    ``window`` probability rows (see :class:`PrefillResult`); K and V are
+    computed through column views and stacked once per layer. A block
     ``(r0, new, r1)`` computes its scores, softmax and column-sum fold over
     key columns ``[0, r1)`` only, since every later column is masked; the
     softmax and the fold run on 64-row slices of it, so their float64
@@ -281,16 +288,13 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     # the column-sum fold: row 0 the running sums, then a slice's rows
     fold = np.empty((1 + _SLICE_ROWS, n))
 
-    keys: list[list[Matrix]] = []
-    values: list[list[Matrix]] = []
-    attn: list[list[Matrix]] = []
-    column_sums: list[list[np.ndarray]] = []
+    keys, values, attn, column_sums = [], [], [], []
     x = _embed(model, ids)
     for lw in model.weights.layers:
         k_heads, v_heads = _project_kv(x, lw, cfg)
         q_heads = _head_slices(matmul(x, lw.w_q), cfg.heads, cfg.head_dim)
-        sums = [np.zeros(n) for _ in range(cfg.heads)]
-        kept = [np.zeros((n - first_kept, n), dtype=np.float32) for _ in range(cfg.heads)]
+        sums = np.zeros((cfg.heads, n))
+        kept = np.zeros((cfg.heads, n - first_kept, n), dtype=np.float32)
         out = np.empty((n, cfg.d_model), dtype=np.float32)
         padded.fill(0.0)
         for r0, new, r1 in blocks:
@@ -314,8 +318,8 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
                 if r1 > first_kept:
                     lo = max(new, first_kept)
                     kept[head][lo - first_kept : r1 - first_kept, :r1] = probs[lo - r0 :]
-        keys.append([np.ascontiguousarray(kh) for kh in k_heads])
-        values.append([np.ascontiguousarray(vh) for vh in v_heads])
+        keys.append(np.stack(k_heads))
+        values.append(np.stack(v_heads))
         attn.append(kept)
         column_sums.append(sums)
         x = x + matmul(out, lw.w_o)

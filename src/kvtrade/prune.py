@@ -87,8 +87,9 @@ class ScoreContext:
     the causal probabilities: query row i is a distribution over keys 0..i
     and exactly zero beyond. Statistics that break this contract (a row
     off 1 by more than 1e-5, weight past a row's diagonal, column sums that
-    are negative or do not total n), or a ``seq_len`` that is not an
-    integer >= 1, raise ContractViolation.
+    are negative or do not total n), statistics that are not arrays of
+    numbers, or a ``seq_len`` that is not an integer >= 1, raise
+    ContractViolation.
     """
 
     column_sums: np.ndarray
@@ -98,6 +99,8 @@ class ScoreContext:
     def __post_init__(self) -> None:
         n = require_int("seq_len", self.seq_len, 1)
         sums, p = self.column_sums, self.window_probs
+        if not all(isinstance(a, np.ndarray) and a.dtype.kind in "biuf" for a in (sums, p)):
+            raise ContractViolation("column sums and window rows must be arrays of numbers")
         if sums.shape != (n,) or p.ndim != 2 or p.shape[0] > n or p.shape[1] != n:
             raise ContractViolation(
                 f"statistics for n={n} need column sums of shape ({n},) and at most "
@@ -128,9 +131,16 @@ class PruneDecision:
 def top_k_indices(scores, k: int) -> list[int]:
     """Indices of the k largest scores, ties broken toward the smaller index.
 
-    The result is sorted ascending; non-finite scores raise ContractViolation.
+    The result is sorted ascending; scores that are not numbers or not finite
+    raise ContractViolation.
     """
-    s = np.asarray(scores, dtype=np.float64).reshape(-1)
+    try:
+        s = np.asarray(scores)
+    except ValueError:  # a ragged sequence, such as [1, [2]]
+        raise ContractViolation("scores must be numbers, got a ragged sequence") from None
+    if s.dtype.kind not in "biuf":
+        raise ContractViolation(f"scores must be numbers, got dtype {s.dtype}")
+    s = s.astype(np.float64, copy=False).reshape(-1)
     if require_int("k", k, 0) > s.size:
         raise ContractViolation(f"k={k} outside [0, {s.size}]")
     if not np.isfinite(s).all():

@@ -425,8 +425,11 @@ class _Prompt:
 
     ``contexts`` come from a prefill whose window is the longest any policy
     of the config reads; a scorer reads only the trailing rows it needs. The
-    K/V of layers after the first are kept read-only; layer 0 is
-    re-projected at each point (``prefill_kv0``).
+    K/V stacks of layers after the first are kept read-only; layer 0 is
+    re-projected at each point (``prefill_kv0``), because ``run_point``
+    called in grid order (seed innermost, as the benchmark does) keeps every
+    seed's state live at once, and holding layer 0 in each raised the
+    benchmark's ``recall_tradeoff`` peak RSS by 11%.
     Each query is the decode input ``h``, the token a correct decode emits,
     and the dense reference logits. ``recall`` decodes each query from the
     prompt's cache; a probe decodes its queries in sequence, following the
@@ -436,8 +439,8 @@ class _Prompt:
     model: Model
     tokens: list[int]
     contexts: list[list[ScoreContext]]
-    keys: list[list[np.ndarray]]
-    values: list[list[np.ndarray]]
+    keys: list[np.ndarray]
+    values: list[np.ndarray]
     queries: list[tuple[np.ndarray, int, np.ndarray]]
     recall: bool
 
@@ -468,6 +471,9 @@ def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model) -> _Prompt:
 
     window = max(cfg.policy(p).window_rows for p in cfg.policies)
     result = prefill(model, tokens, window)
+    # before the contexts take views of them: a view keeps the flag it was made with
+    for m in itertools.chain(result.keys, result.values, result.column_sums, result.attn):
+        m.flags.writeable = False
     n = len(tokens)
     contexts = [
         [ScoreContext(sums, rows, n) for sums, rows in zip(layer_sums, layer_rows)]
@@ -489,11 +495,9 @@ def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model) -> _Prompt:
             token = int(np.argmax(ref))
             queries.append((h, token, ref))
 
-    keys, values = result.keys[1:], result.values[1:]
-    for m in itertools.chain(*keys, *values, *result.column_sums, *result.attn,
-                             (h for h, _, _ in queries), (ref for _, _, ref in queries)):
-        m.flags.writeable = False
-    return _Prompt(model, tokens, contexts, keys, values, queries, cfg.task == "recall")
+    for h, _, ref in queries:
+        h.flags.writeable = ref.flags.writeable = False
+    return _Prompt(model, tokens, contexts, result.keys[1:], result.values[1:], queries, cfg.task == "recall")
 
 
 def _decode_queries(prompt: _Prompt, cache) -> tuple[float, float]:

@@ -44,12 +44,15 @@ def gen_recall_task(
     prompt start and depth 1.0 sits immediately before the decode-time query.
     Colliding placements shift forward to the next free slot. Which pair
     identity lands at which depth is shuffled per seed. A ``seq_len`` that
-    is not an integer >= 1, or a ``num_pairs`` or ``seed`` not one >= 0, raises
-    ContractViolation.
+    is not an integer >= 1, a ``num_pairs`` or ``seed`` not one >= 0, or
+    ``needle_depths`` that are not a sequence, raise ContractViolation.
     """
     seq_len, seed = require_int("seq_len", seq_len, 1), require_int("seed", seed, 0)
     num_pairs = require_int("num_pairs", num_pairs, 0)
-    depths = list(needle_depths)
+    try:
+        depths = list(needle_depths)
+    except TypeError:
+        raise ContractViolation(f"needle_depths must be a sequence, got {needle_depths!r}") from None
     if len(depths) != num_pairs:
         raise ContractViolation(
             f"expected {num_pairs} depths, got {len(depths)}"

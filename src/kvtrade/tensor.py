@@ -25,10 +25,10 @@ Matrix = np.ndarray
 _FLOAT32 = np.dtype(np.float32)
 
 
-def as_matrix(m, name: str) -> Matrix:
-    """A 2-D ndarray of numbers as float32 (inf past its range, no warning); else ContractViolation."""
-    if not isinstance(m, np.ndarray) or m.ndim != 2:
-        raise ContractViolation(f"{name} must be a 2-D array")
+def as_matrix(m, name: str, ndim: int = 2) -> Matrix:
+    """An ``ndim``-D ndarray of numbers as float32 (inf past its range, no warning); else ContractViolation."""
+    if not isinstance(m, np.ndarray) or m.ndim != ndim:
+        raise ContractViolation(f"{name} must be a {ndim}-D array")
     if m.dtype is _FLOAT32:  # a builtin dtype is a singleton: the cheapest test
         return m
     if m.dtype.kind not in "biuf":  # booleans, integers and floats

@@ -53,6 +53,23 @@ def test_differing_sha_and_failures_are_named():
     assert bench_pairs.problems(parent, parent) == []
 
 
+def test_a_metric_past_its_bound_is_named():
+    # the step time 25% worse against a 24% bound; peak_rss_mib 9.8% worse against 10%
+    parent = [_run(1.0, 50), _run(1.0, 50)]
+    change = [_run(1.25, 54.9), _run(1.25, 54.9)]
+    rows = bench_pairs.summary(parent, change, BETTER)
+    bounds = {"decode_step_ms_p50": ("lower", 0.24), "peak_rss_mib": ("lower", 0.1)}
+    assert bench_pairs.over_bounds(rows, bounds) == [
+        "decode_step_ms_p50: change median 1.25 is worse than the parent's 1 by more than its bound of 24%",
+    ]
+    # a higher-is-better metric is worse downward, and an ungated one is never named
+    assert bench_pairs.over_bounds(rows, {"decode_step_ms_p50": ("higher", 0.1)}) == []
+    swapped = bench_pairs.summary(change, parent, BETTER)
+    assert bench_pairs.over_bounds(swapped, {"peak_rss_mib": ("higher", 0.08)}) == [
+        "peak_rss_mib: change median 50 is worse than the parent's 54.9 by more than its bound of 8%",
+    ]
+
+
 def test_one_pair_on_one_checkout_runs_clean():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}

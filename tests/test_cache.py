@@ -21,15 +21,10 @@ def causal_uniform_attn(n):
 
 
 def make_inputs(layers, heads, n, head_dim, seed=0):
+    """Per layer, a K and a V ``(heads, n, head_dim)`` stack, and each head's uniform statistics."""
     rng = np.random.default_rng(seed)
-    keys = [
-        [rng.uniform(-2, 2, size=(n, head_dim)).astype(np.float32) for _ in range(heads)]
-        for _ in range(layers)
-    ]
-    values = [
-        [rng.uniform(-2, 2, size=(n, head_dim)).astype(np.float32) for _ in range(heads)]
-        for _ in range(layers)
-    ]
+    keys = [rng.uniform(-2, 2, size=(heads, n, head_dim)).astype(np.float32) for _ in range(layers)]
+    values = [rng.uniform(-2, 2, size=(heads, n, head_dim)).astype(np.float32) for _ in range(layers)]
     ctxs = [
         [context_from_probs(causal_uniform_attn(n), n) for _ in range(heads)]
         for _ in range(layers)
@@ -66,7 +61,7 @@ class TestPrefillCompress:
         keys, values, ctxs = make_inputs(1, 1, 10, 8)
         plan = uniform_plan(1, 6, 16, heads=1, head_dim=8)
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        assert cache.entry(0, 0).positions == (0, 1, 6, 7, 8, 9)
+        assert cache.positions[0].tolist() == [[0, 1, 6, 7, 8, 9]]
         k, _ = cache.materialize(0, 0)
         assert np.array_equal(k, keys[0][0][[0, 1, 6, 7, 8, 9], :])
 
@@ -86,24 +81,35 @@ class TestPrefillCompress:
         with pytest.raises(ContractViolation, match=f"statistics for n={ctx_n}"):
             prefill_compress(keys, values, ctxs, plan, H2O4)
 
-    def test_later_head_of_another_shape_rejected(self):
-        # the first head fixes n x head_dim; the second layer's second head is a row short
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_later_layer_of_another_shape_rejected(self, side):
+        # the first layer's K fixes (heads, n, head_dim); the second layer is a row short
         keys, values, ctxs = make_inputs(2, 2, 10, 8)
-        keys[1][1] = keys[1][1][:9]
+        kv = keys if side == "k" else values
+        kv[1] = kv[1][:, :9]
         plan = uniform_plan(2, 4, 4, heads=2, head_dim=8)
-        with pytest.raises(ContractViolation, match="inconsistent K/V shape at layer 1 head 1"):
+        with pytest.raises(ContractViolation, match=r"K/V at layer 1 must be nonempty, shaped \(2, 10, 8\)"):
             prefill_compress(keys, values, ctxs, plan, H2O4)
 
     @pytest.mark.parametrize(
         "malform",
         [
-            pytest.param(lambda k, v, c: k[1].pop(), id="fewer-key-heads"),
-            pytest.param(lambda k, v, c: k[1].append(k[1][0]), id="more-key-heads"),
-            pytest.param(lambda k, v, c: v[1].pop(), id="fewer-value-heads"),
+            pytest.param(lambda k, v, c: k.__setitem__(1, k[1][:1]), id="fewer-key-heads"),
+            pytest.param(lambda k, v, c: k.__setitem__(1, k[1][[0, 1, 0]]), id="more-key-heads"),
+            pytest.param(lambda k, v, c: v.__setitem__(1, v[1][:1]), id="fewer-value-heads"),
+            pytest.param(lambda k, v, c: v.__setitem__(0, v[0][[0, 1, 0]]), id="more-value-heads"),
+            pytest.param(lambda k, v, c: k.pop(), id="fewer-key-layers"),
+            pytest.param(lambda k, v, c: k.append(k[0]), id="more-key-layers"),
             pytest.param(lambda k, v, c: v.pop(), id="fewer-value-layers"),
+            pytest.param(lambda k, v, c: v.append(v[0]), id="more-value-layers"),
             pytest.param(lambda k, v, c: c.pop(), id="fewer-ctx-layers"),
+            pytest.param(lambda k, v, c: c.append(c[0]), id="more-ctx-layers"),
             pytest.param(lambda k, v, c: c[1].pop(), id="fewer-ctx-heads"),
-            pytest.param(lambda k, v, c: [row.clear() for row in (*k, *v, *c)], id="no-heads"),
+            pytest.param(lambda k, v, c: c[0].append(c[0][0]), id="more-ctx-heads"),
+            pytest.param(lambda k, v, c: [kv.__setitem__(i, kv[i][:0]) for kv in (k, v) for i in range(2)]
+                         + [row.clear() for row in c], id="no-heads"),
+            pytest.param(lambda k, v, c: [kv.__setitem__(i, kv[i][..., :0]) for kv in (k, v) for i in range(2)],
+                         id="zero-width-heads"),
         ],
     )
     def test_malformed_structure_rejected(self, malform):
@@ -127,11 +133,12 @@ class TestPrefillCompress:
     @pytest.mark.parametrize("bad", ["list", "strings"])
     @pytest.mark.parametrize("side", ["k", "v"])
     def test_kv_not_an_array_of_numbers_rejected(self, side, bad):
+        # a list of one matrix per head is not a second input form
         keys, values, ctxs = make_inputs(1, 1, 12, 8)
         kv = keys if side == "k" else values
-        kv[0][0] = kv[0][0].tolist() if bad == "list" else kv[0][0].astype(str)
+        kv[0] = list(kv[0]) if bad == "list" else kv[0].astype(str)
         plan = uniform_plan(1, 16, 4, heads=1, head_dim=8)
-        with pytest.raises(ContractViolation, match="K/V at layer 0 head 0 must"):
+        with pytest.raises(ContractViolation, match="K/V at layer 0 must"):
             prefill_compress(keys, values, ctxs, plan, STREAM4)
 
     def test_conservation_after_prefill(self):
@@ -139,8 +146,7 @@ class TestPrefillCompress:
         plan = uniform_plan(3, 20, 8, heads=2, head_dim=8)  # 40 tokens per layer
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
         for layer in range(3):
-            for head in range(2):
-                assert len(cache.entry(layer, head).positions) == min(40, 50)
+            assert cache.positions[layer].shape == (2, min(40, 50))
 
 
 class TestDecodeAppend:
@@ -202,19 +208,19 @@ class TestDecodeAppend:
             assert cache.residual_k[0].shape[1] < 4
 
     def test_positions_strictly_increasing(self):
-        # an entry keeps its prompt positions; the snapshot writes them and the
+        # a layer keeps its prompt positions; the snapshot writes them and the
         # decode row count, which implies the decode rows' positions
         cache = self.make_cache(group=4, n=12)
-        kept = cache.entry(0, 0).positions
-        assert list(kept) == sorted(set(kept)) and kept[-1] < 12
+        kept = cache.positions[0]
+        assert (kept[:, 1:] > kept[:, :-1]).all() and kept[0, -1] < 12
         rng = np.random.default_rng(3)
         for _ in range(9):
             cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-        assert cache.entry(0, 0).positions == kept
-        assert cache.materialize_layer(0)[0].shape[1] == len(kept) + 9
+        assert cache.positions[0] is kept
+        assert cache.materialize_layer(0)[0].shape[1] == kept.shape[1] + 9
         blob = dump_snapshot(cache)
-        assert struct.unpack_from("<II", blob, SNAPSHOT_HEADER + 5) == (len(kept), 9)
-        assert struct.unpack_from(f"<{len(kept)}I", blob, SNAPSHOT_HEADER + 13) == kept
+        assert struct.unpack_from("<II", blob, SNAPSHOT_HEADER + 5) == (kept.shape[1], 9)
+        assert struct.unpack_from(f"<{kept.shape[1]}I", blob, SNAPSHOT_HEADER + 13) == tuple(kept[0].tolist())
 
     def test_per_channel_flush_makes_token_spanning_groups(self):
         cache = self.make_cache(group=4, layout=Layout.PER_CHANNEL)
@@ -243,7 +249,7 @@ class TestDecodeAppend:
 
     def test_conservation_during_decode(self):
         cache = self.make_cache(group=4, n=12)
-        base = len(cache.entry(0, 0).positions)
+        base = cache.positions[0].shape[1]
         rng = np.random.default_rng(6)
         for t in range(7):
             cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
@@ -363,7 +369,8 @@ class TestLayerAppend:
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_completing_a_group_adds_one_block_to_every_head(self, bits, layout):
         cache = self.make_cache(bits, layout)
-        layer_0 = [cache.entry(0, head).clone() for head in range(self.HEADS)]
+        layer_0 = [list(cache.entry(0, head).quant_k) for head in range(self.HEADS)]
+        positions_0 = cache.positions[0]
         rng = np.random.default_rng(32)
         rows = [rng.normal(size=(2, self.WIDTH)).astype(np.float32) for _ in range(4)]
         for step, (k, v) in enumerate(rows):
@@ -380,8 +387,8 @@ class TestLayerAppend:
             for block, side, cfg in ((e.quant_k[-1], 0, k_cfg), (e.quant_v[-1], 1, v_cfg)):
                 expected = quantize_matrix(np.stack([pair[side][sl] for pair in rows]), cfg)
                 assert dequantize_matrix(block).tobytes() == dequantize_matrix(expected).tobytes()
-            assert cache.entry(0, head).positions == layer_0[head].positions
-            assert cache.entry(0, head).quant_k == layer_0[head].quant_k
+            assert cache.positions[0] is positions_0
+            assert cache.entry(0, head).quant_k == layer_0[head]
 
     def test_16bit_heads_take_their_slices_bit_for_bit(self):
         cache = self.make_cache(16)
@@ -417,7 +424,7 @@ class TestResidualStacks:
         full = 0 if bits == 16 else self.APPENDS // group_size * group_size
         k_stack, v_stack = cache.materialize_layer(1)
         for head in range(heads):
-            kept = list(cache.entry(1, head).positions)
+            kept = cache.positions[1][head]
             assert len(kept) == self.KEPT
             appended = rows[:, :, head * self.HEAD_DIM : (head + 1) * self.HEAD_DIM]
             for side, (prompt, cfg, stack) in enumerate(zip((keys, values), cfgs, (k_stack, v_stack))):
@@ -437,7 +444,7 @@ class TestMaterialize:
         keys, values, ctxs = make_inputs(1, 1, 20, 8, seed=7)
         plan = uniform_plan(1, 8, 4, heads=1, head_dim=8, group_size=8)
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        idx = cache.entry(0, 0).positions
+        idx = cache.positions[0][0]
         k, _ = cache.materialize(0, 0)
         gathered = keys[0][0][idx, :]
         s_max = cache.entry(0, 0).quant_k[0].scales.max()
@@ -448,7 +455,7 @@ class TestMaterialize:
         keys[0][0][3, 5] = 42.5  # position 3 is retained by streaming sinks
         plan = uniform_plan(1, 8, 4, heads=1, head_dim=8, group_size=8)
         cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=6.0), STREAM4)
-        idx = cache.entry(0, 0).positions
+        idx = cache.positions[0][0].tolist()
         assert 3 in idx
         k, _ = cache.materialize(0, 0)
         assert k[idx.index(3), 5] == np.float32(42.5)
@@ -551,9 +558,7 @@ class TestSnapshot:
                 k2, v2 = restored.materialize(layer, head)
                 assert np.array_equal(k1, k2)
                 assert np.array_equal(v1, v2)
-                assert cache.entry(layer, head).positions == restored.entry(
-                    layer, head
-                ).positions
+            assert np.array_equal(cache.positions[layer], restored.positions[layer])
         assert restored.measured_bytes() == cache.measured_bytes()
 
     def test_dump_is_deterministic(self):
@@ -639,7 +644,7 @@ class TestSnapshotRejects:
         blob = dump_snapshot(cache)
         e = cache.entry(0, 0)
         assert struct.unpack_from("<IB", blob, PLAN_TOKENS_AT) == (16, 4)
-        assert len(e.positions) == 16 and len(e.quant_k) == 1 and cache.residual_k[0].size == 0
+        assert cache.positions[0].shape == (1, 16) and len(e.quant_k) == 1 and cache.residual_k[0].size == 0
         # plan row; the layer's kept and decode row counts and its one head's
         # positions; then the K prompt block: outlier count, two outliers,
         # 16 groups (f64 zero, f64 scale), 16 * 4 code bytes
@@ -647,7 +652,7 @@ class TestSnapshotRejects:
         at["positions"] = at["kept"] + 8
         at["block"] = at["positions"] + 4 * 16
         assert struct.unpack_from("<II", blob, at["kept"]) == (16, 0)
-        assert struct.unpack_from("<16I", blob, at["positions"]) == e.positions
+        assert struct.unpack_from("<16I", blob, at["positions"]) == tuple(cache.positions[0][0].tolist())
         at["outliers"] = at["block"] + 4
         at["table"] = at["outliers"] + 2 * 12
         at["codes"] = at["table"] + 16 * 16
@@ -900,7 +905,25 @@ class TestClone:
         assert dump_snapshot(cache) == snapshot
         rows = cache.materialize_layer(0)[0].shape[1]
         assert clone.materialize_layer(0)[0].shape[1] == rows + 6
-        assert clone.entry(0, 0).positions is cache.entry(0, 0).positions
+        assert clone.positions[0] is cache.positions[0]
+
+    @pytest.mark.parametrize("bits", [4, 16])
+    def test_positions_are_one_read_only_array_per_layer(self, bits):
+        # fresh, loaded and cloned caches hold each layer's kept positions alike,
+        # also when the snapshot came in a writable buffer
+        keys, values, ctxs = make_inputs(2, 3, 24, 8, seed=35)
+        plan = uniform_plan(2, 4, bits, heads=3, head_dim=8, group_size=8)
+        fresh = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        blob = dump_snapshot(fresh)
+        for cache in (fresh, load_snapshot(blob), load_snapshot(bytearray(blob))):
+            clone = cache.clone()
+            for layer in range(2):
+                p = cache.positions[layer]
+                assert p.shape == (3, 64 // bits) and p.dtype == fresh.positions[0].dtype == np.uint32
+                assert not p.flags.writeable and clone.positions[layer] is p
+                assert np.array_equal(p, fresh.positions[layer])
+                with pytest.raises(ValueError, match="read-only"):
+                    p[0, 0] = 1
 
     def test_copies_of_a_decoded_cache_materialize_identically(self):
         cache = TestSnapshot().build()

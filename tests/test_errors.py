@@ -229,6 +229,41 @@ def test_non_numeric_setting_raises_the_package_error(build, error, message, val
     build(np.float32(0.5))
 
 
+PROBS = np.ones((1, 1), dtype=np.float32)
+
+# entry points given a value of the wrong kind: the package's error, not
+# AttributeError, TypeError or numpy's bare ValueError
+MALFORMED = [
+    pytest.param(lambda: ScoreContext([1.0], PROBS, 1), "arrays of numbers", id="ScoreContext.column_sums-list"),
+    pytest.param(lambda: ScoreContext(np.ones(1), [[1.0]], 1), "arrays of numbers",
+                 id="ScoreContext.window_probs-list"),
+    pytest.param(lambda: ScoreContext(np.array(["1.0"]), PROBS, 1), "arrays of numbers",
+                 id="ScoreContext.column_sums-strings"),
+    pytest.param(lambda: ScoreContext(np.ones(1), PROBS.astype(object), 1), "arrays of numbers",
+                 id="ScoreContext.window_probs-objects"),
+    pytest.param(lambda: top_k_indices(["a"], 1), "scores must be numbers", id="top_k_indices-strings"),
+    pytest.param(lambda: top_k_indices([1, [2]], 1), "scores must be numbers", id="top_k_indices-ragged"),
+    pytest.param(lambda: top_k_indices(None, 0), "scores must be numbers", id="top_k_indices-None"),
+    pytest.param(lambda: gen_recall_task(16, 1, None, 0, VOCAB), "needle_depths must be a sequence",
+                 id="gen_recall_task.needle_depths-None"),
+    pytest.param(lambda: plan_for_tokens(5, 16, heads=1, head_dim=4), "tokens_per_layer must be a sequence",
+                 id="plan_for_tokens.tokens_per_layer-int"),
+]
+
+
+@pytest.mark.parametrize("call, message", MALFORMED)
+def test_malformed_input_raises_the_package_error(call, message):
+    with pytest.raises(ContractViolation, match=message):
+        call()
+
+
+def test_valid_statistics_are_kept_uncopied():
+    sums = np.ones(1)
+    ctx = ScoreContext(sums, PROBS, 1)
+    assert ctx.column_sums is sums and ctx.window_probs is PROBS
+    assert top_k_indices(np.array([1.0, 3.0, 2.0]), 2) == [1, 2]
+
+
 @pytest.mark.parametrize("value", ["no", 0, None, np.int64(1)])
 def test_sweep_config_paired_budget_must_be_a_bool(value):
     with pytest.raises(ConfigError, match=r"paired_budget must be True or False, got "):

@@ -89,12 +89,12 @@ class TestPrefill:
         model = random_model(cfg)
         res = prefill(model, list(range(16)), window=16)
         assert res.logits.shape == (16,)
-        for row_k, row_v, row_a in zip(res.keys, res.values, res.attn):
-            assert len(row_k) == 1
-            assert row_k[0].shape == (16, 8)
-            assert row_v[0].shape == (16, 8)
-            assert row_a[0].shape == (16, 16)
-        assert res.hidden.shape == (16, 8)
+        for k, v, a, sums in zip(res.keys, res.values, res.attn, res.column_sums, strict=True):
+            assert k.shape == v.shape == (1, 16, 8) and k.dtype == v.dtype == np.float32
+            assert k.flags.c_contiguous and v.flags.c_contiguous
+            assert a.shape == (1, 16, 16) and a.dtype == np.float32
+            assert sums.shape == (1, 16) and sums.dtype == np.float64
+        assert len(res.keys) == 2 and res.hidden.shape == (16, 8)
 
     def test_overlong_rejected(self):
         model = random_model(ModelConfig(1, 1, 8, 16, 8, seed=3))
@@ -114,9 +114,10 @@ class TestPrefill:
         res = prefill(model, rng.integers(0, vocab, n).tolist(), window=n)
         assert res.logits.shape == (vocab,)
         assert res.hidden.shape == (n, cfg.d_model)
-        assert all(k.shape == (n, head_dim) for row in res.keys for k in row)
-        assert all(v.shape == (n, head_dim) for row in res.values for v in row)
-        assert all(a.shape == (n, n) for row in res.attn for a in row)
+        assert all(k.shape == (heads, n, head_dim) for k in res.keys)
+        assert all(v.shape == (heads, n, head_dim) for v in res.values)
+        assert all(a.shape == (heads, n, n) for a in res.attn)
+        assert all(s.shape == (heads, n) for s in res.column_sums)
 
     def test_causality_by_mutation(self):
         cfg = ModelConfig(2, 2, 16, 32, 64, seed=4)
@@ -286,10 +287,9 @@ class TestStreamedPrefill:
         tokens = np.random.default_rng(3).integers(0, 40, 200).tolist()
         res = prefill(model, tokens, window=8)
         keys, values = prefill_kv0(model, tokens)
-        for head in range(2):
-            assert np.array_equal(keys[head], res.keys[0][head])
-            assert np.array_equal(values[head], res.values[0][head])
-            assert keys[head].flags.c_contiguous and values[head].flags.c_contiguous
+        assert keys.shape == values.shape == (2, 200, 8)
+        assert keys.tobytes() == res.keys[0].tobytes() and values.tobytes() == res.values[0].tobytes()
+        assert keys.flags.c_contiguous and values.flags.c_contiguous
         with pytest.raises(ContractViolation, match="vocabulary"):
             prefill_kv0(model, [40])
 
@@ -384,7 +384,7 @@ class TestExtremePruning:
         plan = uniform_plan(1, 1, 16, heads=1, head_dim=8)
         policy = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=1)
         cache = prefill_compress(res.keys, res.values, contexts(res), plan, policy)
-        assert cache.entry(0, 0).positions == (5,)
+        assert cache.positions[0].tolist() == [[5]]
         logits = decode_step(model, cache, embed_token(model, 7))
         assert logits.shape == (16,)
         k, _ = cache.materialize(0, 0)
@@ -455,7 +455,7 @@ class TestRecallModel:
                         layout=layout,
                     )
                     cache = prefill_compress(res.keys, res.values, ctxs, replace(plan, outlier_threshold=threshold), policy)
-                    kept = set(cache.entry(0, 0).positions)
+                    kept = set(cache.positions[0][0].tolist())
                     for q in task.queries:
                         h = embed_token(model, q.key_token, position=n)
                         hit = int(np.argmax(decode_step(model, cache.clone(), h))) == q.value_token
@@ -947,6 +947,24 @@ class TestStackedDecode:
             k, v = dense.materialize_layer(layer)
             assert k.shape == v.shape == (2, 6, 4)
             assert self.same(k[:, :5], read[layer][0]) and self.same(v[:, :5], read[layer][1])
+
+    def test_stores_built_from_one_prefill_share_it_safely(self):
+        # from_prefill copies only the outer lists, and an append replaces a
+        # layer's arrays: two stores decoding different tokens from one
+        # prefill give what stores built on copied stacks give, and leave
+        # the prefill's arrays as they were
+        model = _model(2, 2, 8)
+        res = prefill(model, [1, 2, 3, 4, 5])
+        arrays = [*res.keys, *res.values]
+        before = [m.tobytes() for m in arrays]
+        shared = [DenseKV.from_prefill(res) for _ in range(2)]
+        copied = [DenseKV([k.copy() for k in res.keys], [v.copy() for v in res.values]) for _ in range(2)]
+        for step in range(3):
+            for side, (store, reference) in enumerate(zip(shared, copied)):
+                h = embed_token(model, 2 * step + side, 5 + step)
+                assert self.same(decode_step_dense(model, store, h), decode_step_dense(model, reference, h))
+        assert all(m is kept for m, kept in zip([*res.keys, *res.values], arrays, strict=True))
+        assert [m.tobytes() for m in arrays] == before
 
 
 class TestResidualStacks:

@@ -656,6 +656,16 @@ class TestPromptState:
         assert len(calls) == 9
         assert sweep._PROMPTS == {}
 
+    @pytest.mark.parametrize("cfg", SHARED, ids=["recall", "random_probe"])
+    def test_kept_state_is_read_only(self, cfg):
+        # the K/V stacks, the contexts' views of the statistics and the queries
+        sweep.run_point(cfg, enumerate_grid(cfg)[0])
+        prompt = sweep._PROMPTS[(cfg.seq_lens[0], cfg.seeds[0])]
+        arrays = [*prompt.keys, *prompt.values, *(a for h, _, ref in prompt.queries for a in (h, ref))]
+        arrays += [a for row in prompt.contexts for ctx in row for a in (ctx.column_sums, ctx.window_probs)]
+        assert len(arrays) > 2 * len(prompt.queries) and not any(a.flags.writeable for a in arrays)
+        sweep._PROMPTS.clear()
+
     def test_another_config_drops_every_prompt(self):
         cfg = SHARED[0]
         sweep.run_point(cfg, enumerate_grid(cfg)[0])
