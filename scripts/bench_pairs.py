@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Run the benchmark on two checkouts in alternating pairs and count the change's wins.
 
-    python scripts/bench_pairs.py --parent DIR --change DIR --workload W --pairs N [--seed S]
+    python scripts/bench_pairs.py --parent DIR --change DIR --workload W [--workload W2 ...] --pairs N [--seed S]
 
-Each pair runs ``kvbench/run.py --trace 0`` once in each checkout, each run
+``--workload`` may be given more than once: the workloads run in turn, each
+its N pairs, with one table and one list of problems per workload, so one
+command gates a change on every workload. Each pair runs ``kvbench/run.py --trace 0`` once in each checkout, each run
 a new process in that checkout, for ``run_seconds`` of the change's
 BENCHMARK.json. Pair i runs the parent first when i is even and the change
 first when it is odd, so neither side always meets the machine in the same
@@ -14,7 +16,7 @@ csv or logits sha256 differs from the parent's first run, or that reported
 failures, and every end-to-end metric whose change median is worse than the
 parent's by more than the metric's ``bound`` in BENCHMARK.json, a fraction
 of the parent median in the metric's ``better`` direction. It exits 1 if it
-named any.
+named any, on any workload.
 """
 
 from __future__ import annotations
@@ -117,33 +119,45 @@ def _table(rows: list[dict]) -> str:
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines)
 
 
+def gate(parent: Path, change: Path, workload: str, pairs: int, seed: int, bench: dict) -> list[str]:
+    """Run ``pairs`` alternating pairs of ``workload``, print its table and problems, and return the problems."""
+    seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    checkouts = {"parent": parent, "change": change}
+    for i in range(pairs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(run_once(checkouts[side], workload, seed, seconds))
+    print(f"{workload}, seed {seed}, {pairs} pairs of {seconds:g} s runs")
+    rows = summary(runs["parent"], runs["change"], better)
+    print(_table(rows))
+    found = problems(runs["parent"], runs["change"]) + over_bounds(rows, bounds)
+    for line in found:
+        print(line)
+    return found
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True, help="may be given more than once")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
-    if args.workload not in {w["name"] for w in bench["workloads"]}:
-        parser.error(f"--workload must be one of BENCHMARK.json's workloads, got {args.workload!r}")
-    seconds = bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    bounds = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
-
-    runs: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_once(getattr(args, side), args.workload, args.seed, seconds))
-    print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {seconds:g} s runs")
-    rows = summary(runs["parent"], runs["change"], better)
-    print(_table(rows))
-    found = problems(runs["parent"], runs["change"]) + over_bounds(rows, bounds)
-    for line in found:
-        print(line)
+    names = {w["name"] for w in bench["workloads"]}
+    for workload in args.workload:
+        if workload not in names:
+            parser.error(f"--workload must be one of BENCHMARK.json's workloads, got {workload!r}")
+    found = []
+    for i, workload in enumerate(args.workload):
+        if i:
+            print()
+        found += gate(args.parent, args.change, workload, args.pairs, args.seed, bench)
     return 1 if found else 0
 
 

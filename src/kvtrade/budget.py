@@ -190,8 +190,15 @@ def apply_overrides(plan: BudgetPlan, overrides) -> BudgetPlan:
 
     Each layer's implied 16-bit-equivalent base count is preserved, so the
     override swaps precision for tokens at (metadata aside) constant bytes.
+    ``overrides`` that are not a sequence of :class:`LayerOverride` raise ContractViolation.
     """
-    overrides = list(overrides)
+    try:
+        items = list(overrides)
+    except TypeError:
+        items = None
+    if items is None or not all(isinstance(o, LayerOverride) for o in items):
+        raise ContractViolation(f"overrides must be a sequence of LayerOverride, got {overrides!r}")
+    overrides = items
     spans = sorted((o.start, o.end) for o in overrides)
     for (s0, e0), (s1, _) in zip(spans, spans[1:]):
         if s1 < e0:

@@ -225,6 +225,14 @@ class CompressedKVCache:
         return sum(self._layer_bytes(layer, tensor_payload_bytes) for layer in range(len(self.entries)))
 
 
+def _length(seq) -> int | None:
+    """``len(seq)``, or None for an object without a length."""
+    try:
+        return len(seq)
+    except TypeError:
+        return None
+
+
 def prefill_compress(
     keys: list[np.ndarray],
     values: list[np.ndarray],
@@ -241,10 +249,10 @@ def prefill_compress(
     the kept rows, in temporal order, into the layer's residual stacks, which
     a quantized layer flushes into each head's prompt block. ``keys``,
     ``values`` and ``ctxs`` must each hold the plan's layers, every K and V
-    one finite, nonempty stack of numbers of one shape, and every ctx row one
-    item per head; anything else raises ContractViolation.
+    one finite, nonempty stack of numbers of one shape, and every ctx row a
+    sequence of one item per head; anything else raises ContractViolation.
     """
-    if not len(keys) == len(values) == len(ctxs) == plan.layers:
+    if not _length(keys) == _length(values) == _length(ctxs) == plan.layers:
         raise ContractViolation(f"keys, values and ctxs must each hold {plan.layers} layers")
     shape = None
     entries, positions, residual_k, residual_v = [], [], [], []
@@ -263,8 +271,8 @@ def prefill_compress(
         if not (np.isfinite(k).all() and np.isfinite(v).all()):
             raise ContractViolation(f"K/V at layer {layer} must be finite")
         heads, n, head_dim = shape
-        if len(ctxs[layer]) != heads:
-            raise ContractViolation(f"ctxs must hold {heads} heads at layer {layer}, got {len(ctxs[layer])}")
+        if (got := _length(ctxs[layer])) != heads:
+            raise ContractViolation(f"ctxs must hold {heads} heads at layer {layer}, got {got}")
         kept = np.array([decide(policy, c, n, tokens).retained for c in ctxs[layer]], _POSITION_DTYPE)
         kept.flags.writeable = False
         gather = (np.arange(heads)[:, None], kept)
@@ -399,8 +407,11 @@ def load_snapshot(data: bytes) -> CompressedKVCache:
 
     Any input that is not a valid snapshot raises :class:`IntegrityError`,
     among them a layer keeping no prompt rows or more than ``prefill_len``,
-    and kept positions that do not strictly increase below ``prefill_len``.
+    and kept positions that do not strictly increase below ``prefill_len``,
+    and ``data`` that is not ``bytes``, ``bytearray`` or ``memoryview``.
     """
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise IntegrityError(f"a snapshot must be bytes, got {type(data).__name__}")
     try:
         return _load_snapshot(data)
     except ContractViolation as exc:

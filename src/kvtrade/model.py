@@ -21,7 +21,7 @@ import numpy as np
 
 from .cache import CompressedKVCache, Reader, append_rows
 from .errors import ContractViolation, IntegrityError, require_index, require_int
-from .tensor import Matrix, as_matrix, concat_rows, matmul, softmax_rows
+from .tensor import Matrix, as_matrix, concat_rows, matmul, require_finite, softmax_rows
 
 # prefill's score for a future key: softmax gives it exactly 0 weight
 NEG_MASK = np.float32(-np.inf)
@@ -51,14 +51,20 @@ class ModelConfig:
         return self.d_model // self.heads
 
 
+_PROJECTIONS = ("w_q", "w_k", "w_v", "w_o")
+
+
 @dataclass(frozen=True)
 class LayerWeights:
-    """One layer's projections, each ``(d_model, d_model)``.
+    """One layer's projections, each ``(d_model, d_model)``, stored as float32.
 
-    Construction joins W_Q, W_K and W_V into one stored copy, ``w_qkv``
-    ``(d_model, 3 * d_model)``, of which ``w_q``, ``w_k`` and ``w_v`` become
-    column views. Decode projects through ``w_qkv`` in one product; with the
-    bundled OpenBLAS that gives the three separate products' bits.
+    Each must be a 2-D array of numbers (:func:`as_matrix`, which casts it
+    to float32), all four square and of one shape; anything else raises
+    ContractViolation. Construction joins W_Q, W_K and W_V into one stored
+    copy, ``w_qkv`` ``(d_model, 3 * d_model)``, of which ``w_q``, ``w_k``
+    and ``w_v`` become column views. Decode projects through ``w_qkv`` in
+    one product; with the bundled OpenBLAS that gives the three separate
+    products' bits.
     """
 
     w_q: Matrix
@@ -68,23 +74,55 @@ class LayerWeights:
     w_qkv: Matrix = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        w_qkv = np.concatenate((self.w_q, self.w_k, self.w_v), axis=1)
-        for name, view in zip(("w_q", "w_k", "w_v"), np.split(w_qkv, 3, axis=1)):
+        w_q, w_k, w_v, w_o = (as_matrix(getattr(self, name), name) for name in _PROJECTIONS)
+        if len({w_q.shape, w_k.shape, w_v.shape, w_o.shape, w_o.shape[::-1]}) != 1:
+            raise ContractViolation("a layer's projections must be square matrices of one shape, got "
+                                    f"{w_q.shape}, {w_k.shape}, {w_v.shape}, {w_o.shape}")
+        w_qkv = np.concatenate((w_q, w_k, w_v), axis=1)
+        for name, view in zip(_PROJECTIONS, (*np.split(w_qkv, 3, axis=1), w_o)):
             object.__setattr__(self, name, view)
         object.__setattr__(self, "w_qkv", w_qkv)
 
 
 @dataclass(frozen=True)
 class Weights:
+    """A model's matrices, stored as float32: each a 2-D array of numbers
+    (:func:`as_matrix`), every layer a :class:`LayerWeights`; anything else raises ContractViolation."""
+
     embedding: Matrix  # vocab x d_model
     layers: tuple[LayerWeights, ...]
     head: Matrix  # d_model x vocab
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.layers, (tuple, list)) or not all(isinstance(lw, LayerWeights) for lw in self.layers):
+            raise ContractViolation("layers must be a sequence of LayerWeights")
+        object.__setattr__(self, "embedding", as_matrix(self.embedding, "embedding"))
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "head", as_matrix(self.head, "head"))
+
 
 @dataclass(frozen=True)
 class Model:
+    """A config and weights that fit it, checked once, here: the embedding
+    ``(vocab, d_model)``, ``layers`` projections of ``(d_model, d_model)``
+    and the head ``(d_model, vocab)``, each float32 (:class:`Weights`);
+    anything else raises ContractViolation. Decode relies on this check
+    rather than checking the weights at each product."""
+
     config: ModelConfig
     weights: Weights
+
+    def __post_init__(self) -> None:
+        cfg, w = self.config, self.weights
+        if not (isinstance(cfg, ModelConfig) and isinstance(w, Weights)):
+            raise ContractViolation("a Model takes a ModelConfig and Weights")
+        d = cfg.d_model
+        shapes = [w.embedding.shape, *(lw.w_o.shape for lw in w.layers), w.head.shape]
+        if shapes != [(cfg.vocab, d), *[(d, d)] * cfg.layers, (d, cfg.vocab)]:
+            raise ContractViolation(
+                f"weights (embedding, each layer's projections, head) shaped {shapes} do not fit "
+                f"{cfg.layers} layers of d_model {d} and vocab {cfg.vocab}"
+            )
 
 
 @dataclass
@@ -334,12 +372,22 @@ def _decode(model: Model, store, h) -> np.ndarray:
     In each layer one product with ``w_qkv`` gives the token's Q, K and V
     rows for every head, and one ``decode_append`` stores all heads' K and V
     (so each head attends to itself). Then all heads attend at once over the
-    store's ``materialize_layer`` stacks: one stacked :func:`matmul` for the
+    store's ``materialize_layer`` stacks: one stacked product for the
     scores, one softmax over the ``(heads, rows)`` scores and one stacked
-    :func:`matmul` with V, each head's result bit for bit what its own 2-D
-    products give. A store not shaped like the model, or an ``h`` not shaped
-    ``(d_model,)`` or ``(1, d_model)`` or not holding numbers
+    product with V, each head's result bit for bit what its own 2-D
+    products give.
+
+    Operands are checked at the boundary, not at each product: the model's
+    weights when it was built (:class:`Model`), ``h`` and the store's shape
+    here, and every stored row by the store (float32 stacks of the model's
+    heads and head_dim). A store not shaped like the model, or an ``h`` not
+    shaped ``(d_model,)`` or ``(1, d_model)`` or not holding numbers
     (:func:`as_matrix`), raises ContractViolation before the first append.
+    The step then enters one error state that lets an overflow through
+    silently, and makes each product a bare ``@`` through
+    :func:`require_finite`, so a product that is not finite raises
+    ContractViolation where it arises: a NaN in ``h``, an overflow, and a
+    score at -inf, which the softmax alone would give weight 0.
     """
     cfg = model.config
     want = (cfg.layers, cfg.heads, cfg.head_dim)
@@ -354,15 +402,17 @@ def _decode(model: Model, store, h) -> np.ndarray:
     x = as_matrix(x.reshape(1, cfg.d_model), "h")
     d, heads, head_dim = cfg.d_model, cfg.heads, cfg.head_dim
     scale = np.float32(1.0 / math.sqrt(head_dim))
-    for layer, lw in enumerate(model.weights.layers):
-        qkv = matmul(x, lw.w_qkv)[0]
-        store.decode_append(layer, qkv[d : 2 * d], qkv[2 * d :])
-        k_stack, v_stack = store.materialize_layer(layer)
-        scores = matmul(qkv[:d].reshape(heads, 1, head_dim), k_stack.transpose(0, 2, 1))
-        probs = softmax_rows(scores.reshape(heads, -1) * scale)
-        out = matmul(probs.reshape(heads, 1, -1), v_stack)
-        x = x + matmul(out.reshape(1, cfg.d_model), lw.w_o)
-    return matmul(x, model.weights.head)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer, lw in enumerate(model.weights.layers):
+            qkv = require_finite(x @ lw.w_qkv, "decode's Q/K/V product")[0]
+            store.decode_append(layer, qkv[d : 2 * d], qkv[2 * d :])
+            k_stack, v_stack = store.materialize_layer(layer)
+            scores = require_finite(qkv[:d].reshape(heads, 1, head_dim) @ k_stack.transpose(0, 2, 1),
+                                    "decode's scores product")
+            probs = softmax_rows(scores.reshape(heads, -1) * scale)
+            out = require_finite(probs.reshape(heads, 1, -1) @ v_stack, "decode's V product")
+            x = x + require_finite(out.reshape(1, d) @ lw.w_o, "decode's W_O product")
+        return require_finite(x @ model.weights.head, "decode's head product")[0]
 
 
 def decode_step(model: Model, cache: CompressedKVCache, h) -> np.ndarray:

@@ -257,7 +257,11 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
     leftward and are chopped into ``group_size`` chunks, the final partial
     chunk quantized as its own shorter group.
     """
-    m = as_matrix(np.asarray(m), "quantize_matrix input")
+    try:
+        m = np.asarray(m)
+    except ValueError:  # a ragged sequence, such as [[1, 2], [3]]
+        raise ContractViolation("quantize_matrix input must hold numbers, got a ragged sequence") from None
+    m = as_matrix(m, "quantize_matrix input")
     if m.size == 0:
         raise ContractViolation("quantize_matrix requires a nonempty 2-D matrix")
     if not np.isfinite(m).all():

