@@ -16,7 +16,9 @@ csv or logits sha256 differs from the parent's first run, or that reported
 failures, and every end-to-end metric whose change median is worse than the
 parent's by more than the metric's ``bound`` in BENCHMARK.json, a fraction
 of the parent median in the metric's ``better`` direction. It exits 1 if it
-named any, on any workload.
+named any, on any workload. Under the table it prints how much of its bound
+each bounded metric used, such as ``peak_rss_mib +5.2% of 10%``, so a
+change sees its margin and not only whether it passed.
 """
 
 from __future__ import annotations
@@ -87,6 +89,12 @@ def problems(parent: list[dict], change: list[dict]) -> list[str]:
     return found
 
 
+def _worse(r: dict, better: str) -> float:
+    """How far a :func:`summary` row's change median is worse than the parent's (negative: better)."""
+    parent, change = r["parent"][1], r["change"][1]
+    return change - parent if better == "lower" else parent - change
+
+
 def over_bounds(rows: list[dict], bounds: dict[str, tuple[str, float]]) -> list[str]:
     """The :func:`summary` rows whose change median is worse than the parent's by more than their bound.
 
@@ -99,10 +107,26 @@ def over_bounds(rows: list[dict], bounds: dict[str, tuple[str, float]]) -> list[
             continue
         better, bound = bounds[r["metric"]]
         parent, change = r["parent"][1], r["change"][1]
-        worse = change - parent if better == "lower" else parent - change
-        if worse > bound * abs(parent):
+        if _worse(r, better) > bound * abs(parent):
             found.append(f"{r['metric']}: change median {change:.6g} is worse than the parent's {parent:.6g} "
                          f"by more than its bound of {bound:.0%}")
+    return found
+
+
+def bound_use(rows: list[dict], bounds: dict[str, tuple[str, float]]) -> list[str]:
+    """How much of its bound each gated :func:`summary` row used, e.g. ``peak_rss_mib +5.2% of 10%``.
+
+    The share is the change median's move in the worse direction, a fraction
+    of the parent median; a negative share is a move in the better one.
+    ``bounds`` is as in :func:`over_bounds`.
+    """
+    found = []
+    for r in rows:
+        if r["metric"] in bounds:
+            better, bound = bounds[r["metric"]]
+            parent = abs(r["parent"][1])
+            share = _worse(r, better) / parent if parent else 0.0
+            found.append(f"{r['metric']} {share:+.1%} of {bound:.0%}")
     return found
 
 
@@ -132,6 +156,7 @@ def gate(parent: Path, change: Path, workload: str, pairs: int, seed: int, bench
     print(f"{workload}, seed {seed}, {pairs} pairs of {seconds:g} s runs")
     rows = summary(runs["parent"], runs["change"], better)
     print(_table(rows))
+    print("bound used: " + ", ".join(bound_use(rows, bounds)))
     found = problems(runs["parent"], runs["change"]) + over_bounds(rows, bounds)
     for line in found:
         print(line)

@@ -29,9 +29,11 @@ layer holds as many rows. A residual stack is never written in place: an
 append or a flush replaces it, so clones share stacks as they share blocks.
 Attention at decode runs over ``materialize_layer``'s output: every head of
 one layer, stacked ``(heads, rows, head_dim)``; ``materialize`` is a view of
-one head of it. Each immutable block is decoded once, on first use, and
-kept on the block (``dequantize_matrix``), so a decode step decodes only
-blocks it has not seen and joins them with the residual. This is a
+one head of it. Each immutable block is decoded once and keeps its decoded
+form (``dequantize_matrix``): a block that a flush makes carries it from
+``quantize_matrix`` on, and a block that ``load_snapshot`` reads decodes on
+first use. So a decode step decodes only loaded blocks that no step has
+read yet, and joins the decoded blocks with the residual. This is a
 correctness-first reference path with no fused kernels.
 
 A cache instance is single-writer per sequence: ``decode_append`` mutates
@@ -338,7 +340,7 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
         out.append(kept.tobytes())
         for e in row:
             for q in e.quant_k + e.quant_v:
-                table = np.rec.fromarrays([q.zero_points, q.scales], dtype=_GROUP_TABLE)
+                table = np.column_stack((q.zero_points, q.scales)).astype("<f8", copy=False)  # _GROUP_TABLE's rows
                 out += [struct.pack("<I", len(q.outliers)), q.outliers.tobytes()]
                 out += [table.tobytes(), q.packed_codes]
         out.append(np.array([k, v], dtype="<f4").tobytes())

@@ -220,9 +220,12 @@ def decide(policy: PolicyConfig, ctx: ScoreContext | None, n: int, budget: int) 
     """Dispatch to the policy's scoring rule.
 
     ``streaming_llm`` needs no attention statistics; the score-based rules
-    require a ScoreContext for the same ``n`` tokens. An ``n`` that is not an
-    integer >= 1 raises ContractViolation.
+    require a ScoreContext for the same ``n`` tokens. A ``ctx`` that is
+    neither None nor a ScoreContext, under any policy, or an ``n`` that is
+    not an integer >= 1 raises ContractViolation.
     """
+    if ctx is not None and not isinstance(ctx, ScoreContext):
+        raise ContractViolation(f"ctx must be a ScoreContext or None, got {type(ctx).__name__}")
     require_int("n", n, 1)
     if policy.kind == PolicyKind.STREAMING_LLM:
         return score_streaming(n, budget, policy)

@@ -17,9 +17,12 @@ packed byte stream, beside two per-group arrays, zero point and scale, and
 its outliers as one structured array. How many codes each group holds is
 not stored: :func:`group_split` derives it from the block's shape, layout,
 group size and outlier positions. Every block operation works on the
-whole block at once. A block is immutable, so it is decoded at most once:
-the first ``dequantize_matrix`` call keeps the float32 result on the block,
-read-only, and later calls return it. The kept form is not storage; byte
+whole block at once. A block is immutable, so it is decoded at most once
+and keeps the float32 result on itself, read-only, for every
+``dequantize_matrix`` call to return. A block that ``quantize_matrix`` makes
+carries its decoded form from the start, computed from the codes it has
+just made; a block loaded from a snapshot or built from its fields decodes
+its packed bytes on first use. The kept form is not storage; byte
 accounting and snapshots ignore it. ``pack_codes`` and ``unpack_codes``
 pack and unpack a group or a whole block's stream. The per-group
 reference that the tests compare the block operations against lives in
@@ -50,6 +53,10 @@ _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 # one outlier: its position and its exact float32 value
 OUTLIER_DTYPE = np.dtype([("row", "<u4"), ("col", "<u4"), ("value", "<f4")])
+
+# the outliers of a block quantized without a threshold: none, shared
+_NO_OUTLIERS = np.empty(0, dtype=OUTLIER_DTYPE)
+_NO_OUTLIERS.flags.writeable = False
 
 
 class Layout(str, Enum):
@@ -143,7 +150,9 @@ class QuantizedTensor:
 
     @cached_property
     def _decoded(self) -> Matrix:
-        # computed on first use only: blocks that are just dumped or loaded never decode
+        # quantize_matrix sets this from the codes it makes; a block loaded or
+        # built from its fields decodes here, on first use, so one that is
+        # just dumped or loaded never decodes
         return _decode(self)
 
 
@@ -266,26 +275,30 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
         raise ContractViolation("quantize_matrix requires a nonempty 2-D matrix")
     if not np.isfinite(m).all():
         raise ContractViolation("quantize_matrix requires finite values")
-    keep = np.abs(m) <= (np.inf if cfg.outlier_threshold is None else cfg.outlier_threshold)
-    out_rows, out_cols = np.nonzero(~keep)
-    outliers = np.empty(out_rows.size, dtype=OUTLIER_DTYPE)
-    outliers["row"], outliers["col"], outliers["value"] = out_rows, out_cols, m[out_rows, out_cols]
+    if cfg.outlier_threshold is None:
+        outliers = _NO_OUTLIERS
+        vals = _runs(m, cfg.layout).astype(np.float64, order="C").reshape(-1)
+    else:
+        keep = np.abs(m) <= cfg.outlier_threshold
+        out_rows, out_cols = np.nonzero(~keep)
+        outliers = np.empty(out_rows.size, dtype=OUTLIER_DTYPE)
+        outliers["row"], outliers["col"], outliers["value"] = out_rows, out_cols, m[out_rows, out_cols]
+        vals = _runs(m.astype(np.float64), cfg.layout)[_runs(keep, cfg.layout)]
 
-    vals = _runs(m.astype(np.float64), cfg.layout)[_runs(keep, cfg.layout)]
     lengths = _group_lengths(m.shape, cfg.layout, cfg.group_size, outliers)
     starts = np.cumsum(lengths) - lengths
     levels = (1 << cfg.bits) - 1
     z = np.minimum.reduceat(vals, starts)
     s = (np.maximum.reduceat(vals, starts) - z) / levels
 
-    s_each = np.repeat(s, lengths)
-    scaled = (vals - np.repeat(z, lengths)) / np.where(s_each > 0, s_each, 1.0)
+    s_each, z_each = np.repeat(s, lengths), np.repeat(z, lengths)
+    scaled = (vals - z_each) / np.where(s_each > 0, s_each, 1.0)
     codes = np.where(s_each > 0, np.clip(np.rint(scaled), 0, levels), 0)
     slots, nbytes = _code_slots(lengths, cfg.bits)
     flat = np.zeros(nbytes * (8 // cfg.bits), dtype=np.uint8)
     flat[slots] = codes
 
-    return QuantizedTensor(
+    q = QuantizedTensor(
         shape=m.shape,
         bits=cfg.bits,
         group_size=cfg.group_size,
@@ -295,15 +308,23 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
         packed_codes=pack_codes(flat, cfg.bits),
         outliers=outliers,
     )
+    # the block's decode, from the codes just made rather than their bytes:
+    # the cached_property's slot, set as functools sets it
+    q.__dict__["_decoded"] = _decoded_matrix(codes, s_each, z_each, q)
+    return q
 
 
 def _scatter_runs(values: np.ndarray, q: QuantizedTensor) -> np.ndarray:
     """Place a flat run-ordered value vector back into matrix positions.
 
-    Outlier positions are skipped (left at zero) exactly as quantization
-    skipped them when forming groups.
+    The result is C-contiguous, of ``values``' dtype. Outlier positions are
+    skipped (left at zero) exactly as quantization skipped them when forming
+    groups; a block without outliers takes its values by reshape.
     """
-    out = np.zeros(q.shape, dtype=np.float64)
+    runs, run_len, _ = _runs_of(q.shape, q.layout, q.outliers)
+    if not len(q.outliers):
+        return np.ascontiguousarray(_runs(values.reshape(runs, run_len), q.layout))
+    out = np.zeros(q.shape, dtype=values.dtype)
     keep = np.ones(q.shape, dtype=bool)
     keep[q.outliers["row"], q.outliers["col"]] = False
     _runs(out, q.layout)[_runs(keep, q.layout)] = values
@@ -313,25 +334,30 @@ def _scatter_runs(values: np.ndarray, q: QuantizedTensor) -> np.ndarray:
 def dequantize_matrix(q: QuantizedTensor) -> Matrix:
     """Decode a QuantizedTensor back to a float32 matrix.
 
-    The block is decoded on the first call only; every call returns that
-    same array, shared by all callers and read-only (copy it to modify).
+    Every call returns the block's one decoded array, shared by all callers
+    and read-only (copy it to modify): made with the block by
+    ``quantize_matrix``, or on the first call for a block loaded or built
+    from its fields.
     """
     return q._decoded
 
 
-def _decode(q: QuantizedTensor) -> Matrix:
-    """Unpack every code at once and write outliers back bit-exactly (read-only result)."""
-    unpacked = unpack_codes(q.packed_codes, q.bits, len(q.packed_codes) * (8 // q.bits))
-    codes = unpacked[_code_slots(q.lengths, q.bits)[0]]
-    s = np.repeat(q.scales, q.lengths)
-    z = np.repeat(q.zero_points, q.lengths)
+def _decoded_matrix(codes: np.ndarray, s: np.ndarray, z: np.ndarray, q: QuantizedTensor) -> Matrix:
+    """Block ``q``'s read-only float32 decode from its run-ordered codes and their groups' repeated ``s`` and ``z``."""
     # a constant group decodes to its zero point exactly, -0.0 included
-    values = np.where(s == 0.0, z, codes * s + z)
-
-    result = _scatter_runs(values, q).astype(np.float32)
+    values = np.where(s == 0.0, z, codes * s + z).astype(np.float32)
+    # cast before placing, same bits: the zeros left at outliers and the outliers are float32
+    result = _scatter_runs(values, q)
     result[q.outliers["row"], q.outliers["col"]] = q.outliers["value"]
     result.flags.writeable = False
     return result
+
+
+def _decode(q: QuantizedTensor) -> Matrix:
+    """Unpack every code at once and decode the block from its bytes (read-only result)."""
+    unpacked = unpack_codes(q.packed_codes, q.bits, len(q.packed_codes) * (8 // q.bits))
+    codes = unpacked[_code_slots(q.lengths, q.bits)[0]]
+    return _decoded_matrix(codes, np.repeat(q.scales, q.lengths), np.repeat(q.zero_points, q.lengths), q)
 
 
 def error_bound_matrix(q: QuantizedTensor) -> np.ndarray:
@@ -366,6 +392,5 @@ def quantized_bytes_for_shape(rows: int, cols: int, cfg: QuantConfig) -> int:
     ``rows`` and ``cols`` must be integers >= 1.
     """
     shape = require_int("rows", rows, 1), require_int("cols", cols, 1)
-    no_outliers = np.empty(0, dtype=OUTLIER_DTYPE)
-    groups, nbytes = group_split(shape, cfg.layout, cfg.group_size, cfg.bits, no_outliers)
+    groups, nbytes = group_split(shape, cfg.layout, cfg.group_size, cfg.bits, _NO_OUTLIERS)
     return nbytes + GROUP_METADATA_BYTES * groups

@@ -8,6 +8,9 @@ something the package computes another way:
 * ``QuantGroup``, ``quantize_group``, ``dequantize_group``: min-max
   quantization of one group at a time, the per-group form of the block
   operations in :mod:`kvtrade.quant`;
+* ``reference_dequantize``: a block decoded group by group from its packed
+  bytes and placed element by element, the oracle for
+  :func:`kvtrade.quant.dequantize_matrix`;
 * ``uniform_plan``: a plan that keeps the same token count at one bit
   width on every layer, built through :func:`kvtrade.budget.plan_for_tokens`;
 * ``context_from_probs``: the score statistics of a full n x n probability
@@ -33,7 +36,7 @@ from kvtrade.cache import CompressedKVCache
 from kvtrade.errors import ContractViolation
 from kvtrade.model import DenseKV, Model, RecallVocab, decode_step_dense, embed_token, prefill
 from kvtrade.prune import ScoreContext
-from kvtrade.quant import SUPPORTED_BITS, Layout, error_bound_matrix
+from kvtrade.quant import SUPPORTED_BITS, Layout, error_bound_matrix, unpack_codes
 from kvtrade.tensor import Matrix, matmul, softmax_rows
 
 
@@ -87,6 +90,29 @@ def dequantize_group(g: QuantGroup) -> np.ndarray:
     if g.scale == 0.0:
         return np.full(g.length, g.zero_point, dtype=np.float64)
     return g.codes.astype(np.float64) * g.scale + g.zero_point
+
+
+def reference_dequantize(q):
+    """Decode group by group with unpack_codes and dequantize_group, then scatter."""
+    values, offset = [], 0
+    for length, zero, scale in zip(q.lengths.tolist(), q.zero_points, q.scales):
+        nbytes = (length * q.bits + 7) // 8
+        codes = unpack_codes(q.packed_codes[offset : offset + nbytes], q.bits, length)
+        values.extend(dequantize_group(QuantGroup(codes, float(zero), float(scale), length)))
+        offset += nbytes
+    out = np.zeros(q.shape, dtype=np.float64)
+    outlier_pos = {(r, c) for r, c, _ in q.outliers}
+    if q.layout == Layout.PER_TOKEN:
+        order = [(r, c) for r in range(q.shape[0]) for c in range(q.shape[1])]
+    else:
+        order = [(r, c) for c in range(q.shape[1]) for r in range(q.shape[0])]
+    survivors = [p for p in order if p not in outlier_pos]
+    for p, v in zip(survivors, values, strict=True):
+        out[p] = v
+    out = out.astype(np.float32)
+    for r, c, v in q.outliers:
+        out[r, c] = np.float32(v)
+    return out
 
 
 def uniform_plan(

@@ -70,6 +70,16 @@ def test_a_metric_past_its_bound_is_named():
     ]
 
 
+def test_bound_use_is_the_worse_way_move_as_a_share_of_the_parent():
+    parent = [_run(1.0, 50), _run(1.0, 50)]
+    change = [_run(0.8, 52.6), _run(0.8, 52.6)]
+    rows = bench_pairs.summary(parent, change, BETTER)
+    bounds = {"decode_step_ms_p50": ("lower", 0.24), "peak_rss_mib": ("lower", 0.1)}
+    assert bench_pairs.bound_use(rows, bounds) == ["decode_step_ms_p50 -20.0% of 24%", "peak_rss_mib +5.2% of 10%"]
+    # higher is better: a fall is the worse way; an ungated metric gets no entry
+    assert bench_pairs.bound_use(rows, {"peak_rss_mib": ("higher", 0.1)}) == ["peak_rss_mib -5.2% of 10%"]
+
+
 def test_one_pair_on_one_checkout_runs_clean():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -101,10 +111,12 @@ def test_each_workload_runs_its_pairs_in_turn_and_any_problem_fails_the_gate(mon
     assert calls == [(side, w) for w in workloads for side in sides]
     out = capsys.readouterr().out
     assert [line.split(",")[0] for line in out.splitlines() if ", seed 0, 2 pairs" in line] == workloads
-    assert out.count("decode_step_ms_p50") == 4  # a table row for each workload, and the one problem
+    # a table row and a bound-use entry for each workload, and the one problem
+    assert out.count("decode_step_ms_p50") == 7
     assert out.count("worse than the parent's") == 1
     prefill_part = out[out.index("prefill_long,") : out.index("decode_stream,")]
     assert "decode_step_ms_p50: change median 1.5 is worse than the parent's 1" in prefill_part
+    assert "bound used: decode_step_ms_p50 +50.0% of 24%, peak_rss_mib +0.0% of 10%\n" in prefill_part
 
     calls.clear()
     monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds: _run(1.0, 50))

@@ -70,6 +70,12 @@ def compress16(keys, values, ctxs):
     return prefill_compress(keys, values, ctxs, plan_for_tokens([4], 16, heads=1, head_dim=4), STREAM2)
 
 
+def compress_h2o(ctxs):
+    """prefill_compress of the 3 rows of ``K`` to 2 under h2o, so the scorer reads each head's ctx."""
+    plan16 = plan_for_tokens([2], 16, heads=1, head_dim=4)
+    return prefill_compress([K], [K], ctxs, plan16, PolicyConfig(PolicyKind.H2O, recent_window=2))
+
+
 def block(bits=4, group_size=4, groups=1, nbytes=2):
     """A 1 x 4 per-token block of zero codes in ``groups`` groups packed into ``nbytes``."""
     return QuantizedTensor((1, 4), bits, group_size, Layout.PER_TOKEN, [0.0] * groups, [1.0] * groups,
@@ -282,6 +288,17 @@ MALFORMED = [
                  id="apply_overrides-tuple"),
     pytest.param(lambda: quantize_matrix([[1.0, 2.0], [3.0]], QuantConfig(4, 4)), "ragged sequence",
                  id="quantize_matrix-ragged"),
+    # a ctx that is not a ScoreContext, under a scorer that would read it and under one that would not
+    pytest.param(lambda: compress_h2o([np.zeros((1, 1, 1, 1))]), "ctx must be a ScoreContext or None, got ndarray",
+                 id="prefill_compress.h2o-ctx-4-D-array"),
+    pytest.param(lambda: compress_h2o([["x"]]), "ctx must be a ScoreContext or None, got str",
+                 id="prefill_compress.h2o-ctx-str"),
+    pytest.param(lambda: compress_h2o([[object()]]), "ctx must be a ScoreContext or None, got object",
+                 id="prefill_compress.h2o-ctx-object"),
+    pytest.param(lambda: compress16([K], [K], [[object()]]), "ctx must be a ScoreContext or None, got object",
+                 id="prefill_compress.streaming_llm-ctx-object"),
+    pytest.param(lambda: decide(STREAM2, [1.0], 3, 2), "ctx must be a ScoreContext or None, got list",
+                 id="decide.streaming_llm-ctx-list"),
 ]
 
 

@@ -19,7 +19,7 @@ from kvtrade.quant import (
     quantized_bytes_for_shape,
     unpack_codes,
 )
-from oracles import QuantGroup, dequantize_group, quantize_group
+from oracles import dequantize_group, quantize_group, reference_dequantize
 
 value_lists = st.lists(
     st.floats(-1e4, 1e4, allow_nan=False, width=32), min_size=1, max_size=80
@@ -481,29 +481,6 @@ def test_round_trip_bound_full_matrix(rows, cols, bits, group, layout, seed):
     assert np.abs(out - m).max() <= q.scales.max() / 2 + 1e-6
 
 
-def reference_dequantize(q):
-    """Decode group by group with unpack_codes and dequantize_group, then scatter."""
-    values, offset = [], 0
-    for length, zero, scale in zip(q.lengths.tolist(), q.zero_points, q.scales):
-        nbytes = (length * q.bits + 7) // 8
-        codes = unpack_codes(q.packed_codes[offset : offset + nbytes], q.bits, length)
-        values.extend(dequantize_group(QuantGroup(codes, float(zero), float(scale), length)))
-        offset += nbytes
-    out = np.zeros(q.shape, dtype=np.float64)
-    outlier_pos = {(r, c) for r, c, _ in q.outliers}
-    if q.layout == Layout.PER_TOKEN:
-        order = [(r, c) for r in range(q.shape[0]) for c in range(q.shape[1])]
-    else:
-        order = [(r, c) for c in range(q.shape[1]) for r in range(q.shape[0])]
-    survivors = [p for p in order if p not in outlier_pos]
-    for p, v in zip(survivors, values, strict=True):
-        out[p] = v
-    out = out.astype(np.float32)
-    for r, c, v in q.outliers:
-        out[r, c] = np.float32(v)
-    return out
-
-
 # few distinct values, so runs often hold constant groups (including -0.0 ones)
 element = st.one_of(
     st.sampled_from([-0.0, 0.0, 1.5, -3.0]), st.floats(-20, 20, allow_nan=False, width=32)
@@ -517,19 +494,51 @@ def matrices(draw):
     return np.array(vals, dtype=np.float32).reshape(rows, cols)
 
 
-@settings(max_examples=80)
+@settings(max_examples=150)
 @given(
     matrices(),
     st.sampled_from([2, 4, 8]),
     st.integers(1, 9),
+    st.booleans(),
     st.sampled_from(list(Layout)),
     st.sampled_from([None, 2.0, 6.0]),
 )
-def test_dequantize_matches_per_group_reference(m, bits, group, layout, threshold):
+def test_dequantize_matches_per_group_reference(m, bits, group, divides, layout, threshold):
+    run = m.shape[1] if layout == Layout.PER_TOKEN else m.shape[0]
+    if divides:  # a group size that splits every outlier-free run evenly
+        divisors = [d for d in range(1, run + 1) if run % d == 0]
+        group = divisors[group % len(divisors)]
     q = quantize_matrix(m, QuantConfig(bits, group, layout, threshold))
+    fields = ("shape", "bits", "group_size", "layout", "zero_points", "scales", "packed_codes", "outliers")
+    rebuilt = QuantizedTensor(**{name: getattr(q, name) for name in fields})  # as a loader builds a block
+    assert "_decoded" in vars(q) and "_decoded" not in vars(rebuilt)
+    fresh = dequantize_matrix(q)
     expected = reference_dequantize(q).tobytes()
-    assert dequantize_matrix(q).tobytes() == expected
-    assert dequantize_matrix(q).tobytes() == expected  # the kept decode
+    assert fresh.tobytes() == expected
+    assert dequantize_matrix(rebuilt).tobytes() == expected  # decoded from the packed bytes
+    assert dequantize_matrix(q) is fresh  # the kept decode
+    assert fresh.flags.c_contiguous and not fresh.flags.writeable
+
+
+@pytest.mark.parametrize("layout", list(Layout))
+@pytest.mark.parametrize("bits, group", [(2, 5), (4, 4), (8, 3), (4, 64)])
+def test_no_threshold_quantizes_as_a_threshold_above_every_value(layout, bits, group):
+    rng = np.random.default_rng(bits * group)
+    m = rng.normal(size=(12, 10)).astype(np.float32)
+    m[:, 4], m[3, 5:] = -0.0, 1.5  # a constant channel and a constant token tail: constant groups
+    none = quantize_matrix(m, QuantConfig(bits, group, layout))
+    at_max = quantize_matrix(m, QuantConfig(bits, group, layout, float(np.abs(m).max())))
+    assert none.packed_codes == at_max.packed_codes
+    assert none.zero_points.tobytes() == at_max.zero_points.tobytes()
+    assert none.scales.tobytes() == at_max.scales.tobytes()
+    assert len(none.outliers) == len(at_max.outliers) == 0 and not none.outliers.flags.writeable
+    assert dequantize_matrix(none).tobytes() == dequantize_matrix(at_max).tobytes()
+    # an outlier-free block's bound: each element's group, counted run by run
+    r, c = np.indices(m.shape)
+    run, pos = (r, c) if layout == Layout.PER_TOKEN else (c, r)
+    per_run = -(-(m.shape[1] if layout == Layout.PER_TOKEN else m.shape[0]) // group)
+    expected = none.scales[run * per_run + pos // group] / 2.0
+    assert error_bound_matrix(none).tobytes() == error_bound_matrix(at_max).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("layout", list(Layout))
