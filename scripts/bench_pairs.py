@@ -18,7 +18,9 @@ parent's by more than the metric's ``bound`` in BENCHMARK.json, a fraction
 of the parent median in the metric's ``better`` direction. It exits 1 if it
 named any, on any workload. Under the table it prints how much of its bound
 each bounded metric used, such as ``peak_rss_mib +5.2% of 10%``, so a
-change sees its margin and not only whether it passed.
+change sees its margin and not only whether it passed, and each side's
+median pass count: a run keeps every pass's records, so a faster change
+runs more passes and its ``peak_rss_mib`` rises with them.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ import numpy as np
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``checkout``: its result line, with the sha256 record as ``sha256``."""
+    """One benchmark run in ``checkout``: its result line, with the sha256 record as ``sha256``
+    and the number of passes it ran as ``passes``."""
     proc = subprocess.run(
         [sys.executable, "kvbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -43,7 +46,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit(f"bench_pairs: run in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     info, line = json.loads(lines[-2]), json.loads(lines[-1])
-    return {**line, "sha256": info["sha256"]}
+    return {**line, "sha256": info["sha256"], "passes": info["samples"]["passes"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -157,6 +160,8 @@ def gate(parent: Path, change: Path, workload: str, pairs: int, seed: int, bench
     rows = summary(runs["parent"], runs["change"], better)
     print(_table(rows))
     print("bound used: " + ", ".join(bound_use(rows, bounds)))
+    medians = ", ".join(f"{side} {np.median([run['passes'] for run in runs[side]]):g}" for side in runs)
+    print(f"median passes: {medians}")
     found = problems(runs["parent"], runs["change"]) + over_bounds(rows, bounds)
     for line in found:
         print(line)

@@ -17,16 +17,24 @@ packed byte stream, beside two per-group arrays, zero point and scale, and
 its outliers as one structured array. How many codes each group holds is
 not stored: :func:`group_split` derives it from the block's shape, layout,
 group size and outlier positions. Every block operation works on the
-whole block at once. A block is immutable, so it is decoded at most once
-and keeps the float32 result on itself, read-only, for every
-``dequantize_matrix`` call to return. A block that ``quantize_matrix`` makes
-carries its decoded form from the start, computed from the codes it has
-just made; a block loaded from a snapshot or built from its fields decodes
-its packed bytes on first use. The kept form is not storage; byte
-accounting and snapshots ignore it. ``pack_codes`` and ``unpack_codes``
-pack and unpack a group or a whole block's stream. The per-group
-reference that the tests compare the block operations against lives in
-the test suite, not here.
+whole block at once. ``quantize_matrix`` takes a uniform block (no
+outliers, every group ``L`` codes long and ``L * bits`` a multiple of 8,
+as at every shape the sweeps make) as one ``(groups, L)`` array: each
+group's zero point and scale broadcast along its row, and the codes in
+run order are already the byte stream. Any other block repeats each
+group's zero point and scale per code and places its codes in the stream
+through a slot map. Both paths do the same arithmetic per element, so
+they give the same bits.
+
+A block is immutable, so it is decoded at most once and keeps the float32
+result on itself, read-only, for every ``dequantize_matrix`` call to
+return. A block that ``quantize_matrix`` makes carries its decoded form
+from the start, computed from the codes it has just made; a block loaded
+from a snapshot or built from its fields decodes its packed bytes on first
+use. The kept form is not storage; byte accounting and snapshots ignore
+it. ``pack_codes`` and ``unpack_codes`` pack and unpack a group or a whole
+block's stream. The per-group reference that the tests compare the block
+operations against lives in the test suite, not here.
 
 Byte accounting convention (used for every budget-parity figure in the
 package): packed code bytes, plus 2 bytes of scale/zero metadata per group,
@@ -223,17 +231,25 @@ def _code_slots(lengths: np.ndarray, bits: int) -> tuple[np.ndarray, int]:
 
 
 def pack_codes(codes: np.ndarray, bits: int) -> bytes:
-    """Bit-pack one group's codes, or a block's slots (see the module docstring).
+    """Bit-pack one group's codes, or a block's byte stream (see the module docstring).
+
+    A block's stream is its codes placed at their slots, or, for a uniform
+    block, its codes in run order, since each group fills whole bytes there.
 
     Little-endian within each byte: the first code lands in the least
     significant bits. The codes are padded with zeros to a byte boundary.
+    Each byte is the OR of its codes shifted in ``uint8``: no two codes of
+    a byte share a bit, so nothing carries.
     """
     per_byte = 8 // bits
     codes = np.asarray(codes, dtype=np.uint8).reshape(-1)
-    codes = np.concatenate([codes, np.zeros((-codes.size) % per_byte, dtype=np.uint8)])
-    shifts = np.arange(per_byte, dtype=np.uint16) * bits
-    chunks = codes.reshape(-1, per_byte).astype(np.uint16)
-    return (chunks << shifts).sum(axis=1).astype(np.uint8).tobytes()
+    if codes.size % per_byte:
+        codes = np.concatenate([codes, np.zeros((-codes.size) % per_byte, dtype=np.uint8)])
+    chunks = codes.reshape(-1, per_byte)
+    packed = chunks[:, 0].copy()
+    for i in range(1, per_byte):
+        packed |= chunks[:, i] << (i * bits)
+    return packed.tobytes()
 
 
 def unpack_codes(buf: bytes, bits: int, count: int) -> np.ndarray:
@@ -285,18 +301,39 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
         outliers["row"], outliers["col"], outliers["value"] = out_rows, out_cols, m[out_rows, out_cols]
         vals = _runs(m.astype(np.float64), cfg.layout)[_runs(keep, cfg.layout)]
 
-    lengths = _group_lengths(m.shape, cfg.layout, cfg.group_size, outliers)
-    starts = np.cumsum(lengths) - lengths
     levels = (1 << cfg.bits) - 1
+    _, run_len, _ = _runs_of(m.shape, cfg.layout, outliers)
+    length = min(cfg.group_size, run_len)
+    uniform = not len(outliers) and run_len % length == 0 and length * cfg.bits % 8 == 0
+    if uniform:
+        # every group holds `length` codes that fill whole bytes, so the
+        # groups are the rows of one array, each group's scale and zero point
+        # broadcast along its row, and the codes are the byte stream's slots
+        starts = np.arange(0, vals.size, length)
+        codes = vals.reshape(-1, length)
+
+        def each(a):
+            return a[:, None]
+    else:
+        lengths = _group_lengths(m.shape, cfg.layout, cfg.group_size, outliers)
+        starts = np.cumsum(lengths) - lengths
+        codes = vals
+
+        def each(a):
+            return np.repeat(a, lengths)
     z = np.minimum.reduceat(vals, starts)
     s = (np.maximum.reduceat(vals, starts) - z) / levels
-
-    s_each, z_each = np.repeat(s, lengths), np.repeat(z, lengths)
-    scaled = (vals - z_each) / np.where(s_each > 0, s_each, 1.0)
-    codes = np.where(s_each > 0, np.clip(np.rint(scaled), 0, levels), 0)
-    slots, nbytes = _code_slots(lengths, cfg.bits)
-    flat = np.zeros(nbytes * (8 // cfg.bits), dtype=np.uint8)
-    flat[slots] = codes
+    s_each, z_each = each(s), each(z)
+    # in place, in this call's own copy of the values: a constant group's
+    # values less z are zeros, so its codes are too
+    codes -= z_each
+    codes /= np.where(s_each > 0, s_each, 1.0)
+    np.clip(np.rint(codes, out=codes), 0, levels, out=codes)
+    stream = codes
+    if not uniform:
+        slots, nbytes = _code_slots(lengths, cfg.bits)
+        stream = np.zeros(nbytes * (8 // cfg.bits), dtype=np.uint8)
+        stream[slots] = codes
 
     q = QuantizedTensor(
         shape=m.shape,
@@ -305,7 +342,7 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
         layout=cfg.layout,
         zero_points=z,
         scales=s,
-        packed_codes=pack_codes(flat, cfg.bits),
+        packed_codes=pack_codes(stream, cfg.bits),
         outliers=outliers,
     )
     # the block's decode, from the codes just made rather than their bytes:
@@ -315,7 +352,7 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
 
 
 def _scatter_runs(values: np.ndarray, q: QuantizedTensor) -> np.ndarray:
-    """Place a flat run-ordered value vector back into matrix positions.
+    """Place run-ordered values (flat, or one row per group) back into matrix positions.
 
     The result is C-contiguous, of ``values``' dtype. Outlier positions are
     skipped (left at zero) exactly as quantization skipped them when forming
@@ -343,9 +380,18 @@ def dequantize_matrix(q: QuantizedTensor) -> Matrix:
 
 
 def _decoded_matrix(codes: np.ndarray, s: np.ndarray, z: np.ndarray, q: QuantizedTensor) -> Matrix:
-    """Block ``q``'s read-only float32 decode from its run-ordered codes and their groups' repeated ``s`` and ``z``."""
+    """Block ``q``'s read-only float32 decode from its run-ordered codes and their groups' ``s`` and ``z``.
+
+    ``s`` and ``z`` hold one entry per code (repeated per group), or one per
+    row of a ``(groups, L)`` ``codes`` (shape ``(groups, 1)``).
+    """
+    values = codes * s
+    values += z
     # a constant group decodes to its zero point exactly, -0.0 included
-    values = np.where(s == 0.0, z, codes * s + z).astype(np.float32)
+    const = (s == 0.0).reshape(-1)
+    if const.any():
+        values.reshape(const.size, -1)[const] = z.reshape(-1)[const, None]
+    values = values.astype(np.float32)
     # cast before placing, same bits: the zeros left at outliers and the outliers are float32
     result = _scatter_runs(values, q)
     result[q.outliers["row"], q.outliers["col"]] = q.outliers["value"]

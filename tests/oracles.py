@@ -8,6 +8,8 @@ something the package computes another way:
 * ``QuantGroup``, ``quantize_group``, ``dequantize_group``: min-max
   quantization of one group at a time, the per-group form of the block
   operations in :mod:`kvtrade.quant`;
+* ``pack_group``: one group's codes packed bit by bit, little-endian, the
+  oracle for :func:`kvtrade.quant.pack_codes`;
 * ``reference_dequantize``: a block decoded group by group from its packed
   bytes and placed element by element, the oracle for
   :func:`kvtrade.quant.dequantize_matrix`;
@@ -90,6 +92,21 @@ def dequantize_group(g: QuantGroup) -> np.ndarray:
     if g.scale == 0.0:
         return np.full(g.length, g.zero_point, dtype=np.float64)
     return g.codes.astype(np.float64) * g.scale + g.zero_point
+
+
+def pack_group(codes, bits: int) -> bytes:
+    """Pack one group's codes little-endian, bit by bit, zero-padded to whole bytes.
+
+    Bit ``b`` of code ``i`` is bit ``i * bits + b`` of the stream, counted
+    from the least significant bit of the first byte.
+    """
+    out = bytearray((len(codes) * bits + 7) // 8)
+    for i, code in enumerate(codes):
+        for b in range(bits):
+            if int(code) >> b & 1:
+                pos = i * bits + b
+                out[pos // 8] |= 1 << pos % 8
+    return bytes(out)
 
 
 def reference_dequantize(q):

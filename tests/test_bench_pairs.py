@@ -16,10 +16,11 @@ _spec.loader.exec_module(bench_pairs)
 SHA = {"csv": "c" * 64, "logits": "1" * 64}
 
 
-def _run(step_ms: float, rss: float, sha=SHA, failed: int = 0) -> dict:
+def _run(step_ms: float, rss: float, sha=SHA, failed: int = 0, passes: int = 4) -> dict:
     metrics = {"decode_step_ms_p50": {"value": step_ms, "unit": "ms"},
                "peak_rss_mib": {"value": rss, "unit": "MiB"}}
-    return {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics, "sha256": sha}
+    return {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics, "sha256": sha,
+            "passes": passes}
 
 
 BETTER = {"decode_step_ms_p50": "lower", "peak_rss_mib": "lower"}
@@ -86,6 +87,7 @@ def test_one_pair_on_one_checkout_runs_clean():
     parent = [bench_pairs.run_once(ROOT, "recall_tradeoff", 0, 0)]
     change = [bench_pairs.run_once(ROOT, "recall_tradeoff", 0, 0)]
     assert bench_pairs.problems(parent, change) == []
+    assert all(isinstance(run["passes"], int) and run["passes"] >= 1 for run in parent + change)
     rows = bench_pairs.summary(parent, change, better)
     assert sorted(r["metric"] for r in rows) == sorted(better)
     lines = bench_pairs._table(rows).splitlines()
@@ -117,10 +119,25 @@ def test_each_workload_runs_its_pairs_in_turn_and_any_problem_fails_the_gate(mon
     prefill_part = out[out.index("prefill_long,") : out.index("decode_stream,")]
     assert "decode_step_ms_p50: change median 1.5 is worse than the parent's 1" in prefill_part
     assert "bound used: decode_step_ms_p50 +50.0% of 24%, peak_rss_mib +0.0% of 10%\n" in prefill_part
+    assert out.count("median passes: parent 4, change 4\n") == 3
 
     calls.clear()
     monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds: _run(1.0, 50))
     assert bench_pairs.main(argv + ["--workload", "recall_tradeoff", "--workload", "decode_stream"]) == 0
+
+
+def test_each_side_prints_its_median_pass_count(monkeypatch, capsys, tmp_path):
+    # pair 0 runs the parent first, pair 1 the change first; each run reports its pass count
+    passes = iter([10, 13, 14, 12, 11, 17])
+
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds: _run(
+        1.0, 50, passes=next(passes)))
+    argv = ["--parent", str(tmp_path), "--change", str(ROOT), "--pairs", "3", "--workload", "recall_tradeoff"]
+    assert bench_pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # parent 10, 12, 11 and change 13, 14, 17, under the table and its bound use
+    assert lines[-2].startswith("bound used: ")
+    assert lines[-1] == "median passes: parent 11, change 14"
 
 
 def test_an_unknown_workload_is_rejected_before_any_run(monkeypatch, tmp_path):

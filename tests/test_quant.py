@@ -19,7 +19,7 @@ from kvtrade.quant import (
     quantized_bytes_for_shape,
     unpack_codes,
 )
-from oracles import dequantize_group, quantize_group, reference_dequantize
+from oracles import dequantize_group, pack_group, quantize_group, reference_dequantize
 
 value_lists = st.lists(
     st.floats(-1e4, 1e4, allow_nan=False, width=32), min_size=1, max_size=80
@@ -131,6 +131,7 @@ class TestPacking:
     )
     def test_round_trip(self, codes, bits):
         arr = np.array(codes, dtype=np.uint8)
+        assert pack_codes(arr, bits) == pack_group(codes, bits)
         assert unpack_codes(pack_codes(arr, bits), bits, len(codes)).tolist() == codes
 
 
@@ -208,7 +209,7 @@ class TestQuantizeMatrix:
         assert dequantize_matrix(q)[:2, 0].tolist() == [0.0, 3.0]
 
     def test_matches_per_group_reference(self):
-        # the block path must agree with quantize_group and pack_codes exactly,
+        # the block path must agree with quantize_group and pack_group exactly,
         # with outliers removed from each run and partial tail groups
         rng = np.random.default_rng(9)
         m = (rng.normal(size=(6, 50)) * 2).astype(np.float32)
@@ -228,7 +229,7 @@ class TestQuantizeMatrix:
             assert q.lengths.tolist() == [g.length for g in expected]
             assert q.zero_points.tolist() == [g.zero_point for g in expected]
             assert q.scales.tolist() == [g.scale for g in expected]
-            assert q.packed_codes == b"".join(pack_codes(g.codes, bits) for g in expected)
+            assert q.packed_codes == b"".join(pack_group(g.codes, bits) for g in expected)
             r, c = np.nonzero(np.abs(m) > limit)
             assert q.outliers.tolist() == list(zip(r.tolist(), c.tolist(), m[r, c].tolist()))
 
@@ -518,6 +519,43 @@ def test_dequantize_matches_per_group_reference(m, bits, group, divides, layout,
     assert dequantize_matrix(rebuilt).tobytes() == expected  # decoded from the packed bytes
     assert dequantize_matrix(q) is fresh  # the kept decode
     assert fresh.flags.c_contiguous and not fresh.flags.writeable
+
+
+@settings(max_examples=300)
+@given(
+    matrices(),
+    st.sampled_from([2, 4, 8]),
+    st.integers(1, 16),
+    st.booleans(),
+    st.sampled_from(list(Layout)),
+    st.sampled_from([None, 2.0, 6.0, 30.0]),
+)
+def test_block_matches_per_group_oracle(m, bits, group, whole, layout, threshold):
+    # blocks of whole groups (the run a multiple of the group size, or shorter
+    # than it) take quantize_matrix's uniform path when they have no outliers
+    # and their groups fill whole bytes; every other block takes the ragged one
+    runs = m if layout == Layout.PER_TOKEN else m.T
+    if whole:
+        run = runs.shape[1]
+        sizes = [d for d in range(1, run + 1) if run % d == 0] + [run + 1, run + 7]
+        group = sizes[group % len(sizes)]
+    q = quantize_matrix(m, QuantConfig(bits, group, layout, threshold))
+    limit = np.inf if threshold is None else threshold
+    expected = []
+    decoded = np.array(runs, dtype=np.float32)  # outliers keep their exact values
+    for row, out in zip(runs, decoded):
+        kept = np.abs(row) <= limit
+        vals = row[kept]
+        groups = [quantize_group(vals[i : i + group], bits) for i in range(0, vals.size, group)]
+        expected += groups
+        if groups:
+            out[kept] = np.concatenate([dequantize_group(g) for g in groups])
+    assert q.lengths.tolist() == [g.length for g in expected]
+    assert q.zero_points.tobytes() == np.array([g.zero_point for g in expected], dtype=np.float64).tobytes()
+    assert q.scales.tobytes() == np.array([g.scale for g in expected], dtype=np.float64).tobytes()
+    assert q.packed_codes == b"".join(pack_group(g.codes, bits) for g in expected)
+    want = decoded if layout == Layout.PER_TOKEN else decoded.T  # runs back to matrix positions
+    assert dequantize_matrix(q).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize("layout", list(Layout))
