@@ -20,7 +20,9 @@ named any, on any workload. Under the table it prints how much of its bound
 each bounded metric used, such as ``peak_rss_mib +5.2% of 10%``, so a
 change sees its margin and not only whether it passed, and each side's
 median pass count: a run keeps every pass's records, so a faster change
-runs more passes and its ``peak_rss_mib`` rises with them.
+runs more passes and its ``peak_rss_mib`` rises with them. Then each side's
+median OpenBLAS thread count and CPU count, from each run's environment: a
+gain that rests on threads holds only where the table says it ran.
 """
 
 from __future__ import annotations
@@ -35,8 +37,9 @@ import numpy as np
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in ``checkout``: its result line, with the sha256 record as ``sha256``
-    and the number of passes it ran as ``passes``."""
+    """One benchmark run in ``checkout``: its result line, with the sha256 record as ``sha256``,
+    the number of passes it ran as ``passes``, and its environment's OpenBLAS thread count
+    (None where it has no OpenBLAS) and CPU count as ``blas_threads`` and ``nproc``."""
     proc = subprocess.run(
         [sys.executable, "kvbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -46,7 +49,9 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or len(lines) < 2:
         sys.exit(f"bench_pairs: run in {checkout} exited {proc.returncode}:\n{proc.stderr[-2000:]}")
     info, line = json.loads(lines[-2]), json.loads(lines[-1])
-    return {**line, "sha256": info["sha256"], "passes": info["samples"]["passes"]}
+    env = info["environment"]
+    return {**line, "sha256": info["sha256"], "passes": info["samples"]["passes"],
+            "blas_threads": env["openblas"]["threads"], "nproc": env["nproc"]}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -146,6 +151,12 @@ def _table(rows: list[dict]) -> str:
     return "\n".join("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() for line in lines)
 
 
+def _median(runs: list[dict], key: str) -> str:
+    """The median of every run's ``key``, or "unknown" if any run lacks a value."""
+    values = [run[key] for run in runs]
+    return "unknown" if None in values else f"{np.median(values):g}"
+
+
 def gate(parent: Path, change: Path, workload: str, pairs: int, seed: int, bench: dict) -> list[str]:
     """Run ``pairs`` alternating pairs of ``workload``, print its table and problems, and return the problems."""
     seconds = bench["run_seconds"]
@@ -160,8 +171,8 @@ def gate(parent: Path, change: Path, workload: str, pairs: int, seed: int, bench
     rows = summary(runs["parent"], runs["change"], better)
     print(_table(rows))
     print("bound used: " + ", ".join(bound_use(rows, bounds)))
-    medians = ", ".join(f"{side} {np.median([run['passes'] for run in runs[side]]):g}" for side in runs)
-    print(f"median passes: {medians}")
+    for key, label in (("passes", "passes"), ("blas_threads", "BLAS threads"), ("nproc", "nproc")):
+        print(f"median {label}: " + ", ".join(f"{side} {_median(runs[side], key)}" for side in runs))
     found = problems(runs["parent"], runs["change"]) + over_bounds(rows, bounds)
     for line in found:
         print(line)

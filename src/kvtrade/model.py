@@ -14,14 +14,18 @@ causality-sensitive experiments. All randomness is seeded.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cache import CompressedKVCache, Reader, append_rows
 from .errors import ContractViolation, IntegrityError, require_index, require_int
-from .tensor import Matrix, as_matrix, concat_rows, matmul, require_finite, softmax_rows
+from .tensor import (
+    Matrix, as_matrix, blas_threads, concat_rows, matmul, require_finite, softmax_rows, softmax_rows_into,
+)
 
 # prefill's score for a future key: softmax gives it exactly 0 weight
 NEG_MASK = np.float32(-np.inf)
@@ -215,10 +219,6 @@ def random_model(cfg: ModelConfig) -> Model:
     return Model(cfg, Weights(draw(cfg.vocab, d), layers, draw(d, cfg.vocab)))
 
 
-def _head_slices(x: Matrix, heads: int, head_dim: int) -> list[Matrix]:
-    return [x[:, h * head_dim : (h + 1) * head_dim] for h in range(heads)]
-
-
 def _row_blocks(n: int) -> list[tuple[int, int, int]]:
     """``(r0, new, r1)`` for each block of query rows in :func:`prefill`'s attention.
 
@@ -237,9 +237,12 @@ def _row_blocks(n: int) -> list[tuple[int, int, int]]:
     return [(min(new, n - rows), new, min(new + rows, n)) for new in range(0, n, rows)]
 
 
-# Rows per softmax call and per column-sum fold inside a prefill row block:
-# bounds their float64 temporaries to 64 x r1, whatever the block height.
-_SLICE_ROWS = 64
+# Elements per slice of a prefill row block: a block's softmax and column-sum
+# fold run one slice of 2**16 // n rows at a time (32 at n = 2048, at most
+# the block), and under one BLAS thread its scores product too, which bounds
+# a worker's float64 softmax buffer, and then its float32 scores buffer, to
+# 2**16 elements
+_SLICE = 2**16
 
 
 def _prompt_ids(model: Model, tokens) -> np.ndarray:
@@ -268,11 +271,11 @@ def _embed(model: Model, ids: np.ndarray, offset: int = 0) -> Matrix:
     return x
 
 
-def _project_kv(x: Matrix, lw: LayerWeights, cfg: ModelConfig) -> tuple[list[Matrix], list[Matrix]]:
-    """One layer's per-head K and V views of its input ``x``."""
-    k = matmul(x, lw.w_k)
-    v = matmul(x, lw.w_v)
-    return _head_slices(k, cfg.heads, cfg.head_dim), _head_slices(v, cfg.heads, cfg.head_dim)
+def _project_kv(x: Matrix, lw: LayerWeights, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """One layer's K and V stacks, C-contiguous ``(heads, n, head_dim)``, of its
+    input ``x``; each full product is freed once stacked."""
+    shape = (len(x), cfg.heads, cfg.head_dim)
+    return tuple(np.ascontiguousarray(matmul(x, w).reshape(shape).transpose(1, 0, 2)) for w in (lw.w_k, lw.w_v))
 
 
 def prefill_kv0(model: Model, tokens) -> tuple[np.ndarray, np.ndarray]:
@@ -285,8 +288,7 @@ def prefill_kv0(model: Model, tokens) -> tuple[np.ndarray, np.ndarray]:
     benchmark's ``recall_tradeoff`` peak RSS by 11%.
     """
     ids = _prompt_ids(model, tokens)
-    k, v = _project_kv(_embed(model, ids), model.weights.layers[0], model.config)
-    return np.stack(k), np.stack(v)
+    return _project_kv(_embed(model, ids), model.weights.layers[0], model.config)
 
 
 def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
@@ -296,74 +298,196 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     Each head's attention is computed one block of query rows at a time
     (:func:`_row_blocks`), so no n x n matrix is ever held. Per head the
     result keeps the float64 column sums of the probabilities and the last
-    ``window`` probability rows (see :class:`PrefillResult`); K and V are
-    computed through column views and stacked once per layer. A block
-    ``(r0, new, r1)`` computes its scores, softmax and column-sum fold over
-    key columns ``[0, r1)`` only, since every later column is masked; the
-    softmax and the fold run on 64-row slices of it, so their float64
-    temporaries stay at 64 x r1. Softmax is row-wise and the fold adds one
-    row at a time, so neither the truncation nor the slicing changes a bit.
-    ``probs @ v`` alone runs full width, on a zero-padded buffer held once
-    per call, because a product truncated to ``r1`` columns may round
-    differently. Future keys score ``NEG_MASK`` (-inf). Every real score is
-    finite (``matmul`` rejects a non-finite product), and the softmax
-    normalises in float64, so each future key gets exactly 0 weight and each
-    row sums to 1: the rows are causal by construction and need no check. A
-    ``window`` that is not an integer >= 0 raises ContractViolation.
+    ``window`` probability rows (see :class:`PrefillResult`); a layer's K
+    and V are stacked before its attention, which reads them from the
+    stacks. A block ``(r0, new, r1)`` computes its scores, softmax and
+    column-sum fold over key columns ``[0, r1)`` only, since every later
+    column is masked. The softmax and the fold run one slice of rows at a
+    time (``_SLICE``), and so does the scores product under one BLAS
+    thread. A score is one dot product over head_dim, the softmax is
+    row-wise and the fold adds one row at a time, so neither the truncation
+    nor the slicing changes a bit. ``probs @ v`` alone runs full width, on
+    a zero-padded buffer, because a product truncated to ``r1`` columns may
+    round differently. Future keys score ``NEG_MASK`` (-inf). Every real
+    score is finite (each product goes through :func:`require_finite`), and
+    the softmax normalises in float64, so each future key gets exactly 0
+    weight and each row sums to 1: the rows are causal by construction and
+    need no check. A ``window`` that is not an integer >= 0 raises
+    ContractViolation.
+
+    A layer's heads are attended by :func:`_prefill_workers` workers: the
+    calling thread, and one thread per other worker, started for the layer
+    and joined before the next step. More than one runs only when numpy's
+    BLAS runs one thread (with two, head workers and BLAS threads contend
+    for the same cores: 1.4x to 1.8x slower at n = 1024-2048) and the
+    prompt spans more than one row block (below that, the threads cost more
+    than they save). Each worker owns its buffers: the scores, the float64
+    softmax work that the fold reuses, and the zero-padded ``probs @ v``
+    buffer. A head writes only its own slices of the layer's outputs with
+    the same operations in the same order, so every array is bit for bit
+    the same whatever the worker count. Workers make their products as bare
+    ``@`` through :func:`require_finite`, each in an error state it enters
+    itself, and never call ``matmul`` or ``softmax_rows``, the names a
+    profiler may rebind; the first exception a worker raises is re-raised
+    here once every thread has joined.
     """
     cfg = model.config
     ids = _prompt_ids(model, tokens)
-    n = ids.size
     window = require_int("window", window, 0)
-
-    scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
-    blocks = _row_blocks(n)
-    first_kept = n - min(window, n)
-    cols = np.arange(n)
-    # probs @ v runs full width: a product truncated to [0, r1) may round
-    # differently. Columns past r1 stay zero, since r1 only grows in a layer.
-    padded = np.empty((blocks[0][2], n), dtype=np.float32)
-    # the column-sum fold: row 0 the running sums, then a slice's rows
-    fold = np.empty((1 + _SLICE_ROWS, n))
+    attention = _Attention(cfg, ids.size, window)
 
     keys, values, attn, column_sums = [], [], [], []
     x = _embed(model, ids)
     for lw in model.weights.layers:
-        k_heads, v_heads = _project_kv(x, lw, cfg)
-        q_heads = _head_slices(matmul(x, lw.w_q), cfg.heads, cfg.head_dim)
-        sums = np.zeros((cfg.heads, n))
-        kept = np.zeros((cfg.heads, n - first_kept, n), dtype=np.float32)
-        out = np.empty((n, cfg.d_model), dtype=np.float32)
-        padded.fill(0.0)
-        for r0, new, r1 in blocks:
-            mask = cols[:r1] > np.arange(r0, r1)[:, None]
-            probs = padded[:, :r1]
-            for head, (qh, kh, vh) in enumerate(zip(q_heads, k_heads, v_heads)):
-                scores = matmul(qh[r0:r1], kh[:r1].T)
-                scores *= scale
-                scores[mask] = NEG_MASK
-                for s in range(0, r1 - r0, _SLICE_ROWS):
-                    probs[s : s + _SLICE_ROWS] = softmax_rows(scores[s : s + _SLICE_ROWS])
-                cols_h = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
-                out[new:r1, cols_h] = matmul(padded, vh)[new - r0 :]
-                # the new rows, reduced in float64 with the running sums as
-                # their first row: bit for bit a full-matrix sum(axis=0)
-                for s in range(new - r0, r1 - r0, _SLICE_ROWS):
-                    rows = probs[s : s + _SLICE_ROWS]
-                    fold[0, :r1] = sums[head][:r1]
-                    fold[1 : 1 + len(rows), :r1] = rows
-                    np.add.reduce(fold[: 1 + len(rows), :r1], axis=0, out=sums[head][:r1])
-                if r1 > first_kept:
-                    lo = max(new, first_kept)
-                    kept[head][lo - first_kept : r1 - first_kept, :r1] = probs[lo - r0 :]
-        keys.append(np.stack(k_heads))
-        values.append(np.stack(v_heads))
+        k, v, sums, kept = attention.layer(x, lw)
+        keys.append(k)
+        values.append(v)
         attn.append(kept)
         column_sums.append(sums)
-        x = x + matmul(out, lw.w_o)
 
     logits = matmul(x[-1:, :], model.weights.head)[0]
     return PrefillResult(logits, keys, values, attn, column_sums, x)
+
+
+def _prefill_workers(heads: int, n: int, blas: int | None) -> int:
+    """How many workers attend each layer's heads in a prefill of ``n`` rows:
+    ``min(heads, usable CPUs)`` when numpy's BLAS runs exactly one thread
+    (``blas``, from :func:`blas_threads`) and the prompt spans more than one
+    row block (n > 512); otherwise 1, the calling thread alone."""
+    if len(_row_blocks(n)) == 1 or blas != 1:
+        return 1
+    return min(heads, _usable_cpus())
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Worker:
+    """One prefill worker's buffers, reused across heads, blocks and layers."""
+
+    def __init__(self, rows: int, n: int, product_rows: int, slice_rows: int) -> None:
+        # probs @ v runs full width: a product truncated to [0, r1) may round
+        # differently. Each head zeroes the columns past its first block's r1;
+        # r1 only grows over its blocks.
+        self.padded = np.empty((rows, n), dtype=np.float32)
+        # flat, so that a product's (rows, r1) scores and a slice's float64
+        # softmax work are contiguous views: products and reductions into
+        # strided ones ran slower. The fold reuses the work buffer.
+        self.scores = np.empty(product_rows * n, dtype=np.float32)
+        self.work = np.empty((1 + slice_rows) * n)  # 1 +: the fold's running-sum row
+
+
+class _Attention:
+    """One prefill call's attention: its row blocks, causal mask, score scale
+    and window, and its workers' buffers, which every layer reuses."""
+
+    def __init__(self, cfg: ModelConfig, n: int, window: int) -> None:
+        self.cfg = cfg
+        self.blocks = _row_blocks(n)
+        rows = self.blocks[0][2]  # every block is full height (_row_blocks)
+        # a block's scores[:, r0:r1] are masked above their diagonal; columns
+        # below r0 never are
+        self.above = np.triu(np.ones((rows, rows), dtype=bool), 1)
+        self.scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
+        self.first_kept = n - min(window, n)
+        self.slice_rows = min(rows, max(1, _SLICE // n))
+        blas = blas_threads()  # read at each call: a program may change it
+        # Rows per scores product: a slice's scores stay in cache for the
+        # softmax, but under a threaded BLAS each product can wait on a busy
+        # core, and four per block at n = 2048 ran 4% slower than one
+        self.product_rows = self.slice_rows if blas == 1 else rows
+        workers = _prefill_workers(cfg.heads, n, blas)
+        self.workers = [_Worker(rows, n, self.product_rows, self.slice_rows) for _ in range(workers)]
+
+    def layer(self, x: Matrix, lw: LayerWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One layer's K and V stacks, column sums and kept rows (see
+        :class:`PrefillResult`); adds the layer's output to ``x`` in place."""
+        cfg, n = self.cfg, len(x)
+        k, v = _project_kv(x, lw, cfg)
+        q = matmul(x, lw.w_q)
+        out = np.empty_like(x)
+        sums = np.zeros((cfg.heads, n))
+        kept = np.zeros((cfg.heads, n - self.first_kept, n), dtype=np.float32)
+
+        def attend(head: int, worker: _Worker) -> None:
+            cols = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
+            self._head(worker, q[:, cols], k[head], v[head], out[:, cols], sums[head], kept[head])
+
+        _run_workers(attend, cfg.heads, self.workers)
+        x += matmul(out, lw.w_o)
+        return k, v, sums, kept
+
+    def _head(self, worker: _Worker, qh, kh, vh, out, sums, kept) -> None:
+        """One head's attention, block by block, into its views ``out`` ``(n, head_dim)``,
+        ``sums`` ``(n,)`` and ``kept`` ``(w, n)``, in an error state that lets an
+        overflow through silently: every product ends in :func:`require_finite`."""
+        padded = worker.padded
+        padded[:, self.blocks[0][2] :] = 0.0  # the first block's r1
+        for r0, new, r1 in self.blocks:
+            rows = r1 - r0
+            probs = padded[:, :r1]
+            for p in range(0, rows, self.product_rows):
+                pe = min(p + self.product_rows, rows)
+                scores = worker.scores[: (pe - p) * r1].reshape(pe - p, r1)
+                require_finite(np.matmul(qh[r0 + p : r0 + pe], kh[:r1].T, out=scores), "matmul")
+                scores *= self.scale
+                scores[:, r0:r1][self.above[p:pe]] = NEG_MASK
+                for s in range(0, pe - p, self.slice_rows):
+                    e = min(s + self.slice_rows, pe - p)
+                    work = worker.work[: (e - s) * r1].reshape(e - s, r1)
+                    softmax_rows_into(scores[s:e], probs[p + s : p + e], work)
+            out[new:r1] = require_finite(padded @ vh, "matmul")[new - r0 :]
+            # the new rows, reduced in float64 with the running sums as their
+            # first row: bit for bit a full-matrix sum(axis=0)
+            for s in range(new - r0, rows, self.slice_rows):
+                chunk = probs[s : s + self.slice_rows]
+                fold = worker.work[: (1 + len(chunk)) * r1].reshape(1 + len(chunk), r1)
+                fold[0] = sums[:r1]
+                fold[1:] = chunk
+                np.add.reduce(fold, axis=0, out=sums[:r1])
+            if r1 > self.first_kept:
+                lo = max(new, self.first_kept)
+                kept[lo - self.first_kept : r1 - self.first_kept, :r1] = probs[lo - r0 :]
+
+
+def _run_workers(attend, heads: int, workers: list[_Worker]) -> None:
+    """Call ``attend(head, worker)`` for every head: the calling thread with the
+    first worker, and a thread started here with each other one. Workers take
+    heads from one shared list (``list.pop`` is atomic in CPython); the first
+    exception any raises is re-raised once every thread has joined, so no
+    thread outlives the call."""
+    todo = list(range(heads))[::-1]
+    errors: list[BaseException] = []
+
+    def run(worker: _Worker) -> None:
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # numpy's error state is per thread
+                while True:
+                    try:
+                        head = todo.pop()
+                    except IndexError:  # every head is taken
+                        return
+                    attend(head, worker)
+        except BaseException as exc:
+            todo.clear()  # the others stop after their current head
+            errors.append(exc)
+
+    threads = []
+    try:
+        for worker in workers[1:]:
+            thread = threading.Thread(target=run, args=(worker,))
+            thread.start()
+            threads.append(thread)
+        run(workers[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _decode(model: Model, store, h) -> np.ndarray:

@@ -13,7 +13,12 @@ Every product the engine makes ends in one check, :func:`require_finite`:
 that lets an overflow through silently and checks its result; a caller
 whose operands were checked once at its boundary, as a decode step's are,
 enters that error state once and makes bare ``@`` products through the same
-result check.
+result check. Prefill's head workers do the same, each entering the error
+state itself (numpy keeps it per thread), and softmax through
+:func:`softmax_rows_into`, which writes into a caller's buffers with the
+steps of :func:`softmax_rows`; neither calls a name a single-threaded
+profiler may rebind. :func:`blas_threads` reads the thread count of numpy's
+bundled OpenBLAS, which decides whether prefill starts workers at all.
 
 Arithmetic runs in 32-bit floats. Storage *accounting* elsewhere still
 charges 16 bits per full-precision element; keeping the math in float32
@@ -22,6 +27,10 @@ arithmetic.
 """
 
 from __future__ import annotations
+
+import ctypes
+import functools
+from pathlib import Path
 
 import numpy as np
 
@@ -85,15 +94,55 @@ def softmax_rows(m: Matrix) -> Matrix:
     if m.size == 0:
         raise ContractViolation("softmax_rows requires a nonempty matrix")
     x = m.astype(np.float64)
+    _normalise_rows(x)
+    return x.astype(np.float32)
+
+
+def softmax_rows_into(m: Matrix, out: Matrix, work: np.ndarray) -> None:
+    """:func:`softmax_rows` of ``m``, a nonempty float32 matrix, written into ``out``,
+    a float32 array of its shape, through ``work``, a C-contiguous float64 array of
+    its shape: the same steps, bit for bit, with no temporary of ``m``'s size.
+    """
+    np.copyto(work, m)
+    _normalise_rows(work)
+    np.copyto(out, work)
+
+
+def _normalise_rows(x: np.ndarray) -> None:
+    """The softmax of every row of ``x``, a C-contiguous float64 matrix, in place;
+    ContractViolation unless every row's maximum is finite."""
     peaks = x.max(axis=1, keepdims=True)
     if np.count_nonzero(np.isfinite(peaks)) < len(peaks):  # count_nonzero: cheaper than .all() here
         raise ContractViolation("softmax_rows needs a finite maximum in every row")
     x -= peaks
-    # in place: one float64 temporary per call, which keeps prefill's blocks
-    # reusing freed memory instead of faulting in fresh pages for each
+    # in place: no temporary of x's size, which keeps memory reused instead
+    # of faulting in fresh pages at each call
     np.exp(x, out=x)
     x /= x.sum(axis=1, keepdims=True)
-    return x.astype(np.float32)
+
+
+def blas_threads() -> int | None:
+    """The thread count numpy's bundled OpenBLAS runs a product on now, or None
+    where there is no such library (a numpy built against another BLAS)."""
+    getter = _openblas_thread_getter()
+    return None if getter is None else getter()
+
+
+@functools.cache
+def _openblas_thread_getter():
+    """The thread-count getter under ``numpy.libs/*openblas*``, or None; looked up once."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads"):
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter
+    return None
 
 
 def concat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

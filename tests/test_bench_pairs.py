@@ -16,11 +16,12 @@ _spec.loader.exec_module(bench_pairs)
 SHA = {"csv": "c" * 64, "logits": "1" * 64}
 
 
-def _run(step_ms: float, rss: float, sha=SHA, failed: int = 0, passes: int = 4) -> dict:
+def _run(step_ms: float, rss: float, sha=SHA, failed: int = 0, passes: int = 4, blas_threads=1,
+         nproc: int = 2) -> dict:
     metrics = {"decode_step_ms_p50": {"value": step_ms, "unit": "ms"},
                "peak_rss_mib": {"value": rss, "unit": "MiB"}}
     return {"correct": not failed, "attempted": 10, "failed": failed, "metrics": metrics, "sha256": sha,
-            "passes": passes}
+            "passes": passes, "blas_threads": blas_threads, "nproc": nproc}
 
 
 BETTER = {"decode_step_ms_p50": "lower", "peak_rss_mib": "lower"}
@@ -88,6 +89,8 @@ def test_one_pair_on_one_checkout_runs_clean():
     change = [bench_pairs.run_once(ROOT, "recall_tradeoff", 0, 0)]
     assert bench_pairs.problems(parent, change) == []
     assert all(isinstance(run["passes"], int) and run["passes"] >= 1 for run in parent + change)
+    # kvbench/run.py pins one BLAS thread before it imports numpy
+    assert all(run["blas_threads"] in (1, None) and run["nproc"] >= 1 for run in parent + change)
     rows = bench_pairs.summary(parent, change, better)
     assert sorted(r["metric"] for r in rows) == sorted(better)
     lines = bench_pairs._table(rows).splitlines()
@@ -136,8 +139,27 @@ def test_each_side_prints_its_median_pass_count(monkeypatch, capsys, tmp_path):
     assert bench_pairs.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     # parent 10, 12, 11 and change 13, 14, 17, under the table and its bound use
-    assert lines[-2].startswith("bound used: ")
-    assert lines[-1] == "median passes: parent 11, change 14"
+    assert lines[-4].startswith("bound used: ")
+    assert lines[-3] == "median passes: parent 11, change 14"
+
+
+def test_each_side_prints_its_median_blas_threads_and_nproc(monkeypatch, capsys, tmp_path):
+    # pairs run parent, change; change, parent; parent, change
+    runs = iter([(1, 2), (2, 4), (2, 4), (1, 2), (2, 2), (1, 4)])
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds: _run(
+        1.0, 50, **dict(zip(("blas_threads", "nproc"), next(runs)))))
+    argv = ["--parent", str(tmp_path), "--change", str(ROOT), "--pairs", "3", "--workload", "recall_tradeoff"]
+    assert bench_pairs.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    # parent (1, 2), (1, 2), (2, 2) and change (2, 4), (2, 4), (1, 4), next to the pass counts
+    assert lines[-3].startswith("median passes: ")
+    assert lines[-2:] == ["median BLAS threads: parent 1, change 2", "median nproc: parent 2, change 4"]
+
+    # a run without OpenBLAS reports no thread count, and its side says so
+    monkeypatch.setattr(bench_pairs, "run_once", lambda checkout, workload, seed, seconds: _run(
+        1.0, 50, blas_threads=None if checkout == tmp_path else 1))
+    assert bench_pairs.main(argv) == 0
+    assert "median BLAS threads: parent unknown, change 1\n" in capsys.readouterr().out
 
 
 def test_an_unknown_workload_is_rejected_before_any_run(monkeypatch, tmp_path):

@@ -1,8 +1,11 @@
 import itertools
 import math
 import struct
+import sys
 import tempfile
+import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -324,6 +327,181 @@ class TestStreamedPrefill:
         assert not np.triu(res.attn[0][0], k=1).any()
         assert np.array_equal(res.logits, logits)
         assert np.array_equal(res.hidden, hidden)
+
+
+def _prefill_arrays(res) -> list[tuple]:
+    """Every array a PrefillResult holds, as bytes, with its dtype and shape."""
+    arrays = [res.logits, res.hidden, *res.keys, *res.values, *res.attn, *res.column_sums]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _force_workers(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(kvmodel, "_prefill_workers", lambda heads, n, blas: count)
+
+
+class TestPrefillWorkers:
+    """A layer's heads run on one worker or several; every array keeps its bits."""
+
+    @pytest.mark.parametrize("blas", [None, 1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_workers_need_one_blas_thread_and_more_than_one_row_block(self, monkeypatch, blas, cpus):
+        monkeypatch.setattr(kvmodel, "blas_threads", lambda: blas)
+        monkeypatch.setattr(kvmodel, "_usable_cpus", lambda: cpus)
+        threaded = blas == 1
+
+        def workers(heads, n):
+            return len(kvmodel._Attention(ModelConfig(1, heads, 8 * heads, 40, n), n, 0).workers)
+
+        # n = 512 is one row block, 513 two
+        assert workers(4, 513) == (cpus if threaded else 1)
+        assert workers(1, 513) == 1
+        assert workers(4, 512) == 1
+        assert workers(4, 1) == 1
+
+    def test_the_blas_thread_count_is_read_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(kvmodel, "_usable_cpus", lambda: 2)
+        counts = iter([1, 2, 1])
+        monkeypatch.setattr(kvmodel, "blas_threads", lambda: next(counts))
+        cfg = ModelConfig(1, 2, 16, 40, 2048)
+        assert [len(kvmodel._Attention(cfg, 2048, 0).workers) for _ in range(3)] == [2, 1, 2]
+
+    def test_blas_threads_reads_the_bundled_library(self):
+        threads = kvmodel.blas_threads()
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
+
+    @pytest.mark.parametrize("use_positions", [False, True], ids=["no-positions", "positions"])
+    @pytest.mark.parametrize("n", [513, 1025, 1500, 2048])
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4, 5])
+    def test_one_worker_and_two_give_the_same_bytes(self, monkeypatch, heads, n, use_positions):
+        # under a threaded BLAS a block's scores are one product, under one
+        # BLAS thread one product per slice: the bytes are the same
+        model = random_model(ModelConfig(2, heads, 8 * heads, 40, n, seed=heads, use_positions=use_positions))
+        tokens = np.random.default_rng(n).integers(0, 40, n)
+        for window in (0, 32, n):
+            _force_workers(monkeypatch, 1)
+            monkeypatch.setattr(kvmodel, "blas_threads", lambda: 2)
+            serial = _prefill_arrays(prefill(model, tokens, window=window))
+            monkeypatch.setattr(kvmodel, "blas_threads", lambda: 1)
+            assert _prefill_arrays(prefill(model, tokens, window=window)) == serial
+            _force_workers(monkeypatch, 2)
+            assert _prefill_arrays(prefill(model, tokens, window=window)) == serial
+
+    def test_memory_at_the_benchmark_shape_with_two_workers(self, monkeypatch):
+        # test_memory_at_the_benchmark_shape's prefill as the benchmark runs it,
+        # one BLAS thread and two workers, whatever BLAS this process runs
+        monkeypatch.setattr(kvmodel, "blas_threads", lambda: 1)
+        _force_workers(monkeypatch, 2)
+        n = 2048
+        model = random_model(ModelConfig(4, 4, 64, 128, n, seed=0))
+        tokens = np.random.default_rng(0).integers(0, 128, n)
+        tracemalloc.start()
+        try:
+            prefill(model, tokens)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_more_workers_than_cores_under_fast_thread_switches(self, monkeypatch):
+        # four workers on five heads, switching threads every microsecond: a
+        # head taken twice, or a buffer two workers share, changes the bytes
+        model = random_model(ModelConfig(2, 5, 40, 40, 1025, seed=5))
+        tokens = np.random.default_rng(5).integers(0, 40, 1025)
+        _force_workers(monkeypatch, 1)
+        serial = _prefill_arrays(prefill(model, tokens, window=40))
+        _force_workers(monkeypatch, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert _prefill_arrays(prefill(model, tokens, window=40)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @staticmethod
+    def _overflowing(heads: int, head: int) -> Model:
+        """A model whose scores overflow float32 in ``head`` of layer 0 only."""
+        model = random_model(ModelConfig(1, heads, 8 * heads, 40, 1024, seed=1))
+        lw = model.weights.layers[0]
+        w_q, w_k = lw.w_q.copy(), lw.w_k.copy()
+        w_q[:, 8 * head : 8 * head + 8] = 1e20
+        w_k[:, 8 * head : 8 * head + 8] = 1e20
+        layers = (type(lw)(w_q, w_k, lw.w_v, lw.w_o),)
+        return Model(model.config, Weights(model.weights.embedding, layers, model.weights.head))
+
+    def test_an_overflow_in_a_started_thread_raises_in_the_caller(self, monkeypatch):
+        # The calling thread holds its first head until a started thread has
+        # entered one, so each of the two takes one head, whichever pops
+        # first. The run repeats, the overflow in head 0 and then in head 1,
+        # until the started thread took the head that overflows.
+        _force_workers(monkeypatch, 2)
+        models = [self._overflowing(2, 0), self._overflowing(2, 1)]
+        tokens = np.random.default_rng(0).integers(0, 40, 1024)
+        head = kvmodel._Attention._head
+        main = threading.get_ident()
+        threads = threading.active_count()
+        for attempt in range(20):
+            model = models[attempt % 2]
+            entered, raised = threading.Event(), []
+
+            def spy(self, *args):
+                if threading.get_ident() == main:
+                    entered.wait(10)
+                else:
+                    entered.set()
+                try:
+                    head(self, *args)
+                except ContractViolation:
+                    raised.append(threading.get_ident())
+                    raise
+
+            monkeypatch.setattr(kvmodel._Attention, "_head", spy)
+            # filterwarnings = error: an overflow warning, had a worker not
+            # entered its own error state, would surface instead
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ContractViolation, match="matmul produced non-finite elements"):
+                    prefill(model, tokens)
+            assert threading.active_count() == threads
+            if raised == [raised[0]] and raised[0] != main:
+                break
+        else:
+            pytest.fail("the started thread never took the overflowing head")
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        _force_workers(monkeypatch, 3)
+        model = random_model(ModelConfig(2, 3, 24, 40, 1024, seed=0))
+        tokens = np.random.default_rng(0).integers(0, 40, 1024)
+        threads = threading.active_count()
+        prefill(model, tokens)
+        assert threading.active_count() == threads
+        with pytest.raises(ContractViolation):
+            prefill(self._overflowing(3, 2), tokens)
+        assert threading.active_count() == threads
+
+    def test_only_the_calling_thread_enters_the_names_a_profiler_rebinds(self, monkeypatch):
+        # kvbench's tracer rebinds kvtrade.model.matmul and softmax_rows with
+        # one span stack shared by every thread; workers must not enter them
+        _force_workers(monkeypatch, 2)
+        entered = {"matmul": set(), "softmax_rows": set(), "_head": set()}
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                entered[name].add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for name in ("matmul", "softmax_rows"):
+            monkeypatch.setattr(kvmodel, name, spy(name, getattr(kvmodel, name)))
+        monkeypatch.setattr(kvmodel._Attention, "_head", spy("_head", kvmodel._Attention._head))
+        model = random_model(ModelConfig(2, 4, 32, 40, 2048, seed=0))
+        tokens = np.random.default_rng(0).integers(0, 40, 2048)
+        prefill(model, tokens)
+        assert entered["matmul"] == {threading.get_ident()}
+        # softmax_rows is not called at all, on any thread
+        assert entered["softmax_rows"] <= {threading.get_ident()}
+        # a thread started for each layer attended heads too
+        assert threading.get_ident() in entered["_head"] and len(entered["_head"]) > 1
 
 
 class TestCompressionOffEquivalence:
