@@ -14,9 +14,7 @@ causality-sensitive experiments. All randomness is seeded.
 from __future__ import annotations
 
 import math
-import os
 import struct
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -237,11 +235,10 @@ def _row_blocks(n: int) -> list[tuple[int, int, int]]:
     return [(min(new, n - rows), new, min(new + rows, n)) for new in range(0, n, rows)]
 
 
-# Elements per slice of a prefill row block: a block's softmax and column-sum
-# fold run one slice of 2**16 // n rows at a time (32 at n = 2048, at most
-# the block), and under one BLAS thread its scores product too, which bounds
-# a worker's float64 softmax buffer, and then its float32 scores buffer, to
-# 2**16 elements
+# Elements per slice of a prefill row block: a block's scores product, softmax
+# and column-sum fold run one slice of 2**16 // n rows at a time (32 at n =
+# 2048, at most the block), which bounds a worker's float32 scores buffer and
+# float64 softmax buffer to 2**16 elements
 _SLICE = 2**16
 
 
@@ -302,20 +299,20 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     and V are stacked before its attention, which reads them from the
     stacks. A block ``(r0, new, r1)`` computes its scores, softmax and
     column-sum fold over key columns ``[0, r1)`` only, since every later
-    column is masked. The softmax and the fold run one slice of rows at a
-    time (``_SLICE``), and so does the scores product under one BLAS
-    thread. A score is one dot product over head_dim, the softmax is
-    row-wise and the fold adds one row at a time, so neither the truncation
-    nor the slicing changes a bit. ``probs @ v`` alone runs full width, on
-    a zero-padded buffer, because a product truncated to ``r1`` columns may
-    round differently. Future keys score ``NEG_MASK`` (-inf). Every real
-    score is finite (each product goes through :func:`require_finite`), and
-    the softmax normalises in float64, so each future key gets exactly 0
-    weight and each row sums to 1: the rows are causal by construction and
-    need no check. A ``window`` that is not an integer >= 0 raises
-    ContractViolation.
+    column is masked. The scores product, the softmax and the fold run one
+    slice of rows at a time (``_SLICE``). A score is one dot product over
+    head_dim, the softmax is row-wise and the fold adds one row at a time,
+    so neither the truncation nor the slicing changes a bit. ``probs @ v``
+    alone runs full width, on a zero-padded buffer, because a product
+    truncated to ``r1`` columns may round differently. Future keys score
+    ``NEG_MASK`` (-inf). Every real score is finite (each product goes
+    through :func:`require_finite`), and the softmax normalises in float64,
+    so each future key gets exactly 0 weight and each row sums to 1: the
+    rows are causal by construction and need no check. A ``window`` that
+    is not an integer >= 0 raises ContractViolation.
 
-    A layer's heads are attended by :func:`_prefill_workers` workers: the
+    A layer's heads are attended by :func:`_prefill_workers` workers, at
+    most two (each adds its buffers: about 1.8 MiB at n = 2048): the
     calling thread, and one thread per other worker, started for the layer
     and joined before the next step. More than one runs only when numpy's
     BLAS runs one thread (with two, head workers and BLAS threads contend
@@ -349,18 +346,27 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     return PrefillResult(logits, keys, values, attn, column_sums, x)
 
 
+# Each worker holds about 1.8 MiB of buffers at the prefill_long shape (n =
+# 2048): prefill's tracemalloc peak there is 8.2 MiB with one worker, 9.9
+# with two and 13.5 with four, past the 12 MiB test_model.py holds it to.
+# Two is also the count whose speed was measured.
+_MAX_WORKERS = 2
+
+
 def _prefill_workers(heads: int, n: int, blas: int | None) -> int:
     """How many workers attend each layer's heads in a prefill of ``n`` rows:
-    ``min(heads, usable CPUs)`` when numpy's BLAS runs exactly one thread
-    (``blas``, from :func:`blas_threads`) and the prompt spans more than one
-    row block (n > 512); otherwise 1, the calling thread alone."""
+    ``min(heads, usable CPUs, _MAX_WORKERS)`` when numpy's BLAS runs exactly
+    one thread (``blas``, from :func:`blas_threads`) and the prompt spans
+    more than one row block (n > 512); otherwise 1, the calling thread alone."""
     if len(_row_blocks(n)) == 1 or blas != 1:
         return 1
-    return min(heads, _usable_cpus())
+    return min(heads, _usable_cpus(), _MAX_WORKERS)
 
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
+    import os  # here, as threading is in _run_workers: importing kvtrade loads no more modules
+
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -369,15 +375,15 @@ def _usable_cpus() -> int:
 class _Worker:
     """One prefill worker's buffers, reused across heads, blocks and layers."""
 
-    def __init__(self, rows: int, n: int, product_rows: int, slice_rows: int) -> None:
+    def __init__(self, rows: int, n: int, slice_rows: int) -> None:
         # probs @ v runs full width: a product truncated to [0, r1) may round
         # differently. Each head zeroes the columns past its first block's r1;
         # r1 only grows over its blocks.
         self.padded = np.empty((rows, n), dtype=np.float32)
-        # flat, so that a product's (rows, r1) scores and a slice's float64
-        # softmax work are contiguous views: products and reductions into
-        # strided ones ran slower. The fold reuses the work buffer.
-        self.scores = np.empty(product_rows * n, dtype=np.float32)
+        # flat, so that a slice's (rows, r1) scores and float64 softmax work
+        # are contiguous views: products and reductions into strided ones ran
+        # slower. The fold reuses the work buffer.
+        self.scores = np.empty(slice_rows * n, dtype=np.float32)
         self.work = np.empty((1 + slice_rows) * n)  # 1 +: the fold's running-sum row
 
 
@@ -395,13 +401,9 @@ class _Attention:
         self.scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
         self.first_kept = n - min(window, n)
         self.slice_rows = min(rows, max(1, _SLICE // n))
-        blas = blas_threads()  # read at each call: a program may change it
-        # Rows per scores product: a slice's scores stay in cache for the
-        # softmax, but under a threaded BLAS each product can wait on a busy
-        # core, and four per block at n = 2048 ran 4% slower than one
-        self.product_rows = self.slice_rows if blas == 1 else rows
-        workers = _prefill_workers(cfg.heads, n, blas)
-        self.workers = [_Worker(rows, n, self.product_rows, self.slice_rows) for _ in range(workers)]
+        # the BLAS thread count is read at each call: a program may change it
+        workers = _prefill_workers(cfg.heads, n, blas_threads())
+        self.workers = [_Worker(rows, n, self.slice_rows) for _ in range(workers)]
 
     def layer(self, x: Matrix, lw: LayerWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One layer's K and V stacks, column sums and kept rows (see
@@ -430,16 +432,14 @@ class _Attention:
         for r0, new, r1 in self.blocks:
             rows = r1 - r0
             probs = padded[:, :r1]
-            for p in range(0, rows, self.product_rows):
-                pe = min(p + self.product_rows, rows)
-                scores = worker.scores[: (pe - p) * r1].reshape(pe - p, r1)
-                require_finite(np.matmul(qh[r0 + p : r0 + pe], kh[:r1].T, out=scores), "matmul")
+            for s in range(0, rows, self.slice_rows):
+                e = min(s + self.slice_rows, rows)
+                scores = worker.scores[: (e - s) * r1].reshape(e - s, r1)
+                require_finite(np.matmul(qh[r0 + s : r0 + e], kh[:r1].T, out=scores), "matmul")
                 scores *= self.scale
-                scores[:, r0:r1][self.above[p:pe]] = NEG_MASK
-                for s in range(0, pe - p, self.slice_rows):
-                    e = min(s + self.slice_rows, pe - p)
-                    work = worker.work[: (e - s) * r1].reshape(e - s, r1)
-                    softmax_rows_into(scores[s:e], probs[p + s : p + e], work)
+                scores[:, r0:r1][self.above[s:e]] = NEG_MASK
+                work = worker.work[: (e - s) * r1].reshape(e - s, r1)
+                softmax_rows_into(scores, probs[s:e], work)
             out[new:r1] = require_finite(padded @ vh, "matmul")[new - r0 :]
             # the new rows, reduced in float64 with the running sums as their
             # first row: bit for bit a full-matrix sum(axis=0)
@@ -460,6 +460,8 @@ def _run_workers(attend, heads: int, workers: list[_Worker]) -> None:
     heads from one shared list (``list.pop`` is atomic in CPython); the first
     exception any raises is re-raised once every thread has joined, so no
     thread outlives the call."""
+    import threading
+
     todo = list(range(heads))[::-1]
     errors: list[BaseException] = []
 

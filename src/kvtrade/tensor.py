@@ -28,10 +28,6 @@ arithmetic.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-from pathlib import Path
-
 import numpy as np
 
 from .errors import ContractViolation
@@ -124,13 +120,22 @@ def _normalise_rows(x: np.ndarray) -> None:
 def blas_threads() -> int | None:
     """The thread count numpy's bundled OpenBLAS runs a product on now, or None
     where there is no such library (a numpy built against another BLAS)."""
-    getter = _openblas_thread_getter()
-    return None if getter is None else getter()
+    global _blas_getter
+    if _blas_getter is _UNREAD:
+        _blas_getter = _openblas_thread_getter()
+    return None if _blas_getter is None else _blas_getter()
 
 
-@functools.cache
+_UNREAD = object()
+_blas_getter = _UNREAD  # looked up at the first call
+
+
 def _openblas_thread_getter():
-    """The thread-count getter under ``numpy.libs/*openblas*``, or None; looked up once."""
+    """The thread-count getter under ``numpy.libs/*openblas*``, or None."""
+    # imported here: importing kvtrade loads no more modules
+    import ctypes
+    from pathlib import Path
+
     libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for path in sorted(libs.glob("*openblas*")):
         try:

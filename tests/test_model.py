@@ -343,7 +343,7 @@ class TestPrefillWorkers:
     """A layer's heads run on one worker or several; every array keeps its bits."""
 
     @pytest.mark.parametrize("blas", [None, 1, 2])
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_workers_need_one_blas_thread_and_more_than_one_row_block(self, monkeypatch, blas, cpus):
         monkeypatch.setattr(kvmodel, "blas_threads", lambda: blas)
         monkeypatch.setattr(kvmodel, "_usable_cpus", lambda: cpus)
@@ -352,8 +352,9 @@ class TestPrefillWorkers:
         def workers(heads, n):
             return len(kvmodel._Attention(ModelConfig(1, heads, 8 * heads, 40, n), n, 0).workers)
 
-        # n = 512 is one row block, 513 two
-        assert workers(4, 513) == (cpus if threaded else 1)
+        # n = 512 is one row block, 513 two; never more than two workers
+        assert workers(4, 513) == (min(cpus, 2) if threaded else 1)
+        assert workers(2, 513) == (min(cpus, 2) if threaded else 1)
         assert workers(1, 513) == 1
         assert workers(4, 512) == 1
         assert workers(4, 1) == 1
@@ -373,24 +374,20 @@ class TestPrefillWorkers:
     @pytest.mark.parametrize("n", [513, 1025, 1500, 2048])
     @pytest.mark.parametrize("heads", [1, 2, 3, 4, 5])
     def test_one_worker_and_two_give_the_same_bytes(self, monkeypatch, heads, n, use_positions):
-        # under a threaded BLAS a block's scores are one product, under one
-        # BLAS thread one product per slice: the bytes are the same
         model = random_model(ModelConfig(2, heads, 8 * heads, 40, n, seed=heads, use_positions=use_positions))
         tokens = np.random.default_rng(n).integers(0, 40, n)
         for window in (0, 32, n):
             _force_workers(monkeypatch, 1)
-            monkeypatch.setattr(kvmodel, "blas_threads", lambda: 2)
             serial = _prefill_arrays(prefill(model, tokens, window=window))
-            monkeypatch.setattr(kvmodel, "blas_threads", lambda: 1)
-            assert _prefill_arrays(prefill(model, tokens, window=window)) == serial
             _force_workers(monkeypatch, 2)
             assert _prefill_arrays(prefill(model, tokens, window=window)) == serial
 
-    def test_memory_at_the_benchmark_shape_with_two_workers(self, monkeypatch):
+    def test_memory_at_the_benchmark_shape_with_four_cpus(self, monkeypatch):
         # test_memory_at_the_benchmark_shape's prefill as the benchmark runs it,
-        # one BLAS thread and two workers, whatever BLAS this process runs
+        # one BLAS thread, on a host with a CPU for each of its four heads:
+        # each worker adds its buffers, so the count is capped
         monkeypatch.setattr(kvmodel, "blas_threads", lambda: 1)
-        _force_workers(monkeypatch, 2)
+        monkeypatch.setattr(kvmodel, "_usable_cpus", lambda: 4)
         n = 2048
         model = random_model(ModelConfig(4, 4, 64, 128, n, seed=0))
         tokens = np.random.default_rng(0).integers(0, 128, n)
