@@ -236,10 +236,32 @@ def _row_blocks(n: int) -> list[tuple[int, int, int]]:
 
 
 # Elements per slice of a prefill row block: a block's scores product, softmax
-# and column-sum fold run one slice of 2**16 // n rows at a time (32 at n =
-# 2048, at most the block), which bounds a worker's float32 scores buffer and
-# float64 softmax buffer to 2**16 elements
-_SLICE = 2**16
+# and column-sum fold run one slice of at most 2**17 // n rows at a time (64 at
+# n = 2048, at most the block; see _row_slices), which bounds a worker's
+# float32 scores buffer and float64 softmax buffer to 2**17 elements. 2**18
+# ran faster but put prefill_long's two-worker peak past 12 MiB.
+_SLICE = 2**17
+
+
+def _row_slices(rows: int, n: int) -> list[tuple[int, int]]:
+    """The ``(s, e)`` slices of a row block of ``rows`` rows and at most ``n``
+    columns: the fewest that hold at most ``_SLICE`` elements (at least one
+    row) each, as near equal as can be, so that their heights differ by at
+    most one row.
+
+    An even split, not slices of the cap's height with a remainder last,
+    because numpy runs a one-row ``q @ k.T`` as gemv, which sums head_dim in
+    another order than the full product. Cut that way, a block ends in a
+    one-row slice, and prefill's probabilities and column sums differ from
+    the full-matrix computation's, at n = 515 and 519 (head_dim 16) and 536
+    (head_dim 4) with 2**16-element slices, and also at n = 513 and 2000
+    with 2**17. An even split cuts no one-row slice from a block of two or
+    more rows while the cap is at least three rows, up to n = 2**17 // 3.
+    Past that a block of five rows splits 2 + 2 + 1, and past n = 2**16
+    the cap itself is one row.
+    """
+    k = -(-rows // max(1, _SLICE // n))
+    return [(rows * i // k, rows * (i + 1) // k) for i in range(k)]
 
 
 def _prompt_ids(model: Model, tokens) -> np.ndarray:
@@ -300,9 +322,12 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     stacks. A block ``(r0, new, r1)`` computes its scores, softmax and
     column-sum fold over key columns ``[0, r1)`` only, since every later
     column is masked. The scores product, the softmax and the fold run one
-    slice of rows at a time (``_SLICE``). A score is one dot product over
-    head_dim, the softmax is row-wise and the fold adds one row at a time,
-    so neither the truncation nor the slicing changes a bit. ``probs @ v``
+    slice of rows at a time, a block cut into near-equal slices of at most
+    ``_SLICE`` elements (:func:`_row_slices`). A score is one dot product
+    over head_dim, the softmax is row-wise and the fold adds one row at a
+    time, so neither the truncation nor the slicing changes a bit, as long
+    as no slice is one row: numpy runs a one-row scores product as gemv,
+    which sums head_dim in another order. ``probs @ v``
     alone runs full width, on a zero-padded buffer, because a product
     truncated to ``r1`` columns may round differently. Future keys score
     ``NEG_MASK`` (-inf). Every real score is finite (each product goes
@@ -312,7 +337,7 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     is not an integer >= 0 raises ContractViolation.
 
     A layer's heads are attended by :func:`_prefill_workers` workers, at
-    most two (each adds its buffers: about 1.8 MiB at n = 2048): the
+    most two (each adds its buffers: about 2.5 MiB at n = 2048): the
     calling thread, and one thread per other worker, started for the layer
     and joined before the next step. More than one runs only when numpy's
     BLAS runs one thread (with two, head workers and BLAS threads contend
@@ -346,9 +371,9 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     return PrefillResult(logits, keys, values, attn, column_sums, x)
 
 
-# Each worker holds about 1.8 MiB of buffers at the prefill_long shape (n =
-# 2048): prefill's tracemalloc peak there is 8.2 MiB with one worker, 9.9
-# with two and 13.5 with four, past the 12 MiB test_model.py holds it to.
+# Each worker holds about 2.5 MiB of buffers at the prefill_long shape (n =
+# 2048): prefill's tracemalloc peak there is 8.9 MiB with one worker, 11.4
+# with two and 16.5 with four, past the 12 MiB test_model.py holds it to.
 # Two is also the count whose speed was measured.
 _MAX_WORKERS = 2
 
@@ -373,7 +398,8 @@ def _usable_cpus() -> int:
 
 
 class _Worker:
-    """One prefill worker's buffers, reused across heads, blocks and layers."""
+    """One prefill worker's buffers, reused across heads, blocks and layers:
+    about 2.5 MiB at n = 2048 (1 MiB padded, 0.5 MiB scores, 1 MiB work)."""
 
     def __init__(self, rows: int, n: int, slice_rows: int) -> None:
         # probs @ v runs full width: a product truncated to [0, r1) may round
@@ -400,7 +426,8 @@ class _Attention:
         self.above = np.triu(np.ones((rows, rows), dtype=bool), 1)
         self.scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
         self.first_kept = n - min(window, n)
-        self.slice_rows = min(rows, max(1, _SLICE // n))
+        self.slices = _row_slices(rows, n)
+        self.slice_rows = max(e - s for s, e in self.slices)
         # the BLAS thread count is read at each call: a program may change it
         workers = _prefill_workers(cfg.heads, n, blas_threads())
         self.workers = [_Worker(rows, n, self.slice_rows) for _ in range(workers)]
@@ -432,8 +459,7 @@ class _Attention:
         for r0, new, r1 in self.blocks:
             rows = r1 - r0
             probs = padded[:, :r1]
-            for s in range(0, rows, self.slice_rows):
-                e = min(s + self.slice_rows, rows)
+            for s, e in self.slices:
                 scores = worker.scores[: (e - s) * r1].reshape(e - s, r1)
                 require_finite(np.matmul(qh[r0 + s : r0 + e], kh[:r1].T, out=scores), "matmul")
                 scores *= self.scale

@@ -184,14 +184,17 @@ class TestStreamedPrefill:
     """Streamed prefill equals the full-matrix oracle bit for bit.
 
     At n <= 512 prefill computes one block; 513 runs two overlapping blocks
-    of 511 rows and 1500 runs nine of 174 rows, the last overlapping.
+    of 511 rows and 1500 runs nine of 174 rows, the last overlapping. At
+    515, 519 and 536 a block cut into slices of the cap's height would end
+    in a one-row slice, whose scores product numpy runs as gemv.
     """
 
     @pytest.mark.parametrize("use_positions", [False, True])
     @pytest.mark.parametrize(
         "n, head_dim",
-        [(1, 8), (7, 8), (512, 8), (513, 8), (1500, 8), (513, 4), (1500, 4)],
-        ids=["1", "7", "512", "513", "1500", "513-head_dim4", "1500-head_dim4"],
+        [(1, 8), (7, 8), (512, 8), (513, 8), (1500, 8), (513, 4), (1500, 4), (515, 16), (519, 16), (536, 4)],
+        ids=["1", "7", "512", "513", "1500", "513-head_dim4", "1500-head_dim4", "515-head_dim16",
+             "519-head_dim16", "536-head_dim4"],
     )
     def test_matches_full_matrix_oracle(self, n, head_dim, use_positions):
         # the narrowest heads the bit-for-bit match holds for (see _row_blocks)
@@ -240,6 +243,18 @@ class TestStreamedPrefill:
                     assert np.array_equal(res.values[layer][head], values[layer][head])
                     assert np.array_equal(res.column_sums[layer][head], sums)
                     assert np.array_equal(res.attn[layer][head], last_rows[32 - window :])
+
+    def test_row_slices_tile_each_block_evenly_within_the_cap(self):
+        for n in range(1, 8193):
+            rows = kvmodel._row_blocks(n)[0][2]  # every block is full height
+            cap = max(1, kvmodel._SLICE // n)
+            slices = kvmodel._row_slices(rows, n)
+            assert [s for s, _ in slices] == [0] + [e for _, e in slices[:-1]], n
+            assert slices[-1][1] == rows, n
+            heights = [e - s for s, e in slices]
+            assert max(heights) <= cap and max(heights) - min(heights) <= 1, n
+            assert len(slices) == -(-rows // cap), n  # the fewest the cap allows
+            assert min(heights) > 1 or rows == 1 or cap == 1, n
 
     @staticmethod
     def _same_decisions(res, full, layer, head, window):
