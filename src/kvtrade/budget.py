@@ -138,10 +138,13 @@ def pyramid_allocation(
     ``min_fraction*avg``; intermediate layers interpolate. Counts are
     rounded to nearest and the residue is settled on the earliest layers
     (added there, or removed from the latest layers when negative, which
-    keeps the sequence non-increasing).
+    keeps the sequence non-increasing). A ``total_tokens`` past 2**53, where
+    float64 no longer holds every integer, raises ContractViolation: the
+    rounding there leaves more residue than one token per layer settles.
     """
     require_int("layers", layers, 1)
-    require_int("total_tokens", total_tokens, 0)
+    if require_int("total_tokens", total_tokens, 0) > 2**53:
+        raise ContractViolation(f"total_tokens must be at most 2**53, got {total_tokens}")
     require_int("min_tokens", min_tokens, 0)
     if not (is_number(min_fraction) and 0 < min_fraction <= 1):
         raise ContractViolation(f"min_fraction must be a number in (0, 1], got {min_fraction!r}")

@@ -64,7 +64,7 @@ from .quant import (
     quantized_bytes,
     payload_bytes as tensor_payload_bytes,
 )
-from .tensor import Matrix, as_matrix, concat_rows
+from .tensor import Matrix, as_matrix, as_row, concat_rows
 
 
 @dataclass
@@ -98,18 +98,7 @@ def append_rows(h_k, h_v, width: int) -> tuple[Matrix, Matrix]:
     Any other shape, values that are not numbers, or a value that is not finite
     in float32 (one past its range becomes inf, not a warning), raises ContractViolation.
     """
-    rows = []
-    for h in (h_k, h_v):
-        try:
-            row = np.asarray(h)
-        except ValueError:  # a ragged row, such as [1, [2], 3, 4]
-            raise ContractViolation("append rows must hold numbers, got a ragged sequence") from None
-        if row.shape != (width,) and row.shape != (1, width):
-            raise ContractViolation(
-                f"append rows must be shaped ({width},) or (1, {width}), got {row.shape}"
-            )
-        rows.append(as_matrix(row.reshape(1, width), "append rows"))
-    k_row, v_row = rows
+    k_row, v_row = as_row(h_k, width, "append rows"), as_row(h_v, width, "append rows")
     # count_nonzero, not .all(): on one short row per layer and step it
     # costs about half as much
     if np.count_nonzero(np.isfinite(k_row)) + np.count_nonzero(np.isfinite(v_row)) < 2 * width:

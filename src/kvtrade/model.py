@@ -22,7 +22,7 @@ import numpy as np
 from .cache import CompressedKVCache, Reader, append_rows
 from .errors import ContractViolation, IntegrityError, require_index, require_int
 from .tensor import (
-    Matrix, as_matrix, blas_threads, concat_rows, matmul, require_finite, softmax_rows, softmax_rows_into,
+    Matrix, as_matrix, as_row, blas_threads, concat_rows, matmul, require_finite, softmax_rows, softmax_rows_into,
 )
 
 # prefill's score for a future key: softmax gives it exactly 0 weight
@@ -338,8 +338,10 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
 
     A layer's heads are attended by :func:`_prefill_workers` workers, at
     most two (each adds its buffers: about 2.5 MiB at n = 2048): the
-    calling thread, and one thread per other worker, started for the layer
-    and joined before the next step. More than one runs only when numpy's
+    calling thread, and for each other worker a thread of one
+    ``ThreadPoolExecutor`` that the call holds for all its layers; every
+    worker takes the layer's heads from one shared iterator, and the layer
+    ends when all have finished. More than one runs only when numpy's
     BLAS runs one thread (with two, head workers and BLAS threads contend
     for the same cores: 1.4x to 1.8x slower at n = 1024-2048) and the
     prompt spans more than one row block (below that, the threads cost more
@@ -350,22 +352,33 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     the same whatever the worker count. Workers make their products as bare
     ``@`` through :func:`require_finite`, each in an error state it enters
     itself, and never call ``matmul`` or ``softmax_rows``, the names a
-    profiler may rebind; the first exception a worker raises is re-raised
-    here once every thread has joined.
+    profiler may rebind. The first exception a worker raises (the calling
+    thread's before a pool thread's) is re-raised here once every worker
+    has finished, and the pool's threads are joined before prefill returns
+    or raises.
     """
     cfg = model.config
     ids = _prompt_ids(model, tokens)
     window = require_int("window", window, 0)
     attention = _Attention(cfg, ids.size, window)
 
+    pool = None
+    if len(attention.workers) > 1:  # imported here: importing kvtrade loads no more modules
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(len(attention.workers) - 1)
     keys, values, attn, column_sums = [], [], [], []
     x = _embed(model, ids)
-    for lw in model.weights.layers:
-        k, v, sums, kept = attention.layer(x, lw)
-        keys.append(k)
-        values.append(v)
-        attn.append(kept)
-        column_sums.append(sums)
+    try:
+        for lw in model.weights.layers:
+            k, v, sums, kept = attention.layer(x, lw, pool)
+            keys.append(k)
+            values.append(v)
+            attn.append(kept)
+            column_sums.append(sums)
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
     logits = matmul(x[-1:, :], model.weights.head)[0]
     return PrefillResult(logits, keys, values, attn, column_sums, x)
@@ -390,7 +403,7 @@ def _prefill_workers(heads: int, n: int, blas: int | None) -> int:
 
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
-    import os  # here, as threading is in _run_workers: importing kvtrade loads no more modules
+    import os  # here, as concurrent.futures is in prefill: importing kvtrade loads no more modules
 
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -432,9 +445,11 @@ class _Attention:
         workers = _prefill_workers(cfg.heads, n, blas_threads())
         self.workers = [_Worker(rows, n, self.slice_rows) for _ in range(workers)]
 
-    def layer(self, x: Matrix, lw: LayerWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def layer(self, x: Matrix, lw: LayerWeights, pool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One layer's K and V stacks, column sums and kept rows (see
-        :class:`PrefillResult`); adds the layer's output to ``x`` in place."""
+        :class:`PrefillResult`); adds the layer's output to ``x`` in place.
+        The calling thread attends heads with the first worker and ``pool``,
+        a thread pool or None when there is one worker, with each other one."""
         cfg, n = self.cfg, len(x)
         k, v = _project_kv(x, lw, cfg)
         q = matmul(x, lw.w_q)
@@ -442,11 +457,18 @@ class _Attention:
         sums = np.zeros((cfg.heads, n))
         kept = np.zeros((cfg.heads, n - self.first_kept, n), dtype=np.float32)
 
-        def attend(head: int, worker: _Worker) -> None:
-            cols = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
-            self._head(worker, q[:, cols], k[head], v[head], out[:, cols], sums[head], kept[head])
+        heads = iter(range(cfg.heads))  # shared: each head goes to the first worker that asks
 
-        _run_workers(attend, cfg.heads, self.workers)
+        def attend(worker: _Worker) -> None:
+            with np.errstate(over="ignore", invalid="ignore"):  # numpy's error state is per thread
+                for head in heads:
+                    cols = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
+                    self._head(worker, q[:, cols], k[head], v[head], out[:, cols], sums[head], kept[head])
+
+        others = [pool.submit(attend, worker) for worker in self.workers[1:]]
+        attend(self.workers[0])
+        for other in others:
+            other.result()  # re-raises what the worker raised
         x += matmul(out, lw.w_o)
         return k, v, sums, kept
 
@@ -480,44 +502,6 @@ class _Attention:
                 kept[lo - self.first_kept : r1 - self.first_kept, :r1] = probs[lo - r0 :]
 
 
-def _run_workers(attend, heads: int, workers: list[_Worker]) -> None:
-    """Call ``attend(head, worker)`` for every head: the calling thread with the
-    first worker, and a thread started here with each other one. Workers take
-    heads from one shared list (``list.pop`` is atomic in CPython); the first
-    exception any raises is re-raised once every thread has joined, so no
-    thread outlives the call."""
-    import threading
-
-    todo = list(range(heads))[::-1]
-    errors: list[BaseException] = []
-
-    def run(worker: _Worker) -> None:
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):  # numpy's error state is per thread
-                while True:
-                    try:
-                        head = todo.pop()
-                    except IndexError:  # every head is taken
-                        return
-                    attend(head, worker)
-        except BaseException as exc:
-            todo.clear()  # the others stop after their current head
-            errors.append(exc)
-
-    threads = []
-    try:
-        for worker in workers[1:]:
-            thread = threading.Thread(target=run, args=(worker,))
-            thread.start()
-            threads.append(thread)
-        run(workers[0])
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-
-
 def _decode(model: Model, store, h) -> np.ndarray:
     """One decode step over ``store``, a :class:`CompressedKVCache` or :class:`DenseKV`.
 
@@ -534,7 +518,7 @@ def _decode(model: Model, store, h) -> np.ndarray:
     here, and every stored row by the store (float32 stacks of the model's
     heads and head_dim). A store not shaped like the model, or an ``h`` not
     shaped ``(d_model,)`` or ``(1, d_model)`` or not holding numbers
-    (:func:`as_matrix`), raises ContractViolation before the first append.
+    (:func:`as_row`), raises ContractViolation before the first append.
     The step then enters one error state that lets an overflow through
     silently, and makes each product a bare ``@`` through
     :func:`require_finite`, so a product that is not finite raises
@@ -545,13 +529,7 @@ def _decode(model: Model, store, h) -> np.ndarray:
     want = (cfg.layers, cfg.heads, cfg.head_dim)
     if store.shape != want:
         raise ContractViolation(f"store (layers, heads, head_dim) {store.shape} is not the model's {want}")
-    try:
-        x = np.asarray(h)
-    except ValueError:  # a ragged row, such as [1, [2], 3, 4]
-        raise ContractViolation("h must hold numbers, got a ragged sequence") from None
-    if x.shape not in ((cfg.d_model,), (1, cfg.d_model)):
-        raise ContractViolation(f"h must be shaped ({cfg.d_model},) or (1, {cfg.d_model}), got {x.shape}")
-    x = as_matrix(x.reshape(1, cfg.d_model), "h")
+    x = as_row(h, cfg.d_model, "h")
     d, heads, head_dim = cfg.d_model, cfg.heads, cfg.head_dim
     scale = np.float32(1.0 / math.sqrt(head_dim))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -18,7 +18,8 @@ state itself (numpy keeps it per thread), and softmax through
 :func:`softmax_rows_into`, which writes into a caller's buffers with the
 steps of :func:`softmax_rows`; neither calls a name a single-threaded
 profiler may rebind. :func:`blas_threads` reads the thread count of numpy's
-bundled OpenBLAS, which decides whether prefill starts workers at all.
+bundled OpenBLAS (the library is looked up once per process), which
+decides whether prefill holds a pool of head workers at all.
 
 Arithmetic runs in 32-bit floats. Storage *accounting* elsewhere still
 charges 16 bits per full-precision element; keeping the math in float32
@@ -27,6 +28,8 @@ arithmetic.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -47,6 +50,18 @@ def as_matrix(m, name: str, ndim: int = 2) -> Matrix:
         raise ContractViolation(f"{name} must hold numbers, got dtype {m.dtype}")
     with np.errstate(over="ignore"):
         return m.astype(np.float32)
+
+
+def as_row(value, width: int, name: str) -> Matrix:
+    """``value`` shaped ``(width,)`` or ``(1, width)``, as a ``(1, width)`` matrix
+    (:func:`as_matrix`); a ragged sequence or another shape raises ContractViolation."""
+    try:
+        row = np.asarray(value)
+    except ValueError:  # a ragged row, such as [1, [2], 3, 4]
+        raise ContractViolation(f"{name} must hold numbers, got a ragged sequence") from None
+    if row.shape != (width,) and row.shape != (1, width):
+        raise ContractViolation(f"{name} must be shaped ({width},) or (1, {width}), got {row.shape}")
+    return as_matrix(row.reshape(1, width), name)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -120,18 +135,13 @@ def _normalise_rows(x: np.ndarray) -> None:
 def blas_threads() -> int | None:
     """The thread count numpy's bundled OpenBLAS runs a product on now, or None
     where there is no such library (a numpy built against another BLAS)."""
-    global _blas_getter
-    if _blas_getter is _UNREAD:
-        _blas_getter = _openblas_thread_getter()
-    return None if _blas_getter is None else _blas_getter()
+    getter = _openblas_thread_getter()
+    return None if getter is None else getter()
 
 
-_UNREAD = object()
-_blas_getter = _UNREAD  # looked up at the first call
-
-
+@functools.cache
 def _openblas_thread_getter():
-    """The thread-count getter under ``numpy.libs/*openblas*``, or None."""
+    """The thread-count getter under ``numpy.libs/*openblas*``, or None; looked up at the first call."""
     # imported here: importing kvtrade loads no more modules
     import ctypes
     from pathlib import Path

@@ -86,6 +86,28 @@ class TestPyramidAllocation:
         # 2.5 and 3.5 per layer round half to even: one token short, one over
         assert pyramid_allocation(2, total, 1.0) == counts
 
+    def test_total_past_two_to_the_53_rejected(self):
+        # float64 does not hold 10**17 + 7; its rounding once left a residue
+        # past one token per layer, and settling it raised IndexError
+        with pytest.raises(ContractViolation, match=r"total_tokens must be at most 2\*\*53"):
+            pyramid_allocation(2, 10**17 + 7, 0.2)
+        assert sum(pyramid_allocation(2, 2**53, 0.2)) == 2**53
+
+    @given(
+        st.integers(1, 64),
+        st.one_of(st.integers(0, 2**53), st.integers(2**53 - 2**16, 2**53)),
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_every_total_up_to_the_bound_sums_exactly(self, layers, total, fraction):
+        try:
+            counts = pyramid_allocation(layers, total, fraction)
+        except ContractViolation as exc:
+            # legitimate: a steep pyramid on a small total rounds a layer to 0
+            assert "below the minimum" in str(exc)
+            return
+        assert sum(counts) == total and len(counts) == layers
+        assert all(a >= b for a, b in zip(counts, counts[1:]))
+
     @given(st.integers(2, 16), st.integers(1, 400), st.floats(0.05, 1.0, allow_nan=False), st.integers(1, 8))
     def test_any_total_sums_exactly_or_is_rejected(self, layers, total, fraction, min_tokens):
         try:

@@ -8,10 +8,11 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvtrade.budget import plan_for_tokens
@@ -243,6 +244,45 @@ class TestStreamedPrefill:
                     assert np.array_equal(res.values[layer][head], values[layer][head])
                     assert np.array_equal(res.column_sums[layer][head], sums)
                     assert np.array_equal(res.attn[layer][head], last_rows[32 - window :])
+
+    # The bit-for-bit claim's documented bounds (_row_blocks, _row_slices):
+    # head_dim >= 4, as at head_dim 1-3 and n > 512 a row block of probs @ v
+    # may round differently, and n <= 2**17 // 3, as past it an even split may
+    # cut a one-row slice, whose scores product numpy runs as gemv. n is drawn
+    # up to 3,000 only, where the n x n oracle stays fast, and most often in
+    # 513..700, the first lengths of two or more row blocks.
+    @settings(max_examples=40, deadline=None)
+    @example(n=515, head_dim=16, heads=2, window=32, use_positions=False, workers=2)
+    @example(n=519, head_dim=16, heads=2, window=32, use_positions=False, workers=1)
+    @example(n=536, head_dim=4, heads=2, window=32, use_positions=True, workers=2)
+    @given(
+        n=st.one_of(st.integers(513, 700), st.integers(1, 3000)),
+        head_dim=st.integers(4, 64),
+        heads=st.integers(1, 5),
+        window=st.integers(0, 64),
+        use_positions=st.booleans(),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_matches_full_matrix_oracle_on_drawn_shapes(self, n, head_dim, heads, window, use_positions, workers):
+        cfg = ModelConfig(1, heads, heads * head_dim, 40, n, seed=n, use_positions=use_positions)
+        model = random_model(cfg)
+        tokens = np.random.default_rng(n).integers(0, 40, n)
+        kept = min(window, n)
+
+        def statistics(probs):  # all of a head's matrix that the check reads
+            return probs.astype(np.float64).sum(axis=0), probs[n - kept :].copy()
+
+        logits, keys, values, attn, hidden = full_matrix_prefill(model, tokens, statistics)
+        with mock.patch.object(kvmodel, "_prefill_workers", lambda heads, n, blas: workers):
+            res = prefill(model, tokens, window=window)
+        assert np.array_equal(res.logits, logits)
+        assert np.array_equal(res.hidden, hidden)
+        for head in range(heads):
+            sums, last_rows = attn[0][head]
+            assert np.array_equal(res.keys[0][head], keys[0][head])
+            assert np.array_equal(res.values[0][head], values[0][head])
+            assert np.array_equal(res.column_sums[0][head], sums)
+            assert np.array_equal(res.attn[0][head], last_rows)
 
     def test_row_slices_tile_each_block_evenly_within_the_cap(self):
         for n in range(1, 8193):
@@ -480,6 +520,25 @@ class TestPrefillWorkers:
         else:
             pytest.fail("the started thread never took the overflowing head")
 
+    def test_a_call_starts_one_thread_for_all_its_layers(self, monkeypatch):
+        # prefill_long's shape: two workers share one pool thread over four
+        # layers, and one worker starts none
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        model = random_model(ModelConfig(4, 4, 64, 128, 2048, seed=0))
+        tokens = np.random.default_rng(0).integers(0, 128, 2048)
+        for workers, threads in ((2, 1), (1, 0)):
+            _force_workers(monkeypatch, workers)
+            started.clear()
+            prefill(model, tokens)
+            assert len(started) == threads
+
     def test_no_thread_outlives_a_call(self, monkeypatch):
         _force_workers(monkeypatch, 3)
         model = random_model(ModelConfig(2, 3, 24, 40, 1024, seed=0))
@@ -512,7 +571,7 @@ class TestPrefillWorkers:
         assert entered["matmul"] == {threading.get_ident()}
         # softmax_rows is not called at all, on any thread
         assert entered["softmax_rows"] <= {threading.get_ident()}
-        # a thread started for each layer attended heads too
+        # a pool thread attended heads too
         assert threading.get_ident() in entered["_head"] and len(entered["_head"]) > 1
 
 

@@ -719,7 +719,8 @@ def test_import_does_not_load_multiprocessing():
     import kvtrade
 
     src = os.path.dirname(os.path.dirname(kvtrade.__file__))
-    code = "import sys, kvtrade; sys.exit('multiprocessing' in sys.modules)"
+    # prefill imports concurrent.futures only when it runs head workers
+    code = "import sys, kvtrade; sys.exit('multiprocessing' in sys.modules or 'concurrent.futures' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
