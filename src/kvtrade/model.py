@@ -62,11 +62,11 @@ class LayerWeights:
 
     Each must be a 2-D array of numbers (:func:`as_matrix`, which casts it
     to float32), all four square and of one shape; anything else raises
-    ContractViolation. Construction joins W_Q, W_K and W_V into one stored
-    copy, ``w_qkv`` ``(d_model, 3 * d_model)``, of which ``w_q``, ``w_k``
-    and ``w_v`` become column views. Decode projects through ``w_qkv`` in
-    one product; with the bundled OpenBLAS that gives the three separate
-    products' bits.
+    ContractViolation. Construction stacks W_Q, W_K and W_V into one stored
+    copy, ``w_qkv`` ``(3, d_model, d_model)``, of which ``w_q``, ``w_k`` and
+    ``w_v`` become contiguous views. Decode projects through ``w_qkv`` in
+    one stacked product, which numpy runs as three ``(d_model, d_model)``
+    products: each the bits of a product with its view alone.
     """
 
     w_q: Matrix
@@ -80,8 +80,8 @@ class LayerWeights:
         if len({w_q.shape, w_k.shape, w_v.shape, w_o.shape, w_o.shape[::-1]}) != 1:
             raise ContractViolation("a layer's projections must be square matrices of one shape, got "
                                     f"{w_q.shape}, {w_k.shape}, {w_v.shape}, {w_o.shape}")
-        w_qkv = np.concatenate((w_q, w_k, w_v), axis=1)
-        for name, view in zip(_PROJECTIONS, (*np.split(w_qkv, 3, axis=1), w_o)):
+        w_qkv = np.stack((w_q, w_k, w_v))
+        for name, view in zip(_PROJECTIONS, (*w_qkv, w_o)):
             object.__setattr__(self, name, view)
         object.__setattr__(self, "w_qkv", w_qkv)
 
@@ -227,9 +227,12 @@ def _row_blocks(n: int) -> list[tuple[int, int, int]]:
     it rather than running short: BLAS may sum a short block's ``probs @ v``
     products in another order (a small-matrix kernel or gemv) than the full
     product, and a full-height, full-width block keeps each output row
-    bit-identical to the full n x n computation. That holds for head_dim >= 4
-    with the bundled OpenBLAS; at head_dim 1-3 and n > 512 a row block of
-    ``probs @ v`` may round differently.
+    bit-identical to the full n x n computation. The bundled OpenBLAS sums a
+    product of M·N·K <= 10**6 with its small-matrix kernel, so for n > 512 a
+    block's ``probs @ v``, of ``2**18 // n · n · head_dim`` multiply-adds,
+    keeps the full product's bits while that count is past 10**6: at
+    head_dim >= 5 (up to n = 2**17 // 3, :func:`_row_slices`' bound), and at
+    head_dim 4 up to n = 12,483. At head_dim 1-3 a block may round differently.
     """
     rows = min(max(1, 2**18 // n), n)
     return [(min(new, n - rows), new, min(new + rows, n)) for new in range(0, n, rows)]
@@ -505,13 +508,14 @@ class _Attention:
 def _decode(model: Model, store, h) -> np.ndarray:
     """One decode step over ``store``, a :class:`CompressedKVCache` or :class:`DenseKV`.
 
-    In each layer one product with ``w_qkv`` gives the token's Q, K and V
-    rows for every head, and one ``decode_append`` stores all heads' K and V
-    (so each head attends to itself). Then all heads attend at once over the
-    store's ``materialize_layer`` stacks: one stacked product for the
-    scores, one softmax over the ``(heads, rows)`` scores and one stacked
-    product with V, each head's result bit for bit what its own 2-D
-    products give.
+    In each layer one stacked product with ``w_qkv`` gives the token's Q, K
+    and V rows for every head, each bit for bit its product with ``w_q``,
+    ``w_k`` or ``w_v`` alone (:class:`LayerWeights`), and one
+    ``decode_append`` stores all heads' K and V (so each head attends to
+    itself). Then all heads attend at once over the store's
+    ``materialize_layer`` stacks: one stacked product for the scores, one
+    softmax over the ``(heads, rows)`` scores and one stacked product with
+    V, each head's result bit for bit what its own 2-D products give.
 
     Operands are checked at the boundary, not at each product: the model's
     weights when it was built (:class:`Model`), ``h`` and the store's shape
@@ -534,10 +538,10 @@ def _decode(model: Model, store, h) -> np.ndarray:
     scale = np.float32(1.0 / math.sqrt(head_dim))
     with np.errstate(over="ignore", invalid="ignore"):
         for layer, lw in enumerate(model.weights.layers):
-            qkv = require_finite(x @ lw.w_qkv, "decode's Q/K/V product")[0]
-            store.decode_append(layer, qkv[d : 2 * d], qkv[2 * d :])
+            q, k, v = require_finite(x @ lw.w_qkv, "decode's Q/K/V product")
+            store.decode_append(layer, k, v)
             k_stack, v_stack = store.materialize_layer(layer)
-            scores = require_finite(qkv[:d].reshape(heads, 1, head_dim) @ k_stack.transpose(0, 2, 1),
+            scores = require_finite(q.reshape(heads, 1, head_dim) @ k_stack.transpose(0, 2, 1),
                                     "decode's scores product")
             probs = softmax_rows(scores.reshape(heads, -1) * scale)
             out = require_finite(probs.reshape(heads, 1, -1) @ v_stack, "decode's V product")

@@ -572,7 +572,8 @@ def run_sweep(cfg: SweepConfig, parallel: int = 1) -> tuple[list[SweepRow], list
     """Run the whole grid; returns (completed rows, skipped points) in grid order.
 
     Points run prompt by prompt, so one prompt's state is live at a time;
-    with ``parallel > 1``, each worker process runs whole prompts. A
+    with ``parallel > 1`` and more than one prompt, each of
+    ``min(parallel, prompts)`` worker processes runs whole prompts. A
     ``parallel`` that is not an integer >= 1 raises ContractViolation.
     """
     parallel = require_int("parallel", parallel, 1)
@@ -581,11 +582,12 @@ def run_sweep(cfg: SweepConfig, parallel: int = 1) -> tuple[list[SweepRow], list
     for p in points:
         prompts.setdefault((p.seq_len, p.seed), []).append(p)
     groups = list(prompts.values())
-    if parallel > 1:
+    workers = min(parallel, len(groups))  # a pool starts all its processes at the first submit
+    if workers > 1:
         # imported here: multiprocessing costs every `import kvtrade` memory
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_run_prompt, [cfg] * len(groups), groups))
     else:
         done = [_run_prompt(cfg, g) for g in groups]

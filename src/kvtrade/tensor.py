@@ -3,10 +3,8 @@
 Everything downstream (quantization, eviction scoring, the attention-only
 model) works on plain 2-D ``numpy.float32`` arrays in row-major order.
 Batch size is fixed at 1 throughout. Decode stores and reads a layer's
-heads as ``(heads, rows, head_dim)`` stacks: :func:`concat_rows` joins two
-stacks, appending to every head at once, and :func:`matmul` takes two
-matrices or two equal stacks, a stacked product equal to the 2-D products
-head by head, bit for bit.
+heads as ``(heads, rows, head_dim)`` stacks, which :func:`concat_rows`
+joins, appending to every head at once; :func:`matmul` takes two matrices.
 
 Every product the engine makes ends in one check, :func:`require_finite`:
 :func:`matmul` checks its operands at each call, enters the error state
@@ -65,22 +63,16 @@ def as_row(value, width: int, name: str) -> Matrix:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for two matrices (:func:`as_matrix`), or ``a[i] @ b[i]`` for every i
-    of two equal stacks, 3-D float32 arrays whose products equal the 2-D ones bit for bit.
+    """``a @ b`` for two matrices (:func:`as_matrix`).
 
     Raises ContractViolation for other operands, on an inner-dimension mismatch,
     or when the product is not finite (an overflow raises, rather than warns).
     Repeated calls on identical inputs are bit-identical within one environment.
     """
-    if getattr(a, "ndim", 2) == 3:  # one getattr: the cheapest test that leaves a 2-D product no slower
-        _require_stacks(a, b, "matmul")
-        if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[1]:
-            raise ContractViolation(f"matmul dimension mismatch: {a.shape} x {b.shape}")
-    else:
-        a = as_matrix(a, "a")
-        b = as_matrix(b, "b")
-        if a.shape[1] != b.shape[0]:
-            raise ContractViolation(f"matmul dimension mismatch: {a.shape} x {b.shape}")
+    a = as_matrix(a, "a")
+    b = as_matrix(b, "b")
+    if a.shape[1] != b.shape[0]:
+        raise ContractViolation(f"matmul dimension mismatch: {a.shape} x {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         return require_finite(a @ b, "matmul")
 
@@ -166,14 +158,9 @@ def concat_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Other operands, or mismatched head counts or widths, raise ContractViolation.
     """
-    _require_stacks(a, b, "concat_rows")
+    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.ndim == b.ndim == 3
+            and a.dtype is _FLOAT32 and b.dtype is _FLOAT32):
+        raise ContractViolation("concat_rows takes two 3-D float32 arrays")
     if a.shape[0] != b.shape[0] or a.shape[2] != b.shape[2]:
         raise ContractViolation(f"concat_rows stack mismatch: {a.shape} vs {b.shape}")
     return np.concatenate((a, b), axis=1)
-
-
-def _require_stacks(a, b, op: str) -> None:
-    """ContractViolation unless ``a`` and ``b`` are both 3-D float32 arrays."""
-    if not (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.ndim == b.ndim == 3
-            and a.dtype is _FLOAT32 and b.dtype is _FLOAT32):
-        raise ContractViolation(f"a stacked {op} takes two 3-D float32 arrays")

@@ -246,11 +246,15 @@ class TestStreamedPrefill:
                     assert np.array_equal(res.attn[layer][head], last_rows[32 - window :])
 
     # The bit-for-bit claim's documented bounds (_row_blocks, _row_slices):
-    # head_dim >= 4, as at head_dim 1-3 and n > 512 a row block of probs @ v
-    # may round differently, and n <= 2**17 // 3, as past it an even split may
-    # cut a one-row slice, whose scores product numpy runs as gemv. n is drawn
-    # up to 3,000 only, where the n x n oracle stays fast, and most often in
-    # 513..700, the first lengths of two or more row blocks.
+    # head_dim >= 4, as OpenBLAS sums a product of M·N·K <= 10**6 with its
+    # small-matrix kernel, in another order, and for n > 512 a row block's
+    # probs @ v is (2**18 // n) · n · head_dim, past 10**6 at head_dim >= 5
+    # and at head_dim 4 up to n = 12,483 (at head_dim 1-3 it may round
+    # differently); and n <= 2**17 // 3, as past it an even split may cut a
+    # one-row slice, whose scores product numpy runs as gemv. n is drawn up
+    # to 3,000 only, where the n x n oracle stays fast (and inside both
+    # bounds), and most often in 513..700, the first lengths of two or more
+    # row blocks.
     @settings(max_examples=40, deadline=None)
     @example(n=515, head_dim=16, heads=2, window=32, use_positions=False, workers=2)
     @example(n=519, head_dim=16, heads=2, window=32, use_positions=False, workers=1)
@@ -1099,24 +1103,43 @@ class TestDenseKVRejects:
 
 
 class TestFusedProjection:
-    """Decode's one Q/K/V product gives the bits of three separate ones."""
+    """Decode's one stacked Q/K/V product gives the bits of three separate ones."""
 
     def test_q_k_v_are_views_of_one_stored_matrix(self):
         model = random_model(ModelConfig(2, 2, 8, 16, 32, seed=5))
         for lw in model.weights.layers:
-            assert lw.w_qkv.shape == (8, 24)
+            assert lw.w_qkv.shape == (3, 8, 8) and lw.w_qkv.flags.c_contiguous
             for i, w in enumerate((lw.w_q, lw.w_k, lw.w_v)):
-                assert w.base is lw.w_qkv and np.array_equal(w, lw.w_qkv[:, 8 * i : 8 * (i + 1)])
+                assert w.base is lw.w_qkv and w.flags.c_contiguous and np.array_equal(w, lw.w_qkv[i])
 
     @pytest.mark.parametrize("rows", [1, 5, 64])
     @pytest.mark.parametrize("d_model", [4, 12, 32, 96])
     def test_fused_and_view_products_match_contiguous_ones(self, d_model, rows):
         lw = random_model(ModelConfig(1, 1, d_model, 8, 8, seed=d_model + rows)).weights.layers[0]
         x = np.random.default_rng(rows).normal(size=(rows, d_model)).astype(np.float32)
-        separate = [matmul(x, np.ascontiguousarray(w)) for w in (lw.w_q, lw.w_k, lw.w_v)]
-        assert matmul(x, lw.w_qkv).tobytes() == np.concatenate(separate, axis=1).tobytes()
-        for w, product in zip((lw.w_q, lw.w_k, lw.w_v), separate):
-            assert matmul(x, w).tobytes() == product.tobytes()
+        self.check(x, lw)
+
+    # d_model is drawn over 1-256, past the benchmark's 64 and 128; one row
+    # is decode's product, a few rows any batch of it. With W_Q, W_K and
+    # W_V side by side in one (d_model, 3 * d_model) matrix, one product lost
+    # these bits at every width from 49 up that is not a multiple of 16.
+    @settings(max_examples=100, deadline=None)
+    @example(d_model=50, rows=1, seed=0)
+    @example(d_model=100, rows=1, seed=0)
+    @example(d_model=100, rows=3, seed=0)
+    @given(d_model=st.integers(1, 256), rows=st.one_of(st.just(1), st.integers(2, 8)), seed=st.integers(0, 2**16))
+    def test_stacked_product_matches_each_view_on_drawn_widths(self, d_model, rows, seed):
+        rng = np.random.default_rng(seed)
+        lw = kvmodel.LayerWeights(*rng.normal(size=(4, d_model, d_model)).astype(np.float32))
+        x = rng.normal(size=(rows, d_model)).astype(np.float32)
+        self.check(x, lw)
+
+    @staticmethod
+    def check(x, lw):
+        stacked = x @ lw.w_qkv  # decode's product, for a row x
+        assert stacked.shape == (3, *x.shape)
+        for w, product in zip((lw.w_q, lw.w_k, lw.w_v), stacked, strict=True):
+            assert product.tobytes() == matmul(x, w).tobytes() == matmul(x, w.copy()).tobytes()
 
 
 class TestStackedDecode:
@@ -1164,6 +1187,40 @@ class TestStackedDecode:
                 token = int(np.argmax(logits))
             blocks = len(cache.entry(layers - 1, heads - 1).quant_k)
             assert blocks == (0 if bits == 16 else 3)  # the prompt block and two flushes
+
+    # Strategy bounds: vocab 40 and a context of 64, so a prompt of up to 48
+    # tokens leaves room for the three steps; 3 layers x 4 heads of head_dim
+    # up to 64 (d_model up to 256) keeps an example to a few milliseconds.
+    @settings(max_examples=100, deadline=None)
+    @example(layers=1, heads=4, head_dim=25, seed=0, prompt=list(range(10)), token=11, kept=8,
+             bits=16, group_size=4, layout=Layout.PER_TOKEN, use_positions=False)
+    @given(
+        layers=st.integers(1, 3),
+        heads=st.integers(1, 4),
+        head_dim=st.integers(1, 64),
+        seed=st.integers(0, 2**16),
+        prompt=st.lists(st.integers(0, 39), min_size=1, max_size=48),
+        token=st.integers(0, 39),
+        kept=st.integers(4, 48),  # at least the policy's recent window
+        bits=st.sampled_from([2, 4, 8, 16]),
+        group_size=st.integers(1, 16),
+        layout=st.sampled_from(list(Layout)),
+        use_positions=st.booleans(),
+    )
+    def test_equals_the_per_head_loop_on_drawn_models(self, layers, heads, head_dim, seed, prompt, token, kept,
+                                                      bits, group_size, layout, use_positions):
+        model = random_model(ModelConfig(layers, heads, heads * head_dim, 40, 64, seed, use_positions))
+        res = prefill(model, prompt)
+        plan = plan_for_tokens([kept] * layers, bits, heads, head_dim, group_size, layout)
+        cache = prefill_compress(res.keys, res.values, [[None] * heads] * layers, plan, STREAM)
+        stores = [(decode_step, cache, cache.clone()),
+                  (decode_step_dense, DenseKV.from_prefill(res), DenseKV.from_prefill(res))]
+        for step in range(3):
+            h = embed_token(model, token, len(prompt) + step)
+            for decode, store, reference in stores:
+                logits = decode(model, store, h)
+                assert self.same(logits, per_head_decode(model, reference, h))
+            token = int(np.argmax(logits))
 
     def test_one_head_layer_is_a_view(self):
         # one head takes no path of its own: a 16-bit layer's stacks come back

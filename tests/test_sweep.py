@@ -344,9 +344,39 @@ class TestRunSweep:
             run_sweep(SweepConfig(task="random_probe", model="random", probe_steps=0))
 
     def test_parallel_matches_serial(self):
-        serial, _ = run_sweep(SMALL)
-        parallel, _ = run_sweep(SMALL, parallel=2)
+        cfg = replace(SMALL, seeds=(0, 1))  # two prompts: one prompt runs in-process whatever parallel is
+        serial, _ = run_sweep(cfg)
+        parallel, _ = run_sweep(cfg, parallel=2)
         assert rows_to_csv(serial) == rows_to_csv(parallel)
+
+    @pytest.mark.parametrize("seeds, parallel, workers", [
+        ((0, 1), 64, 2), ((0, 1, 2), 2, 2), ((0,), 64, None), ((0, 1), 1, None),
+    ])
+    def test_pool_holds_no_more_processes_than_prompts(self, monkeypatch, seeds, parallel, workers):
+        import concurrent.futures
+
+        # a pool forks all its processes at the first submit: the fake records
+        # its size and runs each prompt in this process, starting nothing
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        cfg = replace(SMALL, seeds=seeds)
+        rows, _ = run_sweep(cfg, parallel=parallel)
+        assert sizes == ([] if workers is None else [workers])
+        assert rows_to_csv(rows) == rows_to_csv(run_sweep(cfg)[0])
 
     @pytest.mark.parametrize("parallel", [0, -1, 1.5, True])
     def test_parallel_below_one_or_not_an_integer_rejected(self, parallel, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kvtrade.errors import ContractViolation
-from kvtrade.tensor import concat_rows, matmul, softmax_rows
+from kvtrade.tensor import concat_rows, matmul, require_finite, softmax_rows
 from oracles import matrix
 
 
@@ -65,7 +65,8 @@ class TestMatmul:
 
 
 class TestStackedMatmul:
-    """matmul of two equal stacks: each product is the 2-D one's, and any other pairing is rejected."""
+    """Decode's stacked products are bare ``@`` through require_finite, each equal to
+    matmul of its 2-D operands bit for bit; matmul itself takes no stack."""
 
     # (stack, rows, inner, cols); one-row products are decode's shape
     @pytest.mark.parametrize("shape", [(1, 1, 4, 9), (4, 1, 16, 33), (3, 5, 8, 2), (2, 1, 1, 1)])
@@ -76,17 +77,19 @@ class TestStackedMatmul:
         b = rng.normal(size=(stack, inner, cols)).astype(np.float32)
         keys = np.ascontiguousarray(b.transpose(0, 2, 1))  # decode multiplies by stored keys, transposed
         for right in (b, keys.transpose(0, 2, 1)):
-            out = matmul(a, right)
-            assert out.shape == (stack, rows, cols) and out.dtype == np.float32
-            for i in range(stack):
-                assert out[i].tobytes() == matmul(a[i], right[i]).tobytes()
+            # a stack by a stack (scores, V), and one matrix by a stack (Q/K/V)
+            for left, lefts in ((a, a), (a[0], [a[0]] * stack)):
+                out = left @ right
+                assert out.shape == (stack, rows, cols) and out.dtype == np.float32
+                for i in range(stack):
+                    assert out[i].tobytes() == matmul(lefts[i], right[i]).tobytes()
 
     @pytest.mark.parametrize("a, b, message", [
-        (np.ones((2, 1, 4)), np.ones((3, 4, 5)), "mismatch"),
-        (np.ones((2, 1, 4)), np.ones((2, 3, 5)), "mismatch"),
+        (np.ones((2, 1, 4)), np.ones((3, 4, 5)), "a must be a 2-D array"),
+        (np.ones((2, 1, 4)), np.ones((2, 3, 5)), "a must be a 2-D array"),
         (np.ones((2, 4)), np.ones((2, 4, 5)), "b must be a 2-D array"),
-        (np.ones((2, 1, 4)), np.ones((4, 5)), "two 3-D float32 arrays"),
-        (np.ones((1, 1, 2)), [[[1.0], [1.0]]], "two 3-D float32 arrays"),
+        (np.ones((2, 1, 4)), np.ones((4, 5)), "a must be a 2-D array"),
+        (np.ones((1, 1, 2)), [[[1.0], [1.0]]], "a must be a 2-D array"),
         ([[[1.0, 1.0]]], np.ones((1, 2, 1)), "a must be a 2-D array"),
     ], ids=["stacks", "inner", "2-D", "3-D by 2-D", "list", "list by 3-D"])
     def test_misfit_operands_rejected(self, a, b, message):
@@ -96,16 +99,23 @@ class TestStackedMatmul:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float16, np.int32])
     def test_operands_not_float32_rejected(self, dtype):
+        # matmul rejects a stack of any dtype; concat_rows, which builds the
+        # stacks decode multiplies, rejects one that is not float32
         a, b = np.ones((2, 1, 4), dtype=np.float32), np.ones((2, 4, 3), dtype=np.float32)
         for args in ((a.astype(dtype), b), (a, b.astype(dtype))):
-            with pytest.raises(ContractViolation, match="two 3-D float32 arrays"):
+            with pytest.raises(ContractViolation, match="must be a 2-D array"):
                 matmul(*args)
+        for args in ((a.astype(dtype), a), (a, a.astype(dtype))):
+            with pytest.raises(ContractViolation, match="two 3-D float32 arrays"):
+                concat_rows(*args)
 
     def test_overflowing_product_rejected(self):
-        # under filterwarnings = error a warning would pre-empt the check
+        # under filterwarnings = error a warning would pre-empt the check;
+        # decode enters this error state once per step
         big = np.full((2, 1, 2), 1e30, dtype=np.float32)
-        with pytest.raises(ContractViolation, match="non-finite elements"):
-            matmul(big, big.transpose(0, 2, 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractViolation, match="non-finite elements"):
+                require_finite(big @ big.transpose(0, 2, 1), "decode's scores product")
 
 
 class TestSoftmaxRows:
@@ -232,7 +242,6 @@ BAD_OPERANDS = {
     "strings": (np.array([["1", "2"], ["3", "4"]]), "must hold numbers"),
 }
 OPS = {
-    # the right operand: a 3-D left one asks for a stacked product (TestStackedMatmul)
     "matmul": lambda x: matmul(np.eye(2, dtype=np.float32), x),
     "softmax_rows": softmax_rows,
 }
