@@ -286,8 +286,9 @@ def _prompt_ids(model: Model, tokens) -> np.ndarray:
 
 
 def _embed(model: Model, ids: np.ndarray, offset: int = 0) -> Matrix:
-    """Layer 0's input: the token embeddings, plus positions from ``offset`` when enabled."""
-    x = model.weights.embedding[ids, :].copy()
+    """Layer 0's input: the token embeddings, plus positions from ``offset``
+    when enabled; a new array (fancy indexing copies the rows)."""
+    x = model.weights.embedding[ids, :]
     if model.config.use_positions:
         x = x + positional_encoding(ids.size, model.config.d_model, offset)
     return x
@@ -304,7 +305,10 @@ def prefill_kv0(model: Model, tokens) -> tuple[np.ndarray, np.ndarray]:
     """Layer 0's K and V stacks for a prompt, bit for bit what :func:`prefill` stores.
 
     It embeds and projects through the same helpers as prefill, at the cost
-    of two n x d_model x d_model products. ``sweep`` re-derives layer 0 at
+    of two n x d_model x d_model products. ``tokens`` is checked as prefill
+    checks it; an int64 array passes through that check without a copy, so
+    ``sweep`` keeps its prompts as one and hands the same array to prefill
+    and to every point's ``prefill_kv0``. ``sweep`` re-derives layer 0 at
     each point: called in grid order, seed innermost, ``run_point`` keeps
     every seed's prompt live, and holding layer 0 in each raised the
     benchmark's ``recall_tradeoff`` peak RSS by 11%.

@@ -29,6 +29,7 @@ from anywhere else, before a scorer reads them.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -118,13 +119,19 @@ class ScoreContext:
 
 @dataclass(frozen=True)
 class PruneDecision:
-    """Sorted, unique token indices retained under a budget."""
+    """Sorted, unique token indices retained under a budget.
+
+    ``retained`` must be strictly increasing, or ContractViolation is
+    raised. The check is one ``any(map(operator.le, r[1:], r))`` pass, which
+    compares each index with the one before it without running Python
+    bytecode per index.
+    """
 
     retained: tuple[int, ...]
 
     def __post_init__(self) -> None:
         r = self.retained
-        if any(b <= a for a, b in zip(r, r[1:])):
+        if any(map(operator.le, r[1:], r)):
             raise ContractViolation("retained indices must be strictly increasing")
 
 
@@ -149,7 +156,7 @@ def top_k_indices(scores, k: int) -> list[int]:
         return []
     # stable sort on negated scores keeps earlier indices first among ties
     order = np.argsort(-s, kind="stable")[:k]
-    return sorted(int(i) for i in order)
+    return np.sort(order).tolist()
 
 
 def _keep(n: int, budget: int, cfg: PolicyConfig, candidate_scores) -> PruneDecision:
@@ -172,19 +179,33 @@ def score_streaming(n: int, budget: int, cfg: PolicyConfig) -> PruneDecision:
     return _keep(n, budget, cfg, lambda c: -np.arange(c))
 
 
+def _require_context(ctx) -> None:
+    if not isinstance(ctx, ScoreContext):
+        raise ContractViolation(f"ctx must be a ScoreContext, got {type(ctx).__name__}")
+
+
 def score_h2o(ctx: ScoreContext, budget: int, cfg: PolicyConfig) -> PruneDecision:
-    """Cumulative-attention scoring over all query rows."""
+    """Cumulative-attention scoring over all query rows; a ``ctx`` that is
+    not a ScoreContext raises ContractViolation."""
+    _require_context(ctx)
     return _keep(ctx.seq_len, budget, cfg, lambda c: ctx.column_sums[:c])
 
 
 def _max_pool_1d(scores: np.ndarray, width: int) -> np.ndarray:
-    """Centered max pooling over key positions; windows truncate at the edges."""
-    if width == 1 or scores.size == 0:
-        return scores
-    half = width // 2
-    padded = np.pad(scores, half, mode="constant", constant_values=-np.inf)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, width)
-    return windows.max(axis=1)
+    """Centered max pooling over key positions; windows truncate at the edges.
+
+    Output j is the max of ``scores[max(0, j - width // 2) : j + width // 2 + 1]``
+    for an odd ``width``. It is built as ``width // 2`` in-place
+    ``np.maximum`` steps, each folding in the scores one position further
+    left and right; a shifted slice simply ends at the array's edge, so a
+    window is cut there as it would be by -inf padding. Max is exact, so
+    the result holds the same bits as the window maxima, ties included.
+    """
+    pooled = scores.copy()
+    for d in range(1, width // 2 + 1):
+        np.maximum(pooled[d:], scores[:-d], out=pooled[d:])
+        np.maximum(pooled[:-d], scores[d:], out=pooled[:-d])
+    return pooled
 
 
 def score_snapkv(ctx: ScoreContext, budget: int, cfg: PolicyConfig) -> PruneDecision:
@@ -193,9 +214,11 @@ def score_snapkv(ctx: ScoreContext, budget: int, cfg: PolicyConfig) -> PruneDeci
     The last ``recent_window`` query rows score every earlier key by summed
     attention; scores are smoothed by centered max pooling of ``pool_width``
     over the candidate region before top-k selection. The window itself is
-    always retained. The context must hold the last ``recent_window`` rows
-    (or all n when the window is longer).
+    always retained. The context must be a ScoreContext holding the last
+    ``recent_window`` rows (or all n when the window is longer), or
+    ContractViolation is raised.
     """
+    _require_context(ctx)
     w, held = cfg.window, ctx.window_probs.shape[0]
     if held < min(w, ctx.seq_len):
         raise ContractViolation(
@@ -220,10 +243,13 @@ def decide(policy: PolicyConfig, ctx: ScoreContext | None, n: int, budget: int) 
     """Dispatch to the policy's scoring rule.
 
     ``streaming_llm`` needs no attention statistics; the score-based rules
-    require a ScoreContext for the same ``n`` tokens. A ``ctx`` that is
-    neither None nor a ScoreContext, under any policy, or an ``n`` that is
-    not an integer >= 1 raises ContractViolation.
+    require a ScoreContext for the same ``n`` tokens. A ``policy`` that is
+    not a PolicyConfig, a ``ctx`` that is neither None nor a ScoreContext,
+    under any policy, or an ``n`` that is not an integer >= 1 raises
+    ContractViolation.
     """
+    if not isinstance(policy, PolicyConfig):
+        raise ContractViolation(f"policy must be a PolicyConfig, got {type(policy).__name__}")
     if ctx is not None and not isinstance(ctx, ScoreContext):
         raise ContractViolation(f"ctx must be a ScoreContext or None, got {type(ctx).__name__}")
     require_int("n", n, 1)

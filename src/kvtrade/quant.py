@@ -10,7 +10,9 @@ Each group of values ``G`` is stored as ``round((G - z) / s)`` with
 ``z = min(G)``, ``s = (max(G) - min(G)) / (2**bits - 1)``; codes are packed
 little-endian at the configured bit width, each group starting on a byte
 boundary. Constant groups take ``s = 0`` and all-zero codes, and dequantize
-back to ``z`` exactly.
+back to ``z`` exactly: a code times ``s = 0`` is a zero, and a zero plus
+``z`` is ``z`` for every ``z`` but -0.0 (``+0.0 + -0.0`` is ``+0.0``), so the
+decode rewrites only the constant groups whose zero point is -0.0.
 
 A quantized block (:class:`QuantizedTensor`) holds each code once, in its
 packed byte stream, beside two per-group arrays, zero point and scale, and
@@ -280,8 +282,11 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
     Elements with ``|v| > outlier_threshold`` (when set) move to the sidecar
     first and are excluded from grouping; the survivors in each run compact
     leftward and are chopped into ``group_size`` chunks, the final partial
-    chunk quantized as its own shorter group.
+    chunk quantized as its own shorter group. A ``cfg`` that is not a
+    QuantConfig raises ContractViolation.
     """
+    if not isinstance(cfg, QuantConfig):
+        raise ContractViolation(f"cfg must be a QuantConfig, got {type(cfg).__name__}")
     try:
         m = np.asarray(m)
     except ValueError:  # a ragged sequence, such as [[1, 2], [3]]
@@ -387,10 +392,12 @@ def _decoded_matrix(codes: np.ndarray, s: np.ndarray, z: np.ndarray, q: Quantize
     """
     values = codes * s
     values += z
-    # a constant group decodes to its zero point exactly, -0.0 included
-    const = (s == 0.0).reshape(-1)
-    if const.any():
-        values.reshape(const.size, -1)[const] = z.reshape(-1)[const, None]
+    # a constant group decodes to code * 0 + z, which is z exactly unless z
+    # is -0.0 (+0.0 + -0.0 is +0.0): only those groups are rewritten
+    neg_zero = np.signbit(z) & (z == 0.0)
+    if neg_zero.any():
+        fix = (neg_zero & (s == 0.0)).reshape(-1)
+        values.reshape(fix.size, -1)[fix] = -0.0
     values = values.astype(np.float32)
     # cast before placing, same bits: the zeros left at outliers and the outliers are float32
     result = _scatter_runs(values, q)

@@ -423,13 +423,16 @@ def _build_plan(cfg: SweepConfig, point: GridPoint, model: Model, policy: Policy
 class _Prompt:
     """What the grid points of one (seq_len, seed) prompt share, built once.
 
-    ``contexts`` come from a prefill whose window is the longest any policy
-    of the config reads; a scorer reads only the trailing rows it needs. The
-    K/V stacks of layers after the first are kept read-only; layer 0 is
-    re-projected at each point (``prefill_kv0``), because ``run_point``
-    called in grid order (seed innermost, as the benchmark does) keeps every
-    seed's state live at once, and holding layer 0 in each raised the
-    benchmark's ``recall_tradeoff`` peak RSS by 11%.
+    ``tokens`` is the prompt as one read-only int64 array, converted once
+    from the task's list; prefill and every point's ``prefill_kv0`` check it
+    without converting it again. ``contexts`` come from a prefill whose
+    window is the longest any policy of the config reads; a scorer reads
+    only the trailing rows it needs. The K/V stacks of layers after the
+    first are kept read-only; layer 0 is re-projected at each point
+    (``prefill_kv0``), because ``run_point`` called in grid order (seed
+    innermost, as the benchmark does) keeps every seed's state live at
+    once, and holding layer 0 in each raised the benchmark's
+    ``recall_tradeoff`` peak RSS by 11%.
     Each query is the decode input ``h``, the token a correct decode emits,
     and the dense reference logits. ``recall`` decodes each query from the
     prompt's cache; a probe decodes its queries in sequence, following the
@@ -437,7 +440,7 @@ class _Prompt:
     """
 
     model: Model
-    tokens: list[int]
+    tokens: np.ndarray
     contexts: list[list[ScoreContext]]
     keys: list[np.ndarray]
     values: list[np.ndarray]
@@ -468,13 +471,15 @@ def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model) -> _Prompt:
         tokens = task.tokens
     else:
         tokens = gen_probe_prompt(point.seq_len, model.config.vocab, point.seed)
+    tokens = np.array(tokens, dtype=np.int64)
+    tokens.flags.writeable = False
 
     window = max(cfg.policy(p).window_rows for p in cfg.policies)
     result = prefill(model, tokens, window)
     # before the contexts take views of them: a view keeps the flag it was made with
     for m in itertools.chain(result.keys, result.values, result.column_sums, result.attn):
         m.flags.writeable = False
-    n = len(tokens)
+    n = tokens.size
     contexts = [
         [ScoreContext(sums, rows, n) for sums, rows in zip(layer_sums, layer_rows)]
         for layer_sums, layer_rows in zip(result.column_sums, result.attn)

@@ -17,6 +17,8 @@ something the package computes another way:
   width on every layer, built through :func:`kvtrade.budget.plan_for_tokens`;
 * ``context_from_probs``: the score statistics of a full n x n probability
   matrix, the oracle for prefill's streamed statistics;
+* ``max_pool``: centered max pooling as one ``max`` per truncated window,
+  the oracle for snapkv's pooled scores (:func:`kvtrade.prune._max_pool_1d`);
 * ``quantization_logit_bound``: a worst-case bound on the logit change that
   quantization causes in one decode step of a single-layer model;
 * ``recall_margin``: the recall model's worst-case logit margin, measured by
@@ -159,6 +161,12 @@ def context_from_probs(attn_probs: Matrix, seq_len: int) -> ScoreContext:
     if attn_probs.shape != (seq_len, seq_len):
         raise ContractViolation(f"attn_probs must be {seq_len}x{seq_len}, got {attn_probs.shape}")
     return ScoreContext(attn_probs.astype(np.float64).sum(axis=0), attn_probs, seq_len)
+
+
+def max_pool(values, width: int) -> list:
+    """Each position's max over the ``width``-wide window centered on it, cut at the edges."""
+    half = width // 2
+    return [max(values[max(0, j - half) : j + half + 1]) for j in range(len(values))]
 
 
 def quantization_logit_bound(model: Model, cache: CompressedKVCache, h) -> float:

@@ -41,7 +41,7 @@ from kvtrade.quant import (
     quantized_bytes,
 )
 from kvtrade.sweep import SweepConfig, run_sweep
-from oracles import context_from_probs, dequantize_group, quantize_group, uniform_plan
+from oracles import context_from_probs, dequantize_group, max_pool, quantize_group, uniform_plan
 
 
 def report(num: int, ok: bool, desc: str) -> None:
@@ -134,9 +134,7 @@ def _oracle_snap(attn, n, budget, recent, pool):
         return list(range(n))
     cand = n - recent
     raw = attn[n - recent :].astype(np.float64).sum(axis=0)[:cand].tolist()
-    half = pool // 2
-    pooled = [max(raw[max(0, j - half) : min(cand, j + half + 1)]) for j in range(cand)]
-    return sorted(_oracle_top_k(pooled, budget - recent) | set(range(n - recent, n)))
+    return sorted(_oracle_top_k(max_pool(raw, pool), budget - recent) | set(range(n - recent, n)))
 
 
 def _random_attn(rng, n, tie_rich):

@@ -34,7 +34,16 @@ from kvtrade.model import (
     prefill,
     random_model,
 )
-from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext, decide, score_streaming, top_k_indices
+from kvtrade.prune import (
+    PolicyConfig,
+    PolicyKind,
+    ScoreContext,
+    decide,
+    score_h2o,
+    score_snapkv,
+    score_streaming,
+    top_k_indices,
+)
 from kvtrade.quant import Layout, QuantConfig, QuantizedTensor, quantize_matrix, quantized_bytes_for_shape
 from kvtrade.sweep import ConfigError, SweepConfig, run_sweep
 from kvtrade.tasks import gen_probe_prompt, gen_recall_task
@@ -252,6 +261,9 @@ def test_non_numeric_setting_raises_the_package_error(build, error, message, val
 
 
 PROBS = np.ones((1, 1), dtype=np.float32)
+CTX1 = ScoreContext(np.ones(1), PROBS, 1)
+H2O1 = PolicyConfig(PolicyKind.H2O, recent_window=1)
+SNAP1 = PolicyConfig(PolicyKind.SNAPKV, recent_window=1)
 
 # entry points given a value of the wrong kind: the package's error, not
 # AttributeError, TypeError or numpy's bare ValueError
@@ -299,6 +311,23 @@ MALFORMED = [
                  id="prefill_compress.streaming_llm-ctx-object"),
     pytest.param(lambda: decide(STREAM2, [1.0], 3, 2), "ctx must be a ScoreContext or None, got list",
                  id="decide.streaming_llm-ctx-list"),
+    # objects of the wrong kind where a config or a context belongs
+    pytest.param(lambda: decide(None, CTX1, 1, 1), "policy must be a PolicyConfig, got NoneType",
+                 id="decide.policy-None"),
+    pytest.param(lambda: decide(PolicyKind.H2O, CTX1, 1, 1), "policy must be a PolicyConfig, got PolicyKind",
+                 id="decide.policy-kind"),
+    pytest.param(lambda: score_h2o(None, 1, H2O1), "ctx must be a ScoreContext, got NoneType",
+                 id="score_h2o.ctx-None"),
+    pytest.param(lambda: score_h2o(PROBS, 1, H2O1), "ctx must be a ScoreContext, got ndarray",
+                 id="score_h2o.ctx-array"),
+    pytest.param(lambda: score_snapkv(None, 1, SNAP1), "ctx must be a ScoreContext, got NoneType",
+                 id="score_snapkv.ctx-None"),
+    pytest.param(lambda: score_snapkv(PROBS, 1, SNAP1), "ctx must be a ScoreContext, got ndarray",
+                 id="score_snapkv.ctx-array"),
+    pytest.param(lambda: quantize_matrix([[1.0]], None), "cfg must be a QuantConfig, got NoneType",
+                 id="quantize_matrix.cfg-None"),
+    pytest.param(lambda: quantize_matrix([[1.0]], 4), "cfg must be a QuantConfig, got int",
+                 id="quantize_matrix.cfg-bits"),
 ]
 
 
@@ -312,6 +341,8 @@ def test_well_formed_calls_beside_the_malformed_ones_succeed():
     assert compress16([K], [K], [[None]]).shape == (1, 1, 4)
     assert apply_overrides(plan(4, 16), [LayerOverride(0, 1, 2, 8)]).per_layer == ((8, 8),)
     assert quantize_matrix([[1.0, 2.0], [3.0, 4.0]], QuantConfig(4, 4)).shape == (2, 2)
+    assert decide(H2O1, CTX1, 1, 1).retained == (0,)
+    assert score_h2o(CTX1, 1, H2O1).retained == score_snapkv(CTX1, 1, SNAP1).retained == (0,)
 
 
 @pytest.mark.parametrize("data", [None, "KVSN" + "x" * 64, list(b"KVSN" * 16), 5],

@@ -1,3 +1,7 @@
+# loaded before any test runs: prefill imports concurrent.futures on its
+# first call with more than one worker, and that import's allocations would
+# otherwise fall inside whichever memory test's traced window comes first
+import concurrent.futures  # noqa: F401
 import itertools
 import math
 import struct

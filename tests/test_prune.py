@@ -9,13 +9,14 @@ from kvtrade.prune import (
     PolicyKind,
     PruneDecision,
     ScoreContext,
+    _max_pool_1d,
     decide,
     score_h2o,
     score_snapkv,
     score_streaming,
     top_k_indices,
 )
-from oracles import context_from_probs
+from oracles import context_from_probs, max_pool
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle: full sort with explicit tie-breaks, explicit window
@@ -49,11 +50,7 @@ def oracle_snapkv(attn, budget, recent, pool):
         return list(range(n))
     cand = n - recent
     raw = [float(sum(attn[i][j] for i in range(n - recent, n))) for j in range(cand)]
-    half = pool // 2
-    pooled = [
-        max(raw[max(0, j - half) : min(cand, j + half + 1)]) for j in range(cand)
-    ]
-    return sorted(set(oracle_top_k(pooled, budget - recent)) | set(range(n - recent, n)))
+    return sorted(set(oracle_top_k(max_pool(raw, pool), budget - recent)) | set(range(n - recent, n)))
 
 
 def random_context(rng, n, tie_rich=False):
@@ -109,6 +106,30 @@ class TestTopK:
     def test_oracle_property(self, scores, data):
         k = data.draw(st.integers(0, len(scores)))
         assert top_k_indices(scores, k) == oracle_top_k(scores, k)
+
+
+# Few distinct values, so that windows and the top k hold many ties. The
+# values are >= 0, as the pooled scores (sums of probabilities) are: max's
+# choice between 0.0 and -0.0 is not part of the contract.
+tie_heavy_scores = st.lists(st.floats(0, 1, width=32), min_size=1, max_size=3).flatmap(
+    lambda values: st.lists(st.sampled_from(values), min_size=0, max_size=40)
+)
+
+
+class TestTieHeavyScores:
+    @given(tie_heavy_scores, st.integers(0, 7).map(lambda half: 2 * half + 1))
+    def test_max_pool_equals_the_window_loop(self, scores, width):
+        # sizes 0-40 against widths up to 15: many arrays are shorter than the window
+        s = np.array(scores)
+        pooled = _max_pool_1d(s, width)
+        assert s.tolist() == scores
+        assert pooled.dtype == s.dtype
+        assert pooled.tobytes() == np.array(max_pool(scores, width), dtype=s.dtype).tobytes()
+
+    @given(tie_heavy_scores, st.data())
+    def test_top_k_equals_the_full_sort(self, scores, data):
+        k = data.draw(st.integers(0, len(scores)))
+        assert top_k_indices(np.array(scores), k) == oracle_top_k(scores, k)
 
 
 class TestStreaming:
