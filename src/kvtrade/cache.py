@@ -36,6 +36,13 @@ first use. So a decode step decodes only loaded blocks that no step has
 read yet, and joins the decoded blocks with the residual. This is a
 correctness-first reference path with no fused kernels.
 
+A block is checked once, where its fields enter the program. A flush's
+blocks come from ``quantize_matrix``, which makes them valid by
+construction, so no check repeats its work. ``load_snapshot`` copies its
+input once, frames each block it reads with ``quant.group_split`` and
+checks each layer's group tables in one pass; ``dump_snapshot`` writes the
+blocks as they are.
+
 A cache instance is single-writer per sequence: ``decode_append`` mutates
 every head of one layer. Distinct layers are independent; ``materialize``
 and ``materialize_layer`` are safe concurrently with no writer.
@@ -58,6 +65,8 @@ from .quant import (
     Layout,
     QuantConfig,
     QuantizedTensor,
+    _block,
+    check_group_tables,
     dequantize_matrix,
     group_split,
     quantize_matrix,
@@ -307,6 +316,14 @@ _GROUP_TABLE = np.dtype([("zero", "<f8"), ("scale", "<f8")])
 
 
 def dump_snapshot(cache: CompressedKVCache) -> bytes:
+    """The cache as snapshot bytes (the layout above); :func:`load_snapshot` reads them back.
+
+    The cache's blocks were checked where their fields entered the program,
+    so nothing is checked again here. A ``cache`` that is not a
+    CompressedKVCache raises ContractViolation.
+    """
+    if not isinstance(cache, CompressedKVCache):
+        raise ContractViolation(f"cache must be a CompressedKVCache, got {type(cache).__name__}")
     out: list[bytes] = [
         SNAPSHOT_MAGIC,
         struct.pack(
@@ -329,7 +346,8 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
         out.append(kept.tobytes())
         for e in row:
             for q in e.quant_k + e.quant_v:
-                table = np.column_stack((q.zero_points, q.scales)).astype("<f8", copy=False)  # _GROUP_TABLE's rows
+                table = np.empty(len(q.scales), _GROUP_TABLE)
+                table["zero"], table["scale"] = q.zero_points, q.scales
                 out += [struct.pack("<I", len(q.outliers)), q.outliers.tobytes()]
                 out += [table.tobytes(), q.packed_codes]
         out.append(np.array([k, v], dtype="<f4").tobytes())
@@ -366,31 +384,40 @@ class Reader:
             raise IntegrityError(f"{len(self.data) - self.pos} trailing bytes after the {self.name}")
 
 
-def _load_block(r: Reader, shape: tuple[int, int], cfg: QuantConfig) -> QuantizedTensor:
-    """Read one block of ``shape``: group_split frames it, QuantizedTensor checks it."""
-    (n_out,) = r.unpack("<I")
-    outliers = r.array(OUTLIER_DTYPE, n_out)
-    groups, nbytes = group_split(shape, cfg.layout, cfg.group_size, cfg.bits, outliers)
-    table = r.array(_GROUP_TABLE, groups)
-    return QuantizedTensor(
-        shape=shape,
-        bits=cfg.bits,
-        group_size=cfg.group_size,
-        layout=cfg.layout,
-        zero_points=table["zero"],
-        scales=table["scale"],
-        packed_codes=r.take(nbytes),
-        outliers=outliers,
-    )
+def _load_blocks(r: Reader, cfgs: tuple[QuantConfig, QuantConfig] | None, kept: int, flushes: int, heads: int,
+                 head_dim: int) -> list[LayerHeadCache]:
+    """One layer's blocks: none on a 16-bit layer (``cfgs`` None), else each head's
+    K blocks then its V blocks, each side a prompt block of ``kept`` rows and
+    ``flushes`` blocks of group_size rows.
 
-
-def _load_blocks(r: Reader, cfg: QuantConfig | None, kept: int, flushes: int, head_dim: int) -> list[QuantizedTensor]:
-    """One head's blocks of one side: none on a 16-bit layer (``cfg`` None),
-    else the prompt block of ``kept`` rows, then ``flushes`` of group_size rows."""
-    if cfg is None:
-        return []
-    rows = chain((kept,), repeat(cfg.group_size, flushes))  # lazy: a forged count meets the end of the data
-    return [_load_block(r, (n, head_dim), cfg) for n in rows]
+    group_split frames each block and checks its outliers; the layer's group
+    tables are then checked in one pass (:func:`check_group_tables`) and
+    joined into one owned copy, whose read-only views the blocks hold.
+    """
+    if cfgs is None:
+        return [LayerHeadCache([], []) for _ in range(heads)]
+    fields, tables = [], []
+    for _ in range(heads):
+        for cfg in cfgs:
+            # lazy: a forged count meets the end of the data
+            for shape in chain(((kept, head_dim),), repeat((cfg.group_size, head_dim), flushes)):
+                (n_out,) = r.unpack("<I")
+                outliers = r.array(OUTLIER_DTYPE, n_out)
+                groups, nbytes = group_split(shape, cfg.layout, cfg.group_size, cfg.bits, outliers)
+                tables.append(r.take(_GROUP_TABLE.itemsize * groups))
+                fields.append((shape, cfg, groups, r.take(nbytes), outliers))
+    table = np.frombuffer(b"".join(tables), _GROUP_TABLE)
+    zeros, scales = table["zero"], table["scale"]
+    check_group_tables(zeros, scales, cfgs[0].bits)  # K and V share the layer's bit width
+    blocks, start = [], 0
+    for shape, cfg, groups, codes, outliers in fields:
+        end = start + groups
+        blocks.append(_block(shape, cfg.bits, cfg.group_size, cfg.layout, zeros[start:end], scales[start:end],
+                             codes, outliers))
+        start = end
+    side = 1 + flushes
+    return [LayerHeadCache(blocks[i : i + side], blocks[i + side : i + 2 * side])
+            for i in range(0, len(blocks), 2 * side)]
 
 
 def load_snapshot(data: bytes) -> CompressedKVCache:
@@ -400,11 +427,19 @@ def load_snapshot(data: bytes) -> CompressedKVCache:
     among them a layer keeping no prompt rows or more than ``prefill_len``,
     and kept positions that do not strictly increase below ``prefill_len``,
     and ``data`` that is not ``bytes``, ``bytearray`` or ``memoryview``.
+    A ``bytearray`` or ``memoryview`` is copied once, before anything is
+    read, so the cache shares no buffer its caller can still write.
+
+    This is where a loaded block's fields enter the program, so they are
+    checked here, once: each block is framed by ``quant.group_split``, which
+    checks its outliers, and each layer's group tables are checked together
+    by ``quant.check_group_tables``, the rule ``QuantizedTensor`` applies to
+    one block; the blocks are then built without a second check.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):
         raise IntegrityError(f"a snapshot must be bytes, got {type(data).__name__}")
     try:
-        return _load_snapshot(data)
+        return _load_snapshot(data if type(data) is bytes else bytes(data))
     except ContractViolation as exc:
         raise IntegrityError(f"snapshot holds an invalid setting: {exc}") from exc
 
@@ -451,11 +486,9 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
             raise IntegrityError(f"layer {layer}'s kept positions do not strictly increase below {prefill_len}")
         p.flags.writeable = False  # shared by clones, whatever buffer the snapshot came in
         positions.append(p)
-        k_cfg, v_cfg = plan.quant_config(layer) or (None, None)
-        flushes, rest = (0, kept + decode) if k_cfg is None else divmod(decode, group_size)
-        # each head's K blocks, then its V blocks: arguments evaluate left to right
-        entries.append([LayerHeadCache(_load_blocks(r, k_cfg, kept, flushes, head_dim),
-                                       _load_blocks(r, v_cfg, kept, flushes, head_dim)) for _ in range(heads)])
+        cfgs = plan.quant_config(layer)
+        flushes, rest = (0, kept + decode) if cfgs is None else divmod(decode, group_size)
+        entries.append(_load_blocks(r, cfgs, kept, flushes, heads, head_dim))
         residual = r.array("<f4", 2 * heads * rest * head_dim).reshape(2, heads, rest, head_dim)
         if not np.isfinite(residual).all():
             raise IntegrityError("residual values must be finite")

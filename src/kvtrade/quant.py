@@ -26,7 +26,16 @@ group's zero point and scale broadcast along its row, and the codes in
 run order are already the byte stream. Any other block repeats each
 group's zero point and scale per code and places its codes in the stream
 through a slot map. Both paths do the same arithmetic per element, so
-they give the same bits.
+they give the same bits, and decoding a block from its bytes takes the
+same two paths.
+
+A block is checked once, where its fields come from outside the code that
+made them. ``QuantizedTensor(...)`` checks every field it is given. A
+block that ``quantize_matrix`` makes is valid by construction (its
+docstring says why), and ``cache.load_snapshot`` frames each block it
+reads with :func:`group_split` and checks a whole layer's group tables
+with :func:`check_group_tables`, the rule the constructor applies to one
+block; both build their blocks through the one unchecked path, ``_block``.
 
 A block is immutable, so it is decoded at most once and keeps the float32
 result on itself, read-only, for every ``dequantize_matrix`` call to
@@ -104,11 +113,20 @@ class QuantizedTensor:
     order with outliers skipped. ``zero_points`` and ``scales`` (one entry
     per group) and ``outliers`` (an :data:`OUTLIER_DTYPE` array sorted by
     position, exact float32 values) are read-only, so blocks can be shared.
-    ``packed_codes`` holds every code once, one byte-aligned run per group.
-    Construction raises IntegrityError when the group arrays or the packed
+    ``packed_codes`` holds every code once, one byte-aligned run per group,
+    as ``bytes``: any other bytes-like value is copied, so no caller can
+    write a block's codes.
+
+    Construction checks every field, since they come from outside: it
+    raises IntegrityError when ``shape`` is not two integers >= 0, ``bits``
+    or ``group_size`` is invalid, ``layout`` is not a Layout member or
+    ``packed_codes`` is not bytes-like, when the group arrays or the packed
     stream disagree with :func:`group_split`, when an outlier is invalid,
-    when a zero point or scale is not finite or a scale is negative, or when
-    a group's decode range ``[z, z + s * (2**bits - 1)]`` leaves float32.
+    or when a zero point or scale breaks :func:`check_group_tables` (not
+    finite, a negative scale, or a decode range ``[z, z + s * (2**bits -
+    1)]`` that leaves float32). The blocks ``quantize_matrix`` makes and
+    ``cache.load_snapshot`` reads are not checked again here (see the
+    module docstring).
     """
 
     shape: tuple[int, int]
@@ -121,16 +139,14 @@ class QuantizedTensor:
     outliers: np.ndarray = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        arrays = {"zero_points": np.float64, "scales": np.float64, "outliers": OUTLIER_DTYPE}
+        arrays = {}
         # an outlier value past float32 becomes inf, which group_split rejects
         with np.errstate(over="ignore"):
-            for name, dtype in arrays.items():
+            for name, dtype in (("zero_points", np.float64), ("scales", np.float64), ("outliers", OUTLIER_DTYPE)):
                 try:
-                    arr = np.array(getattr(self, name), dtype=dtype).reshape(-1)
+                    arrays[name] = np.array(getattr(self, name), dtype=dtype).reshape(-1)
                 except (OverflowError, TypeError, ValueError) as exc:
                     raise IntegrityError(f"{name} do not convert to {dtype}: {exc}") from exc
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
         try:  # the integer check first: 4.0 in SUPPORTED_BITS holds
             bits = require_int("bits", self.bits, 0)
             require_int("group_size", self.group_size, 1)
@@ -138,20 +154,24 @@ class QuantizedTensor:
             raise IntegrityError(str(exc)) from exc
         if bits not in SUPPORTED_BITS:
             raise IntegrityError(f"bits must be one of {SUPPORTED_BITS}, got {self.bits}")
-        groups, nbytes = group_split(self.shape, self.layout, self.group_size, self.bits, self.outliers)
-        if not len(self.zero_points) == len(self.scales) == groups:
+        try:
+            rows, cols = self.shape
+            shape = require_int("rows", rows, 0), require_int("cols", cols, 0)
+        except (TypeError, ValueError):  # ContractViolation is a ValueError
+            raise IntegrityError(f"shape must be two integers >= 0, got {self.shape!r}") from None
+        if not isinstance(self.layout, Layout):
+            raise IntegrityError(f"layout must be a Layout member, got {self.layout!r}")
+        groups, nbytes = group_split(shape, self.layout, self.group_size, bits, arrays["outliers"])
+        if not len(arrays["zero_points"]) == len(arrays["scales"]) == groups:
             raise IntegrityError(f"group arrays do not hold {groups} groups")
-        # both ends of the range, not |z| + s * levels: a group spanning
-        # -max..+max decodes inside float32 although that sum does not. The
-        # comparisons are false for NaN and infinities, so they reject those
-        # too; a signaling NaN would also warn in the subtraction.
-        z, s = self.zero_points, self.scales
-        with np.errstate(invalid="ignore"):
-            top = (_FLOAT32_MAX - z) / ((1 << self.bits) - 1)
-        if not ((z >= -_FLOAT32_MAX) & (s >= 0) & (s <= top)).all():
-            raise IntegrityError("a group's zero or scale is non-finite, negative or past float32")
-        if len(self.packed_codes) != nbytes:
-            raise IntegrityError(f"packed stream is {len(self.packed_codes)} bytes, expected {nbytes}")
+        check_group_tables(arrays["zero_points"], arrays["scales"], bits)
+        try:
+            codes = self.packed_codes if type(self.packed_codes) is bytes else bytes(memoryview(self.packed_codes))
+        except TypeError:
+            raise IntegrityError(f"packed_codes must be bytes-like, got {type(self.packed_codes).__name__}") from None
+        if len(codes) != nbytes:
+            raise IntegrityError(f"packed stream is {len(codes)} bytes, expected {nbytes}")
+        _set_fields(self, shape=shape, packed_codes=codes, **arrays)
 
     @cached_property
     def lengths(self) -> np.ndarray:
@@ -164,6 +184,50 @@ class QuantizedTensor:
         # built from its fields decodes here, on first use, so one that is
         # just dumped or loaded never decodes
         return _decode(self)
+
+
+def check_group_tables(zero_points: np.ndarray, scales: np.ndarray, bits: int) -> None:
+    """Raise IntegrityError unless every group decodes inside float32: the one rule for a group table.
+
+    A group decodes into ``[z, z + s * (2**bits - 1)]``, so the rule is
+    ``z >= -max``, ``s >= 0`` and ``s <= (max - z) / (2**bits - 1)`` with
+    ``max`` float32's largest value: both ends of the range, not
+    ``|z| + s * levels``, since a group spanning -max..+max decodes inside
+    float32 although that sum does not. The comparisons are false for NaN
+    and infinities, so they reject those too, and they run with numpy's
+    invalid-value warning off, so a signaling NaN is rejected, not warned
+    about. ``zero_points`` and ``scales`` are float64 arrays of one shape:
+    one block's, or every block's of a snapshot layer joined.
+    """
+    z, s = zero_points, scales
+    with np.errstate(invalid="ignore"):
+        ok = (z >= -_FLOAT32_MAX) & (s >= 0) & (s <= (_FLOAT32_MAX - z) / ((1 << bits) - 1))
+    if not ok.all():
+        raise IntegrityError("a group's zero or scale is non-finite, negative or past float32")
+
+
+def _set_fields(q: QuantizedTensor, **fields) -> QuantizedTensor:
+    """Set every field of block ``q``: the one place that knows what a block holds.
+
+    ``zero_points`` and ``scales`` are float64 arrays and ``outliers`` an
+    :data:`OUTLIER_DTYPE` array, each one-dimensional; they are made
+    read-only here, and an outlier-free block shares :data:`_NO_OUTLIERS`.
+    """
+    for name in ("zero_points", "scales", "outliers"):
+        fields[name].flags.writeable = False
+    if not len(fields["outliers"]):
+        fields["outliers"] = _NO_OUTLIERS
+    vars(q).update(fields)  # a frozen dataclass: past its __setattr__
+    return q
+
+
+def _block(shape, bits, group_size, layout, zero_points, scales, packed_codes, outliers) -> QuantizedTensor:
+    """A block from fields known good (see the module docstring), without :class:`QuantizedTensor`'s checks:
+    ``shape`` two ints >= 0, ``bits``, ``group_size`` and ``layout`` valid, and
+    ``packed_codes`` bytes and group arrays of the sizes :func:`group_split` gives."""
+    return _set_fields(object.__new__(QuantizedTensor), shape=shape, bits=bits, group_size=group_size,
+                       layout=layout, zero_points=zero_points, scales=scales, packed_codes=packed_codes,
+                       outliers=outliers)
 
 
 def _runs_of(shape: tuple[int, int], layout: Layout, outliers: np.ndarray):
@@ -271,6 +335,20 @@ def group_byte_length(length: int, bits: int) -> int:
     return (length * bits + 7) // 8
 
 
+def _uniform_length(shape, layout: Layout, group_size: int, bits: int, outliers: np.ndarray) -> int:
+    """``L`` when the block is uniform, else 0.
+
+    A uniform block has no outliers, and every group holds ``L`` codes that
+    fill whole bytes: the run length is a multiple of ``L``, the group size
+    or the whole run when that is shorter, and ``L * bits`` of 8.
+    """
+    _, run_len, _ = _runs_of(shape, layout, outliers)
+    length = min(group_size, run_len)
+    if len(outliers) or not length or run_len % length or length * bits % 8:
+        return 0
+    return length
+
+
 def _runs(m: np.ndarray, layout: Layout) -> np.ndarray:
     """View the matrix so each row of the result is one grouping run."""
     return m if layout == Layout.PER_TOKEN else m.T
@@ -284,6 +362,16 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
     leftward and are chopped into ``group_size`` chunks, the final partial
     chunk quantized as its own shorter group. A ``cfg`` that is not a
     QuantConfig raises ContractViolation.
+
+    The block is valid by construction, so it is built without
+    :class:`QuantizedTensor`'s checks: its shape, bit width, group size and
+    layout come from the checked matrix and ``cfg``; its group arrays and
+    packed stream are sized by the same split as :func:`group_split`; its
+    outliers are finite (the matrix is), inside the shape and in order.
+    Each group's ``z`` is the least of finite float32 values, so
+    ``z >= -max``; ``s = (max(G) - z) / levels >= 0``; and since
+    ``max(G) <= max`` and rounding is monotone, ``s`` never passes
+    ``(max - z) / levels``, which is :func:`check_group_tables`' rule.
     """
     if not isinstance(cfg, QuantConfig):
         raise ContractViolation(f"cfg must be a QuantConfig, got {type(cfg).__name__}")
@@ -307,10 +395,8 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
         vals = _runs(m.astype(np.float64), cfg.layout)[_runs(keep, cfg.layout)]
 
     levels = (1 << cfg.bits) - 1
-    _, run_len, _ = _runs_of(m.shape, cfg.layout, outliers)
-    length = min(cfg.group_size, run_len)
-    uniform = not len(outliers) and run_len % length == 0 and length * cfg.bits % 8 == 0
-    if uniform:
+    length = _uniform_length(m.shape, cfg.layout, cfg.group_size, cfg.bits, outliers)
+    if length:
         # every group holds `length` codes that fill whole bytes, so the
         # groups are the rows of one array, each group's scale and zero point
         # broadcast along its row, and the codes are the byte stream's slots
@@ -333,23 +419,16 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
     # values less z are zeros, so its codes are too
     codes -= z_each
     codes /= np.where(s_each > 0, s_each, 1.0)
-    np.clip(np.rint(codes, out=codes), 0, levels, out=codes)
+    np.rint(codes, out=codes)
+    np.maximum(codes, 0, out=codes)
+    np.minimum(codes, levels, out=codes)
     stream = codes
-    if not uniform:
+    if not length:
         slots, nbytes = _code_slots(lengths, cfg.bits)
         stream = np.zeros(nbytes * (8 // cfg.bits), dtype=np.uint8)
         stream[slots] = codes
 
-    q = QuantizedTensor(
-        shape=m.shape,
-        bits=cfg.bits,
-        group_size=cfg.group_size,
-        layout=cfg.layout,
-        zero_points=z,
-        scales=s,
-        packed_codes=pack_codes(stream, cfg.bits),
-        outliers=outliers,
-    )
+    q = _block(m.shape, cfg.bits, cfg.group_size, cfg.layout, z, s, pack_codes(stream, cfg.bits), outliers)
     # the block's decode, from the codes just made rather than their bytes:
     # the cached_property's slot, set as functools sets it
     q.__dict__["_decoded"] = _decoded_matrix(codes, s_each, z_each, q)
@@ -401,14 +480,24 @@ def _decoded_matrix(codes: np.ndarray, s: np.ndarray, z: np.ndarray, q: Quantize
     values = values.astype(np.float32)
     # cast before placing, same bits: the zeros left at outliers and the outliers are float32
     result = _scatter_runs(values, q)
-    result[q.outliers["row"], q.outliers["col"]] = q.outliers["value"]
+    if len(q.outliers):
+        result[q.outliers["row"], q.outliers["col"]] = q.outliers["value"]
     result.flags.writeable = False
     return result
 
 
 def _decode(q: QuantizedTensor) -> Matrix:
-    """Unpack every code at once and decode the block from its bytes (read-only result)."""
+    """Unpack every code at once and decode the block from its bytes (read-only result).
+
+    A uniform block's byte stream is its codes in run order, one row of
+    ``L`` per group, as :func:`quantize_matrix` makes them; any other block
+    takes its codes from their slots and repeats each group's zero point and
+    scale per code.
+    """
     unpacked = unpack_codes(q.packed_codes, q.bits, len(q.packed_codes) * (8 // q.bits))
+    length = _uniform_length(q.shape, q.layout, q.group_size, q.bits, q.outliers)
+    if length:
+        return _decoded_matrix(unpacked.reshape(-1, length), q.scales[:, None], q.zero_points[:, None], q)
     codes = unpacked[_code_slots(q.lengths, q.bits)[0]]
     return _decoded_matrix(codes, np.repeat(q.scales, q.lengths), np.repeat(q.zero_points, q.lengths), q)
 
@@ -426,8 +515,11 @@ def quantized_bytes(q: QuantizedTensor) -> int:
     """Accounted storage cost of a quantized tensor in bytes.
 
     Packed code bytes (byte-aligned per group) + 2 bytes of scale/zero
-    metadata per group + 6 bytes per outlier.
+    metadata per group + 6 bytes per outlier. A ``q`` that is not a
+    QuantizedTensor raises ContractViolation.
     """
+    if not isinstance(q, QuantizedTensor):
+        raise ContractViolation(f"q must be a QuantizedTensor, got {type(q).__name__}")
     metadata = GROUP_METADATA_BYTES * len(q.scales) + OUTLIER_BYTES * len(q.outliers)
     return len(q.packed_codes) + metadata
 

@@ -867,6 +867,20 @@ class TestSnapshotFuzz:
             _resealed_change_rejected_or_usable(body, offset, 0x40)
 
     @pytest.mark.parametrize("kind", sorted(FUZZ_SNAPSHOTS))
+    @pytest.mark.parametrize("wrap", [bytearray, lambda b: memoryview(bytearray(b))], ids=["bytearray", "memoryview"])
+    def test_loaded_cache_shares_no_buffer_with_the_caller(self, kind, wrap):
+        # positions, residual rows and packed codes read from a writable buffer
+        # must not change when the caller rewrites it
+        blob = FUZZ_SNAPSHOTS[kind]
+        buf = wrap(blob)
+        cache = load_snapshot(buf)
+        buf[:] = bytes(len(blob))
+        assert dump_snapshot(cache) == blob
+        for layer in range(cache.plan.layers):
+            assert (cache.positions[layer][:, 1:] > cache.positions[layer][:, :-1]).all()
+            cache.materialize_layer(layer)
+
+    @pytest.mark.parametrize("kind", sorted(FUZZ_SNAPSHOTS))
     def test_unmutated_loads(self, kind):
         assert dump_snapshot(load_snapshot(FUZZ_SNAPSHOTS[kind])) == FUZZ_SNAPSHOTS[kind]
 
@@ -890,6 +904,73 @@ class TestSnapshotFuzz:
     ])
     def test_bytes_are_pinned(self, kind, sha256):
         assert hashlib.sha256(FUZZ_SNAPSHOTS[kind]).hexdigest() == sha256
+
+
+def _table_at(blob: bytes, q) -> int:
+    """Offset of block ``q``'s group table in ``blob``, found by its bytes."""
+    table = np.empty(len(q.scales), [("zero", "<f8"), ("scale", "<f8")])
+    table["zero"], table["scale"] = q.zero_points, q.scales
+    at = blob.find(table.tobytes())
+    assert at > 0 and blob.count(table.tobytes()) == 1
+    return at
+
+
+class TestGroupTablesCheckedPerLayer:
+    """A layer's group tables are checked in one pass: a forgery in any block, not
+    only the first, is rejected with the block constructor's message."""
+
+    @pytest.mark.parametrize("head, side, index", [(0, "quant_k", 1), (0, "quant_v", 0), (1, "quant_k", 0),
+                                                   (1, "quant_v", 1)],
+                             ids=["second-block", "first-V-block", "later-head", "last-block"])
+    @pytest.mark.parametrize("group", ["first", "last"])
+    @pytest.mark.parametrize("field, value", [(0, float("nan")), (8, -1.0), (8, 1e300)],
+                             ids=["nan-zero", "negative-scale", "scale-past-float32"])
+    def test_forged_group_rejected(self, head, side, index, group, field, value):
+        blob = FUZZ_SNAPSHOTS["4bit"]
+        q = getattr(load_snapshot(blob).entry(0, head), side)[index]
+        at = _table_at(blob, q) + (0 if group == "first" else 16 * (len(q.scales) - 1))
+        with pytest.raises(IntegrityError, match="a group's zero or scale is non-finite, negative or past float32"):
+            load_snapshot(_patched(blob, at + field, "<d", value))
+
+    def test_blocks_hold_read_only_views_of_one_copy(self):
+        cache = load_snapshot(FUZZ_SNAPSHOTS["4bit"])
+        blocks = [q for head in range(cache.heads) for e in [cache.entry(0, head)] for q in e.quant_k + e.quant_v]
+        assert len(blocks) == 8
+        base = blocks[0].zero_points.base
+        for q in blocks:
+            assert q.zero_points.base is base and q.scales.base is base
+            assert not q.zero_points.flags.writeable and not q.scales.flags.writeable
+            assert q.zero_points.dtype == q.scales.dtype == np.float64
+            assert type(q.packed_codes) is bytes and not q.outliers.flags.writeable
+
+
+@st.composite
+def decoded_caches(draw):
+    """A 2-head cache at a drawn bit width, layout, group size and threshold, decoded some steps."""
+    bits, layout = draw(st.sampled_from([2, 4, 8])), draw(st.sampled_from(list(Layout)))
+    group_size, head_dim = draw(st.integers(1, 9)), draw(st.sampled_from([4, 6, 8]))
+    threshold = draw(st.sampled_from([None, 1.5]))
+    keys, values, ctxs = make_inputs(1, 2, 24, head_dim, seed=draw(st.integers(0, 2**16)))
+    plan = uniform_plan(1, 4, bits, heads=2, head_dim=head_dim, group_size=group_size, layout=layout)
+    cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=threshold), STREAM4)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    for _ in range(draw(st.integers(0, 2 * group_size + 1))):
+        cache.decode_append(0, rng.normal(size=2 * head_dim), rng.normal(size=2 * head_dim))
+    return cache
+
+
+@settings(max_examples=60, deadline=None)
+@given(decoded_caches())
+def test_loaded_blocks_decode_as_the_fresh_ones(cache):
+    # a loaded block decodes its bytes (uniform blocks as one (groups, L)
+    # array, others through their code slots); a fresh one carries the
+    # decode quantize_matrix made from its codes
+    loaded = load_snapshot(dump_snapshot(cache))
+    for head in range(cache.heads):
+        fresh, back = cache.entry(0, head), loaded.entry(0, head)
+        for q, r in zip(fresh.quant_k + fresh.quant_v, back.quant_k + back.quant_v, strict=True):
+            assert "_decoded" in vars(q) and "_decoded" not in vars(r)
+            assert dequantize_matrix(r).tobytes() == dequantize_matrix(q).tobytes()
 
 
 class TestClone:

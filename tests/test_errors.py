@@ -44,7 +44,14 @@ from kvtrade.prune import (
     score_streaming,
     top_k_indices,
 )
-from kvtrade.quant import Layout, QuantConfig, QuantizedTensor, quantize_matrix, quantized_bytes_for_shape
+from kvtrade.quant import (
+    Layout,
+    QuantConfig,
+    QuantizedTensor,
+    quantize_matrix,
+    quantized_bytes,
+    quantized_bytes_for_shape,
+)
 from kvtrade.sweep import ConfigError, SweepConfig, run_sweep
 from kvtrade.tasks import gen_probe_prompt, gen_recall_task
 
@@ -85,10 +92,10 @@ def compress_h2o(ctxs):
     return prefill_compress([K], [K], ctxs, plan16, PolicyConfig(PolicyKind.H2O, recent_window=2))
 
 
-def block(bits=4, group_size=4, groups=1, nbytes=2):
-    """A 1 x 4 per-token block of zero codes in ``groups`` groups packed into ``nbytes``."""
-    return QuantizedTensor((1, 4), bits, group_size, Layout.PER_TOKEN, [0.0] * groups, [1.0] * groups,
-                           bytes(nbytes))
+def block(bits=4, group_size=4, groups=1, nbytes=2, shape=(1, 4), layout=Layout.PER_TOKEN, codes=None):
+    """A block of zero codes in ``groups`` groups packed into ``nbytes`` (or ``codes``), 1 x 4 per-token by default."""
+    return QuantizedTensor(shape, bits, group_size, layout, [0.0] * groups, [1.0] * groups,
+                           bytes(nbytes) if codes is None else codes)
 
 
 def model_config(name):
@@ -328,6 +335,37 @@ MALFORMED = [
                  id="quantize_matrix.cfg-None"),
     pytest.param(lambda: quantize_matrix([[1.0]], 4), "cfg must be a QuantConfig, got int",
                  id="quantize_matrix.cfg-bits"),
+    pytest.param(lambda: dump_snapshot(None), "cache must be a CompressedKVCache, got NoneType",
+                 id="dump_snapshot-None"),
+    pytest.param(lambda: dump_snapshot(dump_snapshot(tiny_cache())), "cache must be a CompressedKVCache, got bytes",
+                 id="dump_snapshot-bytes"),
+    pytest.param(lambda: quantized_bytes(None), "q must be a QuantizedTensor, got NoneType",
+                 id="quantized_bytes-None"),
+    pytest.param(lambda: quantized_bytes(np.zeros((1, 4))), "q must be a QuantizedTensor, got ndarray",
+                 id="quantized_bytes-array"),
+]
+
+# stored data: a block's fields of the wrong kind raise IntegrityError, the
+# constructor's documented error (a layout outside the enum decoded as per-channel)
+MALFORMED_STORED = [
+    pytest.param(lambda: block(layout="x"), "layout must be a Layout member, got 'x'", id="QuantizedTensor.layout-x"),
+    pytest.param(lambda: block(layout=None), "layout must be a Layout member, got None",
+                 id="QuantizedTensor.layout-None"),
+    pytest.param(lambda: block(shape=None), "shape must be two integers >= 0, got None",
+                 id="QuantizedTensor.shape-None"),
+    pytest.param(lambda: block(shape=(1,)), r"shape must be two integers >= 0, got \(1,\)",
+                 id="QuantizedTensor.shape-one"),
+    pytest.param(lambda: block(shape=(1, 4, 1)), r"shape must be two integers >= 0", id="QuantizedTensor.shape-three"),
+    pytest.param(lambda: block(shape=(1.0, 4)), r"shape must be two integers >= 0", id="QuantizedTensor.shape-float"),
+    pytest.param(lambda: block(shape=(-1, 4)), r"shape must be two integers >= 0", id="QuantizedTensor.shape-negative"),
+    pytest.param(lambda: QuantizedTensor((1, 4), 4, 4, Layout.PER_TOKEN, [0.0], [1.0], None),
+                 "packed_codes must be bytes-like, got NoneType",
+                 id="QuantizedTensor.packed_codes-None"),
+    # bytes(2) would be two zero bytes
+    pytest.param(lambda: block(codes=2), "packed_codes must be bytes-like, got int",
+                 id="QuantizedTensor.packed_codes-int"),
+    pytest.param(lambda: block(codes="ab"), "packed_codes must be bytes-like, got str",
+                 id="QuantizedTensor.packed_codes-str"),
 ]
 
 
@@ -337,12 +375,25 @@ def test_malformed_input_raises_the_package_error(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", MALFORMED_STORED)
+def test_malformed_stored_data_raises_integrity_error(call, message):
+    with pytest.raises(IntegrityError, match=message):
+        call()
+
+
 def test_well_formed_calls_beside_the_malformed_ones_succeed():
     assert compress16([K], [K], [[None]]).shape == (1, 1, 4)
     assert apply_overrides(plan(4, 16), [LayerOverride(0, 1, 2, 8)]).per_layer == ((8, 8),)
     assert quantize_matrix([[1.0, 2.0], [3.0, 4.0]], QuantConfig(4, 4)).shape == (2, 2)
     assert decide(H2O1, CTX1, 1, 1).retained == (0,)
     assert score_h2o(CTX1, 1, H2O1).retained == score_snapkv(CTX1, 1, SNAP1).retained == (0,)
+    assert load_snapshot(dump_snapshot(tiny_cache())).shape == (1, 1, 4)
+    assert quantized_bytes(block()) == 2 + 2
+    for shape in ((1, 4), [1, 4], np.array([1, 4])):
+        assert block(shape=shape).shape == (1, 4)
+    assert block(layout=Layout.PER_CHANNEL, groups=4, nbytes=4).layout is Layout.PER_CHANNEL
+    for codes in (bytes(2), bytearray(2), memoryview(bytes(2)), np.zeros(2, np.uint8)):
+        assert block(codes=codes).packed_codes == bytes(2)
 
 
 @pytest.mark.parametrize("data", [None, "KVSN" + "x" * 64, list(b"KVSN" * 16), 5],

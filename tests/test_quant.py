@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.quant import (
+    _NO_OUTLIERS,
     Layout,
     QuantConfig,
     QuantizedTensor,
+    check_group_tables,
     dequantize_matrix,
     error_bound_matrix,
     pack_codes,
@@ -20,6 +22,8 @@ from kvtrade.quant import (
     unpack_codes,
 )
 from oracles import dequantize_group, pack_group, quantize_group, reference_dequantize
+
+FIELDS = ("shape", "bits", "group_size", "layout", "zero_points", "scales", "packed_codes", "outliers")
 
 value_lists = st.lists(
     st.floats(-1e4, 1e4, allow_nan=False, width=32), min_size=1, max_size=80
@@ -510,8 +514,8 @@ def test_dequantize_matches_per_group_reference(m, bits, group, divides, layout,
         divisors = [d for d in range(1, run + 1) if run % d == 0]
         group = divisors[group % len(divisors)]
     q = quantize_matrix(m, QuantConfig(bits, group, layout, threshold))
-    fields = ("shape", "bits", "group_size", "layout", "zero_points", "scales", "packed_codes", "outliers")
-    rebuilt = QuantizedTensor(**{name: getattr(q, name) for name in fields})  # as a loader builds a block
+    # built from its fields, it decodes its packed bytes, as a loaded block does
+    rebuilt = QuantizedTensor(**{name: getattr(q, name) for name in FIELDS})
     assert "_decoded" in vars(q) and "_decoded" not in vars(rebuilt)
     fresh = dequantize_matrix(q)
     expected = reference_dequantize(q).tobytes()
@@ -587,3 +591,63 @@ def test_negative_zero_constant_group_decodes_exactly(layout):
     q = quantize_matrix(m, QuantConfig(4, 2, layout))
     out = dequantize_matrix(q)
     assert out.tobytes() == m.tobytes() == reference_dequantize(q).tobytes()
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def wide_matrices(draw):
+    """Matrices up to 80 x 80 with values up to +-float32 max: a few drawn
+    values (-0.0 and the extremes among them) fill most entries, so runs
+    hold constant groups, and the rest are spread at a drawn magnitude."""
+    rows, cols = draw(st.integers(1, 80)), draw(st.integers(1, 80))
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from([-0.0, 0.0, 1.0, F32_MAX, -F32_MAX]),
+                  st.floats(-F32_MAX, F32_MAX, allow_nan=False, allow_infinity=False, width=32)),
+        min_size=1, max_size=4,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = rng.uniform(-1, 1, size=(rows, cols)) * draw(st.sampled_from([1.0, 1e30, F32_MAX]))
+    m = np.where(rng.random((rows, cols)) < draw(st.sampled_from([0.5, 0.9, 1.0])),
+                 rng.choice(np.array(pool, dtype=np.float32), size=(rows, cols)), spread)
+    return m.astype(np.float32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    wide_matrices(),
+    st.sampled_from([2, 4, 8]),
+    st.sampled_from(list(Layout)),
+    st.integers(1, 70),
+    st.sampled_from([None, 1.0, 1e30]),
+)
+def test_quantize_matrix_blocks_pass_every_check(m, bits, layout, group, threshold):
+    # quantize_matrix builds its blocks without QuantizedTensor's checks, on
+    # the claim that they are valid by construction: every one must pass
+    # them, and decode from its bytes as it did from its codes
+    q = quantize_matrix(m, QuantConfig(bits, group, layout, threshold))
+    check_group_tables(q.zero_points, q.scales, bits)
+    rebuilt = QuantizedTensor(**{name: getattr(q, name) for name in FIELDS})
+    assert dequantize_matrix(rebuilt).tobytes() == dequantize_matrix(q).tobytes()
+    for name in FIELDS:
+        a, b = getattr(q, name), getattr(rebuilt, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable and not b.flags.writeable
+        else:
+            assert a == b and type(a) is type(b)
+    assert (q.outliers is _NO_OUTLIERS) == (rebuilt.outliers is _NO_OUTLIERS) == (not len(q.outliers))
+
+
+def test_bytes_like_codes_are_stored_as_bytes():
+    # a block keeps no buffer its caller can write
+    q = quantize_matrix(np.arange(8, dtype=np.float32).reshape(2, 4), QuantConfig(4, 4))
+    for kind in (bytearray, memoryview, lambda b: np.frombuffer(b, dtype=np.uint8).copy()):
+        buf = kind(bytearray(q.packed_codes))
+        fields = {name: getattr(q, name) for name in FIELDS}
+        block = QuantizedTensor(**{**fields, "packed_codes": buf})
+        assert type(block.packed_codes) is bytes and block.packed_codes == q.packed_codes
+        buf[0] ^= 0xFF
+        assert block.packed_codes == q.packed_codes
+        assert dequantize_matrix(block).tobytes() == dequantize_matrix(q).tobytes()
