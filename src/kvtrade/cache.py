@@ -7,16 +7,18 @@ The cache keeps one layout (KIVI's):
 * per layer, the prompt positions eviction kept, one read-only
   ``(heads, kept)`` array;
 * per layer, a full-precision residual after the blocks: one float32
-  ``(heads, rows, head_dim)`` stack for K and one for V, the form
-  ``DenseKV`` stores and decode attends over. Decode-time tokens land
-  here, and when a quantized layer's residual reaches ``group_size`` rows,
-  each head's slice is flushed into a new block of that head (group-wise
-  quantization needs complete groups).
+  ``(heads, rows, head_dim)`` stack for K and one for V, the form decode
+  attends over. Decode-time tokens land here, and when a quantized layer's
+  residual reaches ``group_size`` rows, each head's slice is flushed into
+  a new block of that head (group-wise quantization needs complete groups).
 
 A 16-bit layer is the case where the residual is never flushed: it has no
 blocks and keeps every row, prompt and decode alike, in the residual.
 Every row after the kept prompt rows is a decode row, and its position is
 implied: the i-th decode row of a layer sits at ``prefill_len + i``.
+The uncompressed reference, ``model.DenseKV``, is this cache under the
+full-budget 16-bit plan, every prompt row of every layer in its residual:
+the reference and the compressed path decode through one store.
 
 Pruning decisions are made once, from full-precision prefill attention
 statistics (``ScoreContext``); decode-time tokens are appended and never
@@ -38,10 +40,11 @@ correctness-first reference path with no fused kernels.
 
 A block is checked once, where its fields enter the program. A flush's
 blocks come from ``quantize_matrix``, which makes them valid by
-construction, so no check repeats its work. ``load_snapshot`` copies its
-input once, frames each block it reads with ``quant.group_split`` and
-checks each layer's group tables in one pass; ``dump_snapshot`` writes the
-blocks as they are.
+construction, so no check repeats its work. ``load_snapshot`` copies a
+``bytearray`` or ``memoryview`` input once and never copies the body whole
+(its checksum is taken through a view), frames each block it reads with
+``quant.group_split`` and checks each layer's group tables in one pass;
+``dump_snapshot`` writes the blocks as they are.
 
 A cache instance is single-writer per sequence: ``decode_append`` mutates
 every head of one layer. Distinct layers are independent; ``materialize``
@@ -86,7 +89,7 @@ class LayerHeadCache:
 
 
 # kept prompt positions, fresh or loaded: the snapshot's u32
-_POSITION_DTYPE = np.dtype("<u4")
+POSITION_DTYPE = np.dtype("<u4")
 
 
 def _empty_stack(heads: int, head_dim: int) -> np.ndarray:
@@ -99,20 +102,6 @@ def _flush(row: list[LayerHeadCache], k, v, cfgs: tuple[QuantConfig, QuantConfig
     for e, k_h, v_h in zip(row, k, v):
         e.quant_k.append(quantize_matrix(k_h, k_cfg))
         e.quant_v.append(quantize_matrix(v_h, v_cfg))
-
-
-def append_rows(h_k, h_v, width: int) -> tuple[Matrix, Matrix]:
-    """One decode token's K and V for a layer, each shaped ``(width,)`` or ``(1, width)``, as float32 rows.
-
-    Any other shape, values that are not numbers, or a value that is not finite
-    in float32 (one past its range becomes inf, not a warning), raises ContractViolation.
-    """
-    k_row, v_row = as_row(h_k, width, "append rows"), as_row(h_v, width, "append rows")
-    # count_nonzero, not .all(): on one short row per layer and step it
-    # costs about half as much
-    if np.count_nonzero(np.isfinite(k_row)) + np.count_nonzero(np.isfinite(v_row)) < 2 * width:
-        raise ContractViolation("append rows must be finite")
-    return k_row, v_row
 
 
 @dataclass
@@ -171,7 +160,12 @@ class CompressedKVCache:
         """
         layer = require_index("layer", layer, len(self.entries))
         heads, head_dim = self.heads, self.head_dim
-        k_row, v_row = append_rows(h_k, h_v, heads * head_dim)
+        width = heads * head_dim
+        k_row, v_row = as_row(h_k, width, "append rows"), as_row(h_v, width, "append rows")
+        # count_nonzero, not .all(): on one short row per layer and step it
+        # costs about half as much
+        if np.count_nonzero(np.isfinite(k_row)) + np.count_nonzero(np.isfinite(v_row)) < 2 * width:
+            raise ContractViolation("append rows must be finite")
         k = concat_rows(self.residual_k[layer], k_row.reshape(heads, 1, head_dim))
         v = concat_rows(self.residual_v[layer], v_row.reshape(heads, 1, head_dim))
         if k.shape[1] == self.plan.group_size and (cfgs := self.plan.quant_config(layer)) is not None:
@@ -250,8 +244,13 @@ def prefill_compress(
     a quantized layer flushes into each head's prompt block. ``keys``,
     ``values`` and ``ctxs`` must each hold the plan's layers, every K and V
     one finite, nonempty stack of numbers of one shape, and every ctx row a
-    sequence of one item per head; anything else raises ContractViolation.
+    sequence of one item per head, ``plan`` a BudgetPlan and ``policy`` a
+    PolicyConfig; anything else raises ContractViolation.
     """
+    if not isinstance(plan, BudgetPlan):
+        raise ContractViolation(f"plan must be a BudgetPlan, got {type(plan).__name__}")
+    if not isinstance(policy, PolicyConfig):
+        raise ContractViolation(f"policy must be a PolicyConfig, got {type(policy).__name__}")
     if not _length(keys) == _length(values) == _length(ctxs) == plan.layers:
         raise ContractViolation(f"keys, values and ctxs must each hold {plan.layers} layers")
     shape = None
@@ -273,7 +272,7 @@ def prefill_compress(
         heads, n, head_dim = shape
         if (got := _length(ctxs[layer])) != heads:
             raise ContractViolation(f"ctxs must hold {heads} heads at layer {layer}, got {got}")
-        kept = np.array([decide(policy, c, n, tokens).retained for c in ctxs[layer]], _POSITION_DTYPE)
+        kept = np.array([decide(policy, c, n, tokens).retained for c in ctxs[layer]], POSITION_DTYPE)
         kept.flags.writeable = False
         gather = (np.arange(heads)[:, None], kept)
         k, v = k[gather], v[gather]
@@ -356,15 +355,17 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
 
 
 class Reader:
-    """Reads a binary format front to back; ``name`` names it in IntegrityError messages."""
+    """Reads a binary format front to back, up to ``stop`` (the end of ``data``
+    unless a caller sets it sooner); ``name`` names it in IntegrityError messages."""
 
     def __init__(self, data: bytes, name: str):
         self.data = data
         self.name = name
         self.pos = 0
+        self.stop = len(data)
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+        if self.pos + n > self.stop:
             raise IntegrityError(f"{self.name} truncated")
         chunk = self.data[self.pos : self.pos + n]
         self.pos += n
@@ -379,9 +380,9 @@ class Reader:
         return np.frombuffer(self.take(dtype.itemsize * count), dtype=dtype)
 
     def end(self) -> None:
-        """Raise IntegrityError unless every byte has been read."""
-        if self.pos != len(self.data):
-            raise IntegrityError(f"{len(self.data) - self.pos} trailing bytes after the {self.name}")
+        """Raise IntegrityError unless every byte up to ``stop`` has been read."""
+        if self.pos != self.stop:
+            raise IntegrityError(f"{self.stop - self.pos} trailing bytes after the {self.name}")
 
 
 def _load_blocks(r: Reader, cfgs: tuple[QuantConfig, QuantConfig] | None, kept: int, flushes: int, heads: int,
@@ -461,9 +462,11 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
     ) = r.unpack(_HEADER)
     if version != SNAPSHOT_VERSION:
         raise IntegrityError(f"unsupported snapshot version {version}")
-    if len(data) < r.pos + 4 or zlib.crc32(data[:-4]) != struct.unpack("<I", data[-4:])[0]:
+    # the body is checksummed through a view and read up to the checksum in
+    # place: neither copies it whole
+    if len(data) < r.pos + 4 or zlib.crc32(memoryview(data)[:-4]) != struct.unpack("<I", data[-4:])[0]:
         raise IntegrityError("snapshot checksum mismatch")
-    r.data = data[:-4]
+    r.stop -= 4
     if layout_code >= len(_LAYOUTS):
         raise IntegrityError(f"unknown layout code {layout_code}")
     table = r.array(_PLAN_TABLE, layers)
@@ -481,7 +484,7 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
         kept, decode = r.unpack("<II")
         if not 1 <= kept <= prefill_len:
             raise IntegrityError(f"layer {layer} keeps {kept} prompt rows, outside [1, {prefill_len}]")
-        p = r.array(_POSITION_DTYPE, heads * kept).reshape(heads, kept)
+        p = r.array(POSITION_DTYPE, heads * kept).reshape(heads, kept)
         if (p[:, 1:] <= p[:, :-1]).any() or p[:, -1].max() >= prefill_len:
             raise IntegrityError(f"layer {layer}'s kept positions do not strictly increase below {prefill_len}")
         p.flags.writeable = False  # shared by clones, whatever buffer the snapshot came in

@@ -6,6 +6,10 @@ the hand-built retrieval model analytic and makes compression effects easy
 to attribute; real LLMs differ, loudly so. Attention scores are scaled by
 1/sqrt(head_dim) (at toy widths the softmax saturates without it).
 
+Decode runs over one store type, :class:`~kvtrade.cache.CompressedKVCache`.
+The uncompressed reference, :class:`DenseKV`, is that cache under the
+full-budget 16-bit plan, built on a prefill's own K/V stacks.
+
 Positional encodings are off by default (retrieval here is content
 addressed); sinusoidal absolute positions can be enabled per config for
 causality-sensitive experiments. All randomness is seeded.
@@ -19,11 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import CompressedKVCache, Reader, append_rows
-from .errors import ContractViolation, IntegrityError, require_index, require_int
-from .tensor import (
-    Matrix, as_matrix, as_row, blas_threads, concat_rows, matmul, require_finite, softmax_rows, softmax_rows_into,
-)
+from .budget import FULL_PRECISION_BITS, plan_for_tokens
+from .cache import POSITION_DTYPE, CompressedKVCache, LayerHeadCache, Reader
+from .errors import ContractViolation, IntegrityError, require_int
+from .tensor import Matrix, as_matrix, as_row, blas_threads, matmul, require_finite, softmax_rows, softmax_rows_into
 
 # prefill's score for a future key: softmax gives it exactly 0 weight
 NEG_MASK = np.float32(-np.inf)
@@ -129,7 +132,9 @@ class Model:
 
 @dataclass
 class PrefillResult:
-    """A prefill's outputs, every per-head array one stack per layer; callers must
+    """A prefill's outputs: the next-token logits and, one stack per layer, the
+    K/V and attention statistics eviction and decode start from. It keeps no
+    hidden states, which nothing reads once the logits are made. Callers must
     not write to the stacks (:meth:`DenseKV.from_prefill` shares them)."""
 
     logits: np.ndarray  # next-token logits, shape (vocab,)
@@ -139,58 +144,27 @@ class PrefillResult:
     # probabilities, float32 (heads, w, n)
     attn: list[np.ndarray]
     column_sums: list[np.ndarray]  # [layer] -> float64 (heads, n), over all rows
-    hidden: Matrix  # final-layer hidden states, n x d_model
 
 
-def _stack_dims(k, v) -> tuple[int, int] | None:
-    """(heads, head_dim) of a layer's K and V, or None unless both are 3-D float32 arrays of one shape."""
-    stacks = isinstance(k, np.ndarray) and isinstance(v, np.ndarray) and k.ndim == 3 and k.shape == v.shape
-    return (k.shape[0], k.shape[2]) if stacks and k.dtype == v.dtype == np.float32 else None
-
-
-@dataclass
-class DenseKV:
-    """The uncompressed reference decode store: per layer, one float32 ``(heads, rows, head_dim)``
-    stack for K and one for V, the form decode attends over. A stored stack is never written
-    in place; an append replaces the layer's arrays, so stacks read before it keep their rows."""
-
-    keys: list[np.ndarray]
-    values: list[np.ndarray]
-
-    @property
-    def shape(self) -> tuple[int, int, int] | None:
-        """(layers, heads, head_dim), or None unless every layer's K and V share it (:func:`_stack_dims`)."""
-        dims = {_stack_dims(k, v) for k, v in zip(self.keys, self.values)}
-        uniform = len(self.keys) == len(self.values) and len(dims) == 1 and None not in dims
-        return (len(self.keys), *dims.pop()) if uniform else None
+class DenseKV(CompressedKVCache):
+    """The uncompressed reference store: the full-budget 16-bit cache, which keeps
+    every prompt row of every layer and every decode row in its residual stacks."""
 
     @classmethod
     def from_prefill(cls, result: PrefillResult) -> "DenseKV":
-        """A store sharing ``result``'s stacks: an append replaces them rather than writing them."""
-        return cls(list(result.keys), list(result.values))
+        """The 16-bit cache of all n rows of every layer of ``result``, without blocks.
 
-    def decode_append(self, layer: int, h_k, h_v) -> None:
-        """:meth:`CompressedKVCache.decode_append`'s contract, uncompressed; a
-        layer not holding K and V stacks of one shape also raises."""
-        k, v = self.materialize_layer(layer)
-        dims = _stack_dims(k, v)
-        if dims is None:
-            raise ContractViolation(f"layer {layer} must hold K and V as 3-D float32 stacks of one shape")
-        k_row, v_row = append_rows(h_k, h_v, dims[0] * dims[1])
-        self.keys[layer] = concat_rows(k, k_row.reshape(dims[0], 1, dims[1]))
-        self.values[layer] = concat_rows(v, v_row.reshape(dims[0], 1, dims[1]))
-
-    def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
-        """The stored K/V of (layer, head), views of the layer's stacks."""
-        k, v = self.materialize_layer(layer)
-        head = require_index("head", head, len(k))
-        return k[head], v[head]
-
-    def materialize_layer(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stored K/V stacks of ``layer``, uncopied (callers must not write to them);
-        an index that is not an integer inside the store raises ContractViolation."""
-        layer = require_index("layer", layer, len(self.keys))
-        return self.keys[layer], self.values[layer]
+        Its residual stacks are ``result``'s own K and V stacks, shared: an
+        append replaces a layer's stacks rather than writing them. Every
+        layer's kept positions are one read-only ``(heads, n)`` broadcast of
+        ``0..n-1``.
+        """
+        layers, (heads, n, head_dim) = len(result.keys), result.keys[0].shape
+        positions = np.broadcast_to(np.arange(n, dtype=POSITION_DTYPE), (heads, n))
+        return cls(plan=plan_for_tokens([n] * layers, FULL_PRECISION_BITS, heads=heads, head_dim=head_dim),
+                   heads=heads, head_dim=head_dim, prefill_len=n,
+                   entries=[[LayerHeadCache([], []) for _ in range(heads)] for _ in range(layers)],
+                   positions=[positions] * layers, residual_k=list(result.keys), residual_v=list(result.values))
 
 
 def positional_encoding(length: int, d_model: int, offset: int = 0) -> Matrix:
@@ -388,7 +362,7 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
             pool.shutdown()
 
     logits = matmul(x[-1:, :], model.weights.head)[0]
-    return PrefillResult(logits, keys, values, attn, column_sums, x)
+    return PrefillResult(logits, keys, values, attn, column_sums)
 
 
 # Each worker holds about 2.5 MiB of buffers at the prefill_long shape (n =
@@ -509,8 +483,8 @@ class _Attention:
                 kept[lo - self.first_kept : r1 - self.first_kept, :r1] = probs[lo - r0 :]
 
 
-def _decode(model: Model, store, h) -> np.ndarray:
-    """One decode step over ``store``, a :class:`CompressedKVCache` or :class:`DenseKV`.
+def _decode(model: Model, store: CompressedKVCache, h) -> np.ndarray:
+    """One decode step over ``store``, a :class:`CompressedKVCache` (a :class:`DenseKV` among them).
 
     In each layer one stacked product with ``w_qkv`` gives the token's Q, K
     and V rows for every head, each bit for bit its product with ``w_q``,
@@ -523,16 +497,21 @@ def _decode(model: Model, store, h) -> np.ndarray:
 
     Operands are checked at the boundary, not at each product: the model's
     weights when it was built (:class:`Model`), ``h`` and the store's shape
-    here, and every stored row by the store (float32 stacks of the model's
-    heads and head_dim). A store not shaped like the model, or an ``h`` not
-    shaped ``(d_model,)`` or ``(1, d_model)`` or not holding numbers
-    (:func:`as_row`), raises ContractViolation before the first append.
+    here, and every stored row by the store. A ``model`` that is not a
+    :class:`Model`, a ``store`` that is not a CompressedKVCache or not
+    shaped like the model, or an ``h`` not shaped ``(d_model,)`` or
+    ``(1, d_model)`` or not holding numbers (:func:`as_row`), raises
+    ContractViolation before the first append.
     The step then enters one error state that lets an overflow through
     silently, and makes each product a bare ``@`` through
     :func:`require_finite`, so a product that is not finite raises
     ContractViolation where it arises: a NaN in ``h``, an overflow, and a
     score at -inf, which the softmax alone would give weight 0.
     """
+    if not isinstance(model, Model):
+        raise ContractViolation(f"model must be a Model, got {type(model).__name__}")
+    if not isinstance(store, CompressedKVCache):
+        raise ContractViolation(f"store must be a CompressedKVCache, got {type(store).__name__}")
     cfg = model.config
     want = (cfg.layers, cfg.heads, cfg.head_dim)
     if store.shape != want:
@@ -559,7 +538,7 @@ def decode_step(model: Model, cache: CompressedKVCache, h) -> np.ndarray:
 
 
 def decode_step_dense(model: Model, kv: DenseKV, h) -> np.ndarray:
-    """Reference decode: :func:`decode_step`'s loop over the uncompressed store ``kv``."""
+    """Reference decode: :func:`decode_step` over the full-budget 16-bit store ``kv``."""
     return _decode(model, kv, h)
 
 

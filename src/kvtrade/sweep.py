@@ -486,13 +486,13 @@ def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model) -> _Prompt:
     ]
 
     queries = []
+    dense = DenseKV.from_prefill(result)
     if cfg.task == "recall":
         for query in task.queries:
             h = embed_token(model, query.key_token, position=point.seq_len)
-            ref = decode_step_dense(model, DenseKV.from_prefill(result), h)
+            ref = decode_step_dense(model, dense.clone(), h)
             queries.append((h, query.value_token, ref))
     else:
-        dense = DenseKV.from_prefill(result)
         token = int(np.argmax(result.logits))
         for step in range(cfg.probe_steps):
             h = embed_token(model, token, position=point.seq_len + step)

@@ -25,7 +25,10 @@ something the package computes another way:
   running the model at full precision;
 * ``per_head_decode``: one decode step that appends, materializes and
   attends head by head with 2-D products, the oracle for the decode step
-  that attends over a whole layer's stacked heads at once.
+  that attends over a whole layer's stacked heads at once;
+* ``DenseStore``: an uncompressed store of plain K/V stacks, built apart
+  from the engine's cache, the oracle for :class:`kvtrade.model.DenseKV`
+  (the full-budget 16-bit cache) under ``per_head_decode``.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ import numpy as np
 
 from kvtrade.budget import FULL_PRECISION_BITS, PLAN_BITS, BudgetPlan, plan_for_tokens
 from kvtrade.cache import CompressedKVCache
-from kvtrade.errors import ContractViolation
-from kvtrade.model import DenseKV, Model, RecallVocab, decode_step_dense, embed_token, prefill
+from kvtrade.errors import ContractViolation, require_index
+from kvtrade.model import DenseKV, Model, PrefillResult, RecallVocab, decode_step_dense, embed_token, prefill
 from kvtrade.prune import ScoreContext
 from kvtrade.quant import SUPPORTED_BITS, Layout, error_bound_matrix, unpack_codes
 from kvtrade.tensor import Matrix, matmul, softmax_rows
@@ -243,7 +246,7 @@ def recall_margin(model: Model, vocab: RecallVocab, seq_len: int) -> float:
 
 
 def per_head_decode(model: Model, store, h) -> np.ndarray:
-    """One decode step over ``store`` (a cache or a ``DenseKV``), one head at a time.
+    """One decode step over ``store`` (a cache or a :class:`DenseStore`), one head at a time.
 
     The token's Q, K and V come from three separate products; its K/V rows
     are appended to every head first (so each attends to itself), then each
@@ -272,3 +275,58 @@ def per_head_decode(model: Model, store, h) -> np.ndarray:
             outs.append(matmul(softmax_rows(matmul(q[:, sl], k_mat.T) * scale), v_mat))
         x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)
     return matmul(x, model.weights.head)[0]
+
+
+def _stack_dims(k, v) -> tuple[int, int] | None:
+    """(heads, head_dim) of a layer's K and V, or None unless both are 3-D float32 arrays of one shape."""
+    stacks = isinstance(k, np.ndarray) and isinstance(v, np.ndarray) and k.ndim == 3 and k.shape == v.shape
+    return (k.shape[0], k.shape[2]) if stacks and k.dtype == v.dtype == np.float32 else None
+
+
+@dataclass
+class DenseStore:
+    """An uncompressed decode store: per layer, one float32 ``(heads, rows, head_dim)`` stack for K
+    and one for V. A stored stack is never written in place; an append replaces the layer's arrays,
+    so stacks read before it keep their rows. It shares no code with the engine's cache."""
+
+    keys: list[np.ndarray]
+    values: list[np.ndarray]
+
+    @property
+    def shape(self) -> tuple[int, int, int] | None:
+        """(layers, heads, head_dim), or None unless every layer's K and V share it (:func:`_stack_dims`)."""
+        dims = {_stack_dims(k, v) for k, v in zip(self.keys, self.values)}
+        uniform = len(self.keys) == len(self.values) and len(dims) == 1 and None not in dims
+        return (len(self.keys), *dims.pop()) if uniform else None
+
+    @classmethod
+    def from_prefill(cls, result: PrefillResult) -> "DenseStore":
+        """A store sharing ``result``'s stacks: an append replaces them rather than writing them."""
+        return cls(list(result.keys), list(result.values))
+
+    def decode_append(self, layer: int, h_k, h_v) -> None:
+        """Join one token's K and V rows, every head side by side, to ``layer``'s stacks.
+        Rows that are not finite numbers of the layer's width, or a layer not holding
+        K and V stacks of one shape, raise ContractViolation and change nothing."""
+        k, v = self.materialize_layer(layer)
+        dims = _stack_dims(k, v)
+        if dims is None:
+            raise ContractViolation(f"layer {layer} must hold K and V as 3-D float32 stacks of one shape")
+        heads, head_dim = dims
+        rows = [np.asarray(row, dtype=np.float32) for row in (h_k, h_v)]
+        if any(row.size != heads * head_dim or not np.isfinite(row).all() for row in rows):
+            raise ContractViolation(f"append rows must be {heads * head_dim} finite numbers")
+        k_row, v_row = (row.reshape(heads, 1, head_dim) for row in rows)
+        self.keys[layer] = np.concatenate((k, k_row), axis=1)
+        self.values[layer] = np.concatenate((v, v_row), axis=1)
+
+    def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
+        """The stored K/V of (layer, head), views of the layer's stacks."""
+        k, v = self.materialize_layer(layer)
+        head = require_index("head", head, len(k))
+        return k[head], v[head]
+
+    def materialize_layer(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stored K/V stacks of ``layer``, uncopied; an index outside the store raises ContractViolation."""
+        layer = require_index("layer", layer, len(self.keys))
+        return self.keys[layer], self.values[layer]

@@ -343,6 +343,22 @@ MALFORMED = [
                  id="quantized_bytes-None"),
     pytest.param(lambda: quantized_bytes(np.zeros((1, 4))), "q must be a QuantizedTensor, got ndarray",
                  id="quantized_bytes-array"),
+    pytest.param(lambda: decode_step(None, tiny_cache(), ROW), "model must be a Model, got NoneType",
+                 id="decode_step.model-None"),
+    pytest.param(lambda: decode_step_dense(TINY_MODEL.config, DenseKV.from_prefill(TINY_PREFILL), ROW),
+                 "model must be a Model, got ModelConfig", id="decode_step_dense.model-config"),
+    pytest.param(lambda: decode_step(TINY_MODEL, None, ROW), "store must be a CompressedKVCache, got NoneType",
+                 id="decode_step.store-None"),
+    pytest.param(lambda: decode_step_dense(TINY_MODEL, TINY_PREFILL, ROW),
+                 "store must be a CompressedKVCache, got PrefillResult", id="decode_step_dense.store-prefill"),
+    pytest.param(lambda: prefill_compress([K], [K], [[None]], None, STREAM2), "plan must be a BudgetPlan, got NoneType",
+                 id="prefill_compress.plan-None"),
+    pytest.param(lambda: prefill_compress([K], [K], [[None]], ((4, 16),), STREAM2),
+                 "plan must be a BudgetPlan, got tuple", id="prefill_compress.plan-tuple"),
+    pytest.param(lambda: prefill_compress([K], [K], [[None]], plan(4, 16), None),
+                 "policy must be a PolicyConfig, got NoneType", id="prefill_compress.policy-None"),
+    pytest.param(lambda: prefill_compress([K], [K], [[None]], plan(4, 16), PolicyKind.STREAMING_LLM),
+                 "policy must be a PolicyConfig, got PolicyKind", id="prefill_compress.policy-kind"),
 ]
 
 # stored data: a block's fields of the wrong kind raise IntegrityError, the
@@ -389,6 +405,9 @@ def test_well_formed_calls_beside_the_malformed_ones_succeed():
     assert score_h2o(CTX1, 1, H2O1).retained == score_snapkv(CTX1, 1, SNAP1).retained == (0,)
     assert load_snapshot(dump_snapshot(tiny_cache())).shape == (1, 1, 4)
     assert quantized_bytes(block()) == 2 + 2
+    assert decode_step(TINY_MODEL, tiny_cache(), ROW).shape == (8,)
+    assert decode_step_dense(TINY_MODEL, DenseKV.from_prefill(TINY_PREFILL), ROW).shape == (8,)
+    assert prefill_compress([K], [K], [[None]], plan(4, 16), STREAM2).shape == (1, 1, 4)
     for shape in ((1, 4), [1, 4], np.array([1, 4])):
         assert block(shape=shape).shape == (1, 4)
     assert block(layout=Layout.PER_CHANNEL, groups=4, nbytes=4).layout is Layout.PER_CHANNEL
@@ -423,8 +442,7 @@ def test_sweep_config_paired_budget_must_be_a_bool(value):
 # (decode, a fresh store of the tiny model, the store's stored bytes)
 DECODERS = {
     "decode_step": (decode_step, tiny_cache, dump_snapshot),
-    "decode_step_dense": (decode_step_dense, lambda: DenseKV.from_prefill(TINY_PREFILL),
-                          lambda kv: [m.tobytes() for m in kv.keys + kv.values]),
+    "decode_step_dense": (decode_step_dense, lambda: DenseKV.from_prefill(TINY_PREFILL), dump_snapshot),
 }
 
 

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvtrade.budget import plan_for_tokens
-from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
+from kvtrade.cache import CompressedKVCache, dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade import model as kvmodel
 from kvtrade.model import (
@@ -47,6 +47,7 @@ from kvtrade.sweep import STRATEGIES
 from kvtrade.tasks import gen_probe_prompt, gen_recall_task
 from kvtrade.tensor import matmul
 from oracles import (
+    DenseStore,
     context_from_probs,
     per_head_decode,
     quantization_logit_bound,
@@ -59,7 +60,7 @@ STREAM = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=4)
 
 def contexts(result):
     """Score contexts from prefill's statistics, as the sweep builds them."""
-    n = result.hidden.shape[0]
+    n = result.keys[0].shape[1]
     return [
         [ScoreContext(sums, rows, n) for sums, rows in zip(layer_sums, layer_rows)]
         for layer_sums, layer_rows in zip(result.column_sums, result.attn)
@@ -102,7 +103,7 @@ class TestPrefill:
             assert k.flags.c_contiguous and v.flags.c_contiguous
             assert a.shape == (1, 16, 16) and a.dtype == np.float32
             assert sums.shape == (1, 16) and sums.dtype == np.float64
-        assert len(res.keys) == 2 and res.hidden.shape == (16, 8)
+        assert len(res.keys) == 2
 
     def test_overlong_rejected(self):
         model = random_model(ModelConfig(1, 1, 8, 16, 8, seed=3))
@@ -121,7 +122,6 @@ class TestPrefill:
         n = int(rng.integers(2, 20))
         res = prefill(model, rng.integers(0, vocab, n).tolist(), window=n)
         assert res.logits.shape == (vocab,)
-        assert res.hidden.shape == (n, cfg.d_model)
         assert all(k.shape == (heads, n, head_dim) for k in res.keys)
         assert all(v.shape == (heads, n, head_dim) for v in res.values)
         assert all(a.shape == (heads, n, n) for a in res.attn)
@@ -137,8 +137,7 @@ class TestPrefill:
         mutated[t + 1] = (mutated[t + 1] + 7) % 32
         a = prefill(model, tokens, window=20)
         b = prefill(model, mutated, window=20)
-        assert np.array_equal(a.hidden[: t + 1], b.hidden[: t + 1])
-        for la, lb in zip(a.keys, b.keys):
+        for la, lb in zip(a.keys + a.values, b.keys + b.values):
             for ka, kb in zip(la, lb):
                 assert np.array_equal(ka[: t + 1], kb[: t + 1])
         for la, lb in zip(a.attn, b.attn):
@@ -156,7 +155,7 @@ def _reference_softmax(m):
 def full_matrix_prefill(model, tokens, keep=lambda probs: probs):
     """Oracle: prefill with each head's whole n x n attention matrix at once.
 
-    Returns ``(logits, keys, values, attn, hidden)`` with ``attn[layer][head]``
+    Returns ``(logits, keys, values, attn)`` with ``attn[layer][head]``
     ``keep`` of the full causal probability matrix, by default the matrix.
     """
     cfg = model.config
@@ -182,7 +181,7 @@ def full_matrix_prefill(model, tokens, keep=lambda probs: probs):
         values.append([v[:, sl] for sl in heads])
         attn.append(layer_attn)
         x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)
-    return matmul(x[-1:, :], model.weights.head)[0], keys, values, attn, x
+    return matmul(x[-1:, :], model.weights.head)[0], keys, values, attn
 
 
 class TestStreamedPrefill:
@@ -206,11 +205,10 @@ class TestStreamedPrefill:
         cfg = ModelConfig(2, 2, 2 * head_dim, 40, 2048, seed=n, use_positions=use_positions)
         model = random_model(cfg)
         tokens = np.random.default_rng(n).integers(0, 40, n).tolist()
-        logits, keys, values, attn, hidden = full_matrix_prefill(model, tokens)
+        logits, keys, values, attn = full_matrix_prefill(model, tokens)
         for window in (0, 8, 32, n):
             res = prefill(model, tokens, window=window)
             assert np.array_equal(res.logits, logits)
-            assert np.array_equal(res.hidden, hidden)
             kept = min(window, n)
             for layer in range(cfg.layers):
                 for head in range(cfg.heads):
@@ -236,11 +234,10 @@ class TestStreamedPrefill:
         def statistics(probs):  # all of a head's matrix that the check reads
             return probs.astype(np.float64).sum(axis=0), probs[-32:].copy()
 
-        logits, keys, values, attn, hidden = full_matrix_prefill(model, tokens, statistics)
+        logits, keys, values, attn = full_matrix_prefill(model, tokens, statistics)
         for window in (0, 32):
             res = prefill(model, tokens, window=window)
             assert np.array_equal(res.logits, logits)
-            assert np.array_equal(res.hidden, hidden)
             for layer in range(cfg.layers):
                 for head in range(cfg.heads):
                     sums, last_rows = attn[layer][head]
@@ -280,11 +277,10 @@ class TestStreamedPrefill:
         def statistics(probs):  # all of a head's matrix that the check reads
             return probs.astype(np.float64).sum(axis=0), probs[n - kept :].copy()
 
-        logits, keys, values, attn, hidden = full_matrix_prefill(model, tokens, statistics)
+        logits, keys, values, attn = full_matrix_prefill(model, tokens, statistics)
         with mock.patch.object(kvmodel, "_prefill_workers", lambda heads, n, blas: workers):
             res = prefill(model, tokens, window=window)
         assert np.array_equal(res.logits, logits)
-        assert np.array_equal(res.hidden, hidden)
         for head in range(heads):
             sums, last_rows = attn[0][head]
             assert np.array_equal(res.keys[0][head], keys[0][head])
@@ -385,16 +381,15 @@ class TestStreamedPrefill:
         broken = Model(model.config, Weights(emb, layers, model.weights.head))
         tokens = [1, 2, 3]
         res = prefill(broken, tokens, window=3)
-        logits, _, _, attn, hidden = full_matrix_prefill(broken, tokens)
+        logits, _, _, attn = full_matrix_prefill(broken, tokens)
         assert np.array_equal(res.attn[0][0], attn[0][0])
         assert not np.triu(res.attn[0][0], k=1).any()
         assert np.array_equal(res.logits, logits)
-        assert np.array_equal(res.hidden, hidden)
 
 
 def _prefill_arrays(res) -> list[tuple]:
     """Every array a PrefillResult holds, as bytes, with its dtype and shape."""
-    arrays = [res.logits, res.hidden, *res.keys, *res.values, *res.attn, *res.column_sums]
+    arrays = [res.logits, *res.keys, *res.values, *res.attn, *res.column_sums]
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
 
 
@@ -593,12 +588,12 @@ class TestCompressionOffEquivalence:
             res = prefill(model, tokens)
             plan = uniform_plan(3, 32, 16, heads=2, head_dim=12)
             cache = prefill_compress(res.keys, res.values, contexts(res), plan, STREAM)
-            dense = DenseKV.from_prefill(res)
+            dense = DenseStore.from_prefill(res)
             token = int(np.argmax(res.logits))
             for step in range(3):
                 h = embed_token(model, token)
                 got = decode_step(model, cache, h)
-                want = decode_step_dense(model, dense, h)
+                want = per_head_decode(model, dense, h)
                 assert np.abs(got - want).max() <= 1e-6
                 token = int(np.argmax(want))
 
@@ -984,9 +979,9 @@ class TestTokenIds:
         tokens = [1, 7, 0, 3]
         ref = prefill(self.model, tokens, window=2)
         got = prefill(self.model, np.array(tokens, dtype=dtype), window=dtype(2))
-        for a, b in [(ref.logits, got.logits), (ref.hidden, got.hidden),
-                     (ref.keys[0][0], got.keys[0][0]), (ref.values[0][0], got.values[0][0]),
-                     (ref.column_sums[0][0], got.column_sums[0][0]), (ref.attn[0][0], got.attn[0][0])]:
+        for a, b in [(ref.logits, got.logits), (ref.keys[0][0], got.keys[0][0]),
+                     (ref.values[0][0], got.values[0][0]), (ref.column_sums[0][0], got.column_sums[0][0]),
+                     (ref.attn[0][0], got.attn[0][0])]:
             assert a.tobytes() == b.tobytes()
         for t in tokens:
             assert embed_token(self.model, dtype(t), dtype(2)).tobytes() == embed_token(self.model, t, 2).tobytes()
@@ -1032,18 +1027,19 @@ class TestDecodeRejectsAMisfit:
         self.check_rejected(_model(1, 1, 4), cache, dense, h, "shaped")
 
     def test_ragged_dense_store(self):
-        # a layer whose K and V are not 3-D float32 stacks of one shape
+        # the oracle store checks its own stacks: a layer whose K and V are
+        # not 3-D float32 stacks of one shape
         for layer_v in (np.ones((2, 3, 4), dtype=np.float32), np.ones((2, 4, 2), dtype=np.float32),
                         np.ones((2, 3, 2)), np.ones((3, 2), dtype=np.float32), [[[1.0] * 2] * 3] * 2):
-            _, dense = self.stores(1, 2, 4)
+            dense = DenseStore.from_prefill(prefill(_model(1, 2, 4), [1, 2, 3]))
             dense.values[0] = layer_v
             assert dense.shape is None
-            before = TestDenseKVRejects.state(dense)
+            before = [(np.shape(m), np.asarray(m).tobytes()) for m in dense.keys + dense.values]
             with pytest.raises(ContractViolation, match="store"):
-                decode_step_dense(_model(1, 2, 4), dense, np.ones(4))
+                per_head_decode(_model(1, 2, 4), dense, np.ones(4))
             with pytest.raises(ContractViolation, match="stacks of one shape"):
                 dense.decode_append(0, np.ones(4), np.ones(4))
-            assert TestDenseKVRejects.state(dense) == before
+            assert [(np.shape(m), np.asarray(m).tobytes()) for m in dense.keys + dense.values] == before
 
     @pytest.mark.parametrize("h", [np.ones(4), np.ones((1, 4))], ids=["row", "one_by_four"])
     def test_fitting_store_and_h_decode(self, h):
@@ -1054,7 +1050,7 @@ class TestDecodeRejectsAMisfit:
 
 
 class TestDenseKVRejects:
-    """The reference store rejects what the compressed cache rejects, unchanged after."""
+    """The reference store, a 16-bit cache, rejects a bad index or row and is unchanged after."""
 
     def make(self):
         model = random_model(ModelConfig(1, 1, 4, 8, 16, seed=2))
@@ -1062,7 +1058,7 @@ class TestDenseKVRejects:
 
     @staticmethod
     def state(kv):
-        return [(np.shape(m), np.asarray(m).tobytes()) for m in kv.keys + kv.values]
+        return [(np.shape(m), np.asarray(m).tobytes()) for m in kv.residual_k + kv.residual_v]
 
     @pytest.mark.parametrize("layer, head", [(-1, 0), (0, -1), (1, 0), (0, 1)])
     def test_index_outside_the_store(self, layer, head):
@@ -1104,6 +1100,61 @@ class TestDenseKVRejects:
         with pytest.raises(ContractViolation, match=match):
             kv.decode_append(0, np.ones(8), bad)
         assert self.state(kv) == before
+
+
+class TestDenseKVIsTheFullBudgetCache:
+    """The reference store is the 16-bit cache that keeps every prompt row, so it decodes,
+    clones and snapshots as any cache does, and decodes as the independent oracle store does."""
+
+    def test_holds_every_prompt_row_at_16_bits_on_the_prefill_stacks(self):
+        model = _model(2, 2, 8)
+        res = prefill(model, [1, 2, 3, 4, 5])
+        dense = DenseKV.from_prefill(res)
+        assert isinstance(dense, CompressedKVCache) and dense.shape == (2, 2, 4) and dense.prefill_len == 5
+        assert set(DenseKV.__dict__) - {"__module__", "__doc__"} == {"from_prefill"}
+        assert dense.plan.per_layer == ((5, 16), (5, 16))
+        for layer in range(2):
+            assert dense.residual_k[layer] is res.keys[layer] and dense.residual_v[layer] is res.values[layer]
+            assert [len(dense.entry(layer, head).quant_k) for head in range(2)] == [0, 0]
+            positions = dense.positions[layer]
+            assert positions.tolist() == [list(range(5))] * 2 and not positions.flags.writeable
+
+    # Strategy bounds: vocab 40 and a context of 64, so a prompt of up to 48
+    # tokens leaves room for the three steps
+    @settings(max_examples=60, deadline=None)
+    @given(
+        layers=st.integers(1, 3),
+        heads=st.integers(1, 4),
+        head_dim=st.integers(1, 32),
+        seed=st.integers(0, 2**16),
+        prompt=st.lists(st.integers(0, 39), min_size=1, max_size=48),
+        tokens=st.lists(st.integers(0, 39), min_size=1, max_size=3),
+        use_positions=st.booleans(),
+    )
+    def test_decodes_as_the_oracle_store_on_drawn_models(self, layers, heads, head_dim, seed, prompt, tokens,
+                                                         use_positions):
+        model = random_model(ModelConfig(layers, heads, heads * head_dim, 40, 64, seed, use_positions))
+        res = prefill(model, prompt)
+        dense, oracle = DenseKV.from_prefill(res), DenseStore.from_prefill(res)
+        for step, token in enumerate(tokens):
+            h = embed_token(model, token, len(prompt) + step)
+            assert decode_step_dense(model, dense, h).tobytes() == per_head_decode(model, oracle, h).tobytes()
+        for layer in range(layers):
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(dense.materialize_layer(layer),
+                                                                   oracle.materialize_layer(layer), strict=True))
+
+    def test_round_trips_through_a_snapshot_and_decodes_the_same_bits(self):
+        model = _model(2, 2, 8)
+        tokens = [1, 2, 3, 4, 5]
+        dense = DenseKV.from_prefill(prefill(model, tokens))
+        decode_step_dense(model, dense, embed_token(model, 6, len(tokens)))  # a decode row beside the prompt's
+        snapshot = dump_snapshot(dense)
+        restored = load_snapshot(snapshot)
+        assert dump_snapshot(restored) == snapshot
+        for step, token in enumerate([7, 0, 3], start=len(tokens) + 1):
+            h = embed_token(model, token, step)
+            assert decode_step(model, restored, h).tobytes() == decode_step_dense(model, dense, h).tobytes()
+        assert dump_snapshot(restored) == dump_snapshot(dense)
 
 
 class TestFusedProjection:
@@ -1180,7 +1231,7 @@ class TestStackedDecode:
             no_scores = [[None] * heads for _ in range(layers)]
             cache = prefill_compress(res.keys, res.values, no_scores, plan, STREAM)
             stores = [(decode_step, cache, cache.clone()),
-                      (decode_step_dense, DenseKV.from_prefill(res), DenseKV.from_prefill(res))]
+                      (decode_step_dense, DenseKV.from_prefill(res), DenseStore.from_prefill(res))]
             token = prompt[-1]
             for step in range(self.STEPS):
                 h = embed_token(model, token, self.PROMPT + step)
@@ -1218,7 +1269,7 @@ class TestStackedDecode:
         plan = plan_for_tokens([kept] * layers, bits, heads, head_dim, group_size, layout)
         cache = prefill_compress(res.keys, res.values, [[None] * heads] * layers, plan, STREAM)
         stores = [(decode_step, cache, cache.clone()),
-                  (decode_step_dense, DenseKV.from_prefill(res), DenseKV.from_prefill(res))]
+                  (decode_step_dense, DenseKV.from_prefill(res), DenseStore.from_prefill(res))]
         for step in range(3):
             h = embed_token(model, token, len(prompt) + step)
             for decode, store, reference in stores:
@@ -1242,7 +1293,7 @@ class TestStackedDecode:
             assert stored == (bits == 16) and np.shares_memory(k, k_0) == (bits == 16)
         dense = DenseKV.from_prefill(res)
         k, v = dense.materialize_layer(0)
-        assert k is dense.keys[0] and v is dense.values[0]
+        assert k is dense.residual_k[0] is res.keys[0] and v is dense.residual_v[0] is res.values[0]
         k_0, v_0 = dense.materialize(0, 0)
         assert self.same(k[0], k_0) and self.same(v[0], v_0) and np.shares_memory(k, k_0)
 
@@ -1261,18 +1312,18 @@ class TestStackedDecode:
     def test_stores_built_from_one_prefill_share_it_safely(self):
         # from_prefill copies only the outer lists, and an append replaces a
         # layer's arrays: two stores decoding different tokens from one
-        # prefill give what stores built on copied stacks give, and leave
-        # the prefill's arrays as they were
+        # prefill give what oracle stores built on copied stacks give, and
+        # leave the prefill's arrays as they were
         model = _model(2, 2, 8)
         res = prefill(model, [1, 2, 3, 4, 5])
         arrays = [*res.keys, *res.values]
         before = [m.tobytes() for m in arrays]
         shared = [DenseKV.from_prefill(res) for _ in range(2)]
-        copied = [DenseKV([k.copy() for k in res.keys], [v.copy() for v in res.values]) for _ in range(2)]
+        copied = [DenseStore([k.copy() for k in res.keys], [v.copy() for v in res.values]) for _ in range(2)]
         for step in range(3):
             for side, (store, reference) in enumerate(zip(shared, copied)):
                 h = embed_token(model, 2 * step + side, 5 + step)
-                assert self.same(decode_step_dense(model, store, h), decode_step_dense(model, reference, h))
+                assert self.same(decode_step_dense(model, store, h), per_head_decode(model, reference, h))
         assert all(m is kept for m, kept in zip([*res.keys, *res.values], arrays, strict=True))
         assert [m.tobytes() for m in arrays] == before
 
@@ -1354,7 +1405,8 @@ def _stores(k, v):
     k, v = np.asarray(k, dtype=np.float32), np.asarray(v, dtype=np.float32)
     plan = plan_for_tokens([k.shape[1]], 16, heads=HEADS, head_dim=HEAD_DIM)
     policy = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=1)
-    return prefill_compress([k], [v], [[None] * HEADS], plan, policy), DenseKV([k], [v])
+    result = kvmodel.PrefillResult(np.zeros(D, dtype=np.float32), [k], [v], [], [])
+    return prefill_compress([k], [v], [[None] * HEADS], plan, policy), DenseKV.from_prefill(result)
 
 
 def _row_stack(row, rows=3):
@@ -1419,12 +1471,10 @@ class TestDecodeChecksEveryProduct:
         model = _decode_model(w_q=0.5, w_k=0.5, w_v=0.5, w_o=0.5, head=0.5)
         cache, dense = _stores(_row_stack([0.5, 0.25]), _row_stack([0.5, 0.25]))
         wide = _row_stack([0.5, 0.25]).astype(np.float64)
-        (cache.residual_k if side == "k" else cache.residual_v)[0] = wide
-        (dense.keys if side == "k" else dense.values)[0] = wide
-        with pytest.raises(ContractViolation, match="3-D float32"):
-            decode_step(model, cache, np.ones(D))
-        with pytest.raises(ContractViolation, match="store"):
-            decode_step_dense(model, dense, np.ones(D))
+        for decode, store in ((decode_step, cache), (decode_step_dense, dense)):
+            (store.residual_k if side == "k" else store.residual_v)[0] = wide
+            with pytest.raises(ContractViolation, match="3-D float32"):
+                decode(model, store, np.ones(D))
 
 
 class TestModelChecksItsWeights:
@@ -1516,8 +1566,7 @@ class TestModelChecksItsWeights:
             assert lw.w_qkv.dtype == np.float32
         tokens = [1, 5, 2, 0, 3]
         r64, r32 = prefill(m64, tokens), prefill(m32, tokens)
-        assert r64.hidden.dtype == np.float32  # the residual stream of a float64 embedding is float32 too
-        assert r64.logits.tobytes() == r32.logits.tobytes() and r64.hidden.tobytes() == r32.hidden.tobytes()
+        assert r64.logits.tobytes() == r32.logits.tobytes()
         stores64, stores32 = _prefill_stores(r64), _prefill_stores(r32)
         for step, token in enumerate([4, 1, 2]):
             h = embed_token(m32, token, len(tokens) + step)
