@@ -154,11 +154,12 @@ class CompressedKVCache:
         reaches ``group_size`` rows, each head's slice is flushed into a new
         block of that head and the residual starts empty; a 16-bit layer
         keeps every row in the residual. A layer index that is not an
-        integer inside the cache, a row of any other shape, values that are
-        not numbers or not finite raise ContractViolation before any head
-        changes.
+        integer inside the cache, a layer failing :meth:`check_residual`, a
+        row of any other shape, values that are not numbers or not finite
+        raise ContractViolation before any head changes.
         """
         layer = require_index("layer", layer, len(self.entries))
+        self.check_residual(layer)
         heads, head_dim = self.heads, self.head_dim
         width = heads * head_dim
         k_row, v_row = as_row(h_k, width, "append rows"), as_row(h_v, width, "append rows")
@@ -172,6 +173,16 @@ class CompressedKVCache:
             _flush(self.entries[layer], k, v, cfgs)
             k = v = _empty_stack(heads, head_dim)
         self.residual_k[layer], self.residual_v[layer] = k, v
+
+    def check_residual(self, layer: int) -> None:
+        """Raise ContractViolation unless ``layer``'s residual K and V (public fields) are
+        float32 stacks of one shape ``(heads, rows, head_dim)``, as appends and decode take them."""
+        k, v = self.residual_k[layer], self.residual_v[layer]
+        if not (isinstance(k, np.ndarray) and isinstance(v, np.ndarray) and k.dtype == v.dtype == np.float32
+                and k.ndim == 3 and k.shape == v.shape and k.shape[::2] == (self.heads, self.head_dim)):
+            got = [getattr(m, "shape", type(m).__name__) for m in (k, v)]
+            raise ContractViolation(f"store layer {layer} must hold K and V as 3-D float32 stacks of one shape, "
+                                    f"{self.heads} heads of width {self.head_dim}: got {got[0]}, {got[1]}")
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
         """(layer, head)'s rows, views of :meth:`materialize_layer`'s stacks; an

@@ -157,14 +157,17 @@ class DenseKV(CompressedKVCache):
         Its residual stacks are ``result``'s own K and V stacks, shared: an
         append replaces a layer's stacks rather than writing them. Every
         layer's kept positions are one read-only ``(heads, n)`` broadcast of
-        ``0..n-1``.
+        ``0..n-1``. Stacks that fail :meth:`~CompressedKVCache.check_residual` raise.
         """
         layers, (heads, n, head_dim) = len(result.keys), result.keys[0].shape
         positions = np.broadcast_to(np.arange(n, dtype=POSITION_DTYPE), (heads, n))
-        return cls(plan=plan_for_tokens([n] * layers, FULL_PRECISION_BITS, heads=heads, head_dim=head_dim),
-                   heads=heads, head_dim=head_dim, prefill_len=n,
-                   entries=[[LayerHeadCache([], []) for _ in range(heads)] for _ in range(layers)],
-                   positions=[positions] * layers, residual_k=list(result.keys), residual_v=list(result.values))
+        kv = cls(plan=plan_for_tokens([n] * layers, FULL_PRECISION_BITS, heads=heads, head_dim=head_dim),
+                 heads=heads, head_dim=head_dim, prefill_len=n,
+                 entries=[[LayerHeadCache([], []) for _ in range(heads)] for _ in range(layers)],
+                 positions=[positions] * layers, residual_k=list(result.keys), residual_v=list(result.values))
+        for layer in range(layers):
+            kv.check_residual(layer)
+        return kv
 
 
 def positional_encoding(length: int, d_model: int, offset: int = 0) -> Matrix:
@@ -496,12 +499,12 @@ def _decode(model: Model, store: CompressedKVCache, h) -> np.ndarray:
     V, each head's result bit for bit what its own 2-D products give.
 
     Operands are checked at the boundary, not at each product: the model's
-    weights when it was built (:class:`Model`), ``h`` and the store's shape
-    here, and every stored row by the store. A ``model`` that is not a
-    :class:`Model`, a ``store`` that is not a CompressedKVCache or not
-    shaped like the model, or an ``h`` not shaped ``(d_model,)`` or
-    ``(1, d_model)`` or not holding numbers (:func:`as_row`), raises
-    ContractViolation before the first append.
+    weights when it was built (:class:`Model`), ``h``, the store's shape and
+    every layer's stacks here, and every stored row by the store. A ``model``
+    that is not a :class:`Model`, a ``store`` that is not a CompressedKVCache,
+    not shaped like the model or with a layer failing ``check_residual``, or
+    an ``h`` not shaped ``(d_model,)`` or ``(1, d_model)`` or not holding
+    numbers (:func:`as_row`), raises ContractViolation before the first append.
     The step then enters one error state that lets an overflow through
     silently, and makes each product a bare ``@`` through
     :func:`require_finite`, so a product that is not finite raises
@@ -516,6 +519,8 @@ def _decode(model: Model, store: CompressedKVCache, h) -> np.ndarray:
     want = (cfg.layers, cfg.heads, cfg.head_dim)
     if store.shape != want:
         raise ContractViolation(f"store (layers, heads, head_dim) {store.shape} is not the model's {want}")
+    for layer in range(1, cfg.layers):  # before layer 0's append, which checks its own
+        store.check_residual(layer)
     x = as_row(h, cfg.d_model, "h")
     d, heads, head_dim = cfg.d_model, cfg.heads, cfg.head_dim
     scale = np.float32(1.0 / math.sqrt(head_dim))
@@ -537,8 +542,8 @@ def decode_step(model: Model, cache: CompressedKVCache, h) -> np.ndarray:
     return _decode(model, cache, h)
 
 
-def decode_step_dense(model: Model, kv: DenseKV, h) -> np.ndarray:
-    """Reference decode: :func:`decode_step` over the full-budget 16-bit store ``kv``."""
+def decode_step_dense(model: Model, kv: CompressedKVCache, h) -> np.ndarray:
+    """Reference decode: :func:`decode_step` over ``kv``, a :class:`DenseKV` or a clone of one."""
     return _decode(model, kv, h)
 
 

@@ -1027,19 +1027,33 @@ class TestDecodeRejectsAMisfit:
         self.check_rejected(_model(1, 1, 4), cache, dense, h, "shaped")
 
     def test_ragged_dense_store(self):
-        # the oracle store checks its own stacks: a layer whose K and V are
-        # not 3-D float32 stacks of one shape
+        # a layer whose K and V are not 3-D float32 stacks of one shape
         for layer_v in (np.ones((2, 3, 4), dtype=np.float32), np.ones((2, 4, 2), dtype=np.float32),
                         np.ones((2, 3, 2)), np.ones((3, 2), dtype=np.float32), [[[1.0] * 2] * 3] * 2):
-            dense = DenseStore.from_prefill(prefill(_model(1, 2, 4), [1, 2, 3]))
-            dense.values[0] = layer_v
-            assert dense.shape is None
-            before = [(np.shape(m), np.asarray(m).tobytes()) for m in dense.keys + dense.values]
+            _, dense = self.stores(1, 2, 4)
+            dense.residual_v[0] = layer_v
+            before = TestDenseKVRejects.state(dense)
             with pytest.raises(ContractViolation, match="store"):
-                per_head_decode(_model(1, 2, 4), dense, np.ones(4))
+                decode_step_dense(_model(1, 2, 4), dense, np.ones(4))
             with pytest.raises(ContractViolation, match="stacks of one shape"):
                 dense.decode_append(0, np.ones(4), np.ones(4))
-            assert [(np.shape(m), np.asarray(m).tobytes()) for m in dense.keys + dense.values] == before
+            assert TestDenseKVRejects.state(dense) == before
+
+    def test_ragged_later_layer_leaves_every_layer_unchanged(self):
+        # decode checks every layer before its first append
+        cache, dense = self.stores(2, 2, 4)
+        for store in (cache, dense):
+            store.residual_k[1] = store.residual_k[1][:, :-1]
+            before = TestDenseKVRejects.state(store)
+            with pytest.raises(ContractViolation, match="store layer 1"):
+                decode_step(_model(2, 2, 4), store, np.ones(4))
+            assert TestDenseKVRejects.state(store) == before
+
+    def test_prefill_of_ragged_stacks_is_rejected(self):
+        res = prefill(_model(1, 2, 4), [1, 2, 3])
+        res.values[0] = res.values[0][:, :-1]
+        with pytest.raises(ContractViolation, match="stacks of one shape"):
+            DenseKV.from_prefill(res)
 
     @pytest.mark.parametrize("h", [np.ones(4), np.ones((1, 4))], ids=["row", "one_by_four"])
     def test_fitting_store_and_h_decode(self, h):
@@ -1104,7 +1118,8 @@ class TestDenseKVRejects:
 
 class TestDenseKVIsTheFullBudgetCache:
     """The reference store is the 16-bit cache that keeps every prompt row, so it decodes,
-    clones and snapshots as any cache does, and decodes as the independent oracle store does."""
+    clones and snapshots as any cache does (its decode against the independent oracle
+    store: :class:`TestStackedDecode`)."""
 
     def test_holds_every_prompt_row_at_16_bits_on_the_prefill_stacks(self):
         model = _model(2, 2, 8)
@@ -1118,30 +1133,6 @@ class TestDenseKVIsTheFullBudgetCache:
             assert [len(dense.entry(layer, head).quant_k) for head in range(2)] == [0, 0]
             positions = dense.positions[layer]
             assert positions.tolist() == [list(range(5))] * 2 and not positions.flags.writeable
-
-    # Strategy bounds: vocab 40 and a context of 64, so a prompt of up to 48
-    # tokens leaves room for the three steps
-    @settings(max_examples=60, deadline=None)
-    @given(
-        layers=st.integers(1, 3),
-        heads=st.integers(1, 4),
-        head_dim=st.integers(1, 32),
-        seed=st.integers(0, 2**16),
-        prompt=st.lists(st.integers(0, 39), min_size=1, max_size=48),
-        tokens=st.lists(st.integers(0, 39), min_size=1, max_size=3),
-        use_positions=st.booleans(),
-    )
-    def test_decodes_as_the_oracle_store_on_drawn_models(self, layers, heads, head_dim, seed, prompt, tokens,
-                                                         use_positions):
-        model = random_model(ModelConfig(layers, heads, heads * head_dim, 40, 64, seed, use_positions))
-        res = prefill(model, prompt)
-        dense, oracle = DenseKV.from_prefill(res), DenseStore.from_prefill(res)
-        for step, token in enumerate(tokens):
-            h = embed_token(model, token, len(prompt) + step)
-            assert decode_step_dense(model, dense, h).tobytes() == per_head_decode(model, oracle, h).tobytes()
-        for layer in range(layers):
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(dense.materialize_layer(layer),
-                                                                   oracle.materialize_layer(layer), strict=True))
 
     def test_round_trips_through_a_snapshot_and_decodes_the_same_bits(self):
         model = _model(2, 2, 8)
@@ -1276,6 +1267,10 @@ class TestStackedDecode:
                 logits = decode(model, store, h)
                 assert self.same(logits, per_head_decode(model, reference, h))
             token = int(np.argmax(logits))
+        for _, store, reference in stores:
+            for layer in range(layers):
+                assert all(self.same(a, b) for a, b in zip(store.materialize_layer(layer),
+                                                            reference.materialize_layer(layer), strict=True))
 
     def test_one_head_layer_is_a_view(self):
         # one head takes no path of its own: a 16-bit layer's stacks come back
@@ -1471,10 +1466,12 @@ class TestDecodeChecksEveryProduct:
         model = _decode_model(w_q=0.5, w_k=0.5, w_v=0.5, w_o=0.5, head=0.5)
         cache, dense = _stores(_row_stack([0.5, 0.25]), _row_stack([0.5, 0.25]))
         wide = _row_stack([0.5, 0.25]).astype(np.float64)
-        for decode, store in ((decode_step, cache), (decode_step_dense, dense)):
-            (store.residual_k if side == "k" else store.residual_v)[0] = wide
-            with pytest.raises(ContractViolation, match="3-D float32"):
-                decode(model, store, np.ones(D))
+        (cache.residual_k if side == "k" else cache.residual_v)[0] = wide
+        (dense.residual_k if side == "k" else dense.residual_v)[0] = wide
+        with pytest.raises(ContractViolation, match="3-D float32"):
+            decode_step(model, cache, np.ones(D))
+        with pytest.raises(ContractViolation, match="store"):
+            decode_step_dense(model, dense, np.ones(D))
 
 
 class TestModelChecksItsWeights:
