@@ -158,8 +158,7 @@ class CompressedKVCache:
         row of any other shape, values that are not numbers or not finite
         raise ContractViolation before any head changes.
         """
-        layer = require_index("layer", layer, len(self.entries))
-        self.check_residual(layer)
+        layer = self.check_residual(layer)
         heads, head_dim = self.heads, self.head_dim
         width = heads * head_dim
         k_row, v_row = as_row(h_k, width, "append rows"), as_row(h_v, width, "append rows")
@@ -174,15 +173,18 @@ class CompressedKVCache:
             k = v = _empty_stack(heads, head_dim)
         self.residual_k[layer], self.residual_v[layer] = k, v
 
-    def check_residual(self, layer: int) -> None:
-        """Raise ContractViolation unless ``layer``'s residual K and V (public fields) are
-        float32 stacks of one shape ``(heads, rows, head_dim)``, as appends and decode take them."""
+    def check_residual(self, layer: int) -> int:
+        """``layer`` as an int, after checking that its residual K and V (public fields) are float32
+        stacks of one shape ``(heads, rows, head_dim)``, as appends and decode take them. A layer
+        index that is not an integer inside the cache, or stacks that are not so, raise ContractViolation."""
+        layer = require_index("layer", layer, len(self.entries))
         k, v = self.residual_k[layer], self.residual_v[layer]
         if not (isinstance(k, np.ndarray) and isinstance(v, np.ndarray) and k.dtype == v.dtype == np.float32
                 and k.ndim == 3 and k.shape == v.shape and k.shape[::2] == (self.heads, self.head_dim)):
             got = [getattr(m, "shape", type(m).__name__) for m in (k, v)]
             raise ContractViolation(f"store layer {layer} must hold K and V as 3-D float32 stacks of one shape, "
                                     f"{self.heads} heads of width {self.head_dim}: got {got[0]}, {got[1]}")
+        return layer
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
         """(layer, head)'s rows, views of :meth:`materialize_layer`'s stacks; an
@@ -329,11 +331,18 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
     """The cache as snapshot bytes (the layout above); :func:`load_snapshot` reads them back.
 
     The cache's blocks were checked where their fields entered the program,
-    so nothing is checked again here. A ``cache`` that is not a
-    CompressedKVCache raises ContractViolation.
+    so they are written as they are. Its residual stacks are public fields,
+    so each layer's must pass :meth:`~CompressedKVCache.check_residual` and
+    hold finite values, as :func:`load_snapshot` requires; a ``cache`` that
+    is not a CompressedKVCache, or a residual that fails, raises
+    ContractViolation before anything is written.
     """
     if not isinstance(cache, CompressedKVCache):
         raise ContractViolation(f"cache must be a CompressedKVCache, got {type(cache).__name__}")
+    for layer in range(len(cache.entries)):
+        cache.check_residual(layer)
+        if not (np.isfinite(cache.residual_k[layer]).all() and np.isfinite(cache.residual_v[layer]).all()):
+            raise ContractViolation(f"store layer {layer}'s residual values must be finite")
     out: list[bytes] = [
         SNAPSHOT_MAGIC,
         struct.pack(

@@ -502,15 +502,6 @@ def _decode(q: QuantizedTensor) -> Matrix:
     return _decoded_matrix(codes, np.repeat(q.scales, q.lengths), np.repeat(q.zero_points, q.lengths), q)
 
 
-def error_bound_matrix(q: QuantizedTensor) -> np.ndarray:
-    """Per-element worst-case |dequantization error|, scale/2 for each group.
-
-    Outlier positions are exact and get bound 0. Returned as float64 with
-    the tensor's shape.
-    """
-    return _scatter_runs(np.repeat(q.scales / 2.0, q.lengths), q)
-
-
 def quantized_bytes(q: QuantizedTensor) -> int:
     """Accounted storage cost of a quantized tensor in bytes.
 

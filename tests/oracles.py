@@ -19,6 +19,10 @@ something the package computes another way:
   matrix, the oracle for prefill's streamed statistics;
 * ``max_pool``: centered max pooling as one ``max`` per truncated window,
   the oracle for snapkv's pooled scores (:func:`kvtrade.prune._max_pool_1d`);
+* ``error_bound_matrix``: each element's worst-case dequantization error,
+  its group's scale / 2 (0 at an outlier);
+* ``stored_blocks``: one head's quantized blocks of a cache layer, the one place
+  the tests read the cache's block storage;
 * ``quantization_logit_bound``: a worst-case bound on the logit change that
   quantization causes in one decode step of a single-layer model;
 * ``recall_margin``: the recall model's worst-case logit margin, measured by
@@ -43,7 +47,7 @@ from kvtrade.cache import CompressedKVCache
 from kvtrade.errors import ContractViolation, require_index
 from kvtrade.model import DenseKV, Model, PrefillResult, RecallVocab, decode_step_dense, embed_token, prefill
 from kvtrade.prune import ScoreContext
-from kvtrade.quant import SUPPORTED_BITS, Layout, error_bound_matrix, unpack_codes
+from kvtrade.quant import SUPPORTED_BITS, Layout, QuantizedTensor, unpack_codes
 from kvtrade.tensor import Matrix, matmul, softmax_rows
 
 
@@ -137,6 +141,28 @@ def reference_dequantize(q):
     return out
 
 
+def error_bound_matrix(q: QuantizedTensor) -> np.ndarray:
+    """Per-element worst-case |dequantization error| of block ``q``: its group's scale / 2, and 0 at an
+    outlier, which is stored exactly. Float64, shaped like the block; groups fill each run (a row per
+    token, a column per channel) in order, skipping outliers."""
+    out = np.zeros(q.shape)
+    grouped = np.ones(q.shape, dtype=bool)
+    grouped[q.outliers["row"], q.outliers["col"]] = False
+    runs, grouped = (out, grouped) if q.layout == Layout.PER_TOKEN else (out.T, grouped.T)
+    runs[grouped] = np.repeat(q.scales / 2.0, q.lengths)
+    return out
+
+
+def stored_blocks(cache: CompressedKVCache, layer: int, head: int) -> tuple[list, list]:
+    """(K blocks, V blocks) of one head of a cache layer, in row order: the prompt block, then one per flush.
+
+    Every test that reads the cache's block storage reads it here, so a change of how the cache
+    holds its blocks changes only this function.
+    """
+    e = cache.entry(layer, head)
+    return e.quant_k, e.quant_v
+
+
 def uniform_plan(
     layers: int,
     base_tokens: int,
@@ -188,10 +214,10 @@ def quantization_logit_bound(model: Model, cache: CompressedKVCache, h) -> float
     x = np.asarray(h, dtype=np.float64).reshape(1, cfg.d_model)
     q = x @ lw.w_q.astype(np.float64)
 
-    entry = cache.entry(0, 0)
-    k_mat, v_mat = cache.materialize(0, 0)
-    e_k_parts = [error_bound_matrix(qt) for qt in entry.quant_k]
-    e_v_parts = [error_bound_matrix(qt) for qt in entry.quant_v]
+    k_blocks, v_blocks = stored_blocks(cache, 0, 0)
+    k_mat, v_mat = (m[0] for m in cache.materialize_layer(0))
+    e_k_parts = [error_bound_matrix(qt) for qt in k_blocks]
+    e_v_parts = [error_bound_matrix(qt) for qt in v_blocks]
     res_rows = cache.residual_k[0].shape[1] + 1  # residual + the appended query row
     zeros_tail = np.zeros((res_rows, cfg.d_model), dtype=np.float64)
     e_k = np.concatenate(e_k_parts + [zeros_tail], axis=0)[: k_mat.shape[0] + 1]

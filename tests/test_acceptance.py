@@ -332,10 +332,9 @@ def test_criterion_8_layer_override_frame_property():
         over_bytes = over_cache.measured_bytes_per_layer()
         for layer in range(4, layers):
             assert base_bytes[layer] == over_bytes[layer]
-            for head in range(heads):
-                k0, v0 = base_cache.materialize(layer, head)
-                k1, v1 = over_cache.materialize(layer, head)
-                assert np.array_equal(k0, k1) and np.array_equal(v0, v1)
+            k0, v0 = base_cache.materialize_layer(layer)
+            k1, v1 = over_cache.materialize_layer(layer)
+            assert np.array_equal(k0, k1) and np.array_equal(v0, v1)
         assert base_bytes[:4] != over_bytes[:4]
         ok = True
     finally:

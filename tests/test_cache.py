@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvtrade.budget import plan_bytes, plan_for_tokens
+from kvtrade.budget import plan_bytes
 from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.prune import PolicyConfig, PolicyKind
-from kvtrade.quant import Layout, dequantize_matrix, quantize_matrix
-from oracles import context_from_probs, uniform_plan
+from kvtrade.quant import Layout, dequantize_matrix
+from oracles import context_from_probs, stored_blocks, uniform_plan
 
 
 def causal_uniform_attn(n):
@@ -37,34 +37,6 @@ H2O4 = PolicyConfig(PolicyKind.H2O, recent_window=4)
 
 
 class TestPrefillCompress:
-    def test_lossless_path_identity(self):
-        keys, values, ctxs = make_inputs(2, 2, 10, 8)
-        plan = uniform_plan(2, 16, 16, heads=2, head_dim=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        for layer in range(2):
-            for head in range(2):
-                k, v = cache.materialize(layer, head)
-                assert np.array_equal(k, keys[layer][head])
-                assert np.array_equal(v, values[layer][head])
-
-    def test_full_budget_4bit_within_bound(self):
-        keys, values, ctxs = make_inputs(1, 1, 12, 16)
-        plan = uniform_plan(1, 4, 4, heads=1, head_dim=16)  # 16 tokens >= n
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        k, _ = cache.materialize(0, 0)
-        entry = cache.entry(0, 0)
-        s_max = entry.quant_k[0].scales.max()
-        assert k.shape == keys[0][0].shape
-        assert np.abs(k - keys[0][0]).max() <= s_max / 2 + 1e-6
-
-    def test_streaming_positions(self):
-        keys, values, ctxs = make_inputs(1, 1, 10, 8)
-        plan = uniform_plan(1, 6, 16, heads=1, head_dim=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        assert cache.positions[0].tolist() == [[0, 1, 6, 7, 8, 9]]
-        k, _ = cache.materialize(0, 0)
-        assert np.array_equal(k, keys[0][0][[0, 1, 6, 7, 8, 9], :])
-
     def test_budget_below_policy_minimum(self):
         keys, values, ctxs = make_inputs(1, 1, 10, 8)
         plan = uniform_plan(1, 2, 16, heads=1, head_dim=8)
@@ -141,13 +113,6 @@ class TestPrefillCompress:
         with pytest.raises(ContractViolation, match="K/V at layer 0 must"):
             prefill_compress(keys, values, ctxs, plan, STREAM4)
 
-    def test_conservation_after_prefill(self):
-        keys, values, ctxs = make_inputs(3, 2, 50, 8, seed=4)
-        plan = uniform_plan(3, 20, 8, heads=2, head_dim=8)  # 40 tokens per layer
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        for layer in range(3):
-            assert cache.positions[layer].shape == (2, min(40, 50))
-
 
 class TestDecodeAppend:
     def make_cache(self, bits=4, group=4, layout=Layout.PER_TOKEN, n=12, head_dim=8):
@@ -156,56 +121,6 @@ class TestDecodeAppend:
             1, 16, bits, heads=1, head_dim=head_dim, group_size=group, layout=layout
         )
         return prefill_compress(keys, values, ctxs, plan, STREAM4)
-
-    def test_single_append_goes_to_residual(self):
-        cache = self.make_cache()
-        before = len(cache.entry(0, 0).quant_k)
-        cache.decode_append(0, np.ones(8), np.ones(8))
-        assert cache.residual_k[0].shape == cache.residual_v[0].shape == (1, 1, 8)
-        assert len(cache.entry(0, 0).quant_k) == before
-
-    def test_flush_at_group_size(self):
-        cache = self.make_cache(group=4)
-        rng = np.random.default_rng(0)
-        for _ in range(4):
-            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-        e = cache.entry(0, 0)
-        assert cache.residual_k[0].shape == cache.residual_v[0].shape == (1, 0, 8)
-        assert len(e.quant_k) == 2  # prefill block + flushed block
-        assert e.quant_k[-1].shape == (4, 8)
-
-    def test_16bit_append_bit_exact(self):
-        cache = self.make_cache(bits=16)
-        row_k = np.linspace(-1, 1, 8).astype(np.float32)
-        row_v = np.linspace(1, -1, 8).astype(np.float32)
-        cache.decode_append(0, row_k, row_v)
-        k, v = cache.materialize(0, 0)
-        assert np.array_equal(k[-1], row_k)
-        assert np.array_equal(v[-1], row_v)
-
-    def test_16bit_layer_is_all_residual(self):
-        # 16-bit layers keep every row in the residual, past any group size
-        cache = self.make_cache(bits=16, group=4, n=12)
-        prompt_k, prompt_v = (m.copy() for m in cache.materialize(0, 0))
-        rng = np.random.default_rng(7)
-        rows_k, rows_v = [], []
-        for _ in range(9):
-            rows_k.append(rng.normal(size=8).astype(np.float32))
-            rows_v.append(rng.normal(size=8).astype(np.float32))
-            before = cache.measured_bytes()
-            cache.decode_append(0, rows_k[-1], rows_v[-1])
-            assert cache.measured_bytes() - before == 2 * 8 * 2
-            assert cache.entry(0, 0).quant_k == [] and cache.entry(0, 0).quant_v == []
-        k, v = cache.materialize(0, 0)
-        assert np.array_equal(k, np.concatenate([prompt_k, np.stack(rows_k)]))
-        assert np.array_equal(v, np.concatenate([prompt_v, np.stack(rows_v)]))
-
-    def test_residual_stays_under_group_size(self):
-        cache = self.make_cache(group=4)
-        rng = np.random.default_rng(1)
-        for _ in range(19):
-            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-            assert cache.residual_k[0].shape[1] < 4
 
     def test_positions_strictly_increasing(self):
         # a layer keeps its prompt positions; the snapshot writes them and the
@@ -222,270 +137,7 @@ class TestDecodeAppend:
         assert struct.unpack_from("<II", blob, SNAPSHOT_HEADER + 5) == (kept.shape[1], 9)
         assert struct.unpack_from(f"<{kept.shape[1]}I", blob, SNAPSHOT_HEADER + 13) == tuple(kept[0].tolist())
 
-    def test_per_channel_flush_makes_token_spanning_groups(self):
-        cache = self.make_cache(group=4, layout=Layout.PER_CHANNEL)
-        rng = np.random.default_rng(5)
-        for _ in range(4):
-            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-        block = cache.entry(0, 0).quant_k[-1]
-        # one group of 4 tokens per channel
-        assert block.lengths.tolist() == [4] * 8
-
-    def test_decode_outliers_survive_flush_exactly(self):
-        keys, values, ctxs = make_inputs(1, 1, 12, 8, seed=20)
-        plan = uniform_plan(1, 16, 4, heads=1, head_dim=8, group_size=4)
-        cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=6.0), STREAM4)
-        spike = np.zeros(8, dtype=np.float32)
-        spike[3] = 9.75
-        rng = np.random.default_rng(21)
-        for step in range(4):  # fills one group, flushing the spike row
-            row = spike if step == 0 else rng.normal(size=8).astype(np.float32)
-            cache.decode_append(0, row, row)
-        e = cache.entry(0, 0)
-        assert cache.residual_k[0].shape[1] == 0
-        assert e.quant_k[-1].outliers.tolist() == [(0, 3, 9.75)]
-        k, _ = cache.materialize(0, 0)
-        assert k[12, 3] == np.float32(9.75)
-
-    def test_conservation_during_decode(self):
-        cache = self.make_cache(group=4, n=12)
-        base = cache.positions[0].shape[1]
-        rng = np.random.default_rng(6)
-        for t in range(7):
-            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-            k, v = cache.materialize_layer(0)
-            assert k.shape[1] == v.shape[1] == base + t + 1
-
-    def test_wrong_width_rejected(self):
-        cache = self.make_cache()
-        with pytest.raises(ContractViolation):
-            cache.decode_append(0, np.ones(5), np.ones(5))
-
-    @pytest.mark.parametrize("shape", [(2, 4), (8, 1), (1, 1, 8), (2, 8), (16,), ()])
-    @pytest.mark.parametrize("side", ["k", "v"])
-    def test_row_shape_rejected_and_cache_unchanged(self, shape, side):
-        # (2, 4), (8, 1) and (1, 1, 8) hold 8 values, but not as one row
-        cache = self.make_cache()
-        before = dump_snapshot(cache)
-        rows = (np.ones(shape), np.ones(8)) if side == "k" else (np.ones(8), np.ones(shape))
-        with pytest.raises(ContractViolation, match="shaped"):
-            cache.decode_append(0, *rows)
-        assert dump_snapshot(cache) == before
-
-    def test_row_and_one_row_matrix_append_alike(self):
-        flat, one_row = self.make_cache(), self.make_cache()
-        flat.decode_append(0, np.arange(8.0), np.ones(8))
-        one_row.decode_append(0, np.arange(8.0).reshape(1, 8), np.ones((1, 8)))
-        assert dump_snapshot(flat) == dump_snapshot(one_row)
-
-    @pytest.mark.parametrize("layer, head", [(-1, 0), (0, -1), (1, 0), (0, 1), (5, 5)])
-    def test_index_outside_cache_rejected_and_cache_unchanged(self, layer, head):
-        # a negative index must not wrap to the last layer or head
-        cache = self.make_cache()
-        before = dump_snapshot(cache)
-        if layer != 0:  # decode_append takes a layer only
-            with pytest.raises(ContractViolation, match="outside"):
-                cache.decode_append(layer, np.ones(8), np.ones(8))
-        with pytest.raises(ContractViolation, match="outside"):
-            cache.materialize(layer, head)
-        assert dump_snapshot(cache) == before
-
-    @pytest.mark.parametrize("bits", [4, 16])
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("side", ["k", "v"])
-    def test_non_finite_row_rejected_and_cache_unchanged(self, bits, bad, side):
-        cache = self.make_cache(bits=bits)
-        rng = np.random.default_rng(4)
-        for _ in range(3):  # at 4 bits, the next append would flush
-            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-        before = dump_snapshot(cache)
-        row = np.ones(8)
-        row[5] = bad
-        rows = (row, np.ones(8)) if side == "k" else (np.ones(8), row)
-        with pytest.raises(ContractViolation, match="finite"):
-            cache.decode_append(0, *rows)
-        assert dump_snapshot(cache) == before
-
-    @pytest.mark.parametrize("row", [["a"] * 8, np.array(["1.0"] * 8), [1, [2], 3, 4, 5, 6, 7, 8]],
-                             ids=["letters", "numeric_strings", "ragged"])
-    @pytest.mark.parametrize("bits", [4, 16])
-    @pytest.mark.parametrize("side", ["k", "v"])
-    def test_non_numeric_row_rejected_and_cache_unchanged(self, side, bits, row):
-        cache = self.make_cache(bits=bits)
-        before = dump_snapshot(cache)
-        rows = (row, np.ones(8)) if side == "k" else (np.ones(8), row)
-        with pytest.raises(ContractViolation, match="append rows must hold numbers"):
-            cache.decode_append(0, *rows)
-        assert dump_snapshot(cache) == before
-
-    @pytest.mark.parametrize("big", [1e300, -1e300])
-    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
-    def test_row_past_float32_rejected_not_warned(self, big, as_list):
-        # pytest turns the cast's overflow RuntimeWarning into an error
-        cache = self.make_cache()
-        before = dump_snapshot(cache)
-        row = np.ones(8)
-        row[2] = big
-        with pytest.raises(ContractViolation, match="finite"):
-            cache.decode_append(0, row.tolist() if as_list else row, np.ones(8))
-        assert dump_snapshot(cache) == before
-
-
-class TestLayerAppend:
-    """One decode_append writes every head of a layer from one row, or no head at all."""
-
-    HEADS, HEAD_DIM = 3, 4
-    WIDTH = HEADS * HEAD_DIM
-
-    def make_cache(self, bits=4, layout=Layout.PER_TOKEN):
-        keys, values, ctxs = make_inputs(2, self.HEADS, 12, self.HEAD_DIM, seed=30)
-        plan = uniform_plan(2, 16, bits, heads=self.HEADS, head_dim=self.HEAD_DIM, group_size=4, layout=layout)
-        return prefill_compress(keys, values, ctxs, plan, STREAM4)
-
-    @pytest.mark.parametrize(
-        "bad, match",
-        [
-            (np.ones(11), "shaped"),
-            (np.ones((3, 4)), "shaped"),
-            (np.r_[np.ones(11), np.nan], "finite"),
-            (np.array(["1.0"] * 12), "numbers"),
-        ],
-        ids=["one_short", "heads_by_head_dim", "nan_in_last_head", "strings"],
-    )
-    @pytest.mark.parametrize("bits", [4, 16])
-    @pytest.mark.parametrize("side", ["k", "v"])
-    def test_bad_row_leaves_every_head_unchanged(self, side, bits, bad, match):
-        cache = self.make_cache(bits)
-        rng = np.random.default_rng(31)
-        for _ in range(3):  # at 4 bits, the next append would flush every head
-            cache.decode_append(1, rng.normal(size=self.WIDTH), rng.normal(size=self.WIDTH))
-        before = dump_snapshot(cache)
-        rows = (bad, np.ones(self.WIDTH)) if side == "k" else (np.ones(self.WIDTH), bad)
-        with pytest.raises(ContractViolation, match=match):
-            cache.decode_append(1, *rows)
-        assert dump_snapshot(cache) == before
-
-    @pytest.mark.parametrize("layout", list(Layout))
-    @pytest.mark.parametrize("bits", [2, 4, 8])
-    def test_completing_a_group_adds_one_block_to_every_head(self, bits, layout):
-        cache = self.make_cache(bits, layout)
-        layer_0 = [list(cache.entry(0, head).quant_k) for head in range(self.HEADS)]
-        positions_0 = cache.positions[0]
-        rng = np.random.default_rng(32)
-        rows = [rng.normal(size=(2, self.WIDTH)).astype(np.float32) for _ in range(4)]
-        for step, (k, v) in enumerate(rows):
-            blocks = [len(cache.entry(1, head).quant_k) for head in range(self.HEADS)]
-            cache.decode_append(1, k, v)
-            added = [len(cache.entry(1, head).quant_k) - n for head, n in enumerate(blocks)]
-            assert added == [int(step == 3)] * self.HEADS
-        k_cfg, v_cfg = cache.plan.quant_config(1)
-        for head in range(self.HEADS):
-            e = cache.entry(1, head)
-            assert len(e.quant_v) == len(e.quant_k) and cache.residual_k[1].shape[1] == 0
-            # each head's block quantizes that head's slice of the four rows
-            sl = slice(head * self.HEAD_DIM, (head + 1) * self.HEAD_DIM)
-            for block, side, cfg in ((e.quant_k[-1], 0, k_cfg), (e.quant_v[-1], 1, v_cfg)):
-                expected = quantize_matrix(np.stack([pair[side][sl] for pair in rows]), cfg)
-                assert dequantize_matrix(block).tobytes() == dequantize_matrix(expected).tobytes()
-            assert cache.positions[0] is positions_0
-            assert cache.entry(0, head).quant_k == layer_0[head]
-
-    def test_16bit_heads_take_their_slices_bit_for_bit(self):
-        cache = self.make_cache(16)
-        rng = np.random.default_rng(33)
-        k, v = rng.normal(size=(2, 1, self.WIDTH)).astype(np.float32)
-        cache.decode_append(1, k, v)
-        k_stack, v_stack = cache.materialize_layer(1)
-        assert np.array_equal(k_stack[:, -1], k.reshape(self.HEADS, self.HEAD_DIM))
-        assert np.array_equal(v_stack[:, -1], v.reshape(self.HEADS, self.HEAD_DIM))
-
-
-class TestResidualStacks:
-    """A layer's full-precision rows are one (heads, rows, head_dim) stack for K and one for V."""
-
-    HEAD_DIM, PROMPT, KEPT, APPENDS = 4, 12, 8, 11
-
-    # the oracle: each head's kept prompt rows, then its slice of every
-    # appended row; on a quantized layer the prompt rows and each full group
-    # are one block each, and the rest stays at full precision
-    @pytest.mark.parametrize("group_size", [1, 8])
-    @pytest.mark.parametrize("layout", list(Layout))
-    @pytest.mark.parametrize("bits", [16, 8, 4, 2])
-    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
-    def test_each_head_stores_its_slices(self, heads, bits, layout, group_size):
-        keys, values, ctxs = make_inputs(2, heads, self.PROMPT, self.HEAD_DIM, seed=heads + bits)
-        plan = plan_for_tokens([self.KEPT] * 2, bits, heads, self.HEAD_DIM, group_size, layout)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        rng = np.random.default_rng(group_size)
-        rows = rng.normal(size=(self.APPENDS, 2, heads * self.HEAD_DIM)).astype(np.float32)
-        for k, v in rows:
-            cache.decode_append(1, k, v)
-        cfgs = plan.quant_config(1) or (None, None)
-        full = 0 if bits == 16 else self.APPENDS // group_size * group_size
-        k_stack, v_stack = cache.materialize_layer(1)
-        for head in range(heads):
-            kept = cache.positions[1][head]
-            assert len(kept) == self.KEPT
-            appended = rows[:, :, head * self.HEAD_DIM : (head + 1) * self.HEAD_DIM]
-            for side, (prompt, cfg, stack) in enumerate(zip((keys, values), cfgs, (k_stack, v_stack))):
-                blocks = [prompt[1][head][kept]] + [appended[i : i + group_size, side] for i in range(0, full, group_size)]
-                decoded = blocks if cfg is None else [dequantize_matrix(quantize_matrix(b, cfg)) for b in blocks]
-                expected = np.concatenate(decoded + [appended[full:, side]])
-                assert cache.materialize(1, head)[side].tobytes() == expected.tobytes()
-                assert stack[head].tobytes() == expected.tobytes()
-        rest = self.KEPT + self.APPENDS if bits == 16 else self.APPENDS - full
-        assert cache.residual_k[1].shape == cache.residual_v[1].shape == (heads, rest, self.HEAD_DIM)
-        # layer 0 took no row
-        assert cache.residual_k[0].shape == (heads, self.KEPT if bits == 16 else 0, self.HEAD_DIM)
-
-
-class TestMaterialize:
-    def test_round_trip_bound(self):
-        keys, values, ctxs = make_inputs(1, 1, 20, 8, seed=7)
-        plan = uniform_plan(1, 8, 4, heads=1, head_dim=8, group_size=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        idx = cache.positions[0][0]
-        k, _ = cache.materialize(0, 0)
-        gathered = keys[0][0][idx, :]
-        s_max = cache.entry(0, 0).quant_k[0].scales.max()
-        assert np.abs(k - gathered).max() <= s_max / 2 + 1e-6
-
-    def test_outlier_rows_exact(self):
-        keys, values, ctxs = make_inputs(1, 1, 16, 8, seed=8)
-        keys[0][0][3, 5] = 42.5  # position 3 is retained by streaming sinks
-        plan = uniform_plan(1, 8, 4, heads=1, head_dim=8, group_size=8)
-        cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=6.0), STREAM4)
-        idx = cache.positions[0][0].tolist()
-        assert 3 in idx
-        k, _ = cache.materialize(0, 0)
-        assert k[idx.index(3), 5] == np.float32(42.5)
-
-    @pytest.mark.parametrize("appends", [0, 3], ids=["blocks-only", "blocks-and-residual"])
-    def test_writing_the_result_leaves_the_cache_unchanged(self, appends):
-        keys, values, ctxs = make_inputs(1, 1, 20, 8, seed=9)
-        plan = uniform_plan(1, 8, 4, heads=1, head_dim=8, group_size=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        rng = np.random.default_rng(10)
-        for _ in range(appends):
-            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-        e = cache.entry(0, 0)
-        assert e.quant_k and cache.residual_k[0].shape[1] == appends
-        k, v = cache.materialize(0, 0)
-        expected = k.tobytes(), v.tobytes()
-        k[:] = 7.0
-        v[:] = 7.0
-        k, v = cache.materialize(0, 0)
-        assert (k.tobytes(), v.tobytes()) == expected
-
-
 class TestMeasuredBytes:
-    def test_empty_like_cache(self):
-        keys, values, ctxs = make_inputs(1, 1, 8, 8)
-        plan = uniform_plan(1, 8, 16, heads=1, head_dim=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        # 8 tokens of 8 dims, K and V, 2 bytes each
-        assert cache.measured_bytes() == 2 * 8 * 8 * 2
-
     def test_matches_plan_bytes_with_full_groups(self):
         n, head_dim = 64, 64
         keys, values, ctxs = make_inputs(2, 2, n, head_dim, seed=9)
@@ -493,86 +145,20 @@ class TestMeasuredBytes:
         cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
         assert cache.measured_bytes() == plan_bytes(plan, 2, head_dim)
 
-    def test_grows_per_append_before_flush(self):
-        keys, values, ctxs = make_inputs(1, 1, 12, 8, seed=10)
-        plan = uniform_plan(1, 16, 4, heads=1, head_dim=8, group_size=64)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        before = cache.measured_bytes()
-        cache.decode_append(0, np.ones(8), np.ones(8))
-        assert cache.measured_bytes() - before == 8 * 2 * 2
-
-    def test_monotone_between_flushes(self):
-        # bytes grow step by step while the residual fills; a flush converts
-        # the fp16 residual into a quantized block, which shrinks the total
-        # by exactly the compression gain
-        keys, values, ctxs = make_inputs(1, 1, 12, 8, seed=11)
-        plan = uniform_plan(1, 16, 4, heads=1, head_dim=8, group_size=4)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        rng = np.random.default_rng(12)
-        last = cache.measured_bytes()
-        for _ in range(10):
-            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-            now = cache.measured_bytes()
-            if cache.residual_k[0].shape[1] == 0:
-                # flush: 3 buffered fp16 rows (96 B across K and V) plus the
-                # new row became one 4x8 4-bit block per matrix; each row
-                # packs as two groups of 4 codes (2 code bytes + 2 metadata)
-                freed_residual = 3 * 8 * 2 * 2
-                block_cost = 2 * (4 * 2 * (2 + 2))
-                assert now == last - freed_residual + block_cost
-            else:
-                assert now > last
-            last = now
-
-    def test_monotone_during_decode_16bit(self):
-        keys, values, ctxs = make_inputs(1, 1, 12, 8, seed=11)
-        plan = uniform_plan(1, 16, 16, heads=1, head_dim=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        rng = np.random.default_rng(12)
-        last = cache.measured_bytes()
-        for _ in range(10):
-            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-            now = cache.measured_bytes()
-            assert now > last
-            last = now
-
 
 class TestSnapshot:
-    def build(self, threshold=6.0):
+    def build(self):
         keys, values, ctxs = make_inputs(2, 2, 24, 8, seed=13)
         plan = uniform_plan(2, 4, 4, heads=2, head_dim=8, group_size=8)
-        cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=threshold), STREAM4)
+        cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=6.0), STREAM4)
         rng = np.random.default_rng(14)
         for layer in range(2):
             for _ in range(5):
                 cache.decode_append(layer, rng.normal(size=16), rng.normal(size=16))
         return cache
 
-    def test_round_trip(self):
-        cache = self.build()
-        blob = dump_snapshot(cache)
-        restored = load_snapshot(blob)
-        for layer in range(2):
-            for head in range(2):
-                k1, v1 = cache.materialize(layer, head)
-                k2, v2 = restored.materialize(layer, head)
-                assert np.array_equal(k1, k2)
-                assert np.array_equal(v1, v2)
-            assert np.array_equal(cache.positions[layer], restored.positions[layer])
-        assert restored.measured_bytes() == cache.measured_bytes()
-
     def test_dump_is_deterministic(self):
         assert dump_snapshot(self.build()) == dump_snapshot(self.build())
-
-    def test_redump_identical(self):
-        blob = dump_snapshot(self.build())
-        assert dump_snapshot(load_snapshot(blob)) == blob
-
-    def test_plan_round_trips(self):
-        # the outlier cache's plan carries its threshold through the header
-        for cache in (self.build(), self.build(threshold=None)):
-            assert cache.plan.total_budget_bytes > 0
-            assert load_snapshot(dump_snapshot(cache)).plan == cache.plan
 
     def test_older_version_rejected(self):
         for version in (1, 2, 3, 4):
@@ -581,18 +167,22 @@ class TestSnapshot:
             with pytest.raises(IntegrityError, match=f"version {version}"):
                 load_snapshot(bytes(blob))
 
-    def test_full_precision_sections_round_trip(self):
-        keys, values, ctxs = make_inputs(1, 2, 16, 8, seed=17)
-        plan = uniform_plan(1, 12, 16, heads=2, head_dim=8)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        rng = np.random.default_rng(18)
-        cache.decode_append(0, rng.normal(size=16), rng.normal(size=16))
-        restored = load_snapshot(dump_snapshot(cache))
-        for head in range(2):
-            k1, v1 = cache.materialize(0, head)
-            k2, v2 = restored.materialize(0, head)
-            assert np.array_equal(k1, k2) and np.array_equal(v1, v2)
-        assert restored.measured_bytes() == cache.measured_bytes()
+    # hand-set residual stacks that load_snapshot would reject or read back otherwise
+    @pytest.mark.parametrize("forge, match", [
+        pytest.param(lambda m: np.full_like(m, np.nan), "layer 1's residual values must be finite", id="nan"),
+        pytest.param(lambda m: np.where(m > 0, np.inf, m), "layer 1's residual values must be finite", id="inf"),
+        pytest.param(lambda m: m.astype(np.float64), "layer 1 must hold K and V as 3-D float32", id="float64"),
+        pytest.param(lambda m: m[:, :-1], "layer 1 must hold K and V as 3-D float32 stacks of one shape",
+                     id="ragged"),
+        pytest.param(lambda m: m.tolist(), "layer 1 must hold K and V as 3-D float32", id="list"),
+    ])
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_dump_rejects_a_residual_the_loader_would_not_read(self, side, forge, match):
+        cache = self.build()
+        residual = cache.residual_k if side == "k" else cache.residual_v
+        residual[1] = forge(residual[1])
+        with pytest.raises(ContractViolation, match=match):
+            dump_snapshot(cache)
 
 
 SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBdIq")
@@ -642,9 +232,9 @@ class TestSnapshotRejects:
         plan = uniform_plan(1, 4, 4, heads=1, head_dim=8, group_size=8)
         cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=6.0), STREAM4)
         blob = dump_snapshot(cache)
-        e = cache.entry(0, 0)
+        k_blocks, _ = stored_blocks(cache, 0, 0)
         assert struct.unpack_from("<IB", blob, PLAN_TOKENS_AT) == (16, 4)
-        assert cache.positions[0].shape == (1, 16) and len(e.quant_k) == 1 and cache.residual_k[0].size == 0
+        assert cache.positions[0].shape == (1, 16) and len(k_blocks) == 1 and cache.residual_k[0].size == 0
         # plan row; the layer's kept and decode row counts and its one head's
         # positions; then the K prompt block: outlier count, two outliers,
         # 16 groups (f64 zero, f64 scale), 16 * 4 code bytes
@@ -658,7 +248,7 @@ class TestSnapshotRejects:
         at["codes"] = at["table"] + 16 * 16
         assert struct.unpack_from("<I", blob, at["block"])[0] == 2
         assert struct.unpack_from("<IIf", blob, at["outliers"] + 12) == (15, 5, -7.25)
-        assert struct.unpack_from("<d", blob, at["table"] + 8)[0] == e.quant_k[0].scales[0]
+        assert struct.unpack_from("<d", blob, at["table"] + 8)[0] == k_blocks[0].scales[0]
         load_snapshot(blob)
         return blob, at
 
@@ -796,10 +386,10 @@ def _fuzz_snapshots() -> dict[str, bytes]:
             row[[5, 13]] = -8.25  # a flushed decode outlier in each head
         quantized.decode_append(0, row, row)
         full.decode_append(0, row, row)
-    e = quantized.entry(0, 0)
-    assert len(e.quant_k) == 2 and quantized.residual_k[0].shape == (2, 2, 8)
-    assert e.quant_k[0].outliers and e.quant_k[1].outliers
-    assert not full.entry(0, 0).quant_k and full.residual_k[0].shape == (2, 12, 8)
+    k_blocks, _ = stored_blocks(quantized, 0, 0)
+    assert len(k_blocks) == 2 and quantized.residual_k[0].shape == (2, 2, 8)
+    assert k_blocks[0].outliers and k_blocks[1].outliers
+    assert full.residual_k[0].shape == (2, 12, 8)
     return {"4bit": dump_snapshot(quantized), "16bit": dump_snapshot(full)}
 
 
@@ -818,9 +408,6 @@ def _resealed_change_rejected_or_usable(body: bytes, offset: int, xor: int) -> N
         return
     row = np.ones(cache.heads * cache.head_dim)
     for layer in range(cache.plan.layers):
-        for head in range(cache.heads):
-            k, v = cache.materialize(layer, head)
-            assert np.isfinite(k).all() and np.isfinite(v).all()
         k, v = cache.materialize_layer(layer)
         assert np.isfinite(k).all() and np.isfinite(v).all()
         cache.decode_append(layer, row, row)
@@ -919,22 +506,21 @@ class TestGroupTablesCheckedPerLayer:
     """A layer's group tables are checked in one pass: a forgery in any block, not
     only the first, is rejected with the block constructor's message."""
 
-    @pytest.mark.parametrize("head, side, index", [(0, "quant_k", 1), (0, "quant_v", 0), (1, "quant_k", 0),
-                                                   (1, "quant_v", 1)],
+    @pytest.mark.parametrize("head, side, index", [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, 1)],
                              ids=["second-block", "first-V-block", "later-head", "last-block"])
     @pytest.mark.parametrize("group", ["first", "last"])
     @pytest.mark.parametrize("field, value", [(0, float("nan")), (8, -1.0), (8, 1e300)],
                              ids=["nan-zero", "negative-scale", "scale-past-float32"])
     def test_forged_group_rejected(self, head, side, index, group, field, value):
         blob = FUZZ_SNAPSHOTS["4bit"]
-        q = getattr(load_snapshot(blob).entry(0, head), side)[index]
+        q = stored_blocks(load_snapshot(blob), 0, head)[side][index]
         at = _table_at(blob, q) + (0 if group == "first" else 16 * (len(q.scales) - 1))
         with pytest.raises(IntegrityError, match="a group's zero or scale is non-finite, negative or past float32"):
             load_snapshot(_patched(blob, at + field, "<d", value))
 
     def test_blocks_hold_read_only_views_of_one_copy(self):
         cache = load_snapshot(FUZZ_SNAPSHOTS["4bit"])
-        blocks = [q for head in range(cache.heads) for e in [cache.entry(0, head)] for q in e.quant_k + e.quant_v]
+        blocks = [q for head in range(cache.heads) for side in stored_blocks(cache, 0, head) for q in side]
         assert len(blocks) == 8
         base = blocks[0].zero_points.base
         for q in blocks:
@@ -967,27 +553,13 @@ def test_loaded_blocks_decode_as_the_fresh_ones(cache):
     # decode quantize_matrix made from its codes
     loaded = load_snapshot(dump_snapshot(cache))
     for head in range(cache.heads):
-        fresh, back = cache.entry(0, head), loaded.entry(0, head)
-        for q, r in zip(fresh.quant_k + fresh.quant_v, back.quant_k + back.quant_v, strict=True):
+        fresh, back = (sum(stored_blocks(c, 0, head), []) for c in (cache, loaded))
+        for q, r in zip(fresh, back, strict=True):
             assert "_decoded" in vars(q) and "_decoded" not in vars(r)
             assert dequantize_matrix(r).tobytes() == dequantize_matrix(q).tobytes()
 
 
 class TestClone:
-    def test_clone_isolates_decode(self):
-        keys, values, ctxs = make_inputs(1, 1, 12, 8, seed=15)
-        plan = uniform_plan(1, 16, 4, heads=1, head_dim=8, group_size=4)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
-        snapshot = dump_snapshot(cache)
-        clone = cache.clone()
-        rng = np.random.default_rng(16)
-        for _ in range(6):
-            clone.decode_append(0, rng.normal(size=8), rng.normal(size=8))
-        assert dump_snapshot(cache) == snapshot
-        rows = cache.materialize_layer(0)[0].shape[1]
-        assert clone.materialize_layer(0)[0].shape[1] == rows + 6
-        assert clone.positions[0] is cache.positions[0]
-
     @pytest.mark.parametrize("bits", [4, 16])
     def test_positions_are_one_read_only_array_per_layer(self, bits):
         # fresh, loaded and cloned caches hold each layer's kept positions alike,
@@ -1006,16 +578,8 @@ class TestClone:
                 with pytest.raises(ValueError, match="read-only"):
                     p[0, 0] = 1
 
-    def test_copies_of_a_decoded_cache_materialize_identically(self):
+    def test_a_clone_shares_block_decodes_and_a_reload_decodes_its_own(self):
         cache = TestSnapshot().build()
-        decoded = [cache.materialize(layer, head) for layer in range(2) for head in range(2)]
-        clone = cache.clone()
-        restored = load_snapshot(dump_snapshot(cache))
-        for copy in (clone, restored):
-            got = [copy.materialize(layer, head) for layer in range(2) for head in range(2)]
-            for (k1, v1), (k2, v2) in zip(decoded, got):
-                assert k1.tobytes() == k2.tobytes() and v1.tobytes() == v2.tobytes()
-        # a clone shares the blocks and their decode; a reload decodes its own
-        block = cache.entry(0, 0).quant_k[0]
-        assert dequantize_matrix(clone.entry(0, 0).quant_k[0]) is dequantize_matrix(block)
-        assert dequantize_matrix(restored.entry(0, 0).quant_k[0]) is not dequantize_matrix(block)
+        first = [stored_blocks(c, 0, 0)[0][0] for c in (cache, cache.clone(), load_snapshot(dump_snapshot(cache)))]
+        assert dequantize_matrix(first[1]) is dequantize_matrix(first[0])
+        assert dequantize_matrix(first[2]) is not dequantize_matrix(first[0])

@@ -9,6 +9,8 @@ layer or head index is a setting whose minimum is 0 that must also be
 below the store's count (``errors.require_index``).
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,11 @@ def plan(tokens, bits):
 def two_layer_plan():
     """A 4-bit and a 16-bit layer: plan_bytes charges both kinds."""
     return BudgetPlan(((4, 4), (4, 16)), 4, Layout.PER_TOKEN, 0)
+
+
+def two_layer_cache():
+    """A cache of ``K`` under :func:`two_layer_plan`."""
+    return prefill_compress([K, K], [K, K], [[None], [None]], two_layer_plan(), STREAM2)
 
 
 # (build, the name its messages use, its minimum, further values it rejects)
@@ -359,6 +366,9 @@ MALFORMED = [
                  "policy must be a PolicyConfig, got NoneType", id="prefill_compress.policy-None"),
     pytest.param(lambda: prefill_compress([K], [K], [[None]], plan(4, 16), PolicyKind.STREAMING_LLM),
                  "policy must be a PolicyConfig, got PolicyKind", id="prefill_compress.policy-kind"),
+    # check_residual takes its layer as every per-layer method does: on 2 layers, -1 is not layer 1
+    *(pytest.param(lambda v=v: two_layer_cache().check_residual(v), re.escape(f"layer {v!r} outside [0, 2)"),
+                   id=f"check_residual.layer-{v!r}") for v in (2, -3, "x", 1.5, None, True, -1)),
 ]
 
 # stored data: a block's fields of the wrong kind raise IntegrityError, the
@@ -406,6 +416,7 @@ def test_well_formed_calls_beside_the_malformed_ones_succeed():
     assert load_snapshot(dump_snapshot(tiny_cache())).shape == (1, 1, 4)
     assert quantized_bytes(block()) == 2 + 2
     assert decode_step(TINY_MODEL, tiny_cache(), ROW).shape == (8,)
+    assert [two_layer_cache().check_residual(layer) for layer in (0, 1, np.int64(1))] == [0, 1, 1]
     assert decode_step_dense(TINY_MODEL, DenseKV.from_prefill(TINY_PREFILL), ROW).shape == (8,)
     assert prefill_compress([K], [K], [[None]], plan(4, 16), STREAM2).shape == (1, 1, 4)
     for shape in ((1, 4), [1, 4], np.array([1, 4])):

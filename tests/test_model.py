@@ -2,7 +2,6 @@
 # first call with more than one worker, and that import's allocations would
 # otherwise fall inside whichever memory test's traced window comes first
 import concurrent.futures  # noqa: F401
-import itertools
 import math
 import struct
 import sys
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kvtrade.budget import plan_for_tokens
+from kvtrade.budget import fp16_kv_bytes, plan_for_tokens
 from kvtrade.cache import CompressedKVCache, dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade import model as kvmodel
@@ -44,7 +43,7 @@ from kvtrade.model import (
 from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext, decide
 from kvtrade.quant import Layout
 from kvtrade.sweep import STRATEGIES
-from kvtrade.tasks import gen_probe_prompt, gen_recall_task
+from kvtrade.tasks import gen_recall_task
 from kvtrade.tensor import matmul
 from oracles import (
     DenseStore,
@@ -639,9 +638,9 @@ class TestExtremePruning:
         assert cache.positions[0].tolist() == [[5]]
         logits = decode_step(model, cache, embed_token(model, 7))
         assert logits.shape == (16,)
-        k, _ = cache.materialize(0, 0)
-        assert k.shape[0] == 2
-        assert np.array_equal(k[0], res.keys[0][0][5])
+        k, _ = cache.materialize_layer(0)
+        assert k.shape == (1, 2, 8)
+        assert np.array_equal(k[0, 0], res.keys[0][0][5])
 
 
 class TestRecallModel:
@@ -1128,9 +1127,9 @@ class TestDenseKVIsTheFullBudgetCache:
         assert isinstance(dense, CompressedKVCache) and dense.shape == (2, 2, 4) and dense.prefill_len == 5
         assert set(DenseKV.__dict__) - {"__module__", "__doc__"} == {"from_prefill"}
         assert dense.plan.per_layer == ((5, 16), (5, 16))
+        assert dense.measured_bytes_per_layer() == [fp16_kv_bytes(5, 2, 4)] * 2  # every row, none in a block
         for layer in range(2):
             assert dense.residual_k[layer] is res.keys[layer] and dense.residual_v[layer] is res.values[layer]
-            assert [len(dense.entry(layer, head).quant_k) for head in range(2)] == [0, 0]
             positions = dense.positions[layer]
             assert positions.tolist() == [list(range(5))] * 2 and not positions.flags.writeable
 
@@ -1191,48 +1190,9 @@ class TestFusedProjection:
 class TestStackedDecode:
     """Decode attends over a layer's stacked heads, bit for bit as the per-head loop does."""
 
-    PROMPT = 12
-    STEPS = 9  # two flushes at group size 4
-
     @staticmethod
     def same(a, b):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-    def check_layers(self, store, layers, heads):
-        for layer in range(layers):
-            k, v = store.materialize_layer(layer)
-            for head in range(heads):
-                k_h, v_h = store.materialize(layer, head)
-                assert self.same(k[head], k_h) and self.same(v[head], v_h)
-
-    # every bit width in each (layers, heads) case; head_dim, positions and
-    # layout rotate so that every value of each meets every bit width
-    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_equals_the_per_head_loop(self, layers, heads):
-        for i, bits in enumerate((16, 2, 4, 8)):
-            head_dim = (4, 8, 16)[(i + heads) % 3]
-            layout = list(Layout)[(i + layers + heads) % 2]
-            seed = 16 * layers + 4 * heads + i
-            cfg = ModelConfig(layers, heads, heads * head_dim, 16, 64, seed, (i + layers) % 2 == 0)
-            model = random_model(cfg)
-            prompt = gen_probe_prompt(self.PROMPT, cfg.vocab, seed)
-            res = prefill(model, prompt)
-            plan = plan_for_tokens([8] * layers, bits, heads, head_dim, group_size=4, layout=layout)
-            no_scores = [[None] * heads for _ in range(layers)]
-            cache = prefill_compress(res.keys, res.values, no_scores, plan, STREAM)
-            stores = [(decode_step, cache, cache.clone()),
-                      (decode_step_dense, DenseKV.from_prefill(res), DenseStore.from_prefill(res))]
-            token = prompt[-1]
-            for step in range(self.STEPS):
-                h = embed_token(model, token, self.PROMPT + step)
-                for decode, store, reference in stores:
-                    logits = decode(model, store, h)
-                    assert self.same(logits, per_head_decode(model, reference, h))
-                    self.check_layers(store, layers, heads)
-                token = int(np.argmax(logits))
-            blocks = len(cache.entry(layers - 1, heads - 1).quant_k)
-            assert blocks == (0 if bits == 16 else 3)  # the prompt block and two flushes
 
     # Strategy bounds: vocab 40 and a context of 64, so a prompt of up to 48
     # tokens leaves room for the three steps; 3 layers x 4 heads of head_dim
@@ -1272,38 +1232,6 @@ class TestStackedDecode:
                 assert all(self.same(a, b) for a, b in zip(store.materialize_layer(layer),
                                                             reference.materialize_layer(layer), strict=True))
 
-    def test_one_head_layer_is_a_view(self):
-        # one head takes no path of its own: a 16-bit layer's stacks come back
-        # uncopied, and materialize gives views of them
-        model = _model(1, 1, 4)
-        res = prefill(model, [1, 2, 3])
-        for bits in (4, 16):
-            plan = plan_for_tokens([4], bits, 1, 4, group_size=4)
-            cache = prefill_compress(res.keys, res.values, [[None]], plan, STREAM)
-            k, v = cache.materialize_layer(0)
-            k_0, v_0 = cache.materialize(0, 0)
-            assert k.shape == v.shape == (1, 3, 4)
-            assert self.same(k[0], k_0) and self.same(v[0], v_0)
-            stored = k is cache.residual_k[0] and v is cache.residual_v[0]
-            assert stored == (bits == 16) and np.shares_memory(k, k_0) == (bits == 16)
-        dense = DenseKV.from_prefill(res)
-        k, v = dense.materialize_layer(0)
-        assert k is dense.residual_k[0] is res.keys[0] and v is dense.residual_v[0] is res.values[0]
-        k_0, v_0 = dense.materialize(0, 0)
-        assert self.same(k[0], k_0) and self.same(v[0], v_0) and np.shares_memory(k, k_0)
-
-    def test_dense_stacks_read_before_an_append_are_unchanged_after_it(self):
-        model = _model(2, 2, 8)
-        dense = DenseKV.from_prefill(prefill(model, [1, 2, 3, 4, 5]))
-        read = [dense.materialize_layer(layer) for layer in range(2)] + [dense.materialize(1, 1)]
-        before = [(m.shape, m.tobytes()) for pair in read for m in pair]
-        decode_step_dense(model, dense, embed_token(model, 6, 5))
-        assert [(m.shape, m.tobytes()) for pair in read for m in pair] == before
-        for layer in range(2):
-            k, v = dense.materialize_layer(layer)
-            assert k.shape == v.shape == (2, 6, 4)
-            assert self.same(k[:, :5], read[layer][0]) and self.same(v[:, :5], read[layer][1])
-
     def test_stores_built_from_one_prefill_share_it_safely(self):
         # from_prefill copies only the outer lists, and an append replaces a
         # layer's arrays: two stores decoding different tokens from one
@@ -1321,53 +1249,6 @@ class TestStackedDecode:
                 assert self.same(decode_step_dense(model, store, h), per_head_decode(model, reference, h))
         assert all(m is kept for m, kept in zip([*res.keys, *res.values], arrays, strict=True))
         assert [m.tobytes() for m in arrays] == before
-
-
-class TestResidualStacks:
-    """Decode over a cache whose full-precision rows are one K and one V stack per layer."""
-
-    PROMPT, KEPT, HEAD_DIM = 12, 8, 4
-    STEPS, RESTORE_AT = 10, 5
-
-    @staticmethod
-    def stored(arrays):
-        return [m.tobytes() for pair in arrays for m in pair]
-
-    # every bit width, layout and group size (1 flushes at every step, 8 once)
-    # on each (layers, heads) case
-    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
-    @pytest.mark.parametrize("layers", [1, 2, 3])
-    def test_decode_across_flushes(self, layers, heads):
-        cases = itertools.product((16, 8, 4, 2), Layout, (1, 8))
-        for i, (bits, layout, group_size) in enumerate(cases):
-            seed = 100 * layers + 20 * heads + i
-            model = random_model(ModelConfig(layers, heads, heads * self.HEAD_DIM, 16, 64, seed))
-            prompt = gen_probe_prompt(self.PROMPT, 16, seed)
-            res = prefill(model, prompt)
-            plan = plan_for_tokens([self.KEPT] * layers, bits, heads, self.HEAD_DIM, group_size, layout)
-            cache = prefill_compress(res.keys, res.values, [[None] * heads] * layers, plan, STREAM)
-            reference, restored = cache.clone(), None
-            token = prompt[-1]
-            for step in range(self.STEPS):
-                if step == self.RESTORE_AT:
-                    restored = load_snapshot(dump_snapshot(cache))
-                h = embed_token(model, token, self.PROMPT + step)
-                held = [cache.materialize_layer(layer) for layer in range(layers)]
-                before = self.stored(held)
-                decode_step(model, cache.clone(), h)
-                assert self.stored(cache.materialize_layer(layer) for layer in range(layers)) == before
-                logits = decode_step(model, cache, h)
-                assert self.stored(held) == before  # stacks read before an append keep their rows
-                assert logits.tobytes() == per_head_decode(model, reference, h).tobytes()
-                if restored is not None:
-                    assert decode_step(model, restored, h).tobytes() == logits.tobytes()
-                token = int(np.argmax(logits))
-            assert dump_snapshot(restored) == dump_snapshot(cache)
-            blocks = 0 if bits == 16 else 1 + self.STEPS // group_size
-            rest = self.KEPT + self.STEPS if bits == 16 else self.STEPS % group_size
-            for layer in range(layers):
-                assert [len(cache.entry(layer, head).quant_k) for head in range(heads)] == [blocks] * heads
-                assert cache.residual_k[layer].shape == cache.residual_v[layer].shape == (heads, rest, self.HEAD_DIM)
 
 
 FMAX = float(np.finfo(np.float32).max)

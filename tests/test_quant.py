@@ -14,14 +14,13 @@ from kvtrade.quant import (
     QuantizedTensor,
     check_group_tables,
     dequantize_matrix,
-    error_bound_matrix,
     pack_codes,
     quantize_matrix,
     quantized_bytes,
     quantized_bytes_for_shape,
     unpack_codes,
 )
-from oracles import dequantize_group, pack_group, quantize_group, reference_dequantize
+from oracles import dequantize_group, error_bound_matrix, pack_group, quantize_group, reference_dequantize
 
 FIELDS = ("shape", "bits", "group_size", "layout", "zero_points", "scales", "packed_codes", "outliers")
 
