@@ -115,17 +115,12 @@ class TestPrefillCompress:
 
 
 class TestDecodeAppend:
-    def make_cache(self, bits=4, group=4, layout=Layout.PER_TOKEN, n=12, head_dim=8):
-        keys, values, ctxs = make_inputs(1, 1, n, head_dim, seed=2)
-        plan = uniform_plan(
-            1, 16, bits, heads=1, head_dim=head_dim, group_size=group, layout=layout
-        )
-        return prefill_compress(keys, values, ctxs, plan, STREAM4)
-
     def test_positions_strictly_increasing(self):
         # a layer keeps its prompt positions; the snapshot writes them and the
         # decode row count, which implies the decode rows' positions
-        cache = self.make_cache(group=4, n=12)
+        keys, values, ctxs = make_inputs(1, 1, 12, 8, seed=2)
+        plan = uniform_plan(1, 16, 4, heads=1, head_dim=8, group_size=4)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
         kept = cache.positions[0]
         assert (kept[:, 1:] > kept[:, :-1]).all() and kept[0, -1] < 12
         rng = np.random.default_rng(3)
@@ -136,6 +131,7 @@ class TestDecodeAppend:
         blob = dump_snapshot(cache)
         assert struct.unpack_from("<II", blob, SNAPSHOT_HEADER + 5) == (kept.shape[1], 9)
         assert struct.unpack_from(f"<{kept.shape[1]}I", blob, SNAPSHOT_HEADER + 13) == tuple(kept[0].tolist())
+
 
 class TestMeasuredBytes:
     def test_matches_plan_bytes_with_full_groups(self):
