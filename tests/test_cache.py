@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvtrade.budget import plan_bytes
+from kvtrade.budget import plan_bytes, plan_for_tokens
 from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade.prune import PolicyConfig, PolicyKind
-from kvtrade.quant import Layout, dequantize_matrix
+from kvtrade.quant import Layout, dequantize_matrix, quantize_matrix
 from oracles import context_from_probs, stored_blocks, uniform_plan
 
 
@@ -32,11 +32,34 @@ def make_inputs(layers, heads, n, head_dim, seed=0):
     return keys, values, ctxs
 
 
+def rejected_unchanged(cache, layer, side, bad, good, match):
+    """``decode_append`` of ``bad`` as the ``side`` row beside ``good`` raises and leaves the snapshot as it was."""
+    before = dump_snapshot(cache)
+    with pytest.raises(ContractViolation, match=match):
+        cache.decode_append(layer, *((bad, good) if side == "k" else (good, bad)))
+    assert dump_snapshot(cache) == before
+
+
 STREAM4 = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=4)
 H2O4 = PolicyConfig(PolicyKind.H2O, recent_window=4)
 
 
 class TestPrefillCompress:
+    def test_streaming_positions(self):
+        keys, values, ctxs = make_inputs(1, 1, 10, 8)
+        plan = uniform_plan(1, 6, 16, heads=1, head_dim=8)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        assert cache.positions[0].tolist() == [[0, 1, 6, 7, 8, 9]]
+        k, _ = cache.materialize_layer(0)
+        assert np.array_equal(k[0], keys[0][0][[0, 1, 6, 7, 8, 9], :])
+
+    def test_conservation_after_prefill(self):
+        keys, values, ctxs = make_inputs(3, 2, 50, 8, seed=4)
+        plan = uniform_plan(3, 20, 8, heads=2, head_dim=8)  # 40 tokens per layer
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        for layer in range(3):
+            assert cache.positions[layer].shape == (2, min(40, 50))
+
     def test_budget_below_policy_minimum(self):
         keys, values, ctxs = make_inputs(1, 1, 10, 8)
         plan = uniform_plan(1, 2, 16, heads=1, head_dim=8)
@@ -115,12 +138,22 @@ class TestPrefillCompress:
 
 
 class TestDecodeAppend:
+    def make_cache(self, bits=4, group=4, layout=Layout.PER_TOKEN, n=12, head_dim=8):
+        keys, values, ctxs = make_inputs(1, 1, n, head_dim, seed=2)
+        plan = uniform_plan(1, 16, bits, heads=1, head_dim=head_dim, group_size=group, layout=layout)
+        return prefill_compress(keys, values, ctxs, plan, STREAM4)
+
+    def test_residual_stays_under_group_size(self):
+        cache = self.make_cache(group=4)
+        rng = np.random.default_rng(1)
+        for _ in range(19):
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
+            assert cache.residual_k[0].shape[1] < 4
+
     def test_positions_strictly_increasing(self):
         # a layer keeps its prompt positions; the snapshot writes them and the
         # decode row count, which implies the decode rows' positions
-        keys, values, ctxs = make_inputs(1, 1, 12, 8, seed=2)
-        plan = uniform_plan(1, 16, 4, heads=1, head_dim=8, group_size=4)
-        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        cache = self.make_cache(group=4, n=12)
         kept = cache.positions[0]
         assert (kept[:, 1:] > kept[:, :-1]).all() and kept[0, -1] < 12
         rng = np.random.default_rng(3)
@@ -133,7 +166,192 @@ class TestDecodeAppend:
         assert struct.unpack_from(f"<{kept.shape[1]}I", blob, SNAPSHOT_HEADER + 13) == tuple(kept[0].tolist())
 
 
+    def test_wrong_width_rejected(self):
+        cache = self.make_cache()
+        with pytest.raises(ContractViolation):
+            cache.decode_append(0, np.ones(5), np.ones(5))
+
+    @pytest.mark.parametrize("shape", [(2, 4), (8, 1), (1, 1, 8), (2, 8), (16,), ()])
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_row_shape_rejected_and_cache_unchanged(self, shape, side):
+        # (2, 4), (8, 1) and (1, 1, 8) hold 8 values, but not as one row
+        rejected_unchanged(self.make_cache(), 0, side, np.ones(shape), np.ones(8), "shaped")
+
+    def test_row_and_one_row_matrix_append_alike(self):
+        flat, one_row = self.make_cache(), self.make_cache()
+        flat.decode_append(0, np.arange(8.0), np.ones(8))
+        one_row.decode_append(0, np.arange(8.0).reshape(1, 8), np.ones((1, 8)))
+        assert dump_snapshot(flat) == dump_snapshot(one_row)
+
+    @pytest.mark.parametrize("layer, head", [(-1, 0), (0, -1), (1, 0), (0, 1), (5, 5)])
+    def test_index_outside_cache_rejected_and_cache_unchanged(self, layer, head):
+        # a negative index must not wrap to the last layer or head
+        cache = self.make_cache()
+        before = dump_snapshot(cache)
+        if layer != 0:  # decode_append takes a layer only
+            with pytest.raises(ContractViolation, match="outside"):
+                cache.decode_append(layer, np.ones(8), np.ones(8))
+        with pytest.raises(ContractViolation, match="outside"):
+            cache.materialize(layer, head)
+        assert dump_snapshot(cache) == before
+
+    @pytest.mark.parametrize("bits", [4, 16])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_non_finite_row_rejected_and_cache_unchanged(self, bits, bad, side):
+        cache = self.make_cache(bits=bits)
+        rng = np.random.default_rng(4)
+        for _ in range(3):  # at 4 bits, the next append would flush
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
+        rejected_unchanged(cache, 0, side, np.r_[np.ones(5), bad, np.ones(2)], np.ones(8), "finite")
+
+    @pytest.mark.parametrize("row", [["a"] * 8, np.array(["1.0"] * 8), [1, [2], 3, 4, 5, 6, 7, 8]],
+                             ids=["letters", "numeric_strings", "ragged"])
+    @pytest.mark.parametrize("bits", [4, 16])
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_non_numeric_row_rejected_and_cache_unchanged(self, side, bits, row):
+        rejected_unchanged(self.make_cache(bits=bits), 0, side, row, np.ones(8), "append rows must hold numbers")
+
+    @pytest.mark.parametrize("big", [1e300, -1e300])
+    @pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+    def test_row_past_float32_rejected_not_warned(self, big, as_list):
+        # pytest turns the cast's overflow RuntimeWarning into an error
+        row = np.r_[np.ones(2), big, np.ones(5)]
+        rejected_unchanged(self.make_cache(), 0, "k", row.tolist() if as_list else row, np.ones(8), "finite")
+
+
+class TestLayerAppend:
+    """One decode_append writes every head of a layer from one row, or no head at all."""
+
+    HEADS, HEAD_DIM = 3, 4
+    WIDTH = HEADS * HEAD_DIM
+
+    def make_cache(self, bits=4, layout=Layout.PER_TOKEN):
+        keys, values, ctxs = make_inputs(2, self.HEADS, 12, self.HEAD_DIM, seed=30)
+        plan = uniform_plan(2, 16, bits, heads=self.HEADS, head_dim=self.HEAD_DIM, group_size=4, layout=layout)
+        return prefill_compress(keys, values, ctxs, plan, STREAM4)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (np.ones(11), "shaped"),
+            (np.ones((3, 4)), "shaped"),
+            (np.r_[np.ones(11), np.nan], "finite"),
+            (np.array(["1.0"] * 12), "numbers"),
+        ],
+        ids=["one_short", "heads_by_head_dim", "nan_in_last_head", "strings"],
+    )
+    @pytest.mark.parametrize("bits", [4, 16])
+    @pytest.mark.parametrize("side", ["k", "v"])
+    def test_bad_row_leaves_every_head_unchanged(self, side, bits, bad, match):
+        cache = self.make_cache(bits)
+        rng = np.random.default_rng(31)
+        for _ in range(3):  # at 4 bits, the next append would flush every head
+            cache.decode_append(1, rng.normal(size=self.WIDTH), rng.normal(size=self.WIDTH))
+        rejected_unchanged(cache, 1, side, bad, np.ones(self.WIDTH), match)
+
+    @pytest.mark.parametrize("layout", list(Layout))
+    @pytest.mark.parametrize("bits", [2, 4, 8])
+    def test_completing_a_group_adds_one_block_to_every_head(self, bits, layout):
+        cache = self.make_cache(bits, layout)
+        layer_0 = [m.tobytes() for m in cache.materialize_layer(0)]
+        positions_0, kept = cache.positions[0], cache.positions[1].shape[1]
+        rng = np.random.default_rng(32)
+        rows = [rng.normal(size=(2, self.WIDTH)).astype(np.float32) for _ in range(4)]
+        for step, (k, v) in enumerate(rows):
+            cache.decode_append(1, k, v)
+            # the fourth row completes the group and empties every head's residual
+            assert cache.residual_k[1].shape == cache.residual_v[1].shape == (self.HEADS, (step + 1) % 4, self.HEAD_DIM)
+        for side, (stack, cfg) in enumerate(zip(cache.materialize_layer(1), cache.plan.quant_config(1))):
+            assert stack.shape == (self.HEADS, kept + 4, self.HEAD_DIM)
+            for head in range(self.HEADS):
+                # each head's last rows are one block quantizing that head's slice of the four rows
+                sl = slice(head * self.HEAD_DIM, (head + 1) * self.HEAD_DIM)
+                expected = quantize_matrix(np.stack([pair[side][sl] for pair in rows]), cfg)
+                assert stack[head, kept:].tobytes() == dequantize_matrix(expected).tobytes()
+        assert cache.positions[0] is positions_0
+        assert [m.tobytes() for m in cache.materialize_layer(0)] == layer_0
+
+    def test_16bit_heads_take_their_slices_bit_for_bit(self):
+        cache = self.make_cache(16)
+        rng = np.random.default_rng(33)
+        k, v = rng.normal(size=(2, 1, self.WIDTH)).astype(np.float32)
+        cache.decode_append(1, k, v)
+        k_stack, v_stack = cache.materialize_layer(1)
+        assert np.array_equal(k_stack[:, -1], k.reshape(self.HEADS, self.HEAD_DIM))
+        assert np.array_equal(v_stack[:, -1], v.reshape(self.HEADS, self.HEAD_DIM))
+
+
+class TestResidualStacks:
+    """A layer's full-precision rows are one (heads, rows, head_dim) stack for K and one for V."""
+
+    HEAD_DIM, PROMPT, KEPT, APPENDS = 4, 12, 8, 11
+
+    # the oracle: each head's kept prompt rows, then its slice of every
+    # appended row; on a quantized layer the prompt rows and each full group
+    # are one block each, and the rest stays at full precision
+    @pytest.mark.parametrize("group_size", [1, 8])
+    @pytest.mark.parametrize("layout", list(Layout))
+    @pytest.mark.parametrize("bits", [16, 8, 4, 2])
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    def test_each_head_stores_its_slices(self, heads, bits, layout, group_size):
+        keys, values, ctxs = make_inputs(2, heads, self.PROMPT, self.HEAD_DIM, seed=heads + bits)
+        plan = plan_for_tokens([self.KEPT] * 2, bits, heads, self.HEAD_DIM, group_size, layout)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        rng = np.random.default_rng(group_size)
+        rows = rng.normal(size=(self.APPENDS, 2, heads * self.HEAD_DIM)).astype(np.float32)
+        for k, v in rows:
+            cache.decode_append(1, k, v)
+        cfgs = plan.quant_config(1) or (None, None)
+        full = 0 if bits == 16 else self.APPENDS // group_size * group_size
+        k_stack, v_stack = cache.materialize_layer(1)
+        for head in range(heads):
+            kept = cache.positions[1][head]
+            assert len(kept) == self.KEPT
+            appended = rows[:, :, head * self.HEAD_DIM : (head + 1) * self.HEAD_DIM]
+            for side, (prompt, cfg, stack) in enumerate(zip((keys, values), cfgs, (k_stack, v_stack))):
+                blocks = [prompt[1][head][kept]] + [appended[i : i + group_size, side] for i in range(0, full, group_size)]
+                decoded = blocks if cfg is None else [dequantize_matrix(quantize_matrix(b, cfg)) for b in blocks]
+                expected = np.concatenate(decoded + [appended[full:, side]])
+                assert stack[head].tobytes() == expected.tobytes()
+        rest = self.KEPT + self.APPENDS if bits == 16 else self.APPENDS - full
+        assert cache.residual_k[1].shape == cache.residual_v[1].shape == (heads, rest, self.HEAD_DIM)
+        # layer 0 took no row
+        assert cache.residual_k[0].shape == (heads, self.KEPT if bits == 16 else 0, self.HEAD_DIM)
+
+
+class TestMaterialize:
+    @pytest.mark.parametrize("appends", [0, 3], ids=["blocks-only", "blocks-and-residual"])
+    def test_writing_the_result_leaves_the_cache_unchanged(self, appends):
+        keys, values, ctxs = make_inputs(1, 1, 20, 8, seed=9)
+        plan = uniform_plan(1, 8, 4, heads=1, head_dim=8, group_size=8)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        rng = np.random.default_rng(10)
+        for _ in range(appends):
+            cache.decode_append(0, rng.normal(size=8), rng.normal(size=8))
+        assert cache.residual_k[0].shape[1] == appends  # the 8 prompt rows are a block
+        k, v = cache.materialize_layer(0)
+        expected = k.tobytes(), v.tobytes()
+        k[:] = v[:] = 7.0
+        assert tuple(m.tobytes() for m in cache.materialize_layer(0)) == expected
+
+
 class TestMeasuredBytes:
+    def test_empty_like_cache(self):
+        keys, values, ctxs = make_inputs(1, 1, 8, 8)
+        plan = uniform_plan(1, 8, 16, heads=1, head_dim=8)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        # 8 tokens of 8 dims, K and V, 2 bytes each
+        assert cache.measured_bytes() == 2 * 8 * 8 * 2
+
+    def test_grows_per_append_before_flush(self):
+        keys, values, ctxs = make_inputs(1, 1, 12, 8, seed=10)
+        plan = uniform_plan(1, 16, 4, heads=1, head_dim=8, group_size=64)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        before = cache.measured_bytes()
+        cache.decode_append(0, np.ones(8), np.ones(8))
+        assert cache.measured_bytes() - before == 8 * 2 * 2
+
     def test_matches_plan_bytes_with_full_groups(self):
         n, head_dim = 64, 64
         keys, values, ctxs = make_inputs(2, 2, n, head_dim, seed=9)
@@ -143,18 +361,37 @@ class TestMeasuredBytes:
 
 
 class TestSnapshot:
-    def build(self):
+    def build(self, threshold=6.0):
         keys, values, ctxs = make_inputs(2, 2, 24, 8, seed=13)
         plan = uniform_plan(2, 4, 4, heads=2, head_dim=8, group_size=8)
-        cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=6.0), STREAM4)
+        cache = prefill_compress(keys, values, ctxs, replace(plan, outlier_threshold=threshold), STREAM4)
         rng = np.random.default_rng(14)
         for layer in range(2):
             for _ in range(5):
                 cache.decode_append(layer, rng.normal(size=16), rng.normal(size=16))
         return cache
 
+    def test_round_trip(self):
+        cache = self.build()
+        restored = load_snapshot(dump_snapshot(cache))
+        for layer in range(2):
+            for m1, m2 in zip(cache.materialize_layer(layer), restored.materialize_layer(layer)):
+                assert np.array_equal(m1, m2)
+            assert np.array_equal(cache.positions[layer], restored.positions[layer])
+        assert restored.measured_bytes() == cache.measured_bytes()
+
     def test_dump_is_deterministic(self):
         assert dump_snapshot(self.build()) == dump_snapshot(self.build())
+
+    def test_redump_identical(self):
+        blob = dump_snapshot(self.build())
+        assert dump_snapshot(load_snapshot(blob)) == blob
+
+    def test_plan_round_trips(self):
+        # the outlier cache's plan carries its threshold through the header
+        for cache in (self.build(), self.build(threshold=None)):
+            assert cache.plan.total_budget_bytes > 0
+            assert load_snapshot(dump_snapshot(cache)).plan == cache.plan
 
     def test_older_version_rejected(self):
         for version in (1, 2, 3, 4):

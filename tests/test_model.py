@@ -2,6 +2,7 @@
 # first call with more than one worker, and that import's allocations would
 # otherwise fall inside whichever memory test's traced window comes first
 import concurrent.futures  # noqa: F401
+import itertools
 import math
 import struct
 import sys
@@ -43,7 +44,7 @@ from kvtrade.model import (
 from kvtrade.prune import PolicyConfig, PolicyKind, ScoreContext, decide
 from kvtrade.quant import Layout
 from kvtrade.sweep import STRATEGIES
-from kvtrade.tasks import gen_recall_task
+from kvtrade.tasks import gen_probe_prompt, gen_recall_task
 from kvtrade.tensor import matmul
 from oracles import (
     DenseStore,
@@ -1190,9 +1191,47 @@ class TestFusedProjection:
 class TestStackedDecode:
     """Decode attends over a layer's stacked heads, bit for bit as the per-head loop does."""
 
+    PROMPT = 12
+    STEPS = 9  # two flushes at group size 4
+
     @staticmethod
     def same(a, b):
         return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def decode_beside_the_per_head_loop(self, model, res, plan, token, steps):
+        """Decode ``steps`` tokens on a compressed cache and on a ``DenseKV``, each beside its
+        ``per_head_decode`` reference, bit for bit in logits and stacks; returns the compressed cache."""
+        layers, heads, n = len(res.keys), res.keys[0].shape[0], res.keys[0].shape[1]
+        cache = prefill_compress(res.keys, res.values, [[None] * heads] * layers, plan, STREAM)
+        stores = [(decode_step, cache, cache.clone()),
+                  (decode_step_dense, DenseKV.from_prefill(res), DenseStore.from_prefill(res))]
+        for step in range(steps):
+            h = embed_token(model, token, n + step)
+            for decode, store, reference in stores:
+                logits = decode(model, store, h)
+                assert self.same(logits, per_head_decode(model, reference, h))
+                for layer in range(layers):
+                    assert all(self.same(a, b) for a, b in zip(store.materialize_layer(layer),
+                                                                reference.materialize_layer(layer), strict=True))
+            token = int(np.argmax(logits))
+        return cache
+
+    # every bit width in each (layers, heads) case; head_dim, positions and
+    # layout rotate so that every value of each meets every bit width
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_equals_the_per_head_loop(self, layers, heads):
+        for i, bits in enumerate((16, 2, 4, 8)):
+            head_dim = (4, 8, 16)[(i + heads) % 3]
+            layout = list(Layout)[(i + layers + heads) % 2]
+            seed = 16 * layers + 4 * heads + i
+            cfg = ModelConfig(layers, heads, heads * head_dim, 16, 64, seed, (i + layers) % 2 == 0)
+            model = random_model(cfg)
+            prompt = gen_probe_prompt(self.PROMPT, cfg.vocab, seed)
+            plan = plan_for_tokens([8] * layers, bits, heads, head_dim, group_size=4, layout=layout)
+            cache = self.decode_beside_the_per_head_loop(model, prefill(model, prompt), plan, prompt[-1], self.STEPS)
+            rest = 8 + self.STEPS if bits == 16 else self.STEPS % 4  # the prompt block and two flushes
+            assert cache.residual_k[layers - 1].shape == (heads, rest, head_dim)
 
     # Strategy bounds: vocab 40 and a context of 64, so a prompt of up to 48
     # tokens leaves room for the three steps; 3 layers x 4 heads of head_dim
@@ -1216,21 +1255,8 @@ class TestStackedDecode:
     def test_equals_the_per_head_loop_on_drawn_models(self, layers, heads, head_dim, seed, prompt, token, kept,
                                                       bits, group_size, layout, use_positions):
         model = random_model(ModelConfig(layers, heads, heads * head_dim, 40, 64, seed, use_positions))
-        res = prefill(model, prompt)
         plan = plan_for_tokens([kept] * layers, bits, heads, head_dim, group_size, layout)
-        cache = prefill_compress(res.keys, res.values, [[None] * heads] * layers, plan, STREAM)
-        stores = [(decode_step, cache, cache.clone()),
-                  (decode_step_dense, DenseKV.from_prefill(res), DenseStore.from_prefill(res))]
-        for step in range(3):
-            h = embed_token(model, token, len(prompt) + step)
-            for decode, store, reference in stores:
-                logits = decode(model, store, h)
-                assert self.same(logits, per_head_decode(model, reference, h))
-            token = int(np.argmax(logits))
-        for _, store, reference in stores:
-            for layer in range(layers):
-                assert all(self.same(a, b) for a, b in zip(store.materialize_layer(layer),
-                                                            reference.materialize_layer(layer), strict=True))
+        self.decode_beside_the_per_head_loop(model, prefill(model, prompt), plan, token, 3)
 
     def test_stores_built_from_one_prefill_share_it_safely(self):
         # from_prefill copies only the outer lists, and an append replaces a
@@ -1249,6 +1275,51 @@ class TestStackedDecode:
                 assert self.same(decode_step_dense(model, store, h), per_head_decode(model, reference, h))
         assert all(m is kept for m, kept in zip([*res.keys, *res.values], arrays, strict=True))
         assert [m.tobytes() for m in arrays] == before
+
+
+class TestResidualStacks:
+    """Decode over a cache whose full-precision rows are one K and one V stack per layer."""
+
+    PROMPT, KEPT, HEAD_DIM = 12, 8, 4
+    STEPS, RESTORE_AT = 10, 5
+
+    @staticmethod
+    def stored(arrays):
+        return [m.tobytes() for pair in arrays for m in pair]
+
+    # every bit width, layout and group size (1 flushes at every step, 8 once)
+    # on each (layers, heads) case
+    @pytest.mark.parametrize("heads", [1, 2, 3, 4])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    def test_decode_across_flushes(self, layers, heads):
+        cases = itertools.product((16, 8, 4, 2), Layout, (1, 8))
+        for i, (bits, layout, group_size) in enumerate(cases):
+            seed = 100 * layers + 20 * heads + i
+            model = random_model(ModelConfig(layers, heads, heads * self.HEAD_DIM, 16, 64, seed))
+            prompt = gen_probe_prompt(self.PROMPT, 16, seed)
+            res = prefill(model, prompt)
+            plan = plan_for_tokens([self.KEPT] * layers, bits, heads, self.HEAD_DIM, group_size, layout)
+            cache = prefill_compress(res.keys, res.values, [[None] * heads] * layers, plan, STREAM)
+            reference, restored = cache.clone(), None
+            token = prompt[-1]
+            for step in range(self.STEPS):
+                if step == self.RESTORE_AT:
+                    restored = load_snapshot(dump_snapshot(cache))
+                h = embed_token(model, token, self.PROMPT + step)
+                held = [cache.materialize_layer(layer) for layer in range(layers)]
+                before = self.stored(held)
+                decode_step(model, cache.clone(), h)
+                assert self.stored(cache.materialize_layer(layer) for layer in range(layers)) == before
+                logits = decode_step(model, cache, h)
+                assert self.stored(held) == before  # stacks read before an append keep their rows
+                assert logits.tobytes() == per_head_decode(model, reference, h).tobytes()
+                if restored is not None:
+                    assert decode_step(model, restored, h).tobytes() == logits.tobytes()
+                token = int(np.argmax(logits))
+            assert dump_snapshot(restored) == dump_snapshot(cache)
+            rest = self.KEPT + self.STEPS if bits == 16 else self.STEPS % group_size
+            for layer in range(layers):
+                assert cache.residual_k[layer].shape == cache.residual_v[layer].shape == (heads, rest, self.HEAD_DIM)
 
 
 FMAX = float(np.finfo(np.float32).max)
