@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ContractViolation, is_number, require_int
+from .errors import ContractViolation, is_number, require_int, require_items, require_type
 from .quant import SUPPORTED_BITS, Layout, QuantConfig, quantized_bytes_for_shape
 
 PLAN_BITS = (2, 4, 8, 16)
@@ -57,9 +57,11 @@ class BudgetPlan:
     def __post_init__(self) -> None:
         # QuantConfig checks the setup every layer shares, also when no layer quantizes
         QuantConfig(SUPPORTED_BITS[0], self.group_size, self.layout, self.outlier_threshold)
-        if not self.per_layer:
-            raise ContractViolation("a plan needs at least one layer")
-        for tokens, bits in self.per_layer:
+        require_int("total_budget_bytes", self.total_budget_bytes, 0)
+        per_layer = require_items("per_layer", self.per_layer, tuple)
+        if not per_layer or {len(pair) for pair in per_layer} != {2}:
+            raise ContractViolation("a plan needs at least one layer, each a (tokens, bits) pair")
+        for tokens, bits in per_layer:
             if require_int("bits", bits, 0) not in PLAN_BITS:
                 raise ContractViolation(f"bits must be one of {PLAN_BITS}, got {bits}")
             require_int("tokens", tokens, 1)
@@ -177,6 +179,7 @@ def plan_bytes(plan: BudgetPlan, heads: int, head_dim: int) -> int:
     the layer's ``quant_config``; 16-bit layers are charged by
     :func:`fp16_kv_bytes`. ``heads`` and ``head_dim`` must be integers >= 1.
     """
+    require_type("plan", plan, BudgetPlan)
     heads, head_dim = require_int("heads", heads, 1), require_int("head_dim", head_dim, 1)
     total = 0
     for layer, (tokens, _bits) in enumerate(plan.per_layer):
@@ -193,15 +196,10 @@ def apply_overrides(plan: BudgetPlan, overrides) -> BudgetPlan:
 
     Each layer's implied 16-bit-equivalent base count is preserved, so the
     override swaps precision for tokens at (metadata aside) constant bytes.
-    ``overrides`` that are not a sequence of :class:`LayerOverride` raise ContractViolation.
+    ``overrides`` is a list or tuple of :class:`LayerOverride`.
     """
-    try:
-        items = list(overrides)
-    except TypeError:
-        items = None
-    if items is None or not all(isinstance(o, LayerOverride) for o in items):
-        raise ContractViolation(f"overrides must be a sequence of LayerOverride, got {overrides!r}")
-    overrides = items
+    require_type("plan", plan, BudgetPlan)
+    overrides = require_items("overrides", overrides, LayerOverride)
     spans = sorted((o.start, o.end) for o in overrides)
     for (s0, e0), (s1, _) in zip(spans, spans[1:]):
         if s1 < e0:

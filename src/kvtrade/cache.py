@@ -61,7 +61,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .budget import BudgetPlan, fp16_kv_bytes
-from .errors import ContractViolation, IntegrityError, require_index
+from .errors import ContractViolation, IntegrityError, require_index, require_type
 from .prune import PolicyConfig, ScoreContext, decide
 from .quant import (
     OUTLIER_DTYPE,
@@ -92,8 +92,13 @@ class LayerHeadCache:
 POSITION_DTYPE = np.dtype("<u4")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)  # a third cheaper than setting a.flags.writeable
+    return a
+
+
 def _empty_stack(heads: int, head_dim: int) -> np.ndarray:
-    return np.zeros((heads, 0, head_dim), dtype=np.float32)
+    return _read_only(np.zeros((heads, 0, head_dim), dtype=np.float32))
 
 
 def _flush(row: list[LayerHeadCache], k, v, cfgs: tuple[QuantConfig, QuantConfig]) -> None:
@@ -110,8 +115,8 @@ class CompressedKVCache:
 
     ``positions[layer]`` is a read-only ``(heads, kept)`` u32 array, each
     head's kept prompt positions, strictly increasing: the positions of its
-    first stored rows. ``residual_k[layer]`` and ``residual_v[layer]`` are
-    float32 ``(heads, rows, head_dim)`` arrays, never written in place.
+    first stored rows. ``residual_k[layer]`` and ``residual_v[layer]`` are float32
+    ``(heads, rows, head_dim)`` arrays, read-only as the cache makes them, never written in place.
     """
 
     plan: BudgetPlan
@@ -171,7 +176,7 @@ class CompressedKVCache:
         if k.shape[1] == self.plan.group_size and (cfgs := self.plan.quant_config(layer)) is not None:
             _flush(self.entries[layer], k, v, cfgs)
             k = v = _empty_stack(heads, head_dim)
-        self.residual_k[layer], self.residual_v[layer] = k, v
+        self.residual_k[layer], self.residual_v[layer] = _read_only(k), _read_only(v)
 
     def check_residual(self, layer: int) -> int:
         """``layer`` as an int, after checking that its residual K and V (public fields) are float32
@@ -197,7 +202,7 @@ class CompressedKVCache:
         """Every head's rows of ``layer`` in position order, stacked ``(heads, rows, head_dim)``.
 
         A layer without blocks (16-bit) returns its residual stacks
-        themselves, uncopied; callers must not write to them. Otherwise
+        themselves, uncopied and read-only. Otherwise
         every head's decoded blocks and residual slice are joined in one
         concatenation for K and one for V, into new arrays. An index that
         is not an integer inside the cache raises ContractViolation.
@@ -257,13 +262,10 @@ def prefill_compress(
     a quantized layer flushes into each head's prompt block. ``keys``,
     ``values`` and ``ctxs`` must each hold the plan's layers, every K and V
     one finite, nonempty stack of numbers of one shape, and every ctx row a
-    sequence of one item per head, ``plan`` a BudgetPlan and ``policy`` a
-    PolicyConfig; anything else raises ContractViolation.
+    sequence of one item per head; anything else raises ContractViolation.
     """
-    if not isinstance(plan, BudgetPlan):
-        raise ContractViolation(f"plan must be a BudgetPlan, got {type(plan).__name__}")
-    if not isinstance(policy, PolicyConfig):
-        raise ContractViolation(f"policy must be a PolicyConfig, got {type(policy).__name__}")
+    require_type("plan", plan, BudgetPlan)
+    require_type("policy", policy, PolicyConfig)
     if not _length(keys) == _length(values) == _length(ctxs) == plan.layers:
         raise ContractViolation(f"keys, values and ctxs must each hold {plan.layers} layers")
     shape = None
@@ -285,10 +287,9 @@ def prefill_compress(
         heads, n, head_dim = shape
         if (got := _length(ctxs[layer])) != heads:
             raise ContractViolation(f"ctxs must hold {heads} heads at layer {layer}, got {got}")
-        kept = np.array([decide(policy, c, n, tokens).retained for c in ctxs[layer]], POSITION_DTYPE)
-        kept.flags.writeable = False
+        kept = _read_only(np.array([decide(policy, c, n, tokens).retained for c in ctxs[layer]], POSITION_DTYPE))
         gather = (np.arange(heads)[:, None], kept)
-        k, v = k[gather], v[gather]
+        k, v = _read_only(k[gather]), _read_only(v[gather])
         row = [LayerHeadCache([], []) for _ in range(heads)]
         if (cfgs := plan.quant_config(layer)) is not None:  # the prompt blocks
             _flush(row, k, v, cfgs)
@@ -333,12 +334,10 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
     The cache's blocks were checked where their fields entered the program,
     so they are written as they are. Its residual stacks are public fields,
     so each layer's must pass :meth:`~CompressedKVCache.check_residual` and
-    hold finite values, as :func:`load_snapshot` requires; a ``cache`` that
-    is not a CompressedKVCache, or a residual that fails, raises
-    ContractViolation before anything is written.
+    hold finite values, as :func:`load_snapshot` requires; a residual that
+    fails raises ContractViolation before anything is written.
     """
-    if not isinstance(cache, CompressedKVCache):
-        raise ContractViolation(f"cache must be a CompressedKVCache, got {type(cache).__name__}")
+    require_type("cache", cache, CompressedKVCache)
     for layer in range(len(cache.entries)):
         cache.check_residual(layer)
         if not (np.isfinite(cache.residual_k[layer]).all() and np.isfinite(cache.residual_v[layer]).all()):
@@ -457,8 +456,10 @@ def load_snapshot(data: bytes) -> CompressedKVCache:
     by ``quant.check_group_tables``, the rule ``QuantizedTensor`` applies to
     one block; the blocks are then built without a second check.
     """
-    if not isinstance(data, (bytes, bytearray, memoryview)):
-        raise IntegrityError(f"a snapshot must be bytes, got {type(data).__name__}")
+    try:
+        require_type("a snapshot", data, (bytes, bytearray, memoryview), "bytes")
+    except ContractViolation as exc:
+        raise IntegrityError(str(exc)) from None
     try:
         return _load_snapshot(data if type(data) is bytes else bytes(data))
     except ContractViolation as exc:
@@ -507,8 +508,7 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
         p = r.array(POSITION_DTYPE, heads * kept).reshape(heads, kept)
         if (p[:, 1:] <= p[:, :-1]).any() or p[:, -1].max() >= prefill_len:
             raise IntegrityError(f"layer {layer}'s kept positions do not strictly increase below {prefill_len}")
-        p.flags.writeable = False  # shared by clones, whatever buffer the snapshot came in
-        positions.append(p)
+        positions.append(_read_only(p))  # shared by clones, whatever buffer the snapshot came in
         cfgs = plan.quant_config(layer)
         flushes, rest = (0, kept + decode) if cfgs is None else divmod(decode, group_size)
         entries.append(_load_blocks(r, cfgs, kept, flushes, heads, head_dim))

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .budget import FULL_PRECISION_BITS, plan_for_tokens
-from .cache import POSITION_DTYPE, CompressedKVCache, LayerHeadCache, Reader
-from .errors import ContractViolation, IntegrityError, require_int
+from .cache import POSITION_DTYPE, CompressedKVCache, LayerHeadCache, Reader, _read_only
+from .errors import ContractViolation, IntegrityError, require_int, require_items, require_path, require_type
 from .tensor import Matrix, as_matrix, as_row, blas_threads, matmul, require_finite, softmax_rows, softmax_rows_into
 
 # prefill's score for a future key: softmax gives it exactly 0 weight
@@ -46,6 +46,7 @@ class ModelConfig:
         for name in ("layers", "heads", "d_model", "vocab", "context_limit"):
             require_int(name, getattr(self, name), 1)
         require_int("seed", self.seed, 0)
+        require_type("use_positions", self.use_positions, (bool, np.bool_), "True or False")
         if self.d_model % self.heads:
             raise ContractViolation(
                 f"d_model {self.d_model} must divide evenly into {self.heads} heads"
@@ -99,10 +100,8 @@ class Weights:
     head: Matrix  # d_model x vocab
 
     def __post_init__(self) -> None:
-        if not isinstance(self.layers, (tuple, list)) or not all(isinstance(lw, LayerWeights) for lw in self.layers):
-            raise ContractViolation("layers must be a sequence of LayerWeights")
+        object.__setattr__(self, "layers", require_items("layers", self.layers, LayerWeights))
         object.__setattr__(self, "embedding", as_matrix(self.embedding, "embedding"))
-        object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "head", as_matrix(self.head, "head"))
 
 
@@ -119,8 +118,8 @@ class Model:
 
     def __post_init__(self) -> None:
         cfg, w = self.config, self.weights
-        if not (isinstance(cfg, ModelConfig) and isinstance(w, Weights)):
-            raise ContractViolation("a Model takes a ModelConfig and Weights")
+        require_type("config", cfg, ModelConfig, "a ModelConfig (a Model takes a ModelConfig and Weights)")
+        require_type("weights", w, Weights, "Weights (a Model takes a ModelConfig and Weights)")
         d = cfg.d_model
         shapes = [w.embedding.shape, *(lw.w_o.shape for lw in w.layers), w.head.shape]
         if shapes != [(cfg.vocab, d), *[(d, d)] * cfg.layers, (d, cfg.vocab)]:
@@ -135,7 +134,7 @@ class PrefillResult:
     """A prefill's outputs: the next-token logits and, one stack per layer, the
     K/V and attention statistics eviction and decode start from. It keeps no
     hidden states, which nothing reads once the logits are made. Callers must
-    not write to the stacks (:meth:`DenseKV.from_prefill` shares them)."""
+    not write to the stacks (:meth:`DenseKV.from_prefill` shares them as read-only views)."""
 
     logits: np.ndarray  # next-token logits, shape (vocab,)
     keys: list[np.ndarray]  # [layer] -> C-contiguous float32 (heads, n, head_dim)
@@ -154,17 +153,19 @@ class DenseKV(CompressedKVCache):
     def from_prefill(cls, result: PrefillResult) -> "DenseKV":
         """The 16-bit cache of all n rows of every layer of ``result``, without blocks.
 
-        Its residual stacks are ``result``'s own K and V stacks, shared: an
-        append replaces a layer's stacks rather than writing them. Every
-        layer's kept positions are one read-only ``(heads, n)`` broadcast of
-        ``0..n-1``. Stacks that fail :meth:`~CompressedKVCache.check_residual` raise.
+        Its residual stacks are read-only views of ``result``'s own K and V stacks, shared: an append
+        replaces a layer's stacks rather than writing them, and ``result`` keeps its flags. Every
+        layer's kept positions are one read-only ``(heads, n)`` broadcast of ``0..n-1``. Stacks that
+        fail :meth:`~CompressedKVCache.check_residual` raise.
         """
+        require_type("result", result, PrefillResult)
         layers, (heads, n, head_dim) = len(result.keys), result.keys[0].shape
         positions = np.broadcast_to(np.arange(n, dtype=POSITION_DTYPE), (heads, n))
         kv = cls(plan=plan_for_tokens([n] * layers, FULL_PRECISION_BITS, heads=heads, head_dim=head_dim),
                  heads=heads, head_dim=head_dim, prefill_len=n,
                  entries=[[LayerHeadCache([], []) for _ in range(heads)] for _ in range(layers)],
-                 positions=[positions] * layers, residual_k=list(result.keys), residual_v=list(result.values))
+                 positions=[positions] * layers, residual_k=[_read_only(k.view()) for k in result.keys],
+                 residual_v=[_read_only(v.view()) for v in result.values])
         for layer in range(layers):
             kv.check_residual(layer)
         return kv
@@ -181,7 +182,7 @@ def positional_encoding(length: int, d_model: int, offset: int = 0) -> Matrix:
 
 def random_model(cfg: ModelConfig) -> Model:
     """Seeded random weights, uniform in (-0.1, 0.1)."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(require_type("cfg", cfg, ModelConfig).seed)
 
     def draw(rows: int, cols: int) -> Matrix:
         return rng.uniform(-0.1, 0.1, size=(rows, cols)).astype(np.float32)
@@ -245,8 +246,9 @@ def _row_slices(rows: int, n: int) -> list[tuple[int, int]]:
 
 
 def _prompt_ids(model: Model, tokens) -> np.ndarray:
-    """``tokens`` as int64 ids: a 1-D prompt that fits the context, of integer dtype, in the vocabulary."""
-    cfg = model.config
+    """``model``'s kind checked, ``tokens`` as int64 ids: a 1-D prompt that fits the context, of integer dtype,
+    in the vocabulary (for :func:`prefill`, :func:`prefill_kv0` and :func:`embed_token`)."""
+    cfg = require_type("model", model, Model).config
     try:
         ids = np.asarray(tokens)
     except ValueError:  # a ragged prompt, such as [[1, 2], [3]]
@@ -341,8 +343,8 @@ def prefill(model: Model, tokens, window: int = 0) -> PrefillResult:
     has finished, and the pool's threads are joined before prefill returns
     or raises.
     """
-    cfg = model.config
     ids = _prompt_ids(model, tokens)
+    cfg = model.config
     window = require_int("window", window, 0)
     attention = _Attention(cfg, ids.size, window)
 
@@ -500,8 +502,7 @@ def _decode(model: Model, store: CompressedKVCache, h) -> np.ndarray:
 
     Operands are checked at the boundary, not at each product: the model's
     weights when it was built (:class:`Model`), ``h``, the store's shape and
-    every layer's stacks here, and every stored row by the store. A ``model``
-    that is not a :class:`Model`, a ``store`` that is not a CompressedKVCache,
+    every layer's stacks here, and every stored row by the store. A ``store``
     not shaped like the model or with a layer failing ``check_residual``, or
     an ``h`` not shaped ``(d_model,)`` or ``(1, d_model)`` or not holding
     numbers (:func:`as_row`), raises ContractViolation before the first append.
@@ -511,11 +512,8 @@ def _decode(model: Model, store: CompressedKVCache, h) -> np.ndarray:
     ContractViolation where it arises: a NaN in ``h``, an overflow, and a
     score at -inf, which the softmax alone would give weight 0.
     """
-    if not isinstance(model, Model):
-        raise ContractViolation(f"model must be a Model, got {type(model).__name__}")
-    if not isinstance(store, CompressedKVCache):
-        raise ContractViolation(f"store must be a CompressedKVCache, got {type(store).__name__}")
-    cfg = model.config
+    cfg = require_type("model", model, Model).config
+    require_type("store", store, CompressedKVCache)
     want = (cfg.layers, cfg.heads, cfg.head_dim)
     if store.shape != want:
         raise ContractViolation(f"store (layers, heads, head_dim) {store.shape} is not the model's {want}")
@@ -694,7 +692,8 @@ def _matrices(weights: Weights) -> list[Matrix]:
 
 
 def save_weights(model: Model, path) -> None:
-    cfg = model.config
+    """Write ``model`` to the file at ``path`` (the layout above)."""
+    cfg = require_type("model", model, Model).config
     header = struct.pack(
         _WEIGHTS_HEADER,
         WEIGHTS_VERSION,
@@ -707,7 +706,7 @@ def save_weights(model: Model, path) -> None:
         int(cfg.use_positions),
     )
     mats = [np.ascontiguousarray(m, dtype="<f4").tobytes() for m in _matrices(model.weights)]
-    with open(path, "wb") as fh:
+    with open(require_path("path", path), "wb") as fh:
         fh.write(b"".join([WEIGHTS_MAGIC, header, *mats]))
 
 
@@ -719,8 +718,9 @@ def load_weights(path) -> Model:
     overlong file, a header :class:`ModelConfig` rejects, a use_positions
     byte other than 0 or 1, weights that are not finite, and weights whose
     prefill activations could overflow float32 (:func:`_activations_fit`).
+    A file that cannot be read raises OSError.
     """
-    with open(path, "rb") as fh:
+    with open(require_path("path", path), "rb") as fh:
         r = Reader(fh.read(), "weights file")
     if r.take(4) != WEIGHTS_MAGIC:
         raise IntegrityError("bad weights magic")

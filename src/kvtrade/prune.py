@@ -35,7 +35,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ContractViolation, require_int
+from .errors import ContractViolation, require_int, require_type
 from .tensor import Matrix
 
 
@@ -57,8 +57,7 @@ class PolicyConfig:
     pool_width: int = 7
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, PolicyKind):
-            raise ContractViolation(f"kind must be a PolicyKind member, got {self.kind!r}")
+        require_type("kind", self.kind, PolicyKind)
         if self.recent_window is not None:
             require_int("recent_window", self.recent_window, 1)
         if require_int("pool_width", self.pool_width, 1) % 2 == 0:
@@ -130,8 +129,12 @@ class PruneDecision:
     retained: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        r = self.retained
-        if any(map(operator.le, r[1:], r)):
+        r = require_type("retained", self.retained, tuple)
+        try:
+            increasing = not any(map(operator.le, r[1:], r))
+        except (TypeError, ValueError):  # items that do not compare as numbers
+            increasing = False
+        if not increasing:
             raise ContractViolation("retained indices must be strictly increasing")
 
 
@@ -149,7 +152,7 @@ def top_k_indices(scores, k: int) -> list[int]:
         raise ContractViolation(f"scores must be numbers, got dtype {s.dtype}")
     s = s.astype(np.float64, copy=False).reshape(-1)
     if require_int("k", k, 0) > s.size:
-        raise ContractViolation(f"k={k} outside [0, {s.size}]")
+        raise ContractViolation(f"k={k} outside [0, {s.size}], the count of scores")
     if not np.isfinite(s).all():
         raise ContractViolation("scores must be finite")
     if k == 0:
@@ -159,13 +162,16 @@ def top_k_indices(scores, k: int) -> list[int]:
     return np.sort(order).tolist()
 
 
-def _keep(n: int, budget: int, cfg: PolicyConfig, candidate_scores) -> PruneDecision:
+def _keep(n: int, budget: int, cfg: PolicyConfig, candidate_scores, held: int | None = None) -> PruneDecision:
     """The keep rule of every policy (see the module docstring).
 
     ``candidate_scores(c)`` scores the ``c = n - window`` candidates; it is
-    called only when tokens are evicted.
+    called only when tokens are evicted, from the ``held`` trailing query rows
+    of the ctx when given. This is every scorer's one check of ``cfg``'s kind.
     """
-    w = cfg.window
+    w = require_type("cfg", cfg, PolicyConfig).window
+    if held is not None and held < min(w, n):
+        raise ContractViolation(f"{cfg.kind.value} reads the last {w} query rows; the context holds {held}")
     require_int("n", n, 1)
     require_int("budget", budget, w)
     if budget >= n:
@@ -179,15 +185,9 @@ def score_streaming(n: int, budget: int, cfg: PolicyConfig) -> PruneDecision:
     return _keep(n, budget, cfg, lambda c: -np.arange(c))
 
 
-def _require_context(ctx) -> None:
-    if not isinstance(ctx, ScoreContext):
-        raise ContractViolation(f"ctx must be a ScoreContext, got {type(ctx).__name__}")
-
-
 def score_h2o(ctx: ScoreContext, budget: int, cfg: PolicyConfig) -> PruneDecision:
-    """Cumulative-attention scoring over all query rows; a ``ctx`` that is
-    not a ScoreContext raises ContractViolation."""
-    _require_context(ctx)
+    """Cumulative-attention scoring over all query rows."""
+    require_type("ctx", ctx, ScoreContext)
     return _keep(ctx.seq_len, budget, cfg, lambda c: ctx.column_sums[:c])
 
 
@@ -218,18 +218,13 @@ def score_snapkv(ctx: ScoreContext, budget: int, cfg: PolicyConfig) -> PruneDeci
     ``recent_window`` rows (or all n when the window is longer), or
     ContractViolation is raised.
     """
-    _require_context(ctx)
-    w, held = cfg.window, ctx.window_probs.shape[0]
-    if held < min(w, ctx.seq_len):
-        raise ContractViolation(
-            f"{cfg.kind.value} reads the last {w} query rows; the context holds {held}"
-        )
+    held = require_type("ctx", ctx, ScoreContext).window_probs.shape[0]
 
     def pooled(c: int) -> np.ndarray:  # the window's w = n - c query rows start at row c
-        raw = ctx.window_probs[held - w :, :].astype(np.float64).sum(axis=0)[:c]
+        raw = ctx.window_probs[held - cfg.window :, :].astype(np.float64).sum(axis=0)[:c]
         return _max_pool_1d(raw, cfg.pool_width)
 
-    return _keep(ctx.seq_len, budget, cfg, pooled)
+    return _keep(ctx.seq_len, budget, cfg, pooled, held)
 
 
 _SCORERS = {
@@ -243,15 +238,11 @@ def decide(policy: PolicyConfig, ctx: ScoreContext | None, n: int, budget: int) 
     """Dispatch to the policy's scoring rule.
 
     ``streaming_llm`` needs no attention statistics; the score-based rules
-    require a ScoreContext for the same ``n`` tokens. A ``policy`` that is
-    not a PolicyConfig, a ``ctx`` that is neither None nor a ScoreContext,
-    under any policy, or an ``n`` that is not an integer >= 1 raises
-    ContractViolation.
+    require a ScoreContext for the same ``n`` tokens; ``ctx`` is None or a
+    ScoreContext under any policy, and ``n`` an integer >= 1.
     """
-    if not isinstance(policy, PolicyConfig):
-        raise ContractViolation(f"policy must be a PolicyConfig, got {type(policy).__name__}")
-    if ctx is not None and not isinstance(ctx, ScoreContext):
-        raise ContractViolation(f"ctx must be a ScoreContext or None, got {type(ctx).__name__}")
+    require_type("policy", policy, PolicyConfig)
+    require_type("ctx", ctx, (ScoreContext, type(None)))
     require_int("n", n, 1)
     if policy.kind == PolicyKind.STREAMING_LLM:
         return score_streaming(n, budget, policy)

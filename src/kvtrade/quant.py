@@ -60,7 +60,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation, IntegrityError, is_number, require_int
+from .errors import ContractViolation, IntegrityError, is_number, require_int, require_type
 from .tensor import Matrix, as_matrix
 
 SUPPORTED_BITS = (2, 4, 8)
@@ -97,8 +97,7 @@ class QuantConfig:
         if require_int("bits", self.bits, 0) not in SUPPORTED_BITS:
             raise ContractViolation(f"bits must be one of {SUPPORTED_BITS}, got {self.bits}")
         require_int("group_size", self.group_size, 1)
-        if not isinstance(self.layout, Layout):
-            raise ContractViolation(f"layout must be a Layout member, got {self.layout!r}")
+        require_type("layout", self.layout, Layout)
         # written so that NaN fails too
         t = self.outlier_threshold
         if t is not None and not (is_number(t) and t >= 0):
@@ -114,13 +113,13 @@ class QuantizedTensor:
     per group) and ``outliers`` (an :data:`OUTLIER_DTYPE` array sorted by
     position, exact float32 values) are read-only, so blocks can be shared.
     ``packed_codes`` holds every code once, one byte-aligned run per group,
-    as ``bytes``: any other bytes-like value is copied, so no caller can
-    write a block's codes.
+    as ``bytes``: a ``bytearray``, ``memoryview`` or numpy array given is
+    copied, so no caller can write a block's codes.
 
     Construction checks every field, since they come from outside: it
     raises IntegrityError when ``shape`` is not two integers >= 0, ``bits``
     or ``group_size`` is invalid, ``layout`` is not a Layout member or
-    ``packed_codes`` is not bytes-like, when the group arrays or the packed
+    ``packed_codes`` is of another kind, when the group arrays or the packed
     stream disagree with :func:`group_split`, when an outlier is invalid,
     or when a zero point or scale breaks :func:`check_group_tables` (not
     finite, a negative scale, or a decode range ``[z, z + s * (2**bits -
@@ -150,6 +149,9 @@ class QuantizedTensor:
         try:  # the integer check first: 4.0 in SUPPORTED_BITS holds
             bits = require_int("bits", self.bits, 0)
             require_int("group_size", self.group_size, 1)
+            require_type("layout", self.layout, Layout)
+            codes = require_type("packed_codes", self.packed_codes, (bytes, bytearray, memoryview, np.ndarray),
+                                 "bytes-like")
         except ContractViolation as exc:
             raise IntegrityError(str(exc)) from exc
         if bits not in SUPPORTED_BITS:
@@ -159,16 +161,11 @@ class QuantizedTensor:
             shape = require_int("rows", rows, 0), require_int("cols", cols, 0)
         except (TypeError, ValueError):  # ContractViolation is a ValueError
             raise IntegrityError(f"shape must be two integers >= 0, got {self.shape!r}") from None
-        if not isinstance(self.layout, Layout):
-            raise IntegrityError(f"layout must be a Layout member, got {self.layout!r}")
         groups, nbytes = group_split(shape, self.layout, self.group_size, bits, arrays["outliers"])
         if not len(arrays["zero_points"]) == len(arrays["scales"]) == groups:
             raise IntegrityError(f"group arrays do not hold {groups} groups")
         check_group_tables(arrays["zero_points"], arrays["scales"], bits)
-        try:
-            codes = self.packed_codes if type(self.packed_codes) is bytes else bytes(memoryview(self.packed_codes))
-        except TypeError:
-            raise IntegrityError(f"packed_codes must be bytes-like, got {type(self.packed_codes).__name__}") from None
+        codes = codes if type(codes) is bytes else bytes(memoryview(codes))
         if len(codes) != nbytes:
             raise IntegrityError(f"packed stream is {len(codes)} bytes, expected {nbytes}")
         _set_fields(self, shape=shape, packed_codes=codes, **arrays)
@@ -360,8 +357,7 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
     Elements with ``|v| > outlier_threshold`` (when set) move to the sidecar
     first and are excluded from grouping; the survivors in each run compact
     leftward and are chopped into ``group_size`` chunks, the final partial
-    chunk quantized as its own shorter group. A ``cfg`` that is not a
-    QuantConfig raises ContractViolation.
+    chunk quantized as its own shorter group.
 
     The block is valid by construction, so it is built without
     :class:`QuantizedTensor`'s checks: its shape, bit width, group size and
@@ -373,8 +369,7 @@ def quantize_matrix(m: Matrix, cfg: QuantConfig) -> QuantizedTensor:
     ``max(G) <= max`` and rounding is monotone, ``s`` never passes
     ``(max - z) / levels``, which is :func:`check_group_tables`' rule.
     """
-    if not isinstance(cfg, QuantConfig):
-        raise ContractViolation(f"cfg must be a QuantConfig, got {type(cfg).__name__}")
+    require_type("cfg", cfg, QuantConfig)
     try:
         m = np.asarray(m)
     except ValueError:  # a ragged sequence, such as [[1, 2], [3]]
@@ -460,6 +455,8 @@ def dequantize_matrix(q: QuantizedTensor) -> Matrix:
     ``quantize_matrix``, or on the first call for a block loaded or built
     from its fields.
     """
+    if type(q) is not QuantizedTensor:  # decode reads every block at each step: the check costs no call there
+        require_type("q", q, QuantizedTensor)
     return q._decoded
 
 
@@ -506,11 +503,9 @@ def quantized_bytes(q: QuantizedTensor) -> int:
     """Accounted storage cost of a quantized tensor in bytes.
 
     Packed code bytes (byte-aligned per group) + 2 bytes of scale/zero
-    metadata per group + 6 bytes per outlier. A ``q`` that is not a
-    QuantizedTensor raises ContractViolation.
+    metadata per group + 6 bytes per outlier.
     """
-    if not isinstance(q, QuantizedTensor):
-        raise ContractViolation(f"q must be a QuantizedTensor, got {type(q).__name__}")
+    require_type("q", q, QuantizedTensor)
     metadata = GROUP_METADATA_BYTES * len(q.scales) + OUTLIER_BYTES * len(q.outliers)
     return len(q.packed_codes) + metadata
 

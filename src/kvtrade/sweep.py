@@ -45,7 +45,7 @@ from .budget import (
     pyramid_allocation,
 )
 from .cache import prefill_compress
-from .errors import ContractViolation, is_number, require_int
+from .errors import ContractViolation, is_number, require_int, require_items, require_path, require_type
 from .model import (
     DenseKV,
     Model,
@@ -87,7 +87,7 @@ class SweepConfig:
 
     task: str = "recall"
     model: str = "recall"  # recall | random (or set weights_file)
-    weights_file: str = ""
+    weights_file: str | os.PathLike = ""
     seq_lens: tuple[int, ...] = (256,)
     seeds: tuple[int, ...] = (0,)
     policies: tuple[str, ...] = ("snapkv",)
@@ -111,12 +111,18 @@ class SweepConfig:
     pyramid_min_fraction: float = 0.2
     recent_window: int | None = None
     pool_width: int = 7
-    output: str = ""
+    output: str | os.PathLike = ""
 
     def __post_init__(self) -> None:
-        problems = [f"{key} must be a tuple, got {getattr(self, key)!r}"
-                    for key in _TUPLE_KEYS if not isinstance(getattr(self, key), tuple)]
-        if problems:  # the checks below read every axis as a tuple
+        problems = []
+        for key, kind in _FIELD_TYPES.items():
+            try:
+                value = require_type(key, getattr(self, key), *_KINDS[kind])
+                if kind in _ITEM_KINDS:
+                    require_items(key, value, *_ITEM_KINDS[kind])
+            except ContractViolation as exc:
+                problems.append(str(exc))
+        if problems:  # the checks below read every field as its annotation says
             raise ConfigError("; ".join(problems))
 
         def ints(name: str, values, minimum: int) -> list[int]:
@@ -133,20 +139,13 @@ class SweepConfig:
             problems.append(f"task must be recall or random_probe, got {self.task!r}")
         if self.model not in ("recall", "random"):
             problems.append(f"model must be recall or random, got {self.model!r}")
-        weights_file = self.weights_file
-        if not isinstance(weights_file, (str, os.PathLike)):
-            # open() would take an integer for a file descriptor
-            problems.append(f"weights_file must be a path, got {weights_file!r}")
-            weights_file = ""
-        if not isinstance(self.output, (str, os.PathLike)):
-            problems.append(f"output must be a path, got {self.output!r}")
-        if self.task == "recall" and (self.model != "recall" or weights_file):
+        if self.task == "recall" and (self.model != "recall" or self.weights_file):
             # the pair vocabulary cannot be reconstructed from a weights file
-            problems.append("the recall task requires the built-in recall model")
+            problems.append("the recall task requires the built-in recall model: model = recall, no weights_file")
         context_limit = layers = None  # unknown for an unreadable file; recall fits each seq_len
-        if weights_file:
+        if self.weights_file:
             try:
-                file_config = _load_weights_file(weights_file).config
+                file_config = _load_weights_file(self.weights_file).config
                 context_limit, layers = file_config.context_limit, file_config.layers
             except OSError:
                 pass  # reported when a point loads it
@@ -197,8 +196,6 @@ class SweepConfig:
         if not (is_number(self.pyramid_min_fraction) and 0 < self.pyramid_min_fraction <= 1):
             problems.append("pyramid_min_fraction must be a number in (0, 1], "
                             f"got {self.pyramid_min_fraction!r}")
-        if not isinstance(self.paired_budget, (bool, np.bool_)):
-            problems.append(f"paired_budget must be True or False, got {self.paired_budget!r}")
         if problems:
             raise ConfigError("; ".join(problems))
 
@@ -294,6 +291,7 @@ _PARSERS = {
     int: int,
     float: float,
     str: str,
+    str | os.PathLike: str,
     bool: _parse_bool,
     int | None: lambda val: int(val) if val else None,
     tuple[int, ...]: _list_of(int),
@@ -302,14 +300,20 @@ _PARSERS = {
 }
 _FIELD_TYPES = typing.get_type_hints(SweepConfig)
 _FIELD_PARSERS = {key: _PARSERS[t] for key, t in _FIELD_TYPES.items()}
-# the keys a SweepConfig must hold as tuples, however it is built
-_TUPLE_KEYS = [key for key, t in _FIELD_TYPES.items() if typing.get_origin(t) is tuple]
+# The kinds each annotation admits, as require_type takes them, however a SweepConfig
+# is built, and a tuple's items' kinds (a needle depth's rule is gen_recall_task's).
+_INTEGERS = (int, np.integer)
+_KINDS = {int: (_INTEGERS, "an integer"), float: ((*_INTEGERS, float, np.floating), "a number"),
+          str: (str, "a string"), str | os.PathLike: ((str, os.PathLike), "a path"),
+          bool: ((bool, np.bool_), "True or False"), int | None: ((*_INTEGERS, type(None)), "an integer or None"),
+          tuple[int, ...]: (tuple,), tuple[float, ...]: (tuple,), tuple[str, ...]: (tuple,)}
+_ITEM_KINDS = {tuple[int, ...]: (_INTEGERS, "a tuple of integers"), tuple[str, ...]: (str, "a tuple of strings")}
 
 
 def parse_config(text: str) -> SweepConfig:
     """Parse the flat key-value schema (see module docstring) into a config."""
     values: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(require_type("text", text, str).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -581,6 +585,7 @@ def run_sweep(cfg: SweepConfig, parallel: int = 1) -> tuple[list[SweepRow], list
     ``min(parallel, prompts)`` worker processes runs whole prompts. A
     ``parallel`` that is not an integer >= 1 raises ContractViolation.
     """
+    require_type("cfg", cfg, SweepConfig)
     parallel = require_int("parallel", parallel, 1)
     points = enumerate_grid(cfg)
     prompts: dict[tuple[int, int], list[GridPoint]] = {}
@@ -615,10 +620,11 @@ def rows_to_csv(rows: list[SweepRow]) -> str:
 
 
 def emit_csv(rows: list[SweepRow], path) -> None:
-    """Write rows with the fixed 14-column schema; header-only when empty."""
+    """Write rows, a list or tuple of SweepRow, with the fixed 14-column schema; header-only when empty."""
+    text = rows_to_csv(require_items("rows", rows, SweepRow))
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(rows_to_csv(rows))
+        with open(require_path("path", path), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 

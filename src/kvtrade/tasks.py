@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, is_number, require_int
+from .errors import ContractViolation, is_number, require_int, require_type
 from .model import RecallVocab
 
 
@@ -47,6 +47,7 @@ def gen_recall_task(
     is not an integer >= 1, a ``num_pairs`` or ``seed`` not one >= 0, or
     ``needle_depths`` that are not a sequence, raise ContractViolation.
     """
+    require_type("vocab", vocab, RecallVocab)
     seq_len, seed = require_int("seq_len", seq_len, 1), require_int("seed", seed, 0)
     num_pairs = require_int("num_pairs", num_pairs, 0)
     try:

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from kvtrade import cli
 from kvtrade.cli import main
 from kvtrade.sweep import parse_csv
 
+DEMO_SHA256 = "e93c317278ebe77e8ceb649a229f8143664a5b059b9a5229c029b9e684464883"
 GOOD_CONFIG = """\
 task = recall
 model = recall
@@ -55,7 +57,8 @@ class TestRun:
     def test_run_demo_config(self, tmp_path):
         out = tmp_path / "demo.csv"
         assert main(["run", "--config", "demo", "--out", str(out)]) == 0
-        assert out.exists()
+        # the demo's bytes (ROADMAP rule 1); identical under 1 and 2 BLAS threads
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DEMO_SHA256
 
     def test_missing_config_is_config_error(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -1,5 +1,6 @@
 """The experiment configs under ``experiments/`` and the CSV summarizer."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import kvtrade
+from kvtrade.cli import main
 from kvtrade.sweep import emit_csv, enumerate_grid, parse_config, run_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +49,22 @@ def test_experiment_runs_and_summarizes(name, tmp_path):
                                      "median_budget_ratio_meta"]
     assert len(lines) == 1 + SUMMARY_LINES[name]
     assert all(line.split()[-4] == "1" for line in lines[1:])
+
+
+# each full config's CSV bytes (ROADMAP rule 1), identical under 1 and 2 BLAS threads; both
+# run the hand-built recall model. layer_overrides is not pinned: it runs the random
+# model, whose BLAS products may round differently on another CPU.
+CSV_SHA256 = {
+    "budget_tradeoff": "4e9b52515e76423c969beee1f2670640610a1f249c862e9b0a12fc214bde88b1",
+    "quant_strategy": "6d65fdeceb0ef96fd2dc474b71df0b534156ff2cfcf13b2d0201dc078ebe9125",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_SHA256))
+def test_full_config_csv_keeps_its_bytes(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert main(["run", "--config", str(ROOT / "experiments" / f"{name}.cfg"), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[name]
 
 
 def test_budget_grid_holds_the_budget_matched_points():

@@ -191,12 +191,10 @@ class CacheLifecycle(RuleBasedStateMachine):
             assert self.cache.measured_bytes_per_layer()[layer] == accounted
 
     @invariant()
-    def writing_a_quantized_layer_s_result_changes_nothing(self):
-        # a 16-bit layer gives its stored stacks, uncopied, which callers must not write
-        # (materialize_layer); a quantized layer's result is the caller's, or read-only
+    def writing_a_layer_s_result_changes_nothing(self):
+        # a 16-bit layer gives its stored stacks, uncopied and read-only (materialize_layer);
+        # a quantized layer's result is the caller's, or read-only
         for layer in range(self.layers):
-            if self.plan.quant_config(layer) is None:
-                continue
             before = [m.tobytes() for m in self.cache.materialize_layer(layer)]
             for m in self.cache.materialize_layer(layer):
                 try:

@@ -1130,7 +1130,10 @@ class TestDenseKVIsTheFullBudgetCache:
         assert dense.plan.per_layer == ((5, 16), (5, 16))
         assert dense.measured_bytes_per_layer() == [fp16_kv_bytes(5, 2, 4)] * 2  # every row, none in a block
         for layer in range(2):
-            assert dense.residual_k[layer] is res.keys[layer] and dense.residual_v[layer] is res.values[layer]
+            # read-only views of the prefill's stacks, which keep their own flags
+            for stacks, own in ((dense.residual_k, res.keys), (dense.residual_v, res.values)):
+                assert stacks[layer].base is own[layer] and not stacks[layer].flags.writeable
+                assert own[layer].flags.writeable
             positions = dense.positions[layer]
             assert positions.tolist() == [list(range(5))] * 2 and not positions.flags.writeable
 
