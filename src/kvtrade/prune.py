@@ -162,16 +162,13 @@ def top_k_indices(scores, k: int) -> list[int]:
     return np.sort(order).tolist()
 
 
-def _keep(n: int, budget: int, cfg: PolicyConfig, candidate_scores, held: int | None = None) -> PruneDecision:
+def _keep(n: int, budget: int, cfg: PolicyConfig, candidate_scores) -> PruneDecision:
     """The keep rule of every policy (see the module docstring).
 
     ``candidate_scores(c)`` scores the ``c = n - window`` candidates; it is
-    called only when tokens are evicted, from the ``held`` trailing query rows
-    of the ctx when given. This is every scorer's one check of ``cfg``'s kind.
+    called only when tokens are evicted.
     """
     w = require_type("cfg", cfg, PolicyConfig).window
-    if held is not None and held < min(w, n):
-        raise ContractViolation(f"{cfg.kind.value} reads the last {w} query rows; the context holds {held}")
     require_int("n", n, 1)
     require_int("budget", budget, w)
     if budget >= n:
@@ -219,12 +216,15 @@ def score_snapkv(ctx: ScoreContext, budget: int, cfg: PolicyConfig) -> PruneDeci
     ContractViolation is raised.
     """
     held = require_type("ctx", ctx, ScoreContext).window_probs.shape[0]
+    w = require_type("cfg", cfg, PolicyConfig).window
+    if held < min(w, ctx.seq_len):
+        raise ContractViolation(f"{cfg.kind.value} reads the last {w} query rows; the context holds {held}")
 
     def pooled(c: int) -> np.ndarray:  # the window's w = n - c query rows start at row c
-        raw = ctx.window_probs[held - cfg.window :, :].astype(np.float64).sum(axis=0)[:c]
+        raw = ctx.window_probs[held - w :, :].astype(np.float64).sum(axis=0)[:c]
         return _max_pool_1d(raw, cfg.pool_width)
 
-    return _keep(ctx.seq_len, budget, cfg, pooled, held)
+    return _keep(ctx.seq_len, budget, cfg, pooled)
 
 
 _SCORERS = {

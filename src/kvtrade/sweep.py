@@ -117,9 +117,7 @@ class SweepConfig:
         problems = []
         for key, kind in _FIELD_TYPES.items():
             try:
-                value = require_type(key, getattr(self, key), *_KINDS[kind])
-                if kind in _ITEM_KINDS:
-                    require_items(key, value, *_ITEM_KINDS[kind])
+                _RULES[kind][1](key, getattr(self, key))
             except ContractViolation as exc:
                 problems.append(str(exc))
         if problems:  # the checks below read every field as its annotation says
@@ -286,28 +284,31 @@ def _list_of(item):
     return lambda val: tuple(item(v.strip()) for v in val.split(",") if v.strip())
 
 
-# One parser per SweepConfig annotation type; an empty optional int is None.
-_PARSERS = {
-    int: int,
-    float: float,
-    str: str,
-    str | os.PathLike: str,
-    bool: _parse_bool,
-    int | None: lambda val: int(val) if val else None,
-    tuple[int, ...]: _list_of(int),
-    tuple[float, ...]: _list_of(float),
-    tuple[str, ...]: _list_of(str),
+def _kind(kinds, what=None):
+    return lambda name, value: require_type(name, value, kinds, what)
+
+
+def _tuple_of(kinds, what):
+    """A tuple's kind, then its items'."""
+    return lambda name, value: require_items(name, require_type(name, value, tuple), kinds, what)
+
+
+_INTEGERS = (int, np.integer)
+# One rule per SweepConfig annotation: its config-file parser (an empty optional int is None) and
+# its kind check, however a SweepConfig is built (a needle depth's rule is gen_recall_task's).
+_RULES = {
+    int: (int, _kind(_INTEGERS, "an integer")),
+    float: (float, _kind((*_INTEGERS, float, np.floating), "a number")),
+    str: (str, _kind(str, "a string")),
+    str | os.PathLike: (str, require_path),
+    bool: (_parse_bool, _kind((bool, np.bool_), "True or False")),
+    int | None: (lambda val: int(val) if val else None, _kind((*_INTEGERS, type(None)), "an integer or None")),
+    tuple[int, ...]: (_list_of(int), _tuple_of(_INTEGERS, "a tuple of integers")),
+    tuple[float, ...]: (_list_of(float), _kind(tuple)),
+    tuple[str, ...]: (_list_of(str), _tuple_of(str, "a tuple of strings")),
 }
 _FIELD_TYPES = typing.get_type_hints(SweepConfig)
-_FIELD_PARSERS = {key: _PARSERS[t] for key, t in _FIELD_TYPES.items()}
-# The kinds each annotation admits, as require_type takes them, however a SweepConfig
-# is built, and a tuple's items' kinds (a needle depth's rule is gen_recall_task's).
-_INTEGERS = (int, np.integer)
-_KINDS = {int: (_INTEGERS, "an integer"), float: ((*_INTEGERS, float, np.floating), "a number"),
-          str: (str, "a string"), str | os.PathLike: ((str, os.PathLike), "a path"),
-          bool: ((bool, np.bool_), "True or False"), int | None: ((*_INTEGERS, type(None)), "an integer or None"),
-          tuple[int, ...]: (tuple,), tuple[float, ...]: (tuple,), tuple[str, ...]: (tuple,)}
-_ITEM_KINDS = {tuple[int, ...]: (_INTEGERS, "a tuple of integers"), tuple[str, ...]: (str, "a tuple of strings")}
+_FIELD_PARSERS = {key: _RULES[t][0] for key, t in _FIELD_TYPES.items()}
 
 
 def parse_config(text: str) -> SweepConfig:

@@ -74,6 +74,10 @@ def plan(tokens, bits):
 # a 4-bit and a 16-bit layer: plan_bytes charges both kinds
 TWO_LAYERS = BudgetPlan(((4, 4), (4, 16)), 4, Layout.PER_TOKEN, 0)
 
+
+def two_layer_cache():
+    return prefill_compress([*TINY_PREFILL.keys] * 2, [*TINY_PREFILL.values] * 2, [[None]] * 2, TWO_LAYERS, STREAM2)
+
 # id: (build, the name its messages use, its minimum, further values it rejects)
 SETTINGS = {
     **{f"ModelConfig.{name}": (model_config(name), name, 1, (1.5,))
@@ -129,7 +133,9 @@ SETTINGS = {
     "CompressedKVCache.decode_append.layer": (lambda v: tiny_cache().decode_append(v, ROW, ROW), "layer", 0, (1,)),
     "CompressedKVCache.materialize.head": (lambda v: tiny_cache().materialize(0, v), "head", 0, (1,)),
     "CompressedKVCache.materialize_layer.layer": (lambda v: tiny_cache().materialize_layer(v), "layer", 0, (1,)),
-    "CompressedKVCache.check_residual.layer": (lambda v: tiny_cache().check_residual(v), "layer", 0, (1, -1)),
+    # on 2 layers: -1 and True are not layer 1 (test_check_residual_takes_each_layer)
+    "CompressedKVCache.check_residual.layer": (lambda v: two_layer_cache().check_residual(v), "layer", 0,
+                                               (2, -3, "x", None)),
     "DenseKV.materialize.layer": (lambda v: dense().materialize(v, 0), "layer", 0, (1,)),
     "DenseKV.decode_append.layer": (lambda v: dense().decode_append(v, ROW, ROW), "layer", 0, (1,)),
     "DenseKV.materialize_layer.layer": (lambda v: dense().materialize_layer(v), "layer", 0, (1,)),
@@ -184,6 +190,10 @@ def test_require_int_returns_a_python_int(value):
 def test_require_int_names_the_setting_and_the_value():
     with pytest.raises(ContractViolation, match=r"^x must be an integer >= 1, got '2'$"):
         require_int("x", "2", 1)
+
+
+def test_check_residual_takes_each_layer():
+    assert [two_layer_cache().check_residual(layer) for layer in (0, 1, np.int64(1))] == [0, 1, 1]
 
 
 def test_valid_statistics_are_kept_uncopied():

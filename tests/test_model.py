@@ -4,7 +4,9 @@
 import concurrent.futures  # noqa: F401
 import itertools
 import math
+import os
 import struct
+import subprocess
 import sys
 import tempfile
 import threading
@@ -791,6 +793,31 @@ class TestWeightsFile:
         save_weights(model, path)
         loaded = load_weights(path)
         assert np.array_equal(prefill(model, [1, 2, 3]).logits, prefill(loaded, [1, 2, 3]).logits)
+
+
+# a path that is not a str or os.PathLike: open() would take an int or a bool for a
+# file descriptor and close it, so each function's calls run in a process of their own
+PATH_CALLS = {
+    "save_weights": "kvtrade.save_weights(kvtrade.random_model(kvtrade.ModelConfig(1, 1, 4, 8, 16)), path)",
+    "load_weights": "kvtrade.load_weights(path)",
+    "emit_csv": "kvtrade.emit_csv([], path)",
+}
+
+
+@pytest.mark.parametrize("call", PATH_CALLS.values(), ids=PATH_CALLS)
+def test_a_path_is_never_a_file_descriptor(call):
+    script = (
+        "import os, kvtrade\n"
+        "for path in (0, 1, 2, True, False):\n"
+        f"    try:\n        {call}\n"
+        "    except kvtrade.ContractViolation as exc:\n        assert 'path must be a path' in str(exc), exc\n"
+        "    else:\n        raise SystemExit(f'{path!r} accepted')\n"
+        "    for fd in (0, 1, 2):\n        os.fstat(fd)\n"
+    )
+    src = Path(kvmodel.__file__).parent.parent
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert done.returncode == 0 and done.stdout == "", done.stderr or done.stdout
 
 
 WEIGHTS_HEADER_END = 4 + struct.calcsize("<HHHIIIqB")
