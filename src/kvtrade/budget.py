@@ -117,12 +117,8 @@ def plan_for_tokens(
     layout: Layout = Layout.PER_TOKEN,
     outlier_threshold: float | None = None,
 ) -> BudgetPlan:
-    """Plan with explicit per-layer token counts (pyramid allocations etc.); a
-    ``tokens_per_layer`` that is not a sequence raises ContractViolation."""
-    try:
-        tokens = list(tokens_per_layer)
-    except TypeError:
-        raise ContractViolation(f"tokens_per_layer must be a sequence, got {tokens_per_layer!r}") from None
+    """Plan with explicit per-layer token counts (pyramid allocations etc.), a list or tuple of them."""
+    tokens = require_type("tokens_per_layer", tokens_per_layer, (list, tuple))
     plan = BudgetPlan(tuple((t, bits) for t in tokens), group_size, layout, 0, outlier_threshold)
     base_total = sum(t for t, _ in plan.per_layer) * bits // FULL_PRECISION_BITS
     return replace(plan, total_budget_bytes=fp16_kv_bytes(base_total, heads, head_dim))

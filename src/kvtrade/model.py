@@ -10,6 +10,12 @@ Decode runs over one store type, :class:`~kvtrade.cache.CompressedKVCache`.
 The uncompressed reference, :class:`DenseKV`, is that cache under the
 full-budget 16-bit plan, built on a prefill's own K/V stacks.
 
+A model's weights are the embedding, the head and one layer stack
+``(layers, 4, d_model, d_model)`` holding each layer's W_Q, W_K, W_V and
+W_O in the weights file's order (:class:`Weights`): prefill indexes a
+layer's four matrices, decode projects through its first three as one
+contiguous view, and the weights file writes and reads each array whole.
+
 Positional encodings are off by default (retrieval here is content
 addressed); sinusoidal absolute positions can be enabled per config for
 causality-sensitive experiments. All randomness is seeded.
@@ -19,13 +25,13 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .budget import FULL_PRECISION_BITS, plan_for_tokens
 from .cache import POSITION_DTYPE, CompressedKVCache, LayerHeadCache, Reader, _read_only
-from .errors import ContractViolation, IntegrityError, require_int, require_items, require_path, require_type
+from .errors import ContractViolation, IntegrityError, require_int, require_path, require_type
 from .tensor import Matrix, as_matrix, as_row, blas_threads, matmul, require_finite, softmax_rows, softmax_rows_into
 
 # prefill's score for a future key: softmax gives it exactly 0 weight
@@ -57,58 +63,26 @@ class ModelConfig:
         return self.d_model // self.heads
 
 
-_PROJECTIONS = ("w_q", "w_k", "w_v", "w_o")
-
-
-@dataclass(frozen=True)
-class LayerWeights:
-    """One layer's projections, each ``(d_model, d_model)``, stored as float32.
-
-    Each must be a 2-D array of numbers (:func:`as_matrix`, which casts it
-    to float32), all four square and of one shape; anything else raises
-    ContractViolation. Construction stacks W_Q, W_K and W_V into one stored
-    copy, ``w_qkv`` ``(3, d_model, d_model)``, of which ``w_q``, ``w_k`` and
-    ``w_v`` become contiguous views. Decode projects through ``w_qkv`` in
-    one stacked product, which numpy runs as three ``(d_model, d_model)``
-    products: each the bits of a product with its view alone.
-    """
-
-    w_q: Matrix
-    w_k: Matrix
-    w_v: Matrix
-    w_o: Matrix
-    w_qkv: Matrix = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        w_q, w_k, w_v, w_o = (as_matrix(getattr(self, name), name) for name in _PROJECTIONS)
-        if len({w_q.shape, w_k.shape, w_v.shape, w_o.shape, w_o.shape[::-1]}) != 1:
-            raise ContractViolation("a layer's projections must be square matrices of one shape, got "
-                                    f"{w_q.shape}, {w_k.shape}, {w_v.shape}, {w_o.shape}")
-        w_qkv = np.stack((w_q, w_k, w_v))
-        for name, view in zip(_PROJECTIONS, (*w_qkv, w_o)):
-            object.__setattr__(self, name, view)
-        object.__setattr__(self, "w_qkv", w_qkv)
-
-
 @dataclass(frozen=True)
 class Weights:
-    """A model's matrices, stored as float32: each a 2-D array of numbers
-    (:func:`as_matrix`), every layer a :class:`LayerWeights`; anything else raises ContractViolation."""
+    """A model's matrices, stored as float32 (:func:`as_matrix`): the embedding and head 2-D arrays of
+    numbers, and the layer stack a 4-D one, each layer's W_Q, W_K, W_V and W_O in the weights file's
+    order, kept C-contiguous; anything else raises ContractViolation."""
 
     embedding: Matrix  # vocab x d_model
-    layers: tuple[LayerWeights, ...]
+    layers: np.ndarray  # layers x 4 x d_model x d_model
     head: Matrix  # d_model x vocab
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "layers", require_items("layers", self.layers, LayerWeights))
         object.__setattr__(self, "embedding", as_matrix(self.embedding, "embedding"))
+        object.__setattr__(self, "layers", np.ascontiguousarray(as_matrix(self.layers, "layers", 4)))
         object.__setattr__(self, "head", as_matrix(self.head, "head"))
 
 
 @dataclass(frozen=True)
 class Model:
     """A config and weights that fit it, checked once, here: the embedding
-    ``(vocab, d_model)``, ``layers`` projections of ``(d_model, d_model)``
+    ``(vocab, d_model)``, the layer stack ``(layers, 4, d_model, d_model)``
     and the head ``(d_model, vocab)``, each float32 (:class:`Weights`);
     anything else raises ContractViolation. Decode relies on this check
     rather than checking the weights at each product."""
@@ -121,10 +95,10 @@ class Model:
         require_type("config", cfg, ModelConfig, "a ModelConfig (a Model takes a ModelConfig and Weights)")
         require_type("weights", w, Weights, "Weights (a Model takes a ModelConfig and Weights)")
         d = cfg.d_model
-        shapes = [w.embedding.shape, *(lw.w_o.shape for lw in w.layers), w.head.shape]
-        if shapes != [(cfg.vocab, d), *[(d, d)] * cfg.layers, (d, cfg.vocab)]:
+        shapes = (w.embedding.shape, w.layers.shape, w.head.shape)
+        if shapes != ((cfg.vocab, d), (cfg.layers, 4, d, d), (d, cfg.vocab)):
             raise ContractViolation(
-                f"weights (embedding, each layer's projections, head) shaped {shapes} do not fit "
+                f"weights (embedding, layer stack, head) shaped {shapes} do not fit "
                 f"{cfg.layers} layers of d_model {d} and vocab {cfg.vocab}"
             )
 
@@ -184,14 +158,11 @@ def random_model(cfg: ModelConfig) -> Model:
     """Seeded random weights, uniform in (-0.1, 0.1)."""
     rng = np.random.default_rng(require_type("cfg", cfg, ModelConfig).seed)
 
-    def draw(rows: int, cols: int) -> Matrix:
-        return rng.uniform(-0.1, 0.1, size=(rows, cols)).astype(np.float32)
+    def draw(*shape: int) -> np.ndarray:
+        return rng.uniform(-0.1, 0.1, size=shape).astype(np.float32)
 
     d = cfg.d_model
-    layers = tuple(
-        LayerWeights(draw(d, d), draw(d, d), draw(d, d), draw(d, d))
-        for _ in range(cfg.layers)
-    )
+    layers = draw(cfg.layers, 4, d, d)  # drawn before the embedding and head: a seed keeps its weights
     return Model(cfg, Weights(draw(cfg.vocab, d), layers, draw(d, cfg.vocab)))
 
 
@@ -273,11 +244,11 @@ def _embed(model: Model, ids: np.ndarray, offset: int = 0) -> Matrix:
     return x
 
 
-def _project_kv(x: Matrix, lw: LayerWeights, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+def _project_kv(x: Matrix, lw: np.ndarray, cfg: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
     """One layer's K and V stacks, C-contiguous ``(heads, n, head_dim)``, of its
-    input ``x``; each full product is freed once stacked."""
+    input ``x`` and its weights ``lw`` (W_Q, W_K, W_V, W_O); each full product is freed once stacked."""
     shape = (len(x), cfg.heads, cfg.head_dim)
-    return tuple(np.ascontiguousarray(matmul(x, w).reshape(shape).transpose(1, 0, 2)) for w in (lw.w_k, lw.w_v))
+    return tuple(np.ascontiguousarray(matmul(x, w).reshape(shape).transpose(1, 0, 2)) for w in lw[1:3])
 
 
 def prefill_kv0(model: Model, tokens) -> tuple[np.ndarray, np.ndarray]:
@@ -431,14 +402,15 @@ class _Attention:
         workers = _prefill_workers(cfg.heads, n, blas_threads())
         self.workers = [_Worker(rows, n, self.slice_rows) for _ in range(workers)]
 
-    def layer(self, x: Matrix, lw: LayerWeights, pool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def layer(self, x: Matrix, lw: np.ndarray, pool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """One layer's K and V stacks, column sums and kept rows (see
-        :class:`PrefillResult`); adds the layer's output to ``x`` in place.
-        The calling thread attends heads with the first worker and ``pool``,
-        a thread pool or None when there is one worker, with each other one."""
+        :class:`PrefillResult`) through its weights ``lw`` (W_Q, W_K, W_V,
+        W_O); adds the layer's output to ``x`` in place. The calling thread
+        attends heads with the first worker and ``pool``, a thread pool or
+        None when there is one worker, with each other one."""
         cfg, n = self.cfg, len(x)
         k, v = _project_kv(x, lw, cfg)
-        q = matmul(x, lw.w_q)
+        q = matmul(x, lw[0])
         out = np.empty_like(x)
         sums = np.zeros((cfg.heads, n))
         kept = np.zeros((cfg.heads, n - self.first_kept, n), dtype=np.float32)
@@ -455,7 +427,7 @@ class _Attention:
         attend(self.workers[0])
         for other in others:
             other.result()  # re-raises what the worker raised
-        x += matmul(out, lw.w_o)
+        x += matmul(out, lw[3])
         return k, v, sums, kept
 
     def _head(self, worker: _Worker, qh, kh, vh, out, sums, kept) -> None:
@@ -491,9 +463,10 @@ class _Attention:
 def _decode(model: Model, store: CompressedKVCache, h) -> np.ndarray:
     """One decode step over ``store``, a :class:`CompressedKVCache` (a :class:`DenseKV` among them).
 
-    In each layer one stacked product with ``w_qkv`` gives the token's Q, K
-    and V rows for every head, each bit for bit its product with ``w_q``,
-    ``w_k`` or ``w_v`` alone (:class:`LayerWeights`), and one
+    In each layer one stacked product with the layer's first three weights,
+    a contiguous ``(3, d_model, d_model)`` view of the stack, gives the
+    token's Q, K and V rows for every head, each bit for bit its product
+    with W_Q, W_K or W_V alone, and one
     ``decode_append`` stores all heads' K and V (so each head attends to
     itself). Then all heads attend at once over the store's
     ``materialize_layer`` stacks: one stacked product for the scores, one
@@ -524,14 +497,14 @@ def _decode(model: Model, store: CompressedKVCache, h) -> np.ndarray:
     scale = np.float32(1.0 / math.sqrt(head_dim))
     with np.errstate(over="ignore", invalid="ignore"):
         for layer, lw in enumerate(model.weights.layers):
-            q, k, v = require_finite(x @ lw.w_qkv, "decode's Q/K/V product")
+            q, k, v = require_finite(x @ lw[:3], "decode's Q/K/V product")
             store.decode_append(layer, k, v)
             k_stack, v_stack = store.materialize_layer(layer)
             scores = require_finite(q.reshape(heads, 1, head_dim) @ k_stack.transpose(0, 2, 1),
                                     "decode's scores product")
             probs = softmax_rows(scores.reshape(heads, -1) * scale)
             out = require_finite(probs.reshape(heads, 1, -1) @ v_stack, "decode's V product")
-            x = x + require_finite(out.reshape(1, d) @ lw.w_o, "decode's W_O product")
+            x = x + require_finite(out.reshape(1, d) @ lw[3], "decode's W_O product")
         return require_finite(x @ model.weights.head, "decode's head product")[0]
 
 
@@ -622,10 +595,8 @@ def build_recall_model(num_pairs: int, seq_len: int, filler_vocab: int = 32) -> 
     for j in range(filler_vocab):
         emb[vocab.filler(j), 3 * m + j % m] = 1.0
 
-    w_q = np.zeros((d_model, d_model), dtype=np.float32)
-    w_k = np.zeros((d_model, d_model), dtype=np.float32)
-    w_v = np.zeros((d_model, d_model), dtype=np.float32)
-    w_o = np.zeros((d_model, d_model), dtype=np.float32)
+    layers = np.zeros((1, 4, d_model, d_model), dtype=np.float32)
+    w_q, w_k, w_v, w_o = layers[0]
     head = np.zeros((d_model, vocab.size), dtype=np.float32)
     for i in range(m):
         w_q[m + i, i] = c
@@ -641,12 +612,13 @@ def build_recall_model(num_pairs: int, seq_len: int, filler_vocab: int = 32) -> 
         vocab=vocab.size,
         context_limit=seq_len + 2,
     )
-    return Model(cfg, Weights(emb, (LayerWeights(w_q, w_k, w_v, w_o),), head)), vocab
+    return Model(cfg, Weights(emb, layers, head)), vocab
 
 
 # Weights file: magic "KVTW", u16 version, u16 layers, u16 heads, u32 d_model,
 # u32 vocab, u32 context_limit, i64 seed, u8 use_positions, then raw f32 LE
-# matrices in the order _matrices gives.
+# arrays: the embedding, the layer stack (each layer's W_Q, W_K, W_V and W_O)
+# and the head.
 WEIGHTS_MAGIC = b"KVTW"
 WEIGHTS_VERSION = 1
 
@@ -673,22 +645,15 @@ def _activations_fit(cfg: ModelConfig, weights: Weights) -> bool:
     heads = [slice(h * cfg.head_dim, (h + 1) * cfg.head_dim) for h in range(cfg.heads)]
     a = float(np.linalg.norm(weights.embedding.astype(np.float64), axis=1).max())
     a += math.sqrt(cfg.d_model) if cfg.use_positions else 0.0  # entries in [-1, 1]
-    for lw in weights.layers:
-        q = [a * norm(lw.w_q[:, h]) for h in heads]
-        k = [a * norm(lw.w_k[:, h]) for h in heads]
-        v = [a * norm(lw.w_v[:, h]) for h in heads]
-        out = math.sqrt(sum(x * x for x in v)) * norm(lw.w_o)
+    for w_q, w_k, w_v, w_o in weights.layers:
+        q = [a * norm(w_q[:, h]) for h in heads]
+        k = [a * norm(w_k[:, h]) for h in heads]
+        v = [a * norm(w_v[:, h]) for h in heads]
+        out = math.sqrt(sum(x * x for x in v)) * norm(w_o)
         if max(a, *q, *k, *v, max(x * y for x, y in zip(q, k)), out) > _ACTIVATION_LIMIT:
             return False
         a += out
     return max(a, a * norm(weights.head)) <= _ACTIVATION_LIMIT
-
-
-def _matrices(weights: Weights) -> list[Matrix]:
-    """The weights file's matrices in file order: the embedding, W_Q, W_K,
-    W_V and W_O of each layer, then the output head."""
-    layers = [w for lw in weights.layers for w in (lw.w_q, lw.w_k, lw.w_v, lw.w_o)]
-    return [weights.embedding, *layers, weights.head]
 
 
 def save_weights(model: Model, path) -> None:
@@ -705,7 +670,8 @@ def save_weights(model: Model, path) -> None:
         cfg.seed,
         int(cfg.use_positions),
     )
-    mats = [np.ascontiguousarray(m, dtype="<f4").tobytes() for m in _matrices(model.weights)]
+    w = model.weights
+    mats = [np.ascontiguousarray(m, dtype="<f4").tobytes() for m in (w.embedding, w.layers, w.head)]
     with open(require_path("path", path), "wb") as fh:
         fh.write(b"".join([WEIGHTS_MAGIC, header, *mats]))
 
@@ -734,14 +700,12 @@ def load_weights(path) -> Model:
     except ContractViolation as exc:
         raise IntegrityError(f"weights header holds an invalid setting: {exc}") from exc
 
-    def take(rows: int, cols: int) -> Matrix:
-        return r.array("<f4", rows * cols).reshape(rows, cols).astype(np.float32)
+    def take(*shape: int) -> np.ndarray:
+        return r.array("<f4", math.prod(shape)).reshape(shape).astype(np.float32)
 
-    emb = take(vocab, d_model)
-    lws = tuple(LayerWeights(*(take(d_model, d_model) for _ in range(4))) for _ in range(layers))
-    weights = Weights(emb, lws, take(d_model, vocab))
+    weights = Weights(take(vocab, d_model), take(layers, 4, d_model, d_model), take(d_model, vocab))
     r.end()
-    if not all(np.isfinite(m).all() for m in _matrices(weights)):
+    if not all(np.isfinite(m).all() for m in (weights.embedding, weights.layers, weights.head)):
         raise IntegrityError("weights must be finite")
     if not _activations_fit(cfg, weights):
         raise IntegrityError("weights could overflow float32 activations in prefill")

@@ -113,19 +113,19 @@ class QuantizedTensor:
     per group) and ``outliers`` (an :data:`OUTLIER_DTYPE` array sorted by
     position, exact float32 values) are read-only, so blocks can be shared.
     ``packed_codes`` holds every code once, one byte-aligned run per group,
-    as ``bytes``: a ``bytearray``, ``memoryview`` or numpy array given is
-    copied, so no caller can write a block's codes.
+    as ``bytes``: a ``bytearray``, or a ``memoryview`` or numpy array of
+    one-byte items, given is copied, so no caller can write a block's codes.
 
     Construction checks every field, since they come from outside: it
     raises IntegrityError when ``shape`` is not two integers >= 0, ``bits``
     or ``group_size`` is invalid, ``layout`` is not a Layout member or
-    ``packed_codes`` is of another kind, when the group arrays or the packed
-    stream disagree with :func:`group_split`, when an outlier is invalid,
-    or when a zero point or scale breaks :func:`check_group_tables` (not
-    finite, a negative scale, or a decode range ``[z, z + s * (2**bits -
-    1)]`` that leaves float32). The blocks ``quantize_matrix`` makes and
-    ``cache.load_snapshot`` reads are not checked again here (see the
-    module docstring).
+    ``packed_codes`` is of another kind or of wider items, when the group
+    arrays or the packed stream disagree with :func:`group_split`, when an
+    outlier is invalid, or when a zero point or scale breaks
+    :func:`check_group_tables` (not finite, a negative scale, or a decode
+    range ``[z, z + s * (2**bits - 1)]`` that leaves float32). The blocks
+    ``quantize_matrix`` makes and ``cache.load_snapshot`` reads are not
+    checked again here (see the module docstring).
     """
 
     shape: tuple[int, int]
@@ -152,6 +152,8 @@ class QuantizedTensor:
             require_type("layout", self.layout, Layout)
             codes = require_type("packed_codes", self.packed_codes, (bytes, bytearray, memoryview, np.ndarray),
                                  "bytes-like")
+            if memoryview(codes).itemsize != 1:  # a float or object array's buffer is not its codes
+                raise ContractViolation(f"packed_codes must hold one-byte items, got {memoryview(codes).format!r}")
         except ContractViolation as exc:
             raise IntegrityError(str(exc)) from exc
         if bits not in SUPPORTED_BITS:

@@ -45,15 +45,12 @@ def gen_recall_task(
     Colliding placements shift forward to the next free slot. Which pair
     identity lands at which depth is shuffled per seed. A ``seq_len`` that
     is not an integer >= 1, a ``num_pairs`` or ``seed`` not one >= 0, or
-    ``needle_depths`` that are not a sequence, raise ContractViolation.
+    ``needle_depths`` that are not a list or tuple, raise ContractViolation.
     """
     require_type("vocab", vocab, RecallVocab)
     seq_len, seed = require_int("seq_len", seq_len, 1), require_int("seed", seed, 0)
     num_pairs = require_int("num_pairs", num_pairs, 0)
-    try:
-        depths = list(needle_depths)
-    except TypeError:
-        raise ContractViolation(f"needle_depths must be a sequence, got {needle_depths!r}") from None
+    depths = require_type("needle_depths", needle_depths, (list, tuple))
     if len(depths) != num_pairs:
         raise ContractViolation(
             f"expected {num_pairs} depths, got {len(depths)}"

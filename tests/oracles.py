@@ -210,9 +210,9 @@ def quantization_logit_bound(model: Model, cache: CompressedKVCache, h) -> float
     cfg = model.config
     if cfg.layers != 1 or cfg.heads != 1:
         raise ContractViolation("bound is computed for 1-layer, 1-head models")
-    lw = model.weights.layers[0]
+    w_q, w_k, w_v, w_o = model.weights.layers[0].astype(np.float64)
     x = np.asarray(h, dtype=np.float64).reshape(1, cfg.d_model)
-    q = x @ lw.w_q.astype(np.float64)
+    q = x @ w_q
 
     k_blocks, v_blocks = stored_blocks(cache, 0, 0)
     k_mat, v_mat = (m[0] for m in cache.materialize_layer(0))
@@ -224,8 +224,8 @@ def quantization_logit_bound(model: Model, cache: CompressedKVCache, h) -> float
     e_v = np.concatenate(e_v_parts + [zeros_tail], axis=0)[: v_mat.shape[0] + 1]
 
     # the appended query row is stored at full precision in the residual
-    k_full = np.concatenate([k_mat.astype(np.float64), x @ lw.w_k.astype(np.float64)])
-    v_full = np.concatenate([v_mat.astype(np.float64), x @ lw.w_v.astype(np.float64)])
+    k_full = np.concatenate([k_mat.astype(np.float64), x @ w_k])
+    v_full = np.concatenate([v_mat.astype(np.float64), x @ w_v])
     e_k = e_k[: k_full.shape[0]]
     e_v = e_v[: v_full.shape[0]]
 
@@ -238,7 +238,7 @@ def quantization_logit_bound(model: Model, cache: CompressedKVCache, h) -> float
     weight_drift = w * (blow - 1.0)
 
     out_err = weight_drift @ np.abs(v_full) + blow * (w @ e_v)
-    logit_err = out_err @ np.abs(lw.w_o.astype(np.float64)) @ np.abs(
+    logit_err = out_err @ np.abs(w_o) @ np.abs(
         model.weights.head.astype(np.float64)
     )
     return float(logit_err.max())
@@ -289,17 +289,17 @@ def per_head_decode(model: Model, store, h) -> np.ndarray:
         raise ContractViolation(f"h must be shaped ({cfg.d_model},) or (1, {cfg.d_model}), got {x.shape}")
     x = x.reshape(1, cfg.d_model)
     scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
-    for layer, lw in enumerate(model.weights.layers):
-        q = matmul(x, lw.w_q)
-        k = matmul(x, lw.w_k)
-        v = matmul(x, lw.w_v)
+    for layer, (w_q, w_k, w_v, w_o) in enumerate(model.weights.layers):
+        q = matmul(x, w_q)
+        k = matmul(x, w_k)
+        v = matmul(x, w_v)
         store.decode_append(layer, k, v)
         outs = []
         for head in range(cfg.heads):
             sl = slice(head * cfg.head_dim, (head + 1) * cfg.head_dim)
             k_mat, v_mat = store.materialize(layer, head)
             outs.append(matmul(softmax_rows(matmul(q[:, sl], k_mat.T) * scale), v_mat))
-        x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)
+        x = x + matmul(np.concatenate(outs, axis=1), w_o)
     return matmul(x, model.weights.head)[0]
 
 

@@ -109,9 +109,10 @@ BASELINES = {
     "top_k_indices": (kv.top_k_indices, lambda: dict(scores=[1.0, 3.0, 2.0], k=2)),
     "QuantConfig": (kv.QuantConfig, lambda: dict(bits=4, group_size=4, layout=kv.Layout.PER_TOKEN,
                                                  outlier_threshold=6.0)),
-    "QuantizedTensor": (kv.QuantizedTensor, lambda: dict(shape=(1, 4), bits=4, group_size=4, layout=kv.Layout.PER_TOKEN,
-                                                         zero_points=[0.0], scales=[1.0], packed_codes=bytes(2),
-                                                         outliers=[])),
+    # 8 code bytes: as many as a float64 array of one item or an object array holds
+    "QuantizedTensor": (kv.QuantizedTensor, lambda: dict(shape=(1, 16), bits=4, group_size=16,
+                                                         layout=kv.Layout.PER_TOKEN, zero_points=[0.0], scales=[1.0],
+                                                         packed_codes=bytes(8), outliers=[])),
     "dequantize_matrix": (kv.dequantize_matrix, lambda: dict(q=block())),
     "quantize_matrix": (kv.quantize_matrix, lambda: dict(m=np.ones((2, 4)), cfg=QCFG)),
     "quantized_bytes": (kv.quantized_bytes, lambda: dict(q=block())),
@@ -154,7 +155,8 @@ MALFORMED = {
 }
 
 # values a slot must reject that pass the catalogue's first checks there: full-width rows that
-# hold no numbers, a snapshot's magic in a list of ints or a str, integers that are not bools
+# hold no numbers, a snapshot's magic in a list of ints or a str, integers that are not bools,
+# buffers of items wider than a byte, and iterables that are not lists or tuples
 EXTRA = {
     **{f"{name}.h": {"numeric_strings": lambda: np.array(["1.0"] * 4), "letters": lambda: np.array(["a"] * 4),
                      "list_of_letters": lambda: ["a"] * 4, "objects": lambda: np.ones(4, dtype=object),
@@ -162,12 +164,17 @@ EXTRA = {
        for name in ("decode_step", "decode_step_dense")},
     "load_snapshot.data": {"list_of_ints": lambda: list(b"KVSN" * 16), "magic_str": lambda: "KVSN" + "x" * 64},
     "SweepConfig.paired_budget": {"zero": lambda: 0, "numpy_int": lambda: np.int64(1)},
+    "QuantizedTensor.packed_codes": {"object_array": lambda: np.array([None], dtype=object),
+                                     "float64_array": lambda: np.array([1.5]),
+                                     "float64_memoryview": lambda: memoryview(np.array([1.5]))},
+    "plan_for_tokens.tokens_per_layer": {"dict": lambda: {4: 1}, "str": lambda: "4"},
+    "gen_recall_task.needle_depths": {"dict": lambda: {0.5: 1}, "str": lambda: "5"},
 }
 
 # one object of each package type, fresh for each call
 PACKAGE_OBJECTS = {
     "ModelConfig": lambda: MODEL.config, "Model": lambda: MODEL, "Weights": lambda: MODEL.weights,
-    "LayerWeights": lambda: MODEL.weights.layers[0], "PrefillResult": lambda: PREFILL, "BudgetPlan": plan,
+    "PrefillResult": lambda: PREFILL, "BudgetPlan": plan,
     "LayerOverride": lambda: kv.LayerOverride(0, 1, 2, 8), "PolicyConfig": lambda: H2O,
     "PolicyKind": lambda: kv.PolicyKind.H2O, "ScoreContext": lambda: CTX,
     "PruneDecision": lambda: kv.PruneDecision((0, 1)), "QuantConfig": lambda: QCFG,

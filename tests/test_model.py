@@ -2,6 +2,7 @@
 # first call with more than one worker, and that import's allocations would
 # otherwise fall inside whichever memory test's traced window comes first
 import concurrent.futures  # noqa: F401
+import hashlib
 import itertools
 import math
 import os
@@ -12,7 +13,7 @@ import tempfile
 import threading
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +26,7 @@ from kvtrade.budget import fp16_kv_bytes, plan_for_tokens
 from kvtrade.cache import CompressedKVCache, dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
 from kvtrade import model as kvmodel
+from kvtrade import tensor as kvtensor
 from kvtrade.model import (
     NEG_MASK,
     DenseKV,
@@ -79,17 +81,9 @@ class TestPrefill:
 
     def test_zero_query_gives_uniform_causal_attention(self):
         model = random_model(ModelConfig(1, 2, 8, 16, 32, seed=1))
-        zeroed = Model(
-            model.config,
-            Weights(
-                model.weights.embedding,
-                tuple(
-                    type(lw)(np.zeros_like(lw.w_q), lw.w_k, lw.w_v, lw.w_o)
-                    for lw in model.weights.layers
-                ),
-                model.weights.head,
-            ),
-        )
+        layers = model.weights.layers.copy()
+        layers[:, 0] = 0.0  # every layer's W_Q
+        zeroed = Model(model.config, Weights(model.weights.embedding, layers, model.weights.head))
         res = prefill(zeroed, [1, 2, 3, 4, 5], window=5)
         expected = np.tril(np.ones((5, 5))) / np.arange(1, 6)[:, None]
         for attn in res.attn[0]:
@@ -170,8 +164,8 @@ def full_matrix_prefill(model, tokens, keep=lambda probs: probs):
     mask = np.triu(np.ones((n, n), dtype=bool), k=1)
     heads = [slice(h * cfg.head_dim, (h + 1) * cfg.head_dim) for h in range(cfg.heads)]
     keys, values, attn = [], [], []
-    for lw in model.weights.layers:
-        q, k, v = matmul(x, lw.w_q), matmul(x, lw.w_k), matmul(x, lw.w_v)
+    for w_q, w_k, w_v, w_o in model.weights.layers:
+        q, k, v = matmul(x, w_q), matmul(x, w_k), matmul(x, w_v)
         layer_attn, outs = [], []
         for sl in heads:
             scores = matmul(q[:, sl], k[:, sl].T) * scale
@@ -182,7 +176,7 @@ def full_matrix_prefill(model, tokens, keep=lambda probs: probs):
         keys.append([k[:, sl] for sl in heads])
         values.append([v[:, sl] for sl in heads])
         attn.append(layer_attn)
-        x = x + matmul(np.concatenate(outs, axis=1), lw.w_o)
+        x = x + matmul(np.concatenate(outs, axis=1), w_o)
     return matmul(x[-1:, :], model.weights.head)[0], keys, values, attn
 
 
@@ -372,14 +366,12 @@ class TestStreamedPrefill:
         # real scores near -3.5e31 sit below the old finite mask (-1e30) and
         # let masked keys take weight; under the -inf mask they cannot
         model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=0))
-        lw = model.weights.layers[0]
         emb = np.zeros_like(model.weights.embedding)
         emb[:, 0] = 1e16
-        w_q = np.zeros_like(lw.w_q)
-        w_q[0, 0] = 1.0
-        w_k = np.zeros_like(lw.w_k)
-        w_k[0, 0] = -1.0
-        layers = (type(lw)(w_q, w_k, lw.w_v, lw.w_o),)
+        layers = model.weights.layers.copy()
+        layers[0, :2] = 0.0
+        layers[0, 0, 0, 0] = 1.0  # W_Q
+        layers[0, 1, 0, 0] = -1.0  # W_K
         broken = Model(model.config, Weights(emb, layers, model.weights.head))
         tokens = [1, 2, 3]
         res = prefill(broken, tokens, window=3)
@@ -430,6 +422,27 @@ class TestPrefillWorkers:
         threads = kvmodel.blas_threads()
         assert threads is None or (isinstance(threads, int) and threads >= 1)
 
+    @pytest.fixture
+    def numpy_libs(self, monkeypatch, tmp_path):
+        """An empty ``numpy.libs`` beside a stand-in numpy, looked up afresh; the real library is looked up after."""
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        (tmp_path / "numpy.libs").mkdir()
+        kvtensor._openblas_thread_getter.cache_clear()
+        yield tmp_path / "numpy.libs"
+        kvtensor._openblas_thread_getter.cache_clear()
+
+    @pytest.mark.parametrize("library", [None, b"", b"not a shared library"], ids=["none", "empty", "not_a_library"])
+    def test_without_openblas_prefill_runs_one_worker(self, monkeypatch, numpy_libs, library):
+        if library is not None:
+            (numpy_libs / "libscipy_openblas64_-fake.so").write_bytes(library)
+        monkeypatch.setattr(kvmodel, "_usable_cpus", lambda: 2)
+        assert kvmodel.blas_threads() is None
+        assert len(kvmodel._Attention(ModelConfig(1, 2, 16, 40, 2048), 2048, 0).workers) == 1
+
+    def test_usable_cpus_without_affinity_is_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert kvmodel._usable_cpus() == (os.cpu_count() or 1)
+
     @pytest.mark.parametrize("use_positions", [False, True], ids=["no-positions", "positions"])
     @pytest.mark.parametrize("n", [513, 1025, 1500, 2048])
     @pytest.mark.parametrize("heads", [1, 2, 3, 4, 5])
@@ -479,11 +492,8 @@ class TestPrefillWorkers:
     def _overflowing(heads: int, head: int) -> Model:
         """A model whose scores overflow float32 in ``head`` of layer 0 only."""
         model = random_model(ModelConfig(1, heads, 8 * heads, 40, 1024, seed=1))
-        lw = model.weights.layers[0]
-        w_q, w_k = lw.w_q.copy(), lw.w_k.copy()
-        w_q[:, 8 * head : 8 * head + 8] = 1e20
-        w_k[:, 8 * head : 8 * head + 8] = 1e20
-        layers = (type(lw)(w_q, w_k, lw.w_v, lw.w_o),)
+        layers = model.weights.layers.copy()
+        layers[0, :2, :, 8 * head : 8 * head + 8] = 1e20  # W_Q and W_K
         return Model(model.config, Weights(model.weights.embedding, layers, model.weights.head))
 
     def test_an_overflow_in_a_started_thread_raises_in_the_caller(self, monkeypatch):
@@ -773,9 +783,7 @@ class TestWeightsFile:
         assert loaded.config == cfg
         assert np.array_equal(loaded.weights.embedding, model.weights.embedding)
         assert np.array_equal(loaded.weights.head, model.weights.head)
-        for a, b in zip(loaded.weights.layers, model.weights.layers):
-            for name in ("w_q", "w_k", "w_v", "w_o"):
-                assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(loaded.weights.layers, model.weights.layers)
 
     def test_same_outputs_after_reload(self, tmp_path):
         model = random_model(ModelConfig(1, 1, 8, 16, 32, seed=10))
@@ -784,6 +792,17 @@ class TestWeightsFile:
         loaded = load_weights(path)
         tokens = [1, 2, 3, 4]
         assert np.array_equal(prefill(model, tokens).logits, prefill(loaded, tokens).logits)
+
+    # the file's bytes, not only its round trip: a change of layout must be a version bump
+    @pytest.mark.parametrize("make, sha256", [
+        (lambda: random_model(ModelConfig(2, 2, 8, 16, 32, seed=12, use_positions=True)),
+         "30a6c1608d87d402713c87357f97735593e7dd4133e4fdf38c6b8ab3f550f18b"),
+        (lambda: build_recall_model(4, 64)[0], "7ceafa26eb44842869ee6feae183c725c61ef35c9374d6b4fae35d94448314ae"),
+    ], ids=["random", "recall"])
+    def test_file_bytes_are_pinned(self, tmp_path, make, sha256):
+        path = tmp_path / "weights.bin"
+        save_weights(make(), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
     def test_deep_random_model_loads(self, tmp_path):
         # the overflow bound must admit deep random models; a bound from
@@ -908,7 +927,7 @@ class TestWeightsFuzz:
         out = bytearray(WEIGHTS)
         out[2046] ^= 0xC3
         model = _load(bytes(out))
-        assert model.weights.layers[1].w_k.max() > 1e35
+        assert model.weights.layers[1, 1].max() > 1e35  # layer 1's W_K
         assert np.isfinite(prefill(model, [3, 1, 4, 1, 5, 9, 2, 6]).logits).all()
 
     @settings(max_examples=100, deadline=None)
@@ -1181,19 +1200,19 @@ class TestDenseKVIsTheFullBudgetCache:
 class TestFusedProjection:
     """Decode's one stacked Q/K/V product gives the bits of three separate ones."""
 
-    def test_q_k_v_are_views_of_one_stored_matrix(self):
-        model = random_model(ModelConfig(2, 2, 8, 16, 32, seed=5))
-        for lw in model.weights.layers:
-            assert lw.w_qkv.shape == (3, 8, 8) and lw.w_qkv.flags.c_contiguous
-            for i, w in enumerate((lw.w_q, lw.w_k, lw.w_v)):
-                assert w.base is lw.w_qkv and w.flags.c_contiguous and np.array_equal(w, lw.w_qkv[i])
+    def test_q_k_v_are_views_of_one_stored_stack(self):
+        layers = random_model(ModelConfig(2, 2, 8, 16, 32, seed=5)).weights.layers
+        assert layers.shape == (2, 4, 8, 8) and layers.dtype == np.float32 and layers.flags.c_contiguous
+        for lw in layers:
+            assert lw[:3].base is layers and lw[:3].flags.c_contiguous
 
     @pytest.mark.parametrize("rows", [1, 5, 64])
     @pytest.mark.parametrize("d_model", [4, 12, 32, 96])
     def test_fused_and_view_products_match_contiguous_ones(self, d_model, rows):
-        lw = random_model(ModelConfig(1, 1, d_model, 8, 8, seed=d_model + rows)).weights.layers[0]
+        layers = random_model(ModelConfig(2, 1, d_model, 8, 8, seed=d_model + rows)).weights.layers
         x = np.random.default_rng(rows).normal(size=(rows, d_model)).astype(np.float32)
-        self.check(x, lw)
+        for lw in layers:
+            self.check(x, lw)
 
     # d_model is drawn over 1-256, past the benchmark's 64 and 128; one row
     # is decode's product, a few rows any batch of it. With W_Q, W_K and
@@ -1206,15 +1225,18 @@ class TestFusedProjection:
     @given(d_model=st.integers(1, 256), rows=st.one_of(st.just(1), st.integers(2, 8)), seed=st.integers(0, 2**16))
     def test_stacked_product_matches_each_view_on_drawn_widths(self, d_model, rows, seed):
         rng = np.random.default_rng(seed)
-        lw = kvmodel.LayerWeights(*rng.normal(size=(4, d_model, d_model)).astype(np.float32))
+        # layer 1 of two: its views start past the stack's first address
+        stack = rng.normal(size=(2, 4, d_model, d_model))
+        layers = Weights(np.zeros((1, d_model)), stack, np.zeros((d_model, 1))).layers
         x = rng.normal(size=(rows, d_model)).astype(np.float32)
-        self.check(x, lw)
+        self.check(x, layers[1])
 
     @staticmethod
     def check(x, lw):
-        stacked = x @ lw.w_qkv  # decode's product, for a row x
+        """Decode's product of ``x`` with ``lw[:3]`` of one layer's weights ``lw`` against each projection's own."""
+        stacked = x @ lw[:3]
         assert stacked.shape == (3, *x.shape)
-        for w, product in zip((lw.w_q, lw.w_k, lw.w_v), stacked, strict=True):
+        for w, product in zip(lw[:3], stacked, strict=True):
             assert product.tobytes() == matmul(x, w).tobytes() == matmul(x, w.copy()).tobytes()
 
 
@@ -1373,8 +1395,8 @@ def _decode_model(w_q=0.0, w_k=0.0, w_v=0.0, w_o=0.0, head=0.0) -> Model:
     def full(w):
         return np.full((D, D), w, dtype=np.float32) if np.ndim(w) == 0 else np.asarray(w, dtype=np.float32)
 
-    layer = kvmodel.LayerWeights(full(w_q), full(w_k), full(w_v), full(w_o))
-    return Model(ModelConfig(1, HEADS, D, D, 128), Weights(full(0.0), (layer,), full(head)))
+    layers = np.stack([full(w_q), full(w_k), full(w_v), full(w_o)])[None]
+    return Model(ModelConfig(1, HEADS, D, D, 128), Weights(full(0.0), layers, full(head)))
 
 
 def _stores(k, v):
@@ -1463,22 +1485,23 @@ class TestModelChecksItsWeights:
 
     @classmethod
     def parts(cls, dtype=np.float32):
-        """(embedding, [per layer (W_Q, W_K, W_V, W_O)], head) fitting CFG, drawn once per call."""
+        """(embedding, layer stack, head) fitting CFG, drawn once per call."""
         rng = np.random.default_rng(0)
-        d, vocab = cls.CFG.d_model, cls.CFG.vocab
+        cfg = cls.CFG
 
-        def draw(rows, cols):
-            return rng.uniform(-0.5, 0.5, size=(rows, cols)).astype(dtype)
+        def draw(*shape):
+            return rng.uniform(-0.5, 0.5, size=shape).astype(dtype)
 
-        return draw(vocab, d), [tuple(draw(d, d) for _ in range(4)) for _ in range(cls.CFG.layers)], draw(d, vocab)
+        return draw(cfg.vocab, cfg.d_model), draw(cfg.layers, 4, cfg.d_model, cfg.d_model), draw(cfg.d_model, cfg.vocab)
 
     @classmethod
     def build(cls, emb, layers, head, cfg=None):
-        return Model(cfg or cls.CFG, Weights(emb, tuple(kvmodel.LayerWeights(*lw) for lw in layers), head))
+        return Model(cfg or cls.CFG, Weights(emb, layers, head))
 
     def test_fitting_weights_build(self):
         model = self.build(*self.parts())
         assert model.weights.embedding.shape == (6, 4) and model.weights.head.shape == (4, 6)
+        assert model.weights.layers.shape == (2, 4, 4, 4)
 
     @pytest.mark.parametrize("change", [
         lambda emb, layers, head: (emb[:-1], layers, head),
@@ -1486,45 +1509,44 @@ class TestModelChecksItsWeights:
         lambda emb, layers, head: (emb, layers, head[:, :-1]),
         lambda emb, layers, head: (emb, layers, head.T),
         lambda emb, layers, head: (emb, layers[:1], head),
-        lambda emb, layers, head: (emb, layers * 2, head),
-        lambda emb, layers, head: (emb, [tuple(np.ones((8, 8), np.float32) for _ in range(4))] * 2, head),
+        lambda emb, layers, head: (emb, np.concatenate([layers, layers]), head),
+        lambda emb, layers, head: (emb, np.ones((2, 4, 8, 8), np.float32), head),
     ], ids=["embedding_rows", "embedding_width", "head_vocab", "head_transposed", "one_layer_short",
             "two_layers_over", "projections_of_another_width"])
     def test_weights_that_do_not_fit_the_config_raise_when_built(self, change):
         with pytest.raises(ContractViolation, match="do not fit"):
             self.build(*change(*self.parts()))
 
-    @pytest.mark.parametrize("replace_at", [0, 1, 2, 3])
-    @pytest.mark.parametrize("bad", [np.ones((4, 5), np.float32), np.ones((5, 5), np.float32)],
-                             ids=["not_square", "square_of_another_width"])
-    def test_a_projection_unlike_its_layer_raises_when_built(self, replace_at, bad):
-        emb, layers, head = self.parts()
-        projections = list(layers[0])
-        projections[replace_at] = bad
-        with pytest.raises(ContractViolation, match="square matrices of one shape"):
-            self.build(emb, [tuple(projections), layers[1]], head)
-
-    @pytest.mark.parametrize("bad", [np.full((4, 4), "a"), np.ones((4, 4), dtype=object), [[0.5] * 4] * 4,
-                                     np.ones(4, np.float32), None],
-                             ids=["strings", "objects", "nested_list", "1-D", "None"])
-    @pytest.mark.parametrize("where", ["embedding", "w_q", "w_o", "head"])
-    def test_weights_that_are_not_arrays_of_numbers_raise_when_built(self, where, bad):
-        emb, layers, head = self.parts()
-        if where == "embedding":
-            emb = bad
-        elif where == "head":
-            head = bad
-        else:
-            layers[0] = tuple(bad if name == where else w for name, w in zip(kvmodel._PROJECTIONS, layers[0]))
-        with pytest.raises(ContractViolation, match=f"^{where} must"):
-            self.build(emb, layers, head)
-
-    @pytest.mark.parametrize("layers", [None, [None], (np.ones((4, 4), np.float32),)], ids=["None", "None_layer",
-                                                                                           "bare_matrix"])
-    def test_layers_that_are_not_layer_weights_raise_when_built(self, layers):
+    @pytest.mark.parametrize("shape, match", [
+        ((2, 3, 4, 4), "do not fit"), ((2, 5, 4, 4), "do not fit"), ((2, 4, 4, 5), "do not fit"),
+        ((2, 4, 5, 4), "do not fit"), ((2, 4, 5, 5), "do not fit"), ((0, 4, 4, 4), "do not fit"),
+        ((8, 4, 4), "layers must be a 4-D array"), ((2, 4, 4, 4, 1), "layers must be a 4-D array"),
+    ], ids=["three_projections", "five_projections", "not_square", "not_square_transposed",
+            "square_of_another_width", "no_layers", "3-D", "5-D"])
+    def test_a_stack_of_another_shape_raises_when_built(self, shape, match):
         emb, _, head = self.parts()
-        with pytest.raises(ContractViolation, match="layers must be a sequence of LayerWeights"):
-            Weights(emb, layers, head)
+        with pytest.raises(ContractViolation, match=match):
+            self.build(emb, np.ones(shape, np.float32), head)
+
+    @pytest.mark.parametrize("bad", [lambda shape: np.full(shape, "a"), lambda shape: np.ones(shape, dtype=object),
+                                     lambda shape: np.ones(shape).tolist(), lambda shape: np.ones(4, np.float32),
+                                     lambda shape: None],
+                             ids=["strings", "objects", "nested_list", "1-D", "None"])
+    @pytest.mark.parametrize("where", ["embedding", "layers", "head"])
+    def test_weights_that_are_not_arrays_of_numbers_raise_when_built(self, where, bad):
+        parts = dict(zip(("embedding", "layers", "head"), self.parts()))
+        parts[where] = bad(parts[where].shape)
+        with pytest.raises(ContractViolation, match=f"^{where} must"):
+            self.build(*parts.values())
+
+    @pytest.mark.parametrize("layers", [
+        lambda stack: None, lambda stack: [None], lambda stack: list(stack), lambda stack: stack[0, 0],
+        lambda stack: tuple(tuple(lw) for lw in stack),
+    ], ids=["None", "None_layer", "list_of_layers", "bare_matrix", "tuples_of_projections"])
+    def test_layers_that_are_not_a_4d_array_raise_when_built(self, layers):
+        emb, stack, head = self.parts()
+        with pytest.raises(ContractViolation, match="layers must be a 4-D array"):
+            Weights(emb, layers(stack), head)
 
     def test_a_model_takes_a_config_and_weights(self):
         weights = self.build(*self.parts()).weights
@@ -1535,14 +1557,11 @@ class TestModelChecksItsWeights:
 
     def test_float64_weights_are_stored_as_float32_and_decode_as_their_cast(self):
         wide = self.parts(np.float64)
-        emb, layers, head = wide
-        cast = (emb.astype(np.float32), [tuple(w.astype(np.float32) for w in lw) for lw in layers],
-                head.astype(np.float32))
+        cast = tuple(w.astype(np.float32) for w in wide)
         m64, m32 = self.build(*wide), self.build(*cast)
-        for w64, w32 in zip(kvmodel._matrices(m64.weights), kvmodel._matrices(m32.weights), strict=True):
+        for w64, w32 in zip(astuple(m64.weights), astuple(m32.weights), strict=True):
             assert w64.dtype == np.float32 and w64.tobytes() == w32.tobytes()
-        for lw in m64.weights.layers:
-            assert lw.w_qkv.dtype == np.float32
+        assert m64.weights.layers.flags.c_contiguous
         tokens = [1, 5, 2, 0, 3]
         r64, r32 = prefill(m64, tokens), prefill(m32, tokens)
         assert r64.logits.tobytes() == r32.logits.tobytes()
@@ -1556,8 +1575,14 @@ class TestModelChecksItsWeights:
     def test_float32_weights_are_stored_uncopied(self):
         emb, layers, head = self.parts()
         model = self.build(emb, layers, head)
-        assert model.weights.embedding is emb and model.weights.head is head
-        assert model.weights.layers[0].w_o is layers[0][3]
+        assert model.weights.embedding is emb and model.weights.layers is layers and model.weights.head is head
+
+    @pytest.mark.parametrize("strided", [np.asfortranarray, lambda stack: stack[:, ::-1]], ids=["fortran", "reversed"])
+    def test_a_strided_stack_is_stored_as_a_c_contiguous_copy(self, strided):
+        emb, layers, head = self.parts()
+        stack = strided(layers)
+        stored = self.build(emb, stack, head).weights.layers
+        assert stored.flags.c_contiguous and np.array_equal(stored, stack)
 
 
 def _prefill_stores(res):
