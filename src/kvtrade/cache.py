@@ -30,13 +30,22 @@ rows in every head and each append reaches every head, so every head of a
 layer holds as many rows. A residual stack is never written in place: an
 append or a flush replaces it, so clones share stacks as they share blocks.
 Attention at decode runs over ``materialize_layer``'s output: every head of
-one layer, stacked ``(heads, rows, head_dim)``; ``materialize`` is a view of
-one head of it. Each immutable block is decoded once and keeps its decoded
-form (``dequantize_matrix``): a block that a flush makes carries it from
-``quantize_matrix`` on, and a block that ``load_snapshot`` reads decodes on
-first use. So a decode step decodes only loaded blocks that no step has
-read yet, and joins the decoded blocks with the residual. This is a
-correctness-first reference path with no fused kernels.
+one layer, stacked ``(heads, rows, head_dim)`` and read-only;
+``materialize`` is a view of one head of it. Each immutable block is
+decoded once and keeps its decoded form (``dequantize_matrix``): a block
+that a flush makes carries it from ``quantize_matrix`` on, and a block that
+``load_snapshot`` reads decodes on first use. So a decode step decodes only
+loaded blocks that no step has read yet. A quantized layer's joined stacks
+(each head's decoded blocks, then its residual rows) are kept between
+reads, outside the cache's value: a read whose decoded blocks (by identity)
+and residual stacks are those the stacks were joined from returns views of
+them, and an append writes its row in place, past the rows of every
+earlier read, growing the stacks when full to the layer's next flush (by
+doubling where no flush will come). A flush drops them; a clone or a
+loaded cache starts without them, and a read that finds a block or a
+residual stack it was not joined from, as after a field is set by hand,
+joins them anew, K and V in one concatenation. This is a correctness-first
+reference path with no fused kernels.
 
 A block is checked once, where its fields enter the program. A flush's
 blocks come from ``quantize_matrix``, which makes them valid by
@@ -47,16 +56,19 @@ construction, so no check repeats its work. ``load_snapshot`` copies a
 ``dump_snapshot`` writes the blocks as they are.
 
 A cache instance is single-writer per sequence: ``decode_append`` mutates
-every head of one layer. Distinct layers are independent; ``materialize``
-and ``materialize_layer`` are safe concurrently with no writer.
+every head of one layer and writes its joined stacks. Distinct layers are
+independent; ``materialize`` and ``materialize_layer`` are safe
+concurrently with no writer (a read that joins a layer anew replaces its
+kept stacks, and every reader gets the same rows).
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, repeat
+from operator import is_
 
 import numpy as np
 
@@ -101,6 +113,41 @@ def _empty_stack(heads: int, head_dim: int) -> np.ndarray:
     return _read_only(np.zeros((heads, 0, head_dim), dtype=np.float32))
 
 
+class _Joined:
+    """A quantized layer's rows as decode reads them, kept between reads.
+
+    ``kv`` is a read-only ``(2, heads, capacity, head_dim)`` array, K then V,
+    and ``k`` and ``v`` are its halves: the first ``rows`` rows of each head
+    are its decoded blocks, then its residual rows. ``blocks`` (each head's
+    decoded K blocks, then its V blocks) and the residual stacks ``res_k``
+    and ``res_v`` are what they were joined from. A join fills ``kv``
+    exactly; an append writes its row past ``rows`` into ``buf``, the
+    writable array under ``kv``, made when an append finds ``kv`` full, and
+    the residual stacks become the append's.
+    """
+
+    __slots__ = ("kv", "k", "v", "rows", "blocks", "res_k", "res_v", "buf")
+
+    def __init__(self, kv: np.ndarray, blocks: list, res_k: np.ndarray, res_v: np.ndarray):
+        self.kv, self.k, self.v, self.rows = kv, kv[0], kv[1], kv.shape[2]
+        self.blocks, self.res_k, self.res_v = blocks, res_k, res_v
+
+    def append(self, k_row: np.ndarray, v_row: np.ndarray, res_k: np.ndarray, res_v: np.ndarray,
+               capacity: int) -> None:
+        """Write one ``(heads, 1, head_dim)`` row per side after ``rows``, the residual now
+        ``res_k`` and ``res_v``; when ``kv`` is full, first move to a buffer of ``capacity`` rows."""
+        rows = self.rows
+        if rows == self.kv.shape[2]:
+            two, heads, _, head_dim = self.kv.shape
+            self.buf = np.empty((two, heads, capacity, head_dim), dtype=np.float32)
+            self.buf[:, :, :rows] = self.kv
+            self.kv = _read_only(self.buf.view())
+            self.k, self.v = self.kv[0], self.kv[1]
+        self.buf[0, :, rows : rows + 1] = k_row
+        self.buf[1, :, rows : rows + 1] = v_row
+        self.rows, self.res_k, self.res_v = rows + 1, res_k, res_v
+
+
 def _flush(row: list[LayerHeadCache], k, v, cfgs: tuple[QuantConfig, QuantConfig]) -> None:
     """Quantize each head's rows of the layer stacks ``k`` and ``v`` into one new block of that head."""
     k_cfg, v_cfg = cfgs
@@ -127,6 +174,9 @@ class CompressedKVCache:
     positions: list[np.ndarray]
     residual_k: list[np.ndarray]
     residual_v: list[np.ndarray]
+    # each quantized layer's joined stacks by layer index (_Joined): not part
+    # of the cache's value, and a new cache, a clone among them, starts with none
+    _joined: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -171,11 +221,19 @@ class CompressedKVCache:
         # costs about half as much
         if np.count_nonzero(np.isfinite(k_row)) + np.count_nonzero(np.isfinite(v_row)) < 2 * width:
             raise ContractViolation("append rows must be finite")
-        k = concat_rows(self.residual_k[layer], k_row.reshape(heads, 1, head_dim))
-        v = concat_rows(self.residual_v[layer], v_row.reshape(heads, 1, head_dim))
-        if k.shape[1] == self.plan.group_size and (cfgs := self.plan.quant_config(layer)) is not None:
+        k_row, v_row = k_row.reshape(heads, 1, head_dim), v_row.reshape(heads, 1, head_dim)
+        old_k, old_v = self.residual_k[layer], self.residual_v[layer]
+        k, v = concat_rows(old_k, k_row), concat_rows(old_v, v_row)
+        rest, group_size = k.shape[1], self.plan.group_size
+        if rest == group_size and (cfgs := self.plan.quant_config(layer)) is not None:
             _flush(self.entries[layer], k, v, cfgs)
             k = v = _empty_stack(heads, head_dim)
+            self._joined.pop(layer, None)
+        elif (joined := self._joined.get(layer)) is not None and joined.res_k is old_k and joined.res_v is old_v:
+            # room up to the layer's next flush, which drops the record; past
+            # group_size (a hand-set residual) no flush comes, so double
+            rows = joined.rows + 1
+            joined.append(k_row, v_row, k, v, rows + group_size - 1 - rest if rest < group_size else 2 * rows)
         self.residual_k[layer], self.residual_v[layer] = _read_only(k), _read_only(v)
 
     def check_residual(self, layer: int) -> int:
@@ -192,34 +250,57 @@ class CompressedKVCache:
         return layer
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
-        """(layer, head)'s rows, views of :meth:`materialize_layer`'s stacks; an
+        """(layer, head)'s rows, read-only views of :meth:`materialize_layer`'s stacks; an
         index that is not an integer inside the cache raises ContractViolation."""
         k, v = self.materialize_layer(layer)
         head = require_index("head", head, self.heads)
         return k[head], v[head]
 
     def materialize_layer(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """Every head's rows of ``layer`` in position order, stacked ``(heads, rows, head_dim)``.
+        """Every head's rows of ``layer`` in position order, stacked ``(heads, rows, head_dim)``, read-only.
 
         A layer without blocks (16-bit) returns its residual stacks
-        themselves, uncopied and read-only. Otherwise
-        every head's decoded blocks and residual slice are joined in one
-        concatenation for K and one for V, into new arrays. An index that
-        is not an integer inside the cache raises ContractViolation.
+        themselves, uncopied. A quantized layer decodes every block
+        (:func:`dequantize_matrix`, a lookup once a block is decoded) and
+        returns its joined stacks: each head's decoded blocks, then its
+        residual rows. When the decoded blocks (by identity) and the residual
+        stacks are those the layer's stacks were joined from, with the rows
+        ``decode_append`` wrote since, they are views of those stacks;
+        otherwise, as at a clone's or a loaded cache's first read, after a
+        flush or after a public field was set by hand, they are joined anew in
+        one concatenation of K's parts and V's. Every result keeps its rows:
+        an append writes past them, and a flush or a new join leaves them
+        where they are. An index that is not an integer inside the cache
+        raises ContractViolation.
         """
         layer = require_index("layer", layer, len(self.entries))
         row = self.entries[layer]
         k, v = self.residual_k[layer], self.residual_v[layer]
         if not row[0].quant_k:  # a 16-bit layer: every row in the residual
             return k, v
-        k_parts, v_parts = [], []
-        for e, k_h, v_h in zip(row, k, v):
-            k_parts += map(dequantize_matrix, e.quant_k)
-            k_parts.append(k_h)
-            v_parts += map(dequantize_matrix, e.quant_v)
-            v_parts.append(v_h)
-        shape = (self.heads, -1, self.head_dim)
-        return np.concatenate(k_parts).reshape(shape), np.concatenate(v_parts).reshape(shape)
+        blocks = []
+        for e in row:
+            blocks += map(dequantize_matrix, e.quant_k)
+            blocks += map(dequantize_matrix, e.quant_v)
+        joined = self._joined.get(layer)
+        if (joined is not None and joined.res_k is k and joined.res_v is v and len(joined.blocks) == len(blocks)
+                and all(map(is_, joined.blocks, blocks))):
+            rows = joined.rows
+            return joined.k[:, :rows], joined.v[:, :rows]
+        k_parts, v_parts, start = [], [], 0
+        for head, e in enumerate(row):
+            mid = start + len(e.quant_k)
+            end = mid + len(e.quant_v)
+            k_parts += blocks[start:mid]
+            k_parts.append(k[head])  # indexing makes a head's view at a fraction of iteration's cost
+            v_parts += blocks[mid:end]
+            v_parts.append(v[head])
+            start = end
+        # both sides in one array: one concatenation, one flag and one reshape for K and V
+        k_parts += v_parts
+        joined = _Joined(_read_only(np.concatenate(k_parts)).reshape(2, self.heads, -1, self.head_dim), blocks, k, v)
+        self._joined[layer] = joined
+        return joined.k, joined.v
 
     def _layer_bytes(self, layer: int, block_bytes) -> int:
         """One layer's bytes: its fp16 residual K/V rows, plus ``block_bytes`` of each block."""

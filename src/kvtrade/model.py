@@ -495,16 +495,19 @@ def _decode(model: Model, store: CompressedKVCache, h) -> np.ndarray:
     x = as_row(h, cfg.d_model, "h")
     d, heads, head_dim = cfg.d_model, cfg.heads, cfg.head_dim
     scale = np.float32(1.0 / math.sqrt(head_dim))
+    weights = model.weights.layers
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer, lw in enumerate(model.weights.layers):
-            q, k, v = require_finite(x @ lw[:3], "decode's Q/K/V product")
+        for layer in range(cfg.layers):
+            # two views of the stack per layer, not three (the layer, then its parts)
+            q, k, v = require_finite(x @ weights[layer, :3], "decode's Q/K/V product")
             store.decode_append(layer, k, v)
             k_stack, v_stack = store.materialize_layer(layer)
             scores = require_finite(q.reshape(heads, 1, head_dim) @ k_stack.transpose(0, 2, 1),
                                     "decode's scores product")
-            probs = softmax_rows(scores.reshape(heads, -1) * scale)
+            scores *= scale
+            probs = softmax_rows(scores.reshape(heads, -1))
             out = require_finite(probs.reshape(heads, 1, -1) @ v_stack, "decode's V product")
-            x = x + require_finite(out.reshape(1, d) @ lw[3], "decode's W_O product")
+            x = x + require_finite(out.reshape(1, d) @ weights[layer, 3], "decode's W_O product")
         return require_finite(x @ model.weights.head, "decode's head product")[0]
 
 

@@ -102,6 +102,7 @@ class SweepConfig:
     num_pairs: int = 8
     needle_depths: tuple[float, ...] = ()
     filler_vocab: int = 32
+    question_in_prompt: bool = False
     probe_steps: int = 4
     layers: int = 1
     heads: int = 1
@@ -389,7 +390,9 @@ def _build_model(cfg: SweepConfig, point: GridPoint, prompt: "_Prompt | None") -
     if prompt is not None:  # a built model is a function of the config, seq_len and seed
         return prompt.model
     if cfg.model == "recall":
-        return build_recall_model(cfg.num_pairs, point.seq_len, cfg.filler_vocab)[0]
+        # the question, when in the prompt, adds one token per pair
+        prompt_len = point.seq_len + (cfg.num_pairs if cfg.question_in_prompt else 0)
+        return build_recall_model(cfg.num_pairs, prompt_len, cfg.filler_vocab)[0]
     mc = ModelConfig(cfg.layers, cfg.heads, cfg.d_model, cfg.vocab, cfg.context_limit, seed=point.seed)
     return random_model(mc)
 
@@ -474,6 +477,8 @@ def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model) -> _Prompt:
         vocab = RecallVocab(cfg.num_pairs, cfg.filler_vocab)
         task = gen_recall_task(point.seq_len, cfg.num_pairs, cfg.depths(), point.seed, vocab)
         tokens = task.tokens
+        if cfg.question_in_prompt:  # the queried keys follow the prompt, as a question would
+            tokens = tokens + [query.key_token for query in task.queries]
     else:
         tokens = gen_probe_prompt(point.seq_len, model.config.vocab, point.seed)
     tokens = np.array(tokens, dtype=np.int64)
@@ -494,7 +499,7 @@ def _build_prompt(cfg: SweepConfig, point: GridPoint, model: Model) -> _Prompt:
     dense = DenseKV.from_prefill(result)
     if cfg.task == "recall":
         for query in task.queries:
-            h = embed_token(model, query.key_token, position=point.seq_len)
+            h = embed_token(model, query.key_token, position=n)
             ref = decode_step_dense(model, dense.clone(), h)
             queries.append((h, query.value_token, ref))
     else:

@@ -57,9 +57,11 @@ def as_row(value, width: int, name: str) -> Matrix:
         row = np.asarray(value)
     except ValueError:  # a ragged row, such as [1, [2], 3, 4]
         raise ContractViolation(f"{name} must hold numbers, got a ragged sequence") from None
-    if row.shape != (width,) and row.shape != (1, width):
+    if row.shape == (width,):
+        row = row.reshape(1, width)
+    elif row.shape != (1, width):  # a (1, width) row, decode's, is taken as it is: no view
         raise ContractViolation(f"{name} must be shaped ({width},) or (1, {width}), got {row.shape}")
-    return as_matrix(row.reshape(1, width), name)
+    return as_matrix(row, name)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -114,14 +116,15 @@ def softmax_rows_into(m: Matrix, out: Matrix, work: np.ndarray) -> None:
 def _normalise_rows(x: np.ndarray) -> None:
     """The softmax of every row of ``x``, a C-contiguous float64 matrix, in place;
     ContractViolation unless every row's maximum is finite."""
-    peaks = x.max(axis=1, keepdims=True)
+    # the ufuncs ndarray.max and ndarray.sum reduce with, called without their wrappers
+    peaks = np.maximum.reduce(x, axis=1, keepdims=True)
     if np.count_nonzero(np.isfinite(peaks)) < len(peaks):  # count_nonzero: cheaper than .all() here
         raise ContractViolation("softmax_rows needs a finite maximum in every row")
     x -= peaks
     # in place: no temporary of x's size, which keeps memory reused instead
     # of faulting in fresh pages at each call
     np.exp(x, out=x)
-    x /= x.sum(axis=1, keepdims=True)
+    x /= np.add.reduce(x, axis=1, keepdims=True)
 
 
 def blas_threads() -> int | None:

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from kvtrade.budget import plan_bytes, plan_for_tokens
 from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
+from kvtrade.model import ModelConfig, decode_step, embed_token, random_model
 from kvtrade.prune import PolicyConfig, PolicyKind
 from kvtrade.quant import Layout, dequantize_matrix, quantize_matrix
-from oracles import context_from_probs, stored_blocks, uniform_plan
+from oracles import context_from_probs, per_head_decode, reference_dequantize, stored_blocks, uniform_plan
 
 
 def causal_uniform_attn(n):
@@ -332,8 +333,141 @@ class TestMaterialize:
         assert cache.residual_k[0].shape[1] == appends  # the 8 prompt rows are a block
         k, v = cache.materialize_layer(0)
         expected = k.tobytes(), v.tobytes()
-        k[:] = v[:] = 7.0
+        for m in (k, v):
+            with pytest.raises(ValueError, match="read-only"):
+                m[:] = 7.0
         assert tuple(m.tobytes() for m in cache.materialize_layer(0)) == expected
+
+
+def joined_oracle(cache, layer):
+    """``layer``'s K and V stacks as bytes, built apart from the cache's join: each head's
+    blocks decoded by ``reference_dequantize``, then its residual rows."""
+    return [
+        np.stack([np.concatenate([reference_dequantize(q) for q in stored_blocks(cache, layer, head)[side]]
+                                 + [residual[head]]) for head in range(cache.heads)]).tobytes()
+        for side, residual in enumerate((cache.residual_k[layer], cache.residual_v[layer]))
+    ]
+
+
+class TestJoinedStacks:
+    """A quantized layer's reads are views of stacks that appends extend in place, until a flush."""
+
+    HEADS, HEAD_DIM, GROUP = 2, 4, 8
+    WIDTH = HEADS * HEAD_DIM
+
+    def make_cache(self, bits=4, layers=1):
+        keys, values, ctxs = make_inputs(layers, self.HEADS, 12, self.HEAD_DIM, seed=41)
+        plan = uniform_plan(layers, 8, bits, heads=self.HEADS, head_dim=self.HEAD_DIM, group_size=self.GROUP)
+        return prefill_compress(keys, values, ctxs, plan, STREAM4)
+
+    def append(self, cache, rng, layer=0):
+        cache.decode_append(layer, *rng.normal(size=(2, self.WIDTH)))
+
+    def check(self, cache, read, layer=0):
+        assert [m.tobytes() for m in read] == joined_oracle(cache, layer)
+        assert not any(m.flags.writeable for m in read)
+
+    def test_appends_extend_one_buffer_and_every_earlier_read_keeps_its_bytes(self):
+        cache, rng = self.make_cache(), np.random.default_rng(42)
+        reads = [cache.materialize_layer(0)]
+        for _ in range(self.GROUP - 1):  # one row short of a flush
+            self.append(cache, rng)
+            reads.append(cache.materialize_layer(0))
+            self.check(cache, reads[-1])
+        held = [[m.tobytes() for m in read] for read in reads]
+        # the first append moves the exact join into a buffer with room up to the flush;
+        # every later read is a view of that buffer
+        for earlier, later in zip(reads[1:], reads[2:]):
+            assert all(np.shares_memory(a, b) for a, b in zip(earlier, later))
+        assert [[m.tobytes() for m in read] for read in reads] == held
+        again = cache.materialize_layer(0)
+        assert all(np.shares_memory(a, b) for a, b in zip(again, reads[-1]))
+
+    def test_a_flush_gives_new_stacks(self):
+        cache, rng = self.make_cache(), np.random.default_rng(43)
+        for _ in range(self.GROUP - 1):
+            self.append(cache, rng)
+        before = cache.materialize_layer(0)
+        held = [m.tobytes() for m in before]
+        self.append(cache, rng)  # completes the group: every head flushes
+        assert cache.residual_k[0].shape[1] == 0
+        after = cache.materialize_layer(0)
+        self.check(cache, after)
+        assert not any(np.shares_memory(a, b) for a, b in zip(before, after))
+        assert [m.tobytes() for m in before] == held
+
+    def test_clones_append_apart_and_leave_the_source_as_it_was(self):
+        source, rng = self.make_cache(), np.random.default_rng(44)
+        source.materialize_layer(0)
+        self.append(source, rng)  # the source's stacks now have room to grow in place
+        source_read = source.materialize_layer(0)
+        held = [m.tobytes() for m in source_read]
+        clones = [source.clone(), source.clone()]
+        for clone in clones:
+            for _ in range(3):
+                # a clone starts without the source's stacks and joins its own
+                assert not any(np.shares_memory(a, b) for a, b in zip(clone.materialize_layer(0), source_read))
+                self.append(clone, rng)
+        reads = [clone.materialize_layer(0) for clone in clones]
+        for clone, read in zip(clones, reads):
+            self.check(clone, read)
+            assert not any(np.shares_memory(a, b) for a, b in zip(read, source_read))
+        assert reads[0][0].tobytes() != reads[1][0].tobytes()
+        self.append(source, rng)  # the source writes its own buffer, past what anyone read
+        self.check(source, source.materialize_layer(0))
+        assert [m.tobytes() for m in source_read] == held
+        for clone, read in zip(clones, reads):
+            self.check(clone, read)
+
+    def test_a_hand_set_residual_is_read(self):
+        cache, rng = self.make_cache(), np.random.default_rng(45)
+        cache.materialize_layer(0)
+        for _ in range(2):
+            self.append(cache, rng)
+        cache.materialize_layer(0)
+        cache.residual_k[0] = rng.normal(size=cache.residual_k[0].shape).astype(np.float32)
+        self.check(cache, cache.materialize_layer(0))
+        # set by hand again and appended to before any read: the append must not extend stacks
+        # joined from the residual the hand set replaced
+        cache.residual_v[0] = rng.normal(size=cache.residual_v[0].shape).astype(np.float32)
+        self.append(cache, rng)
+        self.check(cache, cache.materialize_layer(0))
+
+    def test_a_replaced_block_is_read(self):
+        cache, rng = self.make_cache(), np.random.default_rng(46)
+        self.append(cache, rng)
+        cache.materialize_layer(0)
+        self.append(cache, rng)
+        blocks_k, _ = stored_blocks(cache, 0, 1)
+        blocks_k[0] = quantize_matrix(np.full(blocks_k[0].shape, 1.5, dtype=np.float32),
+                                      cache.plan.quant_config(0)[0])
+        read = cache.materialize_layer(0)
+        self.check(cache, read)
+        assert (read[0][1, :8] == 1.5).all()
+
+    def test_a_residual_longer_than_a_group_decodes_bit_for_bit(self):
+        # no append reaches group_size rows, so no flush comes: the stacks grow by doubling
+        cache, rng = self.make_cache(), np.random.default_rng(47)
+        shape = (self.HEADS, self.GROUP + 3, self.HEAD_DIM)
+        cache.residual_k[0], cache.residual_v[0] = rng.normal(size=(2, *shape)).astype(np.float32)
+        model = random_model(ModelConfig(1, self.HEADS, self.WIDTH, 16, 64, seed=48))
+        for step in range(40):
+            h = embed_token(model, step % 16)
+            want = per_head_decode(model, cache.clone(), h)
+            assert decode_step(model, cache, h).tobytes() == want.tobytes()
+            self.check(cache, cache.materialize_layer(0))
+        assert cache.residual_k[0].shape[1] == self.GROUP + 3 + 40
+
+    @pytest.mark.parametrize("bits", [4, 16])
+    def test_every_read_is_read_only(self, bits):
+        cache, rng = self.make_cache(bits, layers=2), np.random.default_rng(49)
+        for _ in range(3):
+            self.append(cache, rng, layer=1)
+        for layer in range(2):
+            stacks = [*cache.materialize_layer(layer), *cache.materialize(layer, 1)]
+            for m in stacks:
+                with pytest.raises(ValueError, match="read-only"):
+                    m[...] = 0.0
 
 
 class TestMeasuredBytes:

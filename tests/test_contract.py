@@ -163,7 +163,8 @@ EXTRA = {
                      "wide_ragged": lambda: [1, [2], 3, 4], "ragged_rows": lambda: [[1, 2], [3, 4, 5]]}
        for name in ("decode_step", "decode_step_dense")},
     "load_snapshot.data": {"list_of_ints": lambda: list(b"KVSN" * 16), "magic_str": lambda: "KVSN" + "x" * 64},
-    "SweepConfig.paired_budget": {"zero": lambda: 0, "numpy_int": lambda: np.int64(1)},
+    **{f"SweepConfig.{key}": {"zero": lambda: 0, "numpy_int": lambda: np.int64(1)}
+       for key in ("paired_budget", "question_in_prompt")},
     "QuantizedTensor.packed_codes": {"object_array": lambda: np.array([None], dtype=object),
                                      "float64_array": lambda: np.array([1.5]),
                                      "float64_memoryview": lambda: memoryview(np.array([1.5]))},

@@ -1,6 +1,7 @@
 """The experiment configs under ``experiments/`` and the CSV summarizer."""
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -65,6 +66,20 @@ def test_full_config_csv_keeps_its_bytes(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert main(["run", "--config", str(ROOT / "experiments" / f"{name}.cfg"), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CSV_SHA256[name]
+
+
+# the benchmark's headline workload runs the recall model too, so its seed-0 CSV is pinned the same
+# way; its logits and the two random-model workloads are not, as their BLAS sums may differ by CPU
+RECALL_TRADEOFF_CSV_SHA256 = "96a27e3f04ea6799e28fc5d6381653d6fb128af2768e7c22d60d736af8019b0a"
+
+
+def test_benchmark_recall_workload_csv_keeps_its_bytes():
+    proc = subprocess.run([sys.executable, "kvbench/run.py", "--workload", "recall_tradeoff", "--seed", "0",
+                           "--seconds", "0", "--trace", "0"], cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    info, result = map(json.loads, proc.stdout.splitlines()[-2:])
+    assert result["correct"] and result["failed"] == 0
+    assert info["sha256"]["csv"] == RECALL_TRADEOFF_CSV_SHA256
 
 
 def test_budget_grid_holds_the_budget_matched_points():

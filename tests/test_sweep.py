@@ -7,7 +7,7 @@ import pytest
 
 from kvtrade import sweep
 from kvtrade.errors import ContractViolation
-from kvtrade.model import RecallVocab
+from kvtrade.model import RecallVocab, embed_token
 from kvtrade.sweep import (
     CSV_COLUMNS,
     DEMO_CONFIG,
@@ -201,7 +201,7 @@ class TestConfigParsing:
             seeds=(3, 4), policies=("h2o", "pyramidkv"), bits=(2, 8), token_multipliers=(8, 2),
             paired_budget=False, group_sizes=(16, 32), layouts=("per_channel", "per_token_outlier"),
             overrides=("none", "0-1@8x2"), base_tokens=12, full_cache_tokens=48, num_pairs=3,
-            needle_depths=(0.1, 0.5, 0.9), filler_vocab=20, probe_steps=5, layers=2, heads=2,
+            needle_depths=(0.1, 0.5, 0.9), filler_vocab=20, question_in_prompt=True, probe_steps=5, layers=2, heads=2,
             d_model=16, vocab=40, context_limit=64, pyramid_min_fraction=0.5, recent_window=6,
             pool_width=5, output="out.csv",
         )
@@ -452,6 +452,51 @@ class TestCsv:
             parse_csv(f"{header}\n{row.rsplit(',', 1)[0]}\n")
         with pytest.raises(ValueError, match="expected 14 columns, got 15"):
             parse_csv(f"{header}\n{row},1\n")
+
+
+class TestQuestionInPrompt:
+    """``question_in_prompt`` appends the queried keys after the prompt, where a question sits."""
+
+    CFG = SweepConfig(task="recall", model="recall", seq_lens=(512,), seeds=tuple(range(8)),
+                      policies=("streaming_llm", "h2o", "snapkv"), bits=(4,), token_multipliers=(1, 2),
+                      paired_budget=False, base_tokens=64, full_cache_tokens=512, num_pairs=16,
+                      question_in_prompt=True)
+
+    def test_the_prompt_ends_with_the_question_and_queries_decode_after_it(self):
+        cfg = replace(SMALL, question_in_prompt=True)
+        point = enumerate_grid(cfg)[0]
+        model = sweep._build_model(cfg, point, None)
+        prompt = sweep._build_prompt(cfg, point, model)
+        task = gen_recall_task(96, 6, cfg.depths(), 0, RecallVocab(6, 16))
+        keys = [q.key_token for q in task.queries]
+        assert prompt.tokens.tolist() == task.tokens + keys
+        # the model fits the longer prompt: its context limit grows by num_pairs
+        assert model.config.context_limit == sweep._build_model(SMALL, point, None).config.context_limit + 6
+        embedded = [embed_token(model, key, position=96 + 6) for key in keys]
+        assert all(np.array_equal(h, want) for (h, _, _), want in zip(prompt.queries, embedded))
+        sweep._PROMPTS.clear()
+
+    def test_off_by_default_and_parsed(self):
+        assert SweepConfig().question_in_prompt is False
+        assert parse_config("question_in_prompt = true\n").question_in_prompt is True
+
+    def test_window_policies_that_see_the_question_keep_more_needles(self):
+        # at 4 bits, 512 tokens and 16 pairs, 64 and 128 kept tokens: SnapKV's observation window
+        # holds the question, H2O's accumulated scores see part of it, StreamingLLM none of it
+        rows, skips = run_sweep(self.CFG)
+        assert not skips
+        medians = {(policy, tokens): float(np.median([r.accuracy for r in rows
+                                                       if r.policy == policy and r.tokens_per_layer == tokens]))
+                   for policy in self.CFG.policies for tokens in (64, 128)}
+        for tokens in (64, 128):
+            assert medians["snapkv", tokens] > medians["h2o", tokens] > medians["streaming_llm", tokens], medians
+        assert medians == {("streaming_llm", 64): 0.125, ("streaming_llm", 128): 0.25, ("h2o", 64): 0.25,
+                           ("h2o", 128): 0.5625, ("snapkv", 64): 0.375, ("snapkv", 128): 0.9375}
+        # without the question every policy keeps what StreamingLLM keeps
+        without = run_sweep(replace(self.CFG, question_in_prompt=False))[0]
+        by_policy = {policy: [(r.seed, r.tokens_per_layer, r.accuracy) for r in without if r.policy == policy]
+                     for policy in self.CFG.policies}
+        assert by_policy["snapkv"] == by_policy["h2o"] == by_policy["streaming_llm"]
 
 
 class TestBudgetMatchedRows:
