@@ -37,29 +37,37 @@ that a flush makes carries it from ``quantize_matrix`` on, and a block that
 ``load_snapshot`` reads decodes on first use. So a decode step decodes only
 loaded blocks that no step has read yet. A quantized layer's joined stacks
 (each head's decoded blocks, then its residual rows) are kept between
-reads, outside the cache's value: a read whose decoded blocks (by identity)
-and residual stacks are those the stacks were joined from returns views of
-them, and an append writes its row in place, past the rows of every
-earlier read, growing the stacks when full to the layer's next flush (by
-doubling where no flush will come). A flush drops them; a clone or a
-loaded cache starts without them, and a read that finds a block or a
-residual stack it was not joined from, as after a field is set by hand,
-joins them anew, K and V in one concatenation. This is a correctness-first
-reference path with no fused kernels.
+reads, outside the cache's value: a read whose decoded blocks are (by
+identity) those the stacks were joined from returns views of them, and an
+append writes its row in place, past the rows of every earlier read,
+growing the stacks when full to the layer's next flush. A flush drops
+them; a clone or a loaded cache starts without them, and a read that finds
+a block it was not joined from joins them anew, K and V in one
+concatenation. This is a correctness-first reference path with no fused
+kernels.
 
-A block is checked once, where its fields enter the program. A flush's
-blocks come from ``quantize_matrix``, which makes them valid by
+The cache owns its kept positions and residual stacks: callers read them
+as tuples (``positions``, ``residual_k``, ``residual_v``), and only the
+paths that keep them valid write them (``prefill_compress``,
+``load_snapshot``, ``clone`` and ``decode_append``), so nothing checks them
+again. A block is checked once, where its fields enter the program. A
+flush's blocks come from ``quantize_matrix``, which makes them valid by
 construction, so no check repeats its work. ``load_snapshot`` copies a
 ``bytearray`` or ``memoryview`` input once and never copies the body whole
 (its checksum is taken through a view), frames each block it reads with
 ``quant.group_split`` and checks each layer's group tables in one pass;
-``dump_snapshot`` writes the blocks as they are.
+``dump_snapshot`` writes the blocks as they are. The lists that hold a
+head's blocks are public (``entry``), so a read that joins a layer anew and
+``dump_snapshot`` check that each head holds the blocks its plan and kept
+positions give; a join skips the check for blocks (by identity) that last
+passed it in the cache, its source or a clone of either.
 
 A cache instance is single-writer per sequence: ``decode_append`` mutates
 every head of one layer and writes its joined stacks. Distinct layers are
 independent; ``materialize`` and ``materialize_layer`` are safe
 concurrently with no writer (a read that joins a layer anew replaces its
-kept stacks, and every reader gets the same rows).
+kept stacks and the record of its checked blocks, and every reader gets
+the same rows).
 """
 
 from __future__ import annotations
@@ -68,11 +76,11 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from operator import is_
+from operator import attrgetter, is_
 
 import numpy as np
 
-from .budget import BudgetPlan, fp16_kv_bytes
+from .budget import FULL_PRECISION_BITS, BudgetPlan, fp16_kv_bytes
 from .errors import ContractViolation, IntegrityError, require_index, require_type
 from .prune import PolicyConfig, ScoreContext, decide
 from .quant import (
@@ -119,23 +127,22 @@ class _Joined:
     ``kv`` is a read-only ``(2, heads, capacity, head_dim)`` array, K then V,
     and ``k`` and ``v`` are its halves: the first ``rows`` rows of each head
     are its decoded blocks, then its residual rows. ``blocks`` (each head's
-    decoded K blocks, then its V blocks) and the residual stacks ``res_k``
-    and ``res_v`` are what they were joined from. A join fills ``kv``
-    exactly; an append writes its row past ``rows`` into ``buf``, the
-    writable array under ``kv``, made when an append finds ``kv`` full, and
-    the residual stacks become the append's.
+    decoded K blocks, then its V blocks) are what it was joined from; the
+    residual rows are the layer's, which only ``decode_append`` adds to. A
+    join fills ``kv`` exactly; an append writes its row past ``rows`` into
+    ``buf``, the writable array under ``kv``, made when an append finds
+    ``kv`` full.
     """
 
-    __slots__ = ("kv", "k", "v", "rows", "blocks", "res_k", "res_v", "buf")
+    __slots__ = ("kv", "k", "v", "rows", "blocks", "buf")
 
-    def __init__(self, kv: np.ndarray, blocks: list, res_k: np.ndarray, res_v: np.ndarray):
+    def __init__(self, kv: np.ndarray, blocks: list):
         self.kv, self.k, self.v, self.rows = kv, kv[0], kv[1], kv.shape[2]
-        self.blocks, self.res_k, self.res_v = blocks, res_k, res_v
+        self.blocks = blocks
 
-    def append(self, k_row: np.ndarray, v_row: np.ndarray, res_k: np.ndarray, res_v: np.ndarray,
-               capacity: int) -> None:
-        """Write one ``(heads, 1, head_dim)`` row per side after ``rows``, the residual now
-        ``res_k`` and ``res_v``; when ``kv`` is full, first move to a buffer of ``capacity`` rows."""
+    def append(self, k_row: np.ndarray, v_row: np.ndarray, capacity: int) -> None:
+        """Write one ``(heads, 1, head_dim)`` row per side after ``rows``; when ``kv``
+        is full, first move to a buffer of ``capacity`` rows."""
         rows = self.rows
         if rows == self.kv.shape[2]:
             two, heads, _, head_dim = self.kv.shape
@@ -145,7 +152,23 @@ class _Joined:
             self.k, self.v = self.kv[0], self.kv[1]
         self.buf[0, :, rows : rows + 1] = k_row
         self.buf[1, :, rows : rows + 1] = v_row
-        self.rows, self.res_k, self.res_v = rows + 1, res_k, res_v
+        self.rows = rows + 1
+
+
+# what _check_blocks compares of each block, read in one call
+_BLOCK_FIELDS = attrgetter("__class__", "shape", "bits", "group_size", "layout")
+
+
+def _said(blocks: list) -> list:
+    """Blocks as ``_check_blocks`` names them: (shape, bits, group size, layout), or the type of
+    an item that is not a block."""
+    return [(q.shape, q.bits, q.group_size, q.layout.value) if type(q) is QuantizedTensor else type(q).__name__
+            for q in blocks]
+
+
+def _same(blocks: list, others: list) -> bool:
+    """Whether two lists hold the same arrays, by identity."""
+    return len(blocks) == len(others) and all(map(is_, blocks, others))
 
 
 def _flush(row: list[LayerHeadCache], k, v, cfgs: tuple[QuantConfig, QuantConfig]) -> None:
@@ -156,14 +179,16 @@ def _flush(row: list[LayerHeadCache], k, v, cfgs: tuple[QuantConfig, QuantConfig
         e.quant_v.append(quantize_matrix(v_h, v_cfg))
 
 
-@dataclass
+@dataclass(eq=False)
 class CompressedKVCache:
     """All (layer, head) sub-caches under one plan, and each layer's kept positions and residual stacks.
 
+    The cache owns the last two (see the module docstring) and shows them as tuples.
     ``positions[layer]`` is a read-only ``(heads, kept)`` u32 array, each
     head's kept prompt positions, strictly increasing: the positions of its
-    first stored rows. ``residual_k[layer]`` and ``residual_v[layer]`` are float32
-    ``(heads, rows, head_dim)`` arrays, read-only as the cache makes them, never written in place.
+    first stored rows. ``residual_k[layer]`` and ``residual_v[layer]`` are
+    read-only float32 ``(heads, rows, head_dim)`` arrays of one shape, never
+    written in place; on a quantized layer ``rows`` is below ``group_size``.
     """
 
     plan: BudgetPlan
@@ -171,12 +196,19 @@ class CompressedKVCache:
     head_dim: int
     prefill_len: int
     entries: list[list[LayerHeadCache]]
-    positions: list[np.ndarray]
-    residual_k: list[np.ndarray]
-    residual_v: list[np.ndarray]
+    _positions: list[np.ndarray]
+    _residual_k: list[np.ndarray]
+    _residual_v: list[np.ndarray]
     # each quantized layer's joined stacks by layer index (_Joined): not part
     # of the cache's value, and a new cache, a clone among them, starts with none
-    _joined: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _joined: dict = field(default_factory=dict, init=False, repr=False)
+    # each quantized layer's decoded blocks that last passed _check_blocks, shared
+    # by a cache and its clones: they hold one plan, kept positions and width
+    _checked: dict = field(default_factory=dict, repr=False)
+
+    positions = property(lambda self: tuple(self._positions))
+    residual_k = property(lambda self: tuple(self._residual_k))
+    residual_v = property(lambda self: tuple(self._residual_v))
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -195,8 +227,9 @@ class CompressedKVCache:
         # like blocks, are replaced rather than written: shared
         entries = [[LayerHeadCache(list(e.quant_k), list(e.quant_v)) for e in row] for row in self.entries]
         return CompressedKVCache(plan=self.plan, heads=self.heads, head_dim=self.head_dim,
-                                 prefill_len=self.prefill_len, entries=entries, positions=list(self.positions),
-                                 residual_k=list(self.residual_k), residual_v=list(self.residual_v))
+                                 prefill_len=self.prefill_len, entries=entries, _positions=list(self._positions),
+                                 _residual_k=list(self._residual_k), _residual_v=list(self._residual_v),
+                                 _checked=self._checked)
 
     def decode_append(self, layer: int, h_k, h_v) -> None:
         """Append one decode token's K/V rows to every head of ``layer``, at full precision.
@@ -209,11 +242,14 @@ class CompressedKVCache:
         reaches ``group_size`` rows, each head's slice is flushed into a new
         block of that head and the residual starts empty; a 16-bit layer
         keeps every row in the residual. A layer index that is not an
-        integer inside the cache, a layer failing :meth:`check_residual`, a
-        row of any other shape, values that are not numbers or not finite
-        raise ContractViolation before any head changes.
+        integer inside the cache, a row of any other shape, values that are
+        not numbers or not finite raise ContractViolation before any head
+        changes. The block lists :meth:`entry` hands out are checked where a
+        read joins them (:meth:`materialize_layer`), not here: a decode step
+        over a cache whose blocks a caller replaced raises at that layer's
+        read, after that layer and every earlier one of the step appended.
         """
-        layer = self.check_residual(layer)
+        layer = require_index("layer", layer, len(self.entries))
         heads, head_dim = self.heads, self.head_dim
         width = heads * head_dim
         k_row, v_row = as_row(h_k, width, "append rows"), as_row(h_v, width, "append rows")
@@ -222,32 +258,16 @@ class CompressedKVCache:
         if np.count_nonzero(np.isfinite(k_row)) + np.count_nonzero(np.isfinite(v_row)) < 2 * width:
             raise ContractViolation("append rows must be finite")
         k_row, v_row = k_row.reshape(heads, 1, head_dim), v_row.reshape(heads, 1, head_dim)
-        old_k, old_v = self.residual_k[layer], self.residual_v[layer]
-        k, v = concat_rows(old_k, k_row), concat_rows(old_v, v_row)
+        k, v = concat_rows(self._residual_k[layer], k_row), concat_rows(self._residual_v[layer], v_row)
         rest, group_size = k.shape[1], self.plan.group_size
         if rest == group_size and (cfgs := self.plan.quant_config(layer)) is not None:
             _flush(self.entries[layer], k, v, cfgs)
             k = v = _empty_stack(heads, head_dim)
             self._joined.pop(layer, None)
-        elif (joined := self._joined.get(layer)) is not None and joined.res_k is old_k and joined.res_v is old_v:
-            # room up to the layer's next flush, which drops the record; past
-            # group_size (a hand-set residual) no flush comes, so double
-            rows = joined.rows + 1
-            joined.append(k_row, v_row, k, v, rows + group_size - 1 - rest if rest < group_size else 2 * rows)
-        self.residual_k[layer], self.residual_v[layer] = _read_only(k), _read_only(v)
-
-    def check_residual(self, layer: int) -> int:
-        """``layer`` as an int, after checking that its residual K and V (public fields) are float32
-        stacks of one shape ``(heads, rows, head_dim)``, as appends and decode take them. A layer
-        index that is not an integer inside the cache, or stacks that are not so, raise ContractViolation."""
-        layer = require_index("layer", layer, len(self.entries))
-        k, v = self.residual_k[layer], self.residual_v[layer]
-        if not (isinstance(k, np.ndarray) and isinstance(v, np.ndarray) and k.dtype == v.dtype == np.float32
-                and k.ndim == 3 and k.shape == v.shape and k.shape[::2] == (self.heads, self.head_dim)):
-            got = [getattr(m, "shape", type(m).__name__) for m in (k, v)]
-            raise ContractViolation(f"store layer {layer} must hold K and V as 3-D float32 stacks of one shape, "
-                                    f"{self.heads} heads of width {self.head_dim}: got {got[0]}, {got[1]}")
-        return layer
+        elif (joined := self._joined.get(layer)) is not None:
+            # room up to the layer's next flush, which drops the record
+            joined.append(k_row, v_row, joined.rows + group_size - rest)
+        self._residual_k[layer], self._residual_v[layer] = _read_only(k), _read_only(v)
 
     def materialize(self, layer: int, head: int) -> tuple[Matrix, Matrix]:
         """(layer, head)'s rows, read-only views of :meth:`materialize_layer`'s stacks; an
@@ -259,34 +279,39 @@ class CompressedKVCache:
     def materialize_layer(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """Every head's rows of ``layer`` in position order, stacked ``(heads, rows, head_dim)``, read-only.
 
-        A layer without blocks (16-bit) returns its residual stacks
-        themselves, uncopied. A quantized layer decodes every block
-        (:func:`dequantize_matrix`, a lookup once a block is decoded) and
-        returns its joined stacks: each head's decoded blocks, then its
-        residual rows. When the decoded blocks (by identity) and the residual
-        stacks are those the layer's stacks were joined from, with the rows
-        ``decode_append`` wrote since, they are views of those stacks;
-        otherwise, as at a clone's or a loaded cache's first read, after a
-        flush or after a public field was set by hand, they are joined anew in
-        one concatenation of K's parts and V's. Every result keeps its rows:
-        an append writes past them, and a flush or a new join leaves them
-        where they are. An index that is not an integer inside the cache
-        raises ContractViolation.
+        A 16-bit layer returns its residual stacks themselves, uncopied. A
+        quantized layer decodes every block (:func:`dequantize_matrix`, a
+        lookup once a block is decoded) and returns its joined stacks: each
+        head's decoded blocks, then its residual rows. When the decoded
+        blocks are (by identity) those the layer's stacks were joined from,
+        with the rows ``decode_append`` wrote since, they are views of those
+        stacks; otherwise, as at a clone's or a loaded cache's first read,
+        after a flush or after a caller replaced a block, the layer's block
+        lists are checked (each head's blocks as its plan and kept positions
+        give them, a ContractViolation naming the layer and head if not),
+        unless these very blocks passed the check in this cache, its source
+        or a clone of either, and joined anew in one concatenation of K's
+        parts and V's. Every result
+        keeps its rows: an append writes past them, and a flush or a new
+        join leaves them where they are. An index that is not an integer
+        inside the cache raises ContractViolation.
         """
         layer = require_index("layer", layer, len(self.entries))
-        row = self.entries[layer]
-        k, v = self.residual_k[layer], self.residual_v[layer]
-        if not row[0].quant_k:  # a 16-bit layer: every row in the residual
+        k, v = self._residual_k[layer], self._residual_v[layer]
+        if self.plan.per_layer[layer][1] == FULL_PRECISION_BITS:  # every row in the residual
             return k, v
+        row = self.entries[layer]
         blocks = []
         for e in row:
             blocks += map(dequantize_matrix, e.quant_k)
             blocks += map(dequantize_matrix, e.quant_v)
         joined = self._joined.get(layer)
-        if (joined is not None and joined.res_k is k and joined.res_v is v and len(joined.blocks) == len(blocks)
-                and all(map(is_, joined.blocks, blocks))):
+        if joined is not None and _same(joined.blocks, blocks):
             rows = joined.rows
             return joined.k[:, :rows], joined.v[:, :rows]
+        if not _same(self._checked.get(layer, ()), blocks):
+            self._check_blocks(layer)
+            self._checked[layer] = blocks
         k_parts, v_parts, start = [], [], 0
         for head, e in enumerate(row):
             mid = start + len(e.quant_k)
@@ -298,14 +323,45 @@ class CompressedKVCache:
             start = end
         # both sides in one array: one concatenation, one flag and one reshape for K and V
         k_parts += v_parts
-        joined = _Joined(_read_only(np.concatenate(k_parts)).reshape(2, self.heads, -1, self.head_dim), blocks, k, v)
+        joined = _Joined(_read_only(np.concatenate(k_parts)).reshape(2, self.heads, -1, self.head_dim), blocks)
         self._joined[layer] = joined
         return joined.k, joined.v
+
+    def _check_blocks(self, layer: int) -> None:
+        """Raise ContractViolation, naming the layer and head, unless ``layer``'s block lists
+        (which :meth:`entry` hands out) are those its plan and kept positions give.
+
+        A 16-bit layer holds no blocks. In every head of a quantized layer,
+        K and V each hold a ``(kept, head_dim)`` block, then as many
+        ``(group_size, head_dim)`` ones as head 0's K does, each with the bits,
+        group size and layout of its side's ``plan.quant_config(layer)``.
+        """
+        row, plan, width = self.entries[layer], self.plan, self.head_dim
+        bits, group_size = plan.per_layer[layer][1], plan.group_size
+        want_k = want_v = []
+        if bits != FULL_PRECISION_BITS:
+            kept, flushes = self._positions[layer].shape[1], len(row[0].quant_k) - 1
+            # quant_config's layouts, read without building its two QuantConfigs at every join
+            k_layout = plan.layout
+            want_k = [(QuantizedTensor, (kept, width), bits, group_size, k_layout)]
+            want_k += [(QuantizedTensor, (group_size, width), bits, group_size, k_layout)] * flushes
+            want_v = want_k if k_layout is Layout.PER_TOKEN else [(*f[:4], Layout.PER_TOKEN) for f in want_k]
+        for head, e in enumerate(row):
+            for side, blocks, want in (("K", e.quant_k, want_k), ("V", e.quant_v, want_v)):
+                try:
+                    got = list(map(_BLOCK_FIELDS, blocks))
+                except AttributeError:  # an item that is not a block
+                    got = None
+                if got != want:
+                    said = [(*f[1:4], f[4].value) for f in want]
+                    raise ContractViolation(f"layer {layer} head {head} must hold {side} blocks as its plan and kept "
+                                            f"positions give them, (shape, bits, group size, layout) {said}: "
+                                            f"got {_said(blocks)}")
 
     def _layer_bytes(self, layer: int, block_bytes) -> int:
         """One layer's bytes: its fp16 residual K/V rows, plus ``block_bytes`` of each block."""
         blocks = sum(block_bytes(q) for e in self.entries[layer] for q in e.quant_k + e.quant_v)
-        return blocks + fp16_kv_bytes(self.residual_k[layer].shape[1], self.heads, self.head_dim)
+        return blocks + fp16_kv_bytes(self._residual_k[layer].shape[1], self.heads, self.head_dim)
 
     def measured_bytes_per_layer(self) -> list[int]:
         return [self._layer_bytes(layer, quantized_bytes) for layer in range(len(self.entries))]
@@ -380,7 +436,7 @@ def prefill_compress(
         residual_k.append(k)
         residual_v.append(v)
     return CompressedKVCache(plan=plan, heads=heads, head_dim=head_dim, prefill_len=n, entries=entries,
-                             positions=positions, residual_k=residual_k, residual_v=residual_v)
+                             _positions=positions, _residual_k=residual_k, _residual_v=residual_v)
 
 
 # Snapshot binary layout, version 5 (all little-endian):
@@ -413,15 +469,18 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
     """The cache as snapshot bytes (the layout above); :func:`load_snapshot` reads them back.
 
     The cache's blocks were checked where their fields entered the program,
-    so they are written as they are. Its residual stacks are public fields,
-    so each layer's must pass :meth:`~CompressedKVCache.check_residual` and
-    hold finite values, as :func:`load_snapshot` requires; a residual that
-    fails raises ContractViolation before anything is written.
+    but the lists that hold them are public (:meth:`~CompressedKVCache.entry`),
+    so each layer's must hold the blocks its plan and kept positions give,
+    as :meth:`~CompressedKVCache.materialize_layer` checks at a join. Its
+    residual stacks are the cache's own, but a prefill result's values
+    (:meth:`model.DenseKV.from_prefill`) can bring a NaN in, so they must be
+    finite, as :func:`load_snapshot` requires. A layer that fails raises
+    ContractViolation before anything is written.
     """
     require_type("cache", cache, CompressedKVCache)
-    for layer in range(len(cache.entries)):
-        cache.check_residual(layer)
-        if not (np.isfinite(cache.residual_k[layer]).all() and np.isfinite(cache.residual_v[layer]).all()):
+    for layer, (k, v) in enumerate(zip(cache._residual_k, cache._residual_v)):
+        cache._check_blocks(layer)
+        if not (np.isfinite(k).all() and np.isfinite(v).all()):
             raise ContractViolation(f"store layer {layer}'s residual values must be finite")
     out: list[bytes] = [
         SNAPSHOT_MAGIC,
@@ -439,7 +498,7 @@ def dump_snapshot(cache: CompressedKVCache) -> bytes:
         ),
         np.array(list(cache.plan.per_layer), dtype=_PLAN_TABLE).tobytes(),
     ]
-    for row, kept, k, v in zip(cache.entries, cache.positions, cache.residual_k, cache.residual_v):
+    for row, kept, k, v in zip(cache.entries, cache._positions, cache._residual_k, cache._residual_v):
         rows = sum(q.shape[0] for q in row[0].quant_k) + k.shape[1]
         out.append(struct.pack("<II", kept.shape[1], rows - kept.shape[1]))
         out.append(kept.tobytes())
@@ -600,4 +659,4 @@ def _load_snapshot(data: bytes) -> CompressedKVCache:
         residual_v.append(residual[1])
     r.end()
     return CompressedKVCache(plan=plan, heads=heads, head_dim=head_dim, prefill_len=prefill_len, entries=entries,
-                             positions=positions, residual_k=residual_k, residual_v=residual_v)
+                             _positions=positions, _residual_k=residual_k, _residual_v=residual_v)

@@ -63,7 +63,7 @@ class ModelConfig:
         return self.d_model // self.heads
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Weights:
     """A model's matrices, stored as float32 (:func:`as_matrix`): the embedding and head 2-D arrays of
     numbers, and the layer stack a 4-D one, each layer's W_Q, W_K, W_V and W_O in the weights file's
@@ -79,7 +79,7 @@ class Weights:
         object.__setattr__(self, "head", as_matrix(self.head, "head"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Model:
     """A config and weights that fit it, checked once, here: the embedding
     ``(vocab, d_model)``, the layer stack ``(layers, 4, d_model, d_model)``
@@ -103,7 +103,7 @@ class Model:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class PrefillResult:
     """A prefill's outputs: the next-token logits and, one stack per layer, the
     K/V and attention statistics eviction and decode start from. It keeps no
@@ -129,20 +129,28 @@ class DenseKV(CompressedKVCache):
 
         Its residual stacks are read-only views of ``result``'s own K and V stacks, shared: an append
         replaces a layer's stacks rather than writing them, and ``result`` keeps its flags. Every
-        layer's kept positions are one read-only ``(heads, n)`` broadcast of ``0..n-1``. Stacks that
-        fail :meth:`~CompressedKVCache.check_residual` raise.
+        layer's kept positions are one read-only ``(heads, n)`` broadcast of ``0..n-1``. The stacks enter
+        the cache here and are checked once: K and V of no layer or of other layer counts, or not 3-D
+        float32 stacks of layer 0's K shape, raise ContractViolation.
         """
         require_type("result", result, PrefillResult)
-        layers, (heads, n, head_dim) = len(result.keys), result.keys[0].shape
+        keys, values = result.keys, result.values
+        if not 0 < len(keys) == len(values):
+            raise ContractViolation(f"store must hold K and V of as many layers, at least one: {len(keys)} K, "
+                                    f"{len(values)} V")
+        shape = getattr(keys[0], "shape", None)
+        for layer, pair in enumerate(zip(keys, values)):
+            if not all(isinstance(m, np.ndarray) and m.dtype == np.float32 and m.ndim == 3 and m.shape == shape
+                       for m in pair):
+                raise ContractViolation(f"store layer {layer} must hold K and V as 3-D float32 stacks of one shape, "
+                                        f"layer 0's K {shape}: got {[getattr(m, 'shape', type(m)) for m in pair]}")
+        layers, (heads, n, head_dim) = len(keys), shape
         positions = np.broadcast_to(np.arange(n, dtype=POSITION_DTYPE), (heads, n))
-        kv = cls(plan=plan_for_tokens([n] * layers, FULL_PRECISION_BITS, heads=heads, head_dim=head_dim),
-                 heads=heads, head_dim=head_dim, prefill_len=n,
-                 entries=[[LayerHeadCache([], []) for _ in range(heads)] for _ in range(layers)],
-                 positions=[positions] * layers, residual_k=[_read_only(k.view()) for k in result.keys],
-                 residual_v=[_read_only(v.view()) for v in result.values])
-        for layer in range(layers):
-            kv.check_residual(layer)
-        return kv
+        return cls(plan=plan_for_tokens([n] * layers, FULL_PRECISION_BITS, heads=heads, head_dim=head_dim),
+                   heads=heads, head_dim=head_dim, prefill_len=n,
+                   entries=[[LayerHeadCache([], []) for _ in range(heads)] for _ in range(layers)],
+                   _positions=[positions] * layers, _residual_k=[_read_only(k.view()) for k in keys],
+                   _residual_v=[_read_only(v.view()) for v in values])
 
 
 def positional_encoding(length: int, d_model: int, offset: int = 0) -> Matrix:
@@ -474,11 +482,13 @@ def _decode(model: Model, store: CompressedKVCache, h) -> np.ndarray:
     V, each head's result bit for bit what its own 2-D products give.
 
     Operands are checked at the boundary, not at each product: the model's
-    weights when it was built (:class:`Model`), ``h``, the store's shape and
-    every layer's stacks here, and every stored row by the store. A ``store``
-    not shaped like the model or with a layer failing ``check_residual``, or
-    an ``h`` not shaped ``(d_model,)`` or ``(1, d_model)`` or not holding
-    numbers (:func:`as_row`), raises ContractViolation before the first append.
+    weights when it was built (:class:`Model`), ``h`` and the store's shape
+    here, every stored row by the store, and the store's stacks where they
+    entered it (the cache owns them). A ``store`` not shaped like the model,
+    or an ``h`` not shaped ``(d_model,)`` or ``(1, d_model)`` or not holding
+    numbers (:func:`as_row`), raises ContractViolation before the first
+    append. A layer whose block lists a caller replaced raises at its read
+    (:meth:`~CompressedKVCache.materialize_layer`), after the layers before it appended.
     The step then enters one error state that lets an overflow through
     silently, and makes each product a bare ``@`` through
     :func:`require_finite`, so a product that is not finite raises
@@ -490,8 +500,6 @@ def _decode(model: Model, store: CompressedKVCache, h) -> np.ndarray:
     want = (cfg.layers, cfg.heads, cfg.head_dim)
     if store.shape != want:
         raise ContractViolation(f"store (layers, heads, head_dim) {store.shape} is not the model's {want}")
-    for layer in range(1, cfg.layers):  # before layer 0's append, which checks its own
-        store.check_residual(layer)
     x = as_row(h, cfg.d_model, "h")
     d, heads, head_dim = cfg.d_model, cfg.heads, cfg.head_dim
     scale = np.float32(1.0 / math.sqrt(head_dim))

@@ -78,7 +78,7 @@ class PolicyConfig:
         return self.window if self.kind in (PolicyKind.SNAPKV, PolicyKind.PYRAMIDKV) else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreContext:
     """The prefill attention statistics eviction reads, for one (layer, head).
 

@@ -427,7 +427,7 @@ def _build_plan(cfg: SweepConfig, point: GridPoint, model: Model, policy: Policy
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class _Prompt:
     """What the grid points of one (seq_len, seed) prompt share, built once.
 

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from kvtrade.budget import plan_bytes, plan_for_tokens
 from kvtrade.cache import dump_snapshot, load_snapshot, prefill_compress
 from kvtrade.errors import ContractViolation, IntegrityError
-from kvtrade.model import ModelConfig, decode_step, embed_token, random_model
+from kvtrade.model import DenseKV, ModelConfig, decode_step, embed_token, prefill, random_model
 from kvtrade.prune import PolicyConfig, PolicyKind
-from kvtrade.quant import Layout, dequantize_matrix, quantize_matrix
+from kvtrade.quant import Layout, QuantConfig, dequantize_matrix, quantize_matrix
 from oracles import context_from_probs, per_head_decode, reference_dequantize, stored_blocks, uniform_plan
 
 
@@ -419,17 +419,20 @@ class TestJoinedStacks:
         for clone, read in zip(clones, reads):
             self.check(clone, read)
 
-    def test_a_hand_set_residual_is_read(self):
+    @pytest.mark.parametrize("name", ["positions", "residual_k", "residual_v"])
+    def test_the_stored_rows_cannot_be_set_by_hand(self, name):
         cache, rng = self.make_cache(), np.random.default_rng(45)
         cache.materialize_layer(0)
         for _ in range(2):
             self.append(cache, rng)
-        cache.materialize_layer(0)
-        cache.residual_k[0] = rng.normal(size=cache.residual_k[0].shape).astype(np.float32)
-        self.check(cache, cache.materialize_layer(0))
-        # set by hand again and appended to before any read: the append must not extend stacks
-        # joined from the residual the hand set replaced
-        cache.residual_v[0] = rng.normal(size=cache.residual_v[0].shape).astype(np.float32)
+        before = dump_snapshot(cache)
+        shown = getattr(cache, name)
+        assert type(shown) is tuple and not shown[0].flags.writeable
+        with pytest.raises(TypeError):
+            shown[0] = np.zeros_like(shown[0])
+        with pytest.raises(AttributeError):
+            setattr(cache, name, ())
+        assert dump_snapshot(cache) == before
         self.append(cache, rng)
         self.check(cache, cache.materialize_layer(0))
 
@@ -445,18 +448,17 @@ class TestJoinedStacks:
         self.check(cache, read)
         assert (read[0][1, :8] == 1.5).all()
 
-    def test_a_residual_longer_than_a_group_decodes_bit_for_bit(self):
-        # no append reaches group_size rows, so no flush comes: the stacks grow by doubling
-        cache, rng = self.make_cache(), np.random.default_rng(47)
-        shape = (self.HEADS, self.GROUP + 3, self.HEAD_DIM)
-        cache.residual_k[0], cache.residual_v[0] = rng.normal(size=(2, *shape)).astype(np.float32)
+    def test_the_residual_stays_under_a_group_across_decode(self):
+        # every group_size-th append flushes, so the joined stacks never outgrow their next flush
+        cache = self.make_cache()
         model = random_model(ModelConfig(1, self.HEADS, self.WIDTH, 16, 64, seed=48))
         for step in range(40):
             h = embed_token(model, step % 16)
             want = per_head_decode(model, cache.clone(), h)
             assert decode_step(model, cache, h).tobytes() == want.tobytes()
             self.check(cache, cache.materialize_layer(0))
-        assert cache.residual_k[0].shape[1] == self.GROUP + 3 + 40
+            rest = (self.HEADS, (step + 1) % self.GROUP, self.HEAD_DIM)
+            assert cache.residual_k[0].shape == cache.residual_v[0].shape == rest
 
     @pytest.mark.parametrize("bits", [4, 16])
     def test_every_read_is_read_only(self, bits):
@@ -468,6 +470,108 @@ class TestJoinedStacks:
             for m in stacks:
                 with pytest.raises(ValueError, match="read-only"):
                     m[...] = 0.0
+
+
+class TestBlockListsAreChecked:
+    """The block lists ``entry`` hands out are checked where a read joins a layer and where
+    ``dump_snapshot`` writes it: each head holds the blocks its plan and kept positions give."""
+
+    HEADS, HEAD_DIM, GROUP, KEPT = 2, 4, 8, 8
+    WIDTH = HEADS * HEAD_DIM
+
+    def make_cache(self, bits=4, layers=1):
+        keys, values, ctxs = make_inputs(layers, self.HEADS, 12, self.HEAD_DIM, seed=51)
+        plan = plan_for_tokens([self.KEPT] * layers, bits, heads=self.HEADS, head_dim=self.HEAD_DIM,
+                               group_size=self.GROUP)
+        cache = prefill_compress(keys, values, ctxs, plan, STREAM4)
+        assert cache.positions[0].shape == (self.HEADS, self.KEPT)
+        for layer in range(layers):
+            cache.materialize_layer(layer)  # a join the replaced block must not be read through
+        return cache
+
+    @staticmethod
+    def block(rows, cols, cfg):
+        return quantize_matrix(np.full((rows, cols), 0.5, dtype=np.float32), cfg)
+
+    @staticmethod
+    def rejected(cache, layer, head, side="K"):
+        """Reads of ``layer`` and a dump raise, naming the layer, the head and the side."""
+        match = f"layer {layer} head {head} must hold {side} blocks"
+        for _ in range(2):  # a failed check is not remembered
+            with pytest.raises(ContractViolation, match=match):
+                cache.materialize_layer(layer)
+        with pytest.raises(ContractViolation, match=match):
+            dump_snapshot(cache)
+
+    def test_a_block_of_another_width(self):
+        cache = self.make_cache()
+        stored_blocks(cache, 0, 1)[0][0] = self.block(self.KEPT, self.HEAD_DIM + 1, cache.plan.quant_config(0)[0])
+        self.rejected(cache, 0, 1)
+        model = random_model(ModelConfig(1, self.HEADS, self.WIDTH, 16, 64, seed=52))
+        with pytest.raises(ContractViolation, match="layer 0 head 1"):
+            decode_step(model, cache, embed_token(model, 1))
+
+    def test_prompt_blocks_of_7_and_9_rows(self):
+        # as many rows in both heads together as two prompt blocks of the 8 kept, so the
+        # layer's stacks would still reshape into (heads, rows, head_dim)
+        cache = self.make_cache()
+        k_cfg = cache.plan.quant_config(0)[0]
+        for head, rows in enumerate((7, 9)):
+            stored_blocks(cache, 0, head)[0][0] = self.block(rows, self.HEAD_DIM, k_cfg)
+        self.rejected(cache, 0, 0)
+
+    def test_an_8_bit_block_in_a_4_bit_layer(self):
+        cache = self.make_cache()
+        v_cfg = cache.plan.quant_config(0)[1]
+        stored_blocks(cache, 0, 0)[1][0] = self.block(self.KEPT, self.HEAD_DIM, replace(v_cfg, bits=8))
+        self.rejected(cache, 0, 0, "V")
+
+    @pytest.mark.parametrize("head, side, forge", [
+        (1, "K", list.clear),
+        (0, "K", list.clear),
+        (0, "V", lambda blocks: blocks.append(blocks[0])),
+        (1, "V", lambda blocks: blocks.append(quantize_matrix(np.ones((8, 4), dtype=np.float32), QuantConfig(4, 8)))),
+    ], ids=["no_k_in_head_1", "no_k_in_head_0", "second_prompt_block", "extra_group_block"])
+    def test_a_head_of_another_block_count(self, head, side, forge):
+        cache = self.make_cache()
+        forge(stored_blocks(cache, 0, head)["KV".index(side)])
+        self.rejected(cache, 0, head, side)
+
+    def test_an_object_that_is_not_a_block(self):
+        cache = self.make_cache()
+        stored_blocks(cache, 0, 1)[1][0] = "block"
+        with pytest.raises(ContractViolation, match="must be a QuantizedTensor"):
+            cache.materialize_layer(0)
+        with pytest.raises(ContractViolation, match="layer 0 head 1 must hold V blocks"):
+            dump_snapshot(cache)
+
+    def test_a_block_on_a_16_bit_layer(self):
+        # a 16-bit layer's read is its residual, which holds every row: the block is rejected where
+        # it would be written
+        cache = self.make_cache(bits=16)
+        read = [m.tobytes() for m in cache.materialize_layer(0)]
+        stored_blocks(cache, 0, 1)[0].append(self.block(self.KEPT, self.HEAD_DIM, QuantConfig(4, self.GROUP)))
+        with pytest.raises(ContractViolation, match="layer 0 head 1 must hold K blocks"):
+            dump_snapshot(cache)
+        assert [m.tobytes() for m in cache.materialize_layer(0)] == read
+
+    def test_clones_share_a_check_but_not_their_blocks(self):
+        source = self.make_cache()  # its blocks passed the check at its first read
+        clones = [source.clone(), source.clone()]
+        stored_blocks(clones[0], 0, 1)[0][0] = self.block(7, self.HEAD_DIM, source.plan.quant_config(0)[0])
+        self.rejected(clones[0], 0, 1)
+        for cache in (source, clones[1]):
+            assert [m.tobytes() for m in cache.materialize_layer(0)] == joined_oracle(cache, 0)
+
+    def test_a_step_raises_at_the_layer_whose_blocks_were_replaced(self):
+        cache = self.make_cache(layers=2)
+        model = random_model(ModelConfig(2, self.HEADS, self.WIDTH, 16, 64, seed=53))
+        decode_step(model, cache, embed_token(model, 1))
+        stored_blocks(cache, 1, 0)[0][0] = self.block(7, self.HEAD_DIM, cache.plan.quant_config(1)[0])
+        with pytest.raises(ContractViolation, match="layer 1 head 0 must hold K blocks"):
+            decode_step(model, cache, embed_token(model, 2))
+        # both layers appended before layer 1's read raised
+        assert [cache.residual_k[layer].shape[1] for layer in range(2)] == [2, 2]
 
 
 class TestMeasuredBytes:
@@ -534,7 +638,9 @@ class TestSnapshot:
             with pytest.raises(IntegrityError, match=f"version {version}"):
                 load_snapshot(bytes(blob))
 
-    # hand-set residual stacks that load_snapshot would reject or read back otherwise
+    # residual stacks that load_snapshot would reject or read back otherwise, brought in by a prefill
+    # result: DenseKV.from_prefill rejects a stack of another kind or shape where it enters, and
+    # dump_snapshot one whose values are not finite
     @pytest.mark.parametrize("forge, match", [
         pytest.param(lambda m: np.full_like(m, np.nan), "layer 1's residual values must be finite", id="nan"),
         pytest.param(lambda m: np.where(m > 0, np.inf, m), "layer 1's residual values must be finite", id="inf"),
@@ -545,11 +651,11 @@ class TestSnapshot:
     ])
     @pytest.mark.parametrize("side", ["k", "v"])
     def test_dump_rejects_a_residual_the_loader_would_not_read(self, side, forge, match):
-        cache = self.build()
-        residual = cache.residual_k if side == "k" else cache.residual_v
-        residual[1] = forge(residual[1])
+        result = prefill(random_model(ModelConfig(2, 2, 16, 8, 16, seed=13)), [1, 2, 3, 4])
+        stacks = result.keys if side == "k" else result.values
+        stacks[1] = forge(stacks[1])
         with pytest.raises(ContractViolation, match=match):
-            dump_snapshot(cache)
+            dump_snapshot(DenseKV.from_prefill(result))
 
 
 SNAPSHOT_HEADER = 4 + struct.calcsize("<HHHIIBdIq")

@@ -22,6 +22,7 @@ import pytest
 import kvtrade as kv
 from kvtrade.model import DenseKV, RecallVocab, embed_token, prefill_kv0
 from kvtrade.prune import decide
+from kvtrade import sweep
 from kvtrade.sweep import ConfigError, SweepRow
 
 # IntegrityError for stored data; parse_config's text of the wrong kind is ContractViolation, bad text ConfigError
@@ -67,9 +68,8 @@ def weights_file():
 
 
 CACHE_METHODS = {"entry": dict(layer=0, head=0), "clone": {}, "decode_append": dict(layer=0, h_k=ROW, h_v=ROW),
-                 "check_residual": dict(layer=0), "materialize": dict(layer=0, head=0),
-                 "materialize_layer": dict(layer=0), "measured_bytes_per_layer": {}, "measured_bytes": {},
-                 "payload_bytes": {}}
+                 "materialize": dict(layer=0, head=0), "materialize_layer": dict(layer=0),
+                 "measured_bytes_per_layer": {}, "measured_bytes": {}, "payload_bytes": {}}
 
 # one valid call per callable: (callable, its every argument by name, built fresh for each call)
 BASELINES = {
@@ -286,3 +286,14 @@ def test_other_forms_of_a_kind_are_accepted():
     kv.pyramid_allocation(2, 10, np.float32(0.5))
     kv.gen_recall_task(16, 1, [np.float32(0.5)], 0, RecallVocab(4, 8))
 
+
+
+@pytest.mark.parametrize("make", [
+    cache, lambda: DenseKV.from_prefill(PREFILL), lambda: PREFILL, lambda: MODEL.weights, lambda: MODEL,
+    lambda: CTX, lambda: sweep._Prompt(MODEL, np.arange(3), [[CTX]], [], [], [], True),
+], ids=["CompressedKVCache", "DenseKV", "PrefillResult", "Weights", "Model", "ScoreContext", "_Prompt"])
+def test_records_that_hold_arrays_compare_and_hash_by_identity(make):
+    record = make()
+    twin = dataclasses.replace(record)  # the same arrays in every field
+    assert (record == record) is True and (record == twin) is False and (record != twin) is True
+    assert hash(record) == hash(record) and hash(record) != hash(twin)

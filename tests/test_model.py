@@ -1073,27 +1073,34 @@ class TestDecodeRejectsAMisfit:
         self.check_rejected(_model(1, 1, 4), cache, dense, h, "shaped")
 
     def test_ragged_dense_store(self):
-        # a layer whose K and V are not 3-D float32 stacks of one shape
+        # a layer whose K and V are not 3-D float32 stacks of one shape, rejected where it enters
         for layer_v in (np.ones((2, 3, 4), dtype=np.float32), np.ones((2, 4, 2), dtype=np.float32),
                         np.ones((2, 3, 2)), np.ones((3, 2), dtype=np.float32), [[[1.0] * 2] * 3] * 2):
-            _, dense = self.stores(1, 2, 4)
-            dense.residual_v[0] = layer_v
-            before = TestDenseKVRejects.state(dense)
-            with pytest.raises(ContractViolation, match="store"):
-                decode_step_dense(_model(1, 2, 4), dense, np.ones(4))
-            with pytest.raises(ContractViolation, match="stacks of one shape"):
-                dense.decode_append(0, np.ones(4), np.ones(4))
-            assert TestDenseKVRejects.state(dense) == before
+            res = prefill(_model(1, 2, 4), [1, 2, 3])
+            res.values[0] = layer_v
+            with pytest.raises(ContractViolation, match="store layer 0 must hold K and V as 3-D float32 stacks "
+                                                        "of one shape"):
+                DenseKV.from_prefill(res)
 
     def test_ragged_later_layer_leaves_every_layer_unchanged(self):
-        # decode checks every layer before its first append
-        cache, dense = self.stores(2, 2, 4)
-        for store in (cache, dense):
-            store.residual_k[1] = store.residual_k[1][:, :-1]
-            before = TestDenseKVRejects.state(store)
-            with pytest.raises(ContractViolation, match="store layer 1"):
-                decode_step(_model(2, 2, 4), store, np.ones(4))
-            assert TestDenseKVRejects.state(store) == before
+        # each store checks every layer's stacks where they enter it: none is made, and the
+        # prefill result keeps its stacks and their flags
+        res = prefill(_model(2, 2, 4), [1, 2, 3])
+        res.keys[1] = res.keys[1][:, :-1]
+        before = [(m.flags.writeable, m.shape, m.tobytes()) for m in res.keys + res.values]
+        with pytest.raises(ContractViolation, match="store layer 1"):
+            DenseKV.from_prefill(res)
+        plan = uniform_plan(2, 4, 16, heads=2, head_dim=2)
+        with pytest.raises(ContractViolation, match="K/V at layer 1"):
+            prefill_compress(res.keys, res.values, contexts(res), plan, STREAM)
+        assert [(m.flags.writeable, m.shape, m.tobytes()) for m in res.keys + res.values] == before
+
+    @pytest.mark.parametrize("keys, values", [([], []), ([np.ones((1, 3, 4), dtype=np.float32)], [])],
+                             ids=["no_layer", "more_k_layers"])
+    def test_prefill_of_missing_layers_is_rejected(self, keys, values):
+        res = kvmodel.PrefillResult(np.zeros(4, dtype=np.float32), keys, values, [], [])
+        with pytest.raises(ContractViolation, match="of as many layers, at least one"):
+            DenseKV.from_prefill(res)
 
     def test_prefill_of_ragged_stacks_is_rejected(self):
         res = prefill(_model(1, 2, 4), [1, 2, 3])
@@ -1467,15 +1474,17 @@ class TestDecodeChecksEveryProduct:
 
     @pytest.mark.parametrize("side", ["k", "v"])
     def test_stores_of_stacks_that_are_not_float32_raise(self, side):
-        model = _decode_model(w_q=0.5, w_k=0.5, w_v=0.5, w_o=0.5, head=0.5)
-        cache, dense = _stores(_row_stack([0.5, 0.25]), _row_stack([0.5, 0.25]))
-        wide = _row_stack([0.5, 0.25]).astype(np.float64)
-        (cache.residual_k if side == "k" else cache.residual_v)[0] = wide
-        (dense.residual_k if side == "k" else dense.residual_v)[0] = wide
-        with pytest.raises(ContractViolation, match="3-D float32"):
-            decode_step(model, cache, np.ones(D))
-        with pytest.raises(ContractViolation, match="store"):
-            decode_step_dense(model, dense, np.ones(D))
+        # a float64 stack enters a store through a prefill result: the compressed cache stores
+        # it as float32, and the dense store rejects it
+        stack = _row_stack([0.5, 0.25])
+        wide = stack.astype(np.float64)
+        k, v = (wide, stack) if side == "k" else (stack, wide)
+        plan = plan_for_tokens([3], 16, heads=HEADS, head_dim=HEAD_DIM)
+        policy = PolicyConfig(PolicyKind.STREAMING_LLM, recent_window=1)
+        cache = prefill_compress([k], [v], [[None] * HEADS], plan, policy)
+        assert cache.residual_k[0].dtype == cache.residual_v[0].dtype == np.float32
+        with pytest.raises(ContractViolation, match="store layer 0 must hold K and V as 3-D float32"):
+            DenseKV.from_prefill(kvmodel.PrefillResult(np.zeros(D, dtype=np.float32), [k], [v], [], []))
 
 
 class TestModelChecksItsWeights:
